@@ -40,10 +40,8 @@ from .models import (
 )
 from .montecarlo import (
     FrequencyEstimate,
-    PathSample,
     estimate_tail_union,
     estimate_window_prob,
-    sample_paths,
     wilson_interval,
 )
 from .oracle import (
@@ -110,10 +108,8 @@ __all__ = [
     "tail_union",
     "limsup_estimate",
     # montecarlo
-    "PathSample",
     "FrequencyEstimate",
     "wilson_interval",
-    "sample_paths",
     "estimate_window_prob",
     "estimate_tail_union",
     # oracle

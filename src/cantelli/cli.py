@@ -18,9 +18,9 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .criteria import sweep_prefix_len
+from .criteria import SweepResult, sweep_prefix_len
 from .limsup import limsup_estimate
-from .models import EventSequenceModel, NumericFaultError, marginal_decay_check
+from .models import EventSequenceModel, NumericFaultError
 from .montecarlo import estimate_tail_union, estimate_window_prob
 from .oracle import (
     HorizonExceededError,
@@ -96,12 +96,8 @@ def _checkpoints(n: int) -> list[int]:
 # analyze
 
 
-def analyze_results(model: EventSequenceModel, terms: int, m_max: int, tol: float) -> dict:
-    return _analyze_results(model, sweep_prefix_len(model, m_max, terms, tol), tol)
-
-
-def _analyze_results(model: EventSequenceModel, sweep, tol: float) -> dict:
-    decay_verdict, decay_note = marginal_decay_check(model, tol=tol)
+def _analyze_results(sweep: SweepResult) -> dict:
+    decay_verdict, decay_note = sweep.decay
     criteria = []
     for res in sweep.results:
         rep = res.series
@@ -167,7 +163,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     flags = {"terms": terms, "m_max": m_max, "tol": tol}
     report = _report_shell("analyze", spec, flags)
     sweep = sweep_prefix_len(model, m_max, terms, tol)
-    report["results"] = _analyze_results(model, sweep, tol)
+    report["results"] = _analyze_results(sweep)
     if args.format == "csv":
         if args.out is None:
             raise SpecError("--out", "csv format requires an output path")

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 
@@ -174,8 +173,6 @@ def classify_series(
     terms: np.ndarray,
     kind: SeriesKind,
     model: EventSequenceModel | None = None,
-    *,
-    min_terms: int = MIN_TERMS_FOR_FIT,
 ) -> Verdict:
     """Issue a convergence verdict for the evaluated terms.
 
@@ -184,9 +181,11 @@ def classify_series(
     fitted tail exponent with a +-0.1 buffer around the p-series boundary.
     """
     meta = model.metadata if model is not None else None
-    if len(terms) < min_terms and (meta is None or meta.classify_series(kind.prefix_len) is None):
+    if len(terms) < MIN_TERMS_FOR_FIT and (
+        meta is None or meta.classify_series(kind.prefix_len) is None
+    ):
         raise InsufficientDataError(
-            f"{len(terms)} terms evaluated; need {min_terms} or analytic metadata"
+            f"{len(terms)} terms evaluated; need {MIN_TERMS_FOR_FIT} or analytic metadata"
         )
 
     # Exact zeros observed beat declared metadata: verify them structurally.
@@ -272,15 +271,11 @@ class SeriesReport:
 
 
 def build_series_report(
-    model: EventSequenceModel,
-    kind: SeriesKind,
-    num_terms: int,
-    *,
-    min_terms: int = MIN_TERMS_FOR_FIT,
+    model: EventSequenceModel, kind: SeriesKind, num_terms: int
 ) -> SeriesReport:
     terms = series_terms(model, kind, num_terms)
     sums = compensated_cumsum(terms)
-    verdict = classify_series(terms, kind, model, min_terms=min_terms)
+    verdict = classify_series(terms, kind, model)
     return SeriesReport(
         kind=kind,
         terms=terms,
@@ -313,7 +308,6 @@ def check_criterion(
     tol: float = 1e-6,
     *,
     orientation: Orientation = Orientation.PREFIX_COMPLEMENT,
-    probes: Sequence[int] | None = None,
     decay: tuple[DecayVerdict, str] | None = None,
 ) -> CriterionResult:
     """Run the window-series criterion with complement run ``prefix_len``.
@@ -323,7 +317,8 @@ def check_criterion(
     conclusion is certified only when both inputs are.  IO_PROB_ONE is issued
     only for independent models with a divergent marginal series.  Dependent
     models with divergent series get NO_CONCLUSION: the criteria are
-    sufficient, not necessary.
+    sufficient, not necessary.  ``decay`` passes in a decay check already run;
+    without it the marginals are probed up to ``num_terms``.
     """
     if prefix_len < 0:
         raise ValueError("prefix_len must be >= 0")
@@ -331,9 +326,7 @@ def check_criterion(
     report = build_series_report(model, kind, num_terms)
     needs_decay = prefix_len >= 1
     if needs_decay and decay is None:
-        decay = marginal_decay_check(
-            model, probes if probes is not None else default_decay_probes(num_terms), tol
-        )
+        decay = marginal_decay_check(model, default_decay_probes(num_terms), tol)
     decay_verdict, decay_note = decay if (needs_decay and decay is not None) else (None, "")
 
     decay_ok = decay_verdict in (
@@ -387,6 +380,9 @@ def check_criterion(
 
 @dataclass
 class SweepResult:
+    """Criteria for m = 0..max_prefix_len and the one decay check they share."""
+
+    decay: tuple[DecayVerdict, str]
     results: list[CriterionResult] = field(default_factory=list)
     least_io_zero: int | None = None
     least_certified_io_zero: int | None = None
@@ -399,30 +395,18 @@ def sweep_prefix_len(
     tol: float = 1e-6,
     *,
     orientation: Orientation = Orientation.PREFIX_COMPLEMENT,
-    probes: Sequence[int] | None = None,
-    hard_cap: int = MAX_PREFIX_LEN,
 ) -> SweepResult:
     """Run the criterion for every complement-run length 0..max_prefix_len.
 
     Reports the least length that concludes IO_PROB_ZERO (and the least doing
-    so with certification), or None.
+    so with certification), or None.  The marginals are probed for decay once,
+    up to ``num_terms``, and every criterion uses that result.
     """
-    if max_prefix_len > hard_cap:
-        raise ValueError(f"max_prefix_len {max_prefix_len} exceeds the cap of {hard_cap}")
-    decay = marginal_decay_check(
-        model, probes if probes is not None else default_decay_probes(num_terms), tol
-    )
-    out = SweepResult()
+    if max_prefix_len > MAX_PREFIX_LEN:
+        raise ValueError(f"max_prefix_len {max_prefix_len} exceeds the cap of {MAX_PREFIX_LEN}")
+    out = SweepResult(decay=marginal_decay_check(model, default_decay_probes(num_terms), tol))
     for m in range(max_prefix_len + 1):
-        res = check_criterion(
-            model,
-            m,
-            num_terms,
-            tol,
-            orientation=orientation,
-            probes=probes,
-            decay=decay,
-        )
+        res = check_criterion(model, m, num_terms, tol, orientation=orientation, decay=out.decay)
         out.results.append(res)
         if res.conclusion is Conclusion.IO_PROB_ZERO:
             if out.least_io_zero is None:

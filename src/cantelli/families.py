@@ -167,7 +167,7 @@ class PowerLaw(SequenceFamily):
         if self.scale == 0.0:
             return 0.0
         if self.exponent > 0.0:
-            return self.value(max(n, 1))
+            return self.value(n)
         if self.exponent == 0.0:
             return clamp01(self.scale)
         return 1.0
@@ -243,7 +243,7 @@ class LogPower(SequenceFamily):
         if self.scale == 0.0:
             return 0.0
         if self.exponent > 0.0:
-            return self.value(max(n, 1))
+            return self.value(n)
         if self.exponent == 0.0:
             return clamp01(self.scale)
         return 1.0

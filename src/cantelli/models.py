@@ -58,7 +58,6 @@ class AnalyticMetadata:
 
     ``series_classifier(prefix_len)`` classifies the window series with that
     many complement factors, returning (SeriesClass, justification) or None.
-    ``marginal_tail_bound(n)`` bounds sum_{j>=n} P(A_j) from above;
     ``tail_union_bound(n)`` bounds P(union_{j>=n} A_j) from above.  Absent
     callables mean "no closed form"; every certification must be backed by the
     argument recorded in its justification or in ``description``.
@@ -66,7 +65,6 @@ class AnalyticMetadata:
 
     marginal_limit: float | None = None
     series_classifier: Callable[[int], tuple[SeriesClass, str] | None] | None = None
-    marginal_tail_bound: Callable[[int], float] | None = None
     tail_union_bound: Callable[[int], float] | None = None
     description: str = ""
 
@@ -125,9 +123,6 @@ class EventSequenceModel(ABC):
             return 1.0
         return self.window_prob(all_complement(n, length))
 
-    def describe(self) -> str:
-        return self.metadata.description or type(self).__name__
-
     @staticmethod
     def _finish_prob(x: float) -> float:
         if not math.isfinite(x):
@@ -161,7 +156,6 @@ class IndependentModel(EventSequenceModel):
         self._metadata = AnalyticMetadata(
             marginal_limit=marginal.limit(),
             series_classifier=marginal.series_class,
-            marginal_tail_bound=tail_sum if tail_sum(1) is not None else None,
             tail_union_bound=union_bound if tail_sum(1) is not None else None,
             description=f"independent events, {marginal.describe()}",
         )
@@ -653,22 +647,6 @@ class LatentUniformModel(EventSequenceModel):
             why = "; ".join(p[1] for p in parts)  # type: ignore[index]
             return SeriesClass.CONVERGENT, f"marginal sum converges per latent family: {why}"
 
-        def tail_bound(n: int) -> float | None:
-            total = 0.0
-            for fam, start in self._families_with_start(n):
-                b = fam.tail_sum_bound(max(start, 1))
-                if b is None:
-                    return None
-                total += b
-            return total
-
-        has_tail_bound = tail_bound(1) is not None
-
-        def marginal_tail(n: int) -> float:
-            b = tail_bound(n)
-            assert b is not None
-            return b
-
         def union_bound(n: int) -> float:
             # Exact per-latent collapse: the union of threshold events on one
             # latent is the single event at the supremum threshold.
@@ -683,7 +661,6 @@ class LatentUniformModel(EventSequenceModel):
         return AnalyticMetadata(
             marginal_limit=limit,
             series_classifier=classifier,
-            marginal_tail_bound=marginal_tail if has_tail_bound else None,
             tail_union_bound=union_bound,
             description=desc,
         )

@@ -13,17 +13,15 @@ from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
-from scipy import stats
+from scipy.special import ndtri
 
 from .models import EventSequenceModel
 from .windows import WindowPattern
 
 __all__ = [
     "CHUNK",
-    "PathSample",
     "FrequencyEstimate",
     "wilson_interval",
-    "sample_paths",
     "estimate_window_prob",
     "estimate_tail_union",
 ]
@@ -33,17 +31,6 @@ CHUNK = 4096
 
 def _chunk_rng(seed: int, chunk_index: int) -> np.random.Generator:
     return np.random.default_rng((int(seed), int(chunk_index)))
-
-
-@dataclass(frozen=True)
-class PathSample:
-    """One realized indicator path A_1..A_horizon with its seed lineage."""
-
-    horizon: int
-    indicators: np.ndarray
-    seed: int
-    stream: int
-    offset: int
 
 
 @dataclass(frozen=True)
@@ -73,7 +60,7 @@ def wilson_interval(successes: int, samples: int, confidence: float = 0.95) -> t
         raise ValueError("need at least one sample")
     if not 0.0 < confidence < 1.0:
         raise ValueError("confidence must be in (0, 1)")
-    z = float(stats.norm.ppf(0.5 + confidence / 2.0))
+    z = float(ndtri(0.5 + confidence / 2.0))
     phat = successes / samples
     denom = 1.0 + z * z / samples
     center = (phat + z * z / (2.0 * samples)) / denom
@@ -95,24 +82,6 @@ def _iter_chunks(count: int) -> Iterator[tuple[int, int]]:
         yield j, CHUNK
     if rest:
         yield full, rest
-
-
-def sample_paths(
-    model: EventSequenceModel, horizon: int, count: int, seed: int
-) -> Iterator[PathSample]:
-    """Yield ``count`` independent indicator paths of length ``horizon``."""
-    if horizon < 1 or count < 1:
-        raise ValueError("horizon and count must be >= 1")
-    for j, size in _iter_chunks(count):
-        block = model.sample_indicator_block(_chunk_rng(seed, j), 1, horizon, size)
-        for row in range(size):
-            yield PathSample(
-                horizon=horizon,
-                indicators=block[row].copy(),
-                seed=seed,
-                stream=j,
-                offset=row,
-            )
 
 
 def _count_block_event(

@@ -35,29 +35,16 @@ class TruncatedOutcomeSpace:
     """All outcomes of a model up to ``horizon``, with exact probabilities.
 
     ``indicators[a, t]`` says whether A_{t+1} holds in atom ``a``.
-    ``descriptions`` may be omitted for large spaces; ``describe_atom`` then
-    falls back to the indicator pattern.
     """
 
     horizon: int
     probs: np.ndarray
     indicators: np.ndarray
-    descriptions: list[str] | None = None
 
     def __post_init__(self) -> None:
         total = float(self.probs.sum())
         if abs(total - 1.0) > 1e-12:
             raise ValueError(f"atom probabilities sum to {total!r}, expected 1")
-
-    def describe_atom(self, i: int) -> str:
-        if self.descriptions is not None:
-            return self.descriptions[i]
-        return "".join("1" if b else "0" for b in self.indicators[i])
-
-    def iter_atoms(self):
-        """Yield (description, probability) pairs."""
-        for i in range(len(self.probs)):
-            yield self.describe_atom(i), float(self.probs[i])
 
     def window_mask(self, w: WindowPattern) -> np.ndarray:
         if w.last_index > self.horizon:
@@ -94,17 +81,6 @@ def oracle_union_prob(space: TruncatedOutcomeSpace, n: int, span: int) -> float:
     return space.event_prob(space.union_mask(n, span))
 
 
-def first_occurrence_masks(
-    space: TruncatedOutcomeSpace, n: int, count: int
-) -> tuple[list[np.ndarray], np.ndarray]:
-    """Atom masks of the first-occurrence events at n..n+count-1 plus the all-complement rest."""
-    from .windows import all_complement, first_occurrence
-
-    occ = [space.window_mask(first_occurrence(n, k)) for k in range(count)]
-    rest = space.window_mask(all_complement(n, count))
-    return occ, rest
-
-
 def build_outcome_space(
     model: EventSequenceModel,
     horizon: int,
@@ -131,8 +107,7 @@ def _independent_space(model: IndependentModel, horizon: int) -> TruncatedOutcom
     atoms = np.arange(2**horizon)
     indicators = (atoms[:, None] >> np.arange(horizon)) & 1 > 0
     probs = np.where(indicators, p, 1.0 - p).prod(axis=1)
-    descriptions = ["".join("1" if b else "0" for b in row) for row in indicators]
-    return TruncatedOutcomeSpace(horizon, probs, indicators, descriptions)
+    return TruncatedOutcomeSpace(horizon, probs, indicators)
 
 
 def _markov_space(model: MarkovModel, horizon: int, max_paths: int) -> TruncatedOutcomeSpace:
@@ -155,10 +130,7 @@ def _markov_space(model: MarkovModel, horizon: int, max_paths: int) -> Truncated
     indicators = np.empty((len(paths), horizon), dtype=bool)
     for t in range(1, horizon + 1):
         indicators[:, t - 1] = model.event_mask(t)[paths[:, t - 1]]
-    descriptions = (
-        ["->".join(str(x) for x in row) for row in paths] if len(paths) <= 20000 else None
-    )
-    return TruncatedOutcomeSpace(horizon, probs, indicators, descriptions)
+    return TruncatedOutcomeSpace(horizon, probs, indicators)
 
 
 def _latent_space(model: LatentUniformModel, horizon: int) -> TruncatedOutcomeSpace:
@@ -188,7 +160,4 @@ def _latent_space(model: LatentUniformModel, horizon: int) -> TruncatedOutcomeSp
             lo, hi = combo[model.color(i)]
             # U in (lo, hi]: the cell satisfies U <= a_i exactly when hi <= a_i.
             indicators[a, i - 1] = hi <= model.threshold(i)
-    descriptions = [
-        " x ".join(f"U{j}in({lo:g},{hi:g}]" for j, (lo, hi) in enumerate(c)) for c in combos
-    ]
-    return TruncatedOutcomeSpace(horizon, probs, indicators, descriptions)
+    return TruncatedOutcomeSpace(horizon, probs, indicators)

@@ -8,7 +8,7 @@ field, so a CI failure points at the line to fix.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Any
 
@@ -245,9 +245,12 @@ class AnalysisDefaults:
 
 @dataclass(frozen=True)
 class ModelSpec:
+    """A validated spec together with the model it describes, built once at load."""
+
     name: str
     description: str
     model_config: dict = field(repr=False)
+    model: EventSequenceModel = field(repr=False, compare=False)
     defaults: AnalysisDefaults = AnalysisDefaults()
 
     def echo(self) -> dict:
@@ -295,8 +298,8 @@ def parse_spec(data: Any, *, source: str = "spec") -> ModelSpec:
             f"{source}.model.family",
             f"unknown model family {family!r}; expected one of {sorted(_BUILDERS)}",
         )
-    # Validate eagerly so load errors surface before any computation.
-    _BUILDERS[family](model_cfg, f"{source}.model")
+    # Building validates, so load errors surface before any computation.
+    model = _BUILDERS[family](model_cfg, f"{source}.model")
     defaults = (
         _parse_defaults(root["defaults"], f"{source}.defaults")
         if "defaults" in root
@@ -309,7 +312,11 @@ def parse_spec(data: Any, *, source: str = "spec") -> ModelSpec:
     if not isinstance(description, str):
         raise SpecError(f"{source}.description", "expected a string")
     return ModelSpec(
-        name=name, description=description, model_config=model_cfg, defaults=defaults
+        name=name,
+        description=description,
+        model_config=model_cfg,
+        model=model,
+        defaults=defaults,
     )
 
 
@@ -323,15 +330,10 @@ def load_spec(path: str | Path) -> ModelSpec:
         raise SpecError(str(path), f"invalid JSON: {exc}") from None
     spec = parse_spec(data, source="spec")
     if not spec.name:
-        spec = ModelSpec(
-            name=path.stem,
-            description=spec.description,
-            model_config=spec.model_config,
-            defaults=spec.defaults,
-        )
+        spec = replace(spec, name=path.stem)
     return spec
 
 
 def build_model(spec: ModelSpec) -> EventSequenceModel:
-    family = spec.model_config["family"]
-    return _BUILDERS[family](spec.model_config, "spec.model")
+    """The model of ``spec``; it was built when the spec was parsed."""
+    return spec.model

@@ -42,6 +42,27 @@ def test_analyze_coin_io_prob_one(tmp_path):
     assert report["results"]["criteria"][0]["certified"] is True
 
 
+def test_analyze_decay_matches_the_criteria_that_used_it(tmp_path):
+    # events hold only at times 1500..4999: the marginals look decayed up to
+    # --terms 1000 but not up to 4096, so a second, wider probe set disagrees
+    spec = tmp_path / "late-events.json"
+    spec.write_text(json.dumps({
+        "model": {
+            "family": "markov",
+            "transition": [[1.0]],
+            "initial": [1.0],
+            "events": {"mode": "explicit", "sets": [[]] * 1499 + [[0]] * 3500, "tail": []},
+        }
+    }))
+    out = tmp_path / "report.json"
+    assert run(["analyze", spec, "--terms", "1000", "--out", out]) == EXIT_OK
+    results = json.loads(out.read_text())["results"]
+    assert results["decay"]["verdict"] == "likely-zero-limit"
+    for c in results["criteria"][1:]:
+        assert c["conclusion"] == "io-prob-zero"
+        assert c["note"].endswith(f"; marginal decay: {results['decay']['note']}")
+
+
 def test_analyze_malformed_spec_exit_2(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({

@@ -3,6 +3,8 @@ import pytest
 
 from cantelli import (
     IndependentModel,
+    LatentUniformModel,
+    PerLatentThresholds,
     PowerLaw,
     build_outcome_space,
     limsup_estimate,
@@ -60,6 +62,18 @@ def test_tail_union_matches_oracle_truncation():
         for n in (1, 2):
             partial = float(model.first_occurrence_terms(n, 10).sum())
             assert partial == pytest.approx(oracle_union_prob(space, n, 9), abs=1e-10)
+
+
+def test_union_bound_respects_saturated_offsets():
+    # latent 0 first appears at index 21 with position 1 - 5 <= 0, where its
+    # threshold saturates to 1, so A_21 is certain and u_1 = 1
+    model = LatentUniformModel(
+        2,
+        [1] * 20 + [0],
+        PerLatentThresholds((PowerLaw(0.01, 1.0), PowerLaw(0.5, 1.0)), (-5, 0)),
+    )
+    assert model.marginal_prob(21) == 1.0
+    assert tail_union(model, 1, k_max=16).interval[1] == 1.0
 
 
 def test_tail_union_argument_validation():

@@ -4,10 +4,9 @@ import pytest
 from cantelli import (
     estimate_tail_union,
     estimate_window_prob,
-    sample_paths,
     wilson_interval,
 )
-from cantelli.montecarlo import CHUNK
+from cantelli.montecarlo import CHUNK, _chunk_rng, _iter_chunks
 from cantelli.windows import first_occurrence
 
 from conftest import (
@@ -34,24 +33,32 @@ def test_wilson_validation():
         wilson_interval(1, 10, confidence=1.0)
 
 
+def draw_paths(model, horizon, count, seed):
+    """Indicator paths A_1..A_horizon, one row per path, drawn chunk by chunk."""
+    return np.vstack(
+        [
+            model.sample_indicator_block(_chunk_rng(seed, j), 1, horizon, size)
+            for j, size in _iter_chunks(count)
+        ]
+    )
+
+
 def test_coin_marginal_frequencies_within_band():
-    coin = make_coin()
-    paths = np.stack([p.indicators for p in sample_paths(coin, 10, 100000, seed=2024)])
+    paths = draw_paths(make_coin(), 10, 100000, seed=2024)
+    assert paths.shape == (100000, 10)
     freq = paths.mean(axis=0)
     assert np.all(freq >= 0.494) and np.all(freq <= 0.506)
 
 
 def test_flipflop_paths_alternate_exactly():
-    ff = make_flipflop()
-    for p in sample_paths(ff, 8, 50, seed=1):
-        assert p.indicators.tolist() == [False, True] * 4
+    paths = draw_paths(make_flipflop(), 8, 50, seed=1)
+    assert np.array_equal(paths, np.tile([False, True], (50, 4)))
 
 
 def test_nested_paths_are_nested():
-    nested = make_nested()
-    for p in sample_paths(nested, 12, 200, seed=3):
-        ind = p.indicators
-        assert not np.any(ind[1:] & ~ind[:-1])
+    paths = draw_paths(make_nested(), 12, 200, seed=3)
+    assert paths.shape == (200, 12)
+    assert not np.any(paths[:, 1:] & ~paths[:, :-1])
 
 
 def test_estimate_window_prob_coin():
@@ -87,19 +94,16 @@ def test_estimates_are_bit_identical_for_same_seed():
 
 def test_paths_reproducible_per_stream():
     model = random_markov(np.random.default_rng(32))
-    first = [p for _, p in zip(range(10), sample_paths(model, 6, CHUNK + 5, seed=8))]
-    again = [p for _, p in zip(range(10), sample_paths(model, 6, CHUNK + 5, seed=8))]
-    for a, b in zip(first, again):
-        assert a.stream == b.stream and a.offset == b.offset
-        assert np.array_equal(a.indicators, b.indicators)
+    first = draw_paths(model, 6, CHUNK + 5, seed=8)
+    again = draw_paths(model, 6, CHUNK + 5, seed=8)
+    assert first.shape == (CHUNK + 5, 6)
+    assert np.array_equal(first, again)
     # paths past the chunk boundary come from the next substream
-    tail_path = list(sample_paths(model, 6, CHUNK + 5, seed=8))[-1]
-    assert tail_path.stream == 1
+    chunk1 = model.sample_indicator_block(_chunk_rng(8, 1), 1, 6, 5)
+    assert np.array_equal(first[CHUNK:], chunk1)
 
 
 def test_chunk_streams_are_uncorrelated():
-    from cantelli.montecarlo import _chunk_rng
-
     coin = make_coin()
     means = [
         coin.sample_indicator_block(_chunk_rng(21, j), 1, 1, CHUNK).mean()

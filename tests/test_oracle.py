@@ -10,7 +10,7 @@ from cantelli import (
     oracle_union_prob,
     oracle_window_prob,
 )
-from cantelli.oracle import HorizonExceededError, first_occurrence_masks
+from cantelli.oracle import HorizonExceededError
 from cantelli.windows import all_complement, first_occurrence
 
 from conftest import (
@@ -71,7 +71,8 @@ def test_first_occurrence_masks_partition_atom_space():
     rng = np.random.default_rng(6)
     for build in (random_independent, random_markov, random_latent):
         sp = build_outcome_space(build(rng), 8)
-        occ, rest = first_occurrence_masks(sp, 1, 8)
+        occ = [sp.window_mask(first_occurrence(1, k)) for k in range(8)]
+        rest = sp.window_mask(all_complement(1, 8))
         for a, b in itertools.combinations(occ, 2):
             assert not np.any(a & b)
         union = np.zeros(len(sp.probs), dtype=bool)
@@ -90,7 +91,6 @@ def test_permutation_invariance():
         horizon=sp.horizon,
         probs=sp.probs[perm],
         indicators=sp.indicators[perm],
-        descriptions=[sp.descriptions[i] for i in perm],
     )
     for n in (1, 3):
         for m in (0, 2):

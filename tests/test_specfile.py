@@ -34,6 +34,25 @@ def test_all_shipped_specs_load_and_build():
     assert found == expected
 
 
+def test_each_spec_builds_its_model_once(monkeypatch):
+    built = []
+    for cls in (IndependentModel, LatentUniformModel, MarkovModel):
+        init = cls.__init__
+
+        def counting(self, *args, _init=init, **kwargs):
+            built.append(type(self))
+            _init(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__init__", counting)
+    paths = sorted(SPECS.glob("*.json"))
+    assert paths
+    for path in paths:
+        built.clear()
+        spec = load_spec(path)
+        assert build_model(spec) is build_model(spec)
+        assert built == [type(build_model(spec))], path.name
+
+
 def test_spec_name_defaults_to_stem(tmp_path):
     p = tmp_path / "mymodel.json"
     p.write_text(json.dumps({"model": {"family": "independent",
