@@ -29,7 +29,7 @@ from .models import (
     marginal_decay_check,
 )
 from .summation import compensated_cumsum
-from .windows import Orientation, WindowPattern, first_occurrence
+from .windows import Orientation, SeriesKind
 
 __all__ = [
     "SeriesKind",
@@ -54,32 +54,6 @@ MIN_TERMS_FOR_FIT = 100
 MAX_PREFIX_LEN = 8
 SLOPE_CONVERGENT = -1.1
 SLOPE_DIVERGENT = -0.9
-
-
-@dataclass(frozen=True)
-class SeriesKind:
-    """Which series to evaluate: complement-run length and orientation.
-
-    prefix_len = 0 is the marginal (Borel-Cantelli) series; prefix_len = 1
-    with PREFIX_COMPLEMENT is the one-gap series P(not-A_n, A_{n+1}).
-    """
-
-    prefix_len: int = 0
-    orientation: Orientation = Orientation.PREFIX_COMPLEMENT
-
-    def __post_init__(self) -> None:
-        if self.prefix_len < 0:
-            raise ValueError("prefix_len must be >= 0")
-
-    def window(self, n: int) -> WindowPattern:
-        return first_occurrence(n, self.prefix_len, self.orientation)
-
-    @property
-    def label(self) -> str:
-        if self.prefix_len == 0:
-            return "marginal series"
-        side = "prefix" if self.orientation is Orientation.PREFIX_COMPLEMENT else "suffix"
-        return f"window series (m={self.prefix_len}, {side} complements)"
 
 
 BOREL_CANTELLI = SeriesKind(0)
@@ -128,9 +102,7 @@ def series_terms(model: EventSequenceModel, kind: SeriesKind, num_terms: int) ->
     """Evaluate term[n] for n = 1..num_terms."""
     if num_terms < 1:
         raise ValueError("num_terms must be >= 1")
-    return np.array(
-        [model.window_prob(kind.window(n)) for n in range(1, num_terms + 1)], dtype=float
-    )
+    return model.window_series(kind, num_terms)
 
 
 @dataclass(frozen=True)
@@ -180,10 +152,9 @@ def classify_series(
     proves empty, or from analytic metadata; everything else rests on the
     fitted tail exponent with a +-0.1 buffer around the p-series boundary.
     """
-    meta = model.metadata if model is not None else None
-    if len(terms) < MIN_TERMS_FOR_FIT and (
-        meta is None or meta.classify_series(kind.prefix_len) is None
-    ):
+    classifier = model.metadata.series_classifier if model is not None else None
+    classified = classifier(kind.prefix_len) if classifier is not None else None
+    if len(terms) < MIN_TERMS_FOR_FIT and classified is None:
         raise InsufficientDataError(
             f"{len(terms)} terms evaluated; need {MIN_TERMS_FOR_FIT} or analytic metadata"
         )
@@ -191,9 +162,7 @@ def classify_series(
     # Exact zeros observed beat declared metadata: verify them structurally.
     zero_start = _zero_tail_start(terms)
     if zero_start is not None and zero_start <= len(terms) // 2 + 1:
-        if model is not None and all(
-            model.window_is_empty(kind.window(n)) for n in range(zero_start, len(terms) + 1)
-        ):
+        if model is not None and model.empty_series(kind, zero_start, len(terms)).all():
             return Verdict(
                 VerdictLabel.CERTIFIED_CONVERGENT,
                 f"eventually zero terms: every window from n = {zero_start} is provably"
@@ -205,13 +174,11 @@ def classify_series(
             " not prove the windows empty",
         )
 
-    if meta is not None:
-        classified = meta.classify_series(kind.prefix_len)
-        if classified is not None:
-            cls, why = classified
-            if cls is SeriesClass.CONVERGENT:
-                return Verdict(VerdictLabel.CERTIFIED_CONVERGENT, why)
-            return Verdict(VerdictLabel.CERTIFIED_DIVERGENT, why)
+    if classified is not None:
+        cls, why = classified
+        if cls is SeriesClass.CONVERGENT:
+            return Verdict(VerdictLabel.CERTIFIED_CONVERGENT, why)
+        return Verdict(VerdictLabel.CERTIFIED_DIVERGENT, why)
 
     fit = fit_tail(terms)
     if fit.slope is None:

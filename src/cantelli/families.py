@@ -1,7 +1,8 @@
 """Deterministic sequence families used for marginal probabilities and latent thresholds.
 
 A family maps an index ``n >= 1`` to a value in ``[0, 1]``.  Besides pointwise
-evaluation, each family knows what can be said about itself in closed form:
+evaluation (``value``) and its array form over an index range (``values``),
+each family knows what can be said about itself in closed form:
 its limit, an upper bound on its tail sum, the supremum of its tail, and a
 convergence/divergence classification of the window series it induces under an
 independent model.  Those closed forms are what turns a "Likely" verdict into a
@@ -14,6 +15,10 @@ import enum
 import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
+from itertools import repeat
+from typing import Callable
+
+import numpy as np
 
 
 class SeriesClass(enum.Enum):
@@ -37,6 +42,22 @@ def clamp01(x: float) -> float:
     return x
 
 
+def _clamp01_array(x: np.ndarray) -> np.ndarray:
+    """``clamp01`` elementwise, keeping every value ``clamp01`` keeps bit for bit."""
+    if np.isnan(x).any():
+        raise ValueError("sequence family produced NaN")
+    return np.where(x < 0.0, 0.0, np.where(x > 1.0, 1.0, x))
+
+
+def _powers(bases: list[float], exponent: float) -> np.ndarray:
+    """``b ** exponent`` per base with Python's float pow.
+
+    numpy's vectorized ``np.power`` may differ from it in the last ulp, and
+    the array path must reproduce ``value`` exactly.
+    """
+    return np.array(list(map(float.__pow__, bases, repeat(exponent))), dtype=float)
+
+
 class SequenceFamily(ABC):
     """Index -> probability map with optional closed-form analysis.
 
@@ -48,6 +69,10 @@ class SequenceFamily(ABC):
     @abstractmethod
     def value(self, n: int) -> float:
         """The n-th value, clamped to [0, 1]."""
+
+    def values(self, lo: int, hi: int) -> np.ndarray:
+        """``value(n)`` for n = lo..hi as a float array, bit-identical to ``value``."""
+        return np.array([self.value(n) for n in range(lo, hi + 1)], dtype=float)
 
     @abstractmethod
     def limit(self) -> float | None:
@@ -91,6 +116,41 @@ def _constant_series_class(c: float, prefix_len: int, source: str) -> tuple[Seri
     )
 
 
+def _saturated(scale: float, exponent: float) -> float:
+    """Power-type family value at an offset index n <= 0.
+
+    The formula blows up (exponent > 0) or vanishes (exponent < 0) at n = 0;
+    families saturate to the value it clamps to.
+    """
+    if exponent > 0.0:
+        return 1.0
+    if exponent == 0.0:
+        return clamp01(scale)
+    return 0.0
+
+
+def _decaying_values(
+    scale: float,
+    exponent: float,
+    lo: int,
+    hi: int,
+    bases: Callable[[list[float]], list[float]],
+) -> np.ndarray:
+    """``clamp(scale * b ** -exponent)`` for n = lo..hi, as ``value`` computes it.
+
+    ``bases`` maps the list of float(n) for n >= 1 to the list of b; indices
+    n <= 0 take the saturated value.
+    """
+    if scale == 0.0:
+        return np.zeros(max(hi - lo + 1, 0))
+    ns = np.arange(max(lo, 1), hi + 1, dtype=float).tolist()
+    body = _clamp01_array(scale * _powers(bases(ns), -exponent))
+    if lo >= 1:
+        return body
+    head = np.full(min(hi, 0) - lo + 1, _saturated(scale, exponent))
+    return np.concatenate([head, body])
+
+
 @dataclass(frozen=True)
 class Constant(SequenceFamily):
     """value(n) = c for all n."""
@@ -103,6 +163,9 @@ class Constant(SequenceFamily):
 
     def value(self, n: int) -> float:
         return self.c
+
+    def values(self, lo: int, hi: int) -> np.ndarray:
+        return np.full(max(hi - lo + 1, 0), self.c, dtype=float)
 
     def limit(self) -> float | None:
         return self.c
@@ -135,14 +198,11 @@ class PowerLaw(SequenceFamily):
         if self.scale == 0.0:
             return 0.0
         if n <= 0:
-            # Saturation for offset indices: the formula blows up (exponent > 0)
-            # or vanishes (exponent < 0) at n = 0.
-            if self.exponent > 0.0:
-                return 1.0
-            if self.exponent == 0.0:
-                return clamp01(self.scale)
-            return 0.0
+            return _saturated(self.scale, self.exponent)
         return clamp01(self.scale * float(n) ** (-self.exponent))
+
+    def values(self, lo: int, hi: int) -> np.ndarray:
+        return _decaying_values(self.scale, self.exponent, lo, hi, lambda ns: ns)
 
     def limit(self) -> float | None:
         if self.scale == 0.0:
@@ -158,10 +218,12 @@ class PowerLaw(SequenceFamily):
             return 0.0
         if self.exponent <= 1.0:
             return None
-        # Integral test: sum_{j>=n} j^-s <= n^-s + n^(1-s)/(s-1); clamping only lowers terms.
+        # Integral test: sum_{j>=m} j^-s <= m^-s + m^(1-s)/(s-1); clamping only
+        # lowers terms.  Indices n..0 saturate to 1 and add one each.
         m = max(n, 1)
         s = self.exponent
-        return self.scale * (float(m) ** (-s) + float(m) ** (1.0 - s) / (s - 1.0))
+        head = float(m - n)
+        return head + self.scale * (float(m) ** (-s) + float(m) ** (1.0 - s) / (s - 1.0))
 
     def tail_sup(self, n: int) -> float | None:
         if self.scale == 0.0:
@@ -220,12 +282,13 @@ class LogPower(SequenceFamily):
         if self.scale == 0.0:
             return 0.0
         if n <= 0:
-            if self.exponent > 0.0:
-                return 1.0
-            if self.exponent == 0.0:
-                return clamp01(self.scale)
-            return 0.0
+            return _saturated(self.scale, self.exponent)
         return clamp01(self.scale * math.log(n + 1.0) ** (-self.exponent))
+
+    def values(self, lo: int, hi: int) -> np.ndarray:
+        return _decaying_values(
+            self.scale, self.exponent, lo, hi, lambda ns: [math.log(n + 1.0) for n in ns]
+        )
 
     def limit(self) -> float | None:
         if self.scale == 0.0:
@@ -277,18 +340,18 @@ class LogPower(SequenceFamily):
 
 @dataclass(frozen=True)
 class ExplicitList(SequenceFamily):
-    """Finite list of values followed by a constant tail.
+    """A finite ``head`` of values followed by a constant ``tail``.
 
     A missing tail makes indices past the list undefined; querying them raises
     SequenceIndexError (a malformed-model signal, not a numeric fault).
     """
 
-    values: tuple[float, ...]
+    head: tuple[float, ...]
     tail: float | None = None
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "values", tuple(float(v) for v in self.values))
-        for i, v in enumerate(self.values):
+        object.__setattr__(self, "head", tuple(float(v) for v in self.head))
+        for i, v in enumerate(self.head):
             if not 0.0 <= v <= 1.0:
                 raise ValueError(f"explicit value [{i}] = {v} outside [0, 1]")
         if self.tail is not None and not 0.0 <= self.tail <= 1.0:
@@ -297,14 +360,27 @@ class ExplicitList(SequenceFamily):
     def value(self, n: int) -> float:
         if n <= 0:
             raise SequenceIndexError(f"explicit list queried at index {n} < 1")
-        if n <= len(self.values):
-            return self.values[n - 1]
+        if n <= len(self.head):
+            return self.head[n - 1]
         if self.tail is None:
-            raise SequenceIndexError(
-                f"explicit list of length {len(self.values)} queried at index {n}"
-                " with no tail declared"
-            )
+            raise self._past_end(n)
         return self.tail
+
+    def values(self, lo: int, hi: int) -> np.ndarray:
+        if lo > hi:
+            return np.zeros(0)
+        if lo <= 0:
+            raise SequenceIndexError(f"explicit list queried at index {lo} < 1")
+        past = max(hi - max(lo - 1, len(self.head)), 0)
+        if past and self.tail is None:
+            raise self._past_end(max(lo, len(self.head) + 1))
+        return np.array(self.head[lo - 1 : hi] + (self.tail,) * past, dtype=float)
+
+    def _past_end(self, n: int) -> SequenceIndexError:
+        return SequenceIndexError(
+            f"explicit list of length {len(self.head)} queried at index {n}"
+            " with no tail declared"
+        )
 
     def limit(self) -> float | None:
         return self.tail
@@ -315,13 +391,13 @@ class ExplicitList(SequenceFamily):
         if self.tail is None:
             return None
         start = max(n, 1)
-        return math.fsum(self.values[start - 1 :]) if start <= len(self.values) else 0.0
+        return math.fsum(self.head[start - 1 :]) if start <= len(self.head) else 0.0
 
     def tail_sup(self, n: int) -> float | None:
         if self.tail is None:
             return None
         start = max(n, 1)
-        rest = self.values[start - 1 :]
+        rest = self.head[start - 1 :]
         return max([self.tail, *rest]) if rest else self.tail
 
     def series_class(self, prefix_len: int) -> tuple[SeriesClass, str] | None:
@@ -337,8 +413,8 @@ class ExplicitList(SequenceFamily):
         )
 
     def describe(self) -> str:
-        head = ", ".join(f"{v:g}" for v in self.values[:6])
-        if len(self.values) > 6:
+        head = ", ".join(f"{v:g}" for v in self.head[:6])
+        if len(self.head) > 6:
             head += ", ..."
         tail = "no tail" if self.tail is None else f"tail {self.tail:g}"
-        return f"explicit [{head}] ({len(self.values)} values, {tail})"
+        return f"explicit [{head}] ({len(self.head)} values, {tail})"

@@ -6,12 +6,17 @@ programming:
 * ``IndependentModel``: independent events with marginals from a sequence
   family; window probabilities are products.
 * ``MarkovModel``: a finite chain observed through time-indexed event sets;
-  window probabilities come from masked vector-matrix propagation with an
-  incremental prefix cache.
+  window probabilities come from masked vector-matrix propagation.
 * ``LatentUniformModel``: events are threshold cells of a few shared
   uniform latents; window probabilities are products of interval lengths, and
   emptiness is decidable exactly.  This backend builds the nested and
   interleaved counterexamples that separate the window criteria.
+
+Each backend answers two kinds of query.  ``window_prob`` and
+``window_is_empty`` take one window; the base class loops them over a series
+as the reference.  ``window_series`` and ``empty_series`` evaluate every
+window of a series at once on arrays, and every backend's array code returns
+the reference's floats bit for bit.
 
 All models are immutable after construction and all queries are pure.
 """
@@ -20,7 +25,6 @@ from __future__ import annotations
 
 import enum
 import math
-import threading
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -28,7 +32,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .families import SequenceFamily, SequenceIndexError, SeriesClass
-from .windows import WindowPattern, all_complement, first_occurrence, marginal
+from .windows import SeriesKind, WindowPattern, all_complement, first_occurrence, marginal
 
 __all__ = [
     "NumericFaultError",
@@ -68,11 +72,6 @@ class AnalyticMetadata:
     tail_union_bound: Callable[[int], float] | None = None
     description: str = ""
 
-    def classify_series(self, prefix_len: int) -> tuple[SeriesClass, str] | None:
-        if self.series_classifier is None:
-            return None
-        return self.series_classifier(prefix_len)
-
 
 class EventSequenceModel(ABC):
     """Exact probabilities of window events over an infinite event sequence."""
@@ -102,6 +101,22 @@ class EventSequenceModel(ABC):
     @property
     def metadata(self) -> AnalyticMetadata:
         return AnalyticMetadata()
+
+    def window_series(self, kind: SeriesKind, num_terms: int) -> np.ndarray:
+        """``window_prob(kind.window(n))`` for n = 1..num_terms.
+
+        This loop is the reference; backends override it with array code that
+        returns the same floats.
+        """
+        return np.array(
+            [self.window_prob(kind.window(n)) for n in range(1, num_terms + 1)], dtype=float
+        )
+
+    def empty_series(self, kind: SeriesKind, lo: int, hi: int) -> np.ndarray:
+        """``window_is_empty(kind.window(n))`` for n = lo..hi, as a bool array."""
+        return np.array(
+            [self.window_is_empty(kind.window(n)) for n in range(lo, hi + 1)], dtype=bool
+        )
 
     def marginal_prob(self, n: int) -> float:
         """P(A_n); equals window_prob of the bare-event window at n."""
@@ -136,6 +151,15 @@ class EventSequenceModel(ABC):
                 raise NumericFaultError(f"window probability {x!r} above 1")
             return 1.0
         return x
+
+    @classmethod
+    def _finish_probs(cls, x: np.ndarray) -> np.ndarray:
+        """``_finish_prob`` elementwise; a fault names the first faulty entry."""
+        bad = ~((x >= -_PROB_SLACK) & (x <= 1.0 + _PROB_SLACK))
+        if bad.any():
+            cls._finish_prob(float(x[np.argmax(bad)]))
+        return np.where(x < 0.0, 0.0, np.where(x > 1.0, 1.0, x))
+
 
 
 # ---------------------------------------------------------------------------
@@ -182,20 +206,33 @@ class IndependentModel(EventSequenceModel):
                 return True
         return False
 
+    def window_series(self, kind: SeriesKind, num_terms: int) -> np.ndarray:
+        # the window at n multiplies its factors in index order, as window_prob does
+        p = self._family.values(1, num_terms + kind.prefix_len)
+        q = 1.0 - p
+        occ = kind.occurrence_offset
+        prob = (p if occ == 0 else q)[:num_terms]
+        for i in range(1, kind.prefix_len + 1):
+            prob = prob * (p if i == occ else q)[i : i + num_terms]
+        return self._finish_probs(prob)
+
+    def empty_series(self, kind: SeriesKind, lo: int, hi: int) -> np.ndarray:
+        p = self._family.values(lo, hi + kind.prefix_len)
+        count = hi - lo + 1
+        empty = np.zeros(count, dtype=bool)
+        for i in range(kind.prefix_len + 1):
+            window = p[i : i + count]
+            empty |= window == (0.0 if i == kind.occurrence_offset else 1.0)
+        return empty
+
     def first_occurrence_terms(self, n: int, count: int) -> np.ndarray:
-        out = np.empty(count, dtype=float)
-        survive = 1.0
-        for k in range(count):
-            p = self._family.value(n + k)
-            out[k] = survive * p
-            survive *= 1.0 - p
-        return out
+        p = self._family.values(n, n + count - 1)
+        survive = np.cumprod(np.concatenate(([1.0], 1.0 - p[:-1])))
+        return survive[:count] * p
 
     def all_complement_prob(self, n: int, length: int) -> float:
-        prob = 1.0
-        for i in range(length):
-            prob *= 1.0 - self._family.value(n + i)
-        return self._finish_prob(prob)
+        q = 1.0 - self._family.values(n, n + length - 1)
+        return self._finish_prob(math.prod(q.tolist(), start=1.0))
 
     def sample_indicator_block(
         self, rng: np.random.Generator, lo: int, hi: int, count: int
@@ -243,6 +280,10 @@ class EventSchedule:
             self._cycle = ()
             self._explicit = tuple(self._mask(s) for s in explicit)
             self._tail = self._mask(tail) if tail is not None else None
+        # mask rows that ``masks`` indexes: the cycle, or the explicit sets and tail
+        rows = self._cycle or self._explicit + ((self._tail,) if self._tail is not None else ())
+        self._rows = np.array(rows, dtype=bool).reshape(-1, num_states)
+        self._rows.setflags(write=False)
 
     def _mask(self, members: Sequence[int]) -> np.ndarray:
         mask = np.zeros(self._num_states, dtype=bool)
@@ -261,22 +302,40 @@ class EventSchedule:
             if n <= len(self._explicit):
                 return self._explicit[n - 1]
             if self._tail is None:
-                raise SequenceIndexError(
-                    f"event schedule of length {len(self._explicit)} queried at time {n}"
-                    " with no tail declared"
-                )
+                raise self._past_end(n)
             return self._tail
         return self._cycle[(n - 1) % len(self._cycle)]
+
+    def masks(self, lo: int, hi: int) -> np.ndarray:
+        """Masks of E_lo..E_hi as the rows of a bool array."""
+        if lo < 1:
+            raise ValueError(f"event schedule queried at time {lo} < 1")
+        times = np.arange(lo, hi + 1)
+        if self._explicit is None:
+            return self._rows[(times - 1) % len(self._rows)]
+        length = len(self._explicit)
+        if hi > length and self._tail is None:
+            raise self._past_end(max(lo, length + 1))
+        return self._rows[np.minimum(times, length + 1) - 1]
+
+    def _past_end(self, n: int) -> SequenceIndexError:
+        return SequenceIndexError(
+            f"event schedule of length {len(self._explicit or ())} queried at time {n}"
+            " with no tail declared"
+        )
 
 
 class MarkovModel(EventSequenceModel):
     """Finite chain; A_n holds when the state at time n lies in E_n.
 
     Window probabilities are computed by propagating the time-n distribution
-    through masked transition steps.  Distributions at each start time are
-    cached incrementally so sweeping a series over consecutive n costs O(S^2)
-    amortized per term.  The cache is guarded by a lock; queries stay pure and
-    deterministic under any interleaving.
+    through masked transition steps.  A window series propagates the block of
+    distributions at times 1..N as one stacked array, row by row with the same
+    vector-matrix products as a single window.  Memory stays O(S^2 + block):
+    the model keeps the last series block and one forward cursor (a time and
+    its distribution) for single queries at any start index.  Each lives in
+    one immutable value, replaced by a single assignment, so queries stay pure
+    and deterministic under any interleaving without a lock.
     """
 
     def __init__(
@@ -310,12 +369,12 @@ class MarkovModel(EventSequenceModel):
         self._initial.setflags(write=False)
         self._events = events
         self._num_states = s
-        # prefix cache: _dists[i] is the unconstrained distribution at time i+1
-        self._dists: list[np.ndarray] = [self._initial]
-        self._supports: list[frozenset[int]] = [frozenset(np.flatnonzero(initial > 0.0))]
-        self._support_seen: dict[frozenset[int], int] = {self._supports[0]: 0}
-        self._support_cycle: tuple[int, int] | None = None  # (first_seen, period)
-        self._lock = threading.Lock()
+        # _block: read-only distributions at times 1..len(_block);
+        # _cursor: (time, distribution) of the last single query past the block
+        self._block = self._initial[None, :]
+        self._cursor = (1, self._initial)
+        # (supports at times 1..len, 0-based row where they turn periodic, period)
+        self._supports: tuple[np.ndarray, int, int] | None = None
         self._cum_rows = np.cumsum(self._transition, axis=1)
         self._cum_initial = np.cumsum(self._initial)
         self._metadata = AnalyticMetadata(
@@ -337,39 +396,52 @@ class MarkovModel(EventSequenceModel):
         """Unconstrained state distribution at time n (1-based)."""
         if n < 1:
             raise ValueError(f"time index {n} < 1")
-        if len(self._dists) >= n:
-            return self._dists[n - 1]
-        with self._lock:
-            while len(self._dists) < n:
-                self._dists.append(self._dists[-1] @ self._transition)
-            return self._dists[n - 1]
+        block = self._block
+        if n <= len(block):
+            return block[n - 1]
+        t, v = self._cursor
+        if t > n:
+            t, v = len(block), block[-1]
+        while t < n:
+            v = v @ self._transition
+            t += 1
+        self._cursor = (t, v)
+        return v
 
-    def _support_at(self, n: int) -> frozenset[int]:
-        """States reachable with positive probability at time n."""
-        with self._lock:
-            if self._support_cycle is not None:
-                first, period = self._support_cycle
-                if n - 1 >= first:
-                    return self._supports[first + (n - 1 - first) % period]
-            while len(self._supports) < n:
-                prev = self._supports[-1]
-                nxt = frozenset(
-                    np.flatnonzero(
-                        self._transition[sorted(prev), :].sum(axis=0) > 0.0
-                    ).tolist()
-                )
-                t = len(self._supports)
-                if self._support_cycle is None and nxt in self._support_seen:
-                    first = self._support_seen[nxt]
-                    self._support_cycle = (first, t - first)
+    def _dist_block(self, count: int) -> np.ndarray:
+        """Distributions at times 1..count as the rows of a read-only array."""
+        block = self._block
+        if len(block) < count:
+            grown = np.empty((count, self._num_states))
+            grown[: len(block)] = block
+            v = block[-1]
+            for t in range(len(block), count):
+                v = v @ self._transition
+                grown[t] = v
+            grown.setflags(write=False)
+            self._block = block = grown
+        return block[:count]
+
+    def _support_rows(self, lo: int, hi: int) -> np.ndarray:
+        """Masks of the states reachable with positive probability at times lo..hi."""
+        if self._supports is None:
+            reach = self._transition > 0.0
+            rows = [self._initial > 0.0]
+            seen = {rows[0].tobytes(): 0}
+            while True:
+                nxt = reach[rows[-1]].any(axis=0)
+                if nxt.tobytes() in seen:
                     break
-                self._support_seen[nxt] = t
-                self._supports.append(nxt)
-            if self._support_cycle is not None:
-                first, period = self._support_cycle
-                if n - 1 >= first:
-                    return self._supports[first + (n - 1 - first) % period]
-            return self._supports[n - 1]
+                seen[nxt.tobytes()] = len(rows)
+                rows.append(nxt)
+            first = seen[nxt.tobytes()]
+            table = np.array(rows)
+            table.setflags(write=False)
+            self._supports = (table, first, len(rows) - first)
+        table, first, period = self._supports
+        idx = np.arange(lo - 1, hi)
+        idx = np.where(idx >= first, first + (idx - first) % period, idx)
+        return table[idx]
 
     def window_prob(self, w: WindowPattern) -> float:
         constraints = w.constraints()
@@ -392,8 +464,7 @@ class MarkovModel(EventSequenceModel):
         if not constraints:
             return False
         start = constraints[0][0]
-        supp = np.zeros(self._num_states, dtype=bool)
-        supp[sorted(self._support_at(start))] = True
+        supp = self._support_rows(start, start)[0]
         pos_trans = self._transition > 0.0
         prev_idx = None
         for idx, occur in constraints:
@@ -405,12 +476,36 @@ class MarkovModel(EventSequenceModel):
             prev_idx = idx
         return not supp.any()
 
+    def window_series(self, kind: SeriesKind, num_terms: int) -> np.ndarray:
+        masks = self._events.masks(1, num_terms + kind.prefix_len)
+        dists = self._dist_block(num_terms)
+        for i in range(kind.prefix_len + 1):
+            if i:
+                # one vector-matrix product per row, bit-identical to window_prob's
+                # (a matrix-matrix product rounds differently)
+                dists = (dists[:, None, :] @ self._transition)[:, 0, :]
+            window = masks[i : i + num_terms]
+            dists = dists * (window if i == kind.occurrence_offset else ~window)
+        return self._finish_probs(dists.sum(axis=1))
+
+    def empty_series(self, kind: SeriesKind, lo: int, hi: int) -> np.ndarray:
+        count = hi - lo + 1
+        masks = self._events.masks(lo, hi + kind.prefix_len)
+        reach = (self._transition > 0.0).astype(float)
+        supp = self._support_rows(lo, hi)
+        for i in range(kind.prefix_len + 1):
+            if i:
+                supp = supp.astype(float) @ reach > 0.0
+            window = masks[i : i + count]
+            supp = supp & (window if i == kind.occurrence_offset else ~window)
+        return ~supp.any(axis=1)
+
     def first_occurrence_terms(self, n: int, count: int) -> np.ndarray:
         out = np.empty(count, dtype=float)
         v = self._dist_at(n)
         for k in range(count):
             mask = self._events.mask(n + k)
-            out[k] = self._finish_prob(float(v[mask].sum()))
+            out[k] = self._finish_prob(float((v * mask).sum()))
             v = (v * ~mask) @ self._transition
         return out
 
@@ -503,6 +598,8 @@ class LatentUniformModel(EventSequenceModel):
                 raise ValueError(f"latents {sorted(missing)} never appear in the coloring")
         self._num_latents = num_latents
         self._coloring = coloring
+        self._coloring_array = np.array(coloring)
+        self._coloring_array.setflags(write=False)
         self._thresholds = thresholds
         # positions of each latent within one coloring cycle
         self._cycle_slots: list[list[int]] = [[] for _ in range(num_latents)]
@@ -541,6 +638,54 @@ class LatentUniformModel(EventSequenceModel):
             raise ValueError(f"threshold a_{n} = {a!r} outside [0, 1]")
         return a
 
+    def _colors(self, lo: int, hi: int) -> np.ndarray:
+        """``color(n)`` for n = lo..hi."""
+        return self._coloring_array[(np.arange(lo, hi + 1) - 1) % len(self._coloring)]
+
+    def _threshold_array(self, lo: int, hi: int, colors: np.ndarray) -> np.ndarray:
+        """``threshold(n)`` for n = lo..hi, given their colors.
+
+        Zeros come out as +0.0, so numpy's max may stand in for Python's: the
+        sign of a zero threshold changes no result of this backend.
+        """
+        if isinstance(self._thresholds, GlobalThresholds):
+            a = self._thresholds.family.values(lo, hi)
+        else:
+            a = np.empty(hi - lo + 1)
+            # the indices of one latent have consecutive positions
+            for j, (fam, offset) in enumerate(
+                zip(self._thresholds.families, self._thresholds.offsets)
+            ):
+                at = np.flatnonzero(colors == j)
+                if at.size:
+                    first = self.position(lo + int(at[0])) + offset
+                    a[at] = fam.values(first, first + at.size - 1)
+        bad = ~((a >= 0.0) & (a <= 1.0))
+        if bad.any():
+            k = int(np.argmax(bad))
+            raise ValueError(f"threshold a_{lo + k} = {float(a[k])!r} outside [0, 1]")
+        return a + 0.0
+
+    def _series_intervals(
+        self, kind: SeriesKind, lo: int, hi: int
+    ) -> list[tuple[np.ndarray, np.ndarray]]:
+        """``_latent_intervals`` of the windows n = lo..hi, one array pair per latent."""
+        count = hi - lo + 1
+        colors = self._colors(lo, hi + kind.prefix_len)
+        a = self._threshold_array(lo, hi + kind.prefix_len, colors)
+        occ = kind.occurrence_offset
+        out = []
+        for j in range(self._num_latents):
+            mine = colors == j
+            excluded = np.where(mine, a, 0.0)  # 0.0 and 1.0 leave max and min alone
+            below = np.zeros(count)
+            for i in range(kind.prefix_len + 1):
+                if i != occ:
+                    below = np.maximum(below, excluded[i : i + count])
+            upto = np.where(mine, a, 1.0)[occ : occ + count]
+            out.append((below, upto))
+        return out
+
     def _first_position_at_or_after(self, n: int, latent: int) -> int:
         for i in range(n, n + len(self._coloring)):
             if self.color(i) == latent:
@@ -569,28 +714,45 @@ class LatentUniformModel(EventSequenceModel):
     def window_is_empty(self, w: WindowPattern) -> bool:
         return any(hi <= lo for lo, hi in self._latent_intervals(w))
 
+    def window_series(self, kind: SeriesKind, num_terms: int) -> np.ndarray:
+        prob = None
+        for below, upto in self._series_intervals(kind, 1, num_terms):
+            length = upto - below
+            length = np.where(length > 0.0, length, 0.0)  # max(0.0, hi - lo)
+            prob = length if prob is None else prob * length
+        return self._finish_probs(prob)
+
+    def empty_series(self, kind: SeriesKind, lo: int, hi: int) -> np.ndarray:
+        empty = np.zeros(hi - lo + 1, dtype=bool)
+        for below, upto in self._series_intervals(kind, lo, hi):
+            empty |= upto <= below
+        return empty
+
     def first_occurrence_terms(self, n: int, count: int) -> np.ndarray:
-        out = np.empty(count, dtype=float)
-        excluded = [0.0] * self._num_latents  # running max of complement thresholds
-        for k in range(count):
-            j = self.color(n + k)
-            a = self.threshold(n + k)
-            term = max(0.0, min(1.0, a) - excluded[j])
-            for i in range(self._num_latents):
-                if i != j:
-                    term *= 1.0 - excluded[i]
-            out[k] = term
-            excluded[j] = max(excluded[j], a)
-        return out
+        # term k is window_prob of first_occurrence(n, k): per latent, the
+        # complements before step k exclude U up to their running max threshold
+        colors = self._colors(n, n + count - 1)
+        a = self._threshold_array(n, n + count - 1, colors)
+        excluded = []
+        own_excluded = np.zeros(count)
+        for j in range(self._num_latents):
+            running = np.maximum.accumulate(np.where(colors == j, a, 0.0))
+            excluded.append(np.concatenate(([0.0], running[:-1]))[:count])
+            own_excluded = np.where(colors == j, excluded[j], own_excluded)
+        own = a - own_excluded
+        own = np.where(own > 0.0, own, 0.0)
+        term = None
+        for j in range(self._num_latents):
+            length = np.where(colors == j, own, 1.0 - excluded[j])
+            term = length if term is None else term * length
+        return term
 
     def all_complement_prob(self, n: int, length: int) -> float:
-        excluded = [0.0] * self._num_latents
-        for i in range(length):
-            j = self.color(n + i)
-            excluded[j] = max(excluded[j], self.threshold(n + i))
+        colors = self._colors(n, n + length - 1)
+        a = self._threshold_array(n, n + length - 1, colors)
         prob = 1.0
-        for e in excluded:
-            prob *= 1.0 - e
+        for j in range(self._num_latents):
+            prob *= 1.0 - float(np.max(a, where=colors == j, initial=0.0))
         return self._finish_prob(prob)
 
     def sample_indicator_block(

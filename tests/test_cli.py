@@ -227,6 +227,9 @@ def test_numeric_fault_exit_3(tmp_path, monkeypatch):
         def window_prob(self, w):
             raise NumericFaultError("injected non-finite value")
 
+        def window_series(self, kind, num_terms):
+            raise NumericFaultError("injected non-finite value")
+
     monkeypatch.setattr(cli, "build_model", lambda spec: Faulty(real_build(spec)))
     code = run(["analyze", SPECS / "coin-half.json", "--terms", "200",
                 "--out", tmp_path / "r.json"])

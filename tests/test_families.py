@@ -71,6 +71,15 @@ def test_powerlaw_tail_sum_bound_dominates_partial_sums():
     assert PowerLaw(1.0, 1.0).tail_sum_bound(1) is None
 
 
+def test_powerlaw_tail_sum_bound_counts_saturated_head():
+    # value(n <= 0) saturates to 1, so the sum from -3 is 4 + pi^2/6
+    fam = PowerLaw(1.0, 2.0)
+    assert fam.tail_sum_bound(-3) >= 4.0 + math.pi**2 / 6.0
+    for n in (-3, 0, 1):
+        partial = math.fsum(fam.value(j) for j in range(n, n + 20000))
+        assert fam.tail_sum_bound(n) >= partial
+
+
 def test_powerlaw_saturation_below_one():
     fam = PowerLaw(1.0, 1.0)
     assert fam.value(0) == 1.0

@@ -1,6 +1,7 @@
 import math
 
 import numpy as np
+from hypothesis import given, settings, strategies as st
 
 from cantelli.summation import CompensatedSum, compensated_cumsum, compensated_sum
 
@@ -28,3 +29,28 @@ def test_beats_naive_on_adversarial_cancellation():
 
 def test_empty_sum_is_zero():
     assert compensated_sum([]) == 0.0
+
+
+def _scalar_partial_sums(values):
+    acc = CompensatedSum()
+    out = []
+    for v in values:
+        acc.add(v)
+        out.append(acc.value)
+    return out
+
+
+# at most 300 values of magnitude <= 1e300: every sum stays finite
+magnitudes = st.floats(min_value=-1e300, max_value=1e300)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(magnitudes | st.sampled_from([0.0, -0.0, 1e-300, 5e-324, 1.0]), max_size=300))
+def test_array_sums_equal_the_scalar_loop_bit_for_bit(values):
+    expected = _scalar_partial_sums(values)
+    got = compensated_cumsum(np.array(values, dtype=float))
+    assert np.array_equal(got, expected)
+    assert np.signbit(got).tolist() == np.signbit(np.array(expected, dtype=float)).tolist()
+    total = compensated_sum(values)
+    assert total == (expected[-1] if values else 0.0)
+    assert math.copysign(1.0, total) == math.copysign(1.0, expected[-1] if values else 0.0)
