@@ -40,6 +40,7 @@ from .models import (
 )
 from .montecarlo import (
     FrequencyEstimate,
+    estimate_frequencies,
     estimate_tail_union,
     estimate_window_prob,
     wilson_interval,
@@ -110,6 +111,7 @@ __all__ = [
     # montecarlo
     "FrequencyEstimate",
     "wilson_interval",
+    "estimate_frequencies",
     "estimate_window_prob",
     "estimate_tail_union",
     # oracle

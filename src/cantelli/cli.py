@@ -21,7 +21,7 @@ from . import __version__
 from .criteria import SweepResult, sweep_prefix_len
 from .limsup import limsup_estimate
 from .models import EventSequenceModel, NumericFaultError
-from .montecarlo import estimate_tail_union, estimate_window_prob
+from .montecarlo import estimate_frequencies
 from .oracle import (
     HorizonExceededError,
     build_outcome_space,
@@ -252,8 +252,11 @@ def cmd_limsup(args: argparse.Namespace) -> int:
 # simulate
 
 
-def _simulate_checks(model: EventSequenceModel, horizon: int) -> list[tuple[str, object]]:
-    checks: list[tuple[str, object]] = []
+def _simulate_checks(
+    horizon: int,
+) -> list[tuple[str, WindowPattern | tuple[int, int]]]:
+    """(label, query) per check; a query is a window or an (n, span) tail union."""
+    checks: list[tuple[str, WindowPattern | tuple[int, int]]] = []
     for n in (1, 2, 3, 5, 8):
         if n <= horizon:
             checks.append((f"marginal n={n}", first_occurrence(n, 0)))
@@ -263,24 +266,27 @@ def _simulate_checks(model: EventSequenceModel, horizon: int) -> list[tuple[str,
                 checks.append((f"window n={n} m={m}", first_occurrence(n, m)))
     for n in (1, 2):
         if n < horizon:
-            checks.append((f"union n={n}..{horizon}", ("union", n, horizon - n)))
+            checks.append((f"union n={n}..{horizon}", (n, horizon - n)))
     return checks
 
 
 def simulate_results(
     model: EventSequenceModel, count: int, seed: int, horizon: int
 ) -> tuple[dict, int]:
+    checks = _simulate_checks(horizon)
+    exacts = []
+    for _, query in checks:
+        if isinstance(query, WindowPattern):
+            exacts.append(model.window_prob(query))
+        else:
+            n, span = query
+            partial = model.first_occurrence_terms(n, span + 1)
+            exacts.append(float(min(1.0, max(0.0, partial.sum()))))
+    # one pass over the sample chunks serves every check
+    estimates = estimate_frequencies(model, [query for _, query in checks], count, seed)
     rows = []
     flagged = 0
-    for label, query in _simulate_checks(model, horizon):
-        if isinstance(query, WindowPattern):
-            exact = model.window_prob(query)
-            est = estimate_window_prob(model, query, count, seed)
-        else:
-            _, n, span = query
-            partial = model.first_occurrence_terms(n, span + 1)
-            exact = float(min(1.0, max(0.0, partial.sum())))
-            est = estimate_tail_union(model, n, span, count, seed)
+    for (label, _), exact, est in zip(checks, exacts, estimates):
         se = (exact * (1.0 - exact) / count) ** 0.5
         if se == 0.0:
             bad = est.successes != (0 if exact == 0.0 else count)

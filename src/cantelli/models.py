@@ -16,7 +16,9 @@ Each backend answers two kinds of query.  ``window_prob`` and
 ``window_is_empty`` take one window; the base class loops them over a series
 as the reference.  ``window_series`` and ``empty_series`` evaluate every
 window of a series at once on arrays, and every backend's array code returns
-the reference's floats bit for bit.
+the reference's floats bit for bit.  ``sample_indicator_block`` draws sampled
+indicators for many windows from one generator; each window's block equals a
+single-window draw from a generator in the same state.
 
 All models are immutable after construction and all queries are pure.
 """
@@ -50,6 +52,8 @@ __all__ = [
 ]
 
 _PROB_SLACK = 1e-9
+# uniforms a sampler draws per generator call: bounds its memory at far windows
+_DRAW_CHUNK = 1 << 20
 
 
 class NumericFaultError(ArithmeticError):
@@ -90,12 +94,15 @@ class EventSequenceModel(ABC):
 
     @abstractmethod
     def sample_indicator_block(
-        self, rng: np.random.Generator, lo: int, hi: int, count: int
-    ) -> np.ndarray:
-        """Sample ``count`` independent realizations of indicators A_lo..A_hi.
+        self, rng: np.random.Generator, windows: Sequence[tuple[int, int]], count: int
+    ) -> list[np.ndarray]:
+        """Sample ``count`` independent realizations of A_lo..A_hi per (lo, hi) window.
 
-        Returns a boolean array of shape (count, hi - lo + 1).  Draw order is
-        fixed so results are a pure function of the generator state.
+        Returns one boolean array of shape (count, hi - lo + 1) per window, all
+        drawn from ``rng``.  Each window's draws are a prefix of the stream, so
+        each block equals what a generator in the same state gives for that
+        window alone: a block is a pure function of the generator state and
+        its own window, whatever other windows share the call.
         """
 
     @property
@@ -159,6 +166,41 @@ class EventSequenceModel(ABC):
         if bad.any():
             cls._finish_prob(float(x[np.argmax(bad)]))
         return np.where(x < 0.0, 0.0, np.where(x > 1.0, 1.0, x))
+
+
+def _check_windows(windows: Sequence[tuple[int, int]]) -> None:
+    for lo, hi in windows:
+        if not 1 <= lo <= hi:
+            raise ValueError(f"sample window ({lo}, {hi}) needs 1 <= lo <= hi")
+
+
+def _stacked_runs(
+    windows: Sequence[tuple[int, int]], count: int
+) -> tuple[list[tuple[int, int, int]], np.ndarray, list[np.ndarray]]:
+    """Stack the indices the sample windows cover as the rows of one array.
+
+    Overlapping and adjacent windows merge into runs.  Returns the runs as
+    (lo, hi, row of lo) in increasing order, the uninitialized (rows, count)
+    array, and each window's (count, width) block as a transposed view of its
+    rows: filling a run's rows fills every block that reads them.
+    """
+    _check_windows(windows)
+    merged: list[list[int]] = []
+    for lo, hi in sorted(windows):
+        if merged and lo <= merged[-1][1] + 1:
+            merged[-1][1] = max(merged[-1][1], hi)
+        else:
+            merged.append([lo, hi])
+    runs, rows = [], 0
+    for lo, hi in merged:
+        runs.append((lo, hi, rows))
+        rows += hi - lo + 1
+    held = np.empty((rows, count), dtype=bool)
+    blocks = []
+    for lo, hi in windows:
+        first = next(row + lo - run_lo for run_lo, run_hi, row in runs if run_lo <= lo <= run_hi)
+        blocks.append(held[first : first + hi - lo + 1].T)
+    return runs, held, blocks
 
 
 
@@ -235,10 +277,16 @@ class IndependentModel(EventSequenceModel):
         return self._finish_prob(math.prod(q.tolist(), start=1.0))
 
     def sample_indicator_block(
-        self, rng: np.random.Generator, lo: int, hi: int, count: int
-    ) -> np.ndarray:
-        p = np.array([self._family.value(i) for i in range(lo, hi + 1)], dtype=float)
-        return rng.random((count, hi - lo + 1)) < p
+        self, rng: np.random.Generator, windows: Sequence[tuple[int, int]], count: int
+    ) -> list[np.ndarray]:
+        # rng.random((count, w)) is the first count * w uniforms of the stream
+        _check_windows(windows)
+        widths = [hi - lo + 1 for lo, hi in windows]
+        draws = rng.random(count * max(widths, default=0))
+        return [
+            draws[: count * w].reshape(count, w) < self._family.values(lo, hi)
+            for (lo, hi), w in zip(windows, widths)
+        ]
 
 
 # ---------------------------------------------------------------------------
@@ -375,8 +423,12 @@ class MarkovModel(EventSequenceModel):
         self._cursor = (1, self._initial)
         # (supports at times 1..len, 0-based row where they turn periodic, period)
         self._supports: tuple[np.ndarray, int, int] | None = None
-        self._cum_rows = np.cumsum(self._transition, axis=1)
-        self._cum_initial = np.cumsum(self._initial)
+        # sampling cut points: a path enters the first state k with u < cut[k].
+        # Cuts are the cumulative sums, +inf from the last positive entry on, so
+        # no state of probability 0 is entered and a u at or past a sum short of
+        # 1 lands on the last positive state.
+        self._initial_cuts = self._sampling_cuts(self._initial[None, :])[0]
+        self._cut_columns = tuple(self._sampling_cuts(self._transition).T[:-1])
         self._metadata = AnalyticMetadata(
             description=f"finite Markov chain on {s} states with time-indexed event sets"
         )
@@ -421,6 +473,14 @@ class MarkovModel(EventSequenceModel):
             grown.setflags(write=False)
             self._block = block = grown
         return block[:count]
+
+    @staticmethod
+    def _sampling_cuts(rows: np.ndarray) -> np.ndarray:
+        size = rows.shape[1]
+        last_positive = size - 1 - np.argmax(rows[:, ::-1] > 0.0, axis=1)
+        return np.where(
+            np.arange(size) < last_positive[:, None], np.cumsum(rows, axis=1), np.inf
+        )
 
     def _support_rows(self, lo: int, hi: int) -> np.ndarray:
         """Masks of the states reachable with positive probability at times lo..hi."""
@@ -517,23 +577,39 @@ class MarkovModel(EventSequenceModel):
                 v = v @ self._transition
         return self._finish_prob(float(v.sum())) if length else 1.0
 
+    def _walk(self, rng: np.random.Generator, steps: int, count: int):
+        """States of ``count`` paths at times 1..steps, one array per time.
+
+        The uniforms are the rows of ``rng.random((steps, count))``, drawn a
+        segment of rows at a time (one stream, so the same draws).  Each step
+        compares the uniforms against one cut column at a time.
+        """
+        segment = max(1, _DRAW_CHUNK // count)
+        states = None
+        for done in range(0, steps, segment):
+            for u in rng.random((min(segment, steps - done), count)):
+                if states is None:
+                    states = np.searchsorted(self._initial_cuts, u, side="right")
+                else:
+                    moved = np.zeros(count, dtype=np.intp)
+                    for cuts in self._cut_columns:
+                        moved += cuts[states] <= u
+                    states = moved
+                yield states
+
     def sample_indicator_block(
-        self, rng: np.random.Generator, lo: int, hi: int, count: int
-    ) -> np.ndarray:
-        width = hi - lo + 1
-        out = np.empty((count, width), dtype=bool)
-        u = rng.random(count)
-        states = np.searchsorted(self._cum_initial, u, side="right")
-        np.clip(states, 0, self._num_states - 1, out=states)
-        for t in range(1, hi + 1):
-            if t > 1:
-                u = rng.random(count)
-                rows = self._cum_rows[states]
-                states = (rows < u[:, None]).sum(axis=1)
-                np.clip(states, 0, self._num_states - 1, out=states)
-            if t >= lo:
-                out[:, t - lo] = self._events.mask(t)[states]
-        return out
+        self, rng: np.random.Generator, windows: Sequence[tuple[int, int]], count: int
+    ) -> list[np.ndarray]:
+        # one walk to the last window's end serves every window
+        runs, held, blocks = _stacked_runs(windows, count)
+        walk = enumerate(self._walk(rng, runs[-1][1] if runs else 0, count), start=1)
+        for lo, hi, row in runs:
+            for t, states in walk:
+                if t >= lo:
+                    held[row + t - lo] = self._events.mask(t)[states]
+                if t == hi:
+                    break
+        return blocks
 
 
 # ---------------------------------------------------------------------------
@@ -756,12 +832,17 @@ class LatentUniformModel(EventSequenceModel):
         return self._finish_prob(prob)
 
     def sample_indicator_block(
-        self, rng: np.random.Generator, lo: int, hi: int, count: int
-    ) -> np.ndarray:
-        u = rng.random((count, self._num_latents))
-        cols = np.array([self.color(i) for i in range(lo, hi + 1)])
-        thr = np.array([self.threshold(i) for i in range(lo, hi + 1)])
-        return u[:, cols] <= thr
+        self, rng: np.random.Generator, windows: Sequence[tuple[int, int]], count: int
+    ) -> list[np.ndarray]:
+        # every window reads the same latents; strict < so that a threshold of
+        # 0 never realizes its event, matching its probability
+        runs, held, blocks = _stacked_runs(windows, count)
+        u = rng.random((count, self._num_latents)).T
+        for lo, hi, row in runs:
+            colors = self._colors(lo, hi)
+            thresholds = self._threshold_array(lo, hi, colors)
+            held[row : row + hi - lo + 1] = u[colors] < thresholds[:, None]
+        return blocks
 
     def _families_with_start(self, n: int) -> list[tuple[SequenceFamily, int]]:
         """(family, first index it is evaluated at for global index >= n) per latent."""

@@ -3,14 +3,19 @@
 Sampling is chunked: paths [j*CHUNK, (j+1)*CHUNK) come from an independent
 substream seeded by (seed, j), so a parallel scheduler assigning chunks to
 workers reproduces the serial result exactly and aggregation is commutative.
-Interval estimates use the Wilson score, which behaves correctly near 0 and 1
-where window probabilities live.
+``estimate_frequencies`` answers many queries (windows and tail unions) in one
+pass over the chunks: each chunk's generator makes one sampler call whose
+blocks serve every query.  The sampler draws each window's block as a prefix
+of the chunk's stream, so every estimate equals its one-query call,
+``estimate_window_prob`` or ``estimate_tail_union``, bit for bit.  Interval
+estimates use the Wilson score, which behaves correctly near 0 and 1 where
+window probabilities live.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, Sequence
 
 import numpy as np
 from scipy.special import ndtri
@@ -22,6 +27,7 @@ __all__ = [
     "CHUNK",
     "FrequencyEstimate",
     "wilson_interval",
+    "estimate_frequencies",
     "estimate_window_prob",
     "estimate_tail_union",
 ]
@@ -84,19 +90,57 @@ def _iter_chunks(count: int) -> Iterator[tuple[int, int]]:
         yield full, rest
 
 
-def _count_block_event(
+def _holds(query: WindowPattern | tuple[int, int], block: np.ndarray) -> np.ndarray:
+    """Rows of ``block`` (the indicators of the query's window) where its event holds."""
+    if isinstance(query, WindowPattern):
+        # a window constrains every index of its span, in index order
+        return (block == [occur for _, occur in query.constraints()]).all(axis=1)
+    return block.any(axis=1)
+
+
+def estimate_frequencies(
     model: EventSequenceModel,
-    lo: int,
-    hi: int,
+    queries: Sequence[WindowPattern | tuple[int, int]],
     count: int,
     seed: int,
-    reduce_block,
-) -> int:
-    successes = 0
+    confidence: float = 0.95,
+) -> list[FrequencyEstimate]:
+    """Empirical frequencies of many events from one pass over the chunks.
+
+    A query is a ``WindowPattern`` (its window event) or an ``(n, span)`` pair
+    (any of A_n..A_{n+span} occurs).  Returns one estimate per query, equal to
+    the one-query ``estimate_window_prob`` / ``estimate_tail_union``.
+    """
+    windows = []
+    for query in queries:
+        if isinstance(query, WindowPattern):
+            windows.append((query.first_index, query.last_index))
+        else:
+            n, span = query
+            if span < 0:
+                raise ValueError("span must be >= 0")
+            windows.append((n, n + span))
+    if count < 100:
+        raise ValueError("need at least 100 samples for an interval estimate")
+    successes = [0] * len(queries)
     for j, size in _iter_chunks(count):
-        block = model.sample_indicator_block(_chunk_rng(seed, j), lo, hi, size)
-        successes += int(reduce_block(block).sum())
-    return successes
+        blocks = model.sample_indicator_block(_chunk_rng(seed, j), windows, size)
+        for k, (query, block) in enumerate(zip(queries, blocks)):
+            successes[k] += int(np.count_nonzero(_holds(query, block)))
+    estimates = []
+    for hits in successes:
+        lo_ci, hi_ci = wilson_interval(hits, count, confidence)
+        estimates.append(
+            FrequencyEstimate(
+                point=hits / count,
+                lower=lo_ci,
+                upper=hi_ci,
+                successes=hits,
+                samples=count,
+                confidence=confidence,
+            )
+        )
+    return estimates
 
 
 def estimate_window_prob(
@@ -107,28 +151,7 @@ def estimate_window_prob(
     confidence: float = 0.95,
 ) -> FrequencyEstimate:
     """Empirical frequency of the window event."""
-    if count < 100:
-        raise ValueError("need at least 100 samples for an interval estimate")
-    lo, hi = w.first_index, w.last_index
-    constraints = w.constraints()
-
-    def window_holds(block: np.ndarray) -> np.ndarray:
-        ok = np.ones(len(block), dtype=bool)
-        for idx, occur in constraints:
-            col = block[:, idx - lo]
-            ok &= col if occur else ~col
-        return ok
-
-    successes = _count_block_event(model, lo, hi, count, seed, window_holds)
-    lo_ci, hi_ci = wilson_interval(successes, count, confidence)
-    return FrequencyEstimate(
-        point=successes / count,
-        lower=lo_ci,
-        upper=hi_ci,
-        successes=successes,
-        samples=count,
-        confidence=confidence,
-    )
+    return estimate_frequencies(model, [w], count, seed, confidence)[0]
 
 
 def estimate_tail_union(
@@ -140,19 +163,4 @@ def estimate_tail_union(
     confidence: float = 0.95,
 ) -> FrequencyEstimate:
     """Empirical frequency that any of A_n..A_{n+span} occurs."""
-    if span < 0:
-        raise ValueError("span must be >= 0")
-    if count < 100:
-        raise ValueError("need at least 100 samples for an interval estimate")
-    successes = _count_block_event(
-        model, n, n + span, count, seed, lambda block: block.any(axis=1)
-    )
-    lo_ci, hi_ci = wilson_interval(successes, count, confidence)
-    return FrequencyEstimate(
-        point=successes / count,
-        lower=lo_ci,
-        upper=hi_ci,
-        successes=successes,
-        samples=count,
-        confidence=confidence,
-    )
+    return estimate_frequencies(model, [(n, span)], count, seed, confidence)[0]

@@ -34,7 +34,8 @@ class HorizonExceededError(ValueError):
 class TruncatedOutcomeSpace:
     """All outcomes of a model up to ``horizon``, with exact probabilities.
 
-    ``indicators[a, t]`` says whether A_{t+1} holds in atom ``a``.
+    ``indicators[a, t]`` says whether A_{t+1} holds in atom ``a``.  It is
+    stored column-major, so each event's column over all atoms is contiguous.
     """
 
     horizon: int
@@ -45,16 +46,19 @@ class TruncatedOutcomeSpace:
         total = float(self.probs.sum())
         if abs(total - 1.0) > 1e-12:
             raise ValueError(f"atom probabilities sum to {total!r}, expected 1")
+        self.indicators = np.asfortranarray(self.indicators)
 
     def window_mask(self, w: WindowPattern) -> np.ndarray:
         if w.last_index > self.horizon:
             raise HorizonExceededError(
                 f"window reaches index {w.last_index} past horizon {self.horizon}"
             )
-        mask = np.ones(len(self.probs), dtype=bool)
-        for idx, occur in w.constraints():
-            col = self.indicators[:, idx - 1]
-            mask &= col if occur else ~col
+        cols = self.indicators
+        (idx, occur), *rest = w.constraints()
+        mask = cols[:, idx - 1].copy() if occur else ~cols[:, idx - 1]
+        for idx, occur in rest:
+            # mask & ~col is mask > col on booleans, with no temporary
+            (np.logical_and if occur else np.greater)(mask, cols[:, idx - 1], out=mask)
         return mask
 
     def union_mask(self, n: int, span: int) -> np.ndarray:
@@ -118,19 +122,17 @@ def _markov_space(model: MarkovModel, horizon: int, max_paths: int) -> Truncated
         )
     transition = model._transition  # noqa: SLF001 - oracle reads the frozen inputs
     initial = model._initial  # noqa: SLF001
-    paths = np.arange(s, dtype=np.int64)[:, None]
+    # Atom a is the path whose state at time t is the base-s digit
+    # (a // s**(horizon - t)) % s: time 1 is the leading digit.
     probs = initial.copy()
     for _ in range(horizon - 1):
-        n = len(paths)
-        last = paths[:, -1]
-        probs = (probs[:, None] * transition[last, :]).reshape(n * s)
-        paths = np.hstack(
-            [np.repeat(paths, s, axis=0), np.tile(np.arange(s), n)[:, None]]
-        )
-    indicators = np.empty((len(paths), horizon), dtype=bool)
+        # extend each path by one step; its last state is its lowest digit
+        probs = (probs.reshape(-1, s, 1) * transition).reshape(-1)
+    cols = np.empty((horizon, s**horizon), dtype=bool)
     for t in range(1, horizon + 1):
-        indicators[:, t - 1] = model.event_mask(t)[paths[:, t - 1]]
-    return TruncatedOutcomeSpace(horizon, probs, indicators)
+        # atoms as (leading digits, digit t, trailing digits): column t reads the middle
+        cols[t - 1].reshape(s ** (t - 1), s, s ** (horizon - t))[...] = model.event_mask(t)[:, None]
+    return TruncatedOutcomeSpace(horizon, probs, cols.T)
 
 
 def _latent_space(model: LatentUniformModel, horizon: int) -> TruncatedOutcomeSpace:

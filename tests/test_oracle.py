@@ -5,13 +5,15 @@ import pytest
 
 from cantelli import (
     Constant,
+    EventSchedule,
     IndependentModel,
+    MarkovModel,
     build_outcome_space,
     oracle_union_prob,
     oracle_window_prob,
 )
 from cantelli.oracle import HorizonExceededError
-from cantelli.windows import all_complement, first_occurrence
+from cantelli.windows import Orientation, all_complement, first_occurrence
 
 from conftest import (
     make_coin,
@@ -103,7 +105,6 @@ def test_permutation_invariance():
 def test_horizon_caps_raise():
     with pytest.raises(HorizonExceededError):
         build_outcome_space(make_coin(), 15)
-    from cantelli import EventSchedule, MarkovModel
 
     four_state = MarkovModel(
         np.full((4, 4), 0.25), np.array([1.0, 0.0, 0.0, 0.0]), EventSchedule(4, constant=[0])
@@ -123,3 +124,68 @@ def test_degenerate_marginals_enumeration():
     assert oracle_window_prob(sp, first_occurrence(1, 0)) == 1.0
     assert oracle_window_prob(sp, first_occurrence(1, 1)) == 0.0
     assert oracle_window_prob(sp, all_complement(1, 2)) == 0.0
+
+
+def random_schedule_chain(rng, s):
+    """A chain with some zero transitions and a constant, periodic or explicit schedule."""
+    transition = rng.random((s, s)) * (rng.random((s, s)) < 0.8)
+    transition[np.arange(s), rng.integers(0, s, size=s)] += 0.1
+    transition /= transition.sum(axis=1, keepdims=True)
+    initial = rng.random(s) + 0.01
+    initial /= initial.sum()
+
+    def event_set():
+        return [int(x) for x in np.flatnonzero(rng.random(s) < 0.5)]
+
+    mode = int(rng.integers(3))
+    if mode == 0:
+        events = EventSchedule(s, constant=event_set())
+    elif mode == 1:
+        events = EventSchedule(s, cycle=[event_set() for _ in range(int(rng.integers(1, 4)))])
+    else:
+        events = EventSchedule(
+            s, explicit=[event_set() for _ in range(int(rng.integers(0, 6)))], tail=event_set()
+        )
+    return MarkovModel(transition, initial, events)
+
+
+def test_markov_space_matches_path_enumeration():
+    # every path of itertools.product, its probability multiplied left to right
+    # in time order: the oracle must give the same bits
+    rng = np.random.default_rng(12)
+    for s, horizon in ((2, 8), (3, 8), (4, 8), (3, 1), (4, 5)):
+        model = random_schedule_chain(rng, s)
+        sp = build_outcome_space(model, horizon)
+        paths = list(itertools.product(range(s), repeat=horizon))
+        probs = []
+        for path in paths:
+            p = model._initial[path[0]]
+            for a, b in zip(path, path[1:]):
+                p = p * model._transition[a, b]
+            probs.append(p)
+        states = np.array(paths)
+        indicators = np.column_stack(
+            [model.event_mask(t)[states[:, t - 1]] for t in range(1, horizon + 1)]
+        )
+        assert np.array_equal(sp.probs, np.array(probs))
+        assert np.array_equal(sp.indicators, indicators)
+
+
+def test_masks_match_row_major_reference():
+    rng = np.random.default_rng(13)
+    horizon = 8
+    for s in (2, 3, 4, 2, 3, 4):
+        sp = build_outcome_space(random_schedule_chain(rng, s), horizon)
+        rows = np.ascontiguousarray(sp.indicators)
+        for n in range(1, horizon + 1):
+            windows = [all_complement(n, m) for m in range(1, horizon - n + 2)]
+            for m in range(0, horizon - n + 1):
+                windows += [first_occurrence(n, m, o) for o in Orientation]
+            for w in windows:
+                expected = np.ones(len(rows), dtype=bool)
+                for idx, occur in w.constraints():
+                    expected &= rows[:, idx - 1] == occur
+                assert np.array_equal(sp.window_mask(w), expected)
+            for span in range(0, horizon - n + 1):
+                expected = rows[:, n - 1 : n + span].any(axis=1)
+                assert np.array_equal(sp.union_mask(n, span), expected)
