@@ -35,6 +35,7 @@ from .models import (
     LatentUniformModel,
     MarkovModel,
     NumericFaultError,
+    OccurrenceScan,
     PerLatentThresholds,
     marginal_decay_check,
 )
@@ -79,6 +80,7 @@ __all__ = [
     "ExplicitList",
     # models
     "EventSequenceModel",
+    "OccurrenceScan",
     "IndependentModel",
     "MarkovModel",
     "EventSchedule",

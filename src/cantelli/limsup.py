@@ -16,8 +16,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .models import EventSequenceModel
-from .summation import compensated_sum
+from .models import EventSequenceModel, OccurrenceScan
+from .summation import CompensatedSum, compensated_sum
 
 __all__ = [
     "TailUnionEstimate",
@@ -86,9 +86,12 @@ def tail_union(
     """Enclose u_n = P(union of A_j, j >= n) by adaptive truncation.
 
     The truncation doubles from 16 until the effective remainder drops below
-    ``tol`` or reaches ``k_max``.  Failing to reach tolerance is reported on
-    the estimate, not raised: a stalled remainder is an honest answer for
-    persistently dependent models.
+    ``tol`` or reaches ``k_max``.  Each doubling goes on with one scan of
+    first-occurrence terms and one running compensated sum, so it computes
+    only the terms it adds; the partial sum and remainder equal a one-shot
+    computation at the final truncation bit for bit.  Failing to reach
+    tolerance is reported on the estimate, not raised: a stalled remainder is
+    an honest answer for persistently dependent models.
     """
     if n < 1:
         raise ValueError("start index must be >= 1")
@@ -97,11 +100,13 @@ def tail_union(
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
     meta = model.metadata
+    scan = OccurrenceScan(n)
+    running = CompensatedSum()
     k = min(INITIAL_TRUNCATION, k_max)
     while True:
-        partial = compensated_sum(model.first_occurrence_terms(n, k))
-        partial = min(max(partial, 0.0), 1.0)
-        remainder = model.all_complement_prob(n, k)
+        terms = model.first_occurrence_terms(scan.end, n + k - scan.end, scan)
+        partial = min(max(compensated_sum(terms, running), 0.0), 1.0)
+        remainder = model.all_complement_prob(n, k, scan)
         union_tail = (
             meta.tail_union_bound(n + k) if meta.tail_union_bound is not None else None
         )

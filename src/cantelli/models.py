@@ -16,9 +16,12 @@ Each backend answers two kinds of query.  ``window_prob`` and
 ``window_is_empty`` take one window; the base class loops them over a series
 as the reference.  ``window_series`` and ``empty_series`` evaluate every
 window of a series at once on arrays, and every backend's array code returns
-the reference's floats bit for bit.  ``sample_indicator_block`` draws sampled
-indicators for many windows from one generator; each window's block equals a
-single-window draw from a generator in the same state.
+the reference's floats bit for bit.  ``first_occurrence_terms`` and
+``all_complement_prob`` both read one first-occurrence scan per backend
+(``_scan``), which an ``OccurrenceScan`` carries on chunk by chunk.
+``sample_indicator_block`` draws sampled indicators for many windows from one
+generator; each window's block equals a single-window draw from a generator in
+the same state.
 
 All models are immutable after construction and all queries are pure.
 """
@@ -29,17 +32,18 @@ import enum
 import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Any, Callable, Sequence
 
 import numpy as np
 
 from .families import SequenceFamily, SequenceIndexError, SeriesClass
-from .windows import SeriesKind, WindowPattern, all_complement, first_occurrence, marginal
+from .windows import SeriesKind, WindowPattern, marginal
 
 __all__ = [
     "NumericFaultError",
     "AnalyticMetadata",
     "EventSequenceModel",
+    "OccurrenceScan",
     "IndependentModel",
     "EventSchedule",
     "MarkovModel",
@@ -129,21 +133,54 @@ class EventSequenceModel(ABC):
         """P(A_n); equals window_prob of the bare-event window at n."""
         return self.window_prob(marginal(n))
 
-    def first_occurrence_terms(self, n: int, count: int) -> np.ndarray:
+    def first_occurrence_terms(
+        self, n: int, count: int, scan: OccurrenceScan | None = None
+    ) -> np.ndarray:
         """Terms P(first occurrence at n + k) for k = 0..count-1.
 
-        Default routes through window_prob; backends override with O(count)
-        incremental scans used by the tail-union machinery.
+        Given a ``scan`` that ends at n, the scan goes on: the terms are those
+        of a first occurrence after ``scan.start`` (no occurrence in
+        [scan.start, n + k - 1], one at n + k), and the scan then ends at
+        n + count.  Terms computed in chunks equal one scan's bit for bit.
         """
-        return np.array(
-            [self.window_prob(first_occurrence(n, k)) for k in range(count)], dtype=float
-        )
+        if scan is None:
+            scan = OccurrenceScan(n)
+        elif scan.end != n:
+            raise ValueError(f"a scan ending at {scan.end} cannot go on at {n}")
+        if count == 0:
+            return np.empty(0)
+        terms, scan.carry = self._scan(n, count, scan.carry)
+        scan.end = n + count
+        return terms
 
-    def all_complement_prob(self, n: int, length: int) -> float:
-        """P(no occurrence anywhere in [n, n + length - 1])."""
-        if length == 0:
-            return 1.0
-        return self.window_prob(all_complement(n, length))
+    def all_complement_prob(
+        self, n: int, length: int, scan: OccurrenceScan | None = None
+    ) -> float:
+        """P(no occurrence anywhere in [n, n + length - 1]).
+
+        A ``scan`` of exactly that range gives it without scanning again.
+        """
+        if scan is None:
+            scan = OccurrenceScan(n)
+            self.first_occurrence_terms(n, length, scan)
+        elif (scan.start, scan.end) != (n, n + length):
+            raise ValueError(
+                f"a scan of {scan.start}..{scan.end - 1} does not cover {n}..{n + length - 1}"
+            )
+        return 1.0 if scan.carry is None else self._complement(scan.carry)
+
+    @abstractmethod
+    def _scan(self, n: int, count: int, carry: Any) -> tuple[np.ndarray, Any]:
+        """First-occurrence terms at n..n + count - 1 and the carry after them.
+
+        ``carry`` is the state after index n - 1 of a scan begun earlier, or
+        None to begin at n.  Each term equals ``window_prob`` of its
+        first-occurrence window from the scan's start, bit for bit.
+        """
+
+    @abstractmethod
+    def _complement(self, carry: Any) -> float:
+        """The all-complement probability of the range a scan's carry follows."""
 
     @staticmethod
     def _finish_prob(x: float) -> float:
@@ -166,6 +203,22 @@ class EventSequenceModel(ABC):
         if bad.any():
             cls._finish_prob(float(x[np.argmax(bad)]))
         return np.where(x < 0.0, 0.0, np.where(x > 1.0, 1.0, x))
+
+
+class OccurrenceScan:
+    """A first-occurrence scan of the indices start..end - 1.
+
+    ``first_occurrence_terms(scan.end, count, scan)`` goes on with the next
+    ``count`` indices, and ``all_complement_prob(scan.start, scan.end -
+    scan.start, scan)`` reads the all-complement probability of the range.
+    ``carry`` is the backend's state after the last scanned index.
+    """
+
+    __slots__ = ("start", "end", "carry")
+
+    def __init__(self, start: int):
+        self.start = self.end = start
+        self.carry: Any = None
 
 
 def _check_windows(windows: Sequence[tuple[int, int]]) -> None:
@@ -267,14 +320,14 @@ class IndependentModel(EventSequenceModel):
             empty |= window == (0.0 if i == kind.occurrence_offset else 1.0)
         return empty
 
-    def first_occurrence_terms(self, n: int, count: int) -> np.ndarray:
+    def _scan(self, n: int, count: int, carry: Any) -> tuple[np.ndarray, Any]:
+        # carry: the survival product, multiplied left to right from 1.0
         p = self._family.values(n, n + count - 1)
-        survive = np.cumprod(np.concatenate(([1.0], 1.0 - p[:-1])))
-        return survive[:count] * p
+        survive = np.cumprod(np.concatenate(([1.0 if carry is None else carry], 1.0 - p)))
+        return survive[:count] * p, float(survive[-1])
 
-    def all_complement_prob(self, n: int, length: int) -> float:
-        q = 1.0 - self._family.values(n, n + length - 1)
-        return self._finish_prob(math.prod(q.tolist(), start=1.0))
+    def _complement(self, carry: Any) -> float:
+        return self._finish_prob(carry)
 
     def sample_indicator_block(
         self, rng: np.random.Generator, windows: Sequence[tuple[int, int]], count: int
@@ -379,11 +432,18 @@ class MarkovModel(EventSequenceModel):
     Window probabilities are computed by propagating the time-n distribution
     through masked transition steps.  A window series propagates the block of
     distributions at times 1..N as one stacked array, row by row with the same
-    vector-matrix products as a single window.  Memory stays O(S^2 + block):
-    the model keeps the last series block and one forward cursor (a time and
-    its distribution) for single queries at any start index.  Each lives in
-    one immutable value, replaced by a single assignment, so queries stay pure
-    and deterministic under any interleaving without a lock.
+    vector-matrix products as a single window.
+
+    The step v -> v @ T is a deterministic float map, so once the walk of
+    distributions meets a bitwise repeat (v_t == v_c, found by Brent's cycle
+    detection: one byte compare per step and one checkpoint vector), every
+    later distribution is a row of the cycle v_c..v_{t-1}.  The model keeps
+    that orbit once found and reads far times from it, and series blocks tile
+    it instead of propagating; a walk that never repeats is the plain walk.
+    Memory stays O(S^2 + block + cycle): the model keeps the last series
+    block, one forward cursor (a time and its distribution) and the orbit.
+    Each lives in one immutable value, replaced by a single assignment, so
+    queries stay pure and deterministic under any interleaving without a lock.
     """
 
     def __init__(
@@ -421,6 +481,8 @@ class MarkovModel(EventSequenceModel):
         # _cursor: (time, distribution) of the last single query past the block
         self._block = self._initial[None, :]
         self._cursor = (1, self._initial)
+        # _orbit: (time c, read-only rows v_c..v_{c+period-1}) once a walk repeats
+        self._orbit: tuple[int, np.ndarray] | None = None
         # (supports at times 1..len, 0-based row where they turn periodic, period)
         self._supports: tuple[np.ndarray, int, int] | None = None
         # sampling cut points: a path enters the first state k with u < cut[k].
@@ -444,6 +506,42 @@ class MarkovModel(EventSequenceModel):
     def event_mask(self, n: int) -> np.ndarray:
         return self._events.mask(n)
 
+    def _propagate(
+        self, t: int, v: np.ndarray, stop: int, rows: np.ndarray | None = None
+    ) -> tuple[int, np.ndarray]:
+        """Step v, the distribution at time t, on to time ``stop``.
+
+        Row i of ``rows`` receives the distribution at time i + 1 for each
+        time walked.  Until the orbit is known, Brent's method watches for a
+        repeat: the walk stops at the first one, sets the orbit, and returns
+        the (time, distribution) where it stopped.
+        """
+        watch = self._orbit is None
+        mark_t, mark_v, mark, power = t, v, v.tobytes(), 1
+        while t < stop:
+            v = v @ self._transition
+            t += 1
+            if rows is not None:
+                rows[t - 1] = v
+            if watch:
+                key = v.tobytes()
+                if key == mark:
+                    self._orbit = (mark_t, self._cycle_rows(mark_v, t - mark_t))
+                    break
+                if t - mark_t == power:
+                    mark_t, mark_v, mark, power = t, v, key, 2 * power
+        return t, v
+
+    def _cycle_rows(self, v: np.ndarray, period: int) -> np.ndarray:
+        """v and the next period - 1 distributions, as read-only rows."""
+        rows = np.empty((period, self._num_states))
+        rows[0] = v
+        for i in range(1, period):
+            v = v @ self._transition
+            rows[i] = v
+        rows.setflags(write=False)
+        return rows
+
     def _dist_at(self, n: int) -> np.ndarray:
         """Unconstrained state distribution at time n (1-based)."""
         if n < 1:
@@ -451,14 +549,18 @@ class MarkovModel(EventSequenceModel):
         block = self._block
         if n <= len(block):
             return block[n - 1]
-        t, v = self._cursor
-        if t > n:
-            t, v = len(block), block[-1]
-        while t < n:
-            v = v @ self._transition
-            t += 1
-        self._cursor = (t, v)
-        return v
+        orbit = self._orbit
+        if orbit is None or n < orbit[0]:
+            t, v = self._cursor
+            if t > n:
+                t, v = len(block), block[-1]
+            t, v = self._propagate(t, v, n)
+            self._cursor = (t, v)
+            if t == n:
+                return v
+            orbit = self._orbit
+        start, cycle = orbit
+        return cycle[(n - start) % len(cycle)]
 
     def _dist_block(self, count: int) -> np.ndarray:
         """Distributions at times 1..count as the rows of a read-only array."""
@@ -466,10 +568,12 @@ class MarkovModel(EventSequenceModel):
         if len(block) < count:
             grown = np.empty((count, self._num_states))
             grown[: len(block)] = block
-            v = block[-1]
-            for t in range(len(block), count):
-                v = v @ self._transition
-                grown[t] = v
+            orbit = self._orbit
+            stop = count if orbit is None else min(count, max(orbit[0], len(block)))
+            t, _ = self._propagate(len(block), block[-1], stop, grown)
+            if t < count:
+                start, cycle = self._orbit
+                grown[t:] = cycle[(np.arange(t + 1, count + 1) - start) % len(cycle)]
             grown.setflags(write=False)
             self._block = block = grown
         return block[:count]
@@ -560,22 +664,22 @@ class MarkovModel(EventSequenceModel):
             supp = supp & (window if i == kind.occurrence_offset else ~window)
         return ~supp.any(axis=1)
 
-    def first_occurrence_terms(self, n: int, count: int) -> np.ndarray:
-        out = np.empty(count, dtype=float)
-        v = self._dist_at(n)
-        for k in range(count):
-            mask = self._events.mask(n + k)
-            out[k] = self._finish_prob(float((v * mask).sum()))
-            v = (v * ~mask) @ self._transition
-        return out
-
-    def all_complement_prob(self, n: int, length: int) -> float:
-        v = self._dist_at(n)
-        for i in range(length):
-            v = v * ~self._events.mask(n + i)
-            if i + 1 < length:
+    def _scan(self, n: int, count: int, carry: Any) -> tuple[np.ndarray, Any]:
+        # carry: the distribution masked to the complement at the last index,
+        # before its step to the next
+        v = self._dist_at(n) if carry is None else carry @ self._transition
+        masks = self._events.masks(n, n + count - 1)
+        hits = np.empty((count, self._num_states))
+        for k, mask in enumerate(masks):
+            if k:
                 v = v @ self._transition
-        return self._finish_prob(float(v.sum())) if length else 1.0
+            np.multiply(v, mask, out=hits[k])
+            v = v * ~mask
+        # summed per row like window_prob's vector sum
+        return self._finish_probs(hits.sum(axis=1)), v
+
+    def _complement(self, carry: Any) -> float:
+        return self._finish_prob(float(carry.sum()))
 
     def _walk(self, rng: np.random.Generator, steps: int, count: int):
         """States of ``count`` paths at times 1..steps, one array per time.
@@ -804,31 +908,31 @@ class LatentUniformModel(EventSequenceModel):
             empty |= upto <= below
         return empty
 
-    def first_occurrence_terms(self, n: int, count: int) -> np.ndarray:
-        # term k is window_prob of first_occurrence(n, k): per latent, the
-        # complements before step k exclude U up to their running max threshold
+    def _scan(self, n: int, count: int, carry: Any) -> tuple[np.ndarray, Any]:
+        # term k is window_prob of its first-occurrence window: per latent, the
+        # complements before step k exclude U up to their running max
+        # threshold.  carry: each latent's running max so far.
         colors = self._colors(n, n + count - 1)
         a = self._threshold_array(n, n + count - 1, colors)
+        maxima = (0.0,) * self._num_latents if carry is None else carry
         excluded = []
         own_excluded = np.zeros(count)
         for j in range(self._num_latents):
-            running = np.maximum.accumulate(np.where(colors == j, a, 0.0))
-            excluded.append(np.concatenate(([0.0], running[:-1]))[:count])
-            own_excluded = np.where(colors == j, excluded[j], own_excluded)
+            mine = np.where(colors == j, a, 0.0)
+            excluded.append(np.maximum.accumulate(np.concatenate(([maxima[j]], mine))))
+            own_excluded = np.where(colors == j, excluded[j][:count], own_excluded)
         own = a - own_excluded
         own = np.where(own > 0.0, own, 0.0)
         term = None
         for j in range(self._num_latents):
-            length = np.where(colors == j, own, 1.0 - excluded[j])
+            length = np.where(colors == j, own, 1.0 - excluded[j][:count])
             term = length if term is None else term * length
-        return term
+        return term, tuple(float(e[-1]) for e in excluded)
 
-    def all_complement_prob(self, n: int, length: int) -> float:
-        colors = self._colors(n, n + length - 1)
-        a = self._threshold_array(n, n + length - 1, colors)
+    def _complement(self, carry: Any) -> float:
         prob = 1.0
-        for j in range(self._num_latents):
-            prob *= 1.0 - float(np.max(a, where=colors == j, initial=0.0))
+        for peak in carry:
+            prob *= 1.0 - peak
         return self._finish_prob(prob)
 
     def sample_indicator_block(

@@ -12,7 +12,8 @@ class CompensatedSum:
 
     Keeps the error of accumulating N terms near one ulp instead of N ulps,
     which matters for 1e5-term partial sums checked against 1e-10 tolerances.
-    The array functions below take the same steps over a whole array.
+    ``extend`` and the array functions below take the same steps over a whole
+    array.
     """
 
     __slots__ = ("_total", "_compensation")
@@ -29,13 +30,22 @@ class CompensatedSum:
             self._compensation += (x - t) + self._total
         self._total = t
 
+    def extend(self, values: Sequence[float] | np.ndarray) -> None:
+        """``add`` each of ``values`` in order."""
+        total, compensation = _neumaier(values, self._total, self._compensation)
+        if len(total):
+            self._total, self._compensation = float(total[-1]), float(compensation[-1])
+
     @property
     def value(self) -> float:
         return self._total + self._compensation
 
 
-def _neumaier(values: Sequence[float] | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Running totals and compensations of ``CompensatedSum.add`` over ``values``.
+def _neumaier(
+    values: Sequence[float] | np.ndarray, total: float = 0.0, compensation: float = 0.0
+) -> tuple[np.ndarray, np.ndarray]:
+    """Running totals and compensations of ``CompensatedSum.add`` over ``values``,
+    starting from a running sum with that ``total`` and ``compensation``.
 
     Both are left-to-right running sums (``np.add.accumulate`` adds one value
     at a time), and each correction term is the scalar step's expression, so
@@ -43,16 +53,22 @@ def _neumaier(values: Sequence[float] | np.ndarray) -> tuple[np.ndarray, np.ndar
     """
     x = np.asarray(values, dtype=float)
     with np.errstate(all="ignore"):  # Python floats overflow silently too
-        totals = np.add.accumulate(np.concatenate(([0.0], x)))
-        prev, total = totals[:-1], totals[1:]
-        correction = np.where(np.abs(prev) >= np.abs(x), (prev - total) + x, (x - total) + prev)
-        compensation = np.add.accumulate(np.concatenate(([0.0], correction)))[1:]
-    return total, compensation
+        totals = np.add.accumulate(np.concatenate(([total], x)))
+        prev, totals = totals[:-1], totals[1:]
+        correction = np.where(np.abs(prev) >= np.abs(x), (prev - totals) + x, (x - totals) + prev)
+        compensations = np.add.accumulate(np.concatenate(([compensation], correction)))[1:]
+    return totals, compensations
 
 
-def compensated_sum(values: Sequence[float] | np.ndarray) -> float:
-    total, compensation = _neumaier(values)
-    return float(total[-1] + compensation[-1]) if len(total) else 0.0
+def compensated_sum(
+    values: Sequence[float] | np.ndarray, running: CompensatedSum | None = None
+) -> float:
+    """Compensated sum of ``values``; given a ``running`` sum, the sum continued
+    from it, which ``running`` then holds (a sum taken in chunks equals the
+    one-shot sum bit for bit)."""
+    running = CompensatedSum() if running is None else running
+    running.extend(values)
+    return running.value
 
 
 def compensated_cumsum(values: Sequence[float] | np.ndarray) -> np.ndarray:

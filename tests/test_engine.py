@@ -2,7 +2,9 @@
 
 Every backend's ``window_series``/``empty_series`` and scans must return the
 floats the per-window loop returns, bit for bit: reports are built from the
-arrays and must not change when the engine does.
+arrays and must not change when the engine does.  The same holds for
+``tail_union``'s doublings against one-shot sums, and for the Markov orbit
+against a plain walk of distributions.
 """
 
 import numpy as np
@@ -22,10 +24,16 @@ from cantelli import (
     PerLatentThresholds,
     PowerLaw,
     SequenceFamily,
+    limsup_estimate,
+    tail_union,
 )
 from cantelli.families import SequenceIndexError
-from cantelli.models import NumericFaultError
-from cantelli.windows import Orientation, SeriesKind, first_occurrence
+from cantelli.limsup import INITIAL_TRUNCATION
+from cantelli.models import NumericFaultError, OccurrenceScan
+from cantelli.summation import compensated_sum
+from cantelli.windows import Orientation, SeriesKind, all_complement, first_occurrence
+
+from conftest import make_absorbing, make_equal_rows, make_flipflop
 
 probs = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
 scales = st.floats(min_value=0.0, max_value=3.0, allow_nan=False)
@@ -51,6 +59,19 @@ def reference_series(model, kind, num_terms):
 
 def reference_empty(model, kind, lo, hi):
     return EventSequenceModel.empty_series(model, kind, lo, hi)
+
+
+def reference_terms(model, n, count):
+    return np.array([model.window_prob(first_occurrence(n, k)) for k in range(count)], dtype=float)
+
+
+def reference_complement(model, n, length):
+    return model.window_prob(all_complement(n, length)) if length else 1.0
+
+
+def bits(x):
+    """The bytes of a float or float array: equal bits, signs of zero included."""
+    return np.asarray(x, dtype=float).tobytes()
 
 
 @st.composite
@@ -159,11 +180,72 @@ def test_empty_series_matches_window_is_empty(model, kind, lo, span):
 @settings(max_examples=200, deadline=None)
 @given(models, st.integers(min_value=1, max_value=30), st.integers(min_value=0, max_value=25))
 def test_scans_match_window_prob(model, n, count):
-    # the base-class scans are the per-window loops over window_prob
-    expected = EventSequenceModel.first_occurrence_terms(model, n, count)
+    expected = reference_terms(model, n, count)
     assert np.array_equal(model.first_occurrence_terms(n, count), expected)
-    expected = EventSequenceModel.all_complement_prob(model, n, count)
-    assert model.all_complement_prob(n, count) == expected
+    assert model.all_complement_prob(n, count) == reference_complement(model, n, count)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    models,
+    st.integers(min_value=1, max_value=30),
+    st.lists(st.integers(min_value=0, max_value=12), max_size=5),
+)
+def test_scan_in_chunks_matches_window_prob(model, n, chunks):
+    scan = OccurrenceScan(n)
+    got = [np.empty(0)]
+    for count in chunks:
+        got.append(model.first_occurrence_terms(scan.end, count, scan))
+        length = scan.end - n
+        assert bits(model.all_complement_prob(n, length, scan)) == bits(
+            reference_complement(model, n, length)
+        )
+    assert bits(np.concatenate(got)) == bits(reference_terms(model, n, sum(chunks)))
+
+
+def test_scan_must_go_on_where_it_ended():
+    model = IndependentModel(Constant(0.5))
+    scan = OccurrenceScan(3)
+    model.first_occurrence_terms(3, 4, scan)
+    with pytest.raises(ValueError, match="ending at 7"):
+        model.first_occurrence_terms(8, 1, scan)
+    with pytest.raises(ValueError, match="does not cover"):
+        model.all_complement_prob(3, 5, scan)
+    assert model.all_complement_prob(3, 4, scan) == 0.5**4
+
+
+def reference_tail_union(model, n, tol, k_max):
+    """``tail_union``'s doubling loop, each sum and remainder taken afresh."""
+    meta = model.metadata
+    k = min(INITIAL_TRUNCATION, k_max)
+    while True:
+        partial = min(max(compensated_sum(reference_terms(model, n, k)), 0.0), 1.0)
+        remainder = reference_complement(model, n, k)
+        union_tail = meta.tail_union_bound(n + k) if meta.tail_union_bound else None
+        effective = remainder if union_tail is None else min(remainder, union_tail)
+        if effective < tol or k >= k_max:
+            return k, bits(partial), bits(remainder), union_tail, effective < tol
+        k = min(2 * k, k_max)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    models,
+    # Markov explicit schedules end by index 6, so most starts lie past them
+    st.integers(min_value=1, max_value=30),
+    st.sampled_from([1e-2, 1e-6, 1e-12]),
+    st.sampled_from([1, 2, 16, 17, 32, 64, 100, 128]),
+)
+def test_tail_union_doublings_match_one_shot_sums(model, n, tol, k_max):
+    est = tail_union(model, n, tol=tol, k_max=k_max)
+    got = (
+        est.truncation,
+        bits(est.partial),
+        bits(est.remainder_bound),
+        est.union_tail_bound,
+        est.tolerance_reached,
+    )
+    assert got == reference_tail_union(model, n, tol, k_max)
 
 
 @settings(max_examples=40, deadline=None)
@@ -182,11 +264,113 @@ def test_markov_far_start_keeps_no_block():
         np.array([[0.5, 0.5], [0.25, 0.75]]), np.array([1.0, 0.0]), EventSchedule(2, constant=[0])
     )
     far = chain.window_prob(first_occurrence(200_000, 2))
+    # no block growth, and far times read a short stored orbit
     assert chain._block.shape == (1, 2)
-    assert chain._cursor[0] == 200_000
+    assert len(chain._orbit[1]) <= 256
     # going back restarts from the block, and forward again reproduces the value
     assert chain.window_prob(first_occurrence(3, 1)) == chain.window_prob(first_occurrence(3, 1))
     assert chain.window_prob(first_occurrence(200_000, 2)) == far
+
+
+def plain_walk(model, count):
+    """Distributions at times 1..count, one v @ T step at a time."""
+    rows = [model._initial]
+    for _ in range(count - 1):
+        rows.append(rows[-1] @ model._transition)
+    return np.array(rows)
+
+
+def _chain(transition, initial, events=None):
+    transition = np.array(transition, dtype=float)
+    s = len(transition)
+    events = events or EventSchedule(s, constant=[0])
+    return lambda: MarkovModel(transition, np.array(initial, dtype=float), events)
+
+
+ORBIT_CHAINS = {
+    "fixed-point": lambda: make_equal_rows([0.25, 0.75], [1.0, 0.0], [0]),
+    "flipflop": make_flipflop,
+    "absorbing": make_absorbing,
+    "periodic": _chain(
+        [[0, 1, 0], [0, 0, 1], [1, 0, 0]],
+        [0.5, 0.25, 0.25],
+        EventSchedule(3, cycle=[[0], [1, 2]]),
+    ),
+    "explicit": _chain(
+        [[0.9, 0.1, 0.0], [0.0, 0.7, 0.3], [0.2, 0.0, 0.8]],
+        [1.0, 0.0, 0.0],
+        EventSchedule(3, explicit=[[0], [], [1, 2]] * 4, tail=[2]),
+    ),
+}
+WALK = 400
+ORDERS = {
+    "forward": [1, 2, 40, 41, 150, 151, 399, 400],
+    "backward": [400, 399, 151, 150, 41, 40, 2, 1],
+    "interleaved": [150, 2, 400, 41, 1, 399, 40, 151],
+}
+
+
+@pytest.mark.parametrize("order", ORDERS)
+@pytest.mark.parametrize("name", ORBIT_CHAINS)
+def test_markov_orbit_matches_plain_walk(name, order):
+    model = ORBIT_CHAINS[name]()
+    walk = plain_walk(model, WALK)
+    for i, t in enumerate(ORDERS[order]):
+        assert bits(model._dist_at(t)) == bits(walk[t - 1])
+        if i == 3:
+            assert bits(model._dist_block(60)) == bits(walk[:60])
+    assert bits(model._dist_block(WALK)) == bits(walk)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    markov_models(),
+    st.lists(st.integers(min_value=1, max_value=WALK), min_size=1, max_size=8),
+    st.integers(min_value=1, max_value=WALK),
+)
+def test_markov_orbit_matches_plain_walk_on_random_chains(model, times, block_len):
+    walk = plain_walk(model, WALK)
+    for i, t in enumerate(times):
+        if i == len(times) // 2:
+            assert bits(model._dist_block(block_len)) == bits(walk[:block_len])
+        assert bits(model._dist_at(t)) == bits(walk[t - 1])
+    assert bits(model._dist_block(WALK)) == bits(walk)
+
+
+# the absorbing chain's mass 0.5^t leaves state 0 only by underflow, near t = 1075
+@pytest.mark.parametrize("name", ["explicit", "periodic", "absorbing"])
+def test_markov_far_time_reads_the_orbit(name):
+    model = ORBIT_CHAINS[name]()
+    v = model._initial
+    for _ in range(100_000 - 1):
+        v = v @ model._transition
+    assert bits(model._dist_at(100_000)) == bits(v)
+    assert len(model._orbit[1]) <= 256
+
+
+def test_markov_orbit_that_never_repeats_is_the_plain_walk():
+    # the distribution moves by about 1e-9 per step, far above one ulp
+    eps = 1e-9
+    model = _chain([[1 - eps, eps], [eps, 1 - eps]], [1.0, 0.0])()
+    walk = plain_walk(model, 5000)
+    assert bits(model._dist_at(5000)) == bits(walk[-1])
+    assert bits(model._dist_at(4000)) == bits(walk[3999])
+    assert bits(model._dist_block(5000)) == bits(walk)
+    assert model._orbit is None
+
+
+def test_markov_limsup_to_1e12_reads_the_orbit():
+    model = _chain(
+        [[0.2, 0.3, 0.5], [0.4, 0.4, 0.2], [0.1, 0.6, 0.3]],
+        [1.0, 0.0, 0.0],
+        EventSchedule(3, constant=[2]),
+    )()
+    est = limsup_estimate(model, [10**6, 10**9, 10**12])
+    assert all(s.tolerance_reached for s in est.samples)
+    # every start lies on the orbit's fixed point, so the enclosures agree
+    assert len({(s.partial, s.remainder_bound) for s in est.samples}) == 1
+    assert len(model._orbit[1]) <= 256
+    assert model._block.shape == (1, 3)
 
 
 class _NaNFamily(SequenceFamily):

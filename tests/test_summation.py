@@ -1,7 +1,8 @@
 import math
+import struct
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from cantelli.summation import CompensatedSum, compensated_cumsum, compensated_sum
 
@@ -54,3 +55,29 @@ def test_array_sums_equal_the_scalar_loop_bit_for_bit(values):
     total = compensated_sum(values)
     assert total == (expected[-1] if values else 0.0)
     assert math.copysign(1.0, total) == math.copysign(1.0, expected[-1] if values else 0.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(
+        magnitudes | st.sampled_from([0.0, -0.0, 5e-324, 0.1, 3.0, 1e16, -1e16]), max_size=120
+    ),
+    st.lists(st.integers(min_value=0, max_value=40), max_size=6),
+)
+# (1e16 + 3) + 3 rounds differently from 1e16 + (3 + 3)
+@example(values=[1e16, 3.0, 3.0], cuts=[1])
+def test_sum_continued_in_chunks_equals_the_one_shot_sum(values, cuts):
+    running, scalar = CompensatedSum(), CompensatedSum()
+    total, done = compensated_sum([], running), 0
+    for size in cuts + [len(values)]:
+        chunk = values[done : done + size]
+        total = compensated_sum(chunk, running)
+        for v in chunk:
+            scalar.add(v)
+        done += len(chunk)
+        # the running state, not just its value, is the scalar loop's
+        state = (running._total, running._compensation)
+        assert struct.pack("<2d", *state) == struct.pack("<2d", scalar._total, scalar._compensation)
+    expected = compensated_sum(values)
+    assert total == expected
+    assert math.copysign(1.0, total) == math.copysign(1.0, expected)
