@@ -39,6 +39,7 @@ EXIT_MISMATCH = 5
 
 ORACLE_DIFF_TOL = 1e-10
 SIGMA_FLAG = 4.0
+INDEX_MAX = (1 << 63) - 1  # indices are held in int64 arrays
 
 _FALLBACKS = {
     "terms": 10000,
@@ -241,6 +242,13 @@ def cmd_limsup(args: argparse.Namespace) -> int:
     tol = _resolve(args.tol, spec, "tol")
     k_max = _resolve(args.k_max, spec, "k_max")
     schedule = args.schedule if args.schedule is not None else _resolve(None, spec, "schedule")
+    # a start's scan reads indices up to n + k_max
+    too_far = [n for n in schedule if n > INDEX_MAX - k_max]
+    if too_far:
+        raise SpecError(
+            "--schedule" if args.schedule is not None else f"{args.spec}.defaults.schedule",
+            f"start {too_far[0]} plus k_max {k_max} passes the largest index {INDEX_MAX}",
+        )
     flags = {"schedule": list(schedule), "tol": tol, "k_max": k_max}
     report = _report_shell("limsup", spec, flags)
     report["results"] = limsup_results(model, schedule, tol, k_max)

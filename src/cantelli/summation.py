@@ -12,8 +12,10 @@ class CompensatedSum:
 
     Keeps the error of accumulating N terms near one ulp instead of N ulps,
     which matters for 1e5-term partial sums checked against 1e-10 tolerances.
-    ``extend`` and the array functions below take the same steps over a whole
-    array.
+    Adding x sets t = total + x, adds the rounding error of t to the
+    compensation ((total - t) + x when |total| >= |x|, else (x - t) + total)
+    and makes t the total.  ``extend`` and the array functions below take
+    those steps over a whole array.
     """
 
     __slots__ = ("_total", "_compensation")
@@ -22,16 +24,8 @@ class CompensatedSum:
         self._total = 0.0
         self._compensation = 0.0
 
-    def add(self, x: float) -> None:
-        t = self._total + x
-        if abs(self._total) >= abs(x):
-            self._compensation += (self._total - t) + x
-        else:
-            self._compensation += (x - t) + self._total
-        self._total = t
-
     def extend(self, values: Sequence[float] | np.ndarray) -> None:
-        """``add`` each of ``values`` in order."""
+        """Add each of ``values`` in order."""
         total, compensation = _neumaier(values, self._total, self._compensation)
         if len(total):
             self._total, self._compensation = float(total[-1]), float(compensation[-1])
@@ -44,12 +38,13 @@ class CompensatedSum:
 def _neumaier(
     values: Sequence[float] | np.ndarray, total: float = 0.0, compensation: float = 0.0
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Running totals and compensations of ``CompensatedSum.add`` over ``values``,
-    starting from a running sum with that ``total`` and ``compensation``.
+    """Running totals and compensations of the Neumaier step (see
+    ``CompensatedSum``) over ``values``, starting from a running sum with that
+    ``total`` and ``compensation``.
 
     Both are left-to-right running sums (``np.add.accumulate`` adds one value
     at a time), and each correction term is the scalar step's expression, so
-    every entry equals the scalar loop's bit for bit.
+    every entry equals a scalar loop's bit for bit.
     """
     x = np.asarray(values, dtype=float)
     with np.errstate(all="ignore"):  # Python floats overflow silently too

@@ -145,6 +145,27 @@ def test_limsup_commands(tmp_path):
     assert pl2["results"]["alpha_upper"] <= 0.002
 
 
+@pytest.mark.parametrize("name", ["nested", "interleaved-nested", "markov-3state"])
+def test_limsup_start_past_int64_is_spec_error(name, capsys):
+    schedule = "1000,9223372036854775000,9223372036854775800"
+    assert run(["limsup", SPECS / f"{name}.json", "--schedule", schedule]) == EXIT_SPEC
+    assert "spec error: --schedule" in capsys.readouterr().err
+    # the largest start whose scan ends at 2**63 - 1 still runs
+    last = (1 << 63) - 1 - 4096
+    schedule = f"1000,2000,{last}"
+    assert run(["limsup", SPECS / f"{name}.json", "--schedule", schedule, "--k-max", "4096",
+                "--tol", "1e-300"]) == EXIT_OK
+
+
+def test_limsup_default_start_past_int64_is_spec_error(tmp_path, capsys):
+    spec = json.loads((SPECS / "nested.json").read_text())
+    spec["defaults"]["schedule"] = [8, 16, 1 << 63]
+    path = tmp_path / "far.json"
+    path.write_text(json.dumps(spec))
+    assert run(["limsup", path]) == EXIT_SPEC
+    assert "defaults.schedule" in capsys.readouterr().err
+
+
 def test_simulate_clean_pass(tmp_path):
     out = tmp_path / "sim.json"
     code = run(["simulate", SPECS / "coin-half.json", "--count", "20000", "--out", out])

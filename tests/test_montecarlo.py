@@ -1,15 +1,23 @@
+import math
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
+from scipy.special import ndtri
 
 from cantelli import (
     estimate_tail_union,
     estimate_window_prob,
     wilson_interval,
 )
-from cantelli.montecarlo import CHUNK, _chunk_rng, _iter_chunks
+from cantelli.montecarlo import CHUNK, _chunk_rng, _iter_chunks, _ndtri
 from cantelli.windows import first_occurrence
 
 from conftest import (
+    REPO,
     make_coin,
     make_flipflop,
     make_interleaved,
@@ -31,6 +39,45 @@ def test_wilson_validation():
         wilson_interval(1, 0)
     with pytest.raises(ValueError):
         wilson_interval(1, 10, confidence=1.0)
+
+
+EXP_M32 = math.exp(-32.0)  # where the tail approximations switch
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True))
+@example(0.975)
+@example(math.exp(-2.0))
+@example(0.13533528323661269189)
+@example(1.0 - 0.13533528323661269189)
+@example(float(np.nextafter(EXP_M32, 0.0)))
+@example(float(np.nextafter(EXP_M32, 1.0)))
+@example(5e-324)
+@example(1.0 - 2.0**-53)
+def test_ndtri_equals_scipy_bit_for_bit(y):
+    got, expected = _ndtri(y), float(ndtri(y))
+    assert got == expected
+    assert math.copysign(1.0, got) == math.copysign(1.0, expected)
+
+
+def test_ndtri_endpoints():
+    assert _ndtri(0.0) == -math.inf and _ndtri(1.0) == math.inf
+    assert math.isnan(_ndtri(-0.5)) and math.isnan(_ndtri(1.5))
+
+
+def test_simulate_runs_without_scipy():
+    code = (
+        "import sys, cantelli.cli\n"
+        "assert cantelli.cli.main(['simulate', 'specs/coin-half.json', '--count', '1000']) == 0\n"
+        "assert not [m for m in sys.modules if m.split('.')[0] == 'scipy']\n"
+    )
+    subprocess.run(
+        [sys.executable, "-c", code],
+        cwd=REPO,
+        env={**os.environ, "PYTHONPATH": str(REPO / "src")},
+        check=True,
+        capture_output=True,
+    )
 
 
 def draw_paths(model, horizon, count, seed):

@@ -1,4 +1,6 @@
+import functools
 import math
+import operator
 import struct
 
 import numpy as np
@@ -22,23 +24,31 @@ def test_cumsum_checkpoints_match_fsum():
 def test_beats_naive_on_adversarial_cancellation():
     # large value followed by many tiny ones: naive accumulation loses them
     values = [1e16] + [1.0] * 1000
-    acc = CompensatedSum()
-    for v in values:
-        acc.add(v)
-    assert acc.value == math.fsum(values)
+    assert functools.reduce(operator.add, values) != math.fsum(values)
+    assert compensated_sum(values) == math.fsum(values)
 
 
 def test_empty_sum_is_zero():
     assert compensated_sum([]) == 0.0
 
 
+def _scalar_neumaier(values, total=0.0, compensation=0.0):
+    """The scalar Neumaier loop, one value at a time: the (total, compensation)
+    state after each value, continuing from the given state."""
+    states = []
+    for x in values:
+        t = total + x
+        if abs(total) >= abs(x):
+            compensation += (total - t) + x
+        else:
+            compensation += (x - t) + total
+        total = t
+        states.append((total, compensation))
+    return states
+
+
 def _scalar_partial_sums(values):
-    acc = CompensatedSum()
-    out = []
-    for v in values:
-        acc.add(v)
-        out.append(acc.value)
-    return out
+    return [total + compensation for total, compensation in _scalar_neumaier(values)]
 
 
 # at most 300 values of magnitude <= 1e300: every sum stays finite
@@ -67,17 +77,16 @@ def test_array_sums_equal_the_scalar_loop_bit_for_bit(values):
 # (1e16 + 3) + 3 rounds differently from 1e16 + (3 + 3)
 @example(values=[1e16, 3.0, 3.0], cuts=[1])
 def test_sum_continued_in_chunks_equals_the_one_shot_sum(values, cuts):
-    running, scalar = CompensatedSum(), CompensatedSum()
+    running, scalar = CompensatedSum(), (0.0, 0.0)
     total, done = compensated_sum([], running), 0
     for size in cuts + [len(values)]:
         chunk = values[done : done + size]
         total = compensated_sum(chunk, running)
-        for v in chunk:
-            scalar.add(v)
+        scalar = ([scalar] + _scalar_neumaier(chunk, *scalar))[-1]
         done += len(chunk)
         # the running state, not just its value, is the scalar loop's
         state = (running._total, running._compensation)
-        assert struct.pack("<2d", *state) == struct.pack("<2d", scalar._total, scalar._compensation)
+        assert struct.pack("<2d", *state) == struct.pack("<2d", *scalar)
     expected = compensated_sum(values)
     assert total == expected
     assert math.copysign(1.0, total) == math.copysign(1.0, expected)
