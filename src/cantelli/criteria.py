@@ -223,8 +223,6 @@ class SeriesReport:
     partial_sums: np.ndarray
     tail_fit: TailFit
     verdict: Verdict
-    conclusion: Conclusion = Conclusion.NO_CONCLUSION
-    conclusion_note: str = ""
 
     def __post_init__(self) -> None:
         if np.any(self.terms < 0.0):
@@ -249,8 +247,6 @@ def build_series_report(
         partial_sums=sums,
         tail_fit=fit_tail(terms),
         verdict=verdict,
-        conclusion=Conclusion.NO_CONCLUSION,
-        conclusion_note="series evaluated in isolation; decay hypothesis not assessed",
     )
 
 
@@ -331,8 +327,6 @@ def check_criterion(
             note = f"series converges but marginal decay unsettled: {decay_note}"
         else:
             note = f"series verdict inconclusive ({report.verdict.justification})"
-    report.conclusion = conclusion
-    report.conclusion_note = note
     return CriterionResult(
         prefix_len=prefix_len,
         orientation=orientation,
@@ -360,8 +354,6 @@ def sweep_prefix_len(
     max_prefix_len: int = 3,
     num_terms: int = 2000,
     tol: float = 1e-6,
-    *,
-    orientation: Orientation = Orientation.PREFIX_COMPLEMENT,
 ) -> SweepResult:
     """Run the criterion for every complement-run length 0..max_prefix_len.
 
@@ -373,7 +365,7 @@ def sweep_prefix_len(
         raise ValueError(f"max_prefix_len {max_prefix_len} exceeds the cap of {MAX_PREFIX_LEN}")
     out = SweepResult(decay=marginal_decay_check(model, default_decay_probes(num_terms), tol))
     for m in range(max_prefix_len + 1):
-        res = check_criterion(model, m, num_terms, tol, orientation=orientation, decay=out.decay)
+        res = check_criterion(model, m, num_terms, tol, decay=out.decay)
         out.results.append(res)
         if res.conclusion is Conclusion.IO_PROB_ZERO:
             if out.least_io_zero is None:

@@ -60,11 +60,6 @@ class TailUnionEstimate:
         return self.partial, min(1.0, self.partial + self.effective_remainder)
 
     @property
-    def width(self) -> float:
-        lo, hi = self.interval
-        return hi - lo
-
-    @property
     def midpoint(self) -> float:
         lo, hi = self.interval
         return 0.5 * (lo + hi)

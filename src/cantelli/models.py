@@ -56,6 +56,8 @@ __all__ = [
 ]
 
 _PROB_SLACK = 1e-9
+# how far a Markov transition row or initial vector may sum from 1
+ROW_SUM_TOL = 1e-12
 # uniforms a sampler draws per generator call: bounds its memory at far windows
 _DRAW_CHUNK = 1 << 20
 
@@ -451,8 +453,6 @@ class MarkovModel(EventSequenceModel):
         transition: np.ndarray,
         initial: np.ndarray,
         events: EventSchedule,
-        *,
-        atol: float = 1e-12,
     ):
         transition = np.asarray(transition, dtype=float)
         initial = np.asarray(initial, dtype=float)
@@ -464,12 +464,12 @@ class MarkovModel(EventSequenceModel):
         if np.any(transition < 0.0) or np.any(initial < 0.0):
             raise ValueError("transition and initial entries must be nonnegative")
         row_sums = transition.sum(axis=1)
-        bad = np.flatnonzero(np.abs(row_sums - 1.0) > atol)
+        bad = np.flatnonzero(np.abs(row_sums - 1.0) > ROW_SUM_TOL)
         if bad.size:
             raise ValueError(
                 f"transition row {bad[0]} sums to {row_sums[bad[0]]!r}, expected 1"
             )
-        if abs(initial.sum() - 1.0) > atol:
+        if abs(initial.sum() - 1.0) > ROW_SUM_TOL:
             raise ValueError(f"initial vector sums to {initial.sum()!r}, expected 1")
         self._transition = transition.copy()
         self._transition.setflags(write=False)

@@ -85,18 +85,13 @@ def oracle_union_prob(space: TruncatedOutcomeSpace, n: int, span: int) -> float:
     return space.event_prob(space.union_mask(n, span))
 
 
-def build_outcome_space(
-    model: EventSequenceModel,
-    horizon: int,
-    *,
-    max_paths: int = MAX_MARKOV_PATHS,
-) -> TruncatedOutcomeSpace:
+def build_outcome_space(model: EventSequenceModel, horizon: int) -> TruncatedOutcomeSpace:
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
     if isinstance(model, IndependentModel):
         return _independent_space(model, horizon)
     if isinstance(model, MarkovModel):
-        return _markov_space(model, horizon, max_paths)
+        return _markov_space(model, horizon)
     if isinstance(model, LatentUniformModel):
         return _latent_space(model, horizon)
     raise TypeError(f"no oracle construction for {type(model).__name__}")
@@ -114,11 +109,11 @@ def _independent_space(model: IndependentModel, horizon: int) -> TruncatedOutcom
     return TruncatedOutcomeSpace(horizon, probs, indicators)
 
 
-def _markov_space(model: MarkovModel, horizon: int, max_paths: int) -> TruncatedOutcomeSpace:
+def _markov_space(model: MarkovModel, horizon: int) -> TruncatedOutcomeSpace:
     s = model.num_states
-    if s**horizon > max_paths:
+    if s**horizon > MAX_MARKOV_PATHS:
         raise HorizonExceededError(
-            f"{s}^{horizon} state paths exceed the cap of {max_paths}"
+            f"{s}^{horizon} state paths exceed the cap of {MAX_MARKOV_PATHS}"
         )
     transition = model._transition  # noqa: SLF001 - oracle reads the frozen inputs
     initial = model._initial  # noqa: SLF001

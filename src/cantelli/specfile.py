@@ -8,12 +8,13 @@ field, so a CI failure points at the line to fix.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Any
 
 from .families import Constant, ExplicitList, LogPower, PowerLaw, SequenceFamily
 from .models import (
+    ROW_SUM_TOL,
     EventSchedule,
     EventSequenceModel,
     GlobalThresholds,
@@ -134,14 +135,14 @@ def _build_markov(cfg: dict, path: str) -> MarkovModel:
         if len(r) != size:
             raise SpecError(f"{path}.transition[{i}]", f"expected {size} entries, got {len(r)}")
         total = sum(r)
-        if abs(total - 1.0) > 1e-12:
+        if abs(total - 1.0) > ROW_SUM_TOL:
             raise SpecError(f"{path}.transition[{i}]", f"row sums to {total!r}, expected 1")
         if any(x < 0.0 for x in r):
             raise SpecError(f"{path}.transition[{i}]", "negative entry")
     initial = _number_list(cfg["initial"], f"{path}.initial")
     if len(initial) != size:
         raise SpecError(f"{path}.initial", f"expected {size} entries, got {len(initial)}")
-    if abs(sum(initial) - 1.0) > 1e-12:
+    if abs(sum(initial) - 1.0) > ROW_SUM_TOL:
         raise SpecError(f"{path}.initial", f"sums to {sum(initial)!r}, expected 1")
     if any(x < 0.0 for x in initial):
         raise SpecError(f"{path}.initial", "negative entry")
@@ -219,18 +220,6 @@ _BUILDERS = {
     "latent-uniform": _build_latent,
 }
 
-_DEFAULT_KEYS = {
-    "terms": ("terms", int),
-    "m_max": ("m_max", int),
-    "tol": ("tol", float),
-    "seed": ("seed", int),
-    "schedule": ("schedule", list),
-    "count": ("count", int),
-    "horizon": ("horizon", int),
-    "k_max": ("k_max", int),
-}
-
-
 @dataclass(frozen=True)
 class AnalysisDefaults:
     terms: int | None = None
@@ -271,7 +260,7 @@ class ModelSpec:
 
 def _parse_defaults(cfg: Any, path: str) -> AnalysisDefaults:
     cfg = _require_mapping(cfg, path)
-    _check_keys(cfg, path, set(), set(_DEFAULT_KEYS))
+    _check_keys(cfg, path, set(), {f.name for f in fields(AnalysisDefaults)})
     kwargs: dict[str, Any] = {}
     for key in cfg:
         if key == "tol":
@@ -286,31 +275,31 @@ def _parse_defaults(cfg: Any, path: str) -> AnalysisDefaults:
     return AnalysisDefaults(**kwargs)
 
 
-def parse_spec(data: Any, *, source: str = "spec") -> ModelSpec:
-    root = _require_mapping(data, source)
-    _check_keys(root, source, {"model"}, {"name", "description", "defaults"})
-    model_cfg = _require_mapping(root["model"], f"{source}.model")
+def parse_spec(data: Any) -> ModelSpec:
+    root = _require_mapping(data, "spec")
+    _check_keys(root, "spec", {"model"}, {"name", "description", "defaults"})
+    model_cfg = _require_mapping(root["model"], "spec.model")
     if "family" not in model_cfg:
-        raise SpecError(f"{source}.model.family", "required field missing")
+        raise SpecError("spec.model.family", "required field missing")
     family = model_cfg["family"]
     if family not in _BUILDERS:
         raise SpecError(
-            f"{source}.model.family",
+            "spec.model.family",
             f"unknown model family {family!r}; expected one of {sorted(_BUILDERS)}",
         )
     # Building validates, so load errors surface before any computation.
-    model = _BUILDERS[family](model_cfg, f"{source}.model")
+    model = _BUILDERS[family](model_cfg, "spec.model")
     defaults = (
-        _parse_defaults(root["defaults"], f"{source}.defaults")
+        _parse_defaults(root["defaults"], "spec.defaults")
         if "defaults" in root
         else AnalysisDefaults()
     )
     name = root.get("name", "")
     if not isinstance(name, str):
-        raise SpecError(f"{source}.name", "expected a string")
+        raise SpecError("spec.name", "expected a string")
     description = root.get("description", "")
     if not isinstance(description, str):
-        raise SpecError(f"{source}.description", "expected a string")
+        raise SpecError("spec.description", "expected a string")
     return ModelSpec(
         name=name,
         description=description,
@@ -328,7 +317,7 @@ def load_spec(path: str | Path) -> ModelSpec:
         raise SpecError(str(path), "spec file not found") from None
     except json.JSONDecodeError as exc:
         raise SpecError(str(path), f"invalid JSON: {exc}") from None
-    spec = parse_spec(data, source="spec")
+    spec = parse_spec(data)
     if not spec.name:
         spec = replace(spec, name=path.stem)
     return spec
