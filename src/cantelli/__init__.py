@@ -23,7 +23,7 @@ from .criteria import (
     series_terms,
     sweep_prefix_len,
 )
-from .families import Constant, ExplicitList, LogPower, PowerLaw, SequenceFamily
+from .families import Constant, ExplicitList, LogPower, ModelValueError, PowerLaw, SequenceFamily
 from .limsup import LimsupEstimate, TailUnionEstimate, limsup_estimate, tail_union
 from .models import (
     AnalyticMetadata,
@@ -78,6 +78,7 @@ __all__ = [
     "PowerLaw",
     "LogPower",
     "ExplicitList",
+    "ModelValueError",
     # models
     "EventSequenceModel",
     "OccurrenceScan",

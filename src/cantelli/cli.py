@@ -23,7 +23,6 @@ from .limsup import limsup_estimate
 from .models import EventSequenceModel, NumericFaultError
 from .montecarlo import estimate_frequencies
 from .oracle import (
-    HorizonExceededError,
     build_outcome_space,
     oracle_union_prob,
     oracle_window_prob,
@@ -512,14 +511,11 @@ def main(argv: list[str] | None = None) -> int:
     started = time.perf_counter()
     try:
         code = args.handler(args)
-    except (SpecError, HorizonExceededError) as exc:
-        print(f"spec error: {exc}", file=sys.stderr)
-        return EXIT_SPEC
     except NumericFaultError as exc:
         print(f"numeric fault: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except ValueError as exc:
-        # malformed model data or flag combinations surfacing mid-analysis
+        # spec errors (SpecError, HorizonExceededError) and bad data or flags found mid-analysis
         print(f"spec error: {exc}", file=sys.stderr)
         return EXIT_SPEC
     print(

@@ -361,8 +361,8 @@ def sweep_prefix_len(
     so with certification), or None.  The marginals are probed for decay once,
     up to ``num_terms``, and every criterion uses that result.
     """
-    if max_prefix_len > MAX_PREFIX_LEN:
-        raise ValueError(f"max_prefix_len {max_prefix_len} exceeds the cap of {MAX_PREFIX_LEN}")
+    if not 0 <= max_prefix_len <= MAX_PREFIX_LEN:
+        raise ValueError(f"max_prefix_len {max_prefix_len} outside 0..{MAX_PREFIX_LEN}")
     out = SweepResult(decay=marginal_decay_check(model, default_decay_probes(num_terms), tol))
     for m in range(max_prefix_len + 1):
         res = check_criterion(model, m, num_terms, tol, decay=out.decay)

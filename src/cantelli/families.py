@@ -16,7 +16,6 @@ import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from itertools import repeat
-from typing import Callable
 
 import numpy as np
 
@@ -30,6 +29,20 @@ class SeriesClass(enum.Enum):
 
 class SequenceIndexError(ValueError):
     """An explicit-list family was queried past its declared range."""
+
+
+class ModelValueError(ValueError):
+    """A constructor argument of a family or model breaks the object's rules.
+
+    ``field`` names the offending entry relative to the object, with the key a
+    spec file gives it (``scale``, ``values[3]``, ``transition[1]``), so a spec
+    loader can prefix the path of the object.
+    """
+
+    def __init__(self, field: str, message: str):
+        self.field = field
+        self.message = message
+        super().__init__(f"{field}: {message}")
 
 
 def clamp01(x: float) -> float:
@@ -116,41 +129,6 @@ def _constant_series_class(c: float, prefix_len: int, source: str) -> tuple[Seri
     )
 
 
-def _saturated(scale: float, exponent: float) -> float:
-    """Power-type family value at an offset index n <= 0.
-
-    The formula blows up (exponent > 0) or vanishes (exponent < 0) at n = 0;
-    families saturate to the value it clamps to.
-    """
-    if exponent > 0.0:
-        return 1.0
-    if exponent == 0.0:
-        return clamp01(scale)
-    return 0.0
-
-
-def _decaying_values(
-    scale: float,
-    exponent: float,
-    lo: int,
-    hi: int,
-    bases: Callable[[list[float]], list[float]],
-) -> np.ndarray:
-    """``clamp(scale * b ** -exponent)`` for n = lo..hi, as ``value`` computes it.
-
-    ``bases`` maps the list of float(n) for n >= 1 to the list of b; indices
-    n <= 0 take the saturated value.
-    """
-    if scale == 0.0:
-        return np.zeros(max(hi - lo + 1, 0))
-    ns = np.arange(max(lo, 1), hi + 1, dtype=float).tolist()
-    body = _clamp01_array(scale * _powers(bases(ns), -exponent))
-    if lo >= 1:
-        return body
-    head = np.full(min(hi, 0) - lo + 1, _saturated(scale, exponent))
-    return np.concatenate([head, body])
-
-
 @dataclass(frozen=True)
 class Constant(SequenceFamily):
     """value(n) = c for all n."""
@@ -159,7 +137,7 @@ class Constant(SequenceFamily):
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.c <= 1.0:
-            raise ValueError(f"constant family value {self.c} outside [0, 1]")
+            raise ModelValueError("value", f"{self.c} outside [0, 1]")
 
     def value(self, n: int) -> float:
         return self.c
@@ -184,34 +162,66 @@ class Constant(SequenceFamily):
 
 
 @dataclass(frozen=True)
-class PowerLaw(SequenceFamily):
-    """value(n) = clamp(scale * n**(-exponent))."""
+class _PowerType(SequenceFamily):
+    """value(n) = clamp(scale * b(n)**(-exponent)) for a base b(n) that grows to infinity.
+
+    Subclasses give b through ``_bases``.  The constructor is the one check of
+    ``scale``.  At offset indices n <= 0 the formula blows up (exponent > 0)
+    or vanishes (exponent < 0); the family saturates there to the value it
+    clamps to.
+    """
 
     scale: float
     exponent: float
 
     def __post_init__(self) -> None:
-        if self.scale < 0.0:
-            raise ValueError("power-law scale must be nonnegative")
+        if not self.scale >= 0.0:
+            raise ModelValueError("scale", f"must be nonnegative, got {self.scale!r}")
+
+    @staticmethod
+    @abstractmethod
+    def _bases(ns: list[float]) -> list[float]:
+        """b(n) for each float index n >= 1, as a list for ``_powers`` to map."""
+
+    def _saturated(self) -> float:
+        if self.exponent == 0.0:
+            return clamp01(self.scale)
+        return 1.0 if self.exponent > 0.0 else 0.0
 
     def value(self, n: int) -> float:
         if self.scale == 0.0:
             return 0.0
         if n <= 0:
-            return _saturated(self.scale, self.exponent)
-        return clamp01(self.scale * float(n) ** (-self.exponent))
+            return self._saturated()
+        return clamp01(self.scale * self._bases([float(n)])[0] ** (-self.exponent))
 
     def values(self, lo: int, hi: int) -> np.ndarray:
-        return _decaying_values(self.scale, self.exponent, lo, hi, lambda ns: ns)
+        if self.scale == 0.0:
+            return np.zeros(max(hi - lo + 1, 0))
+        ns = np.arange(max(lo, 1), hi + 1, dtype=float).tolist()
+        body = _clamp01_array(self.scale * _powers(self._bases(ns), -self.exponent))
+        if lo >= 1:
+            return body
+        head = np.full(min(hi, 0) - lo + 1, self._saturated())
+        return np.concatenate([head, body])
 
     def limit(self) -> float | None:
-        if self.scale == 0.0:
+        if self.scale == 0.0 or self.exponent > 0.0:
             return 0.0
-        if self.exponent > 0.0:
-            return 0.0
-        if self.exponent == 0.0:
-            return clamp01(self.scale)
-        return 1.0
+        return clamp01(self.scale) if self.exponent == 0.0 else 1.0
+
+    def tail_sup(self, n: int) -> float | None:
+        if self.scale == 0.0 or self.exponent <= 0.0:
+            return self.limit()
+        return self.value(n)
+
+
+class PowerLaw(_PowerType):
+    """value(n) = clamp(scale * n**(-exponent))."""
+
+    @staticmethod
+    def _bases(ns: list[float]) -> list[float]:
+        return ns
 
     def tail_sum_bound(self, n: int) -> float | None:
         if self.scale == 0.0:
@@ -224,15 +234,6 @@ class PowerLaw(SequenceFamily):
         s = self.exponent
         head = float(m - n)
         return head + self.scale * (float(m) ** (-s) + float(m) ** (1.0 - s) / (s - 1.0))
-
-    def tail_sup(self, n: int) -> float | None:
-        if self.scale == 0.0:
-            return 0.0
-        if self.exponent > 0.0:
-            return self.value(n)
-        if self.exponent == 0.0:
-            return clamp01(self.scale)
-        return 1.0
 
     def series_class(self, prefix_len: int) -> tuple[SeriesClass, str] | None:
         if self.scale == 0.0:
@@ -267,49 +268,15 @@ class PowerLaw(SequenceFamily):
         return base
 
 
-@dataclass(frozen=True)
-class LogPower(SequenceFamily):
+class LogPower(_PowerType):
     """value(n) = clamp(scale * ln(n+1)**(-exponent)); decays slower than any power."""
 
-    scale: float
-    exponent: float
-
-    def __post_init__(self) -> None:
-        if self.scale < 0.0:
-            raise ValueError("log-power scale must be nonnegative")
-
-    def value(self, n: int) -> float:
-        if self.scale == 0.0:
-            return 0.0
-        if n <= 0:
-            return _saturated(self.scale, self.exponent)
-        return clamp01(self.scale * math.log(n + 1.0) ** (-self.exponent))
-
-    def values(self, lo: int, hi: int) -> np.ndarray:
-        return _decaying_values(
-            self.scale, self.exponent, lo, hi, lambda ns: [math.log(n + 1.0) for n in ns]
-        )
-
-    def limit(self) -> float | None:
-        if self.scale == 0.0:
-            return 0.0
-        if self.exponent > 0.0:
-            return 0.0
-        if self.exponent == 0.0:
-            return clamp01(self.scale)
-        return 1.0
+    @staticmethod
+    def _bases(ns: list[float]) -> list[float]:
+        return [math.log(n + 1.0) for n in ns]
 
     def tail_sum_bound(self, n: int) -> float | None:
         return 0.0 if self.scale == 0.0 else None
-
-    def tail_sup(self, n: int) -> float | None:
-        if self.scale == 0.0:
-            return 0.0
-        if self.exponent > 0.0:
-            return self.value(n)
-        if self.exponent == 0.0:
-            return clamp01(self.scale)
-        return 1.0
 
     def series_class(self, prefix_len: int) -> tuple[SeriesClass, str] | None:
         if self.scale == 0.0:
@@ -353,9 +320,9 @@ class ExplicitList(SequenceFamily):
         object.__setattr__(self, "head", tuple(float(v) for v in self.head))
         for i, v in enumerate(self.head):
             if not 0.0 <= v <= 1.0:
-                raise ValueError(f"explicit value [{i}] = {v} outside [0, 1]")
+                raise ModelValueError(f"values[{i}]", f"{v} outside [0, 1]")
         if self.tail is not None and not 0.0 <= self.tail <= 1.0:
-            raise ValueError(f"explicit tail {self.tail} outside [0, 1]")
+            raise ModelValueError("tail", f"{self.tail} outside [0, 1]")
 
     def value(self, n: int) -> float:
         if n <= 0:

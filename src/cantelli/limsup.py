@@ -90,7 +90,7 @@ def tail_union(
     """
     if n < 1:
         raise ValueError("start index must be >= 1")
-    if tol <= 0.0:
+    if not tol > 0.0:
         raise ValueError("tolerance must be positive")
     if k_max < 1:
         raise ValueError("k_max must be >= 1")

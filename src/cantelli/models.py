@@ -36,7 +36,7 @@ from typing import Any, Callable, Sequence
 
 import numpy as np
 
-from .families import SequenceFamily, SequenceIndexError, SeriesClass
+from .families import ModelValueError, SequenceFamily, SequenceIndexError, SeriesClass
 from .windows import SeriesKind, WindowPattern, marginal
 
 __all__ = [
@@ -352,7 +352,8 @@ class EventSchedule:
     """Time-indexed event sets E_n over a finite state space.
 
     Modes: a constant set, a periodic cycle of sets, or an explicit list with
-    a declared constant tail set.
+    a declared constant tail set.  Errors name a bad state by its spec key:
+    ``members[k]``, ``cycle[i][k]``, ``sets[i][k]`` or ``tail[k]``.
     """
 
     def __init__(
@@ -369,30 +370,32 @@ class EventSchedule:
             raise ValueError("exactly one of constant/cycle/explicit must be given")
         self._num_states = num_states
         if constant is not None:
-            self._cycle = (self._mask(constant),)
+            self._cycle = (self._mask(constant, "members"),)
             self._explicit: tuple[np.ndarray, ...] | None = None
             self._tail: np.ndarray | None = None
         elif cycle is not None:
             if not cycle:
-                raise ValueError("periodic event schedule needs at least one set")
-            self._cycle = tuple(self._mask(s) for s in cycle)
+                raise ModelValueError("cycle", "periodic event schedule needs at least one set")
+            self._cycle = tuple(self._mask(s, f"cycle[{i}]") for i, s in enumerate(cycle))
             self._explicit = None
             self._tail = None
         else:
             assert explicit is not None
             self._cycle = ()
-            self._explicit = tuple(self._mask(s) for s in explicit)
-            self._tail = self._mask(tail) if tail is not None else None
+            self._explicit = tuple(self._mask(s, f"sets[{i}]") for i, s in enumerate(explicit))
+            self._tail = self._mask(tail, "tail") if tail is not None else None
         # mask rows that ``masks`` indexes: the cycle, or the explicit sets and tail
         rows = self._cycle or self._explicit + ((self._tail,) if self._tail is not None else ())
         self._rows = np.array(rows, dtype=bool).reshape(-1, num_states)
         self._rows.setflags(write=False)
 
-    def _mask(self, members: Sequence[int]) -> np.ndarray:
+    def _mask(self, members: Sequence[int], field: str) -> np.ndarray:
         mask = np.zeros(self._num_states, dtype=bool)
-        for s in members:
+        for k, s in enumerate(members):
             if not 0 <= int(s) < self._num_states:
-                raise ValueError(f"event-set state {s} outside 0..{self._num_states - 1}")
+                raise ModelValueError(
+                    f"{field}[{k}]", f"event-set state {s} outside 0..{self._num_states - 1}"
+                )
             mask[int(s)] = True
         mask.setflags(write=False)
         return mask
@@ -428,6 +431,17 @@ class EventSchedule:
         )
 
 
+def _check_distribution(v: Sequence[float], size: int, field: str, name: str) -> None:
+    """Reject ``v`` unless it is ``size`` nonnegative entries summing to 1."""
+    if len(v) != size:
+        raise ModelValueError(field, f"expected {size} entries, got {len(v)}")
+    total = float(sum(v))
+    if not abs(total - 1.0) <= ROW_SUM_TOL:
+        raise ModelValueError(field, f"{name} sums to {total!r}, expected 1")
+    if not all(x >= 0.0 for x in v):
+        raise ModelValueError(field, "negative entry")
+
+
 class MarkovModel(EventSequenceModel):
     """Finite chain; A_n holds when the state at time n lies in E_n.
 
@@ -446,34 +460,29 @@ class MarkovModel(EventSequenceModel):
     block, one forward cursor (a time and its distribution) and the orbit.
     Each lives in one immutable value, replaced by a single assignment, so
     queries stay pure and deterministic under any interleaving without a lock.
+
+    The constructor is the one check of the chain.  ``transition`` must be a
+    nonempty square list of rows, and each row and ``initial`` a probability
+    vector (nonnegative, summing to 1 within ``ROW_SUM_TOL``).  A bad entry
+    raises ``ModelValueError`` naming ``transition[i]`` or ``initial``; NaN
+    fails every check.
     """
 
     def __init__(
         self,
-        transition: np.ndarray,
-        initial: np.ndarray,
+        transition: Sequence[Sequence[float]],
+        initial: Sequence[float],
         events: EventSchedule,
     ):
-        transition = np.asarray(transition, dtype=float)
-        initial = np.asarray(initial, dtype=float)
-        if transition.ndim != 2 or transition.shape[0] != transition.shape[1]:
-            raise ValueError(f"transition matrix must be square, got {transition.shape}")
-        s = transition.shape[0]
-        if initial.shape != (s,):
-            raise ValueError(f"initial vector must have length {s}, got {initial.shape}")
-        if np.any(transition < 0.0) or np.any(initial < 0.0):
-            raise ValueError("transition and initial entries must be nonnegative")
-        row_sums = transition.sum(axis=1)
-        bad = np.flatnonzero(np.abs(row_sums - 1.0) > ROW_SUM_TOL)
-        if bad.size:
-            raise ValueError(
-                f"transition row {bad[0]} sums to {row_sums[bad[0]]!r}, expected 1"
-            )
-        if abs(initial.sum() - 1.0) > ROW_SUM_TOL:
-            raise ValueError(f"initial vector sums to {initial.sum()!r}, expected 1")
-        self._transition = transition.copy()
+        s = len(transition)
+        if s == 0:
+            raise ModelValueError("transition", "expected a nonempty list of rows")
+        for i, row in enumerate(transition):
+            _check_distribution(row, s, f"transition[{i}]", f"row {i}")
+        _check_distribution(initial, s, "initial", "initial vector")
+        self._transition = np.array(transition, dtype=float)
         self._transition.setflags(write=False)
-        self._initial = initial.copy()
+        self._initial = np.array(initial, dtype=float)
         self._initial.setflags(write=False)
         self._events = events
         self._num_states = s
@@ -742,7 +751,7 @@ class PerLatentThresholds:
 
     def __post_init__(self) -> None:
         if len(self.families) != len(self.offsets):
-            raise ValueError("families and offsets must have equal length")
+            raise ModelValueError("offsets", "families and offsets must have equal length")
 
 
 class LatentUniformModel(EventSequenceModel):
@@ -761,21 +770,24 @@ class LatentUniformModel(EventSequenceModel):
         thresholds: GlobalThresholds | PerLatentThresholds,
     ):
         if num_latents < 1:
-            raise ValueError("need at least one latent")
+            raise ModelValueError("num_latents", f"need at least one latent, got {num_latents}")
         coloring = tuple(int(c) for c in coloring)
         if not coloring:
-            raise ValueError("coloring cycle must be nonempty")
+            raise ModelValueError("coloring", "cycle must be nonempty")
         for i, c in enumerate(coloring):
             if not 0 <= c < num_latents:
-                raise ValueError(f"coloring[{i}] = {c} outside 0..{num_latents - 1}")
+                raise ModelValueError(f"coloring[{i}]", f"{c} outside 0..{num_latents - 1}")
         if isinstance(thresholds, PerLatentThresholds):
             if len(thresholds.families) != num_latents:
-                raise ValueError(
-                    f"{len(thresholds.families)} threshold families for {num_latents} latents"
+                raise ModelValueError(
+                    "thresholds",
+                    f"{len(thresholds.families)} threshold families for {num_latents} latents",
                 )
             missing = set(range(num_latents)) - set(coloring)
             if missing:
-                raise ValueError(f"latents {sorted(missing)} never appear in the coloring")
+                raise ModelValueError(
+                    "coloring", f"latents {sorted(missing)} never appear in the coloring"
+                )
         self._num_latents = num_latents
         self._coloring = coloring
         self._coloring_array = np.array(coloring)
@@ -1056,6 +1068,8 @@ def marginal_decay_check(
     probes = list(probes)
     if any(b <= a for a, b in zip(probes, probes[1:])):
         raise ValueError("decay probes must be strictly increasing")
+    if not tol > 0.0:
+        raise ValueError(f"decay tolerance must be positive, got {tol!r}")
     meta = model.metadata
     if meta.marginal_limit is not None:
         if meta.marginal_limit == 0.0:

@@ -8,13 +8,20 @@ field, so a CI failure points at the line to fix.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
-from typing import Any
+from typing import Any, Callable, TypeVar
 
-from .families import Constant, ExplicitList, LogPower, PowerLaw, SequenceFamily
+from .families import (
+    Constant,
+    ExplicitList,
+    LogPower,
+    ModelValueError,
+    PowerLaw,
+    SequenceFamily,
+)
 from .models import (
-    ROW_SUM_TOL,
     EventSchedule,
     EventSequenceModel,
     GlobalThresholds,
@@ -25,6 +32,8 @@ from .models import (
 )
 
 __all__ = ["SpecError", "AnalysisDefaults", "ModelSpec", "load_spec", "build_model"]
+
+_T = TypeVar("_T")
 
 
 class SpecError(ValueError):
@@ -50,40 +59,41 @@ def _check_keys(obj: dict, path: str, required: set[str], optional: set[str] = f
         raise SpecError(f"{path}.{sorted(missing)[0]}", "required field missing")
 
 
-def _number(obj: dict, path: str, key: str) -> float:
-    v = obj[key]
+def _number(v: Any, path: str) -> float:
     if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise SpecError(f"{path}.{key}", f"expected a number, got {v!r}")
+        raise SpecError(path, f"expected a number, got {v!r}")
+    # json reads NaN, Infinity and 1e999; this bound also rejects ints past the float range
+    if not abs(v) <= sys.float_info.max:
+        raise SpecError(path, f"expected a finite number, got {v!r}")
     return float(v)
 
 
-def _integer(obj: dict, path: str, key: str) -> int:
-    v = obj[key]
+def _integer(v: Any, path: str) -> int:
     if isinstance(v, bool) or not isinstance(v, int):
-        raise SpecError(f"{path}.{key}", f"expected an integer, got {v!r}")
+        raise SpecError(path, f"expected an integer, got {v!r}")
     return v
 
 
-def _int_list(v: Any, path: str) -> list[int]:
+def _list(v: Any, path: str, item: Callable[[Any, str], _T]) -> list[_T]:
     if not isinstance(v, list):
         raise SpecError(path, f"expected a list, got {type(v).__name__}")
-    out = []
-    for i, x in enumerate(v):
-        if isinstance(x, bool) or not isinstance(x, int):
-            raise SpecError(f"{path}[{i}]", f"expected an integer, got {x!r}")
-        out.append(x)
-    return out
+    return [item(x, f"{path}[{i}]") for i, x in enumerate(v)]
 
 
 def _number_list(v: Any, path: str) -> list[float]:
-    if not isinstance(v, list):
-        raise SpecError(path, f"expected a list, got {type(v).__name__}")
-    out = []
-    for i, x in enumerate(v):
-        if isinstance(x, bool) or not isinstance(x, (int, float)):
-            raise SpecError(f"{path}[{i}]", f"expected a number, got {x!r}")
-        out.append(float(x))
-    return out
+    return _list(v, path, _number)
+
+
+def _int_list(v: Any, path: str) -> list[int]:
+    return _list(v, path, _integer)
+
+
+def _construct(path: str, make: Callable[..., _T], *args: Any, **kwargs: Any) -> _T:
+    """``make(*args, **kwargs)``, with its ``ModelValueError`` as a SpecError under ``path``."""
+    try:
+        return make(*args, **kwargs)
+    except ModelValueError as exc:
+        raise SpecError(f"{path}.{exc.field}", exc.message) from exc
 
 
 def _parse_family(cfg: Any, path: str, *, allow_offset: bool = False) -> tuple[SequenceFamily, int]:
@@ -94,27 +104,25 @@ def _parse_family(cfg: Any, path: str, *, allow_offset: bool = False) -> tuple[S
     offset_keys = {"offset"} if allow_offset else set()
     offset = 0
     if allow_offset and "offset" in cfg:
-        offset = _integer(cfg, path, "offset")
-    try:
-        if kind == "constant":
-            _check_keys(cfg, path, {"family", "value"}, offset_keys)
-            return Constant(_number(cfg, path, "value")), offset
-        if kind == "powerlaw":
-            _check_keys(cfg, path, {"family", "scale", "exponent"}, offset_keys)
-            return PowerLaw(_number(cfg, path, "scale"), _number(cfg, path, "exponent")), offset
-        if kind == "logpower":
-            _check_keys(cfg, path, {"family", "scale", "exponent"}, offset_keys)
-            return LogPower(_number(cfg, path, "scale"), _number(cfg, path, "exponent")), offset
-        if kind == "explicit":
-            _check_keys(cfg, path, {"family", "values"}, {"tail"} | offset_keys)
-            values = _number_list(cfg["values"], f"{path}.values")
-            tail = _number(cfg, path, "tail") if "tail" in cfg else None
-            return ExplicitList(tuple(values), tail), offset
-    except ValueError as exc:
-        if isinstance(exc, SpecError):
-            raise
-        raise SpecError(path, str(exc)) from exc
-    raise SpecError(f"{path}.family", f"unknown family {kind!r}")
+        offset = _integer(cfg["offset"], f"{path}.offset")
+    if kind == "constant":
+        _check_keys(cfg, path, {"family", "value"}, offset_keys)
+        make, args = Constant, (_number(cfg["value"], f"{path}.value"),)
+    elif kind in ("powerlaw", "logpower"):
+        _check_keys(cfg, path, {"family", "scale", "exponent"}, offset_keys)
+        make = PowerLaw if kind == "powerlaw" else LogPower
+        args = (
+            _number(cfg["scale"], f"{path}.scale"),
+            _number(cfg["exponent"], f"{path}.exponent"),
+        )
+    elif kind == "explicit":
+        _check_keys(cfg, path, {"family", "values"}, {"tail"} | offset_keys)
+        values = tuple(_number_list(cfg["values"], f"{path}.values"))
+        tail = _number(cfg["tail"], f"{path}.tail") if "tail" in cfg else None
+        make, args = ExplicitList, (values, tail)
+    else:
+        raise SpecError(f"{path}.family", f"unknown family {kind!r}")
+    return _construct(path, make, *args), offset
 
 
 def _build_independent(cfg: dict, path: str) -> IndependentModel:
@@ -125,93 +133,50 @@ def _build_independent(cfg: dict, path: str) -> IndependentModel:
 
 def _build_markov(cfg: dict, path: str) -> MarkovModel:
     _check_keys(cfg, path, {"family", "transition", "initial", "events"})
-    if not isinstance(cfg["transition"], list) or not cfg["transition"]:
+    rows = _list(cfg["transition"], f"{path}.transition", _number_list)
+    if not rows:  # the row count sizes the event sets, which are built first
         raise SpecError(f"{path}.transition", "expected a nonempty list of rows")
-    rows = [
-        _number_list(r, f"{path}.transition[{i}]") for i, r in enumerate(cfg["transition"])
-    ]
-    size = len(rows)
-    for i, r in enumerate(rows):
-        if len(r) != size:
-            raise SpecError(f"{path}.transition[{i}]", f"expected {size} entries, got {len(r)}")
-        total = sum(r)
-        if abs(total - 1.0) > ROW_SUM_TOL:
-            raise SpecError(f"{path}.transition[{i}]", f"row sums to {total!r}, expected 1")
-        if any(x < 0.0 for x in r):
-            raise SpecError(f"{path}.transition[{i}]", "negative entry")
     initial = _number_list(cfg["initial"], f"{path}.initial")
-    if len(initial) != size:
-        raise SpecError(f"{path}.initial", f"expected {size} entries, got {len(initial)}")
-    if abs(sum(initial) - 1.0) > ROW_SUM_TOL:
-        raise SpecError(f"{path}.initial", f"sums to {sum(initial)!r}, expected 1")
-    if any(x < 0.0 for x in initial):
-        raise SpecError(f"{path}.initial", "negative entry")
-
-    ev = _require_mapping(cfg["events"], f"{path}.events")
+    ev_path = f"{path}.events"
+    ev = _require_mapping(cfg["events"], ev_path)
     if "mode" not in ev:
-        raise SpecError(f"{path}.events.mode", "required field missing")
+        raise SpecError(f"{ev_path}.mode", "required field missing")
     mode = ev["mode"]
-    try:
-        if mode == "constant":
-            _check_keys(ev, f"{path}.events", {"mode", "members"})
-            schedule = EventSchedule(
-                size, constant=_int_list(ev["members"], f"{path}.events.members")
-            )
-        elif mode == "periodic":
-            _check_keys(ev, f"{path}.events", {"mode", "cycle"})
-            if not isinstance(ev["cycle"], list) or not ev["cycle"]:
-                raise SpecError(f"{path}.events.cycle", "expected a nonempty list of sets")
-            schedule = EventSchedule(
-                size,
-                cycle=[
-                    _int_list(s, f"{path}.events.cycle[{i}]") for i, s in enumerate(ev["cycle"])
-                ],
-            )
-        elif mode == "explicit":
-            _check_keys(ev, f"{path}.events", {"mode", "sets"}, {"tail"})
-            if not isinstance(ev["sets"], list):
-                raise SpecError(f"{path}.events.sets", "expected a list of sets")
-            schedule = EventSchedule(
-                size,
-                explicit=[
-                    _int_list(s, f"{path}.events.sets[{i}]") for i, s in enumerate(ev["sets"])
-                ],
-                tail=_int_list(ev["tail"], f"{path}.events.tail") if "tail" in ev else None,
-            )
-        else:
-            raise SpecError(f"{path}.events.mode", f"unknown mode {mode!r}")
-        import numpy as np
-
-        return MarkovModel(np.array(rows), np.array(initial), schedule)
-    except ValueError as exc:
-        if isinstance(exc, SpecError):
-            raise
-        raise SpecError(f"{path}.events", str(exc)) from exc
+    if mode == "constant":
+        _check_keys(ev, ev_path, {"mode", "members"})
+        sets = {"constant": _int_list(ev["members"], f"{ev_path}.members")}
+    elif mode == "periodic":
+        _check_keys(ev, ev_path, {"mode", "cycle"})
+        sets = {"cycle": _list(ev["cycle"], f"{ev_path}.cycle", _int_list)}
+    elif mode == "explicit":
+        _check_keys(ev, ev_path, {"mode", "sets"}, {"tail"})
+        sets = {"explicit": _list(ev["sets"], f"{ev_path}.sets", _int_list)}
+        if "tail" in ev:
+            sets["tail"] = _int_list(ev["tail"], f"{ev_path}.tail")
+    else:
+        raise SpecError(f"{ev_path}.mode", f"unknown mode {mode!r}")
+    schedule = _construct(ev_path, EventSchedule, len(rows), **sets)
+    return _construct(path, MarkovModel, rows, initial, schedule)
 
 
 def _build_latent(cfg: dict, path: str) -> LatentUniformModel:
     _check_keys(cfg, path, {"family", "num_latents", "coloring", "thresholds"})
-    num = _integer(cfg, path, "num_latents")
+    num = _integer(cfg["num_latents"], f"{path}.num_latents")
     coloring = _int_list(cfg["coloring"], f"{path}.coloring")
     thr = cfg["thresholds"]
-    try:
-        if isinstance(thr, dict):
-            fam, _ = _parse_family(thr, f"{path}.thresholds")
-            rule: GlobalThresholds | PerLatentThresholds = GlobalThresholds(fam)
-        elif isinstance(thr, list):
-            fams, offs = [], []
-            for i, entry in enumerate(thr):
-                fam, off = _parse_family(entry, f"{path}.thresholds[{i}]", allow_offset=True)
-                fams.append(fam)
-                offs.append(off)
-            rule = PerLatentThresholds(tuple(fams), tuple(offs))
-        else:
-            raise SpecError(f"{path}.thresholds", "expected an object or a list of objects")
-        return LatentUniformModel(num, coloring, rule)
-    except ValueError as exc:
-        if isinstance(exc, SpecError):
-            raise
-        raise SpecError(path, str(exc)) from exc
+    if isinstance(thr, dict):
+        fam, _ = _parse_family(thr, f"{path}.thresholds")
+        rule: GlobalThresholds | PerLatentThresholds = GlobalThresholds(fam)
+    elif isinstance(thr, list):
+        fams, offs = [], []
+        for i, entry in enumerate(thr):
+            fam, off = _parse_family(entry, f"{path}.thresholds[{i}]", allow_offset=True)
+            fams.append(fam)
+            offs.append(off)
+        rule = PerLatentThresholds(tuple(fams), tuple(offs))
+    else:
+        raise SpecError(f"{path}.thresholds", "expected an object or a list of objects")
+    return _construct(path, LatentUniformModel, num, coloring, rule)
 
 
 _BUILDERS = {
@@ -264,14 +229,14 @@ def _parse_defaults(cfg: Any, path: str) -> AnalysisDefaults:
     kwargs: dict[str, Any] = {}
     for key in cfg:
         if key == "tol":
-            kwargs[key] = _number(cfg, path, key)
+            kwargs[key] = _number(cfg[key], f"{path}.tol")
         elif key == "schedule":
             sched = _int_list(cfg[key], f"{path}.schedule")
             if any(b <= a for a, b in zip(sched, sched[1:])):
                 raise SpecError(f"{path}.schedule", "must be strictly increasing")
             kwargs[key] = tuple(sched)
         else:
-            kwargs[key] = _integer(cfg, path, key)
+            kwargs[key] = _integer(cfg[key], f"{path}.{key}")
     return AnalysisDefaults(**kwargs)
 
 

@@ -268,3 +268,26 @@ def test_table_format_renders(capsys):
 
 def test_missing_spec_file_exit_2(tmp_path):
     assert run(["analyze", tmp_path / "nope.json"]) == EXIT_SPEC
+
+
+@pytest.mark.parametrize("command", ["analyze", "limsup", "simulate", "verify"])
+def test_nan_markov_spec_exit_2(tmp_path, command, capsys):
+    spec = json.loads((SPECS / "markov-3state.json").read_text())
+    path = tmp_path / "nan.json"
+    path.write_text(json.dumps(spec).replace("0.1", "NaN", 1))
+    assert "NaN" in path.read_text()
+    assert run([command, path]) == EXIT_SPEC
+    assert "spec.model.transition[" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["analyze", "--tol", "nan"],
+        ["limsup", "--tol", "nan"],
+        ["analyze", "--tol", "-1"],
+        ["analyze", "--m-max", "-1"],
+    ],
+)
+def test_bad_flag_values_exit_2(args):
+    assert run([args[0], SPECS / "markov-3state.json", *args[1:]]) == EXIT_SPEC

@@ -13,6 +13,7 @@ from cantelli import (
     IndependentModel,
     LatentUniformModel,
     MarkovModel,
+    ModelValueError,
     NumericFaultError,
     PowerLaw,
     marginal_decay_check,
@@ -184,6 +185,21 @@ def test_markov_validation_errors():
         MarkovModel(good, np.array([0.9, 0.0]), EventSchedule(2, constant=[0]))
     with pytest.raises(ValueError, match="outside"):
         EventSchedule(2, constant=[3])
+
+
+@pytest.mark.parametrize(
+    "transition, initial, field",
+    [
+        ([[float("nan"), 1.0], [0.5, 0.5]], [1.0, 0.0], "transition[0]"),
+        ([[0.5, 0.5], [1.0]], [1.0, 0.0], "transition[1]"),
+        ([[0.5, 0.5], [0.5, 0.5]], [float("nan"), 1.0], "initial"),
+        ([[0.5, 0.5], [0.5, 0.5]], [-1.0, 2.0], "initial"),
+    ],
+)
+def test_markov_constructor_names_the_bad_entry(transition, initial, field):
+    with pytest.raises(ModelValueError) as exc:
+        MarkovModel(transition, initial, EventSchedule(2, constant=[0]))
+    assert exc.value.field == field
 
 
 def test_event_schedule_modes():

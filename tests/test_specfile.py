@@ -191,3 +191,101 @@ def test_echo_preserves_content():
     assert echo["name"] == "coin-half"
     assert echo["model"]["marginal"]["value"] == 0.5
     assert echo["defaults"]["schedule"] == [8, 16, 32]
+
+
+def _markov(**changes):
+    model = {
+        "family": "markov",
+        "transition": [[0.5, 0.5], [0.5, 0.5]],
+        "initial": [1.0, 0.0],
+        "events": {"mode": "constant", "members": [0]},
+    }
+    model.update(changes)
+    return model
+
+
+def _latent(**changes):
+    model = {
+        "family": "latent-uniform",
+        "num_latents": 2,
+        "coloring": [0, 1],
+        "thresholds": {"family": "powerlaw", "scale": 1.0, "exponent": 1.0},
+    }
+    model.update(changes)
+    return model
+
+
+def _independent(**marginal):
+    return {"family": "independent", "marginal": marginal}
+
+
+_HALF = {"family": "constant", "value": 0.5}
+
+
+@pytest.mark.parametrize(
+    "model, field",
+    [
+        (_markov(transition=[[0.5, 0.5], [0.6, 0.5]]), "spec.model.transition[1]"),
+        (_markov(transition=[[1.0], [0.5, 0.5]]), "spec.model.transition[0]"),
+        (_markov(transition=[[1.5, -0.5], [0.5, 0.5]]), "spec.model.transition[0]"),
+        (_markov(transition=[]), "spec.model.transition"),
+        (_markov(initial=[0.9, 0.0]), "spec.model.initial"),
+        (_markov(initial=[1.0]), "spec.model.initial"),
+        (_markov(events={"mode": "constant", "members": [0, 2]}),
+         "spec.model.events.members[1]"),
+        (_markov(events={"mode": "periodic", "cycle": [[0], [1, 5]]}),
+         "spec.model.events.cycle[1][1]"),
+        (_markov(events={"mode": "periodic", "cycle": []}), "spec.model.events.cycle"),
+        (_markov(events={"mode": "explicit", "sets": [[0], [3]], "tail": [1]}),
+         "spec.model.events.sets[1][0]"),
+        (_markov(events={"mode": "explicit", "sets": [[0]], "tail": [0, 7]}),
+         "spec.model.events.tail[1]"),
+        (_latent(num_latents=0), "spec.model.num_latents"),
+        (_latent(coloring=[0, 2]), "spec.model.coloring[1]"),
+        (_latent(coloring=[]), "spec.model.coloring"),
+        (_latent(coloring=[0, 0], thresholds=[_HALF, _HALF]), "spec.model.coloring"),
+        (_latent(thresholds=[_HALF]), "spec.model.thresholds"),
+        (_latent(thresholds=[_HALF, {"family": "constant", "value": 1.5}]),
+         "spec.model.thresholds[1].value"),
+        (_latent(thresholds={"family": "powerlaw", "scale": -1.0, "exponent": 1.0}),
+         "spec.model.thresholds.scale"),
+        (_independent(family="constant", value=1.5), "spec.model.marginal.value"),
+        (_independent(family="powerlaw", scale=-1.0, exponent=2.0),
+         "spec.model.marginal.scale"),
+        (_independent(family="logpower", scale=-0.5, exponent=1.0),
+         "spec.model.marginal.scale"),
+        (_independent(family="explicit", values=[0.5, 1.5]), "spec.model.marginal.values[1]"),
+        (_independent(family="explicit", values=[0.5], tail=2.0), "spec.model.marginal.tail"),
+    ],
+)
+def test_model_errors_name_the_entry(model, field):
+    with pytest.raises(SpecError) as exc:
+        parse_spec({"model": model})
+    assert exc.value.field == field
+
+
+_MARKOV_TEXT = """{"model": {"family": "markov", "transition": [[%s, 0.5], [0.5, 0.5]],
+    "initial": [1.0, %s], "events": {"mode": "constant", "members": [0]}}%s}"""
+_POWER_TEXT = """{"model": {"family": "independent",
+    "marginal": {"family": "powerlaw", "scale": %s, "exponent": %s}}}"""
+
+
+@pytest.mark.parametrize(
+    "text, field",
+    [
+        (_MARKOV_TEXT % ("NaN", "0.0", ""), "spec.model.transition[0][0]"),
+        (_MARKOV_TEXT % ("0.5", "Infinity", ""), "spec.model.initial[1]"),
+        (_MARKOV_TEXT % ("0.5", "0.0", ', "defaults": {"tol": NaN}'), "spec.defaults.tol"),
+        (_POWER_TEXT % ("1.0", "1e999"), "spec.model.marginal.exponent"),
+        (_POWER_TEXT % ("NaN", "2.0"), "spec.model.marginal.scale"),
+        (_POWER_TEXT % ("1.0", "-Infinity"), "spec.model.marginal.exponent"),
+        (_POWER_TEXT % ("1.0", "1" + "0" * 400), "spec.model.marginal.exponent"),
+    ],
+    ids=["nan-row", "inf-initial", "nan-tol", "1e999", "nan-scale", "-inf", "int-past-float"],
+)
+def test_non_finite_numbers_rejected(tmp_path, text, field):
+    path = tmp_path / "spec.json"
+    path.write_text(text)
+    with pytest.raises(SpecError, match="finite") as exc:
+        load_spec(path)
+    assert exc.value.field == field
