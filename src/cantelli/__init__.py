@@ -9,10 +9,8 @@ cross-validation, and a brute-force enumeration oracle.
 __version__ = "0.1.0"
 
 from .criteria import (
-    BOREL_CANTELLI,
     Conclusion,
     CriterionResult,
-    SeriesKind,
     SeriesReport,
     SweepResult,
     Verdict,
@@ -93,8 +91,6 @@ __all__ = [
     "marginal_decay_check",
     "NumericFaultError",
     # criteria
-    "SeriesKind",
-    "BOREL_CANTELLI",
     "Verdict",
     "VerdictLabel",
     "Conclusion",

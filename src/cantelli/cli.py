@@ -104,7 +104,7 @@ def _analyze_results(sweep: SweepResult) -> dict:
         criteria.append(
             {
                 "m": res.prefix_len,
-                "orientation": res.orientation.value,
+                "orientation": Orientation.PREFIX_COMPLEMENT.value,
                 "conclusion": res.conclusion.value,
                 "certified": res.certified,
                 "verdict": {
@@ -263,6 +263,8 @@ def _simulate_checks(
     horizon: int,
 ) -> list[tuple[str, WindowPattern | tuple[int, int]]]:
     """(label, query) per check; a query is a window or an (n, span) tail union."""
+    if horizon < 1:
+        raise ValueError("horizon must be >= 1")
     checks: list[tuple[str, WindowPattern | tuple[int, int]]] = []
     for n in (1, 2, 3, 5, 8):
         if n <= horizon:

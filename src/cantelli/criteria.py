@@ -29,11 +29,8 @@ from .models import (
     marginal_decay_check,
 )
 from .summation import compensated_cumsum
-from .windows import Orientation, SeriesKind
 
 __all__ = [
-    "SeriesKind",
-    "BOREL_CANTELLI",
     "VerdictLabel",
     "Verdict",
     "InsufficientDataError",
@@ -54,9 +51,6 @@ MIN_TERMS_FOR_FIT = 100
 MAX_PREFIX_LEN = 8
 SLOPE_CONVERGENT = -1.1
 SLOPE_DIVERGENT = -0.9
-
-
-BOREL_CANTELLI = SeriesKind(0)
 
 
 class VerdictLabel(enum.Enum):
@@ -98,11 +92,13 @@ class InsufficientDataError(ValueError):
     """Too few terms to classify and no analytic metadata to fall back on."""
 
 
-def series_terms(model: EventSequenceModel, kind: SeriesKind, num_terms: int) -> np.ndarray:
-    """Evaluate term[n] for n = 1..num_terms."""
+def series_terms(model: EventSequenceModel, max_prefix_len: int, num_terms: int) -> np.ndarray:
+    """Row m holds the m-window series term[n], n = 1..num_terms, for m = 0..max_prefix_len."""
+    if max_prefix_len < 0:
+        raise ValueError(f"complement run length must be >= 0, got {max_prefix_len}")
     if num_terms < 1:
         raise ValueError("num_terms must be >= 1")
-    return model.window_series(kind, num_terms)
+    return model.window_series(max_prefix_len, num_terms)
 
 
 @dataclass(frozen=True)
@@ -143,17 +139,19 @@ def _zero_tail_start(terms: np.ndarray) -> int | None:
 
 def classify_series(
     terms: np.ndarray,
-    kind: SeriesKind,
+    prefix_len: int,
+    fit: TailFit,
     model: EventSequenceModel | None = None,
 ) -> Verdict:
-    """Issue a convergence verdict for the evaluated terms.
+    """Issue a convergence verdict for the evaluated ``prefix_len``-window terms.
 
     Certified verdicts come from exact-zero tails whose windows the backend
     proves empty, or from analytic metadata; everything else rests on the
-    fitted tail exponent with a +-0.1 buffer around the p-series boundary.
+    fitted tail exponent ``fit`` (``fit_tail(terms)``) with a +-0.1 buffer
+    around the p-series boundary.
     """
     classifier = model.metadata.series_classifier if model is not None else None
-    classified = classifier(kind.prefix_len) if classifier is not None else None
+    classified = classifier(prefix_len) if classifier is not None else None
     if len(terms) < MIN_TERMS_FOR_FIT and classified is None:
         raise InsufficientDataError(
             f"{len(terms)} terms evaluated; need {MIN_TERMS_FOR_FIT} or analytic metadata"
@@ -162,7 +160,7 @@ def classify_series(
     # Exact zeros observed beat declared metadata: verify them structurally.
     zero_start = _zero_tail_start(terms)
     if zero_start is not None and zero_start <= len(terms) // 2 + 1:
-        if model is not None and model.empty_series(kind, zero_start, len(terms)).all():
+        if model is not None and model.empty_series(prefix_len, zero_start, len(terms)).all():
             return Verdict(
                 VerdictLabel.CERTIFIED_CONVERGENT,
                 f"eventually zero terms: every window from n = {zero_start} is provably"
@@ -180,7 +178,6 @@ def classify_series(
             return Verdict(VerdictLabel.CERTIFIED_CONVERGENT, why)
         return Verdict(VerdictLabel.CERTIFIED_DIVERGENT, why)
 
-    fit = fit_tail(terms)
     if fit.slope is None:
         # too few nonzero points to fit; a mostly-zero tail still suggests
         # convergence, but scattered zeros alone never certify it
@@ -218,7 +215,7 @@ class Conclusion(enum.Enum):
 class SeriesReport:
     """Evaluated terms, compensated partial sums, tail fit and verdict."""
 
-    kind: SeriesKind
+    prefix_len: int
     terms: np.ndarray
     partial_sums: np.ndarray
     tail_fit: TailFit
@@ -236,17 +233,16 @@ class SeriesReport:
 
 
 def build_series_report(
-    model: EventSequenceModel, kind: SeriesKind, num_terms: int
+    model: EventSequenceModel, prefix_len: int, terms: np.ndarray
 ) -> SeriesReport:
-    terms = series_terms(model, kind, num_terms)
-    sums = compensated_cumsum(terms)
-    verdict = classify_series(terms, kind, model)
+    """The report on ``terms``, the evaluated ``prefix_len``-window series."""
+    fit = fit_tail(terms)
     return SeriesReport(
-        kind=kind,
+        prefix_len=prefix_len,
         terms=terms,
-        partial_sums=sums,
-        tail_fit=fit_tail(terms),
-        verdict=verdict,
+        partial_sums=compensated_cumsum(terms),
+        tail_fit=fit,
+        verdict=classify_series(terms, prefix_len, fit, model),
     )
 
 
@@ -255,7 +251,6 @@ class CriterionResult:
     """Outcome of one convergence criterion at a given complement-run length."""
 
     prefix_len: int
-    orientation: Orientation
     conclusion: Conclusion
     certified: bool
     decay: DecayVerdict | None
@@ -264,33 +259,21 @@ class CriterionResult:
     note: str
 
 
-def check_criterion(
-    model: EventSequenceModel,
-    prefix_len: int,
-    num_terms: int = 2000,
-    tol: float = 1e-6,
-    *,
-    orientation: Orientation = Orientation.PREFIX_COMPLEMENT,
-    decay: tuple[DecayVerdict, str] | None = None,
-) -> CriterionResult:
-    """Run the window-series criterion with complement run ``prefix_len``.
+def _label(prefix_len: int) -> str:
+    if prefix_len == 0:
+        return "marginal series"
+    return f"window series (m={prefix_len}, prefix complements)"
 
-    Concludes IO_PROB_ZERO when the series verdict is convergent and (for
-    prefix_len >= 1) the marginals provably or plausibly decay to zero; the
-    conclusion is certified only when both inputs are.  IO_PROB_ONE is issued
-    only for independent models with a divergent marginal series.  Dependent
-    models with divergent series get NO_CONCLUSION: the criteria are
-    sufficient, not necessary.  ``decay`` passes in a decay check already run;
-    without it the marginals are probed up to ``num_terms``.
-    """
-    if prefix_len < 0:
-        raise ValueError("prefix_len must be >= 0")
-    kind = SeriesKind(prefix_len, orientation)
-    report = build_series_report(model, kind, num_terms)
+
+def _criterion(
+    model: EventSequenceModel,
+    report: SeriesReport,
+    decay: tuple[DecayVerdict, str] | None,
+) -> CriterionResult:
+    """The criterion's conclusion from a series report and, for m >= 1, the decay check."""
+    prefix_len = report.prefix_len
     needs_decay = prefix_len >= 1
-    if needs_decay and decay is None:
-        decay = marginal_decay_check(model, default_decay_probes(num_terms), tol)
-    decay_verdict, decay_note = decay if (needs_decay and decay is not None) else (None, "")
+    decay_verdict, decay_note = decay if needs_decay else (None, "")
 
     decay_ok = decay_verdict in (
         DecayVerdict.CERTIFIED_ZERO_LIMIT,
@@ -302,7 +285,7 @@ def check_criterion(
         )
         conclusion = Conclusion.IO_PROB_ZERO
         note = (
-            f"{kind.label} converges ({report.verdict.justification})"
+            f"{_label(prefix_len)} converges ({report.verdict.justification})"
             + ("" if not needs_decay else f"; marginal decay: {decay_note}")
         )
     elif (
@@ -328,15 +311,32 @@ def check_criterion(
         else:
             note = f"series verdict inconclusive ({report.verdict.justification})"
     return CriterionResult(
-        prefix_len=prefix_len,
-        orientation=orientation,
-        conclusion=conclusion,
-        certified=certified,
-        decay=decay_verdict,
-        decay_note=decay_note,
-        series=report,
-        note=note,
+        prefix_len, conclusion, certified, decay_verdict, decay_note, report, note
     )
+
+
+def check_criterion(
+    model: EventSequenceModel,
+    prefix_len: int,
+    num_terms: int = 2000,
+    tol: float = 1e-6,
+) -> CriterionResult:
+    """Run the window-series criterion with complement run ``prefix_len``.
+
+    Concludes IO_PROB_ZERO when the series verdict is convergent and (for
+    prefix_len >= 1) the marginals provably or plausibly decay to zero; the
+    conclusion is certified only when both inputs are.  IO_PROB_ONE is issued
+    only for independent models with a divergent marginal series.  Dependent
+    models with divergent series get NO_CONCLUSION: the criteria are
+    sufficient, not necessary.  For prefix_len >= 1 the marginals are probed
+    for decay up to ``num_terms``.
+    """
+    terms = series_terms(model, prefix_len, num_terms)[prefix_len]
+    report = build_series_report(model, prefix_len, terms)
+    decay = (
+        marginal_decay_check(model, default_decay_probes(num_terms), tol) if prefix_len else None
+    )
+    return _criterion(model, report, decay)
 
 
 @dataclass
@@ -358,14 +358,15 @@ def sweep_prefix_len(
     """Run the criterion for every complement-run length 0..max_prefix_len.
 
     Reports the least length that concludes IO_PROB_ZERO (and the least doing
-    so with certification), or None.  The marginals are probed for decay once,
-    up to ``num_terms``, and every criterion uses that result.
+    so with certification), or None.  One ``series_terms`` call evaluates
+    every series, and the marginals are probed for decay once, up to
+    ``num_terms``; every criterion uses that result.
     """
     if not 0 <= max_prefix_len <= MAX_PREFIX_LEN:
         raise ValueError(f"max_prefix_len {max_prefix_len} outside 0..{MAX_PREFIX_LEN}")
-    out = SweepResult(decay=marginal_decay_check(model, default_decay_probes(num_terms), tol))
-    for m in range(max_prefix_len + 1):
-        res = check_criterion(model, m, num_terms, tol, decay=out.decay)
+    out = SweepResult(marginal_decay_check(model, default_decay_probes(num_terms), tol))
+    for m, terms in enumerate(series_terms(model, max_prefix_len, num_terms)):
+        res = _criterion(model, build_series_report(model, m, terms), out.decay)
         out.results.append(res)
         if res.conclusion is Conclusion.IO_PROB_ZERO:
             if out.least_io_zero is None:

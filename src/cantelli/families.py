@@ -108,9 +108,8 @@ class SequenceFamily(ABC):
 
         Returns (class, justification) for the window series induced by an
         independent model with these marginals, or None when the family admits
-        no closed-form answer.  Valid for either window orientation: the term
-        is a product of ``prefix_len`` complement factors and one occurrence
-        factor either way.
+        no closed-form answer.  The term is a product of ``prefix_len``
+        complement factors and one occurrence factor.
         """
         return None
 

@@ -13,15 +13,15 @@ programming:
   interleaved counterexamples that separate the window criteria.
 
 Each backend answers two kinds of query.  ``window_prob`` and
-``window_is_empty`` take one window; the base class loops them over a series
-as the reference.  ``window_series`` and ``empty_series`` evaluate every
-window of a series at once on arrays, and every backend's array code returns
-the reference's floats bit for bit.  ``first_occurrence_terms`` and
-``all_complement_prob`` both read one first-occurrence scan per backend
-(``_scan``), which an ``OccurrenceScan`` carries on chunk by chunk.
-``sample_indicator_block`` draws sampled indicators for many windows from one
-generator; each window's block equals a single-window draw from a generator in
-the same state.
+``window_is_empty`` take one window.  ``window_series`` evaluates the window
+series of every complement-run length 0..m at once, from one evaluation of
+the family, threshold or distribution arrays, and ``empty_series`` proves the
+windows of one series empty; both return the one-window answers bit for bit.
+``first_occurrence_terms`` and ``all_complement_prob`` both read one
+first-occurrence scan per backend (``_scan``), which an ``OccurrenceScan``
+carries on chunk by chunk.  ``sample_indicator_block`` draws sampled
+indicators for many windows from one generator; each window's block equals a
+single-window draw from a generator in the same state.
 
 All models are immutable after construction and all queries are pure.
 """
@@ -32,12 +32,12 @@ import enum
 import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, Iterator, Sequence
 
 import numpy as np
 
 from .families import ModelValueError, SequenceFamily, SequenceIndexError, SeriesClass
-from .windows import SeriesKind, WindowPattern, marginal
+from .windows import WindowPattern, marginal
 
 __all__ = [
     "NumericFaultError",
@@ -115,21 +115,17 @@ class EventSequenceModel(ABC):
     def metadata(self) -> AnalyticMetadata:
         return AnalyticMetadata()
 
-    def window_series(self, kind: SeriesKind, num_terms: int) -> np.ndarray:
-        """``window_prob(kind.window(n))`` for n = 1..num_terms.
+    @abstractmethod
+    def window_series(self, max_prefix_len: int, num_terms: int) -> np.ndarray:
+        """Every m-window series for m = 0..max_prefix_len, from one evaluation.
 
-        This loop is the reference; backends override it with array code that
-        returns the same floats.
+        Row m of the (max_prefix_len + 1, num_terms) array holds
+        ``window_prob(first_occurrence(n, m))`` for n = 1..num_terms, bit for bit.
         """
-        return np.array(
-            [self.window_prob(kind.window(n)) for n in range(1, num_terms + 1)], dtype=float
-        )
 
-    def empty_series(self, kind: SeriesKind, lo: int, hi: int) -> np.ndarray:
-        """``window_is_empty(kind.window(n))`` for n = lo..hi, as a bool array."""
-        return np.array(
-            [self.window_is_empty(kind.window(n)) for n in range(lo, hi + 1)], dtype=bool
-        )
+    @abstractmethod
+    def empty_series(self, prefix_len: int, lo: int, hi: int) -> np.ndarray:
+        """``window_is_empty(first_occurrence(n, prefix_len))`` for n = lo..hi, as bools."""
 
     def marginal_prob(self, n: int) -> float:
         """P(A_n); equals window_prob of the bare-event window at n."""
@@ -303,23 +299,24 @@ class IndependentModel(EventSequenceModel):
                 return True
         return False
 
-    def window_series(self, kind: SeriesKind, num_terms: int) -> np.ndarray:
-        # the window at n multiplies its factors in index order, as window_prob does
-        p = self._family.values(1, num_terms + kind.prefix_len)
-        q = 1.0 - p
-        occ = kind.occurrence_offset
-        prob = (p if occ == 0 else q)[:num_terms]
-        for i in range(1, kind.prefix_len + 1):
-            prob = prob * (p if i == occ else q)[i : i + num_terms]
-        return self._finish_probs(prob)
+    def window_series(self, max_prefix_len: int, num_terms: int) -> np.ndarray:
+        # the window at n multiplies its factors in index order, as window_prob
+        # does: row m is the product of the first m complements, times p
+        p = self._family.values(1, num_terms + max_prefix_len)
+        out = np.empty((max_prefix_len + 1, num_terms))
+        survive = np.ones(num_terms)  # 1.0 * x is x exactly
+        for m in range(max_prefix_len + 1):
+            window = p[m : m + num_terms]
+            out[m] = self._finish_probs(survive * window)
+            survive *= 1.0 - window
+        return out
 
-    def empty_series(self, kind: SeriesKind, lo: int, hi: int) -> np.ndarray:
-        p = self._family.values(lo, hi + kind.prefix_len)
+    def empty_series(self, prefix_len: int, lo: int, hi: int) -> np.ndarray:
+        p = self._family.values(lo, hi + prefix_len)
         count = hi - lo + 1
-        empty = np.zeros(count, dtype=bool)
-        for i in range(kind.prefix_len + 1):
-            window = p[i : i + count]
-            empty |= window == (0.0 if i == kind.occurrence_offset else 1.0)
+        empty = p[prefix_len:] == 0.0
+        for i in range(prefix_len):
+            empty |= p[i : i + count] == 1.0
         return empty
 
     def _scan(self, n: int, count: int, carry: Any) -> tuple[np.ndarray, Any]:
@@ -464,7 +461,8 @@ class MarkovModel(EventSequenceModel):
     The constructor is the one check of the chain.  ``transition`` must be a
     nonempty square list of rows, and each row and ``initial`` a probability
     vector (nonnegative, summing to 1 within ``ROW_SUM_TOL``).  A bad entry
-    raises ``ModelValueError`` naming ``transition[i]`` or ``initial``; NaN
+    raises ``ModelValueError`` naming ``transition[i]`` or ``initial``, and
+    an event schedule over another state count one naming ``events``; NaN
     fails every check.
     """
 
@@ -480,6 +478,10 @@ class MarkovModel(EventSequenceModel):
         for i, row in enumerate(transition):
             _check_distribution(row, s, f"transition[{i}]", f"row {i}")
         _check_distribution(initial, s, "initial", "initial vector")
+        if events._num_states != s:
+            raise ModelValueError(
+                "events", f"event schedule over {events._num_states} states, chain has {s}"
+            )
         self._transition = np.array(transition, dtype=float)
         self._transition.setflags(write=False)
         self._initial = np.array(initial, dtype=float)
@@ -649,29 +651,30 @@ class MarkovModel(EventSequenceModel):
             prev_idx = idx
         return not supp.any()
 
-    def window_series(self, kind: SeriesKind, num_terms: int) -> np.ndarray:
-        masks = self._events.masks(1, num_terms + kind.prefix_len)
+    def window_series(self, max_prefix_len: int, num_terms: int) -> np.ndarray:
+        # dists row n - 1: the distribution at time n + m with the complements
+        # at n..n + m - 1 masked in, as window_prob propagates it
+        masks = self._events.masks(1, num_terms + max_prefix_len)
         dists = self._dist_block(num_terms)
-        for i in range(kind.prefix_len + 1):
-            if i:
+        out = np.empty((max_prefix_len + 1, num_terms))
+        for m in range(max_prefix_len + 1):
+            window = masks[m : m + num_terms]
+            out[m] = self._finish_probs((dists * window).sum(axis=1))
+            if m < max_prefix_len:
+                dists = dists * ~window
                 # one vector-matrix product per row, bit-identical to window_prob's
                 # (a matrix-matrix product rounds differently)
                 dists = (dists[:, None, :] @ self._transition)[:, 0, :]
-            window = masks[i : i + num_terms]
-            dists = dists * (window if i == kind.occurrence_offset else ~window)
-        return self._finish_probs(dists.sum(axis=1))
+        return out
 
-    def empty_series(self, kind: SeriesKind, lo: int, hi: int) -> np.ndarray:
+    def empty_series(self, prefix_len: int, lo: int, hi: int) -> np.ndarray:
         count = hi - lo + 1
-        masks = self._events.masks(lo, hi + kind.prefix_len)
+        masks = self._events.masks(lo, hi + prefix_len)
         reach = (self._transition > 0.0).astype(float)
         supp = self._support_rows(lo, hi)
-        for i in range(kind.prefix_len + 1):
-            if i:
-                supp = supp.astype(float) @ reach > 0.0
-            window = masks[i : i + count]
-            supp = supp & (window if i == kind.occurrence_offset else ~window)
-        return ~supp.any(axis=1)
+        for i in range(prefix_len):
+            supp = (supp & ~masks[i : i + count]).astype(float) @ reach > 0.0
+        return ~(supp & masks[prefix_len:]).any(axis=1)
 
     def _scan(self, n: int, count: int, carry: Any) -> tuple[np.ndarray, Any]:
         # carry: the distribution masked to the complement at the last index,
@@ -858,25 +861,24 @@ class LatentUniformModel(EventSequenceModel):
             raise ValueError(f"threshold a_{lo + k} = {float(a[k])!r} outside [0, 1]")
         return a + 0.0
 
-    def _series_intervals(
-        self, kind: SeriesKind, lo: int, hi: int
-    ) -> list[tuple[np.ndarray, np.ndarray]]:
-        """``_latent_intervals`` of the windows n = lo..hi, one array pair per latent."""
+    def _interval_rows(
+        self, max_prefix_len: int, lo: int, hi: int
+    ) -> Iterator[list[np.ndarray]]:
+        """Per m = 0..max_prefix_len, ``hi - lo`` of ``_latent_intervals`` per latent.
+
+        Row m covers the m-windows at n = lo..hi, one array per latent.
+        """
         count = hi - lo + 1
-        colors = self._colors(lo, hi + kind.prefix_len)
-        a = self._threshold_array(lo, hi + kind.prefix_len, colors)
-        occ = kind.occurrence_offset
-        out = []
-        for j in range(self._num_latents):
-            mine = colors == j
-            excluded = np.where(mine, a, 0.0)  # 0.0 and 1.0 leave max and min alone
-            below = np.zeros(count)
-            for i in range(kind.prefix_len + 1):
-                if i != occ:
-                    below = np.maximum(below, excluded[i : i + count])
-            upto = np.where(mine, a, 1.0)[occ : occ + count]
-            out.append((below, upto))
-        return out
+        colors = self._colors(lo, hi + max_prefix_len)
+        a = self._threshold_array(lo, hi + max_prefix_len, colors)
+        # below[j]: latent j's largest complement threshold so far; 0.0 and 1.0
+        # leave max and min alone
+        below = np.zeros((self._num_latents, count))
+        for m in range(max_prefix_len + 1):
+            mine, at = colors[m : m + count], a[m : m + count]
+            yield [np.where(mine == j, at, 1.0) - below[j] for j in range(self._num_latents)]
+            for j in range(self._num_latents):
+                np.maximum(below[j], np.where(mine == j, at, 0.0), out=below[j])
 
     def _first_position_at_or_after(self, n: int, latent: int) -> int:
         for i in range(n, n + len(self._coloring)):
@@ -906,19 +908,21 @@ class LatentUniformModel(EventSequenceModel):
     def window_is_empty(self, w: WindowPattern) -> bool:
         return any(hi <= lo for lo, hi in self._latent_intervals(w))
 
-    def window_series(self, kind: SeriesKind, num_terms: int) -> np.ndarray:
-        prob = None
-        for below, upto in self._series_intervals(kind, 1, num_terms):
-            length = upto - below
-            length = np.where(length > 0.0, length, 0.0)  # max(0.0, hi - lo)
-            prob = length if prob is None else prob * length
-        return self._finish_probs(prob)
+    def window_series(self, max_prefix_len: int, num_terms: int) -> np.ndarray:
+        out = np.empty((max_prefix_len + 1, num_terms))
+        for m, spans in enumerate(self._interval_rows(max_prefix_len, 1, num_terms)):
+            prob = None
+            for length in spans:
+                length = np.where(length > 0.0, length, 0.0)  # max(0.0, hi - lo)
+                prob = length if prob is None else prob * length
+            out[m] = self._finish_probs(prob)
+        return out
 
-    def empty_series(self, kind: SeriesKind, lo: int, hi: int) -> np.ndarray:
-        empty = np.zeros(hi - lo + 1, dtype=bool)
-        for below, upto in self._series_intervals(kind, lo, hi):
-            empty |= upto <= below
-        return empty
+    def empty_series(self, prefix_len: int, lo: int, hi: int) -> np.ndarray:
+        for spans in self._interval_rows(prefix_len, lo, hi):
+            pass  # only the last row is kept
+        # a difference of thresholds in [0, 1] is <= 0 exactly when hi <= lo
+        return np.logical_or.reduce([length <= 0.0 for length in spans])
 
     def _scan(self, n: int, count: int, carry: Any) -> tuple[np.ndarray, Any]:
         # term k is window_prob of its first-occurrence window: per latent, the

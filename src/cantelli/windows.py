@@ -3,8 +3,8 @@
 A window is a run of complement constraints with (optionally) one occurrence
 constraint at one end.  Windows are the query language every model backend
 answers: ``constraints()`` lowers a pattern to (index, must_occur) pairs.  A
-``SeriesKind`` names the windows of one series, one per start index, which
-backends evaluate as a whole array.
+series is named by its complement-run length m: its windows are
+``first_occurrence(n, m)``, one per start index n.
 """
 
 from __future__ import annotations
@@ -83,34 +83,3 @@ def first_occurrence(
 def all_complement(n: int, length: int) -> WindowPattern:
     """No occurrence anywhere in [n, n + length - 1]."""
     return WindowPattern(n, length, Terminal.ALL_COMPLEMENT)
-
-
-@dataclass(frozen=True)
-class SeriesKind:
-    """Which series to evaluate: complement-run length and orientation.
-
-    prefix_len = 0 is the marginal (Borel-Cantelli) series; prefix_len = 1
-    with PREFIX_COMPLEMENT is the one-gap series P(not-A_n, A_{n+1}).
-    """
-
-    prefix_len: int = 0
-    orientation: Orientation = Orientation.PREFIX_COMPLEMENT
-
-    def __post_init__(self) -> None:
-        if self.prefix_len < 0:
-            raise ValueError("prefix_len must be >= 0")
-
-    def window(self, n: int) -> WindowPattern:
-        return first_occurrence(n, self.prefix_len, self.orientation)
-
-    @property
-    def occurrence_offset(self) -> int:
-        """Offset of the occurrence constraint from the window start."""
-        return self.prefix_len if self.orientation is Orientation.PREFIX_COMPLEMENT else 0
-
-    @property
-    def label(self) -> str:
-        if self.prefix_len == 0:
-            return "marginal series"
-        side = "prefix" if self.orientation is Orientation.PREFIX_COMPLEMENT else "suffix"
-        return f"window series (m={self.prefix_len}, {side} complements)"

@@ -19,7 +19,6 @@ from cantelli import (
     DecayVerdict,
     IndependentModel,
     PowerLaw,
-    SeriesKind,
     VerdictLabel,
     build_outcome_space,
     build_series_report,
@@ -28,6 +27,7 @@ from cantelli import (
     limsup_estimate,
     oracle_union_prob,
     oracle_window_prob,
+    series_terms,
     sweep_prefix_len,
     tail_union,
 )
@@ -144,12 +144,13 @@ def test_criterion_04_termwise_domination():
 def test_criterion_05_nested_showcase():
     with criterion(5, "nested model: divergent marginals, empty one-gap windows", budget=5.0):
         nested = make_nested()
-        marginal_report = build_series_report(nested, SeriesKind(0), 10000)
+        table = series_terms(nested, 1, 10000)
+        marginal_report = build_series_report(nested, 0, table[0])
         reference = math.fsum(min(1.0, 1.0 / n) for n in range(1, 10001))
         assert marginal_report.partial_sum == pytest.approx(reference, abs=1e-10)
         assert marginal_report.partial_sum >= 9.0
 
-        gap_report = build_series_report(nested, SeriesKind(1), 10000)
+        gap_report = build_series_report(nested, 1, table[1])
         assert np.all(gap_report.terms == 0.0)
         assert gap_report.verdict.label is VerdictLabel.CERTIFIED_CONVERGENT
 
@@ -162,7 +163,8 @@ def test_criterion_05_nested_showcase():
 def test_criterion_06_interleaved_showcase():
     with criterion(6, "interleaved model: only the two-gap criterion certifies", budget=5.0):
         inter = make_interleaved()
-        one_gap = build_series_report(inter, SeriesKind(1), 10000)
+        table = series_terms(inter, 2, 10000)
+        one_gap = build_series_report(inter, 1, table[1])
         assert one_gap.tail_fit.slope == pytest.approx(-1.0, abs=0.1)
         sums = one_gap.partial_sums
         increments = [
@@ -170,7 +172,7 @@ def test_criterion_06_interleaved_showcase():
         ]
         assert all(inc >= 2.0 for inc in increments)  # keeps growing every decade
 
-        two_gap = build_series_report(inter, SeriesKind(2), 10000)
+        two_gap = build_series_report(inter, 2, table[2])
         assert np.all(two_gap.terms == 0.0)
         assert two_gap.verdict.label is VerdictLabel.CERTIFIED_CONVERGENT
 

@@ -235,6 +235,21 @@ def test_verify_horizon_past_cap_is_spec_error(capsys):
     assert "spec error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("horizon", ["0", "-4"])
+def test_simulate_horizon_below_one_is_spec_error(horizon, capsys):
+    # no check fits below horizon 1, and an empty list must not pass
+    assert run(["simulate", SPECS / "coin-half.json", "--horizon", horizon]) == EXIT_SPEC
+    assert "horizon must be >= 1" in capsys.readouterr().err
+
+
+def test_simulate_spec_default_horizon_zero_is_spec_error(tmp_path):
+    spec = json.loads((SPECS / "coin-half.json").read_text())
+    spec.setdefault("defaults", {})["horizon"] = 0
+    path = tmp_path / "h0.json"
+    path.write_text(json.dumps(spec))
+    assert run(["simulate", path]) == EXIT_SPEC
+
+
 def test_numeric_fault_exit_3(tmp_path, monkeypatch):
     real_build = cli.build_model
 
@@ -248,7 +263,7 @@ def test_numeric_fault_exit_3(tmp_path, monkeypatch):
         def window_prob(self, w):
             raise NumericFaultError("injected non-finite value")
 
-        def window_series(self, kind, num_terms):
+        def window_series(self, max_prefix_len, num_terms):
             raise NumericFaultError("injected non-finite value")
 
     monkeypatch.setattr(cli, "build_model", lambda spec: Faulty(real_build(spec)))

@@ -4,11 +4,9 @@ import numpy as np
 import pytest
 
 from cantelli import (
-    BOREL_CANTELLI,
     Conclusion,
     IndependentModel,
     PowerLaw,
-    SeriesKind,
     VerdictLabel,
     build_outcome_space,
     build_series_report,
@@ -18,30 +16,33 @@ from cantelli import (
     series_terms,
     sweep_prefix_len,
 )
+import cantelli.criteria as criteria
 from cantelli.criteria import InsufficientDataError, fit_tail
 from cantelli.models import DecayVerdict
-from cantelli.windows import Orientation
+from cantelli.specfile import load_spec
+from cantelli.windows import first_occurrence
 
-from conftest import make_coin, make_interleaved, make_nested, random_independent
+from conftest import SPECS, make_coin, make_interleaved, make_nested, random_independent
 
 
 def test_constant_one_gap_terms():
-    terms = series_terms(make_coin(), SeriesKind(1), 50)
-    assert np.allclose(terms, 0.25, atol=0)
+    terms = series_terms(make_coin(), 1, 50)
+    assert terms.shape == (2, 50)
+    assert np.all(terms[0] == 0.5) and np.all(terms[1] == 0.25)
 
 
 def test_interleaved_two_gap_terms_all_zero_and_match_oracle():
     inter = make_interleaved()
-    terms = series_terms(inter, SeriesKind(2), 200)
+    terms = series_terms(inter, 2, 200)[2]
     assert np.all(terms == 0.0)
     space = build_outcome_space(inter, 10)
     for n in range(1, 9):
-        assert oracle_window_prob(space, SeriesKind(2).window(n)) == 0.0
+        assert oracle_window_prob(space, first_occurrence(n, 2)) == 0.0
 
 
 def test_powerlaw_partial_sum_against_reference():
     model = IndependentModel(PowerLaw(1.0, 2.0))
-    report = build_series_report(model, BOREL_CANTELLI, 1000)
+    report = build_series_report(model, 0, series_terms(model, 0, 1000)[0])
     reference = math.fsum(n**-2.0 for n in range(1, 1001))
     assert report.partial_sum == pytest.approx(reference, abs=1e-12)
     assert report.partial_sum == pytest.approx(1.6439345666815597, abs=1e-12)
@@ -49,7 +50,7 @@ def test_powerlaw_partial_sum_against_reference():
 
 def test_partial_sums_track_fsum_on_long_series():
     model = IndependentModel(PowerLaw(1.0, 1.0))
-    report = build_series_report(model, BOREL_CANTELLI, 100000)
+    report = build_series_report(model, 0, series_terms(model, 0, 100000)[0])
     reference = math.fsum(min(1.0, 1.0 / n) for n in range(1, 100001))
     assert abs(report.partial_sum - reference) < 1e-10
 
@@ -57,7 +58,7 @@ def test_partial_sums_track_fsum_on_long_series():
 def test_independent_one_gap_term_formula():
     rng = np.random.default_rng(17)
     model = random_independent(rng)
-    terms = series_terms(model, SeriesKind(1), 12)
+    terms = series_terms(model, 1, 12)[1]
     for n in range(1, 13):
         p_n = model.family.value(n)
         p_next = model.family.value(n + 1)
@@ -66,47 +67,46 @@ def test_independent_one_gap_term_formula():
 
 def test_classify_all_zero_is_certified():
     nested = make_nested()
-    kind = SeriesKind(1)
-    terms = series_terms(nested, kind, 300)
-    verdict = classify_series(terms, kind, nested)
+    terms = series_terms(nested, 1, 300)[1]
+    verdict = classify_series(terms, 1, fit_tail(terms), nested)
     assert verdict.label is VerdictLabel.CERTIFIED_CONVERGENT
     assert "zero" in verdict.justification
 
 
 def test_classify_constant_positive_is_certified_divergent():
     coin = make_coin()
-    kind = SeriesKind(1)
-    terms = series_terms(coin, kind, 300)
-    verdict = classify_series(terms, kind, coin)
+    terms = series_terms(coin, 1, 300)[1]
+    verdict = classify_series(terms, 1, fit_tail(terms), coin)
     assert verdict.label is VerdictLabel.CERTIFIED_DIVERGENT
 
 
 def test_classify_harmonic_boundary():
     model = IndependentModel(PowerLaw(1.0, 1.0))
-    terms = series_terms(model, BOREL_CANTELLI, 2000)
-    with_meta = classify_series(terms, BOREL_CANTELLI, model)
+    terms = series_terms(model, 0, 2000)[0]
+    fit = fit_tail(terms)
+    with_meta = classify_series(terms, 0, fit, model)
     assert with_meta.label is VerdictLabel.CERTIFIED_DIVERGENT
-    bare = classify_series(terms, BOREL_CANTELLI, None)
+    bare = classify_series(terms, 0, fit, None)
     # fitted slope sits at the p-series boundary: the buffer keeps it honest
     assert bare.label in (VerdictLabel.INCONCLUSIVE, VerdictLabel.LIKELY_DIVERGENT)
-    fit = fit_tail(terms)
     assert fit.slope == pytest.approx(-1.0, abs=0.02)
 
 
 def test_classify_requires_terms_or_metadata():
     with pytest.raises(InsufficientDataError):
-        classify_series(np.array([0.5, 0.5]), SeriesKind(1), None)
+        classify_series(np.array([0.5, 0.5]), 1, fit_tail(np.array([0.5, 0.5])), None)
     # metadata substitutes for bulk
     coin = make_coin()
-    verdict = classify_series(np.array([0.25, 0.25]), SeriesKind(1), coin)
+    terms = np.array([0.25, 0.25])
+    verdict = classify_series(terms, 1, fit_tail(terms), coin)
     assert verdict.label is VerdictLabel.CERTIFIED_DIVERGENT
 
 
 def test_classify_monotone_in_evidence():
     cases = [
-        (IndependentModel(PowerLaw(1.0, 2.0)), BOREL_CANTELLI, 500),
-        (make_nested(), SeriesKind(1), 500),
-        (make_coin(), SeriesKind(1), 500),
+        (IndependentModel(PowerLaw(1.0, 2.0)), 0, 500),
+        (make_nested(), 1, 500),
+        (make_coin(), 1, 500),
     ]
     strength = {
         VerdictLabel.CERTIFIED_CONVERGENT: 2,
@@ -115,15 +115,17 @@ def test_classify_monotone_in_evidence():
         VerdictLabel.LIKELY_DIVERGENT: 1,
         VerdictLabel.INCONCLUSIVE: 0,
     }
-    for model, kind, n in cases:
-        terms = series_terms(model, kind, n)
-        with_meta = classify_series(terms, kind, model)
-        without = classify_series(terms, kind, None)
+    for model, m, n in cases:
+        terms = series_terms(model, m, n)[m]
+        fit = fit_tail(terms)
+        with_meta = classify_series(terms, m, fit, model)
+        without = classify_series(terms, m, fit, None)
         assert strength[with_meta.label] >= strength[without.label]
 
 
 def test_report_invariants():
-    report = build_series_report(make_coin(), BOREL_CANTELLI, 200)
+    coin = make_coin()
+    report = build_series_report(coin, 0, series_terms(coin, 0, 200)[0])
     assert np.all(np.diff(report.partial_sums) >= 0.0)
     assert np.all(report.terms >= 0.0)
 
@@ -160,26 +162,12 @@ def test_alternating_zero_terms_do_not_fake_convergence():
     from conftest import make_flipflop
 
     ff = make_flipflop()
-    kind = SeriesKind(1)
-    terms = series_terms(ff, kind, 1000)
+    terms = series_terms(ff, 1, 1000)[1]
     assert terms.sum() == 500.0
-    verdict = classify_series(terms, kind, ff)
+    verdict = classify_series(terms, 1, fit_tail(terms), ff)
     assert verdict.label is VerdictLabel.LIKELY_DIVERGENT
     res = check_criterion(ff, 1, 1000)
     assert res.conclusion is Conclusion.NO_CONCLUSION
-
-
-def test_suffix_orientation_criterion():
-    # nested model: suffix windows A_n minus A_{n+1} have probability
-    # 1/(n(n+1)), so that series converges by tail fit instead of exact zeros
-    nested = make_nested()
-    terms = series_terms(nested, SeriesKind(1, Orientation.SUFFIX_COMPLEMENT), 12)
-    expected = [1.0 / (n * (n + 1)) for n in range(1, 13)]
-    assert np.allclose(terms, expected, atol=1e-15)
-    res = check_criterion(nested, 1, 2000, orientation=Orientation.SUFFIX_COMPLEMENT)
-    assert res.conclusion is Conclusion.IO_PROB_ZERO
-    assert res.series.verdict.label is VerdictLabel.LIKELY_CONVERGENT
-    assert not res.certified
 
 
 def test_sweep_examples():
@@ -191,3 +179,30 @@ def test_sweep_examples():
 def test_sweep_respects_hard_cap():
     with pytest.raises(ValueError):
         sweep_prefix_len(make_coin(), 9, 200)
+
+
+@pytest.mark.parametrize("spec", sorted(p.name for p in SPECS.glob("*.json")))
+def test_sweep_rows_equal_single_criteria(spec):
+    # one table for the sweep, one per m for check_criterion: same results
+    model = load_spec(SPECS / spec).model
+    sweep = sweep_prefix_len(model, 3, 2000)
+    for m in range(4):
+        got, alone = sweep.results[m], check_criterion(model, m, 2000)
+        assert (got.prefix_len, got.conclusion, got.certified, got.note) == (
+            alone.prefix_len, alone.conclusion, alone.certified, alone.note
+        )
+        assert (got.decay, got.decay_note) == (alone.decay, alone.decay_note)
+        assert got.series.prefix_len == m
+        assert got.series.verdict == alone.series.verdict
+        assert got.series.tail_fit == alone.series.tail_fit
+        assert got.series.terms.tobytes() == alone.series.terms.tobytes()
+        assert got.series.partial_sums.tobytes() == alone.series.partial_sums.tobytes()
+
+
+def test_sweep_fits_each_series_once(monkeypatch):
+    # a chain has no series metadata, so every verdict reads the tail fit
+    calls = []
+    real = criteria.fit_tail
+    monkeypatch.setattr(criteria, "fit_tail", lambda terms: calls.append(1) or real(terms))
+    sweep_prefix_len(load_spec(SPECS / "markov-3state.json").model, 3, 2000)
+    assert len(calls) == 4

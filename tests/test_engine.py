@@ -4,7 +4,8 @@ Every backend's ``window_series``/``empty_series`` and scans must return the
 floats the per-window loop returns, bit for bit: reports are built from the
 arrays and must not change when the engine does.  The same holds for
 ``tail_union``'s doublings against one-shot sums, and for the Markov orbit
-against a plain walk of distributions.
+against a plain walk of distributions.  The per-window loops below are the
+reference.
 """
 
 import numpy as np
@@ -14,7 +15,6 @@ from hypothesis import given, settings, strategies as st
 from cantelli import (
     Constant,
     EventSchedule,
-    EventSequenceModel,
     ExplicitList,
     GlobalThresholds,
     IndependentModel,
@@ -31,7 +31,7 @@ from cantelli.families import SequenceIndexError
 from cantelli.limsup import INITIAL_TRUNCATION
 from cantelli.models import NumericFaultError, OccurrenceScan
 from cantelli.summation import compensated_sum
-from cantelli.windows import Orientation, SeriesKind, all_complement, first_occurrence
+from cantelli.windows import all_complement, first_occurrence
 
 from conftest import make_absorbing, make_equal_rows, make_flipflop
 
@@ -48,17 +48,25 @@ explicit_lists = st.builds(
     probs,
 )
 families = st.one_of(power_families, explicit_lists, st.builds(Constant, probs))
-kinds = st.builds(
-    SeriesKind, st.integers(min_value=0, max_value=4), st.sampled_from(list(Orientation))
-)
+prefix_lens = st.integers(min_value=0, max_value=4)
 
 
-def reference_series(model, kind, num_terms):
-    return EventSequenceModel.window_series(model, kind, num_terms)
+def reference_series(model, max_prefix_len, num_terms):
+    """Row m: ``window_prob`` of the m-window at n = 1..num_terms."""
+    return np.array(
+        [
+            [model.window_prob(first_occurrence(n, m)) for n in range(1, num_terms + 1)]
+            for m in range(max_prefix_len + 1)
+        ],
+        dtype=float,
+    )
 
 
-def reference_empty(model, kind, lo, hi):
-    return EventSequenceModel.empty_series(model, kind, lo, hi)
+def reference_empty(model, prefix_len, lo, hi):
+    return np.array(
+        [model.window_is_empty(first_occurrence(n, prefix_len)) for n in range(lo, hi + 1)],
+        dtype=bool,
+    )
 
 
 def reference_terms(model, n, count):
@@ -162,17 +170,18 @@ def test_explicit_values_past_an_untailed_list_raise():
 
 
 @settings(max_examples=300, deadline=None)
-@given(models, kinds, st.integers(min_value=1, max_value=40))
-def test_window_series_matches_window_prob(model, kind, num_terms):
-    expected = reference_series(model, kind, num_terms)
-    assert np.array_equal(model.window_series(kind, num_terms), expected)
+@given(models, prefix_lens, st.integers(min_value=1, max_value=40))
+def test_window_series_matches_window_prob(model, max_prefix_len, num_terms):
+    got = model.window_series(max_prefix_len, num_terms)
+    assert got.shape == (max_prefix_len + 1, num_terms)
+    assert bits(got) == bits(reference_series(model, max_prefix_len, num_terms))
 
 
 @settings(max_examples=300, deadline=None)
-@given(models, kinds, st.integers(min_value=1, max_value=30), st.integers(0, 30))
-def test_empty_series_matches_window_is_empty(model, kind, lo, span):
-    expected = reference_empty(model, kind, lo, lo + span)
-    got = model.empty_series(kind, lo, lo + span)
+@given(models, prefix_lens, st.integers(min_value=1, max_value=30), st.integers(0, 30))
+def test_empty_series_matches_window_is_empty(model, prefix_len, lo, span):
+    expected = reference_empty(model, prefix_len, lo, lo + span)
+    got = model.empty_series(prefix_len, lo, lo + span)
     assert got.dtype == bool
     assert np.array_equal(got, expected)
 
@@ -249,14 +258,14 @@ def test_tail_union_doublings_match_one_shot_sums(model, n, tol, k_max):
 
 
 @settings(max_examples=40, deadline=None)
-@given(markov_models(), kinds, st.integers(min_value=1, max_value=30))
-def test_markov_series_independent_of_query_order(model, kind, num_terms):
+@given(markov_models(), prefix_lens, st.integers(min_value=1, max_value=30))
+def test_markov_series_independent_of_query_order(model, max_prefix_len, num_terms):
     # a grown distribution block and a far cursor must not change any value
-    expected = reference_series(model, kind, num_terms)
-    model.window_series(SeriesKind(0), 3 * num_terms)
+    expected = reference_series(model, max_prefix_len, num_terms)
+    model.window_series(0, 3 * num_terms)
     model.window_prob(first_occurrence(5 * num_terms, 1))
-    assert np.array_equal(model.window_series(kind, num_terms), expected)
-    assert np.array_equal(reference_series(model, kind, num_terms), expected)
+    assert bits(model.window_series(max_prefix_len, num_terms)) == bits(expected)
+    assert bits(reference_series(model, max_prefix_len, num_terms)) == bits(expected)
 
 
 def test_markov_far_start_keeps_no_block():
@@ -384,12 +393,12 @@ class _NaNFamily(SequenceFamily):
         return "NaN from index 3"
 
 
-@pytest.mark.parametrize("kind", [SeriesKind(0), SeriesKind(2, Orientation.SUFFIX_COMPLEMENT)])
-def test_nan_family_is_a_numeric_fault_on_both_paths(kind):
+@pytest.mark.parametrize("prefix_len", [0, 2])
+def test_nan_family_is_a_numeric_fault_on_both_paths(prefix_len):
     model = IndependentModel(_NaNFamily())
     with pytest.raises(NumericFaultError):
-        model.window_prob(kind.window(3))
+        model.window_prob(first_occurrence(3 - prefix_len, prefix_len))
     with pytest.raises(NumericFaultError):
-        model.window_series(kind, 5)
+        model.window_series(prefix_len, 5)
     with pytest.raises(NumericFaultError):
-        reference_series(model, kind, 5)
+        reference_series(model, prefix_len, 5)

@@ -64,6 +64,14 @@ def test_suffix_orientation_independent_formula():
     assert model.window_prob(w) == pytest.approx(0.3 * 0.4 * 0.1, abs=1e-15)
 
 
+def test_suffix_windows_of_nested_model():
+    # A_n minus A_{n+1} on one latent with thresholds 1/n: probability 1/(n(n+1))
+    nested = make_nested()
+    got = [nested.window_prob(first_occurrence(n, 1, Orientation.SUFFIX_COMPLEMENT))
+           for n in range(1, 13)]
+    assert np.allclose(got, [1.0 / (n * (n + 1)) for n in range(1, 13)], atol=1e-15)
+
+
 def test_prefix_window_exact_product():
     model = IndependentModel(ExplicitList((0.3, 0.6, 0.9), tail=0.2))
     assert model.window_prob(first_occurrence(1, 1)) == (1.0 - 0.3) * 0.6
@@ -200,6 +208,14 @@ def test_markov_constructor_names_the_bad_entry(transition, initial, field):
     with pytest.raises(ModelValueError) as exc:
         MarkovModel(transition, initial, EventSchedule(2, constant=[0]))
     assert exc.value.field == field
+
+
+def test_markov_events_must_cover_the_chain_states():
+    # a three-state schedule on a two-state chain used to fail mid-query
+    with pytest.raises(ModelValueError) as exc:
+        MarkovModel([[0.5, 0.5], [0.5, 0.5]], [1.0, 0.0], EventSchedule(3, constant=[2]))
+    assert exc.value.field == "events"
+    assert "3 states" in str(exc.value)
 
 
 def test_event_schedule_modes():
