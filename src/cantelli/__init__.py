@@ -16,7 +16,6 @@ from .criteria import (
     Verdict,
     VerdictLabel,
     build_series_report,
-    check_criterion,
     classify_series,
     series_terms,
     sweep_prefix_len,
@@ -100,7 +99,6 @@ __all__ = [
     "series_terms",
     "classify_series",
     "build_series_report",
-    "check_criterion",
     "sweep_prefix_len",
     # limsup
     "TailUnionEstimate",

@@ -341,6 +341,11 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     model = build_model(spec)
     count = _resolve(args.count, spec, "count")
     seed = _resolve(args.seed, spec, "seed")
+    if seed < 0:
+        raise SpecError(
+            "--seed" if args.seed is not None else f"{args.spec}.defaults.seed",
+            f"expected a non-negative integer, got {seed}",
+        )
     horizon = _resolve(args.horizon, spec, "horizon")
     flags = {"count": count, "seed": seed, "horizon": horizon}
     report = _report_shell("simulate", spec, flags)

@@ -21,13 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .families import SeriesClass
-from .models import (
-    DecayVerdict,
-    EventSequenceModel,
-    IndependentModel,
-    default_decay_probes,
-    marginal_decay_check,
-)
+from .models import DecayVerdict, EventSequenceModel, IndependentModel, marginal_decay_check
 from .summation import compensated_cumsum
 
 __all__ = [
@@ -42,7 +36,6 @@ __all__ = [
     "build_series_report",
     "Conclusion",
     "CriterionResult",
-    "check_criterion",
     "SweepResult",
     "sweep_prefix_len",
 ]
@@ -92,8 +85,13 @@ class InsufficientDataError(ValueError):
     """Too few terms to classify and no analytic metadata to fall back on."""
 
 
-def series_terms(model: EventSequenceModel, max_prefix_len: int, num_terms: int) -> np.ndarray:
-    """Row m holds the m-window series term[n], n = 1..num_terms, for m = 0..max_prefix_len."""
+def series_terms(
+    model: EventSequenceModel, max_prefix_len: int, num_terms: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """``model.window_series``: the (terms, empty) tables of the m-window series.
+
+    Row m of each covers n = 1..num_terms for m = 0..max_prefix_len.
+    """
     if max_prefix_len < 0:
         raise ValueError(f"complement run length must be >= 0, got {max_prefix_len}")
     if num_terms < 1:
@@ -139,19 +137,19 @@ def _zero_tail_start(terms: np.ndarray) -> int | None:
 
 def classify_series(
     terms: np.ndarray,
-    prefix_len: int,
+    empty: np.ndarray,
     fit: TailFit,
-    model: EventSequenceModel | None = None,
+    classified: tuple[SeriesClass, str] | None,
 ) -> Verdict:
-    """Issue a convergence verdict for the evaluated ``prefix_len``-window terms.
+    """Issue a convergence verdict for the evaluated terms of one window series.
 
-    Certified verdicts come from exact-zero tails whose windows the backend
-    proves empty, or from analytic metadata; everything else rests on the
-    fitted tail exponent ``fit`` (``fit_tail(terms)``) with a +-0.1 buffer
-    around the p-series boundary.
+    ``empty`` is the series' row of emptiness proofs from ``window_series``
+    and ``classified`` the metadata's classification of it, or None.
+    Certified verdicts come from exact-zero tails whose windows are all proved
+    empty, or from ``classified``; everything else rests on the fitted tail
+    exponent ``fit`` (``fit_tail(terms)``) with a +-0.1 buffer around the
+    p-series boundary.
     """
-    classifier = model.metadata.series_classifier if model is not None else None
-    classified = classifier(prefix_len) if classifier is not None else None
     if len(terms) < MIN_TERMS_FOR_FIT and classified is None:
         raise InsufficientDataError(
             f"{len(terms)} terms evaluated; need {MIN_TERMS_FOR_FIT} or analytic metadata"
@@ -160,7 +158,7 @@ def classify_series(
     # Exact zeros observed beat declared metadata: verify them structurally.
     zero_start = _zero_tail_start(terms)
     if zero_start is not None and zero_start <= len(terms) // 2 + 1:
-        if model is not None and model.empty_series(prefix_len, zero_start, len(terms)).all():
+        if empty[zero_start - 1 :].all():
             return Verdict(
                 VerdictLabel.CERTIFIED_CONVERGENT,
                 f"eventually zero terms: every window from n = {zero_start} is provably"
@@ -233,16 +231,19 @@ class SeriesReport:
 
 
 def build_series_report(
-    model: EventSequenceModel, prefix_len: int, terms: np.ndarray
+    model: EventSequenceModel, prefix_len: int, terms: np.ndarray, empty: np.ndarray
 ) -> SeriesReport:
-    """The report on ``terms``, the evaluated ``prefix_len``-window series."""
+    """The report on ``terms`` and ``empty``, rows of the ``prefix_len``-window series."""
     fit = fit_tail(terms)
+    classifier = model.metadata.series_classifier
     return SeriesReport(
         prefix_len=prefix_len,
         terms=terms,
         partial_sums=compensated_cumsum(terms),
         tail_fit=fit,
-        verdict=classify_series(terms, prefix_len, fit, model),
+        verdict=classify_series(
+            terms, empty, fit, classifier(prefix_len) if classifier is not None else None
+        ),
     )
 
 
@@ -270,7 +271,15 @@ def _criterion(
     report: SeriesReport,
     decay: tuple[DecayVerdict, str] | None,
 ) -> CriterionResult:
-    """The criterion's conclusion from a series report and, for m >= 1, the decay check."""
+    """The criterion's conclusion from a series report and, for m >= 1, the decay check.
+
+    Concludes IO_PROB_ZERO when the series verdict is convergent and (for
+    m >= 1) the marginals provably or plausibly decay to zero; the conclusion
+    is certified only when both inputs are.  IO_PROB_ONE is issued only for
+    independent models with a divergent marginal series.  Dependent models
+    with divergent series get NO_CONCLUSION: the criteria are sufficient, not
+    necessary.
+    """
     prefix_len = report.prefix_len
     needs_decay = prefix_len >= 1
     decay_verdict, decay_note = decay if needs_decay else (None, "")
@@ -315,30 +324,6 @@ def _criterion(
     )
 
 
-def check_criterion(
-    model: EventSequenceModel,
-    prefix_len: int,
-    num_terms: int = 2000,
-    tol: float = 1e-6,
-) -> CriterionResult:
-    """Run the window-series criterion with complement run ``prefix_len``.
-
-    Concludes IO_PROB_ZERO when the series verdict is convergent and (for
-    prefix_len >= 1) the marginals provably or plausibly decay to zero; the
-    conclusion is certified only when both inputs are.  IO_PROB_ONE is issued
-    only for independent models with a divergent marginal series.  Dependent
-    models with divergent series get NO_CONCLUSION: the criteria are
-    sufficient, not necessary.  For prefix_len >= 1 the marginals are probed
-    for decay up to ``num_terms``.
-    """
-    terms = series_terms(model, prefix_len, num_terms)[prefix_len]
-    report = build_series_report(model, prefix_len, terms)
-    decay = (
-        marginal_decay_check(model, default_decay_probes(num_terms), tol) if prefix_len else None
-    )
-    return _criterion(model, report, decay)
-
-
 @dataclass
 class SweepResult:
     """Criteria for m = 0..max_prefix_len and the one decay check they share."""
@@ -359,14 +344,18 @@ def sweep_prefix_len(
 
     Reports the least length that concludes IO_PROB_ZERO (and the least doing
     so with certification), or None.  One ``series_terms`` call evaluates
-    every series, and the marginals are probed for decay once, up to
-    ``num_terms``; every criterion uses that result.
+    every series with its emptiness proofs, and the decay check probes its
+    marginal row once; every criterion uses that result.
     """
     if not 0 <= max_prefix_len <= MAX_PREFIX_LEN:
         raise ValueError(f"max_prefix_len {max_prefix_len} outside 0..{MAX_PREFIX_LEN}")
-    out = SweepResult(marginal_decay_check(model, default_decay_probes(num_terms), tol))
-    for m, terms in enumerate(series_terms(model, max_prefix_len, num_terms)):
-        res = _criterion(model, build_series_report(model, m, terms), out.decay)
+    # the decay check reads the table, so reject its tolerance before the table is built
+    if not tol > 0.0:
+        raise ValueError(f"decay tolerance must be positive, got {tol!r}")
+    terms, empty = series_terms(model, max_prefix_len, num_terms)
+    out = SweepResult(marginal_decay_check(model, terms[0], tol))
+    for m in range(max_prefix_len + 1):
+        res = _criterion(model, build_series_report(model, m, terms[m], empty[m]), out.decay)
         out.results.append(res)
         if res.conclusion is Conclusion.IO_PROB_ZERO:
             if out.least_io_zero is None:

@@ -14,9 +14,9 @@ programming:
 
 Each backend answers two kinds of query.  ``window_prob`` and
 ``window_is_empty`` take one window.  ``window_series`` evaluates the window
-series of every complement-run length 0..m at once, from one evaluation of
-the family, threshold or distribution arrays, and ``empty_series`` proves the
-windows of one series empty; both return the one-window answers bit for bit.
+series of every complement-run length 0..m at once, with the emptiness proof
+of every window, from one evaluation of the family, threshold or distribution
+arrays; it returns the one-window answers bit for bit.
 ``first_occurrence_terms`` and ``all_complement_prob`` both read one
 first-occurrence scan per backend (``_scan``), which an ``OccurrenceScan``
 carries on chunk by chunk.  ``sample_indicator_block`` draws sampled
@@ -32,12 +32,12 @@ import enum
 import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Any, Callable, Iterator, Sequence
+from typing import Any, Callable, Sequence
 
 import numpy as np
 
 from .families import ModelValueError, SequenceFamily, SequenceIndexError, SeriesClass
-from .windows import WindowPattern, marginal
+from .windows import WindowPattern
 
 __all__ = [
     "NumericFaultError",
@@ -52,7 +52,6 @@ __all__ = [
     "LatentUniformModel",
     "DecayVerdict",
     "marginal_decay_check",
-    "default_decay_probes",
 ]
 
 _PROB_SLACK = 1e-9
@@ -116,20 +115,14 @@ class EventSequenceModel(ABC):
         return AnalyticMetadata()
 
     @abstractmethod
-    def window_series(self, max_prefix_len: int, num_terms: int) -> np.ndarray:
+    def window_series(self, max_prefix_len: int, num_terms: int) -> tuple[np.ndarray, np.ndarray]:
         """Every m-window series for m = 0..max_prefix_len, from one evaluation.
 
-        Row m of the (max_prefix_len + 1, num_terms) array holds
-        ``window_prob(first_occurrence(n, m))`` for n = 1..num_terms, bit for bit.
+        Returns (terms, empty), two (max_prefix_len + 1, num_terms) tables.
+        ``terms[m, n - 1]`` is ``window_prob(first_occurrence(n, m))``, bit for
+        bit, and ``empty[m, n - 1]`` is ``window_is_empty`` of that window.
+        Row 0 of ``terms`` is the marginals P(A_n).
         """
-
-    @abstractmethod
-    def empty_series(self, prefix_len: int, lo: int, hi: int) -> np.ndarray:
-        """``window_is_empty(first_occurrence(n, prefix_len))`` for n = lo..hi, as bools."""
-
-    def marginal_prob(self, n: int) -> float:
-        """P(A_n); equals window_prob of the bare-event window at n."""
-        return self.window_prob(marginal(n))
 
     def first_occurrence_terms(
         self, n: int, count: int, scan: OccurrenceScan | None = None
@@ -299,25 +292,22 @@ class IndependentModel(EventSequenceModel):
                 return True
         return False
 
-    def window_series(self, max_prefix_len: int, num_terms: int) -> np.ndarray:
+    def window_series(self, max_prefix_len: int, num_terms: int) -> tuple[np.ndarray, np.ndarray]:
         # the window at n multiplies its factors in index order, as window_prob
-        # does: row m is the product of the first m complements, times p
+        # does: row m is the product of the first m complements, times p.  It
+        # is empty where p is 0 or a complement's p is 1 (dead).
         p = self._family.values(1, num_terms + max_prefix_len)
-        out = np.empty((max_prefix_len + 1, num_terms))
+        terms = np.empty((max_prefix_len + 1, num_terms))
+        empty = np.empty(terms.shape, dtype=bool)
         survive = np.ones(num_terms)  # 1.0 * x is x exactly
+        dead = np.zeros(num_terms, dtype=bool)
         for m in range(max_prefix_len + 1):
             window = p[m : m + num_terms]
-            out[m] = self._finish_probs(survive * window)
+            terms[m] = self._finish_probs(survive * window)
+            empty[m] = dead | (window == 0.0)
             survive *= 1.0 - window
-        return out
-
-    def empty_series(self, prefix_len: int, lo: int, hi: int) -> np.ndarray:
-        p = self._family.values(lo, hi + prefix_len)
-        count = hi - lo + 1
-        empty = p[prefix_len:] == 0.0
-        for i in range(prefix_len):
-            empty |= p[i : i + count] == 1.0
-        return empty
+            dead |= window == 1.0
+        return terms, empty
 
     def _scan(self, n: int, count: int, carry: Any) -> tuple[np.ndarray, Any]:
         # carry: the survival product, multiplied left to right from 1.0
@@ -651,30 +641,33 @@ class MarkovModel(EventSequenceModel):
             prev_idx = idx
         return not supp.any()
 
-    def window_series(self, max_prefix_len: int, num_terms: int) -> np.ndarray:
+    def window_series(self, max_prefix_len: int, num_terms: int) -> tuple[np.ndarray, np.ndarray]:
         # dists row n - 1: the distribution at time n + m with the complements
         # at n..n + m - 1 masked in, as window_prob propagates it
         masks = self._events.masks(1, num_terms + max_prefix_len)
         dists = self._dist_block(num_terms)
-        out = np.empty((max_prefix_len + 1, num_terms))
+        terms = np.empty((max_prefix_len + 1, num_terms))
         for m in range(max_prefix_len + 1):
             window = masks[m : m + num_terms]
-            out[m] = self._finish_probs((dists * window).sum(axis=1))
+            terms[m] = self._finish_probs((dists * window).sum(axis=1))
             if m < max_prefix_len:
                 dists = dists * ~window
                 # one vector-matrix product per row, bit-identical to window_prob's
                 # (a matrix-matrix product rounds differently)
                 dists = (dists[:, None, :] @ self._transition)[:, 0, :]
-        return out
-
-    def empty_series(self, prefix_len: int, lo: int, hi: int) -> np.ndarray:
-        count = hi - lo + 1
-        masks = self._events.masks(lo, hi + prefix_len)
-        reach = (self._transition > 0.0).astype(float)
-        supp = self._support_rows(lo, hi)
-        for i in range(prefix_len):
-            supp = (supp & ~masks[i : i + count]).astype(float) @ reach > 0.0
-        return ~(supp & masks[prefix_len:]).any(axis=1)
+        # the support pass runs once the distribution temporaries are freed, so
+        # the two passes' peaks do not add up.  Its 0/1 products count at most
+        # S paths, which float32 holds exactly.
+        del dists
+        reach = (self._transition > 0.0).astype(np.float32)
+        supp = self._support_rows(1, num_terms)
+        empty = np.empty(terms.shape, dtype=bool)
+        for m in range(max_prefix_len + 1):
+            window = masks[m : m + num_terms]
+            empty[m] = ~(supp & window).any(axis=1)
+            if m < max_prefix_len:
+                supp = (supp & ~window).astype(np.float32) @ reach > 0.0
+        return terms, empty
 
     def _scan(self, n: int, count: int, carry: Any) -> tuple[np.ndarray, Any]:
         # carry: the distribution masked to the complement at the last index,
@@ -861,25 +854,6 @@ class LatentUniformModel(EventSequenceModel):
             raise ValueError(f"threshold a_{lo + k} = {float(a[k])!r} outside [0, 1]")
         return a + 0.0
 
-    def _interval_rows(
-        self, max_prefix_len: int, lo: int, hi: int
-    ) -> Iterator[list[np.ndarray]]:
-        """Per m = 0..max_prefix_len, ``hi - lo`` of ``_latent_intervals`` per latent.
-
-        Row m covers the m-windows at n = lo..hi, one array per latent.
-        """
-        count = hi - lo + 1
-        colors = self._colors(lo, hi + max_prefix_len)
-        a = self._threshold_array(lo, hi + max_prefix_len, colors)
-        # below[j]: latent j's largest complement threshold so far; 0.0 and 1.0
-        # leave max and min alone
-        below = np.zeros((self._num_latents, count))
-        for m in range(max_prefix_len + 1):
-            mine, at = colors[m : m + count], a[m : m + count]
-            yield [np.where(mine == j, at, 1.0) - below[j] for j in range(self._num_latents)]
-            for j in range(self._num_latents):
-                np.maximum(below[j], np.where(mine == j, at, 0.0), out=below[j])
-
     def _first_position_at_or_after(self, n: int, latent: int) -> int:
         for i in range(n, n + len(self._coloring)):
             if self.color(i) == latent:
@@ -908,21 +882,28 @@ class LatentUniformModel(EventSequenceModel):
     def window_is_empty(self, w: WindowPattern) -> bool:
         return any(hi <= lo for lo, hi in self._latent_intervals(w))
 
-    def window_series(self, max_prefix_len: int, num_terms: int) -> np.ndarray:
-        out = np.empty((max_prefix_len + 1, num_terms))
-        for m, spans in enumerate(self._interval_rows(max_prefix_len, 1, num_terms)):
+    def window_series(self, max_prefix_len: int, num_terms: int) -> tuple[np.ndarray, np.ndarray]:
+        # the m-window at n constrains each latent to the span hi - lo of
+        # _latent_intervals; below[j] is latent j's largest complement threshold
+        # so far (0.0 and 1.0 leave max and min alone)
+        colors = self._colors(1, num_terms + max_prefix_len)
+        a = self._threshold_array(1, num_terms + max_prefix_len, colors)
+        below = np.zeros((self._num_latents, num_terms))
+        terms = np.empty((max_prefix_len + 1, num_terms))
+        empty = np.zeros(terms.shape, dtype=bool)
+        for m in range(max_prefix_len + 1):
+            mine, at = colors[m : m + num_terms], a[m : m + num_terms]
             prob = None
-            for length in spans:
-                length = np.where(length > 0.0, length, 0.0)  # max(0.0, hi - lo)
+            for j in range(self._num_latents):
+                span = np.where(mine == j, at, 1.0) - below[j]
+                # a difference of thresholds in [0, 1] is <= 0 exactly when hi <= lo
+                empty[m] |= span <= 0.0
+                length = np.where(span > 0.0, span, 0.0)  # max(0.0, hi - lo)
                 prob = length if prob is None else prob * length
-            out[m] = self._finish_probs(prob)
-        return out
-
-    def empty_series(self, prefix_len: int, lo: int, hi: int) -> np.ndarray:
-        for spans in self._interval_rows(prefix_len, lo, hi):
-            pass  # only the last row is kept
-        # a difference of thresholds in [0, 1] is <= 0 exactly when hi <= lo
-        return np.logical_or.reduce([length <= 0.0 for length in spans])
+            terms[m] = self._finish_probs(prob)
+            for j in range(self._num_latents):
+                np.maximum(below[j], np.where(mine == j, at, 0.0), out=below[j])
+        return terms, empty
 
     def _scan(self, n: int, count: int, carry: Any) -> tuple[np.ndarray, Any]:
         # term k is window_prob of its first-occurrence window: per latent, the
@@ -1040,7 +1021,7 @@ class DecayVerdict(enum.Enum):
     INCONCLUSIVE = "inconclusive"
 
 
-def default_decay_probes(n_max: int) -> list[int]:
+def _decay_probes(n_max: int) -> list[int]:
     """Small indices, then powers of two with their successors up to n_max.
 
     Adjacent pairs catch periodic alternation (a 2-cycle chain has marginals
@@ -1057,21 +1038,15 @@ def default_decay_probes(n_max: int) -> list[int]:
 
 
 def marginal_decay_check(
-    model: EventSequenceModel,
-    probes: Sequence[int] | None = None,
-    tol: float = 1e-6,
+    model: EventSequenceModel, marginals: np.ndarray, tol: float = 1e-6
 ) -> tuple[DecayVerdict, str]:
-    """Decide whether P(A_n) -> 0.
+    """Decide whether P(A_n) -> 0, given ``marginals``, P(A_n) for n = 1..N.
 
-    Certification comes only from analytic metadata.  Probing classifies
-    LikelyZeroLimit (below tol at the largest probes, non-increasing trend)
-    or NotDecaying (the running level persists), else Inconclusive.
+    ``marginals`` is row 0 of ``model.window_series``.  Certification comes
+    only from analytic metadata.  Probing the marginals at ``_decay_probes(N)``
+    classifies LikelyZeroLimit (below tol at the largest probes) or
+    NotDecaying (the running level persists), else Inconclusive.
     """
-    if probes is None:
-        probes = default_decay_probes(4096)
-    probes = list(probes)
-    if any(b <= a for a, b in zip(probes, probes[1:])):
-        raise ValueError("decay probes must be strictly increasing")
     if not tol > 0.0:
         raise ValueError(f"decay tolerance must be positive, got {tol!r}")
     meta = model.metadata
@@ -1083,14 +1058,12 @@ def marginal_decay_check(
         return DecayVerdict.NOT_DECAYING, (
             f"analytic marginal limit {meta.marginal_limit:g} > 0"
         )
-    vals = [model.marginal_prob(n) for n in probes]
+    vals = [float(marginals[n - 1]) for n in _decay_probes(len(marginals))]
     tail_len = max(4, len(vals) // 2)
     tail = vals[-tail_len:]
-    if all(v < tol for v in tail) and all(
-        b <= a + tol for a, b in zip(vals[-tail_len:], vals[-tail_len + 1 :])
-    ):
+    if all(v < tol for v in tail):
         return DecayVerdict.LIKELY_ZERO_LIMIT, (
-            f"marginals below {tol:g} at the {tail_len} largest probes, non-increasing"
+            f"marginals below {tol:g} at the {tail_len} largest probes"
         )
     half = len(tail) // 2
     early, late = tail[:half] or tail, tail[half:]

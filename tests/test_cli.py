@@ -250,6 +250,22 @@ def test_simulate_spec_default_horizon_zero_is_spec_error(tmp_path):
     assert run(["simulate", path]) == EXIT_SPEC
 
 
+def test_simulate_negative_seed_names_the_flag(capsys):
+    assert run(["simulate", SPECS / "coin-half.json", "--seed", "-1"]) == EXIT_SPEC
+    assert "spec error: --seed: expected a non-negative integer, got -1" in capsys.readouterr().err
+
+
+def test_simulate_negative_default_seed_names_the_spec_field(tmp_path, capsys):
+    spec = json.loads((SPECS / "coin-half.json").read_text())
+    spec.setdefault("defaults", {})["seed"] = -3
+    path = tmp_path / "seed.json"
+    path.write_text(json.dumps(spec))
+    assert run(["simulate", path]) == EXIT_SPEC
+    assert f"{path}.defaults.seed: expected a non-negative integer, got -3" in (
+        capsys.readouterr().err
+    )
+
+
 def test_numeric_fault_exit_3(tmp_path, monkeypatch):
     real_build = cli.build_model
 

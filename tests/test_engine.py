@@ -1,12 +1,14 @@
 """The array query path against the scalar reference, compared exactly.
 
-Every backend's ``window_series``/``empty_series`` and scans must return the
-floats the per-window loop returns, bit for bit: reports are built from the
+Every backend's ``window_series`` and scans must return the floats and
+emptiness proofs the per-window loop returns, bit for bit: reports are built from the
 arrays and must not change when the engine does.  The same holds for
 ``tail_union``'s doublings against one-shot sums, and for the Markov orbit
 against a plain walk of distributions.  The per-window loops below are the
 reference.
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -62,9 +64,13 @@ def reference_series(model, max_prefix_len, num_terms):
     )
 
 
-def reference_empty(model, prefix_len, lo, hi):
+def reference_empty(model, max_prefix_len, num_terms):
+    """Row m: ``window_is_empty`` of the m-window at n = 1..num_terms."""
     return np.array(
-        [model.window_is_empty(first_occurrence(n, prefix_len)) for n in range(lo, hi + 1)],
+        [
+            [model.window_is_empty(first_occurrence(n, m)) for n in range(1, num_terms + 1)]
+            for m in range(max_prefix_len + 1)
+        ],
         dtype=bool,
     )
 
@@ -170,20 +176,35 @@ def test_explicit_values_past_an_untailed_list_raise():
 
 
 @settings(max_examples=300, deadline=None)
-@given(models, prefix_lens, st.integers(min_value=1, max_value=40))
+@given(models, prefix_lens, st.integers(min_value=1, max_value=60))
 def test_window_series_matches_window_prob(model, max_prefix_len, num_terms):
-    got = model.window_series(max_prefix_len, num_terms)
-    assert got.shape == (max_prefix_len + 1, num_terms)
-    assert bits(got) == bits(reference_series(model, max_prefix_len, num_terms))
+    terms, empty = model.window_series(max_prefix_len, num_terms)
+    assert terms.shape == empty.shape == (max_prefix_len + 1, num_terms)
+    assert empty.dtype == bool
+    assert bits(terms) == bits(reference_series(model, max_prefix_len, num_terms))
+    assert np.array_equal(empty, reference_empty(model, max_prefix_len, num_terms))
+    # a proved-empty window has probability exactly 0
+    assert np.all(terms[empty] == 0.0)
 
 
-@settings(max_examples=300, deadline=None)
-@given(models, prefix_lens, st.integers(min_value=1, max_value=30), st.integers(0, 30))
-def test_empty_series_matches_window_is_empty(model, prefix_len, lo, span):
-    expected = reference_empty(model, prefix_len, lo, lo + span)
-    got = model.empty_series(prefix_len, lo, lo + span)
-    assert got.dtype == bool
-    assert np.array_equal(got, expected)
+def test_markov_series_memory_is_bounded():
+    # the support pass runs after the distribution pass has freed its
+    # temporaries: 4 blocks of N x S float64 hold either pass's peak, and
+    # the two passes run side by side do not fit
+    num_terms, s = 100_000, 16
+    rng = np.random.default_rng(5)
+    transition = rng.random((s, s))
+    transition /= transition.sum(axis=1, keepdims=True)
+    initial = np.zeros(s)
+    initial[0] = 1.0
+    model = MarkovModel(transition, initial, EventSchedule(s, constant=[1, 5, 9, 12]))
+    tracemalloc.start()
+    try:
+        model.window_series(3, num_terms)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * num_terms * s * 8
 
 
 @settings(max_examples=200, deadline=None)
@@ -264,7 +285,7 @@ def test_markov_series_independent_of_query_order(model, max_prefix_len, num_ter
     expected = reference_series(model, max_prefix_len, num_terms)
     model.window_series(0, 3 * num_terms)
     model.window_prob(first_occurrence(5 * num_terms, 1))
-    assert bits(model.window_series(max_prefix_len, num_terms)) == bits(expected)
+    assert bits(model.window_series(max_prefix_len, num_terms)[0]) == bits(expected)
     assert bits(reference_series(model, max_prefix_len, num_terms)) == bits(expected)
 
 

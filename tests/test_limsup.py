@@ -12,6 +12,7 @@ from cantelli import (
     tail_union,
 )
 from cantelli.limsup import aitken_extrapolate
+from cantelli.windows import marginal
 
 from conftest import (
     make_absorbing,
@@ -72,7 +73,7 @@ def test_union_bound_respects_saturated_offsets():
         [1] * 20 + [0],
         PerLatentThresholds((PowerLaw(0.01, 1.0), PowerLaw(0.5, 1.0)), (-5, 0)),
     )
-    assert model.marginal_prob(21) == 1.0
+    assert model.window_prob(marginal(21)) == 1.0
     assert tail_union(model, 1, k_max=16).interval[1] == 1.0
 
 
@@ -162,7 +163,7 @@ def test_absorbing_chain_stalls_without_analytic_bound():
 def test_certified_io_zero_models_have_shrinking_alpha():
     # whenever the series criterion certifies i.o.-probability zero, the
     # tail-union upper bounds must come down with it at desk scale
-    from cantelli import check_criterion, Conclusion
+    from cantelli import Conclusion, sweep_prefix_len
 
     cases = [
         (make_nested(), 1, [8, 16, 32], 128),
@@ -170,7 +171,7 @@ def test_certified_io_zero_models_have_shrinking_alpha():
         (IndependentModel(PowerLaw(1.0, 2.0)), 0, [10, 100, 1000], 1 << 15),
     ]
     for model, m, schedule, k_max in cases:
-        res = check_criterion(model, m, 2000)
+        res = sweep_prefix_len(model, m, 2000).results[m]
         assert res.conclusion is Conclusion.IO_PROB_ZERO and res.certified
         est = limsup_estimate(model, schedule, tol=1e-6, k_max=k_max)
         assert est.alpha_upper < 0.1

@@ -45,17 +45,20 @@ def test_nested_one_gap_window_is_empty():
 
 
 def test_marginal_prob_examples():
-    assert IndependentModel(PowerLaw(1.0, 2.0)).marginal_prob(10) == pytest.approx(0.01)
-    assert make_nested().marginal_prob(5) == pytest.approx(0.2)
+    power = IndependentModel(PowerLaw(1.0, 2.0))
+    assert power.window_prob(marginal(10)) == pytest.approx(0.01)
+    assert make_nested().window_prob(marginal(5)) == pytest.approx(0.2)
     eq = make_equal_rows([0.3, 0.7], [0.3, 0.7], members=[1])
     for n in (2, 3, 7):
-        assert eq.marginal_prob(n) == pytest.approx(0.7, abs=1e-14)
+        assert eq.window_prob(marginal(n)) == pytest.approx(0.7, abs=1e-14)
 
 
 def test_marginal_prob_equals_trivial_window():
+    # the decay check reads the marginals from row 0 of the series table
     model = random_markov(np.random.default_rng(0))
+    marginals = model.window_series(0, 5)[0][0]
     for n in (1, 2, 5):
-        assert model.marginal_prob(n) == model.window_prob(marginal(n))
+        assert marginals[n - 1] == model.window_prob(marginal(n))
 
 
 def test_suffix_orientation_independent_formula():
@@ -152,24 +155,22 @@ def test_equal_row_markov_matches_independent():
         assert chain.window_prob(w) == pytest.approx(indep.window_prob(w), abs=1e-12)
 
 
+def decay(model, tol=1e-6):
+    """The decay check on the model's first 4096 marginals."""
+    return marginal_decay_check(model, model.window_series(0, 4096)[0][0], tol)
+
+
 def test_decay_examples():
-    assert marginal_decay_check(IndependentModel(PowerLaw(1.0, 2.0)))[0] is (
-        DecayVerdict.CERTIFIED_ZERO_LIMIT
-    )
-    assert marginal_decay_check(make_coin())[0] is DecayVerdict.NOT_DECAYING
-    assert marginal_decay_check(make_flipflop())[0] is DecayVerdict.NOT_DECAYING
+    assert decay(IndependentModel(PowerLaw(1.0, 2.0)))[0] is DecayVerdict.CERTIFIED_ZERO_LIMIT
+    assert decay(make_coin())[0] is DecayVerdict.NOT_DECAYING
+    assert decay(make_flipflop())[0] is DecayVerdict.NOT_DECAYING
 
 
 def test_decay_probe_path_likely_zero():
     # absorbing chain has no analytic metadata; probes must see the decay
-    verdict, note = marginal_decay_check(make_absorbing(), tol=1e-6)
+    verdict, note = decay(make_absorbing())
     assert verdict is DecayVerdict.LIKELY_ZERO_LIMIT
-    assert "below" in note
-
-
-def test_decay_probes_must_increase():
-    with pytest.raises(ValueError):
-        marginal_decay_check(make_coin(), probes=[1, 3, 2])
+    assert note == "marginals below 1e-06 at the 12 largest probes"
 
 
 def test_decay_inconclusive_when_probes_have_not_settled():
@@ -179,7 +180,7 @@ def test_decay_inconclusive_when_probes_have_not_settled():
         np.array([1.0, 0.0]),
         EventSchedule(2, constant=[0]),
     )
-    verdict, note = marginal_decay_check(slow, tol=1e-6)
+    verdict, note = decay(slow)
     assert verdict is DecayVerdict.INCONCLUSIVE
     assert "not fallen below" in note
 
