@@ -187,6 +187,20 @@ def test_window_series_matches_window_prob(model, max_prefix_len, num_terms):
     assert np.all(terms[empty] == 0.0)
 
 
+@settings(max_examples=300, deadline=None)
+@given(models, prefix_lens, st.integers(min_value=1, max_value=30), st.integers(0, 30))
+def test_empty_series_matches_window_is_empty(model, prefix_len, lo, span):
+    # the emptiness row of the m-window over n = lo..lo + span, read from a
+    # table that starts at n = 1, agrees with window_is_empty window by window
+    _, empty = model.window_series(prefix_len, lo + span)
+    got = empty[prefix_len, lo - 1 :]
+    expected = [
+        model.window_is_empty(first_occurrence(n, prefix_len)) for n in range(lo, lo + span + 1)
+    ]
+    assert got.dtype == bool
+    assert np.array_equal(got, np.array(expected, dtype=bool))
+
+
 def test_markov_series_memory_is_bounded():
     # the support pass runs after the distribution pass has freed its
     # temporaries: 4 blocks of N x S float64 hold either pass's peak, and
