@@ -57,7 +57,6 @@ from .windows import (
     WindowPattern,
     all_complement,
     first_occurrence,
-    marginal,
 )
 
 __all__ = [
@@ -66,7 +65,6 @@ __all__ = [
     "WindowPattern",
     "Orientation",
     "Terminal",
-    "marginal",
     "first_occurrence",
     "all_complement",
     # families

@@ -525,6 +525,10 @@ def main(argv: list[str] | None = None) -> int:
         # spec errors (SpecError, HorizonExceededError) and bad data or flags found mid-analysis
         print(f"spec error: {exc}", file=sys.stderr)
         return EXIT_SPEC
+    except MemoryError:
+        # a size flag (--terms, --count, --schedule, ...) past what memory holds
+        print("spec error: the request does not fit in memory", file=sys.stderr)
+        return EXIT_SPEC
     print(
         f"[cantelli] {args.command} finished in {time.perf_counter() - started:.2f}s",
         file=sys.stderr,

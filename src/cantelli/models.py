@@ -23,7 +23,8 @@ carries on chunk by chunk.  ``sample_indicator_block`` draws sampled
 indicators for many windows from one generator; each window's block equals a
 single-window draw from a generator in the same state.
 
-All models are immutable after construction and all queries are pure.
+All models are immutable after construction and all queries are pure; the
+Markov backend caches only its two ``_Orbit`` walks, of distributions and supports.
 """
 
 from __future__ import annotations
@@ -429,24 +430,93 @@ def _check_distribution(v: Sequence[float], size: int, field: str, name: str) ->
         raise ModelValueError(field, "negative entry")
 
 
+class _Orbit:
+    """The walk x_1 = ``first``, x_{t+1} = ``step(x_t)`` of a deterministic map.
+
+    Once the walk meets a bitwise repeat (x_t == x_c, found by Brent's cycle
+    detection: one byte compare per step and one checkpoint), every later x
+    is a row of the cycle x_c..x_{t-1}, and reads at or past c never walk; a
+    walk that never repeats is the plain walk.  The orbit holds one forward
+    cursor (a time and its x) and the cycle once found, each replaced by a
+    single assignment, so reads stay pure without a lock.
+    """
+
+    def __init__(self, first: np.ndarray, step: Callable[[np.ndarray], np.ndarray]):
+        self._first = first
+        self._step = step
+        self._cursor = (1, first)
+        # (time c, read-only rows x_c..x_{c+period-1}) once the walk repeats
+        self._cycle: tuple[int, np.ndarray] | None = None
+
+    def at(self, n: int) -> np.ndarray:
+        """x_n (1-based)."""
+        if n < 1:
+            raise ValueError(f"time index {n} < 1")
+        if self._cycle is None or n < self._cycle[0]:
+            t, x = self._walk(n, n, None)
+            if t == n:
+                return x
+        start, rows = self._cycle
+        return rows[(n - start) % len(rows)]
+
+    def rows(self, lo: int, hi: int) -> np.ndarray:
+        """x_lo..x_hi as the rows of a new array."""
+        out = np.empty((hi - lo + 1, *self._first.shape), self._first.dtype)
+        cycle = self._cycle
+        # t: the last time written, from which the cycle fills the rest
+        t = lo - 1 if cycle and lo >= cycle[0] else max(lo - 1, self._walk(lo, hi, out)[0])
+        if t < hi:
+            start, cycle = self._cycle
+            out[t + 1 - lo :] = cycle[(np.arange(t + 1, hi + 1) - start) % len(cycle)]
+        return out
+
+    def _walk(self, lo: int, stop: int, out: np.ndarray | None) -> tuple[int, np.ndarray]:
+        """Walk from the cursor (from time 1 if it is past ``lo``) toward ``stop``.
+
+        Writes each x_t with t >= lo to ``out[t - lo]`` unless ``out`` is None,
+        and returns the (t, x_t) where the walk ended: at ``stop``, before a
+        known cycle, or at the first repeat, which sets the cycle.
+        """
+        t, x = self._cursor
+        if t > lo:
+            t, x = 1, self._first
+        if out is not None and t == lo:
+            out[0] = x
+        watch = self._cycle is None
+        if not watch:
+            stop = min(stop, self._cycle[0] - 1)
+        elif t < stop:
+            mark_t, mark_x, mark, power = t, x, x.tobytes(), 1
+        while t < stop:
+            x = self._step(x)
+            t += 1
+            if out is not None and t >= lo:
+                out[t - lo] = x
+            if watch:
+                key = x.tobytes()
+                if key == mark:
+                    rows = [mark_x]
+                    while len(rows) < t - mark_t:
+                        rows.append(self._step(rows[-1]))
+                    cycle = np.array(rows)
+                    cycle.setflags(write=False)
+                    self._cycle = (mark_t, cycle)
+                    break
+                if t - mark_t == power:
+                    mark_t, mark_x, mark, power = t, x, key, 2 * power
+        self._cursor = (t, x)
+        return t, x
+
+
 class MarkovModel(EventSequenceModel):
     """Finite chain; A_n holds when the state at time n lies in E_n.
 
     Window probabilities are computed by propagating the time-n distribution
-    through masked transition steps.  A window series propagates the block of
+    through masked transition steps.  A window series propagates the
     distributions at times 1..N as one stacked array, row by row with the same
-    vector-matrix products as a single window.
-
-    The step v -> v @ T is a deterministic float map, so once the walk of
-    distributions meets a bitwise repeat (v_t == v_c, found by Brent's cycle
-    detection: one byte compare per step and one checkpoint vector), every
-    later distribution is a row of the cycle v_c..v_{t-1}.  The model keeps
-    that orbit once found and reads far times from it, and series blocks tile
-    it instead of propagating; a walk that never repeats is the plain walk.
-    Memory stays O(S^2 + block + cycle): the model keeps the last series
-    block, one forward cursor (a time and its distribution) and the orbit.
-    Each lives in one immutable value, replaced by a single assignment, so
-    queries stay pure and deterministic under any interleaving without a lock.
+    vector-matrix products as a single window.  The distributions (step v ->
+    v @ T) and their supports (s -> reach[s].any(0)) are two ``_Orbit`` walks;
+    no series block is kept, so memory stays O(S^2 + cycle) between queries.
 
     The constructor is the one check of the chain.  ``transition`` must be a
     nonempty square list of rows, and each row and ``initial`` a probability
@@ -478,14 +548,10 @@ class MarkovModel(EventSequenceModel):
         self._initial.setflags(write=False)
         self._events = events
         self._num_states = s
-        # _block: read-only distributions at times 1..len(_block);
-        # _cursor: (time, distribution) of the last single query past the block
-        self._block = self._initial[None, :]
-        self._cursor = (1, self._initial)
-        # _orbit: (time c, read-only rows v_c..v_{c+period-1}) once a walk repeats
-        self._orbit: tuple[int, np.ndarray] | None = None
-        # (supports at times 1..len, 0-based row where they turn periodic, period)
-        self._supports: tuple[np.ndarray, int, int] | None = None
+        transition, reach = self._transition, self._transition > 0.0
+        # the distributions at times 1, 2, ..., and their supports
+        self._dists = _Orbit(self._initial, lambda v: v @ transition)
+        self._supports = _Orbit(self._initial > 0.0, lambda s: reach[s].any(axis=0))
         # sampling cut points: a path enters the first state k with u < cut[k].
         # Cuts are the cumulative sums, +inf from the last positive entry on, so
         # no state of probability 0 is entered and a u at or past a sum short of
@@ -507,78 +573,6 @@ class MarkovModel(EventSequenceModel):
     def event_mask(self, n: int) -> np.ndarray:
         return self._events.mask(n)
 
-    def _propagate(
-        self, t: int, v: np.ndarray, stop: int, rows: np.ndarray | None = None
-    ) -> tuple[int, np.ndarray]:
-        """Step v, the distribution at time t, on to time ``stop``.
-
-        Row i of ``rows`` receives the distribution at time i + 1 for each
-        time walked.  Until the orbit is known, Brent's method watches for a
-        repeat: the walk stops at the first one, sets the orbit, and returns
-        the (time, distribution) where it stopped.
-        """
-        watch = self._orbit is None
-        mark_t, mark_v, mark, power = t, v, v.tobytes(), 1
-        while t < stop:
-            v = v @ self._transition
-            t += 1
-            if rows is not None:
-                rows[t - 1] = v
-            if watch:
-                key = v.tobytes()
-                if key == mark:
-                    self._orbit = (mark_t, self._cycle_rows(mark_v, t - mark_t))
-                    break
-                if t - mark_t == power:
-                    mark_t, mark_v, mark, power = t, v, key, 2 * power
-        return t, v
-
-    def _cycle_rows(self, v: np.ndarray, period: int) -> np.ndarray:
-        """v and the next period - 1 distributions, as read-only rows."""
-        rows = np.empty((period, self._num_states))
-        rows[0] = v
-        for i in range(1, period):
-            v = v @ self._transition
-            rows[i] = v
-        rows.setflags(write=False)
-        return rows
-
-    def _dist_at(self, n: int) -> np.ndarray:
-        """Unconstrained state distribution at time n (1-based)."""
-        if n < 1:
-            raise ValueError(f"time index {n} < 1")
-        block = self._block
-        if n <= len(block):
-            return block[n - 1]
-        orbit = self._orbit
-        if orbit is None or n < orbit[0]:
-            t, v = self._cursor
-            if t > n:
-                t, v = len(block), block[-1]
-            t, v = self._propagate(t, v, n)
-            self._cursor = (t, v)
-            if t == n:
-                return v
-            orbit = self._orbit
-        start, cycle = orbit
-        return cycle[(n - start) % len(cycle)]
-
-    def _dist_block(self, count: int) -> np.ndarray:
-        """Distributions at times 1..count as the rows of a read-only array."""
-        block = self._block
-        if len(block) < count:
-            grown = np.empty((count, self._num_states))
-            grown[: len(block)] = block
-            orbit = self._orbit
-            stop = count if orbit is None else min(count, max(orbit[0], len(block)))
-            t, _ = self._propagate(len(block), block[-1], stop, grown)
-            if t < count:
-                start, cycle = self._orbit
-                grown[t:] = cycle[(np.arange(t + 1, count + 1) - start) % len(cycle)]
-            grown.setflags(write=False)
-            self._block = block = grown
-        return block[:count]
-
     @staticmethod
     def _sampling_cuts(rows: np.ndarray) -> np.ndarray:
         size = rows.shape[1]
@@ -587,33 +581,12 @@ class MarkovModel(EventSequenceModel):
             np.arange(size) < last_positive[:, None], np.cumsum(rows, axis=1), np.inf
         )
 
-    def _support_rows(self, lo: int, hi: int) -> np.ndarray:
-        """Masks of the states reachable with positive probability at times lo..hi."""
-        if self._supports is None:
-            reach = self._transition > 0.0
-            rows = [self._initial > 0.0]
-            seen = {rows[0].tobytes(): 0}
-            while True:
-                nxt = reach[rows[-1]].any(axis=0)
-                if nxt.tobytes() in seen:
-                    break
-                seen[nxt.tobytes()] = len(rows)
-                rows.append(nxt)
-            first = seen[nxt.tobytes()]
-            table = np.array(rows)
-            table.setflags(write=False)
-            self._supports = (table, first, len(rows) - first)
-        table, first, period = self._supports
-        idx = np.arange(lo - 1, hi)
-        idx = np.where(idx >= first, first + (idx - first) % period, idx)
-        return table[idx]
-
     def window_prob(self, w: WindowPattern) -> float:
         constraints = w.constraints()
         if not constraints:
             return 1.0
         start = constraints[0][0]
-        v = self._dist_at(start)
+        v = self._dists.at(start)
         prev_idx = None
         for idx, occur in constraints:
             if prev_idx is not None:
@@ -629,13 +602,12 @@ class MarkovModel(EventSequenceModel):
         if not constraints:
             return False
         start = constraints[0][0]
-        supp = self._support_rows(start, start)[0]
-        pos_trans = self._transition > 0.0
+        supp = self._supports.at(start)
         prev_idx = None
         for idx, occur in constraints:
             if prev_idx is not None:
                 for _ in range(idx - prev_idx):
-                    supp = pos_trans[supp, :].any(axis=0)
+                    supp = self._supports._step(supp)
             mask = self._events.mask(idx)
             supp = supp & mask if occur else supp & ~mask
             prev_idx = idx
@@ -645,7 +617,7 @@ class MarkovModel(EventSequenceModel):
         # dists row n - 1: the distribution at time n + m with the complements
         # at n..n + m - 1 masked in, as window_prob propagates it
         masks = self._events.masks(1, num_terms + max_prefix_len)
-        dists = self._dist_block(num_terms)
+        dists = self._dists.rows(1, num_terms)
         terms = np.empty((max_prefix_len + 1, num_terms))
         for m in range(max_prefix_len + 1):
             window = masks[m : m + num_terms]
@@ -660,7 +632,7 @@ class MarkovModel(EventSequenceModel):
         # S paths, which float32 holds exactly.
         del dists
         reach = (self._transition > 0.0).astype(np.float32)
-        supp = self._support_rows(1, num_terms)
+        supp = self._supports.rows(1, num_terms)
         empty = np.empty(terms.shape, dtype=bool)
         for m in range(max_prefix_len + 1):
             window = masks[m : m + num_terms]
@@ -672,7 +644,7 @@ class MarkovModel(EventSequenceModel):
     def _scan(self, n: int, count: int, carry: Any) -> tuple[np.ndarray, Any]:
         # carry: the distribution masked to the complement at the last index,
         # before its step to the next
-        v = self._dist_at(n) if carry is None else carry @ self._transition
+        v = self._dists.at(n) if carry is None else carry @ self._transition
         masks = self._events.masks(n, n + count - 1)
         hits = np.empty((count, self._num_states))
         for k, mask in enumerate(masks):

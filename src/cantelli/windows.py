@@ -68,11 +68,6 @@ class WindowPattern:
         return ((n, True),) + tuple((n + 1 + i, False) for i in range(m))
 
 
-def marginal(n: int) -> WindowPattern:
-    """The bare event at index n."""
-    return WindowPattern(n, 0, Terminal.OCCURRENCE)
-
-
 def first_occurrence(
     n: int, k: int, orientation: Orientation = Orientation.PREFIX_COMPLEMENT
 ) -> WindowPattern:

@@ -31,7 +31,7 @@ from cantelli import (
     tail_union,
 )
 from cantelli.cli import main as cli_main
-from cantelli.windows import Orientation, all_complement, first_occurrence, marginal
+from cantelli.windows import Orientation, all_complement, first_occurrence
 
 from conftest import (
     make_coin,
@@ -136,7 +136,7 @@ def test_criterion_04_termwise_domination():
             ]
             for longer, shorter in zip(chain, chain[1:]):
                 assert longer <= shorter + 1e-12
-            assert chain[-1] == pytest.approx(model.window_prob(marginal(n + m)), abs=0)
+            assert chain[-1] == pytest.approx(model.window_prob(first_occurrence(n + m, 0)), abs=0)
             checks += 1
 
 

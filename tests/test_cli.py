@@ -288,6 +288,26 @@ def test_numeric_fault_exit_3(tmp_path, monkeypatch):
     assert code == EXIT_NUMERIC
 
 
+def test_oversized_request_exit_2(tmp_path, monkeypatch, capsys):
+    real_build = cli.build_model
+
+    class Oversized:
+        def __init__(self, inner):
+            self._inner = inner
+
+        def __getattr__(self, name):
+            return getattr(self._inner, name)
+
+        def window_series(self, max_prefix_len, num_terms):
+            raise MemoryError("injected allocation failure")
+
+    monkeypatch.setattr(cli, "build_model", lambda spec: Oversized(real_build(spec)))
+    code = run(["analyze", SPECS / "powerlaw-2.json", "--terms", "200",
+                "--out", tmp_path / "r.json"])
+    assert code == EXIT_SPEC
+    assert "does not fit in memory" in capsys.readouterr().err
+
+
 def test_table_format_renders(capsys):
     assert run(["analyze", SPECS / "nested.json", "--terms", "500",
                 "--format", "table"]) == EXIT_OK

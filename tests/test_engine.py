@@ -3,11 +3,13 @@
 Every backend's ``window_series`` and scans must return the floats and
 emptiness proofs the per-window loop returns, bit for bit: reports are built from the
 arrays and must not change when the engine does.  The same holds for
-``tail_union``'s doublings against one-shot sums, and for the Markov orbit
-against a plain walk of distributions.  The per-window loops below are the
-reference.
+``tail_union``'s doublings against one-shot sums, and for the Markov orbits
+against plain walks of distributions and supports.  The per-window loops below
+are the reference.
 """
 
+import gc
+import importlib.util
 import tracemalloc
 
 import numpy as np
@@ -32,10 +34,11 @@ from cantelli import (
 from cantelli.families import SequenceIndexError
 from cantelli.limsup import INITIAL_TRUNCATION
 from cantelli.models import NumericFaultError, OccurrenceScan
+from cantelli.specfile import parse_spec
 from cantelli.summation import compensated_sum
 from cantelli.windows import all_complement, first_occurrence
 
-from conftest import make_absorbing, make_equal_rows, make_flipflop
+from conftest import REPO, make_absorbing, make_equal_rows, make_flipflop
 
 probs = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
 scales = st.floats(min_value=0.0, max_value=3.0, allow_nan=False)
@@ -295,7 +298,7 @@ def test_tail_union_doublings_match_one_shot_sums(model, n, tol, k_max):
 @settings(max_examples=40, deadline=None)
 @given(markov_models(), prefix_lens, st.integers(min_value=1, max_value=30))
 def test_markov_series_independent_of_query_order(model, max_prefix_len, num_terms):
-    # a grown distribution block and a far cursor must not change any value
+    # a walked cursor, a found cycle and a far read must not change any value
     expected = reference_series(model, max_prefix_len, num_terms)
     model.window_series(0, 3 * num_terms)
     model.window_prob(first_occurrence(5 * num_terms, 1))
@@ -308,11 +311,14 @@ def test_markov_far_start_keeps_no_block():
         np.array([[0.5, 0.5], [0.25, 0.75]]), np.array([1.0, 0.0]), EventSchedule(2, constant=[0])
     )
     far = chain.window_prob(first_occurrence(200_000, 2))
-    # no block growth, and far times read a short stored orbit
-    assert chain._block.shape == (1, 2)
-    assert len(chain._orbit[1]) <= 256
-    # going back restarts from the block, and forward again reproduces the value
+    # the walk stopped at its first repeat, and far times read a short stored cycle
+    t, v = chain._dists._cursor
+    start, cycle = chain._dists._cycle
+    assert t == start + len(cycle) and bits(v) == bits(cycle[0])
+    assert len(cycle) <= 256
+    # going back restarts from time 1, and forward again reproduces the value
     assert chain.window_prob(first_occurrence(3, 1)) == chain.window_prob(first_occurrence(3, 1))
+    assert chain._dists._cursor[0] == 3
     assert chain.window_prob(first_occurrence(200_000, 2)) == far
 
 
@@ -360,10 +366,10 @@ def test_markov_orbit_matches_plain_walk(name, order):
     model = ORBIT_CHAINS[name]()
     walk = plain_walk(model, WALK)
     for i, t in enumerate(ORDERS[order]):
-        assert bits(model._dist_at(t)) == bits(walk[t - 1])
+        assert bits(model._dists.at(t)) == bits(walk[t - 1])
         if i == 3:
-            assert bits(model._dist_block(60)) == bits(walk[:60])
-    assert bits(model._dist_block(WALK)) == bits(walk)
+            assert bits(model._dists.rows(1, 60)) == bits(walk[:60])
+    assert bits(model._dists.rows(1, WALK)) == bits(walk)
 
 
 @settings(max_examples=60, deadline=None)
@@ -371,14 +377,17 @@ def test_markov_orbit_matches_plain_walk(name, order):
     markov_models(),
     st.lists(st.integers(min_value=1, max_value=WALK), min_size=1, max_size=8),
     st.integers(min_value=1, max_value=WALK),
+    st.integers(min_value=1, max_value=WALK),
 )
-def test_markov_orbit_matches_plain_walk_on_random_chains(model, times, block_len):
+def test_markov_orbit_matches_plain_walk_on_random_chains(model, times, lo, block_len):
     walk = plain_walk(model, WALK)
     for i, t in enumerate(times):
         if i == len(times) // 2:
-            assert bits(model._dist_block(block_len)) == bits(walk[:block_len])
-        assert bits(model._dist_at(t)) == bits(walk[t - 1])
-    assert bits(model._dist_block(WALK)) == bits(walk)
+            assert bits(model._dists.rows(1, block_len)) == bits(walk[:block_len])
+        assert bits(model._dists.at(t)) == bits(walk[t - 1])
+    lo = min(lo, block_len)
+    assert bits(model._dists.rows(lo, block_len)) == bits(walk[lo - 1 : block_len])
+    assert bits(model._dists.rows(1, WALK)) == bits(walk)
 
 
 # the absorbing chain's mass 0.5^t leaves state 0 only by underflow, near t = 1075
@@ -388,8 +397,78 @@ def test_markov_far_time_reads_the_orbit(name):
     v = model._initial
     for _ in range(100_000 - 1):
         v = v @ model._transition
-    assert bits(model._dist_at(100_000)) == bits(v)
-    assert len(model._orbit[1]) <= 256
+    assert bits(model._dists.at(100_000)) == bits(v)
+    assert len(model._dists._cycle[1]) <= 256
+
+
+def plain_support_walk(model, count):
+    """Supports at times 1..count, one 0/1 matrix product at a time."""
+    reach = (model._transition > 0.0).astype(int)
+    rows = [model._initial > 0.0]
+    for _ in range(count - 1):
+        rows.append(rows[-1].astype(int) @ reach > 0)
+    return np.array(rows)
+
+
+# a walk over at most 2^9 supports meets Brent's repeat by time 3 * 2^9
+SUPPORT_CYCLE_BY = 2048
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    markov_models(),
+    st.lists(
+        st.tuples(st.integers(min_value=1, max_value=3 * WALK), st.integers(0, 40)),
+        min_size=1,
+        max_size=8,
+    ),
+)
+def test_markov_supports_match_plain_walk(model, reads):
+    walk = plain_support_walk(model, SUPPORT_CYCLE_BY)
+    orbit = model._supports
+
+    def check():
+        for t, width in reads:
+            assert np.array_equal(orbit.at(t), walk[t - 1])
+            assert np.array_equal(orbit.rows(t, t + width), walk[t - 1 : t + width])
+
+    check()
+    assert np.array_equal(orbit.at(SUPPORT_CYCLE_BY), walk[-1])
+    assert orbit._cycle is not None
+    reads.reverse()
+    check()
+
+
+@pytest.mark.parametrize("name", ORBIT_CHAINS)
+@pytest.mark.parametrize("which", ["_dists", "_supports"])
+def test_markov_orbit_reads_past_its_cycle_take_no_step(name, which):
+    orbit = getattr(ORBIT_CHAINS[name](), which)
+    step, steps = orbit._step, []
+    orbit._step = lambda x: steps.append(x) or step(x)
+    orbit.at(100_000)
+    start, cycle = orbit._cycle
+    steps.clear()
+    for t in (start, start + 1, start + len(cycle), 10**12):
+        orbit.at(t)
+    orbit.rows(start, start + 3 * len(cycle) + 5)
+    orbit.rows(10**12, 10**12 + 100)
+    assert steps == []
+
+
+def test_markov_series_keeps_no_block():
+    path = REPO / "perfbench" / "workloads.py"
+    loader = importlib.util.spec_from_file_location("workloads", path)
+    workloads = importlib.util.module_from_spec(loader)
+    loader.loader.exec_module(workloads)
+    model = parse_spec(workloads.chain_spec(7)).model
+    tracemalloc.start()
+    try:
+        model.window_series(3, 100_000)
+        gc.collect()
+        retained, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert retained < 1 << 20
 
 
 def test_markov_orbit_that_never_repeats_is_the_plain_walk():
@@ -397,10 +476,10 @@ def test_markov_orbit_that_never_repeats_is_the_plain_walk():
     eps = 1e-9
     model = _chain([[1 - eps, eps], [eps, 1 - eps]], [1.0, 0.0])()
     walk = plain_walk(model, 5000)
-    assert bits(model._dist_at(5000)) == bits(walk[-1])
-    assert bits(model._dist_at(4000)) == bits(walk[3999])
-    assert bits(model._dist_block(5000)) == bits(walk)
-    assert model._orbit is None
+    assert bits(model._dists.at(5000)) == bits(walk[-1])
+    assert bits(model._dists.at(4000)) == bits(walk[3999])
+    assert bits(model._dists.rows(1, 5000)) == bits(walk)
+    assert model._dists._cycle is None
 
 
 def test_markov_limsup_to_1e12_reads_the_orbit():
@@ -413,8 +492,10 @@ def test_markov_limsup_to_1e12_reads_the_orbit():
     assert all(s.tolerance_reached for s in est.samples)
     # every start lies on the orbit's fixed point, so the enclosures agree
     assert len({(s.partial, s.remainder_bound) for s in est.samples}) == 1
-    assert len(model._orbit[1]) <= 256
-    assert model._block.shape == (1, 3)
+    # no walk went past the first repeat: every far start read the cycle
+    start, cycle = model._dists._cycle
+    assert model._dists._cursor[0] == start + len(cycle)
+    assert len(cycle) <= 256
 
 
 class _NaNFamily(SequenceFamily):

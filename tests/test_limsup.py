@@ -12,7 +12,7 @@ from cantelli import (
     tail_union,
 )
 from cantelli.limsup import aitken_extrapolate
-from cantelli.windows import marginal
+from cantelli.windows import first_occurrence
 
 from conftest import (
     make_absorbing,
@@ -73,7 +73,7 @@ def test_union_bound_respects_saturated_offsets():
         [1] * 20 + [0],
         PerLatentThresholds((PowerLaw(0.01, 1.0), PowerLaw(0.5, 1.0)), (-5, 0)),
     )
-    assert model.window_prob(marginal(21)) == 1.0
+    assert model.window_prob(first_occurrence(21, 0)) == 1.0
     assert tail_union(model, 1, k_max=16).interval[1] == 1.0
 
 

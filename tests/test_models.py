@@ -18,7 +18,7 @@ from cantelli import (
     PowerLaw,
     marginal_decay_check,
 )
-from cantelli.windows import Orientation, all_complement, first_occurrence, marginal
+from cantelli.windows import Orientation, all_complement, first_occurrence
 
 from conftest import (
     make_absorbing,
@@ -46,11 +46,11 @@ def test_nested_one_gap_window_is_empty():
 
 def test_marginal_prob_examples():
     power = IndependentModel(PowerLaw(1.0, 2.0))
-    assert power.window_prob(marginal(10)) == pytest.approx(0.01)
-    assert make_nested().window_prob(marginal(5)) == pytest.approx(0.2)
+    assert power.window_prob(first_occurrence(10, 0)) == pytest.approx(0.01)
+    assert make_nested().window_prob(first_occurrence(5, 0)) == pytest.approx(0.2)
     eq = make_equal_rows([0.3, 0.7], [0.3, 0.7], members=[1])
     for n in (2, 3, 7):
-        assert eq.window_prob(marginal(n)) == pytest.approx(0.7, abs=1e-14)
+        assert eq.window_prob(first_occurrence(n, 0)) == pytest.approx(0.7, abs=1e-14)
 
 
 def test_marginal_prob_equals_trivial_window():
@@ -58,7 +58,7 @@ def test_marginal_prob_equals_trivial_window():
     model = random_markov(np.random.default_rng(0))
     marginals = model.window_series(0, 5)[0][0]
     for n in (1, 2, 5):
-        assert marginals[n - 1] == model.window_prob(marginal(n))
+        assert marginals[n - 1] == model.window_prob(first_occurrence(n, 0))
 
 
 def test_suffix_orientation_independent_formula():
@@ -284,9 +284,9 @@ def test_markov_queries_are_pure_under_threads():
 def test_markov_window_is_empty_via_support():
     ff = make_flipflop()
     # started in state 1: being in state 0 at time 1 is impossible
-    assert ff.window_is_empty(marginal(1))
-    assert ff.window_prob(marginal(1)) == 0.0
-    assert not ff.window_is_empty(marginal(2))
+    assert ff.window_is_empty(first_occurrence(1, 0))
+    assert ff.window_prob(first_occurrence(1, 0)) == 0.0
+    assert not ff.window_is_empty(first_occurrence(2, 0))
     # the complement run not-A_3 A_4 is certain, not empty
     assert ff.window_prob(first_occurrence(3, 1)) == 1.0
     assert not ff.window_is_empty(first_occurrence(3, 1))

@@ -25,7 +25,7 @@ from cantelli import (
     estimate_window_prob,
 )
 from cantelli.montecarlo import CHUNK, _chunk_rng
-from cantelli.windows import Orientation, all_complement, first_occurrence, marginal
+from cantelli.windows import Orientation, all_complement, first_occurrence
 
 from conftest import make_interleaved, make_nested, random_markov
 
@@ -201,7 +201,7 @@ def test_markov_sampler_never_enters_a_zero_probability_state(u):
     )
     for model in (certain, short):
         (block,) = model.sample_indicator_block(ConstantUniforms(u), [(1, 5)], 16)
-        assert all(model.window_prob(marginal(n)) == 0.0 for n in range(1, 6))
+        assert all(model.window_prob(first_occurrence(n, 0)) == 0.0 for n in range(1, 6))
         assert not block.any()
 
 
@@ -209,7 +209,7 @@ def test_markov_sampler_never_enters_a_zero_probability_state(u):
 def test_latent_sampler_never_realizes_a_zero_threshold(u):
     model = LatentUniformModel(1, [0], GlobalThresholds(ExplicitList((0.5, 0.0, 0.0), tail=0.0)))
     (block,) = model.sample_indicator_block(ConstantUniforms(u), [(1, 5)], 16)
-    assert model.window_prob(marginal(2)) == 0.0
+    assert model.window_prob(first_occurrence(2, 0)) == 0.0
     assert not block[:, 1:].any()
     assert block[:, 0].all() == (u < 0.5)
 

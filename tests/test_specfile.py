@@ -11,7 +11,7 @@ from cantelli import (
     load_spec,
 )
 from cantelli.specfile import parse_spec
-from cantelli.windows import marginal
+from cantelli.windows import first_occurrence
 
 from conftest import SPECS
 
@@ -130,7 +130,7 @@ def test_logpower_family_parses():
     model = build_model(spec)
     import math
 
-    assert model.window_prob(marginal(10)) == pytest.approx(1.0 / math.log(11.0) ** 2)
+    assert model.window_prob(first_occurrence(10, 0)) == pytest.approx(1.0 / math.log(11.0) ** 2)
 
 
 def test_explicit_list_without_tail_surfaces_as_spec_error(tmp_path):

@@ -6,12 +6,11 @@ from cantelli.windows import (
     WindowPattern,
     all_complement,
     first_occurrence,
-    marginal,
 )
 
 
 def test_marginal_constraints():
-    w = marginal(5)
+    w = first_occurrence(5, 0)
     assert w.constraints() == ((5, True),)
     assert w.first_index == 5
     assert w.last_index == 5
