@@ -360,21 +360,25 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 def verify_results(model: EventSequenceModel, horizon: int) -> tuple[dict, float]:
     space = build_outcome_space(model, horizon)
+    # The engine answers come from the paths the reports read: prefix windows
+    # from the series table analyze sums, all-complement and union rows from
+    # the scans limsup runs.  Row m of window_series(m, horizon - m) reads no
+    # index past the horizon, so a model defined only that far still verifies.
+    series = [model.window_series(m, horizon - m)[0][m] for m in range(horizon)]
     rows = []
     max_diff = 0.0
     for n in range(1, horizon + 1):
         for m in range(0, horizon - n + 1):
-            for orientation in (Orientation.PREFIX_COMPLEMENT, Orientation.SUFFIX_COMPLEMENT):
-                if m == 0 and orientation is Orientation.SUFFIX_COMPLEMENT:
-                    continue
-                w = first_occurrence(n, m, orientation)
-                engine = model.window_prob(w)
+            windows = [(first_occurrence(n, m), float(series[m][n - 1]))]
+            if m:
+                suffix = first_occurrence(n, m, Orientation.SUFFIX_COMPLEMENT)
+                windows.append((suffix, model.window_prob(suffix)))
+            for w, engine in windows:
                 oracle = oracle_window_prob(space, w)
-                rows.append(("window", n, m, orientation.value, engine, oracle))
+                rows.append(("window", n, m, w.orientation.value, engine, oracle))
         for m in range(1, horizon - n + 2):
-            w = all_complement(n, m)
-            engine = model.window_prob(w)
-            oracle = oracle_window_prob(space, w)
+            engine = model.all_complement_prob(n, m)
+            oracle = oracle_window_prob(space, all_complement(n, m))
             rows.append(("all-complement", n, m, "", engine, oracle))
         for span in range(0, horizon - n + 1):
             engine = float(min(1.0, max(0.0, model.first_occurrence_terms(n, span + 1).sum())))

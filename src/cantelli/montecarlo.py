@@ -89,11 +89,22 @@ def _iter_chunks(count: int) -> Iterator[tuple[int, int]]:
 
 
 def _holds(query: WindowPattern | tuple[int, int], block: np.ndarray) -> np.ndarray:
-    """Rows of ``block`` (the indicators of the query's window) where its event holds."""
+    """Rows of ``block`` (the indicators of the query's window) where its event holds.
+
+    One pass per column of the short rows, in place.
+    """
     if isinstance(query, WindowPattern):
         # a window constrains every index of its span, in index order
-        return (block == [occur for _, occur in query.constraints()]).all(axis=1)
-    return block.any(axis=1)
+        (_, occur), *rest = query.constraints()
+        held = block[:, 0].copy() if occur else ~block[:, 0]
+        for col, (_, occur) in enumerate(rest, start=1):
+            # held & ~col is held > col on booleans, with no temporary
+            (np.logical_and if occur else np.greater)(held, block[:, col], out=held)
+        return held
+    held = block[:, 0].copy()
+    for col in range(1, block.shape[1]):
+        held |= block[:, col]
+    return held
 
 
 def estimate_frequencies(

@@ -1,11 +1,18 @@
 """Brute-force ground truth on a truncated horizon.
 
 The oracle enumerates every outcome of a model up to a small horizon and
-answers event-probability queries by summing atom probabilities.  It never
+answers event-probability queries by summing outcome probabilities.  It never
 approximates: horizons past the hard caps raise instead of truncating.  It is
 deliberately independent of the production engines: independent models are
 expanded into all indicator patterns, Markov models into all state paths, and
 latent models into exact threshold cells.
+
+Every window and union query asks only which of A_1..A_h hold, so outcomes
+with the same indicator pattern are interchangeable.  The enumeration folds
+each outcome's probability into the bin of its indicator code, and queries
+read the 2^h bins, however many outcomes there were.  Each bin total comes
+within about one rounding of its exact sum, so an answer carries only the
+rounding of each outcome's probability and of one sum over bins.
 """
 
 from __future__ import annotations
@@ -23,7 +30,14 @@ from .models import (
 from .windows import WindowPattern
 
 MAX_INDICATOR_HORIZON = 14
+# caps both the Markov state paths and the 2^h codes they fold into
 MAX_MARKOV_PATHS = 10_000_000
+_FOLD_SLICE = 1 << 14
+
+
+def _code_type(horizon: int) -> np.dtype:
+    """The smallest unsigned type that holds every code: short passes over codes."""
+    return np.min_scalar_type(2**horizon - 1)
 
 
 class HorizonExceededError(ValueError):
@@ -32,34 +46,34 @@ class HorizonExceededError(ValueError):
 
 @dataclass
 class TruncatedOutcomeSpace:
-    """All outcomes of a model up to ``horizon``, with exact probabilities.
+    """The outcomes of a model up to ``horizon``, binned by indicator code.
 
-    ``indicators[a, t]`` says whether A_{t+1} holds in atom ``a``.  It is
-    stored column-major, so each event's column over all atoms is contiguous.
+    ``probs[c]`` is the total probability of the outcomes whose indicator code
+    is ``c``: bit t of ``c`` says whether A_{t+1} holds.  ``probs`` has one bin
+    per code, 2^horizon in all.
     """
 
     horizon: int
     probs: np.ndarray
-    indicators: np.ndarray
 
     def __post_init__(self) -> None:
         total = float(self.probs.sum())
         if abs(total - 1.0) > 1e-12:
-            raise ValueError(f"atom probabilities sum to {total!r}, expected 1")
-        self.indicators = np.asfortranarray(self.indicators)
+            raise ValueError(f"outcome probabilities sum to {total!r}, expected 1")
+        self._codes = np.arange(2**self.horizon, dtype=_code_type(self.horizon))
 
     def window_mask(self, w: WindowPattern) -> np.ndarray:
         if w.last_index > self.horizon:
             raise HorizonExceededError(
                 f"window reaches index {w.last_index} past horizon {self.horizon}"
             )
-        cols = self.indicators
-        (idx, occur), *rest = w.constraints()
-        mask = cols[:, idx - 1].copy() if occur else ~cols[:, idx - 1]
-        for idx, occur in rest:
-            # mask & ~col is mask > col on booleans, with no temporary
-            (np.logical_and if occur else np.greater)(mask, cols[:, idx - 1], out=mask)
-        return mask
+        span = ones = 0
+        for idx, occur in w.constraints():
+            bit = 1 << (idx - 1)
+            span |= bit
+            if occur:
+                ones |= bit
+        return self._codes & span == ones
 
     def union_mask(self, n: int, span: int) -> np.ndarray:
         last = n + span
@@ -69,7 +83,8 @@ class TruncatedOutcomeSpace:
             raise HorizonExceededError(
                 f"union reaches index {last} past horizon {self.horizon}"
             )
-        return self.indicators[:, n - 1 : last].any(axis=1)
+        bits = ((1 << (span + 1)) - 1) << (n - 1)
+        return self._codes & bits != 0
 
     def event_prob(self, mask: np.ndarray) -> float:
         return float(self.probs[mask].sum())
@@ -102,32 +117,35 @@ def _independent_space(model: IndependentModel, horizon: int) -> TruncatedOutcom
         raise HorizonExceededError(
             f"horizon {horizon} exceeds indicator cap {MAX_INDICATOR_HORIZON}"
         )
+    # outcome c is the indicator pattern with code c: each is its own bin
     p = np.array([model.family.value(i) for i in range(1, horizon + 1)])
-    atoms = np.arange(2**horizon)
-    indicators = (atoms[:, None] >> np.arange(horizon)) & 1 > 0
+    codes = np.arange(2**horizon)
+    indicators = (codes[:, None] >> np.arange(horizon)) & 1 > 0
     probs = np.where(indicators, p, 1.0 - p).prod(axis=1)
-    return TruncatedOutcomeSpace(horizon, probs, indicators)
+    return TruncatedOutcomeSpace(horizon, probs)
 
 
 def _markov_space(model: MarkovModel, horizon: int) -> TruncatedOutcomeSpace:
     s = model.num_states
-    if s**horizon > MAX_MARKOV_PATHS:
+    base = max(s, 2)
+    if base**horizon > MAX_MARKOV_PATHS:
+        # a 1-state chain has one path but still needs 2^horizon bins
+        what = "state paths" if s > 1 else "indicator codes"
         raise HorizonExceededError(
-            f"{s}^{horizon} state paths exceed the cap of {MAX_MARKOV_PATHS}"
+            f"{base}^{horizon} {what} exceed the cap of {MAX_MARKOV_PATHS}"
         )
     transition = model._transition  # noqa: SLF001 - oracle reads the frozen inputs
     initial = model._initial  # noqa: SLF001
-    # Atom a is the path whose state at time t is the base-s digit
-    # (a // s**(horizon - t)) % s: time 1 is the leading digit.
+    # Path a has its state at time t in the base-s digit (a // s**(horizon - t)) % s:
+    # time 1 is the leading digit.  Each step appends a lowest digit to every
+    # path, multiplying its probability and setting its code's bit for A_t.
+    code_type = _code_type(horizon)
     probs = initial.copy()
-    for _ in range(horizon - 1):
-        # extend each path by one step; its last state is its lowest digit
+    codes = model.event_mask(1).astype(code_type)
+    for t in range(2, horizon + 1):
         probs = (probs.reshape(-1, s, 1) * transition).reshape(-1)
-    cols = np.empty((horizon, s**horizon), dtype=bool)
-    for t in range(1, horizon + 1):
-        # atoms as (leading digits, digit t, trailing digits): column t reads the middle
-        cols[t - 1].reshape(s ** (t - 1), s, s ** (horizon - t))[...] = model.event_mask(t)[:, None]
-    return TruncatedOutcomeSpace(horizon, probs, cols.T)
+        codes = (codes[:, None] | model.event_mask(t).astype(code_type) << (t - 1)).reshape(-1)
+    return _binned(horizon, codes, probs)
 
 
 def _latent_space(model: LatentUniformModel, horizon: int) -> TruncatedOutcomeSpace:
@@ -157,4 +175,32 @@ def _latent_space(model: LatentUniformModel, horizon: int) -> TruncatedOutcomeSp
             lo, hi = combo[model.color(i)]
             # U in (lo, hi]: the cell satisfies U <= a_i exactly when hi <= a_i.
             indicators[a, i - 1] = hi <= model.threshold(i)
-    return TruncatedOutcomeSpace(horizon, probs, indicators)
+    codes = indicators.astype(np.int64) @ (1 << np.arange(horizon))
+    return _binned(horizon, codes, probs)
+
+
+def _binned(horizon: int, codes: np.ndarray, probs: np.ndarray) -> TruncatedOutcomeSpace:
+    """The space whose bin c holds the total of ``probs`` where ``codes`` is c.
+
+    Each total is within about one rounding of its exact sum, however many
+    outcomes share the bin.  Every probability splits at the power of two 2^k
+    at or above its bin's rough total: the high parts are multiples of
+    ulp(2^k) whose sums stay below 2^(k+1), so they add up exactly in any
+    order, and the low parts are each below ulp(2^k), so the error of their
+    sum stays far below one ulp of the total.  The split runs over slices of
+    the outcomes, so its temporaries stay small.
+    """
+    size = 2**horizon
+    slices = [slice(lo, lo + _FOLD_SLICE) for lo in range(0, len(codes), _FOLD_SLICE)]
+    rough = np.zeros(size)
+    for part in slices:
+        np.add.at(rough, codes[part], probs[part])
+    exponent = np.frexp(rough)[1]
+    high_sum, low_sum = np.zeros(size), np.zeros(size)
+    for part in slices:
+        c, p = codes[part], probs[part]
+        scale = np.ldexp(1.0, exponent[c])
+        high = (scale + p) - scale
+        np.add.at(high_sum, c, high)
+        np.add.at(low_sum, c, p - high)
+    return TruncatedOutcomeSpace(horizon, high_sum + low_sum)

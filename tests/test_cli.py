@@ -235,6 +235,41 @@ def test_verify_horizon_past_cap_is_spec_error(capsys):
     assert "spec error" in capsys.readouterr().err
 
 
+def test_verify_one_state_chain_past_code_cap_is_spec_error(tmp_path, capsys):
+    # one state path, but the oracle bins 2^24 indicator codes
+    spec = {
+        "name": "one-state",
+        "model": {
+            "family": "markov",
+            "transition": [[1.0]],
+            "initial": [1.0],
+            "events": {"mode": "constant", "members": [0]},
+        },
+    }
+    path = tmp_path / "one-state.json"
+    path.write_text(json.dumps(spec))
+    assert run(["verify", path, "--horizon", "24"]) == EXIT_SPEC
+    assert "2^24 indicator codes exceed the cap of 10000000" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "model",
+    [
+        {"family": "independent",
+         "marginal": {"family": "explicit", "values": [0.5, 0.25, 0.125, 0.5, 0.5, 0.5]}},
+        {"family": "markov", "transition": [[0.5, 0.5], [0.25, 0.75]], "initial": [1.0, 0.0],
+         "events": {"mode": "explicit", "sets": [[0], [1], [0], [], [0, 1], [1]]}},
+    ],
+)
+def test_verify_reads_no_index_past_the_horizon(model, tmp_path):
+    # a model defined only up to index 6 verifies at horizon 6, and not past it
+    path = tmp_path / "short.json"
+    path.write_text(json.dumps({"name": "short", "model": model}))
+    assert run(["verify", path, "--horizon", "6", "--out", tmp_path / "v.json"]) == EXIT_OK
+    assert json.loads((tmp_path / "v.json").read_text())["results"]["checks_run"] == 78
+    assert run(["verify", path, "--horizon", "7"]) == EXIT_SPEC
+
+
 @pytest.mark.parametrize("horizon", ["0", "-4"])
 def test_simulate_horizon_below_one_is_spec_error(horizon, capsys):
     # no check fits below horizon 1, and an empty list must not pass

@@ -4,6 +4,7 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.special import ndtri
 
 from cantelli import (
@@ -11,8 +12,8 @@ from cantelli import (
     estimate_window_prob,
     wilson_interval,
 )
-from cantelli.montecarlo import _Z, CHUNK, _chunk_rng, _iter_chunks
-from cantelli.windows import first_occurrence
+from cantelli.montecarlo import _Z, CHUNK, _chunk_rng, _holds, _iter_chunks
+from cantelli.windows import Orientation, all_complement, first_occurrence
 
 from conftest import (
     REPO,
@@ -156,3 +157,47 @@ def test_small_model_coverage_quick():
 def test_estimate_requires_enough_samples():
     with pytest.raises(ValueError):
         estimate_window_prob(make_coin(), first_occurrence(1, 0), 10, seed=1)
+
+
+@st.composite
+def queries_with_blocks(draw):
+    """A window or (n, span) union and a block of indicators as wide as its span.
+
+    Half the blocks are transposed views, laid out as the Markov sampler's are.
+    """
+    n = draw(st.integers(min_value=1, max_value=5))
+    kind = draw(st.sampled_from(["prefix", "suffix", "all-complement", "union"]))
+    if kind == "union":
+        query = (n, draw(st.integers(min_value=0, max_value=6)))
+        width = query[1] + 1
+    elif kind == "all-complement":
+        query = all_complement(n, draw(st.integers(min_value=1, max_value=7)))
+        width = query.prefix_len
+    else:
+        orientation = (
+            Orientation.PREFIX_COMPLEMENT if kind == "prefix" else Orientation.SUFFIX_COMPLEMENT
+        )
+        query = first_occurrence(n, draw(st.integers(min_value=0, max_value=6)), orientation)
+        width = query.prefix_len + 1
+    count = draw(st.integers(min_value=1, max_value=50))
+    cells = draw(st.lists(st.booleans(), min_size=count * width, max_size=count * width))
+    if draw(st.booleans()):
+        block = np.array(cells, dtype=bool).reshape(width, count).T
+    else:
+        block = np.array(cells, dtype=bool).reshape(count, width)
+    return query, block
+
+
+@settings(max_examples=200, deadline=None)
+@given(queries_with_blocks())
+def test_holds_matches_row_wise_reference(query_block):
+    query, block = query_block
+    before = block.copy()
+    if isinstance(query, tuple):
+        expected = block.any(axis=1)
+    else:
+        expected = (block == [occur for _, occur in query.constraints()]).all(axis=1)
+    held = _holds(query, block)
+    assert held.dtype == bool
+    assert np.array_equal(held, expected)
+    assert np.array_equal(block, before)  # the sampled block is left as it was

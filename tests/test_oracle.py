@@ -1,5 +1,7 @@
 import itertools
+import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -85,21 +87,22 @@ def test_first_occurrence_masks_partition_atom_space():
 
 
 def test_permutation_invariance():
-    model = make_coin()
-    sp = build_outcome_space(model, 6)
+    # merging outcomes into code bins changes no answer: a per-outcome reference
+    # oracle over the chain's paths, listed in a random order, agrees
     rng = np.random.default_rng(7)
-    perm = rng.permutation(len(sp.probs))
-    shuffled = type(sp)(
-        horizon=sp.horizon,
-        probs=sp.probs[perm],
-        indicators=sp.indicators[perm],
-    )
-    for n in (1, 3):
-        for m in (0, 2):
-            w = first_occurrence(n, m)
-            assert oracle_window_prob(shuffled, w) == pytest.approx(
-                oracle_window_prob(sp, w), abs=1e-15
-            )
+    horizon = 6
+    model = random_schedule_chain(rng, 3)
+    sp = build_outcome_space(model, horizon)
+    probs, codes = path_atoms(model, horizon)
+    perm = rng.permutation(len(probs))
+    probs, rows = probs[perm], code_bits(horizon)[codes[perm]]
+    for n in range(1, horizon + 1):
+        for w in all_windows(n, horizon):
+            expected = probs[reference_window_mask(rows, w)].sum()
+            assert oracle_window_prob(sp, w) == pytest.approx(expected, abs=1e-15)
+        for span in range(0, horizon - n + 1):
+            expected = probs[rows[:, n - 1 : n + span].any(axis=1)].sum()
+            assert oracle_union_prob(sp, n, span) == pytest.approx(expected, abs=1e-15)
 
 
 def test_horizon_caps_raise():
@@ -116,6 +119,18 @@ def test_horizon_caps_raise():
         oracle_window_prob(sp, first_occurrence(4, 3))
     with pytest.raises(HorizonExceededError):
         oracle_union_prob(sp, 2, 5)
+
+
+def test_one_state_chain_cap_counts_codes():
+    # one path, but 2^h bins: 2^23 fit under the cap, 2^24 do not
+    chain = MarkovModel([[1.0]], [1.0], EventSchedule(1, cycle=[[0], []]))
+    sp = build_outcome_space(chain, 23)
+    assert len(sp.probs) == 2**23
+    assert oracle_window_prob(sp, first_occurrence(2, 1)) == 1.0
+    assert oracle_union_prob(sp, 2, 0) == 0.0
+    del sp
+    with pytest.raises(HorizonExceededError, match=r"2\^24 indicator codes exceed the cap"):
+        build_outcome_space(chain, 24)
 
 
 def test_degenerate_marginals_enumeration():
@@ -149,43 +164,85 @@ def random_schedule_chain(rng, s):
     return MarkovModel(transition, initial, events)
 
 
+def path_atoms(model, horizon):
+    """Every path of itertools.product: its probability, multiplied left to
+    right in time order, and its indicator code."""
+    probs, codes = [], []
+    for path in itertools.product(range(model.num_states), repeat=horizon):
+        p = model._initial[path[0]]
+        for a, b in zip(path, path[1:]):
+            p = p * model._transition[a, b]
+        probs.append(p)
+        codes.append(sum(int(model.event_mask(t)[state]) << (t - 1) for t, state in enumerate(path, 1)))
+    return np.array(probs), np.array(codes)
+
+
 def test_markov_space_matches_path_enumeration():
-    # every path of itertools.product, its probability multiplied left to right
-    # in time order: the oracle must give the same bits
+    # each bin is the exact sum of its paths' probabilities, rounded about once
     rng = np.random.default_rng(12)
-    for s, horizon in ((2, 8), (3, 8), (4, 8), (3, 1), (4, 5)):
+    for s, horizon in ((2, 8), (3, 8), (4, 8), (3, 1), (4, 5), (1, 6)):
         model = random_schedule_chain(rng, s)
         sp = build_outcome_space(model, horizon)
-        paths = list(itertools.product(range(s), repeat=horizon))
-        probs = []
-        for path in paths:
-            p = model._initial[path[0]]
-            for a, b in zip(path, path[1:]):
-                p = p * model._transition[a, b]
-            probs.append(p)
-        states = np.array(paths)
-        indicators = np.column_stack(
-            [model.event_mask(t)[states[:, t - 1]] for t in range(1, horizon + 1)]
-        )
-        assert np.array_equal(sp.probs, np.array(probs))
-        assert np.array_equal(sp.indicators, indicators)
+        probs, codes = path_atoms(model, horizon)
+        assert len(sp.probs) == 2**horizon
+        for code in range(2**horizon):
+            exact = math.fsum(probs[codes == code])
+            assert abs(sp.probs[code] - exact) <= 4 * np.spacing(exact)
+
+
+def code_bits(horizon):
+    """Row c holds the bits of code c: A_t holds where bit t - 1 is set."""
+    return (np.arange(2**horizon)[:, None] >> np.arange(horizon)) & 1 > 0
+
+
+def reference_window_mask(rows, w):
+    expected = np.ones(len(rows), dtype=bool)
+    for idx, occur in w.constraints():
+        expected &= rows[:, idx - 1] == occur
+    return expected
+
+
+def all_windows(n, horizon):
+    windows = [all_complement(n, m) for m in range(1, horizon - n + 2)]
+    for m in range(0, horizon - n + 1):
+        windows += [first_occurrence(n, m, o) for o in Orientation]
+    return windows
 
 
 def test_masks_match_row_major_reference():
     rng = np.random.default_rng(13)
     horizon = 8
+    rows = code_bits(horizon)
     for s in (2, 3, 4, 2, 3, 4):
         sp = build_outcome_space(random_schedule_chain(rng, s), horizon)
-        rows = np.ascontiguousarray(sp.indicators)
         for n in range(1, horizon + 1):
-            windows = [all_complement(n, m) for m in range(1, horizon - n + 2)]
-            for m in range(0, horizon - n + 1):
-                windows += [first_occurrence(n, m, o) for o in Orientation]
-            for w in windows:
-                expected = np.ones(len(rows), dtype=bool)
-                for idx, occur in w.constraints():
-                    expected &= rows[:, idx - 1] == occur
-                assert np.array_equal(sp.window_mask(w), expected)
+            for w in all_windows(n, horizon):
+                assert np.array_equal(sp.window_mask(w), reference_window_mask(rows, w))
             for span in range(0, horizon - n + 1):
                 expected = rows[:, n - 1 : n + span].any(axis=1)
                 assert np.array_equal(sp.union_mask(n, span), expected)
+
+
+def test_answers_match_mpmath_sums():
+    # every answer is within 4 ulps of the mpmath sum of the path probabilities
+    # it covers, the paths enumerated independently of the oracle
+    rng = np.random.default_rng(14)
+    horizon = 8
+    rows = code_bits(horizon)
+    with mpmath.workprec(400):
+        for s in (1, 2, 3, 4, 4):
+            model = random_schedule_chain(rng, s)
+            sp = build_outcome_space(model, horizon)
+            probs, codes = path_atoms(model, horizon)
+            bins = [mpmath.fsum(mpmath.mpf(float(p)) for p in probs[codes == c])
+                    for c in range(2**horizon)]
+
+            def check(answer, mask):
+                exact = mpmath.fsum(b for b, held in zip(bins, mask) if held)
+                assert abs(mpmath.mpf(answer) - exact) <= 4 * np.spacing(float(exact))
+
+            for n in range(1, horizon + 1):
+                for w in all_windows(n, horizon):
+                    check(oracle_window_prob(sp, w), reference_window_mask(rows, w))
+                for span in range(0, horizon - n + 1):
+                    check(oracle_union_prob(sp, n, span), rows[:, n - 1 : n + span].any(axis=1))
