@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from pathlib import Path
@@ -283,10 +284,16 @@ def simulate_results(
     model: EventSequenceModel, count: int, seed: int, horizon: int
 ) -> tuple[dict, int]:
     checks = _simulate_checks(horizon)
+    # exact values from the paths the reports read, as verify takes them:
+    # windows from row m of window_series(m, horizon - m), unions from the scan
+    series: dict[int, np.ndarray] = {}
     exacts = []
     for _, query in checks:
         if isinstance(query, WindowPattern):
-            exacts.append(model.window_prob(query))
+            m = query.prefix_len
+            if m not in series:
+                series[m] = model.window_series(m, horizon - m)[0][m]
+            exacts.append(float(series[m][query.start - 1]))
         else:
             n, span = query
             partial = model.first_occurrence_terms(n, span + 1)
@@ -452,8 +459,14 @@ def _emit(report: dict, args: argparse.Namespace, table_renderer) -> None:
         text = json.dumps(report, indent=2, sort_keys=True)
     if args.out:
         Path(args.out).write_text(text + "\n")
-    else:
+        return
+    try:
         print(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed the pipe: point stdout at devnull so that the flush
+        # at exit cannot raise, and keep the command's own exit code
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
 def _parse_schedule(text: str) -> list[int]:

@@ -20,8 +20,10 @@ arrays; it returns the one-window answers bit for bit.
 ``first_occurrence_terms`` and ``all_complement_prob`` both read one
 first-occurrence scan per backend (``_scan``), which an ``OccurrenceScan``
 carries on chunk by chunk.  ``sample_indicator_block`` draws sampled
-indicators for many windows from one generator; each window's block equals a
-single-window draw from a generator in the same state.
+indicators for many windows and a batch of generators in one call: it
+evaluates each window's family, threshold or event-mask constants once for the
+whole batch, and each generator's rows equal, bit for bit, a call with that
+generator alone, whichever windows and generators share the call.
 
 All models are immutable after construction and all queries are pure; the
 Markov backend caches only its two ``_Orbit`` walks, of distributions and supports.
@@ -58,8 +60,9 @@ __all__ = [
 _PROB_SLACK = 1e-9
 # how far a Markov transition row or initial vector may sum from 1
 ROW_SUM_TOL = 1e-12
-# uniforms a sampler draws per generator call: bounds its memory at far windows
-_DRAW_CHUNK = 1 << 20
+# uniforms a Markov walk draws at a time, over all its generators: bounds the
+# sampler's memory at far windows and wide batches
+_DRAW_CHUNK = 1 << 16
 
 
 class NumericFaultError(ArithmeticError):
@@ -100,15 +103,21 @@ class EventSequenceModel(ABC):
 
     @abstractmethod
     def sample_indicator_block(
-        self, rng: np.random.Generator, windows: Sequence[tuple[int, int]], count: int
+        self,
+        rngs: Sequence[np.random.Generator],
+        windows: Sequence[tuple[int, int]],
+        count: int,
     ) -> list[np.ndarray]:
         """Sample ``count`` independent realizations of A_lo..A_hi per (lo, hi) window.
 
-        Returns one boolean array of shape (count, hi - lo + 1) per window, all
-        drawn from ``rng``.  Each window's draws are a prefix of the stream, so
-        each block equals what a generator in the same state gives for that
-        window alone: a block is a pure function of the generator state and
-        its own window, whatever other windows share the call.
+        Returns one boolean array of shape (count, hi - lo + 1) per window.  The
+        paths split evenly over the generators: ``rngs[j]`` draws rows
+        j * count / len(rngs) up to (j + 1) * count / len(rngs), and those rows
+        equal what a call with ``[rngs[j]]`` alone gives for its share.  Each
+        window's draws are a prefix of each generator's stream, so each block
+        equals what generators in the same states give for that window alone:
+        a block is a pure function of the generator states and its own window,
+        whatever other windows share the call.
         """
 
     @property
@@ -213,10 +222,24 @@ class OccurrenceScan:
         self.carry: Any = None
 
 
-def _check_windows(windows: Sequence[tuple[int, int]]) -> None:
+def _share(
+    rngs: Sequence[np.random.Generator], windows: Sequence[tuple[int, int]], count: int
+) -> int:
+    """The paths each generator of a sampler call draws, once the call is checked."""
     for lo, hi in windows:
         if not 1 <= lo <= hi:
             raise ValueError(f"sample window ({lo}, {hi}) needs 1 <= lo <= hi")
+    if not rngs or count % len(rngs):
+        raise ValueError(f"{count} paths do not split evenly over {len(rngs)} generators")
+    return count // len(rngs)
+
+
+def _draw(rngs: Sequence[np.random.Generator], shape: tuple[int, ...]) -> np.ndarray:
+    """Each generator's ``rng.random(shape)``, stacked along a new first axis."""
+    out = np.empty((len(rngs), *shape))
+    for rng, row in zip(rngs, out):
+        rng.random(out=row)
+    return out
 
 
 def _stacked_runs(
@@ -229,7 +252,6 @@ def _stacked_runs(
     array, and each window's (count, width) block as a transposed view of its
     rows: filling a run's rows fills every block that reads them.
     """
-    _check_windows(windows)
     merged: list[list[int]] = []
     for lo, hi in sorted(windows):
         if merged and lo <= merged[-1][1] + 1:
@@ -320,14 +342,25 @@ class IndependentModel(EventSequenceModel):
         return self._finish_prob(carry)
 
     def sample_indicator_block(
-        self, rng: np.random.Generator, windows: Sequence[tuple[int, int]], count: int
+        self,
+        rngs: Sequence[np.random.Generator],
+        windows: Sequence[tuple[int, int]],
+        count: int,
     ) -> list[np.ndarray]:
-        # rng.random((count, w)) is the first count * w uniforms of the stream
-        _check_windows(windows)
+        # a generator's rows of a width-w window are its first share * w
+        # uniforms, as rng.random((share, w)) draws them.  Each window's view
+        # of every generator's draws is compared once against its marginals,
+        # r paths to a row: rows of r * w entries compare several times
+        # faster than rows of a few.
+        share = _share(rngs, windows, count)
         widths = [hi - lo + 1 for lo, hi in windows]
-        draws = rng.random(count * max(widths, default=0))
+        draws = _draw(rngs, (share * max(widths, default=0),))
+        r = math.gcd(share, 64)
         return [
-            draws[: count * w].reshape(count, w) < self._family.values(lo, hi)
+            (
+                draws[:, : share * w].reshape(len(rngs), share // r, r * w)
+                < np.tile(self._family.values(lo, hi), r)
+            ).reshape(count, w)
             for (lo, hi), w in zip(windows, widths)
         ]
 
@@ -658,17 +691,21 @@ class MarkovModel(EventSequenceModel):
     def _complement(self, carry: Any) -> float:
         return self._finish_prob(float(carry.sum()))
 
-    def _walk(self, rng: np.random.Generator, steps: int, count: int):
-        """States of ``count`` paths at times 1..steps, one array per time.
+    def _walk(self, rngs: Sequence[np.random.Generator], steps: int, share: int):
+        """States of the len(rngs) * share paths at times 1..steps, one array per time.
 
-        The uniforms are the rows of ``rng.random((steps, count))``, drawn a
-        segment of rows at a time (one stream, so the same draws).  Each step
-        compares the uniforms against one cut column at a time.
+        Generator j's uniforms are the rows of ``rng.random((steps, share))``,
+        drawn a segment of rows at a time (one stream, so the same draws); the
+        uniforms at time t are the generators' rows for t, side by side.  A
+        segment holds at most ``_DRAW_CHUNK`` uniforms over all generators.
+        Each step compares the uniforms against one cut column at a time.
         """
-        segment = max(1, _DRAW_CHUNK // count)
+        count = len(rngs) * share
+        segment = max(1, _DRAW_CHUNK // max(1, count))
         states = None
         for done in range(0, steps, segment):
-            for u in rng.random((min(segment, steps - done), count)):
+            draws = _draw(rngs, (min(segment, steps - done), share))
+            for u in draws.transpose(1, 0, 2).reshape(draws.shape[1], count):
                 if states is None:
                     states = np.searchsorted(self._initial_cuts, u, side="right")
                 else:
@@ -679,15 +716,20 @@ class MarkovModel(EventSequenceModel):
                 yield states
 
     def sample_indicator_block(
-        self, rng: np.random.Generator, windows: Sequence[tuple[int, int]], count: int
+        self,
+        rngs: Sequence[np.random.Generator],
+        windows: Sequence[tuple[int, int]],
+        count: int,
     ) -> list[np.ndarray]:
-        # one walk to the last window's end serves every window
+        # one walk of every path to the last window's end serves every window
+        share = _share(rngs, windows, count)
         runs, held, blocks = _stacked_runs(windows, count)
-        walk = enumerate(self._walk(rng, runs[-1][1] if runs else 0, count), start=1)
+        walk = enumerate(self._walk(rngs, runs[-1][1] if runs else 0, share), start=1)
         for lo, hi, row in runs:
+            masks = self._events.masks(lo, hi)
             for t, states in walk:
                 if t >= lo:
-                    held[row + t - lo] = self._events.mask(t)[states]
+                    held[row + t - lo] = masks[t - lo][states]
                 if t == hi:
                     break
         return blocks
@@ -905,16 +947,22 @@ class LatentUniformModel(EventSequenceModel):
         return self._finish_prob(prob)
 
     def sample_indicator_block(
-        self, rng: np.random.Generator, windows: Sequence[tuple[int, int]], count: int
+        self,
+        rngs: Sequence[np.random.Generator],
+        windows: Sequence[tuple[int, int]],
+        count: int,
     ) -> list[np.ndarray]:
-        # every window reads the same latents; strict < so that a threshold of
-        # 0 never realizes its event, matching its probability
+        # every window reads the same latents, a (share, L) draw per generator;
+        # strict < so that a threshold of 0 never realizes its event, matching
+        # its probability
+        share = _share(rngs, windows, count)
         runs, held, blocks = _stacked_runs(windows, count)
-        u = rng.random((count, self._num_latents)).T
+        u = _draw(rngs, (share, self._num_latents)).reshape(count, self._num_latents).T
         for lo, hi, row in runs:
             colors = self._colors(lo, hi)
             thresholds = self._threshold_array(lo, hi, colors)
-            held[row : row + hi - lo + 1] = u[colors] < thresholds[:, None]
+            for i, (color, a) in enumerate(zip(colors, thresholds)):
+                np.less(u[color], a, out=held[row + i])
         return blocks
 
     def _families_with_start(self, n: int) -> list[tuple[SequenceFamily, int]]:

@@ -4,10 +4,14 @@ Sampling is chunked: paths [j*CHUNK, (j+1)*CHUNK) come from an independent
 substream seeded by (seed, j), so a parallel scheduler assigning chunks to
 workers reproduces the serial result exactly and aggregation is commutative.
 ``estimate_frequencies`` answers many queries (windows and tail unions) in one
-pass over the chunks: each chunk's generator makes one sampler call whose
-blocks serve every query.  The sampler draws each window's block as a prefix
-of the chunk's stream, so every estimate equals its one-query call,
-``estimate_window_prob`` or ``estimate_tail_union``, bit for bit.  Interval
+pass over the chunks, a batch of consecutive full chunks at a time: one
+sampler call takes the batch's generators and returns blocks that serve every
+query, and each query is tested once per batch.  A batch holds as many chunks
+as keep its sampled indicators within ``_BATCH_DRAWS``; the partial last chunk
+is a call of its own.  Each generator's rows of a block equal its chunk drawn
+alone, and the sampler draws each window's block as a prefix of each chunk's
+stream, so every estimate equals its one-query call, ``estimate_window_prob``
+or ``estimate_tail_union``, bit for bit, whatever the batches.  Interval
 estimates are 95% Wilson score intervals, which behave correctly near 0 and
 1 where window probabilities live.
 """
@@ -32,6 +36,12 @@ __all__ = [
 ]
 
 CHUNK = 4096
+# The draw budget of one sampler call: the sampled indicators it may return,
+# counting at least _PATH_DRAWS per path for the uniforms and walk state that
+# every path carries however few indicators it holds.  A batch takes as many
+# full chunks as fit, so its memory stays bounded whatever the path count.
+_BATCH_DRAWS = 1 << 20
+_PATH_DRAWS = 16
 
 
 def _chunk_rng(seed: int, chunk_index: int) -> np.random.Generator:
@@ -79,13 +89,19 @@ def wilson_interval(successes: int, samples: int) -> tuple[float, float]:
     return lower, upper
 
 
-def _iter_chunks(count: int) -> Iterator[tuple[int, int]]:
-    """(chunk_index, chunk_size) covering ``count`` paths."""
+def _batches(count: int, cells: int) -> Iterator[tuple[range, int]]:
+    """(chunk indices, paths) per sampler call, covering ``count`` paths.
+
+    ``cells`` is the indicators a path holds.  Full chunks come in batches of
+    as many as ``_BATCH_DRAWS`` holds; the partial last chunk comes alone.
+    """
     full, rest = divmod(count, CHUNK)
-    for j in range(full):
-        yield j, CHUNK
+    size = max(1, _BATCH_DRAWS // (CHUNK * max(cells, _PATH_DRAWS)))
+    for first in range(0, full, size):
+        chunks = range(first, min(first + size, full))
+        yield chunks, len(chunks) * CHUNK
     if rest:
-        yield full, rest
+        yield range(full, full + 1), rest
 
 
 def _holds(query: WindowPattern | tuple[int, int], block: np.ndarray) -> np.ndarray:
@@ -131,8 +147,9 @@ def estimate_frequencies(
     if count < 100:
         raise ValueError("need at least 100 samples for an interval estimate")
     successes = [0] * len(queries)
-    for j, size in _iter_chunks(count):
-        blocks = model.sample_indicator_block(_chunk_rng(seed, j), windows, size)
+    for chunks, size in _batches(count, sum(hi - lo + 1 for lo, hi in windows)):
+        rngs = [_chunk_rng(seed, j) for j in chunks]
+        blocks = model.sample_indicator_block(rngs, windows, size)
         for k, (query, block) in enumerate(zip(queries, blocks)):
             successes[k] += int(np.count_nonzero(_holds(query, block)))
     estimates = []

@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 
+import numpy as np
 import pytest
 
 import cantelli.cli as cli
@@ -13,7 +17,7 @@ from cantelli.cli import (
     main,
 )
 
-from conftest import SPECS
+from conftest import REPO, SPECS
 
 
 def run(args):
@@ -206,8 +210,10 @@ def test_simulate_corrupted_backend_exit_4(tmp_path, monkeypatch):
         def __getattr__(self, name):
             return getattr(self._inner, name)
 
-        def window_prob(self, w):
-            return min(1.0, self._inner.window_prob(w) + 0.05)
+        def window_series(self, max_prefix_len, num_terms):
+            # simulate reads its exact window values from the series table
+            terms, empty = self._inner.window_series(max_prefix_len, num_terms)
+            return np.minimum(1.0, terms + 0.05), empty
 
     monkeypatch.setattr(cli, "build_model", lambda spec: Corrupted(real_build(spec)))
     code = run(["simulate", SPECS / "coin-half.json", "--count", "20000",
@@ -377,3 +383,20 @@ def test_nan_markov_spec_exit_2(tmp_path, command, capsys):
 )
 def test_bad_flag_values_exit_2(args):
     assert run([args[0], SPECS / "markov-3state.json", *args[1:]]) == EXIT_SPEC
+
+
+def test_reader_closing_the_pipe_keeps_the_exit_code():
+    # the reader is gone before the report is written: no traceback, and the
+    # command's own exit code, not 1 from a BrokenPipeError
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "cantelli.cli", "verify", str(SPECS / "markov-3state.json"),
+         "--horizon", "12"],
+        cwd=REPO,
+        env={**os.environ, "PYTHONPATH": str(REPO / "src")},
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    assert proc.wait() == EXIT_OK
+    assert "Traceback" not in err and "BrokenPipeError" not in err

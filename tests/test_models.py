@@ -301,6 +301,6 @@ def test_markov_window_is_empty_via_support():
 def test_nested_sampling_respects_nesting():
     nested = make_nested()
     rng = np.random.default_rng(5)
-    (block,) = nested.sample_indicator_block(rng, [(1, 10)], 500)
+    (block,) = nested.sample_indicator_block([rng], [(1, 10)], 500)
     # A_{n+1} implies A_n: indicator columns are non-increasing along each row
     assert not np.any(block[:, 1:] & ~block[:, :-1])

@@ -12,7 +12,7 @@ from cantelli import (
     estimate_window_prob,
     wilson_interval,
 )
-from cantelli.montecarlo import _Z, CHUNK, _chunk_rng, _holds, _iter_chunks
+from cantelli.montecarlo import _Z, CHUNK, _chunk_rng, _holds
 from cantelli.windows import Orientation, all_complement, first_occurrence
 
 from conftest import (
@@ -59,10 +59,12 @@ def test_simulate_runs_without_scipy():
 
 def draw_paths(model, horizon, count, seed):
     """Indicator paths A_1..A_horizon, one row per path, drawn chunk by chunk."""
+    full, rest = divmod(count, CHUNK)
+    sizes = [CHUNK] * full + ([rest] if rest else [])
     return np.vstack(
         [
-            model.sample_indicator_block(_chunk_rng(seed, j), [(1, horizon)], size)[0]
-            for j, size in _iter_chunks(count)
+            model.sample_indicator_block([_chunk_rng(seed, j)], [(1, horizon)], size)[0]
+            for j, size in enumerate(sizes)
         ]
     )
 
@@ -123,14 +125,14 @@ def test_paths_reproducible_per_stream():
     assert first.shape == (CHUNK + 5, 6)
     assert np.array_equal(first, again)
     # paths past the chunk boundary come from the next substream
-    (chunk1,) = model.sample_indicator_block(_chunk_rng(8, 1), [(1, 6)], 5)
+    (chunk1,) = model.sample_indicator_block([_chunk_rng(8, 1)], [(1, 6)], 5)
     assert np.array_equal(first[CHUNK:], chunk1)
 
 
 def test_chunk_streams_are_uncorrelated():
     coin = make_coin()
     means = [
-        coin.sample_indicator_block(_chunk_rng(21, j), [(1, 1)], CHUNK)[0].mean()
+        coin.sample_indicator_block([_chunk_rng(21, j)], [(1, 1)], CHUNK)[0].mean()
         for j in range(256)
     ]
     even, odd = means[0::2], means[1::2]

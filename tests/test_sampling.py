@@ -1,10 +1,16 @@
 """The multi-window sampler and the batched Monte Carlo estimator.
 
-One sampler call draws a block per window from one generator.  Each block must
-equal a single-window draw from a fresh generator in the same state, and a
-per-path loop over the same uniforms is the reference for what each backend
-samples.
+One sampler call draws a block per window from a batch of generators.  Each
+block must equal a single-window draw from fresh generators in the same
+states, each generator's rows must equal a call with that generator alone, and
+a per-path loop over the same uniforms is the reference for what each backend
+samples.  A per-chunk loop over the sampler is the reference for the
+estimator's batches.
 """
+
+import json
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -24,10 +30,13 @@ from cantelli import (
     estimate_tail_union,
     estimate_window_prob,
 )
-from cantelli.montecarlo import CHUNK, _chunk_rng
-from cantelli.windows import Orientation, all_complement, first_occurrence
+from cantelli import models, montecarlo
+from cantelli.cli import main, _simulate_checks
+from cantelli.montecarlo import CHUNK, _chunk_rng, _holds
+from cantelli.specfile import load_spec
+from cantelli.windows import Orientation, WindowPattern, all_complement, first_occurrence
 
-from conftest import make_interleaved, make_nested, random_markov
+from conftest import SPECS, make_interleaved, make_nested, make_powerlaw, random_markov
 
 LENGTH = 40  # explicit lists cover every index a drawn window reaches
 
@@ -134,10 +143,10 @@ def first_state_below(weights, u):
     chunk=st.integers(min_value=0, max_value=3),
 )
 def test_each_block_equals_a_fresh_single_window_draw(model, windows, count, seed, chunk):
-    blocks = model.sample_indicator_block(_chunk_rng(seed, chunk), windows, count)
+    blocks = model.sample_indicator_block([_chunk_rng(seed, chunk)], windows, count)
     assert len(blocks) == len(windows)
     for (lo, hi), block in zip(windows, blocks):
-        (alone,) = model.sample_indicator_block(_chunk_rng(seed, chunk), [(lo, hi)], count)
+        (alone,) = model.sample_indicator_block([_chunk_rng(seed, chunk)], [(lo, hi)], count)
         assert block.shape == alone.shape == (count, hi - lo + 1)
         assert block.dtype == bool
         assert np.array_equal(block, alone)
@@ -151,7 +160,7 @@ def test_each_block_equals_a_fresh_single_window_draw(model, windows, count, see
     seed=st.integers(min_value=0, max_value=2**32 - 1),
 )
 def test_block_matches_per_path_reference(model, window, count, seed):
-    (block,) = model.sample_indicator_block(_chunk_rng(seed, 0), [window], count)
+    (block,) = model.sample_indicator_block([_chunk_rng(seed, 0)], [window], count)
     expected = reference_block(model, _chunk_rng(seed, 0), *window, count)
     assert np.array_equal(block, expected)
 
@@ -160,10 +169,10 @@ def test_far_windows_do_not_fill_the_gap():
     # a walk to 1e5 records only the two windows' indices
     model = random_markov(np.random.default_rng(3))
     near, far = model.sample_indicator_block(
-        _chunk_rng(1, 0), [(1, 3), (100_000, 100_002)], 64
+        [_chunk_rng(1, 0)], [(1, 3), (100_000, 100_002)], 64
     )
     assert near.shape == far.shape == (64, 3)
-    (alone,) = model.sample_indicator_block(_chunk_rng(1, 0), [(100_000, 100_002)], 64)
+    (alone,) = model.sample_indicator_block([_chunk_rng(1, 0)], [(100_000, 100_002)], 64)
     assert np.array_equal(far, alone)
 
 
@@ -171,7 +180,7 @@ def test_bad_windows_raise():
     model = random_markov(np.random.default_rng(4))
     for window in ((0, 3), (5, 4)):
         with pytest.raises(ValueError):
-            model.sample_indicator_block(_chunk_rng(1, 0), [window], 8)
+            model.sample_indicator_block([_chunk_rng(1, 0)], [window], 8)
 
 
 class ConstantUniforms:
@@ -180,8 +189,9 @@ class ConstantUniforms:
     def __init__(self, value: float):
         self.value = value
 
-    def random(self, size):
-        return np.full(size, self.value)
+    def random(self, *, out):
+        out.fill(self.value)
+        return out
 
 
 EDGE_UNIFORMS = (0.0, 1.0 - 2.0**-53)
@@ -200,7 +210,7 @@ def test_markov_sampler_never_enters_a_zero_probability_state(u):
         EventSchedule(3, constant=[2]),
     )
     for model in (certain, short):
-        (block,) = model.sample_indicator_block(ConstantUniforms(u), [(1, 5)], 16)
+        (block,) = model.sample_indicator_block([ConstantUniforms(u)], [(1, 5)], 16)
         assert all(model.window_prob(first_occurrence(n, 0)) == 0.0 for n in range(1, 6))
         assert not block.any()
 
@@ -208,7 +218,7 @@ def test_markov_sampler_never_enters_a_zero_probability_state(u):
 @pytest.mark.parametrize("u", EDGE_UNIFORMS)
 def test_latent_sampler_never_realizes_a_zero_threshold(u):
     model = LatentUniformModel(1, [0], GlobalThresholds(ExplicitList((0.5, 0.0, 0.0), tail=0.0)))
-    (block,) = model.sample_indicator_block(ConstantUniforms(u), [(1, 5)], 16)
+    (block,) = model.sample_indicator_block([ConstantUniforms(u)], [(1, 5)], 16)
     assert model.window_prob(first_occurrence(2, 0)) == 0.0
     assert not block[:, 1:].any()
     assert block[:, 0].all() == (u < 0.5)
@@ -217,7 +227,7 @@ def test_latent_sampler_never_realizes_a_zero_threshold(u):
 @pytest.mark.parametrize("u", EDGE_UNIFORMS)
 def test_independent_sampler_respects_certain_and_impossible_events(u):
     model = IndependentModel(ExplicitList((0.0, 1.0, 0.5), tail=0.0))
-    (block,) = model.sample_indicator_block(ConstantUniforms(u), [(1, 4)], 16)
+    (block,) = model.sample_indicator_block([ConstantUniforms(u)], [(1, 4)], 16)
     assert not block[:, 0].any() and block[:, 1].all() and not block[:, 3].any()
 
 
@@ -250,3 +260,161 @@ def test_batched_estimator_keeps_the_one_query_errors():
     with pytest.raises(ValueError, match="100 samples"):
         estimate_frequencies(model, [first_occurrence(1, 0)], 99, seed=1)
     assert estimate_frequencies(model, [], 1000, seed=1) == []
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    model=any_model,
+    data=st.data(),
+    generators=st.integers(min_value=1, max_value=4),
+    share=st.integers(min_value=0, max_value=12),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    first_chunk=st.integers(min_value=0, max_value=3),
+    draw_chunk=st.sampled_from([1, 7, 64, models._DRAW_CHUNK]),
+)
+def test_batch_rows_equal_one_generator_calls(
+    model, data, generators, share, seed, first_chunk, draw_chunk
+):
+    # far windows leave a gap the Markov walk crosses step by step, about a
+    # second per walk at 1e5, so chains go to 2e3 (1e5 is pinned below); a
+    # small _DRAW_CHUNK cuts the walk into many uniform segments, which differ
+    # between the batch and its one-generator calls
+    far = 2_000 if isinstance(model, MarkovModel) else 100_000
+    window = st.one_of(sample_window, sample_window.map(lambda w: (w[0] + far, w[1] + far)))
+    windows = data.draw(st.lists(window, min_size=1, max_size=5))
+
+    def rngs():
+        return [_chunk_rng(seed, first_chunk + j) for j in range(generators)]
+
+    with mock.patch.object(models, "_DRAW_CHUNK", draw_chunk):
+        blocks = model.sample_indicator_block(rngs(), windows, generators * share)
+        alone = [model.sample_indicator_block([rng], windows, share) for rng in rngs()]
+    assert len(blocks) == len(windows)
+    for k, ((lo, hi), block) in enumerate(zip(windows, blocks)):
+        assert block.shape == (generators * share, hi - lo + 1)
+        assert block.dtype == bool
+        assert np.array_equal(block, np.concatenate([one[k] for one in alone]))
+
+
+def test_far_window_batches_equal_one_generator_calls():
+    windows = [(1, 3), (2, 6), (100_000, 100_002)]
+    for model in (make_powerlaw(), random_markov(np.random.default_rng(3)), make_interleaved()):
+        blocks = model.sample_indicator_block([_chunk_rng(5, 0), _chunk_rng(5, 1)], windows, 64)
+        for j in range(2):
+            alone = model.sample_indicator_block([_chunk_rng(5, j)], windows, 32)
+            for block, one in zip(blocks, alone):
+                assert np.array_equal(block[32 * j : 32 * (j + 1)], one)
+
+
+def test_paths_must_split_evenly_over_the_generators():
+    for model in (make_powerlaw(), random_markov(np.random.default_rng(4)), make_nested()):
+        with pytest.raises(ValueError, match="split evenly"):
+            model.sample_indicator_block([_chunk_rng(1, 0), _chunk_rng(1, 1)], [(1, 3)], 9)
+        with pytest.raises(ValueError, match="split evenly"):
+            model.sample_indicator_block([], [(1, 3)], 8)
+
+
+def per_chunk_successes(model, queries, count, seed):
+    """The estimator's successes from one sampler call per chunk: the reference
+    for its batches of chunks."""
+    windows = [
+        (q.first_index, q.last_index) if isinstance(q, WindowPattern) else (q[0], q[0] + q[1])
+        for q in queries
+    ]
+    full, rest = divmod(count, CHUNK)
+    sizes = [CHUNK] * full + ([rest] if rest else [])
+    successes = [0] * len(queries)
+    for j, size in enumerate(sizes):
+        blocks = model.sample_indicator_block([_chunk_rng(seed, j)], windows, size)
+        for k, (query, block) in enumerate(zip(queries, blocks)):
+            successes[k] += int(np.count_nonzero(_holds(query, block)))
+    return successes
+
+
+BATCH_QUERIES = [
+    first_occurrence(1, 0),
+    first_occurrence(2, 2),
+    first_occurrence(3, 1, Orientation.SUFFIX_COMPLEMENT),
+    all_complement(2, 3),
+    (1, 9),
+    (4, 0),
+]
+BATCH_CELLS = 1 + 3 + 2 + 3 + 10 + 1  # indicators a path of BATCH_QUERIES holds
+
+
+@pytest.mark.parametrize("chunks_per_batch", [None, 1, 2, 3])
+def test_batched_estimator_equals_the_per_chunk_loop(chunks_per_batch):
+    # None keeps the module's budget: the 7 full chunks share one batch
+    budget = (
+        montecarlo._BATCH_DRAWS
+        if chunks_per_batch is None
+        else chunks_per_batch * CHUNK * max(BATCH_CELLS, montecarlo._PATH_DRAWS)
+    )
+    count = CHUNK * 7 + 300
+    for model in (make_powerlaw(), random_markov(np.random.default_rng(9)), make_interleaved()):
+        sizes = []
+        sampler = model.sample_indicator_block
+
+        def spy(rngs, windows, count):
+            sizes.append((len(rngs), count))
+            return sampler(rngs, windows, count)
+
+        with mock.patch.object(montecarlo, "_BATCH_DRAWS", budget), mock.patch.object(
+            model, "sample_indicator_block", spy
+        ):
+            estimates = montecarlo.estimate_frequencies(model, BATCH_QUERIES, count, seed=23)
+        assert [e.successes for e in estimates] == per_chunk_successes(
+            model, BATCH_QUERIES, count, 23
+        )
+        # full chunks in batches, the partial last chunk in a call of its own
+        assert sizes[-1] == (1, 300)
+        assert all(paths == generators * CHUNK for generators, paths in sizes[:-1])
+        assert sum(generators for generators, _ in sizes[:-1]) == 7
+        if chunks_per_batch is None:
+            assert len(sizes) == 2
+        else:
+            assert max(generators for generators, _ in sizes) == chunks_per_batch
+
+
+def test_estimator_memory_stays_bounded():
+    # a batch holds a few chunks, never every path: drawing all 400000 paths
+    # at once would take tens of MB.  At 5 chunks per batch the powerlaw peak
+    # is about 4 MB, and one call per chunk peaks under 1 MB.
+    queries = [query for _, query in _simulate_checks(12)]
+    markov = load_spec(SPECS / "markov-3state.json").model
+    for model in (make_powerlaw(), markov, make_interleaved()):
+        tracemalloc.start()
+        try:
+            montecarlo.estimate_frequencies(model, queries, 400_000, seed=7)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 6 * 2**20
+
+
+# successes of each check of `simulate <spec>` at the spec's defaults, as the
+# estimator with one sampler call per chunk counted them
+SPEC_DEFAULT_SUCCESSES = {
+    "coin-half": [50030, 50030, 50030, 50030, 50030, 24975, 24975, 24975, 12340, 12340, 12340,
+                  99906, 99794],
+    "flipflop": [0, 100000, 0, 0, 100000, 100000, 0, 0, 0, 0, 0, 100000, 100000],
+    "harmonic": [100000, 50103, 33661, 20249, 12669, 0, 16934, 15264, 0, 8474, 10049, 100000,
+                 91652],
+    "interleaved-nested": [100000, 100000, 100000, 49810, 25218, 0, 0, 24795, 0, 0, 0, 100000,
+                           100000],
+    "markov-3state": [0, 49815, 30815, 31128, 30803, 49815, 15799, 22170, 15799, 11726, 16538,
+                      98097, 98097],
+    "nested": [100000, 49951, 33554, 20173, 12542, 0, 0, 0, 0, 0, 0, 100000, 49951],
+    "partial-maxima": [100000, 35238, 19197, 8959, 4445, 0, 12454, 7915, 0, 6569, 5366, 100000,
+                       69074],
+    "powerlaw-2": [100000, 25082, 11278, 4024, 1567, 0, 8413, 3799, 0, 4225, 2441, 100000,
+                   45791],
+}
+
+
+@pytest.mark.parametrize("name", sorted(SPEC_DEFAULT_SUCCESSES))
+def test_spec_default_simulate_successes_are_pinned(name, tmp_path):
+    out = tmp_path / "simulate.json"
+    assert main(["simulate", str(SPECS / f"{name}.json"), "--out", str(out)]) == 0
+    checks = json.loads(out.read_text())["results"]["checks"]
+    assert [check["successes"] for check in checks] == SPEC_DEFAULT_SUCCESSES[name]
