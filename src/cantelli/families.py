@@ -13,9 +13,9 @@ from __future__ import annotations
 
 import enum
 import math
+import sys
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from itertools import repeat
 
 import numpy as np
 
@@ -62,13 +62,17 @@ def _clamp01_array(x: np.ndarray) -> np.ndarray:
     return np.where(x < 0.0, 0.0, np.where(x > 1.0, 1.0, x))
 
 
-def _powers(bases: list[float], exponent: float) -> np.ndarray:
-    """``b ** exponent`` per base with Python's float pow.
+def _powers(bases: np.ndarray, exponent: float) -> np.ndarray:
+    """``b ** exponent`` per base, bit for bit what Python's float pow returns.
 
-    numpy's vectorized ``np.power`` may differ from it in the last ulp, and
-    the array path must reproduce ``value`` exactly.
+    ``np.float_power`` runs the C library's ``pow`` once per element, the
+    call ``float.__pow__`` makes; ``np.power`` may dispatch float64 to a SIMD
+    kernel that differs from it in the last ulp, and the array path must
+    reproduce ``value`` exactly.  A power past the float range is ``+inf``
+    (with numpy's overflow warning, which callers silence), where
+    ``float.__pow__`` raises ``OverflowError``.
     """
-    return np.array(list(map(float.__pow__, bases, repeat(exponent))), dtype=float)
+    return np.float_power(bases, exponent)
 
 
 class SequenceFamily(ABC):
@@ -164,10 +168,11 @@ class Constant(SequenceFamily):
 class _PowerType(SequenceFamily):
     """value(n) = clamp(scale * b(n)**(-exponent)) for a base b(n) that grows to infinity.
 
-    Subclasses give b through ``_bases``.  The constructor is the one check of
-    ``scale``.  At offset indices n <= 0 the formula blows up (exponent > 0)
-    or vanishes (exponent < 0); the family saturates there to the value it
-    clamps to.
+    Subclasses give b through ``_base`` and its array form ``_bases``.  The
+    constructor is the one check of ``scale``.  A power past the float range
+    counts as ``+inf``, so the value clamps to 1.  At offset indices n <= 0 the
+    formula blows up (exponent > 0) or vanishes (exponent < 0); the family
+    saturates there to the value it clamps to.
     """
 
     scale: float
@@ -176,11 +181,22 @@ class _PowerType(SequenceFamily):
     def __post_init__(self) -> None:
         if not self.scale >= 0.0:
             raise ModelValueError("scale", f"must be nonnegative, got {self.scale!r}")
+        if 0.0 < self.scale < sys.float_info.min:
+            # a normal scale times a power past the float range is above 1,
+            # which makes clamping an overflowed power to 1 exact
+            raise ModelValueError(
+                "scale", f"must be 0 or at least {sys.float_info.min!r}, got {self.scale!r}"
+            )
 
     @staticmethod
     @abstractmethod
-    def _bases(ns: list[float]) -> list[float]:
-        """b(n) for each float index n >= 1, as a list for ``_powers`` to map."""
+    def _base(n: float) -> float:
+        """b(n) for one float index n >= 1."""
+
+    @staticmethod
+    @abstractmethod
+    def _bases(ns: np.ndarray) -> np.ndarray:
+        """``_base`` over a float array of indices n >= 1, bit for bit, as a float array."""
 
     def _saturated(self) -> float:
         if self.exponent == 0.0:
@@ -192,13 +208,18 @@ class _PowerType(SequenceFamily):
             return 0.0
         if n <= 0:
             return self._saturated()
-        return clamp01(self.scale * self._bases([float(n)])[0] ** (-self.exponent))
+        try:
+            power = self._base(float(n)) ** (-self.exponent)
+        except OverflowError:  # past the float range: +inf, as in values
+            power = math.inf
+        return clamp01(self.scale * power)
 
     def values(self, lo: int, hi: int) -> np.ndarray:
         if self.scale == 0.0:
             return np.zeros(max(hi - lo + 1, 0))
-        ns = np.arange(max(lo, 1), hi + 1, dtype=float).tolist()
-        body = _clamp01_array(self.scale * _powers(self._bases(ns), -self.exponent))
+        ns = np.arange(max(lo, 1), hi + 1, dtype=float)
+        with np.errstate(over="ignore"):  # overflow is +inf, which clamps to 1 as in value
+            body = _clamp01_array(self.scale * _powers(self._bases(ns), -self.exponent))
         if lo >= 1:
             return body
         head = np.full(min(hi, 0) - lo + 1, self._saturated())
@@ -219,7 +240,11 @@ class PowerLaw(_PowerType):
     """value(n) = clamp(scale * n**(-exponent))."""
 
     @staticmethod
-    def _bases(ns: list[float]) -> list[float]:
+    def _base(n: float) -> float:
+        return n
+
+    @staticmethod
+    def _bases(ns: np.ndarray) -> np.ndarray:
         return ns
 
     def tail_sum_bound(self, n: int) -> float | None:
@@ -271,8 +296,14 @@ class LogPower(_PowerType):
     """value(n) = clamp(scale * ln(n+1)**(-exponent)); decays slower than any power."""
 
     @staticmethod
-    def _bases(ns: list[float]) -> list[float]:
-        return [math.log(n + 1.0) for n in ns]
+    def _base(n: float) -> float:
+        return math.log(n + 1.0)
+
+    @staticmethod
+    def _bases(ns: np.ndarray) -> np.ndarray:
+        # math.log per element: np.log differs from it in the last ulp on some
+        # hosts, and values() must reproduce value() bit for bit
+        return np.fromiter(map(math.log, ns + 1.0), dtype=float, count=ns.size)
 
     def tail_sum_bound(self, n: int) -> float | None:
         return 0.0 if self.scale == 0.0 else None

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -19,6 +20,15 @@ from cantelli import (
 
 REPO = Path(__file__).resolve().parent.parent
 SPECS = REPO / "specs"
+
+
+def reference_powers(bases: np.ndarray, exponent: float) -> np.ndarray:
+    """``b ** exponent`` per base through Python's float pow.
+
+    The reference for ``cantelli.families._powers``: the power-law families'
+    array path must return exactly these bits, whatever numpy version runs it.
+    """
+    return np.array(list(map(float.__pow__, bases.tolist(), repeat(exponent))), dtype=float)
 
 
 def make_coin(p: float = 0.5) -> IndependentModel:

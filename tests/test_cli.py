@@ -385,6 +385,39 @@ def test_bad_flag_values_exit_2(args):
     assert run([args[0], SPECS / "markov-3state.json", *args[1:]]) == EXIT_SPEC
 
 
+def _power_law_spec(tmp_path, scale, exponent):
+    path = tmp_path / "power.json"
+    path.write_text(json.dumps({"model": {
+        "family": "independent",
+        "marginal": {"family": "powerlaw", "scale": scale, "exponent": exponent},
+    }}))
+    return path
+
+
+@pytest.mark.parametrize("command", ["analyze", "limsup", "simulate", "verify"])
+def test_overflowing_power_law_runs_clean(tmp_path, command):
+    # n ** 400 overflows from n = 6: an overflowed power is +inf and clamps to 1
+    spec = _power_law_spec(tmp_path, 1e-300, -400.0)
+    proc = subprocess.run(
+        [sys.executable, "-m", "cantelli.cli", command, str(spec)],
+        cwd=REPO,
+        env={**os.environ, "PYTHONPATH": str(REPO / "src")},
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == EXIT_OK, proc.stderr
+    assert proc.stderr.startswith(f"[cantelli] {command} finished in ")
+    assert len(proc.stderr.splitlines()) == 1, proc.stderr
+
+
+@pytest.mark.parametrize("family", ["powerlaw", "logpower"])
+def test_subnormal_scale_exit_2(tmp_path, family, capsys):
+    spec = _power_law_spec(tmp_path, 1e-310, 2.0)
+    spec.write_text(spec.read_text().replace('"powerlaw"', f'"{family}"'))
+    assert run(["analyze", spec]) == EXIT_SPEC
+    assert "spec.model.marginal.scale: " in capsys.readouterr().err
+
+
 def test_reader_closing_the_pipe_keeps_the_exit_code():
     # the reader is gone before the report is written: no traceback, and the
     # command's own exit code, not 1 from a BrokenPipeError

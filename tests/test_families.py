@@ -1,15 +1,24 @@
 import math
+import sys
+import warnings
 
+import numpy as np
 import pytest
 
+from cantelli import families
 from cantelli.families import (
     Constant,
     ExplicitList,
     LogPower,
+    ModelValueError,
     PowerLaw,
     SequenceIndexError,
     SeriesClass,
 )
+
+from conftest import reference_powers
+
+EXPONENTS = (0.5, 1.0, 1.5, 2.0, 3.0, -1.0, -2.5)
 
 
 def test_constant_basics():
@@ -85,6 +94,55 @@ def test_powerlaw_saturation_below_one():
     assert fam.value(0) == 1.0
     assert fam.value(-3) == 1.0
     assert PowerLaw(1.0, -2.0).value(0) == 0.0
+
+
+@pytest.mark.parametrize("family, hi", [(PowerLaw, 2**20), (LogPower, 2**16)])
+def test_power_path_matches_python_pow_exhaustively(family, hi, monkeypatch):
+    # a numpy that sends float_power to a SIMD kernel fails here rather than
+    # shifting reports by an ulp
+    ns = np.arange(1, hi + 1, dtype=float)
+    bases = family._bases(ns)
+    assert bases.tobytes() == np.array([family._base(n) for n in ns.tolist()]).tobytes()
+    reference = {-e: reference_powers(bases, -e) for e in EXPONENTS}
+    for x, powers in reference.items():
+        assert families._powers(bases, x).tobytes() == powers.tobytes(), x
+    fams = [family(s, e) for s in (1.0, 0.3, 2.5) for e in EXPONENTS]
+    shipped = [fam.values(1, hi) for fam in fams]
+
+    def reference_for(b, x):
+        assert b.tobytes() == bases.tobytes()
+        return reference[x]
+
+    monkeypatch.setattr(families, "_powers", reference_for)
+    for fam, got in zip(fams, shipped):
+        assert got.tobytes() == fam.values(1, hi).tobytes(), fam
+
+
+@pytest.mark.parametrize(
+    "fam, lo, hi",
+    [
+        (PowerLaw(1e-300, -400.0), 1, 40),  # n ** 400 overflows from n = 6
+        (PowerLaw(sys.float_info.min, -400.0), 1, 40),
+        (PowerLaw(1e10, -100.0), 990, 1300),  # the product overflows before the power
+        (LogPower(1e-300, -400.0), 200, 2000),
+    ],
+)
+def test_overflowing_powers_clamp_to_one_in_both_paths(fam, lo, hi):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = fam.values(lo, hi)
+        expected = [fam.value(n) for n in range(lo, hi + 1)]
+    assert got.tolist() == expected
+    assert got[-1] == 1.0
+
+
+@pytest.mark.parametrize("family", [PowerLaw, LogPower])
+def test_subnormal_scale_is_rejected(family):
+    with pytest.raises(ModelValueError) as info:
+        family(sys.float_info.min / 2.0, 1.0)
+    assert info.value.field == "scale"
+    assert family(sys.float_info.min, 1.0).value(1) > 0.0
+    assert family(0.0, 1.0).value(1) == 0.0
 
 
 def test_logpower_values():

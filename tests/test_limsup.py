@@ -7,6 +7,7 @@ from cantelli import (
     PerLatentThresholds,
     PowerLaw,
     build_outcome_space,
+    families,
     limsup_estimate,
     oracle_union_prob,
     tail_union,
@@ -19,9 +20,11 @@ from conftest import (
     make_coin,
     make_interleaved,
     make_nested,
+    make_powerlaw,
     random_independent,
     random_latent,
     random_markov,
+    reference_powers,
 )
 
 
@@ -75,6 +78,25 @@ def test_union_bound_respects_saturated_offsets():
     )
     assert model.window_prob(first_occurrence(21, 0)) == 1.0
     assert tail_union(model, 1, k_max=16).interval[1] == 1.0
+
+
+@pytest.mark.parametrize(
+    "make, starts, k_max",
+    [(lambda: make_powerlaw(1.0, 1.0), (8, 16, 32), 2**17), (make_interleaved, (20, 40, 100), 2**15)],
+    ids=["harmonic", "interleaved-nested"],
+)
+def test_tail_union_matches_the_python_pow_reference(make, starts, k_max, monkeypatch):
+    def run():
+        model = make()
+        return [tail_union(model, n, k_max=k_max) for n in starts]
+
+    def bits(est):
+        return np.array([est.partial, est.remainder_bound, *est.interval]).tobytes()
+
+    shipped = run()
+    monkeypatch.setattr(families, "_powers", reference_powers)
+    for got, expected in zip(shipped, run()):
+        assert bits(got) == bits(expected), got.start
 
 
 def test_tail_union_argument_validation():

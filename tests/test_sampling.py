@@ -83,9 +83,10 @@ def latent_models(draw):
         return LatentUniformModel(
             num, coloring, GlobalThresholds(ExplicitList(tuple(values), tail=draw(unit)))
         )
+    scales = st.floats(0.0, 2.0, allow_subnormal=False)  # a subnormal scale is rejected
     family = st.one_of(
-        st.builds(PowerLaw, st.floats(0.0, 2.0), st.floats(0.0, 2.0)),
-        st.builds(LogPower, st.floats(0.0, 2.0), st.floats(0.0, 2.0)),
+        st.builds(PowerLaw, scales, st.floats(0.0, 2.0)),
+        st.builds(LogPower, scales, st.floats(0.0, 2.0)),
     )
     families = tuple(draw(family) for _ in range(num))
     offsets = tuple(draw(st.integers(min_value=-5, max_value=3)) for _ in range(num))
