@@ -21,7 +21,7 @@ import numpy as np
 from . import __version__
 from .criteria import SweepResult, sweep_prefix_len
 from .limsup import limsup_estimate
-from .models import EventSequenceModel, NumericFaultError
+from .models import EventSequenceModel, NumericFaultError, OccurrenceScan
 from .montecarlo import estimate_frequencies
 from .oracle import (
     build_outcome_space,
@@ -383,12 +383,17 @@ def verify_results(model: EventSequenceModel, horizon: int) -> tuple[dict, float
             for w, engine in windows:
                 oracle = oracle_window_prob(space, w)
                 rows.append(("window", n, m, w.orientation.value, engine, oracle))
+        # one scan from n, stepped an index at a time, serves both kinds of row
+        scan, terms, complements = OccurrenceScan(n), [], []
         for m in range(1, horizon - n + 2):
-            engine = model.all_complement_prob(n, m)
+            terms.append(model.first_occurrence_terms(scan.end, 1, scan))
+            complements.append(model.all_complement_prob(n, m, scan))
+        for m, engine in enumerate(complements, start=1):
             oracle = oracle_window_prob(space, all_complement(n, m))
             rows.append(("all-complement", n, m, "", engine, oracle))
+        terms = np.concatenate(terms)
         for span in range(0, horizon - n + 1):
-            engine = float(min(1.0, max(0.0, model.first_occurrence_terms(n, span + 1).sum())))
+            engine = float(min(1.0, max(0.0, terms[: span + 1].sum())))
             oracle = oracle_union_prob(space, n, span)
             rows.append(("union", n, span, "", engine, oracle))
     checks = []

@@ -263,7 +263,7 @@ class PowerLaw(_PowerType):
         if self.scale == 0.0:
             return SeriesClass.CONVERGENT, "power law with zero scale: all terms zero"
         s = self.exponent
-        name = f"p_n = min(1, {self.scale:g}*n^-{s:g})"
+        name = f"p_n = min(1, {self.scale:g}*n^{-s:g})"
         if s > 1.0:
             return (
                 SeriesClass.CONVERGENT,
@@ -272,7 +272,7 @@ class PowerLaw(_PowerType):
         if s > 0.0:
             return (
                 SeriesClass.DIVERGENT,
-                f"{name}: terms eventually exceed a positive multiple of n^-{s:g}"
+                f"{name}: terms eventually exceed a positive multiple of n^{-s:g}"
                 " (complement factors tend to 1), a divergent p-series",
             )
         if s == 0.0:
@@ -286,7 +286,7 @@ class PowerLaw(_PowerType):
         return SeriesClass.DIVERGENT, f"{name}: marginals clamp to 1 eventually"
 
     def describe(self) -> str:
-        base = f"power-law p_n = min(1, {self.scale:g}*n^-{self.exponent:g})"
+        base = f"power-law p_n = min(1, {self.scale:g}*n^{-self.exponent:g})"
         if self.scale > 1.0 or self.exponent < 0.0:
             base += " (head values clamped to 1)"
         return base
@@ -312,7 +312,7 @@ class LogPower(_PowerType):
         if self.scale == 0.0:
             return SeriesClass.CONVERGENT, "log-power with zero scale: all terms zero"
         e = self.exponent
-        name = f"p_n = min(1, {self.scale:g}*ln(n+1)^-{e:g})"
+        name = f"p_n = min(1, {self.scale:g}*ln(n+1)^{-e:g})"
         if e > 0.0:
             return (
                 SeriesClass.DIVERGENT,
@@ -329,7 +329,7 @@ class LogPower(_PowerType):
         return SeriesClass.DIVERGENT, f"{name}: marginals clamp to 1 eventually"
 
     def describe(self) -> str:
-        base = f"log-power p_n = min(1, {self.scale:g}*ln(n+1)^-{self.exponent:g})"
+        base = f"log-power p_n = min(1, {self.scale:g}*ln(n+1)^{-self.exponent:g})"
         if self.exponent < 0.0 or self.value(1) == 1.0 and self.scale > 0.0:
             base += " (head values clamped to 1)"
         return base

@@ -16,7 +16,9 @@ Each backend answers two kinds of query.  ``window_prob`` and
 ``window_is_empty`` take one window.  ``window_series`` evaluates the window
 series of every complement-run length 0..m at once, with the emptiness proof
 of every window, from one evaluation of the family, threshold or distribution
-arrays; it returns the one-window answers bit for bit.
+arrays; it returns the one-window answers bit for bit.  The Markov tables
+evaluate their columns through one common period of the chain's orbit and its
+event schedule, and copy the rest.
 ``first_occurrence_terms`` and ``all_complement_prob`` both read one
 first-occurrence scan per backend (``_scan``), which an ``OccurrenceScan``
 carries on chunk by chunk.  ``sample_indicator_block`` draws sampled
@@ -270,6 +272,18 @@ def _stacked_runs(
     return runs, held, blocks
 
 
+def _tile(table: np.ndarray, evaluated: int, period: int) -> None:
+    """Fill the columns of ``table`` from ``evaluated`` on with copies.
+
+    Each column copies the one ``period`` before it.  The copies double in
+    width, so a table of N columns takes O(log N) slices.
+    """
+    start, end = evaluated - period, evaluated
+    while end < table.shape[1]:
+        width = min(end - start, table.shape[1] - end)
+        table[:, end : end + width] = table[:, start : start + width]
+        end += width
+
 
 # ---------------------------------------------------------------------------
 # independent backend
@@ -407,6 +421,12 @@ class EventSchedule:
             self._tail = self._mask(tail, "tail") if tail is not None else None
         # mask rows that ``masks`` indexes: the cycle, or the explicit sets and tail
         rows = self._cycle or self._explicit + ((self._tail,) if self._tail is not None else ())
+        # (e, q) with E_n = E_{n - q} for n - q >= e, or None: an explicit
+        # list without a tail never repeats
+        if self._explicit is None:
+            self._period: tuple[int, int] | None = (1, len(self._cycle))
+        else:
+            self._period = (len(self._explicit) + 1, 1) if self._tail is not None else None
         self._rows = np.array(rows, dtype=bool).reshape(-1, num_states)
         self._rows.setflags(write=False)
 
@@ -492,6 +512,21 @@ class _Orbit:
         start, rows = self._cycle
         return rows[(n - start) % len(rows)]
 
+    def head(self, n: int) -> tuple[np.ndarray, tuple[int, int] | None]:
+        """x_1..x_k and the cycle's (start c, period p) if known, walking toward n >= 1 once.
+
+        The walk records its rows in doubling blocks and stops at n or at its
+        first repeat, so k is n, or at least c + p - 1 once the cycle is known:
+        the rows then hold one whole period, and every later x is one of them.
+        """
+        blocks, lo = [], 1
+        while lo <= n and (self._cycle is None or lo < self._cycle[0] + len(self._cycle[1])):
+            hi = min(n, 2 * lo + 1022)
+            blocks.append(self.rows(lo, hi))
+            lo = hi + 1
+        rows = blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
+        return rows, self._cycle and (self._cycle[0], len(self._cycle[1]))
+
     def rows(self, lo: int, hi: int) -> np.ndarray:
         """x_lo..x_hi as the rows of a new array."""
         out = np.empty((hi - lo + 1, *self._first.shape), self._first.dtype)
@@ -546,10 +581,16 @@ class MarkovModel(EventSequenceModel):
 
     Window probabilities are computed by propagating the time-n distribution
     through masked transition steps.  A window series propagates the
-    distributions at times 1..N as one stacked array, row by row with the same
-    vector-matrix products as a single window.  The distributions (step v ->
-    v @ T) and their supports (s -> reach[s].any(0)) are two ``_Orbit`` walks;
-    no series block is kept, so memory stays O(S^2 + cycle) between queries.
+    distributions at times 1..k as one stacked array, row by row with the same
+    vector-matrix products as a single window, and its emptiness table runs
+    the supports the same way.  Column n of either table reads only x_n (the
+    distribution or support at time n) and E_n..E_{n+m}; both repeat from
+    some time on, so k ends one common period of the two, and the columns
+    past k are copies (``_table_columns``).  A chain whose orbit does not
+    repeat within N, or an explicit schedule with no tail, has k = N.  The
+    distributions (step v -> v @ T) and their supports (s -> reach[s].any(0))
+    are two ``_Orbit`` walks, each walked at most once per table; no series
+    block is kept, so memory stays O(S^2 + cycle) between queries.
 
     The constructor is the one check of the chain.  ``transition`` must be a
     nonempty square list of rows, and each row and ``initial`` a probability
@@ -647,32 +688,55 @@ class MarkovModel(EventSequenceModel):
         return not supp.any()
 
     def window_series(self, max_prefix_len: int, num_terms: int) -> tuple[np.ndarray, np.ndarray]:
+        terms = np.empty((max_prefix_len + 1, num_terms))
+        empty = np.empty(terms.shape, dtype=bool)
         # dists row n - 1: the distribution at time n + m with the complements
         # at n..n + m - 1 masked in, as window_prob propagates it
-        masks = self._events.masks(1, num_terms + max_prefix_len)
-        dists = self._dists.rows(1, num_terms)
-        terms = np.empty((max_prefix_len + 1, num_terms))
+        dists, masks, period = self._table_columns(self._dists, max_prefix_len, num_terms)
+        k = len(dists)
         for m in range(max_prefix_len + 1):
-            window = masks[m : m + num_terms]
-            terms[m] = self._finish_probs((dists * window).sum(axis=1))
+            window = masks[m : m + k]
+            terms[m, :k] = self._finish_probs((dists * window).sum(axis=1))
             if m < max_prefix_len:
                 dists = dists * ~window
                 # one vector-matrix product per row, bit-identical to window_prob's
                 # (a matrix-matrix product rounds differently)
                 dists = (dists[:, None, :] @ self._transition)[:, 0, :]
+        _tile(terms, k, period)
         # the support pass runs once the distribution temporaries are freed, so
         # the two passes' peaks do not add up.  Its 0/1 products count at most
         # S paths, which float32 holds exactly.
         del dists
         reach = (self._transition > 0.0).astype(np.float32)
-        supp = self._supports.rows(1, num_terms)
-        empty = np.empty(terms.shape, dtype=bool)
+        supp, masks, period = self._table_columns(self._supports, max_prefix_len, num_terms)
+        k = len(supp)
         for m in range(max_prefix_len + 1):
-            window = masks[m : m + num_terms]
-            empty[m] = ~(supp & window).any(axis=1)
+            window = masks[m : m + k]
+            empty[m, :k] = ~(supp & window).any(axis=1)
             if m < max_prefix_len:
                 supp = (supp & ~window).astype(np.float32) @ reach > 0.0
+        _tile(empty, k, period)
         return terms, empty
+
+    def _table_columns(
+        self, orbit: _Orbit, max_prefix_len: int, num_terms: int
+    ) -> tuple[np.ndarray, np.ndarray, int]:
+        """What the evaluated columns of a window table read, and the table's period.
+
+        Column n - 1 of a window table reads only the orbit's x_n and the
+        masks of E_n..E_{n+M}.  When x repeats from time c with period p, and
+        E from time e with period q, column n - 1 equals column n - 1 - L for
+        n > k = max(c, e) - 1 + L, where L = lcm(p, q); otherwise k = N.
+        Returns x_1..x_k, the masks of E_1..E_{k+M} and L (0 with no period).
+        """
+        head, cycle = orbit.head(num_terms)
+        k, period = num_terms, 0
+        if cycle is not None and self._events._period is not None:
+            (c, p), (e, q) = cycle, self._events._period
+            period = math.lcm(p, q)
+            k = min(num_terms, max(c, e) - 1 + period)
+        rows = head[:k] if k <= len(head) else np.concatenate((head, orbit.rows(len(head) + 1, k)))
+        return rows, self._events.masks(1, k + max_prefix_len), period
 
     def _scan(self, n: int, count: int, carry: Any) -> tuple[np.ndarray, Any]:
         # carry: the distribution masked to the complement at the last index,

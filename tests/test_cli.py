@@ -410,6 +410,13 @@ def test_overflowing_power_law_runs_clean(tmp_path, command):
     assert len(proc.stderr.splitlines()) == 1, proc.stderr
 
 
+def test_overflow_spec_note_prints_the_exponent_sign_once(tmp_path):
+    spec, out = _power_law_spec(tmp_path, 1e-300, -400.0), tmp_path / "report.json"
+    assert run(["analyze", spec, "--terms", "100", "--out", out]) == EXIT_OK
+    note = json.loads(out.read_text())["results"]["criteria"][0]["note"]
+    assert "p_n = min(1, 1e-300*n^400)" in note
+
+
 @pytest.mark.parametrize("family", ["powerlaw", "logpower"])
 def test_subnormal_scale_exit_2(tmp_path, family, capsys):
     spec = _power_law_spec(tmp_path, 1e-310, 2.0)

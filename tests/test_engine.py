@@ -10,6 +10,7 @@ are the reference.
 
 import gc
 import importlib.util
+import math
 import tracemalloc
 
 import numpy as np
@@ -215,10 +216,108 @@ def test_empty_series_matches_window_is_empty(model, prefix_len, lo, span):
     assert np.array_equal(got, np.array(expected, dtype=bool))
 
 
+QUARTERS = [0.0, 0.25, 0.5, 0.75, 1.0]
+
+
+@st.composite
+def dyadic_rows(draw, s):
+    """A probability vector over s states in quarters: it sums to 1 exactly."""
+    cuts = sorted(draw(st.lists(st.sampled_from(QUARTERS), min_size=s - 1, max_size=s - 1)))
+    return [b - a for a, b in zip([0.0, *cuts], [*cuts, 1.0])]
+
+
+@st.composite
+def early_repeating_chains(draw):
+    """Chains whose distribution orbits mostly repeat early, over every repeating schedule.
+
+    Dyadic rows in quarters, a 2- or 3-cycle, or a chain absorbed within two
+    steps; and the three schedules with a period: constant, a cycle of 1-3
+    sets, and an explicit list with a tail.
+    """
+    kind = draw(st.sampled_from(["dyadic", "cycle", "absorbing"]))
+    if kind == "dyadic":
+        s = draw(st.integers(min_value=1, max_value=3))
+        transition = [draw(dyadic_rows(s)) for _ in range(s)]
+    elif kind == "cycle":
+        s = draw(st.integers(min_value=2, max_value=3))
+        transition = np.roll(np.eye(s), 1, axis=1).tolist()
+    else:
+        # absorbed within two steps, so the orbit reaches its fixed point early
+        s = 3
+        transition = [[0.0, 0.5, 0.5], [0.0, 0.0, 1.0], [0.0, 0.0, 1.0]]
+    sets = st.lists(st.integers(0, s - 1), max_size=s, unique=True)
+    mode = draw(st.sampled_from(["constant", "cycle", "explicit"]))
+    if mode == "constant":
+        events = EventSchedule(s, constant=draw(sets))
+    elif mode == "cycle":
+        events = EventSchedule(s, cycle=draw(st.lists(sets, min_size=1, max_size=3)))
+    else:
+        events = EventSchedule(s, explicit=draw(st.lists(sets, max_size=8)), tail=draw(sets))
+    return MarkovModel(transition, draw(dyadic_rows(s)), events)
+
+
+@settings(max_examples=100, deadline=None)
+@given(early_repeating_chains(), prefix_lens, st.integers(min_value=60, max_value=500))
+def test_markov_tiled_series_matches_window_prob(model, max_prefix_len, num_terms):
+    # past the pre-period and one (orbit x schedule) period the table is
+    # tiled, not evaluated; it must still equal the one-window reference
+    terms, empty = model.window_series(max_prefix_len, num_terms)
+    assert bits(terms) == bits(reference_series(model, max_prefix_len, num_terms))
+    assert np.array_equal(empty, reference_empty(model, max_prefix_len, num_terms))
+
+
+@pytest.mark.parametrize(
+    "events",
+    [
+        EventSchedule(3, constant=[1]),
+        EventSchedule(3, cycle=[[0], [1, 2], []]),
+        EventSchedule(3, explicit=[[0], [], [2], [1]], tail=[0, 2]),
+    ],
+)
+def test_markov_series_evaluates_one_period(events):
+    # a 3-cycle from (3/4, 1/4, 0): both orbits repeat with period 3
+    model = MarkovModel(np.roll(np.eye(3), 1, axis=1), [0.75, 0.25, 0.0], events)
+    num_terms = 400
+    for orbit in (model._dists, model._supports):
+        rows, masks, period = model._table_columns(orbit, 2, num_terms)
+        (c, cycle), (e, q) = orbit._cycle, events._period
+        assert len(cycle) == 3 and period == math.lcm(3, q)
+        assert len(rows) == max(c, e) - 1 + period < 20 and len(masks) == len(rows) + 2
+    terms, empty = model.window_series(2, num_terms)
+    assert bits(terms) == bits(reference_series(model, 2, num_terms))
+    assert np.array_equal(empty, reference_empty(model, 2, num_terms))
+
+
+def test_markov_series_that_never_repeats_walks_once():
+    eps = 1e-9
+    events = EventSchedule(2, cycle=[[0], [1]])
+    model = _chain([[1 - eps, eps], [eps, 1 - eps]], [1.0, 0.0], events)()
+    steps = []
+    step = model._dists._step
+    model._dists._step = lambda x: steps.append(x) or step(x)
+    terms, empty = model.window_series(2, 3000)
+    assert model._dists._cycle is None and len(steps) == 3000 - 1
+    model._dists._step = step
+    assert bits(terms) == bits(reference_series(model, 2, 3000))
+    assert np.array_equal(empty, reference_empty(model, 2, 3000))
+
+
+def test_markov_series_past_an_untailed_schedule_raises():
+    # the chain repeats from time 2, but an explicit list with no tail has no period
+    events = EventSchedule(2, explicit=[[0], [1], []])
+    model = MarkovModel([[0.5, 0.5], [0.5, 0.5]], [1.0, 0.0], events)
+    terms, empty = model.window_series(1, 2)
+    assert bits(terms) == bits(reference_series(model, 1, 2))
+    assert np.array_equal(empty, reference_empty(model, 1, 2))
+    with pytest.raises(
+        SequenceIndexError, match="event schedule of length 3 queried at time 4 with no tail"
+    ):
+        model.window_series(1, 3)
+
+
 def test_markov_series_memory_is_bounded():
-    # the support pass runs after the distribution pass has freed its
-    # temporaries: 4 blocks of N x S float64 hold either pass's peak, and
-    # the two passes run side by side do not fit
+    # past one period the table is tiled in place, so the peak is about the
+    # two output tables: 3 of the float table's size hold it
     num_terms, s = 100_000, 16
     rng = np.random.default_rng(5)
     transition = rng.random((s, s))
@@ -232,7 +331,7 @@ def test_markov_series_memory_is_bounded():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 4 * num_terms * s * 8
+    assert peak <= 3 * (3 + 1) * num_terms * 8
 
 
 @settings(max_examples=200, deadline=None)

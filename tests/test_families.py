@@ -136,6 +136,19 @@ def test_overflowing_powers_clamp_to_one_in_both_paths(fam, lo, hi):
     assert got[-1] == 1.0
 
 
+@pytest.mark.parametrize("family, base", [(PowerLaw, "n"), (LogPower, "ln(n+1)")])
+def test_negative_exponent_prints_its_sign_once(family, base):
+    # the overflow spec's family: p_n = 1e-300 * n^400
+    fam = family(1e-300, -400.0)
+    texts = [fam.describe(), fam.series_class(0)[1], fam.series_class(1)[1]]
+    for text in texts:
+        assert f"1e-300*{base}^400)" in text
+        assert "^-" not in text
+    # an exponent >= 0 keeps the minus of its reciprocal power
+    assert f"2*{base}^-0.5)" in family(2.0, 0.5).describe()
+    assert f"1*{base}^-0)" in family(1.0, 0.0).describe()
+
+
 @pytest.mark.parametrize("family", [PowerLaw, LogPower])
 def test_subnormal_scale_is_rejected(family):
     with pytest.raises(ModelValueError) as info:
