@@ -23,7 +23,6 @@ from .criteria import (
 from .families import Constant, ExplicitList, LogPower, ModelValueError, PowerLaw, SequenceFamily
 from .limsup import LimsupEstimate, TailUnionEstimate, limsup_estimate, tail_union
 from .models import (
-    AnalyticMetadata,
     DecayVerdict,
     EventSchedule,
     EventSequenceModel,
@@ -83,7 +82,6 @@ __all__ = [
     "LatentUniformModel",
     "GlobalThresholds",
     "PerLatentThresholds",
-    "AnalyticMetadata",
     "DecayVerdict",
     "marginal_decay_check",
     "NumericFaultError",

@@ -82,7 +82,7 @@ class Verdict:
 
 
 class InsufficientDataError(ValueError):
-    """Too few terms to classify and no analytic metadata to fall back on."""
+    """Too few terms to classify and no closed-form class to fall back on."""
 
 
 def series_terms(
@@ -144,7 +144,7 @@ def classify_series(
     """Issue a convergence verdict for the evaluated terms of one window series.
 
     ``empty`` is the series' row of emptiness proofs from ``window_series``
-    and ``classified`` the metadata's classification of it, or None.
+    and ``classified`` its closed-form class, ``model.series_class(m)``, or None.
     Certified verdicts come from exact-zero tails whose windows are all proved
     empty, or from ``classified``; everything else rests on the fitted tail
     exponent ``fit`` (``fit_tail(terms)``) with a +-0.1 buffer around the
@@ -155,7 +155,7 @@ def classify_series(
             f"{len(terms)} terms evaluated; need {MIN_TERMS_FOR_FIT} or analytic metadata"
         )
 
-    # Exact zeros observed beat declared metadata: verify them structurally.
+    # Exact zeros observed beat a declared class: verify them structurally.
     zero_start = _zero_tail_start(terms)
     if zero_start is not None and zero_start <= len(terms) // 2 + 1:
         if empty[zero_start - 1 :].all():
@@ -235,15 +235,12 @@ def build_series_report(
 ) -> SeriesReport:
     """The report on ``terms`` and ``empty``, rows of the ``prefix_len``-window series."""
     fit = fit_tail(terms)
-    classifier = model.metadata.series_classifier
     return SeriesReport(
         prefix_len=prefix_len,
         terms=terms,
         partial_sums=compensated_cumsum(terms),
         tail_fit=fit,
-        verdict=classify_series(
-            terms, empty, fit, classifier(prefix_len) if classifier is not None else None
-        ),
+        verdict=classify_series(terms, empty, fit, model.series_class(prefix_len)),
     )
 
 

@@ -100,7 +100,11 @@ class SequenceFamily(ABC):
         """Human-readable formula, including any clamping note."""
 
     def tail_sum_bound(self, n: int) -> float | None:
-        """Upper bound on sum_{j >= n} value(j); None when no finite bound exists."""
+        """Upper bound on sum_{j >= n} value(j); None when no finite bound exists.
+
+        A family's bound is None at every n or at none: whether the tail sum is
+        finite does not depend on where it starts.
+        """
         return None
 
     def tail_sup(self, n: int) -> float | None:
@@ -383,9 +387,7 @@ class ExplicitList(SequenceFamily):
         return self.tail
 
     def tail_sum_bound(self, n: int) -> float | None:
-        if self.tail not in (0.0, None):
-            return None
-        if self.tail is None:
+        if self.tail != 0.0:
             return None
         start = max(n, 1)
         return math.fsum(self.head[start - 1 :]) if start <= len(self.head) else 0.0

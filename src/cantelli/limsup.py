@@ -94,7 +94,6 @@ def tail_union(
         raise ValueError("tolerance must be positive")
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
-    meta = model.metadata
     scan = OccurrenceScan(n)
     running = CompensatedSum()
     k = min(INITIAL_TRUNCATION, k_max)
@@ -102,9 +101,7 @@ def tail_union(
         terms = model.first_occurrence_terms(scan.end, n + k - scan.end, scan)
         partial = min(max(compensated_sum(terms, running), 0.0), 1.0)
         remainder = model.all_complement_prob(n, k, scan)
-        union_tail = (
-            meta.tail_union_bound(n + k) if meta.tail_union_bound is not None else None
-        )
+        union_tail = model.union_bound(n + k)
         effective = remainder if union_tail is None else min(remainder, union_tail)
         if effective < tol or k >= k_max:
             return TailUnionEstimate(

@@ -27,6 +27,11 @@ evaluates each window's family, threshold or event-mask constants once for the
 whole batch, and each generator's rows equal, bit for bit, a call with that
 generator alone, whichever windows and generators share the call.
 
+A backend states the closed forms it can certify through ``marginal_limit``,
+``series_class``, ``union_bound`` and ``describe``; the base class knows none
+(None, or ""), and every certification rests on the justification or
+description the backend records.
+
 All models are immutable after construction and all queries are pure; the
 Markov backend caches only its two ``_Orbit`` walks, of distributions and supports.
 """
@@ -46,7 +51,6 @@ from .windows import WindowPattern
 
 __all__ = [
     "NumericFaultError",
-    "AnalyticMetadata",
     "EventSequenceModel",
     "OccurrenceScan",
     "IndependentModel",
@@ -69,23 +73,6 @@ _DRAW_CHUNK = 1 << 16
 
 class NumericFaultError(ArithmeticError):
     """A probability computation produced a non-finite or out-of-range value."""
-
-
-@dataclass(frozen=True)
-class AnalyticMetadata:
-    """Closed-form facts a backend can certify about itself.
-
-    ``series_classifier(prefix_len)`` classifies the window series with that
-    many complement factors, returning (SeriesClass, justification) or None.
-    ``tail_union_bound(n)`` bounds P(union_{j>=n} A_j) from above.  Absent
-    callables mean "no closed form"; every certification must be backed by the
-    argument recorded in its justification or in ``description``.
-    """
-
-    marginal_limit: float | None = None
-    series_classifier: Callable[[int], tuple[SeriesClass, str] | None] | None = None
-    tail_union_bound: Callable[[int], float] | None = None
-    description: str = ""
 
 
 class EventSequenceModel(ABC):
@@ -122,9 +109,20 @@ class EventSequenceModel(ABC):
         whatever other windows share the call.
         """
 
-    @property
-    def metadata(self) -> AnalyticMetadata:
-        return AnalyticMetadata()
+    def marginal_limit(self) -> float | None:
+        """lim P(A_n), or None."""
+        return None
+
+    def series_class(self, prefix_len: int) -> tuple[SeriesClass, str] | None:
+        """(class, justification) of the window series with ``prefix_len`` complements, or None."""
+        return None
+
+    def union_bound(self, n: int) -> float | None:
+        """An upper bound on P(union_{j>=n} A_j), or None."""
+        return None
+
+    def describe(self) -> str:
+        return ""
 
     @abstractmethod
     def window_series(self, max_prefix_len: int, num_terms: int) -> tuple[np.ndarray, np.ndarray]:
@@ -294,26 +292,24 @@ class IndependentModel(EventSequenceModel):
 
     def __init__(self, marginal: SequenceFamily):
         self._family = marginal
-        tail_sum = marginal.tail_sum_bound
-
-        def union_bound(n: int) -> float:
-            b = tail_sum(n)
-            return min(1.0, b) if b is not None else 1.0
-
-        self._metadata = AnalyticMetadata(
-            marginal_limit=marginal.limit(),
-            series_classifier=marginal.series_class,
-            tail_union_bound=union_bound if tail_sum(1) is not None else None,
-            description=f"independent events, {marginal.describe()}",
-        )
 
     @property
     def family(self) -> SequenceFamily:
         return self._family
 
-    @property
-    def metadata(self) -> AnalyticMetadata:
-        return self._metadata
+    def marginal_limit(self) -> float | None:
+        return self._family.limit()
+
+    def series_class(self, prefix_len: int) -> tuple[SeriesClass, str] | None:
+        return self._family.series_class(prefix_len)
+
+    def union_bound(self, n: int) -> float | None:
+        # the union bound: P(union) <= sum of the marginals
+        b = self._family.tail_sum_bound(n)
+        return None if b is None else min(1.0, b)
+
+    def describe(self) -> str:
+        return f"independent events, {self._family.describe()}"
 
     def window_prob(self, w: WindowPattern) -> float:
         prob = 1.0
@@ -501,17 +497,6 @@ class _Orbit:
         # (time c, read-only rows x_c..x_{c+period-1}) once the walk repeats
         self._cycle: tuple[int, np.ndarray] | None = None
 
-    def at(self, n: int) -> np.ndarray:
-        """x_n (1-based)."""
-        if n < 1:
-            raise ValueError(f"time index {n} < 1")
-        if self._cycle is None or n < self._cycle[0]:
-            t, x = self._walk(n, n, None)
-            if t == n:
-                return x
-        start, rows = self._cycle
-        return rows[(n - start) % len(rows)]
-
     def head(self, n: int) -> tuple[np.ndarray, tuple[int, int] | None]:
         """x_1..x_k and the cycle's (start c, period p) if known, walking toward n >= 1 once.
 
@@ -528,7 +513,9 @@ class _Orbit:
         return rows, self._cycle and (self._cycle[0], len(self._cycle[1]))
 
     def rows(self, lo: int, hi: int) -> np.ndarray:
-        """x_lo..x_hi as the rows of a new array."""
+        """x_lo..x_hi (1-based) as the rows of a new array."""
+        if lo < 1:
+            raise ValueError(f"time index {lo} < 1")
         out = np.empty((hi - lo + 1, *self._first.shape), self._first.dtype)
         cycle = self._cycle
         # t: the last time written, from which the cycle fills the rest
@@ -538,17 +525,17 @@ class _Orbit:
             out[t + 1 - lo :] = cycle[(np.arange(t + 1, hi + 1) - start) % len(cycle)]
         return out
 
-    def _walk(self, lo: int, stop: int, out: np.ndarray | None) -> tuple[int, np.ndarray]:
+    def _walk(self, lo: int, stop: int, out: np.ndarray) -> tuple[int, np.ndarray]:
         """Walk from the cursor (from time 1 if it is past ``lo``) toward ``stop``.
 
-        Writes each x_t with t >= lo to ``out[t - lo]`` unless ``out`` is None,
-        and returns the (t, x_t) where the walk ended: at ``stop``, before a
-        known cycle, or at the first repeat, which sets the cycle.
+        Writes each x_t with t >= lo to ``out[t - lo]`` and returns the
+        (t, x_t) where the walk ended: at ``stop``, before a known cycle, or at
+        the first repeat, which sets the cycle.
         """
         t, x = self._cursor
         if t > lo:
             t, x = 1, self._first
-        if out is not None and t == lo:
+        if t == lo:
             out[0] = x
         watch = self._cycle is None
         if not watch:
@@ -558,7 +545,7 @@ class _Orbit:
         while t < stop:
             x = self._step(x)
             t += 1
-            if out is not None and t >= lo:
+            if t >= lo:
                 out[t - lo] = x
             if watch:
                 key = x.tobytes()
@@ -632,17 +619,10 @@ class MarkovModel(EventSequenceModel):
         # 1 lands on the last positive state.
         self._initial_cuts = self._sampling_cuts(self._initial[None, :])[0]
         self._cut_columns = tuple(self._sampling_cuts(self._transition).T[:-1])
-        self._metadata = AnalyticMetadata(
-            description=f"finite Markov chain on {s} states with time-indexed event sets"
-        )
 
     @property
     def num_states(self) -> int:
         return self._num_states
-
-    @property
-    def metadata(self) -> AnalyticMetadata:
-        return self._metadata
 
     def event_mask(self, n: int) -> np.ndarray:
         return self._events.mask(n)
@@ -660,7 +640,7 @@ class MarkovModel(EventSequenceModel):
         if not constraints:
             return 1.0
         start = constraints[0][0]
-        v = self._dists.at(start)
+        v = self._dists.rows(start, start)[0]
         prev_idx = None
         for idx, occur in constraints:
             if prev_idx is not None:
@@ -676,7 +656,7 @@ class MarkovModel(EventSequenceModel):
         if not constraints:
             return False
         start = constraints[0][0]
-        supp = self._supports.at(start)
+        supp = self._supports.rows(start, start)[0]
         prev_idx = None
         for idx, occur in constraints:
             if prev_idx is not None:
@@ -741,7 +721,7 @@ class MarkovModel(EventSequenceModel):
     def _scan(self, n: int, count: int, carry: Any) -> tuple[np.ndarray, Any]:
         # carry: the distribution masked to the complement at the last index,
         # before its step to the next
-        v = self._dists.at(n) if carry is None else carry @ self._transition
+        v = self._dists.rows(n, n)[0] if carry is None else carry @ self._transition
         masks = self._events.masks(n, n + count - 1)
         hits = np.empty((count, self._num_states))
         for k, mask in enumerate(masks):
@@ -871,15 +851,10 @@ class LatentUniformModel(EventSequenceModel):
         self._cycle_slots: list[list[int]] = [[] for _ in range(num_latents)]
         for slot, c in enumerate(coloring):
             self._cycle_slots[c].append(slot)
-        self._metadata = self._build_metadata()
 
     @property
     def num_latents(self) -> int:
         return self._num_latents
-
-    @property
-    def metadata(self) -> AnalyticMetadata:
-        return self._metadata
 
     def color(self, n: int) -> int:
         return self._coloring[(n - 1) % len(self._coloring)]
@@ -1039,58 +1014,50 @@ class LatentUniformModel(EventSequenceModel):
             out.append((self._thresholds.families[j], p0))
         return out
 
-    def _build_metadata(self) -> AnalyticMetadata:
+    def _families(self) -> list[SequenceFamily]:
         if isinstance(self._thresholds, GlobalThresholds):
-            fams = [self._thresholds.family]
-            desc = (
-                f"{self._num_latents} uniform latent(s), coloring cycle {list(self._coloring)},"
-                f" thresholds {self._thresholds.family.describe()}"
-            )
-        else:
-            fams = list(self._thresholds.families)
-            parts = [
-                f"latent {j}: {f.describe()} at position{self._thresholds.offsets[j]:+d}"
-                for j, f in enumerate(fams)
-            ]
-            desc = (
-                f"{self._num_latents} uniform latent(s), coloring cycle {list(self._coloring)}; "
-                + "; ".join(parts)
-            )
+            return [self._thresholds.family]
+        return list(self._thresholds.families)
 
-        limits = [f.limit() for f in fams]
-        limit = limits[0] if all(l == limits[0] and l is not None for l in limits) else None
+    def marginal_limit(self) -> float | None:
+        limits = [f.limit() for f in self._families()]
+        return limits[0] if None not in limits and len(set(limits)) == 1 else None
 
-        def classifier(prefix_len: int) -> tuple[SeriesClass, str] | None:
-            # Only the no-complement series is a plain marginal sum; windows with
-            # complements interact across latents and are left to exact-zero and
-            # tail-fit analysis.
-            if prefix_len != 0:
-                return None
-            parts = [f.series_class(0) for f in fams]
-            if any(p is None for p in parts):
-                return None
-            if any(p[0] is SeriesClass.DIVERGENT for p in parts):  # type: ignore[index]
-                why = "; ".join(p[1] for p in parts if p[0] is SeriesClass.DIVERGENT)  # type: ignore[index]
-                return SeriesClass.DIVERGENT, f"marginal sum diverges per latent family: {why}"
-            why = "; ".join(p[1] for p in parts)  # type: ignore[index]
-            return SeriesClass.CONVERGENT, f"marginal sum converges per latent family: {why}"
+    def series_class(self, prefix_len: int) -> tuple[SeriesClass, str] | None:
+        # Only the no-complement series is a plain marginal sum; windows with
+        # complements interact across latents and are left to exact-zero and
+        # tail-fit analysis.
+        if prefix_len != 0:
+            return None
+        parts = [f.series_class(0) for f in self._families()]
+        if None in parts:
+            return None
+        divergent = [why for cls, why in parts if cls is SeriesClass.DIVERGENT]
+        if divergent:
+            why = "; ".join(divergent)
+            return SeriesClass.DIVERGENT, f"marginal sum diverges per latent family: {why}"
+        why = "; ".join(why for _, why in parts)
+        return SeriesClass.CONVERGENT, f"marginal sum converges per latent family: {why}"
 
-        def union_bound(n: int) -> float:
-            # Exact per-latent collapse: the union of threshold events on one
-            # latent is the single event at the supremum threshold.
-            prob_none = 1.0
-            for fam, start in self._families_with_start(n):
-                sup = fam.tail_sup(start)
-                if sup is None:
-                    return 1.0
-                prob_none *= 1.0 - min(1.0, sup)
-            return 1.0 - prob_none
+    def union_bound(self, n: int) -> float | None:
+        # Exact per-latent collapse: the union of threshold events on one
+        # latent is the single event at the supremum threshold.
+        prob_none = 1.0
+        for fam, start in self._families_with_start(n):
+            sup = fam.tail_sup(start)
+            if sup is None:
+                return 1.0
+            prob_none *= 1.0 - min(1.0, sup)
+        return 1.0 - prob_none
 
-        return AnalyticMetadata(
-            marginal_limit=limit,
-            series_classifier=classifier,
-            tail_union_bound=union_bound,
-            description=desc,
+    def describe(self) -> str:
+        head = f"{self._num_latents} uniform latent(s), coloring cycle {list(self._coloring)}"
+        th = self._thresholds
+        if isinstance(th, GlobalThresholds):
+            return f"{head}, thresholds {th.family.describe()}"
+        return f"{head}; " + "; ".join(
+            f"latent {j}: {f.describe()} at position{offset:+d}"
+            for j, (f, offset) in enumerate(zip(th.families, th.offsets))
         )
 
 
@@ -1127,21 +1094,19 @@ def marginal_decay_check(
     """Decide whether P(A_n) -> 0, given ``marginals``, P(A_n) for n = 1..N.
 
     ``marginals`` is row 0 of ``model.window_series``.  Certification comes
-    only from analytic metadata.  Probing the marginals at ``_decay_probes(N)``
+    only from ``model.marginal_limit()``.  Probing the marginals at ``_decay_probes(N)``
     classifies LikelyZeroLimit (below tol at the largest probes) or
     NotDecaying (the running level persists), else Inconclusive.
     """
     if not tol > 0.0:
         raise ValueError(f"decay tolerance must be positive, got {tol!r}")
-    meta = model.metadata
-    if meta.marginal_limit is not None:
-        if meta.marginal_limit == 0.0:
+    limit = model.marginal_limit()
+    if limit is not None:
+        if limit == 0.0:
             return DecayVerdict.CERTIFIED_ZERO_LIMIT, (
-                f"analytic marginal limit 0 ({meta.description})"
+                f"analytic marginal limit 0 ({model.describe()})"
             )
-        return DecayVerdict.NOT_DECAYING, (
-            f"analytic marginal limit {meta.marginal_limit:g} > 0"
-        )
+        return DecayVerdict.NOT_DECAYING, f"analytic marginal limit {limit:g} > 0"
     vals = [float(marginals[n - 1]) for n in _decay_probes(len(marginals))]
     tail_len = max(4, len(vals) // 2)
     tail = vals[-tail_len:]

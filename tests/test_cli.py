@@ -437,6 +437,7 @@ def test_reader_closing_the_pipe_keeps_the_exit_code():
         stderr=subprocess.PIPE,
     )
     proc.stdout.close()
-    err = proc.stderr.read().decode()
+    with proc.stderr:
+        err = proc.stderr.read().decode()
     assert proc.wait() == EXIT_OK
     assert "Traceback" not in err and "BrokenPipeError" not in err

@@ -36,11 +36,6 @@ def rows(model, m, num_terms):
     return terms[m], empty[m]
 
 
-def metadata_class(model, m):
-    classifier = model.metadata.series_classifier
-    return classifier(m) if classifier is not None else None
-
-
 def test_constant_one_gap_terms():
     terms, empty = series_terms(make_coin(), 1, 50)
     assert terms.shape == empty.shape == (2, 50)
@@ -85,7 +80,7 @@ def test_independent_one_gap_term_formula():
 def test_classify_all_zero_is_certified():
     nested = make_nested()
     terms, empty = rows(nested, 1, 300)
-    verdict = classify_series(terms, empty, fit_tail(terms), metadata_class(nested, 1))
+    verdict = classify_series(terms, empty, fit_tail(terms), nested.series_class(1))
     assert verdict.label is VerdictLabel.CERTIFIED_CONVERGENT
     assert "zero" in verdict.justification
 
@@ -104,7 +99,7 @@ def test_zero_tail_is_certified_only_when_every_window_is_empty():
 def test_classify_constant_positive_is_certified_divergent():
     coin = make_coin()
     terms, empty = rows(coin, 1, 300)
-    verdict = classify_series(terms, empty, fit_tail(terms), metadata_class(coin, 1))
+    verdict = classify_series(terms, empty, fit_tail(terms), coin.series_class(1))
     assert verdict.label is VerdictLabel.CERTIFIED_DIVERGENT
 
 
@@ -112,7 +107,7 @@ def test_classify_harmonic_boundary():
     model = IndependentModel(PowerLaw(1.0, 1.0))
     terms, empty = rows(model, 0, 2000)
     fit = fit_tail(terms)
-    with_meta = classify_series(terms, empty, fit, metadata_class(model, 0))
+    with_meta = classify_series(terms, empty, fit, model.series_class(0))
     assert with_meta.label is VerdictLabel.CERTIFIED_DIVERGENT
     bare = classify_series(terms, empty, fit, None)
     # fitted slope sits at the p-series boundary: the buffer keeps it honest
@@ -124,10 +119,10 @@ def test_classify_requires_terms_or_metadata():
     terms, empty = np.array([0.5, 0.5]), np.zeros(2, dtype=bool)
     with pytest.raises(InsufficientDataError):
         classify_series(terms, empty, fit_tail(terms), None)
-    # metadata substitutes for bulk
+    # a closed-form series class substitutes for bulk
     coin = make_coin()
     terms, empty = rows(coin, 1, 2)
-    verdict = classify_series(terms, empty, fit_tail(terms), metadata_class(coin, 1))
+    verdict = classify_series(terms, empty, fit_tail(terms), coin.series_class(1))
     assert verdict.label is VerdictLabel.CERTIFIED_DIVERGENT
 
 
@@ -147,7 +142,7 @@ def test_classify_monotone_in_evidence():
     for model, m, n in cases:
         terms, empty = rows(model, m, n)
         fit = fit_tail(terms)
-        with_meta = classify_series(terms, empty, fit, metadata_class(model, m))
+        with_meta = classify_series(terms, empty, fit, model.series_class(m))
         without = classify_series(terms, empty, fit, None)
         assert strength[with_meta.label] >= strength[without.label]
 
@@ -193,7 +188,7 @@ def test_alternating_zero_terms_do_not_fake_convergence():
     ff = make_flipflop()
     terms, empty = rows(ff, 1, 1000)
     assert terms.sum() == 500.0
-    verdict = classify_series(terms, empty, fit_tail(terms), metadata_class(ff, 1))
+    verdict = classify_series(terms, empty, fit_tail(terms), ff.series_class(1))
     assert verdict.label is VerdictLabel.LIKELY_DIVERGENT
     res = criterion(ff, 1, 1000)
     assert res.conclusion is Conclusion.NO_CONCLUSION
@@ -233,7 +228,7 @@ def test_sweep_rows_equal_single_criteria(spec):
 
 
 def test_sweep_fits_each_series_once(monkeypatch):
-    # a chain has no series metadata, so every verdict reads the tail fit
+    # a chain states no series class, so every verdict reads the tail fit
     calls = []
     real = criteria.fit_tail
     monkeypatch.setattr(criteria, "fit_tail", lambda terms: calls.append(1) or real(terms))

@@ -373,12 +373,11 @@ def test_scan_must_go_on_where_it_ended():
 
 def reference_tail_union(model, n, tol, k_max):
     """``tail_union``'s doubling loop, each sum and remainder taken afresh."""
-    meta = model.metadata
     k = min(INITIAL_TRUNCATION, k_max)
     while True:
         partial = min(max(compensated_sum(reference_terms(model, n, k)), 0.0), 1.0)
         remainder = reference_complement(model, n, k)
-        union_tail = meta.tail_union_bound(n + k) if meta.tail_union_bound else None
+        union_tail = model.union_bound(n + k)
         effective = remainder if union_tail is None else min(remainder, union_tail)
         if effective < tol or k >= k_max:
             return k, bits(partial), bits(remainder), union_tail, effective < tol
@@ -476,7 +475,7 @@ def test_markov_orbit_matches_plain_walk(name, order):
     model = ORBIT_CHAINS[name]()
     walk = plain_walk(model, WALK)
     for i, t in enumerate(ORDERS[order]):
-        assert bits(model._dists.at(t)) == bits(walk[t - 1])
+        assert bits(model._dists.rows(t, t)[0]) == bits(walk[t - 1])
         if i == 3:
             assert bits(model._dists.rows(1, 60)) == bits(walk[:60])
     assert bits(model._dists.rows(1, WALK)) == bits(walk)
@@ -494,7 +493,7 @@ def test_markov_orbit_matches_plain_walk_on_random_chains(model, times, lo, bloc
     for i, t in enumerate(times):
         if i == len(times) // 2:
             assert bits(model._dists.rows(1, block_len)) == bits(walk[:block_len])
-        assert bits(model._dists.at(t)) == bits(walk[t - 1])
+        assert bits(model._dists.rows(t, t)[0]) == bits(walk[t - 1])
     lo = min(lo, block_len)
     assert bits(model._dists.rows(lo, block_len)) == bits(walk[lo - 1 : block_len])
     assert bits(model._dists.rows(1, WALK)) == bits(walk)
@@ -507,7 +506,7 @@ def test_markov_far_time_reads_the_orbit(name):
     v = model._initial
     for _ in range(100_000 - 1):
         v = v @ model._transition
-    assert bits(model._dists.at(100_000)) == bits(v)
+    assert bits(model._dists.rows(100_000, 100_000)[0]) == bits(v)
     assert len(model._dists._cycle[1]) <= 256
 
 
@@ -539,11 +538,11 @@ def test_markov_supports_match_plain_walk(model, reads):
 
     def check():
         for t, width in reads:
-            assert np.array_equal(orbit.at(t), walk[t - 1])
+            assert np.array_equal(orbit.rows(t, t)[0], walk[t - 1])
             assert np.array_equal(orbit.rows(t, t + width), walk[t - 1 : t + width])
 
     check()
-    assert np.array_equal(orbit.at(SUPPORT_CYCLE_BY), walk[-1])
+    assert np.array_equal(orbit.rows(SUPPORT_CYCLE_BY, SUPPORT_CYCLE_BY)[0], walk[-1])
     assert orbit._cycle is not None
     reads.reverse()
     check()
@@ -555,11 +554,11 @@ def test_markov_orbit_reads_past_its_cycle_take_no_step(name, which):
     orbit = getattr(ORBIT_CHAINS[name](), which)
     step, steps = orbit._step, []
     orbit._step = lambda x: steps.append(x) or step(x)
-    orbit.at(100_000)
+    orbit.rows(100_000, 100_000)
     start, cycle = orbit._cycle
     steps.clear()
     for t in (start, start + 1, start + len(cycle), 10**12):
-        orbit.at(t)
+        orbit.rows(t, t)
     orbit.rows(start, start + 3 * len(cycle) + 5)
     orbit.rows(10**12, 10**12 + 100)
     assert steps == []
@@ -586,8 +585,8 @@ def test_markov_orbit_that_never_repeats_is_the_plain_walk():
     eps = 1e-9
     model = _chain([[1 - eps, eps], [eps, 1 - eps]], [1.0, 0.0])()
     walk = plain_walk(model, 5000)
-    assert bits(model._dists.at(5000)) == bits(walk[-1])
-    assert bits(model._dists.at(4000)) == bits(walk[3999])
+    assert bits(model._dists.rows(5000, 5000)[0]) == bits(walk[-1])
+    assert bits(model._dists.rows(4000, 4000)[0]) == bits(walk[3999])
     assert bits(model._dists.rows(1, 5000)) == bits(walk)
     assert model._dists._cycle is None
 

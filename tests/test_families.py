@@ -193,6 +193,28 @@ def test_explicit_zero_tail_sums():
     assert cls is SeriesClass.CONVERGENT
 
 
+@pytest.mark.parametrize(
+    "fam",
+    [
+        Constant(0.0),
+        Constant(0.5),
+        PowerLaw(0.0, 2.0),
+        PowerLaw(1.0, 0.5),
+        PowerLaw(1.0, 1.0),
+        PowerLaw(1.0, 2.0),
+        LogPower(0.0, 2.0),
+        LogPower(1.0, 2.0),
+        ExplicitList((0.5, 0.25), tail=0.0),
+        ExplicitList((0.5, 0.25), tail=0.5),
+        ExplicitList((0.5, 0.25)),
+    ],
+    ids=repr,
+)
+def test_tail_sum_bound_is_none_everywhere_or_nowhere(fam):
+    # IndependentModel.union_bound has no fallback for a bound missing at some n only
+    assert len({fam.tail_sum_bound(n) is None for n in (1, 2, 10**6)}) == 1
+
+
 def test_explicit_rejects_bad_values():
     with pytest.raises(ValueError):
         ExplicitList((0.5, 1.5))

@@ -167,7 +167,7 @@ def test_decay_examples():
 
 
 def test_decay_probe_path_likely_zero():
-    # absorbing chain has no analytic metadata; probes must see the decay
+    # absorbing chain states no marginal limit; probes must see the decay
     verdict, note = decay(make_absorbing())
     assert verdict is DecayVerdict.LIKELY_ZERO_LIMIT
     assert note == "marginals below 1e-06 at the 12 largest probes"

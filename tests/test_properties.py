@@ -11,6 +11,8 @@ from cantelli import (
     IndependentModel,
     LatentUniformModel,
     MarkovModel,
+    PerLatentThresholds,
+    PowerLaw,
     build_outcome_space,
     oracle_union_prob,
     oracle_window_prob,
@@ -125,3 +127,49 @@ def test_domination_chain(model, n, m):
 def test_emptiness_claims_are_sound(model, w):
     if model.window_is_empty(w):
         assert model.window_prob(w) == 0.0
+
+
+UNION_HORIZON = 10
+
+
+@st.composite
+def bounded_families(draw, offset_min):
+    """(family, offset): a family whose tail sum bound is finite.
+
+    An explicit list is undefined at indices below 1, so its offset is at
+    least 0; a power law saturates there and takes offsets from ``offset_min``.
+    """
+    if draw(st.booleans()):
+        scales = st.floats(min_value=0.0, max_value=2.0, allow_subnormal=False)
+        scale = draw(st.sampled_from([0.0, 1.0]) | scales)
+        exponent = draw(st.floats(min_value=1.0, max_value=4.0, exclude_min=True))
+        return PowerLaw(scale, exponent), draw(st.integers(min_value=offset_min, max_value=3))
+    head = draw(st.lists(probs, max_size=UNION_HORIZON + 2))
+    return ExplicitList(tuple(head), tail=0.0), draw(st.integers(min_value=0, max_value=3))
+
+
+@st.composite
+def union_bounded_models(draw):
+    kind = draw(st.sampled_from(["independent", "global", "per-latent"]))
+    if kind == "independent":
+        return IndependentModel(draw(bounded_families(0))[0])
+    num = draw(st.integers(min_value=1, max_value=3))
+    cycle = list(range(num)) + draw(
+        st.lists(st.integers(min_value=0, max_value=num - 1), max_size=3)
+    )
+    if kind == "global":
+        return LatentUniformModel(num, cycle, GlobalThresholds(draw(bounded_families(0))[0]))
+    drawn = [draw(bounded_families(-5)) for _ in range(num)]
+    families, offsets = zip(*drawn)
+    return LatentUniformModel(num, cycle, PerLatentThresholds(families, offsets))
+
+
+@settings(max_examples=150, deadline=None)
+@given(model=union_bounded_models())
+def test_union_bound_is_sound(model):
+    space = build_outcome_space(model, UNION_HORIZON)
+    for n in range(1, UNION_HORIZON + 1):
+        bound = model.union_bound(n)
+        if bound is not None:
+            exact = oracle_union_prob(space, n, UNION_HORIZON - n)
+            assert bound >= exact - 1e-12, (n, bound, exact)
