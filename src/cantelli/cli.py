@@ -142,6 +142,8 @@ def _analyze_table(report: dict) -> str:
     ]
     for c in report["results"]["criteria"]:
         slope = "n/a" if c["tail_slope"] is None else f"{c['tail_slope']:.4f}"
+        if slope == "-0.0000":  # the sign of a slope that rounds to zero is noise
+            slope = "0.0000"
         lines.append(
             f"{c['m']:>3}  {c['verdict']['label']:<22} {c['conclusion']:<16} "
             f"{str(c['certified']):<9} {c['partial_sum']:>14.6g} {slope:>11}"

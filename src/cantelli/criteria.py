@@ -110,20 +110,38 @@ class TailFit:
 
 
 def fit_tail(terms: np.ndarray) -> TailFit:
+    """The least-squares line through (log n, log term) over the tail window.
+
+    The window is n = max(1, N // 10)..N of the N evaluated terms; only its
+    positive terms enter the fit (``points`` of them), and ``zero_fraction``
+    is the share of the window that is not positive.  With x and y centred
+    on their means, slope = sum(x*y) / sum(x*x) and ``residual`` is the root
+    mean square of y - slope*x.  Every sum is ``np.sum`` of a product, never
+    a BLAS or LAPACK call (``np.dot``, ``@``, ``np.linalg``): with its
+    threads unpinned, BLAS costs far more than the fit on short tails.
+    """
     n_total = len(terms)
     lo = max(1, n_total // 10)
-    ns = np.arange(lo, n_total + 1)
     window = terms[lo - 1 :]
-    nonzero = window > 0.0
-    zero_fraction = 1.0 - float(nonzero.sum()) / len(window) if len(window) else 1.0
-    if nonzero.sum() < 5:
-        return TailFit(None, None, int(nonzero.sum()), zero_fraction)
-    x = np.log(ns[nonzero].astype(float))
-    y = np.log(window[nonzero])
-    slope, intercept = np.polyfit(x, y, 1)
-    resid = y - (slope * x + intercept)
-    rms = float(np.sqrt(np.mean(resid**2)))
-    return TailFit(float(slope), rms, int(nonzero.sum()), zero_fraction)
+    positive = window > 0.0
+    points = int(np.count_nonzero(positive))
+    zero_fraction = 1.0 - points / len(window) if len(window) else 1.0
+    if points < 5:
+        return TailFit(None, None, points, zero_fraction)
+    x = np.log(np.arange(lo, n_total + 1, dtype=float))
+    if points < len(window):
+        x, window = x[positive], window[positive]
+    y = np.log(window)
+    x -= np.mean(x)
+    y -= np.mean(y)
+    slope = float(np.sum(x * y) / np.sum(x * x))
+    x *= slope
+    y -= x
+    # the rounded means leave the residuals a common offset (2e-13 on a constant
+    # tail near 1e-300), which would be the whole residual there: take it out
+    y -= np.mean(y)
+    residual = float(np.sqrt(np.sum(y * y) / points))
+    return TailFit(slope, residual, points, zero_fraction)
 
 
 def _zero_tail_start(terms: np.ndarray) -> int | None:
@@ -186,19 +204,22 @@ def classify_series(
                 " nonzero residue is too sparse to fit",
             )
         return Verdict(VerdictLabel.INCONCLUSIVE, "tail fit unavailable (too few nonzero terms)")
+    exponent = f"{fit.slope:.3f}"
+    if exponent == "-0.000":  # a constant tail fits a slope of +-1e-31; its sign is noise
+        exponent = "0.000"
     if fit.slope < SLOPE_CONVERGENT:
         return Verdict(
             VerdictLabel.LIKELY_CONVERGENT,
-            f"fitted tail exponent {fit.slope:.3f} < {SLOPE_CONVERGENT}",
+            f"fitted tail exponent {exponent} < {SLOPE_CONVERGENT}",
         )
     if fit.slope > SLOPE_DIVERGENT:
         return Verdict(
             VerdictLabel.LIKELY_DIVERGENT,
-            f"fitted tail exponent {fit.slope:.3f} > {SLOPE_DIVERGENT}",
+            f"fitted tail exponent {exponent} > {SLOPE_DIVERGENT}",
         )
     return Verdict(
         VerdictLabel.INCONCLUSIVE,
-        f"fitted tail exponent {fit.slope:.3f} sits in the p-series boundary buffer"
+        f"fitted tail exponent {exponent} sits in the p-series boundary buffer"
         f" [{SLOPE_CONVERGENT}, {SLOPE_DIVERGENT}]",
     )
 
@@ -347,8 +368,8 @@ def sweep_prefix_len(
     if not 0 <= max_prefix_len <= MAX_PREFIX_LEN:
         raise ValueError(f"max_prefix_len {max_prefix_len} outside 0..{MAX_PREFIX_LEN}")
     # the decay check reads the table, so reject its tolerance before the table is built
-    if not tol > 0.0:
-        raise ValueError(f"decay tolerance must be positive, got {tol!r}")
+    if not 0.0 < tol < 1.0:
+        raise ValueError(f"decay tolerance must be in (0, 1), got {tol!r}")
     terms, empty = series_terms(model, max_prefix_len, num_terms)
     out = SweepResult(marginal_decay_check(model, terms[0], tol))
     for m in range(max_prefix_len + 1):

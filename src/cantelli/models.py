@@ -1098,8 +1098,9 @@ def marginal_decay_check(
     classifies LikelyZeroLimit (below tol at the largest probes) or
     NotDecaying (the running level persists), else Inconclusive.
     """
-    if not tol > 0.0:
-        raise ValueError(f"decay tolerance must be positive, got {tol!r}")
+    # a marginal is a probability: every one sits below a tolerance of 1 or more
+    if not 0.0 < tol < 1.0:
+        raise ValueError(f"decay tolerance must be in (0, 1), got {tol!r}")
     limit = model.marginal_limit()
     if limit is not None:
         if limit == 0.0:

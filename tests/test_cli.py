@@ -358,6 +358,13 @@ def test_table_format_renders(capsys):
     assert "alpha" in capsys.readouterr().out
 
 
+def test_table_prints_no_negative_zero_slope(capsys):
+    # markov-3state's m = 2 tail is constant and fits a slope of -7e-31
+    assert run(["analyze", SPECS / "markov-3state.json", "--format", "table"]) == EXIT_OK
+    out = capsys.readouterr().out
+    assert "-0.0000" not in out and out.count(" 0.0000\n") == 4
+
+
 def test_missing_spec_file_exit_2(tmp_path):
     assert run(["analyze", tmp_path / "nope.json"]) == EXIT_SPEC
 
@@ -379,10 +386,25 @@ def test_nan_markov_spec_exit_2(tmp_path, command, capsys):
         ["limsup", "--tol", "nan"],
         ["analyze", "--tol", "-1"],
         ["analyze", "--m-max", "-1"],
+        ["analyze", "--tol", "inf"],
+        ["analyze", "--tol", "1"],
+        ["analyze", "--tol", "1e300"],
     ],
 )
 def test_bad_flag_values_exit_2(args):
     assert run([args[0], SPECS / "markov-3state.json", *args[1:]]) == EXIT_SPEC
+
+
+def test_spec_decay_tolerance_of_one_or_more_exit_2(tmp_path, capsys):
+    # every marginal is below a tolerance of 2, which would read a recurrent chain
+    # as decaying; limsup's remainder tolerance only stops its sums early
+    spec = json.loads((SPECS / "flipflop.json").read_text())
+    spec["defaults"]["tol"] = 2.0
+    path = tmp_path / "tol2.json"
+    path.write_text(json.dumps(spec))
+    assert run(["analyze", path]) == EXIT_SPEC
+    assert "decay tolerance must be in (0, 1)" in capsys.readouterr().err
+    assert run(["limsup", path]) == EXIT_OK
 
 
 def _power_law_spec(tmp_path, scale, exponent):

@@ -1,7 +1,9 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cantelli import (
     Conclusion,
@@ -194,6 +196,15 @@ def test_alternating_zero_terms_do_not_fake_convergence():
     assert res.conclusion is Conclusion.NO_CONCLUSION
 
 
+@pytest.mark.parametrize("slope", [-1e-31, -0.0, -4e-4])
+def test_justification_prints_no_negative_zero(slope):
+    # a constant tail fits a slope of +-1e-31; rounded to 0.000 it carries no sign
+    terms = np.full(200, 0.5)
+    fit = criteria.TailFit(slope, 0.0, 180, 0.0)
+    verdict = classify_series(terms, np.zeros(200, dtype=bool), fit, None)
+    assert verdict.justification == "fitted tail exponent 0.000 > -0.9"
+
+
 def test_sweep_examples():
     assert sweep_prefix_len(make_interleaved(), 3, 2000).least_io_zero == 2
     assert sweep_prefix_len(make_nested(), 2, 2000).least_io_zero == 1
@@ -234,3 +245,111 @@ def test_sweep_fits_each_series_once(monkeypatch):
     monkeypatch.setattr(criteria, "fit_tail", lambda terms: calls.append(1) or real(terms))
     sweep_prefix_len(load_spec(SPECS / "markov-3state.json").model, 3, 2000)
     assert len(calls) == 4
+
+
+def reference_fit_tail(terms):
+    """The ``np.polyfit`` line through the positive tail: the reference for ``fit_tail``."""
+    n_total = len(terms)
+    lo = max(1, n_total // 10)
+    ns = np.arange(lo, n_total + 1)
+    window = terms[lo - 1 :]
+    nonzero = window > 0.0
+    zero_fraction = 1.0 - float(nonzero.sum()) / len(window) if len(window) else 1.0
+    if nonzero.sum() < 5:
+        return criteria.TailFit(None, None, int(nonzero.sum()), zero_fraction)
+    x = np.log(ns[nonzero].astype(float))
+    y = np.log(window[nonzero])
+    slope, intercept = np.polyfit(x, y, 1)
+    resid = y - (slope * x + intercept)
+    rms = float(np.sqrt(np.mean(resid**2)))
+    return criteria.TailFit(float(slope), rms, int(nonzero.sum()), zero_fraction)
+
+
+@st.composite
+def tail_series(draw):
+    """Power laws c*n^-s and constants with noise, runs of zeros and subnormal terms."""
+    length = draw(st.integers(1, 4000))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = np.arange(1, length + 1, dtype=float)
+    scale = 10.0 ** draw(st.floats(-300.0, 0.0))
+    if draw(st.booleans()):
+        terms = scale * n ** -draw(st.floats(-1.0, 4.0))
+    else:
+        terms = np.full(length, scale)
+    if draw(st.booleans()):
+        terms *= np.exp(draw(st.floats(0.0, 2.0)) * rng.standard_normal(length))
+    for _ in range(draw(st.integers(0, 3))):
+        start = int(rng.integers(0, length))
+        terms[start : start + int(rng.integers(1, length + 1))] = 0.0
+    k = draw(st.integers(0, 20))
+    terms[rng.integers(0, length, k)] = rng.integers(1, 2**40, k) * 5e-324
+    return terms
+
+
+def exact_fit(terms):
+    """Slope and residual of the tail line, in rational arithmetic on the same logs."""
+    n_total = len(terms)
+    lo = max(1, n_total // 10)
+    window = terms[lo - 1 :]
+    positive = window > 0.0
+    x = [Fraction(v) for v in np.log(np.arange(lo, n_total + 1, dtype=float))[positive].tolist()]
+    y = [Fraction(v) for v in np.log(window[positive]).tolist()]
+    k = len(x)
+    # k times the centred sums, free of the 1/k of the means
+    sxx = k * sum(u * u for u in x) - sum(x) ** 2
+    sxy = k * sum(u * v for u, v in zip(x, y)) - sum(x) * sum(y)
+    syy = k * sum(v * v for v in y) - sum(y) ** 2
+    return float(sxy / sxx), math.sqrt(float((syy - sxy * sxy / sxx) / (k * k)))
+
+
+def close(a, b):
+    return abs(a - b) <= 1e-12 * max(1.0, abs(b))
+
+
+@settings(max_examples=300, deadline=None)
+@given(tail_series())
+def test_fit_tail_agrees_with_polyfit(terms):
+    got, ref = fit_tail(terms), reference_fit_tail(terms)
+    assert (got.points, got.zero_fraction) == (ref.points, ref.zero_fraction)
+    assert (got.slope is None) == (ref.slope is None)
+    if ref.slope is None:
+        return
+    for i, (new, old) in enumerate([(got.slope, ref.slope), (got.residual, ref.residual)]):
+        if not close(new, old):
+            # np.polyfit fits the uncentred logs and can miss by more than the bound
+            # itself (1.8e-11 on a 7-point tail of slope -8): exact arithmetic decides
+            exact = exact_fit(terms)[i]
+            assert close(new, exact) and abs(new - exact) < abs(old - exact)
+
+
+def test_fit_tail_makes_no_blas_call(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("fit_tail called BLAS or LAPACK")
+
+    for name in ("dot", "vdot", "inner", "matmul", "polyfit"):
+        monkeypatch.setattr(np, name, refuse)
+    for name in ("lstsq", "svd"):
+        monkeypatch.setattr(np.linalg, name, refuse)
+    n = np.arange(1, 2001, dtype=float)
+    # all terms positive (no masks), then every third one zero (masked)
+    assert fit_tail(n**-2.0).slope == pytest.approx(-2.0, abs=1e-12)
+    fit = fit_tail(np.where(n % 3 == 0, 0.0, n**-1.5))
+    assert fit.slope == pytest.approx(-1.5, abs=1e-12)
+    assert fit.residual < 1e-12 and fit.zero_fraction == pytest.approx(1 / 3, abs=1e-3)
+
+
+@pytest.mark.parametrize("size", ["defaults", "m8-20000"])
+@pytest.mark.parametrize("spec", sorted(p.name for p in SPECS.glob("*.json")))
+def test_verdicts_agree_with_the_polyfit_reference(monkeypatch, spec, size):
+    loaded = load_spec(SPECS / spec)
+    d = loaded.defaults
+    m_max, num_terms = (d.m_max, d.terms) if size == "defaults" else (8, 20000)
+
+    def outcome():
+        sweep = sweep_prefix_len(loaded.model, m_max, num_terms, d.tol)
+        rows = [(r.series.verdict.label, r.conclusion, r.certified) for r in sweep.results]
+        return rows, sweep.least_io_zero, sweep.least_certified_io_zero
+
+    got = outcome()
+    monkeypatch.setattr(criteria, "fit_tail", reference_fit_tail)
+    assert got == outcome()

@@ -166,6 +166,13 @@ def test_decay_examples():
     assert decay(make_flipflop())[0] is DecayVerdict.NOT_DECAYING
 
 
+@pytest.mark.parametrize("tol", [0.0, -1.0, 1.0, 1e300, float("inf"), float("nan")])
+def test_decay_tolerance_outside_zero_one_is_rejected(tol):
+    # marginals are probabilities: a tolerance of 1 or more sees every one as decayed
+    with pytest.raises(ValueError, match=r"decay tolerance must be in \(0, 1\)"):
+        decay(make_flipflop(), tol)
+
+
 def test_decay_probe_path_likely_zero():
     # absorbing chain states no marginal limit; probes must see the decay
     verdict, note = decay(make_absorbing())
