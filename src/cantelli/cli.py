@@ -62,20 +62,11 @@ def _resolve(flag_value, spec: ModelSpec, key: str):
     return _FALLBACKS[key]
 
 
-def _jsonable(x):
-    if isinstance(x, (bool, np.bool_)):
-        return bool(x)
-    if isinstance(x, (np.floating, float)):
-        return float(x)
-    if isinstance(x, (np.integer, int)):
-        return int(x)
-    if isinstance(x, np.ndarray):
-        return [_jsonable(v) for v in x.tolist()]
-    if isinstance(x, (list, tuple)):
-        return [_jsonable(v) for v in x]
-    if isinstance(x, dict):
-        return {k: _jsonable(v) for k, v in x.items()}
-    return x
+def _json_default(x):
+    # numpy floats are floats, which json writes as their repr already
+    if isinstance(x, (np.generic, np.ndarray)):
+        return x.tolist()
+    raise TypeError(f"{type(x).__name__} is not JSON serializable")
 
 
 def _report_shell(command: str, spec: ModelSpec, flags: dict) -> dict:
@@ -83,7 +74,7 @@ def _report_shell(command: str, spec: ModelSpec, flags: dict) -> dict:
         "tool": {"name": "cantelli", "version": __version__},
         "command": command,
         "spec": spec.echo(),
-        "flags": _jsonable(flags),
+        "flags": flags,
         "results": {},
     }
 
@@ -243,7 +234,7 @@ def cmd_limsup(args: argparse.Namespace) -> int:
     model = build_model(spec)
     tol = _resolve(args.tol, spec, "tol")
     k_max = _resolve(args.k_max, spec, "k_max")
-    schedule = args.schedule if args.schedule is not None else _resolve(None, spec, "schedule")
+    schedule = _resolve(args.schedule, spec, "schedule")
     # a start's scan reads indices up to n + k_max
     too_far = [n for n in schedule if n > INDEX_MAX - k_max]
     if too_far:
@@ -459,11 +450,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _emit(report: dict, args: argparse.Namespace, table_renderer) -> None:
-    report = _jsonable(report)
     if args.format == "table":
         text = table_renderer(report)
     else:
-        text = json.dumps(report, indent=2, sort_keys=True)
+        text = json.dumps(report, indent=2, sort_keys=True, default=_json_default)
     if args.out:
         Path(args.out).write_text(text + "\n")
         return

@@ -146,11 +146,11 @@ def fit_tail(terms: np.ndarray) -> TailFit:
 
 def _zero_tail_start(terms: np.ndarray) -> int | None:
     """1-based index from which all evaluated terms are exactly zero, or None."""
-    nz = np.flatnonzero(terms)
-    if nz.size == 0:
+    nonzero = terms[::-1] != 0.0
+    if not nonzero.any():
         return 1
-    start = int(nz[-1]) + 2
-    return start if start <= len(terms) else None
+    zeros = int(np.argmax(nonzero))  # the exact zeros after the last nonzero term
+    return len(terms) - zeros + 1 if zeros else None
 
 
 def classify_series(

@@ -12,13 +12,13 @@ programming:
   emptiness is decidable exactly.  This backend builds the nested and
   interleaved counterexamples that separate the window criteria.
 
-Each backend answers two kinds of query.  ``window_prob`` and
-``window_is_empty`` take one window.  ``window_series`` evaluates the window
-series of every complement-run length 0..m at once, with the emptiness proof
-of every window, from one evaluation of the family, threshold or distribution
-arrays; it returns the one-window answers bit for bit.  The Markov tables
-evaluate their columns through one common period of the chain's orbit and its
-event schedule, and copy the rest.
+Each backend answers two kinds of query.  ``window_prob`` takes one window.
+``window_series`` evaluates the window series of every complement-run length
+0..m at once, from one evaluation of the family, threshold or distribution
+arrays, and returns ``window_prob``'s answers bit for bit.  Its ``empty``
+table is the package's one emptiness proof: row m marks the m-windows that are
+provably empty.  The Markov tables evaluate their columns through one common
+period of the chain's orbit and its event schedule, and copy the rest.
 ``first_occurrence_terms`` and ``all_complement_prob`` both read one
 first-occurrence scan per backend (``_scan``), which an ``OccurrenceScan``
 carries on chunk by chunk.  ``sample_indicator_block`` draws sampled
@@ -83,14 +83,6 @@ class EventSequenceModel(ABC):
         """Probability of the conjunction event described by ``w``."""
 
     @abstractmethod
-    def window_is_empty(self, w: WindowPattern) -> bool:
-        """True only when the window event is provably empty (probability exactly 0).
-
-        This is a structural check (interval emptiness, support reachability,
-        zero/one marginals), never a float-underflow readout.
-        """
-
-    @abstractmethod
     def sample_indicator_block(
         self,
         rngs: Sequence[np.random.Generator],
@@ -130,8 +122,10 @@ class EventSequenceModel(ABC):
 
         Returns (terms, empty), two (max_prefix_len + 1, num_terms) tables.
         ``terms[m, n - 1]`` is ``window_prob(first_occurrence(n, m))``, bit for
-        bit, and ``empty[m, n - 1]`` is ``window_is_empty`` of that window.
-        Row 0 of ``terms`` is the marginals P(A_n).
+        bit.  ``empty[m, n - 1]`` is True only when that window is provably
+        empty (probability exactly 0), by a structural check (a zero or one
+        marginal, support reachability, interval emptiness), never a
+        float-underflow readout.  Row 0 of ``terms`` is the marginals P(A_n).
         """
 
     def first_occurrence_terms(
@@ -317,13 +311,6 @@ class IndependentModel(EventSequenceModel):
             p = self._family.value(idx)
             prob *= p if occur else 1.0 - p
         return self._finish_prob(prob)
-
-    def window_is_empty(self, w: WindowPattern) -> bool:
-        for idx, occur in w.constraints():
-            p = self._family.value(idx)
-            if (occur and p == 0.0) or (not occur and p == 1.0):
-                return True
-        return False
 
     def window_series(self, max_prefix_len: int, num_terms: int) -> tuple[np.ndarray, np.ndarray]:
         # the window at n multiplies its factors in index order, as window_prob
@@ -651,22 +638,6 @@ class MarkovModel(EventSequenceModel):
             prev_idx = idx
         return self._finish_prob(float(v.sum()))
 
-    def window_is_empty(self, w: WindowPattern) -> bool:
-        constraints = w.constraints()
-        if not constraints:
-            return False
-        start = constraints[0][0]
-        supp = self._supports.rows(start, start)[0]
-        prev_idx = None
-        for idx, occur in constraints:
-            if prev_idx is not None:
-                for _ in range(idx - prev_idx):
-                    supp = self._supports._step(supp)
-            mask = self._events.mask(idx)
-            supp = supp & mask if occur else supp & ~mask
-            prev_idx = idx
-        return not supp.any()
-
     def window_series(self, max_prefix_len: int, num_terms: int) -> tuple[np.ndarray, np.ndarray]:
         terms = np.empty((max_prefix_len + 1, num_terms))
         empty = np.empty(terms.shape, dtype=bool)
@@ -859,13 +830,15 @@ class LatentUniformModel(EventSequenceModel):
     def color(self, n: int) -> int:
         return self._coloring[(n - 1) % len(self._coloring)]
 
+    def _count(self, k: int, latent: int) -> int:
+        """How many of the indices 1..k the coloring assigns to ``latent``."""
+        full, rest = divmod(k, len(self._coloring))
+        slots = self._cycle_slots[latent]
+        return full * len(slots) + sum(1 for s in slots if s < rest)
+
     def position(self, n: int) -> int:
         """1-based count of indices <= n sharing n's latent."""
-        cyc = len(self._coloring)
-        full, slot = divmod(n - 1, cyc)
-        slots = self._cycle_slots[self._coloring[slot]]
-        rank = sum(1 for s in slots if s <= slot)
-        return full * len(slots) + rank
+        return self._count(n, self.color(n))
 
     def threshold(self, n: int) -> float:
         if isinstance(self._thresholds, GlobalThresholds):
@@ -899,19 +872,13 @@ class LatentUniformModel(EventSequenceModel):
             ):
                 at = np.flatnonzero(colors == j)
                 if at.size:
-                    first = self.position(lo + int(at[0])) + offset
+                    first = self._count(lo - 1, j) + 1 + offset
                     a[at] = fam.values(first, first + at.size - 1)
         bad = ~((a >= 0.0) & (a <= 1.0))
         if bad.any():
             k = int(np.argmax(bad))
             raise ValueError(f"threshold a_{lo + k} = {float(a[k])!r} outside [0, 1]")
         return a + 0.0
-
-    def _first_position_at_or_after(self, n: int, latent: int) -> int:
-        for i in range(n, n + len(self._coloring)):
-            if self.color(i) == latent:
-                return self.position(i)
-        raise AssertionError("latent absent from coloring cycle")
 
     def _latent_intervals(self, w: WindowPattern) -> list[tuple[float, float]]:
         """Per-latent (excluded_below, included_up_to) bounds: U in (lo, hi]."""
@@ -931,9 +898,6 @@ class LatentUniformModel(EventSequenceModel):
         for lo, hi in self._latent_intervals(w):
             prob *= max(0.0, hi - lo)
         return self._finish_prob(prob)
-
-    def window_is_empty(self, w: WindowPattern) -> bool:
-        return any(hi <= lo for lo, hi in self._latent_intervals(w))
 
     def window_series(self, max_prefix_len: int, num_terms: int) -> tuple[np.ndarray, np.ndarray]:
         # the m-window at n constrains each latent to the span hi - lo of
@@ -1008,11 +972,13 @@ class LatentUniformModel(EventSequenceModel):
         """(family, first index it is evaluated at for global index >= n) per latent."""
         if isinstance(self._thresholds, GlobalThresholds):
             return [(self._thresholds.family, n)] * self._num_latents
-        out = []
-        for j in range(self._num_latents):
-            p0 = self._first_position_at_or_after(n, j) + self._thresholds.offsets[j]
-            out.append((self._thresholds.families[j], p0))
-        return out
+        # the first index >= n of latent j has position count(n - 1, j) + 1
+        return [
+            (fam, self._count(n - 1, j) + 1 + offset)
+            for j, (fam, offset) in enumerate(
+                zip(self._thresholds.families, self._thresholds.offsets)
+            )
+        ]
 
     def _families(self) -> list[SequenceFamily]:
         if isinstance(self._thresholds, GlobalThresholds):

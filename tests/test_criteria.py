@@ -98,6 +98,26 @@ def test_zero_tail_is_certified_only_when_every_window_is_empty():
     assert "does not prove" in verdict.justification
 
 
+def reference_zero_tail_start(terms):
+    nz = np.flatnonzero(terms)
+    if nz.size == 0:
+        return 1
+    start = int(nz[-1]) + 2
+    return start if start <= len(terms) else None
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(
+        st.sampled_from([0.0, -0.0, 0.5, 5e-324, float("nan")]) | st.floats(0.0, 1.0),
+        max_size=40,
+    )
+)
+def test_zero_tail_start_matches_the_index_reference(values):
+    terms = np.array(values, dtype=float)
+    assert criteria._zero_tail_start(terms) == reference_zero_tail_start(terms)
+
+
 def test_classify_constant_positive_is_certified_divergent():
     coin = make_coin()
     terms, empty = rows(coin, 1, 300)

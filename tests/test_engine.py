@@ -69,11 +69,49 @@ def reference_series(model, max_prefix_len, num_terms):
     )
 
 
+def window_is_empty(model, w):
+    """True only when the window event is provably empty (probability exactly 0).
+
+    A structural check, one window at a time, never a float-underflow readout:
+    a marginal of 0 where the window needs the event or of 1 where it needs
+    the complement; a Markov support that the window's masks, walked through
+    the reachable states, leave empty; a latent interval (lo, hi] with
+    hi <= lo.
+    """
+    constraints = w.constraints()
+    if isinstance(model, IndependentModel):
+        return any(
+            model.family.value(idx) == (0.0 if occur else 1.0) for idx, occur in constraints
+        )
+    if isinstance(model, MarkovModel):
+        if not constraints:
+            return False
+        reach = model._transition > 0.0
+        supp = model._supports.rows(constraints[0][0], constraints[0][0])[0]
+        prev_idx = constraints[0][0]
+        for idx, occur in constraints:
+            for _ in range(idx - prev_idx):
+                supp = reach[supp].any(axis=0)
+            mask = model.event_mask(idx)
+            supp = supp & mask if occur else supp & ~mask
+            prev_idx = idx
+        return not supp.any()
+    lo = [0.0] * model.num_latents
+    hi = [1.0] * model.num_latents
+    for idx, occur in constraints:
+        j, a = model.color(idx), model.threshold(idx)
+        if occur:
+            hi[j] = min(hi[j], a)
+        else:
+            lo[j] = max(lo[j], a)
+    return any(top <= bottom for bottom, top in zip(lo, hi))
+
+
 def reference_empty(model, max_prefix_len, num_terms):
     """Row m: ``window_is_empty`` of the m-window at n = 1..num_terms."""
     return np.array(
         [
-            [model.window_is_empty(first_occurrence(n, m)) for n in range(1, num_terms + 1)]
+            [window_is_empty(model, first_occurrence(n, m)) for n in range(1, num_terms + 1)]
             for m in range(max_prefix_len + 1)
         ],
         dtype=bool,
@@ -210,7 +248,7 @@ def test_empty_series_matches_window_is_empty(model, prefix_len, lo, span):
     _, empty = model.window_series(prefix_len, lo + span)
     got = empty[prefix_len, lo - 1 :]
     expected = [
-        model.window_is_empty(first_occurrence(n, prefix_len)) for n in range(lo, lo + span + 1)
+        window_is_empty(model, first_occurrence(n, prefix_len)) for n in range(lo, lo + span + 1)
     ]
     assert got.dtype == bool
     assert np.array_equal(got, np.array(expected, dtype=bool))

@@ -2,6 +2,7 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cantelli import (
     Constant,
@@ -15,6 +16,7 @@ from cantelli import (
     MarkovModel,
     ModelValueError,
     NumericFaultError,
+    PerLatentThresholds,
     PowerLaw,
     marginal_decay_check,
 )
@@ -41,7 +43,9 @@ def test_nested_one_gap_window_is_empty():
     nested = make_nested()
     w = first_occurrence(1, 1)
     assert nested.window_prob(w) == 0.0
-    assert nested.window_is_empty(w)
+    terms, empty = nested.window_series(1, 1)
+    assert terms[1, 0] == 0.0
+    assert empty[1, 0]
 
 
 def test_marginal_prob_examples():
@@ -259,6 +263,35 @@ def test_latent_position_bookkeeping():
     assert [model.position(n) for n in range(1, 7)] == [1, 1, 2, 3, 2, 4]
 
 
+@st.composite
+def colorings(draw):
+    num = draw(st.integers(min_value=1, max_value=4))
+    extra = draw(st.lists(st.integers(min_value=0, max_value=num - 1), max_size=5))
+    return num, draw(st.permutations(list(range(num)) + extra))
+
+
+@settings(max_examples=200, deadline=None)
+@given(colorings(), st.integers(min_value=1, max_value=60), st.data())
+def test_latent_positions_match_a_brute_force_count(drawn, n, data):
+    num, coloring = drawn
+    offsets = tuple(data.draw(st.integers(min_value=-5, max_value=3)) for _ in range(num))
+    model = LatentUniformModel(
+        num, coloring, PerLatentThresholds((Constant(0.5),) * num, offsets)
+    )
+    colors = [coloring[(i - 1) % len(coloring)] for i in range(1, n + len(coloring) + 1)]
+
+    def count(k, j):
+        return sum(1 for c in colors[:k] if c == j)
+
+    for j in range(num):
+        assert [model._count(k, j) for k in range(n + 1)] == [count(k, j) for k in range(n + 1)]
+    assert model.position(n) == count(n, colors[n - 1])
+    # each latent's thresholds start at the position of its first index >= n
+    firsts = [next(i for i in range(n, len(colors) + 1) if colors[i - 1] == j) for j in range(num)]
+    starts = [start for _, start in model._families_with_start(n)]
+    assert starts == [count(i, j) + offsets[j] for j, i in enumerate(firsts)]
+
+
 def test_finish_prob_guards():
     assert EventSequenceModel._finish_prob(1.0 + 1e-12) == 1.0
     assert EventSequenceModel._finish_prob(-1e-12) == 0.0
@@ -290,19 +323,21 @@ def test_markov_queries_are_pure_under_threads():
 
 def test_markov_window_is_empty_via_support():
     ff = make_flipflop()
+    # empty[m, n - 1] is the proof for the m-window at n
+    _, empty = ff.window_series(1, 1002)
     # started in state 1: being in state 0 at time 1 is impossible
-    assert ff.window_is_empty(first_occurrence(1, 0))
+    assert empty[0, 0]
     assert ff.window_prob(first_occurrence(1, 0)) == 0.0
-    assert not ff.window_is_empty(first_occurrence(2, 0))
+    assert not empty[0, 1]
     # the complement run not-A_3 A_4 is certain, not empty
     assert ff.window_prob(first_occurrence(3, 1)) == 1.0
-    assert not ff.window_is_empty(first_occurrence(3, 1))
+    assert not empty[1, 2]
     # not-A_2 then A_3 needs the chain out of state 0 at time 2: impossible
     assert ff.window_prob(first_occurrence(2, 1)) == 0.0
-    assert ff.window_is_empty(first_occurrence(2, 1))
+    assert empty[1, 1]
     # support cycling keeps long-horizon checks cheap and correct
-    assert ff.window_is_empty(first_occurrence(1002, 1))
-    assert not ff.window_is_empty(first_occurrence(1001, 1))
+    assert empty[1, 1001]
+    assert not empty[1, 1000]
 
 
 def test_nested_sampling_respects_nesting():

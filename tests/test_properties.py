@@ -17,7 +17,7 @@ from cantelli import (
     oracle_union_prob,
     oracle_window_prob,
 )
-from cantelli.windows import Orientation, Terminal, WindowPattern, all_complement
+from cantelli.windows import Orientation, Terminal, WindowPattern, all_complement, first_occurrence
 
 HORIZON = 8
 
@@ -115,18 +115,39 @@ def test_truncated_union_matches_oracle(model, n, span):
 @given(model=any_model, n=st.integers(min_value=1, max_value=3),
        m=st.integers(min_value=1, max_value=4))
 def test_domination_chain(model, n, m):
-    from cantelli.windows import first_occurrence
-
     values = [model.window_prob(first_occurrence(n + j, m - j)) for j in range(m + 1)]
     for shorter, longer in zip(values[1:], values):
         assert longer <= shorter + 1e-12
 
 
-@settings(max_examples=30, deadline=None)
-@given(model=any_model, w=windows_within_horizon())
-def test_emptiness_claims_are_sound(model, w):
-    if model.window_is_empty(w):
-        assert model.window_prob(w) == 0.0
+@st.composite
+def sparse_markov_models(draw):
+    """Chains with zero transitions and a one-state start: supports can run dry."""
+    s = draw(st.integers(min_value=2, max_value=3))
+    raw = np.array(
+        draw(st.lists(st.sampled_from([0.0, 0.0, 0.5, 1.0]), min_size=s * s, max_size=s * s))
+    ).reshape(s, s)
+    raw[np.arange(s), draw(st.lists(st.integers(0, s - 1), min_size=s, max_size=s))] += 1.0
+    init = np.zeros(s)
+    init[draw(st.integers(min_value=0, max_value=s - 1))] = 1.0
+    members = draw(
+        st.lists(st.integers(min_value=0, max_value=s - 1), min_size=1, max_size=s, unique=True)
+    )
+    transition = raw / raw.sum(axis=1, keepdims=True)
+    return MarkovModel(transition, init, EventSchedule(s, constant=members))
+
+
+@settings(max_examples=60, deadline=None)
+@given(model=st.one_of(any_model, sparse_markov_models()))
+def test_emptiness_claims_are_sound(model):
+    # every m-window within the horizon that the emptiness table proves empty
+    # has probability exactly 0 in the enumerated outcome space
+    space = build_outcome_space(model, HORIZON)
+    _, empty = model.window_series(HORIZON - 1, HORIZON)
+    for m in range(HORIZON):
+        for n in range(1, HORIZON - m + 1):
+            if empty[m, n - 1]:
+                assert oracle_window_prob(space, first_occurrence(n, m)) == 0.0
 
 
 UNION_HORIZON = 10
