@@ -166,8 +166,11 @@ def classify_series(
     Certified verdicts come from exact-zero tails whose windows are all proved
     empty, or from ``classified``; everything else rests on the fitted tail
     exponent ``fit`` (``fit_tail(terms)``) with a +-0.1 buffer around the
-    p-series boundary.
+    p-series boundary.  No terms at all give no verdict, whatever ``classified``
+    says.
     """
+    if len(terms) == 0:
+        raise InsufficientDataError("0 terms evaluated; a verdict needs at least one")
     if len(terms) < MIN_TERMS_FOR_FIT and classified is None:
         raise InsufficientDataError(
             f"{len(terms)} terms evaluated; need {MIN_TERMS_FOR_FIT} or analytic metadata"

@@ -22,10 +22,11 @@ period of the chain's orbit and its event schedule, and copy the rest.
 ``first_occurrence_terms`` and ``all_complement_prob`` both read one
 first-occurrence scan per backend (``_scan``), which an ``OccurrenceScan``
 carries on chunk by chunk.  ``sample_indicator_block`` draws sampled
-indicators for many windows and a batch of generators in one call: it
-evaluates each window's family, threshold or event-mask constants once for the
-whole batch, and each generator's rows equal, bit for bit, a call with that
-generator alone, whichever windows and generators share the call.
+indicators for many windows and a batch of generators in one call: it fills
+one row per distinct index the windows cover, evaluates each row's family,
+threshold or event-mask constants once for the whole batch, and reads each
+window's block off its rows.  Each generator's rows equal, bit for bit, a call
+with that generator alone, whichever windows and generators share the call.
 
 A backend states the closed forms it can certify through ``marginal_limit``,
 ``series_class``, ``union_bound`` and ``describe``; the base class knows none
@@ -66,8 +67,9 @@ __all__ = [
 _PROB_SLACK = 1e-9
 # how far a Markov transition row or initial vector may sum from 1
 ROW_SUM_TOL = 1e-12
-# uniforms a Markov walk draws at a time, over all its generators: bounds the
-# sampler's memory at far windows and wide batches
+# uniforms a Markov walk draws at a time over all its generators, and an
+# independent sampler per generator: bounds the samplers' memory at far and
+# wide windows and wide batches
 _DRAW_CHUNK = 1 << 16
 
 
@@ -94,11 +96,14 @@ class EventSequenceModel(ABC):
         Returns one boolean array of shape (count, hi - lo + 1) per window.  The
         paths split evenly over the generators: ``rngs[j]`` draws rows
         j * count / len(rngs) up to (j + 1) * count / len(rngs), and those rows
-        equal what a call with ``[rngs[j]]`` alone gives for its share.  Each
-        window's draws are a prefix of each generator's stream, so each block
-        equals what generators in the same states give for that window alone:
-        a block is a pure function of the generator states and its own window,
-        whatever other windows share the call.
+        equal what a call with ``[rngs[j]]`` alone gives for its share.  A
+        generator's uniforms are keyed by index, not by window: an independent
+        A_n reads row n - 1 of ``rng.random((n, share))``, a Markov A_n its
+        rows 0..n - 1, which walk the chain to time n, and a latent A_n the
+        leading ``rng.random((share, L))`` that every index shares.  So each
+        block equals what generators in the same states give for that window
+        alone: a block is a pure function of the generator states and its own
+        window, whatever other windows share the call.
         """
 
     def marginal_limit(self) -> float | None:
@@ -236,15 +241,10 @@ def _draw(rngs: Sequence[np.random.Generator], shape: tuple[int, ...]) -> np.nda
     return out
 
 
-def _stacked_runs(
-    windows: Sequence[tuple[int, int]], count: int
-) -> tuple[list[tuple[int, int, int]], np.ndarray, list[np.ndarray]]:
-    """Stack the indices the sample windows cover as the rows of one array.
+def _merged(windows: Sequence[tuple[int, int]]) -> list[list[int]]:
+    """The windows' indices as runs [lo, hi] in increasing order.
 
-    Overlapping and adjacent windows merge into runs.  Returns the runs as
-    (lo, hi, row of lo) in increasing order, the uninitialized (rows, count)
-    array, and each window's (count, width) block as a transposed view of its
-    rows: filling a run's rows fills every block that reads them.
+    Overlapping and adjacent windows merge into one run.
     """
     merged: list[list[int]] = []
     for lo, hi in sorted(windows):
@@ -252,8 +252,26 @@ def _stacked_runs(
             merged[-1][1] = max(merged[-1][1], hi)
         else:
             merged.append([lo, hi])
+    return merged
+
+
+def block_rows(windows: Sequence[tuple[int, int]]) -> int:
+    """The rows of a sampler call's block: the distinct indices its windows cover."""
+    return sum(hi - lo + 1 for lo, hi in _merged(windows))
+
+
+def _stacked_runs(
+    windows: Sequence[tuple[int, int]], count: int
+) -> tuple[list[tuple[int, int, int]], np.ndarray, list[np.ndarray]]:
+    """Stack the indices the sample windows cover as the rows of one array.
+
+    Returns the merged runs as (lo, hi, row of lo) in increasing order, the
+    uninitialized (``block_rows(windows)``, count) array, and each window's
+    (count, width) block as a transposed view of its rows: filling a run's
+    rows fills every block that reads them.
+    """
     runs, rows = [], 0
-    for lo, hi in merged:
+    for lo, hi in _merged(windows):
         runs.append((lo, hi, rows))
         rows += hi - lo + 1
     held = np.empty((rows, count), dtype=bool)
@@ -344,22 +362,31 @@ class IndependentModel(EventSequenceModel):
         windows: Sequence[tuple[int, int]],
         count: int,
     ) -> list[np.ndarray]:
-        # a generator's rows of a width-w window are its first share * w
-        # uniforms, as rng.random((share, w)) draws them.  Each window's view
-        # of every generator's draws is compared once against its marginals,
-        # r paths to a row: rows of r * w entries compare several times
-        # faster than rows of a few.
+        # index n of a generator reads row n - 1 of its rng.random((hi, share)):
+        # each run advances every stream over the gap before it, draws its
+        # rows a segment at a time into one buffer and compares each row once
+        # against its marginal, strict < so that a marginal of 0 never
+        # realizes its event
         share = _share(rngs, windows, count)
-        widths = [hi - lo + 1 for lo, hi in windows]
-        draws = _draw(rngs, (share * max(widths, default=0),))
-        r = math.gcd(share, 64)
-        return [
-            (
-                draws[:, : share * w].reshape(len(rngs), share // r, r * w)
-                < np.tile(self._family.values(lo, hi), r)
-            ).reshape(count, w)
-            for (lo, hi), w in zip(windows, widths)
-        ]
+        runs, held, blocks = _stacked_runs(windows, count)
+        segment = max(1, _DRAW_CHUNK // max(1, share))
+        buffer = np.empty((segment, share))
+        columns = [slice(j * share, (j + 1) * share) for j in range(len(rngs))]
+        at = 1  # the index every stream stands at
+        for lo, hi, row in runs:
+            if lo > at:
+                for rng in rngs:
+                    rng.bit_generator.advance((lo - at) * share)
+            for first in range(lo, hi + 1, segment):
+                last = min(hi, first + segment - 1)
+                u = buffer[: last - first + 1]
+                p = self._family.values(first, last)[:, None]
+                rows = held[row + first - lo : row + last - lo + 1]
+                for rng, column in zip(rngs, columns):
+                    rng.random(out=u)
+                    np.less(u, p, out=rows[:, column])
+            at = hi + 1
+        return blocks
 
 
 # ---------------------------------------------------------------------------

@@ -6,14 +6,15 @@ workers reproduces the serial result exactly and aggregation is commutative.
 ``estimate_frequencies`` answers many queries (windows and tail unions) in one
 pass over the chunks, a batch of consecutive full chunks at a time: one
 sampler call takes the batch's generators and returns blocks that serve every
-query, and each query is tested once per batch.  A batch holds as many chunks
-as keep its sampled indicators within ``_BATCH_DRAWS``; the partial last chunk
-is a call of its own.  Each generator's rows of a block equal its chunk drawn
-alone, and the sampler draws each window's block as a prefix of each chunk's
-stream, so every estimate equals its one-query call, ``estimate_window_prob``
-or ``estimate_tail_union``, bit for bit, whatever the batches.  Interval
-estimates are 95% Wilson score intervals, which behave correctly near 0 and
-1 where window probabilities live.
+query, and each query is tested once per batch.  The sampler holds one row of
+indicators per distinct index the queries cover, so a batch holds as many
+chunks as keep those rows within ``_BATCH_DRAWS``; the partial last chunk is a
+call of its own.  Each generator's rows of a block equal its chunk drawn
+alone, and the sampler keys each chunk's uniforms by index, so a query's block
+depends only on its own indices and every estimate equals its one-query call,
+``estimate_window_prob`` or ``estimate_tail_union``, bit for bit, whatever the
+batches.  Interval estimates are 95% Wilson score intervals, which behave
+correctly near 0 and 1 where window probabilities live.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .models import EventSequenceModel
+from .models import EventSequenceModel, block_rows
 from .windows import WindowPattern
 
 __all__ = [
@@ -36,10 +37,11 @@ __all__ = [
 ]
 
 CHUNK = 4096
-# The draw budget of one sampler call: the sampled indicators it may return,
-# counting at least _PATH_DRAWS per path for the uniforms and walk state that
-# every path carries however few indicators it holds.  A batch takes as many
-# full chunks as fit, so its memory stays bounded whatever the path count.
+# The draw budget of one sampler call: the sampled indicators it may fill, a
+# row per distinct index times its paths, counting at least _PATH_DRAWS per
+# path for the uniforms and walk state that every path carries however few
+# indicators it holds.  A batch takes as many full chunks as fit, so its
+# memory stays bounded whatever the path count.
 _BATCH_DRAWS = 1 << 20
 _PATH_DRAWS = 16
 
@@ -92,8 +94,9 @@ def wilson_interval(successes: int, samples: int) -> tuple[float, float]:
 def _batches(count: int, cells: int) -> Iterator[tuple[range, int]]:
     """(chunk indices, paths) per sampler call, covering ``count`` paths.
 
-    ``cells`` is the indicators a path holds.  Full chunks come in batches of
-    as many as ``_BATCH_DRAWS`` holds; the partial last chunk comes alone.
+    ``cells`` is the indicators a path holds, one per distinct index its
+    windows cover.  Full chunks come in batches of as many as ``_BATCH_DRAWS``
+    holds; the partial last chunk comes alone.
     """
     full, rest = divmod(count, CHUNK)
     size = max(1, _BATCH_DRAWS // (CHUNK * max(cells, _PATH_DRAWS)))
@@ -147,7 +150,7 @@ def estimate_frequencies(
     if count < 100:
         raise ValueError("need at least 100 samples for an interval estimate")
     successes = [0] * len(queries)
-    for chunks, size in _batches(count, sum(hi - lo + 1 for lo, hi in windows)):
+    for chunks, size in _batches(count, block_rows(windows)):
         rngs = [_chunk_rng(seed, j) for j in chunks]
         blocks = model.sample_indicator_block(rngs, windows, size)
         for k, (query, block) in enumerate(zip(queries, blocks)):

@@ -95,6 +95,25 @@ def test_reports_are_byte_identical(tmp_path):
     assert c.read_bytes() == d.read_bytes()
 
 
+def test_consecutive_calls_share_one_parser(capsys, monkeypatch):
+    # main builds its parser once per process; a call after other commands and
+    # a rejected flag parses and reports as the first call did, and a command
+    # replaced after the parser was built is the one that runs
+    analyze = ["analyze", SPECS / "nested.json", "--terms", "800"]
+    assert run(analyze) == EXIT_OK
+    first = capsys.readouterr().out
+    assert run(["simulate", SPECS / "coin-half.json", "--count", "1000", "--seed", "3"]) == EXIT_OK
+    with pytest.raises(SystemExit) as exc:
+        run(["analyze", SPECS / "nested.json", "--no-such-flag"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    assert run(analyze) == EXIT_OK
+    assert capsys.readouterr().out == first
+    assert cli.build_parser() is cli.build_parser()
+    monkeypatch.setattr(cli, "cmd_analyze", lambda args: EXIT_NUMERIC)
+    assert run(analyze) == EXIT_NUMERIC
+
+
 def test_report_numbers_round_trip(tmp_path):
     out = tmp_path / "r.json"
     run(["limsup", SPECS / "powerlaw-2.json", "--out", out])

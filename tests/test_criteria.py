@@ -20,6 +20,7 @@ from cantelli import (
 )
 import cantelli.criteria as criteria
 from cantelli.criteria import InsufficientDataError, fit_tail
+from cantelli.families import SeriesClass
 from cantelli.models import DecayVerdict
 from cantelli.specfile import load_spec
 from cantelli.windows import first_occurrence
@@ -135,6 +136,17 @@ def test_classify_harmonic_boundary():
     # fitted slope sits at the p-series boundary: the buffer keeps it honest
     assert bare.label in (VerdictLabel.INCONCLUSIVE, VerdictLabel.LIKELY_DIVERGENT)
     assert fit.slope == pytest.approx(-1.0, abs=0.02)
+
+
+@pytest.mark.parametrize(
+    "classified",
+    [None, (SeriesClass.DIVERGENT, "declared divergent"), (SeriesClass.CONVERGENT, "declared")],
+)
+def test_classify_rejects_an_empty_series(classified):
+    # no evaluated term certifies nothing, not even an "eventually zero" tail
+    terms, empty = np.empty(0), np.empty(0, dtype=bool)
+    with pytest.raises(InsufficientDataError):
+        classify_series(terms, empty, fit_tail(terms), classified)
 
 
 def test_classify_requires_terms_or_metadata():

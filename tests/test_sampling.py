@@ -103,10 +103,10 @@ def reference_block(model, rng, lo, hi, count):
     """A_lo..A_hi path by path, from the uniforms the backend's contract names."""
     out = np.empty((count, hi - lo + 1), dtype=bool)
     if isinstance(model, IndependentModel):
-        u = rng.random((count, hi - lo + 1))
+        u = rng.random((hi, count))
         for path in range(count):
             for i, n in enumerate(range(lo, hi + 1)):
-                out[path, i] = u[path, i] < model.family.value(n)
+                out[path, i] = u[n - 1, path] < model.family.value(n)
     elif isinstance(model, LatentUniformModel):
         u = rng.random((count, model.num_latents))
         for path in range(count):
@@ -232,6 +232,21 @@ def test_independent_sampler_respects_certain_and_impossible_events(u):
     assert not block[:, 0].any() and block[:, 1].all() and not block[:, 3].any()
 
 
+def test_independent_windows_at_different_indices_are_independent(tmp_path):
+    # a fair coin: two independent indices agree on half the paths, 4096 *
+    # 0.5 +- 6 sd.  Blocks that read the same uniforms agree on every path.
+    coin = make_powerlaw(0.5, 0.0)
+    blocks = coin.sample_indicator_block([_chunk_rng(1, 0)], [(n, n) for n in range(1, 6)], 4096)
+    for i, first in enumerate(blocks):
+        for second in blocks[i + 1 :]:
+            assert 0.45 <= np.mean(first == second) <= 0.55
+    out = tmp_path / "simulate.json"
+    assert main(["simulate", str(SPECS / "coin-half.json"), "--out", str(out)]) == 0
+    checks = json.loads(out.read_text())["results"]["checks"]
+    marginals = [c["successes"] for c in checks if c["check"].startswith("marginal")]
+    assert len(marginals) == 5 and len(set(marginals)) == 5
+
+
 def test_batched_estimates_equal_one_query_calls():
     queries = [
         first_occurrence(1, 0),
@@ -340,7 +355,7 @@ BATCH_QUERIES = [
     (1, 9),
     (4, 0),
 ]
-BATCH_CELLS = 1 + 3 + 2 + 3 + 10 + 1  # indicators a path of BATCH_QUERIES holds
+BATCH_CELLS = 10  # rows of the block of BATCH_QUERIES: the distinct indices 1..10
 
 
 @pytest.mark.parametrize("chunks_per_batch", [None, 1, 2, 3])
@@ -379,8 +394,8 @@ def test_batched_estimator_equals_the_per_chunk_loop(chunks_per_batch):
 
 def test_estimator_memory_stays_bounded():
     # a batch holds a few chunks, never every path: drawing all 400000 paths
-    # at once would take tens of MB.  At 5 chunks per batch the powerlaw peak
-    # is about 4 MB, and one call per chunk peaks under 1 MB.
+    # at once would take tens of MB.  The 12 rows of these checks make 16
+    # chunks per batch, which peak at 2.5-3.6 MB.
     queries = [query for _, query in _simulate_checks(12)]
     markov = load_spec(SPECS / "markov-3state.json").model
     for model in (make_powerlaw(), markov, make_interleaved()):
@@ -393,23 +408,26 @@ def test_estimator_memory_stays_bounded():
         assert peak < 6 * 2**20
 
 
-# successes of each check of `simulate <spec>` at the spec's defaults, as the
-# estimator with one sampler call per chunk counted them
+# successes of each check of `simulate <spec>` at the spec's defaults.  The
+# independent specs (coin-half, harmonic, partial-maxima, powerlaw-2) were
+# counted path by path from each chunk's rng.random((horizon, paths)), with
+# A_n = u[n - 1, path] < P(A_n); the others by the estimator with one sampler
+# call per chunk
 SPEC_DEFAULT_SUCCESSES = {
-    "coin-half": [50030, 50030, 50030, 50030, 50030, 24975, 24975, 24975, 12340, 12340, 12340,
-                  99906, 99794],
+    "coin-half": [50030, 49960, 50069, 49921, 49910, 25175, 25146, 24876, 12472, 12502, 12491,
+                  99922, 99818],
     "flipflop": [0, 100000, 0, 0, 100000, 100000, 0, 0, 0, 0, 0, 100000, 100000],
-    "harmonic": [100000, 50103, 33661, 20249, 12669, 0, 16934, 15264, 0, 8474, 10049, 100000,
-                 91652],
+    "harmonic": [100000, 49920, 33312, 20011, 12425, 0, 16663, 14918, 0, 8347, 10041, 100000,
+                 91607],
     "interleaved-nested": [100000, 100000, 100000, 49810, 25218, 0, 0, 24795, 0, 0, 0, 100000,
                            100000],
     "markov-3state": [0, 49815, 30815, 31128, 30803, 49815, 15799, 22170, 15799, 11726, 16538,
                       98097, 98097],
     "nested": [100000, 49951, 33554, 20173, 12542, 0, 0, 0, 0, 0, 0, 100000, 49951],
-    "partial-maxima": [100000, 35238, 19197, 8959, 4445, 0, 12454, 7915, 0, 6569, 5366, 100000,
-                       69074],
-    "powerlaw-2": [100000, 25082, 11278, 4024, 1567, 0, 8413, 3799, 0, 4225, 2441, 100000,
-                   45791],
+    "partial-maxima": [100000, 35192, 19216, 9067, 4466, 0, 12385, 7974, 0, 6559, 5362, 100000,
+                       68935],
+    "powerlaw-2": [100000, 25008, 11085, 3999, 1556, 0, 8355, 3781, 0, 4220, 2519, 100000,
+                   45893],
 }
 
 
