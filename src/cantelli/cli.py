@@ -366,8 +366,8 @@ def verify_results(model: EventSequenceModel, horizon: int) -> tuple[dict, float
     # the scans limsup runs.  Row m of window_series(m, horizon - m) reads no
     # index past the horizon, so a model defined only that far still verifies.
     series = [model.window_series(m, horizon - m)[0][m] for m in range(horizon)]
-    rows = []
-    max_diff = 0.0
+    rows: list[tuple[str, int, int, str]] = []
+    answers: list[tuple[float, float]] = []  # (engine, oracle) per row
     for n in range(1, horizon + 1):
         for m in range(0, horizon - n + 1):
             windows = [(first_occurrence(n, m), float(series[m][n - 1]))]
@@ -375,46 +375,44 @@ def verify_results(model: EventSequenceModel, horizon: int) -> tuple[dict, float
                 suffix = first_occurrence(n, m, Orientation.SUFFIX_COMPLEMENT)
                 windows.append((suffix, model.window_prob(suffix)))
             for w, engine in windows:
-                oracle = oracle_window_prob(space, w)
-                rows.append(("window", n, m, w.orientation.value, engine, oracle))
-        # one scan from n, stepped an index at a time, serves both kinds of row
-        scan, terms, complements = OccurrenceScan(n), [], []
-        for m in range(1, horizon - n + 2):
-            terms.append(model.first_occurrence_terms(scan.end, 1, scan))
-            complements.append(model.all_complement_prob(n, m, scan))
-        for m, engine in enumerate(complements, start=1):
-            oracle = oracle_window_prob(space, all_complement(n, m))
-            rows.append(("all-complement", n, m, "", engine, oracle))
-        terms = np.concatenate(terms)
+                rows.append(("window", n, m, w.orientation.value))
+                answers.append((engine, oracle_window_prob(space, w)))
+        # one scan of n..horizon serves every all-complement and union row from n
+        scan = OccurrenceScan(n)
+        terms = model.first_occurrence_terms(n, horizon - n + 1, scan)
+        for m, engine in enumerate(scan.complement_probs(), start=1):
+            rows.append(("all-complement", n, m, ""))
+            answers.append((engine, oracle_window_prob(space, all_complement(n, m))))
         for span in range(0, horizon - n + 1):
-            engine = float(min(1.0, max(0.0, terms[: span + 1].sum())))
-            oracle = oracle_union_prob(space, n, span)
-            rows.append(("union", n, span, "", engine, oracle))
-    checks = []
-    mismatches = 0
-    for kind, n, m, orient, engine, oracle in rows:
-        diff = abs(engine - oracle)
-        max_diff = max(max_diff, diff)
-        bad = diff > ORACLE_DIFF_TOL
-        mismatches += bad
-        checks.append(
+            rows.append(("union", n, span, ""))
+            engine = min(1.0, max(0.0, terms[: span + 1].sum()))
+            answers.append((engine, oracle_union_prob(space, n, span)))
+    engine, oracle = np.array(answers).T
+    diff = np.abs(engine - oracle)
+    bad = diff > ORACLE_DIFF_TOL
+    max_diff = float(diff.max())
+    worst = []
+    # a stable sort, so tied rows keep their order
+    for i in np.argsort(-diff, kind="stable")[:10]:
+        kind, n, m, orient = rows[i]
+        worst.append(
             {
                 "kind": kind,
                 "n": n,
                 "m": m,
                 "orientation": orient,
-                "engine": engine,
-                "oracle": oracle,
-                "diff": diff,
-                "mismatch": bool(bad),
+                "engine": float(engine[i]),
+                "oracle": float(oracle[i]),
+                "diff": float(diff[i]),
+                "mismatch": bool(bad[i]),
             }
         )
     return {
         "horizon": horizon,
-        "checks_run": len(checks),
+        "checks_run": len(rows),
         "max_diff": max_diff,
-        "mismatches": mismatches,
-        "worst": sorted(checks, key=lambda c: -c["diff"])[:10],
+        "mismatches": int(bad.sum()),
+        "worst": worst,
     }, max_diff
 
 

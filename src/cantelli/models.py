@@ -21,12 +21,14 @@ provably empty.  The Markov tables evaluate their columns through one common
 period of the chain's orbit and its event schedule, and copy the rest.
 ``first_occurrence_terms`` and ``all_complement_prob`` both read one
 first-occurrence scan per backend (``_scan``), which an ``OccurrenceScan``
-carries on chunk by chunk.  ``sample_indicator_block`` draws sampled
-indicators for many windows and a batch of generators in one call: it fills
-one row per distinct index the windows cover, evaluates each row's family,
-threshold or event-mask constants once for the whole batch, and reads each
-window's block off its rows.  Each generator's rows equal, bit for bit, a call
-with that generator alone, whichever windows and generators share the call.
+carries on chunk by chunk; each chunk also leaves the all-complement
+probability after each of its indices on the scan.  ``sample_indicator_block``
+draws sampled indicators for many windows and a batch of generators in one
+call: it fills one row per distinct index the windows cover, evaluates each
+row's family, threshold or event-mask constants once for the whole batch, and
+reads each window's block off its rows.  Each generator's rows equal, bit for
+bit, a call with that generator alone, whichever windows and generators share
+the call.
 
 A backend states the closed forms it can certify through ``marginal_limit``,
 ``series_class``, ``union_bound`` and ``describe``; the base class knows none
@@ -149,7 +151,7 @@ class EventSequenceModel(ABC):
             raise ValueError(f"a scan ending at {scan.end} cannot go on at {n}")
         if count == 0:
             return np.empty(0)
-        terms, scan.carry = self._scan(n, count, scan.carry)
+        terms, scan.complements, scan.carry = self._scan(n, count, scan.carry)
         scan.end = n + count
         return terms
 
@@ -167,20 +169,19 @@ class EventSequenceModel(ABC):
             raise ValueError(
                 f"a scan of {scan.start}..{scan.end - 1} does not cover {n}..{n + length - 1}"
             )
-        return 1.0 if scan.carry is None else self._complement(scan.carry)
+        return 1.0 if scan.carry is None else self._finish_prob(float(scan.complements[-1]))
 
     @abstractmethod
-    def _scan(self, n: int, count: int, carry: Any) -> tuple[np.ndarray, Any]:
-        """First-occurrence terms at n..n + count - 1 and the carry after them.
+    def _scan(self, n: int, count: int, carry: Any) -> tuple[np.ndarray, np.ndarray, Any]:
+        """First-occurrence terms at n..n + count - 1, the all-complement
+        probability after each of them, and the carry after the last.
 
         ``carry`` is the state after index n - 1 of a scan begun earlier, or
         None to begin at n.  Each term equals ``window_prob`` of its
-        first-occurrence window from the scan's start, bit for bit.
+        first-occurrence window from the scan's start, bit for bit, and entry k
+        of the complements, once finished, equals ``window_prob`` of the
+        all-complement window from the start through n + k.
         """
-
-    @abstractmethod
-    def _complement(self, carry: Any) -> float:
-        """The all-complement probability of the range a scan's carry follows."""
 
     @staticmethod
     def _finish_prob(x: float) -> float:
@@ -212,13 +213,21 @@ class OccurrenceScan:
     ``count`` indices, and ``all_complement_prob(scan.start, scan.end -
     scan.start, scan)`` reads the all-complement probability of the range.
     ``carry`` is the backend's state after the last scanned index.
+    ``complements`` holds, unfinished, P(no occurrence in [start, i]) for each
+    index i of the last stretch a call scanned, so one call serves every
+    all-complement range that ends inside it (``complement_probs``).
     """
 
-    __slots__ = ("start", "end", "carry")
+    __slots__ = ("start", "end", "carry", "complements")
 
     def __init__(self, start: int):
         self.start = self.end = start
         self.carry: Any = None
+        self.complements = np.empty(0)
+
+    def complement_probs(self) -> np.ndarray:
+        """``complements`` finished as ``all_complement_prob`` finishes each."""
+        return EventSequenceModel._finish_probs(self.complements)  # noqa: SLF001
 
 
 def _share(
@@ -347,14 +356,11 @@ class IndependentModel(EventSequenceModel):
             dead |= window == 1.0
         return terms, empty
 
-    def _scan(self, n: int, count: int, carry: Any) -> tuple[np.ndarray, Any]:
+    def _scan(self, n: int, count: int, carry: Any) -> tuple[np.ndarray, np.ndarray, Any]:
         # carry: the survival product, multiplied left to right from 1.0
         p = self._family.values(n, n + count - 1)
         survive = np.cumprod(np.concatenate(([1.0 if carry is None else carry], 1.0 - p)))
-        return survive[:count] * p, float(survive[-1])
-
-    def _complement(self, carry: Any) -> float:
-        return self._finish_prob(carry)
+        return survive[:count] * p, survive[1:], float(survive[-1])
 
     def sample_indicator_block(
         self,
@@ -716,22 +722,23 @@ class MarkovModel(EventSequenceModel):
         rows = head[:k] if k <= len(head) else np.concatenate((head, orbit.rows(len(head) + 1, k)))
         return rows, self._events.masks(1, k + max_prefix_len), period
 
-    def _scan(self, n: int, count: int, carry: Any) -> tuple[np.ndarray, Any]:
+    def _scan(self, n: int, count: int, carry: Any) -> tuple[np.ndarray, np.ndarray, Any]:
         # carry: the distribution masked to the complement at the last index,
         # before its step to the next
         v = self._dists.rows(n, n)[0] if carry is None else carry @ self._transition
         masks = self._events.masks(n, n + count - 1)
-        hits = np.empty((count, self._num_states))
-        for k, mask in enumerate(masks):
-            if k:
-                v = v @ self._transition
-            np.multiply(v, mask, out=hits[k])
-            v = v * ~mask
+        keeps = ~masks
+        # row k: the distribution at n + k, stepped from the one before masked
+        # to the complement
+        dists = np.empty((count, self._num_states))
+        dists[0] = v
+        for k in range(1, count):
+            v = (v * keeps[k - 1]) @ self._transition
+            dists[k] = v
+        misses = dists * keeps
         # summed per row like window_prob's vector sum
-        return self._finish_probs(hits.sum(axis=1)), v
-
-    def _complement(self, carry: Any) -> float:
-        return self._finish_prob(float(carry.sum()))
+        terms = self._finish_probs((dists * masks).sum(axis=1))
+        return terms, misses.sum(axis=1), misses[-1].copy()
 
     def _walk(self, rngs: Sequence[np.random.Generator], steps: int, share: int):
         """States of the len(rngs) * share paths at times 1..steps, one array per time.
@@ -949,32 +956,31 @@ class LatentUniformModel(EventSequenceModel):
                 np.maximum(below[j], np.where(mine == j, at, 0.0), out=below[j])
         return terms, empty
 
-    def _scan(self, n: int, count: int, carry: Any) -> tuple[np.ndarray, Any]:
+    def _scan(self, n: int, count: int, carry: Any) -> tuple[np.ndarray, np.ndarray, Any]:
         # term k is window_prob of its first-occurrence window: per latent, the
         # complements before step k exclude U up to their running max
         # threshold.  carry: each latent's running max so far.
         colors = self._colors(n, n + count - 1)
         a = self._threshold_array(n, n + count - 1, colors)
         maxima = (0.0,) * self._num_latents if carry is None else carry
+        members = [colors == j for j in range(self._num_latents)]
         excluded = []
         own_excluded = np.zeros(count)
-        for j in range(self._num_latents):
-            mine = np.where(colors == j, a, 0.0)
-            excluded.append(np.maximum.accumulate(np.concatenate(([maxima[j]], mine))))
-            own_excluded = np.where(colors == j, excluded[j][:count], own_excluded)
+        for peak, mine in zip(maxima, members):
+            excluded.append(np.maximum.accumulate(np.concatenate(([peak], np.where(mine, a, 0.0)))))
+            own_excluded = np.where(mine, excluded[-1][:count], own_excluded)
         own = a - own_excluded
         own = np.where(own > 0.0, own, 0.0)
-        term = None
-        for j in range(self._num_latents):
-            length = np.where(colors == j, own, 1.0 - excluded[j][:count])
+        term = complement = None
+        for mine, peaks in zip(members, excluded):
+            # free: P(U_j above latent j's running max) before each index
+            # ([:count]) and after it ([1:]); over all latents, the product
+            # of the latter is P(no occurrence from the start through it)
+            free = 1.0 - peaks
+            length = np.where(mine, own, free[:count])
             term = length if term is None else term * length
-        return term, tuple(float(e[-1]) for e in excluded)
-
-    def _complement(self, carry: Any) -> float:
-        prob = 1.0
-        for peak in carry:
-            prob *= 1.0 - peak
-        return self._finish_prob(prob)
+            complement = free[1:] if complement is None else complement * free[1:]
+        return term, complement, tuple(float(e[-1]) for e in excluded)
 
     def sample_indicator_block(
         self,

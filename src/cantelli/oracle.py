@@ -10,9 +10,12 @@ latent models into exact threshold cells.
 Every window and union query asks only which of A_1..A_h hold, so outcomes
 with the same indicator pattern are interchangeable.  The enumeration folds
 each outcome's probability into the bin of its indicator code, and queries
-read the 2^h bins, however many outcomes there were.  Each bin total comes
-within about one rounding of its exact sum, so an answer carries only the
-rounding of each outcome's probability and of one sum over bins.
+read the 2^h bins, however many outcomes there were.  Each query constrains
+one contiguous field of code bits, A_n..A_{n+w-1}, so it sums a slice of the
+bins viewed as (high bits, field, low bits), with no mask over the codes.
+Each bin total comes within about one rounding of its exact sum, so an answer
+carries only the rounding of each outcome's probability and of one sum over
+bins.
 """
 
 from __future__ import annotations
@@ -60,44 +63,39 @@ class TruncatedOutcomeSpace:
         total = float(self.probs.sum())
         if abs(total - 1.0) > 1e-12:
             raise ValueError(f"outcome probabilities sum to {total!r}, expected 1")
-        self._codes = np.arange(2**self.horizon, dtype=_code_type(self.horizon))
 
-    def window_mask(self, w: WindowPattern) -> np.ndarray:
-        if w.last_index > self.horizon:
-            raise HorizonExceededError(
-                f"window reaches index {w.last_index} past horizon {self.horizon}"
-            )
-        span = ones = 0
-        for idx, occur in w.constraints():
-            bit = 1 << (idx - 1)
-            span |= bit
-            if occur:
-                ones |= bit
-        return self._codes & span == ones
+    def field(self, n: int, width: int) -> np.ndarray:
+        """The bins as a (high, field, low) view: axis 1 is the value of bits
+        n - 1 .. n + width - 2 of the code, the indicators of A_n .. A_{n+width-1}."""
+        return self.probs.reshape(2 ** (self.horizon - n - width + 1), 2**width, 2 ** (n - 1))
 
-    def union_mask(self, n: int, span: int) -> np.ndarray:
-        last = n + span
-        if n < 1 or span < 0:
-            raise ValueError("union query needs n >= 1 and span >= 0")
-        if last > self.horizon:
-            raise HorizonExceededError(
-                f"union reaches index {last} past horizon {self.horizon}"
-            )
-        bits = ((1 << (span + 1)) - 1) << (n - 1)
-        return self._codes & bits != 0
 
-    def event_prob(self, mask: np.ndarray) -> float:
-        return float(self.probs[mask].sum())
+def _total(bins: np.ndarray) -> float:
+    # the contiguous copy holds the bins in increasing code order, as a boolean
+    # mask over all codes would select them, so the pairwise sum adds the same
+    # numbers in the same order; summing the strided view would not
+    return float(bins.ravel().sum())
 
 
 def oracle_window_prob(space: TruncatedOutcomeSpace, w: WindowPattern) -> float:
     """Exact window probability by exhaustive enumeration."""
-    return space.event_prob(space.window_mask(w))
+    if w.last_index > space.horizon:
+        raise HorizonExceededError(
+            f"window reaches index {w.last_index} past horizon {space.horizon}"
+        )
+    value = sum(1 << (idx - w.start) for idx, occur in w.constraints() if occur)
+    return _total(space.field(w.start, w.last_index - w.start + 1)[:, value, :])
 
 
 def oracle_union_prob(space: TruncatedOutcomeSpace, n: int, span: int) -> float:
     """Exact P(union of A_n .. A_{n+span}) by exhaustive enumeration."""
-    return space.event_prob(space.union_mask(n, span))
+    last = n + span
+    if n < 1 or span < 0:
+        raise ValueError("union query needs n >= 1 and span >= 0")
+    if last > space.horizon:
+        raise HorizonExceededError(f"union reaches index {last} past horizon {space.horizon}")
+    # every field value but all zeros has an occurrence
+    return _total(space.field(n, span + 1)[:, 1:, :])
 
 
 def build_outcome_space(model: EventSequenceModel, horizon: int) -> TruncatedOutcomeSpace:
@@ -154,13 +152,13 @@ def _latent_space(model: LatentUniformModel, horizon: int) -> TruncatedOutcomeSp
             f"horizon {horizon} exceeds indicator cap {MAX_INDICATOR_HORIZON}"
         )
     num = model.num_latents
-    idx_by_latent: list[list[int]] = [[] for _ in range(num)]
-    for i in range(1, horizon + 1):
-        idx_by_latent[model.color(i)].append(i)
+    colors = [model.color(i) for i in range(1, horizon + 1)]
+    thresholds = [model.threshold(i) for i in range(1, horizon + 1)]
     # Exact cells: per latent, split (0, 1] at every threshold that occurs.
     cells_per_latent: list[list[tuple[float, float]]] = []
     for j in range(num):
-        cuts = sorted({model.threshold(i) for i in idx_by_latent[j]} | {0.0, 1.0})
+        own = {a for a, color in zip(thresholds, colors) if color == j}
+        cuts = sorted(own | {0.0, 1.0})
         cells = [
             (lo, hi) for lo, hi in zip(cuts, cuts[1:]) if hi > lo
         ]
@@ -169,12 +167,9 @@ def _latent_space(model: LatentUniformModel, horizon: int) -> TruncatedOutcomeSp
     for j in range(num):
         combos = [c + (cell,) for c in combos for cell in cells_per_latent[j]]
     probs = np.array([np.prod([hi - lo for lo, hi in c]) for c in combos])
-    indicators = np.empty((len(combos), horizon), dtype=bool)
-    for a, combo in enumerate(combos):
-        for i in range(1, horizon + 1):
-            lo, hi = combo[model.color(i)]
-            # U in (lo, hi]: the cell satisfies U <= a_i exactly when hi <= a_i.
-            indicators[a, i - 1] = hi <= model.threshold(i)
+    # U in (lo, hi]: the cell satisfies U <= a_i exactly when hi <= a_i.
+    tops = np.array([[hi for _, hi in c] for c in combos])
+    indicators = tops[:, colors] <= np.array(thresholds)
     codes = indicators.astype(np.int64) @ (1 << np.arange(horizon))
     return _binned(horizon, codes, probs)
 

@@ -284,6 +284,8 @@ def test_verify_one_state_chain_past_code_cap_is_spec_error(tmp_path, capsys):
          "marginal": {"family": "explicit", "values": [0.5, 0.25, 0.125, 0.5, 0.5, 0.5]}},
         {"family": "markov", "transition": [[0.5, 0.5], [0.25, 0.75]], "initial": [1.0, 0.0],
          "events": {"mode": "explicit", "sets": [[0], [1], [0], [], [0, 1], [1]]}},
+        {"family": "latent-uniform", "num_latents": 2, "coloring": [0, 1],
+         "thresholds": {"family": "explicit", "values": [0.9, 0.8, 0.5, 0.4, 0.25, 0.2]}},
     ],
 )
 def test_verify_reads_no_index_past_the_horizon(model, tmp_path):

@@ -32,12 +32,14 @@ from cantelli import (
     limsup_estimate,
     tail_union,
 )
+from cantelli.cli import ORACLE_DIFF_TOL, verify_results
 from cantelli.families import SequenceIndexError
 from cantelli.limsup import INITIAL_TRUNCATION
 from cantelli.models import NumericFaultError, OccurrenceScan
-from cantelli.specfile import parse_spec
+from cantelli.oracle import build_outcome_space
+from cantelli.specfile import load_spec, parse_spec
 from cantelli.summation import compensated_sum
-from cantelli.windows import all_complement, first_occurrence
+from cantelli.windows import Orientation, all_complement, first_occurrence
 
 from conftest import REPO, make_absorbing, make_equal_rows, make_flipflop
 
@@ -395,6 +397,11 @@ def test_scan_in_chunks_matches_window_prob(model, n, chunks):
         assert bits(model.all_complement_prob(n, length, scan)) == bits(
             reference_complement(model, n, length)
         )
+        if count:
+            # the complement after every index of the chunk, not only its last
+            lengths = range(length - count + 1, length + 1)
+            expected = [reference_complement(model, n, k) for k in lengths]
+            assert bits(scan.complement_probs()) == bits(expected)
     assert bits(np.concatenate(got)) == bits(reference_terms(model, n, sum(chunks)))
 
 
@@ -407,6 +414,102 @@ def test_scan_must_go_on_where_it_ended():
     with pytest.raises(ValueError, match="does not cover"):
         model.all_complement_prob(3, 5, scan)
     assert model.all_complement_prob(3, 4, scan) == 0.5**4
+
+
+def reference_verify_results(model, horizon):
+    """``verify_results`` one row at a time: a scan from each start stepped one
+    index at a time, each oracle answer the sum of the bins under a mask over
+    every code, and a dict for every row.
+
+    The all-complement answers are ``window_prob``'s, which
+    ``all_complement_prob`` returns bit for bit (see the scan tests above), so
+    the reference reads nothing of the scans' complements.
+    """
+    space = build_outcome_space(model, horizon)
+    codes = np.arange(2**horizon)
+
+    def window_oracle(w):
+        span = ones = 0
+        for idx, occur in w.constraints():
+            span |= 1 << (idx - 1)
+            ones |= int(occur) << (idx - 1)
+        return float(space.probs[codes & span == ones].sum())
+
+    def union_oracle(n, span):
+        field = ((1 << (span + 1)) - 1) << (n - 1)
+        return float(space.probs[codes & field != 0].sum())
+
+    series = [model.window_series(m, horizon - m)[0][m] for m in range(horizon)]
+    rows = []
+    max_diff = 0.0
+    for n in range(1, horizon + 1):
+        for m in range(0, horizon - n + 1):
+            windows = [(first_occurrence(n, m), float(series[m][n - 1]))]
+            if m:
+                suffix = first_occurrence(n, m, Orientation.SUFFIX_COMPLEMENT)
+                windows.append((suffix, model.window_prob(suffix)))
+            for w, engine in windows:
+                rows.append(("window", n, m, w.orientation.value, engine, window_oracle(w)))
+        scan, terms = OccurrenceScan(n), []
+        for m in range(1, horizon - n + 2):
+            terms.append(model.first_occurrence_terms(scan.end, 1, scan))
+            engine = reference_complement(model, n, m)
+            rows.append(("all-complement", n, m, "", engine, window_oracle(all_complement(n, m))))
+        terms = np.concatenate(terms)
+        for span in range(0, horizon - n + 1):
+            engine = float(min(1.0, max(0.0, terms[: span + 1].sum())))
+            rows.append(("union", n, span, "", engine, union_oracle(n, span)))
+    checks = []
+    mismatches = 0
+    for kind, n, m, orient, engine, oracle in rows:
+        diff = abs(engine - oracle)
+        max_diff = max(max_diff, diff)
+        bad = diff > ORACLE_DIFF_TOL
+        mismatches += bad
+        checks.append(
+            {
+                "kind": kind,
+                "n": n,
+                "m": m,
+                "orientation": orient,
+                "engine": engine,
+                "oracle": oracle,
+                "diff": diff,
+                "mismatch": bool(bad),
+            }
+        )
+    return {
+        "horizon": horizon,
+        "checks_run": len(checks),
+        "max_diff": max_diff,
+        "mismatches": mismatches,
+        "worst": sorted(checks, key=lambda c: -c["diff"])[:10],
+    }, max_diff
+
+
+@pytest.mark.parametrize(
+    "name, horizon",
+    [(path.stem, None) for path in sorted((REPO / "specs").glob("*.json"))]
+    + [("markov-3state", 12), ("interleaved-nested", 14), ("powerlaw-2", 14)],
+)
+def test_verify_matches_the_stepped_reference(name, horizon):
+    # every shipped spec at its default horizon, and the benchmark's horizons
+    spec = load_spec(REPO / "specs" / f"{name}.json")
+    horizon = horizon or spec.defaults.horizon
+    assert verify_results(spec.model, horizon) == reference_verify_results(spec.model, horizon)
+
+
+@settings(max_examples=100, deadline=None)
+@given(models, st.integers(min_value=1, max_value=8))
+def test_verify_on_random_models_matches_the_stepped_reference(model, horizon):
+    try:
+        expected = reference_verify_results(model, horizon)
+    except (ValueError, ArithmeticError) as exc:
+        # past the oracle's caps, or a threshold out of range: the same error
+        with pytest.raises(type(exc)):
+            verify_results(model, horizon)
+        return
+    assert verify_results(model, horizon) == expected
 
 
 def reference_tail_union(model, n, tol, k_max):

@@ -72,18 +72,19 @@ def test_markov_union_equals_first_occurrence_sum():
 
 
 def test_first_occurrence_masks_partition_atom_space():
+    # the first-occurrence events and the all-complement partition the codes,
+    # and each answer is the sum of the bins under its mask, bit for bit
     rng = np.random.default_rng(6)
+    rows = code_bits(8)
+    windows = [first_occurrence(1, k) for k in range(8)] + [all_complement(1, 8)]
+    masks = [reference_window_mask(rows, w) for w in windows]
+    for a, b in itertools.combinations(masks, 2):
+        assert not np.any(a & b)
+    assert np.all(np.any(masks, axis=0))
     for build in (random_independent, random_markov, random_latent):
         sp = build_outcome_space(build(rng), 8)
-        occ = [sp.window_mask(first_occurrence(1, k)) for k in range(8)]
-        rest = sp.window_mask(all_complement(1, 8))
-        for a, b in itertools.combinations(occ, 2):
-            assert not np.any(a & b)
-        union = np.zeros(len(sp.probs), dtype=bool)
-        for m in occ:
-            assert not np.any(m & rest)
-            union |= m
-        assert np.all(union | rest)
+        for w, mask in zip(windows, masks):
+            assert oracle_window_prob(sp, w) == sp.probs[mask].sum()
 
 
 def test_permutation_invariance():
@@ -210,6 +211,8 @@ def all_windows(n, horizon):
 
 
 def test_masks_match_row_major_reference():
+    # a query reads a view of the bins; its answer equals the sum of the bins
+    # a row-major mask over every code selects, bit for bit
     rng = np.random.default_rng(13)
     horizon = 8
     rows = code_bits(horizon)
@@ -217,10 +220,10 @@ def test_masks_match_row_major_reference():
         sp = build_outcome_space(random_schedule_chain(rng, s), horizon)
         for n in range(1, horizon + 1):
             for w in all_windows(n, horizon):
-                assert np.array_equal(sp.window_mask(w), reference_window_mask(rows, w))
+                assert oracle_window_prob(sp, w) == sp.probs[reference_window_mask(rows, w)].sum()
             for span in range(0, horizon - n + 1):
-                expected = rows[:, n - 1 : n + span].any(axis=1)
-                assert np.array_equal(sp.union_mask(n, span), expected)
+                expected = sp.probs[rows[:, n - 1 : n + span].any(axis=1)].sum()
+                assert oracle_union_prob(sp, n, span) == expected
 
 
 def test_answers_match_mpmath_sums():
