@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import os
 import sys
 import time
@@ -297,11 +298,14 @@ def simulate_results(
     rows = []
     flagged = 0
     for (label, _), exact, est in zip(checks, exacts, estimates):
-        se = (exact * (1.0 - exact) / count) ** 0.5
-        if se == 0.0:
+        if exact in (0.0, 1.0):
             bad = est.successes != (0 if exact == 0.0 else count)
             z = float("inf") if bad else 0.0
         else:
+            se = (exact * (1.0 - exact) / count) ** 0.5
+            if se == 0.0:
+                # the product underflows where each factor's root does not
+                se = math.sqrt(exact) * math.sqrt((1.0 - exact) / count)
             z = (est.point - exact) / se
             bad = abs(z) > SIGMA_FLAG
         flagged += bad
@@ -362,18 +366,21 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 def verify_results(model: EventSequenceModel, horizon: int) -> tuple[dict, float]:
     space = build_outcome_space(model, horizon)
     # The engine answers come from the paths the reports read: prefix windows
-    # from the series table analyze sums, all-complement and union rows from
-    # the scans limsup runs.  Row m of window_series(m, horizon - m) reads no
-    # index past the horizon, so a model defined only that far still verifies.
+    # from the series table analyze sums, suffix windows, all-complement and
+    # union rows from the scans limsup runs.  Row m of window_series(m,
+    # horizon - m) and the scans from n read no index past the horizon, so a
+    # model defined only that far still verifies.
     series = [model.window_series(m, horizon - m)[0][m] for m in range(horizon)]
     rows: list[tuple[str, int, int, str]] = []
     answers: list[tuple[float, float]] = []  # (engine, oracle) per row
     for n in range(1, horizon + 1):
+        # one scan seeded with "A_n occurred" serves every suffix row from n
+        suffixes = model.suffix_complement_probs(n, horizon - n)
         for m in range(0, horizon - n + 1):
             windows = [(first_occurrence(n, m), float(series[m][n - 1]))]
             if m:
                 suffix = first_occurrence(n, m, Orientation.SUFFIX_COMPLEMENT)
-                windows.append((suffix, model.window_prob(suffix)))
+                windows.append((suffix, float(suffixes[m - 1])))
             for w, engine in windows:
                 rows.append(("window", n, m, w.orientation.value))
                 answers.append((engine, oracle_window_prob(space, w)))

@@ -1,6 +1,6 @@
 """Event-sequence models: exact window-probability backends.
 
-Three backends answer arbitrary window queries in closed form or by dynamic
+Three backends compute window probabilities in closed form or by dynamic
 programming:
 
 * ``IndependentModel``: independent events with marginals from a sequence
@@ -12,17 +12,18 @@ programming:
   emptiness is decidable exactly.  This backend builds the nested and
   interleaved counterexamples that separate the window criteria.
 
-Each backend answers two kinds of query.  ``window_prob`` takes one window.
-``window_series`` evaluates the window series of every complement-run length
-0..m at once, from one evaluation of the family, threshold or distribution
-arrays, and returns ``window_prob``'s answers bit for bit.  Its ``empty``
-table is the package's one emptiness proof: row m marks the m-windows that are
-provably empty.  The Markov tables evaluate their columns through one common
-period of the chain's orbit and its event schedule, and copy the rest.
-``first_occurrence_terms`` and ``all_complement_prob`` both read one
-first-occurrence scan per backend (``_scan``), which an ``OccurrenceScan``
-carries on chunk by chunk; each chunk also leaves the all-complement
-probability after each of its indices on the scan.  ``sample_indicator_block``
+Each backend computes them with two array evaluators, equal bit for bit to
+the one-window, one-constraint-at-a-time reference the tests keep
+(``reference_window_prob``).  ``window_series`` evaluates the window series of
+every complement-run length 0..m at once, from one evaluation of the family,
+threshold or distribution arrays.  Its ``empty`` table is the package's one
+emptiness proof: row m marks the m-windows that are provably empty.  The
+Markov tables evaluate their columns through one common period of the chain's
+orbit and its event schedule, and copy the rest.  ``_scan`` is the one
+first-occurrence scan per backend.  ``first_occurrence_terms`` and
+``all_complement_prob`` read it from an empty carry, chunk by chunk through an
+``OccurrenceScan``, and ``suffix_complement_probs`` from the carry "A_n
+occurred" (``_occurred``).  ``sample_indicator_block``
 draws sampled indicators for many windows and a batch of generators in one
 call: it fills one row per distinct index the windows cover, evaluates each
 row's family, threshold or event-mask constants once for the whole batch, and
@@ -50,7 +51,6 @@ from typing import Any, Callable, Sequence
 import numpy as np
 
 from .families import ModelValueError, SequenceFamily, SequenceIndexError, SeriesClass
-from .windows import WindowPattern
 
 __all__ = [
     "NumericFaultError",
@@ -81,10 +81,6 @@ class NumericFaultError(ArithmeticError):
 
 class EventSequenceModel(ABC):
     """Exact probabilities of window events over an infinite event sequence."""
-
-    @abstractmethod
-    def window_prob(self, w: WindowPattern) -> float:
-        """Probability of the conjunction event described by ``w``."""
 
     @abstractmethod
     def sample_indicator_block(
@@ -128,9 +124,9 @@ class EventSequenceModel(ABC):
         """Every m-window series for m = 0..max_prefix_len, from one evaluation.
 
         Returns (terms, empty), two (max_prefix_len + 1, num_terms) tables.
-        ``terms[m, n - 1]`` is ``window_prob(first_occurrence(n, m))``, bit for
-        bit.  ``empty[m, n - 1]`` is True only when that window is provably
-        empty (probability exactly 0), by a structural check (a zero or one
+        ``terms[m, n - 1]`` is the probability of ``first_occurrence(n, m)``.
+        ``empty[m, n - 1]`` is True only when that window is provably empty
+        (probability exactly 0), by a structural check (a zero or one
         marginal, support reachability, interval emptiness), never a
         float-underflow readout.  Row 0 of ``terms`` is the marginals P(A_n).
         """
@@ -171,17 +167,31 @@ class EventSequenceModel(ABC):
             )
         return 1.0 if scan.carry is None else self._finish_prob(float(scan.complements[-1]))
 
+    def suffix_complement_probs(self, n: int, count: int) -> np.ndarray:
+        """P(A_n, no occurrence in [n + 1, n + m]), the suffix windows, for m = 1..count.
+
+        They are the complements of a scan of n + 1..n + count seeded with "A_n
+        occurred", which reads no index past n + count.
+        """
+        if count == 0:
+            return np.empty(0)
+        return self._finish_probs(self._scan(n + 1, count, self._occurred(n))[1])
+
     @abstractmethod
     def _scan(self, n: int, count: int, carry: Any) -> tuple[np.ndarray, np.ndarray, Any]:
         """First-occurrence terms at n..n + count - 1, the all-complement
         probability after each of them, and the carry after the last.
 
-        ``carry`` is the state after index n - 1 of a scan begun earlier, or
-        None to begin at n.  Each term equals ``window_prob`` of its
-        first-occurrence window from the scan's start, bit for bit, and entry k
-        of the complements, once finished, equals ``window_prob`` of the
-        all-complement window from the start through n + k.
+        ``carry`` is the state after index n - 1 of a scan begun earlier or
+        seeded (``_occurred(n - 1)``), or None to begin at n.  Each term is the
+        probability of its first-occurrence window from the scan's start, and
+        entry k of the complements, once finished, that of the all-complement
+        window from the start through n + k (after A_{n - 1}, if seeded).
         """
+
+    @abstractmethod
+    def _occurred(self, n: int) -> Any:
+        """The carry after index n of a scan that begins with "A_n occurred"."""
 
     @staticmethod
     def _finish_prob(x: float) -> float:
@@ -207,7 +217,7 @@ class EventSequenceModel(ABC):
 
 
 class OccurrenceScan:
-    """A first-occurrence scan of the indices start..end - 1.
+    """A first-occurrence scan of the indices start..end - 1, from an empty carry.
 
     ``first_occurrence_terms(scan.end, count, scan)`` goes on with the next
     ``count`` indices, and ``all_complement_prob(scan.start, scan.end -
@@ -332,17 +342,10 @@ class IndependentModel(EventSequenceModel):
     def describe(self) -> str:
         return f"independent events, {self._family.describe()}"
 
-    def window_prob(self, w: WindowPattern) -> float:
-        prob = 1.0
-        for idx, occur in w.constraints():
-            p = self._family.value(idx)
-            prob *= p if occur else 1.0 - p
-        return self._finish_prob(prob)
-
     def window_series(self, max_prefix_len: int, num_terms: int) -> tuple[np.ndarray, np.ndarray]:
-        # the window at n multiplies its factors in index order, as window_prob
-        # does: row m is the product of the first m complements, times p.  It
-        # is empty where p is 0 or a complement's p is 1 (dead).
+        # the window at n multiplies its factors in index order, as the
+        # reference does: row m is the product of the first m complements,
+        # times p.  It is empty where p is 0 or a complement's p is 1 (dead).
         p = self._family.values(1, num_terms + max_prefix_len)
         terms = np.empty((max_prefix_len + 1, num_terms))
         empty = np.empty(terms.shape, dtype=bool)
@@ -361,6 +364,9 @@ class IndependentModel(EventSequenceModel):
         p = self._family.values(n, n + count - 1)
         survive = np.cumprod(np.concatenate(([1.0 if carry is None else carry], 1.0 - p)))
         return survive[:count] * p, survive[1:], float(survive[-1])
+
+    def _occurred(self, n: int) -> Any:
+        return self._family.value(n)  # 1.0 * p is p exactly
 
     def sample_indicator_block(
         self,
@@ -655,27 +661,11 @@ class MarkovModel(EventSequenceModel):
             np.arange(size) < last_positive[:, None], np.cumsum(rows, axis=1), np.inf
         )
 
-    def window_prob(self, w: WindowPattern) -> float:
-        constraints = w.constraints()
-        if not constraints:
-            return 1.0
-        start = constraints[0][0]
-        v = self._dists.rows(start, start)[0]
-        prev_idx = None
-        for idx, occur in constraints:
-            if prev_idx is not None:
-                for _ in range(idx - prev_idx):
-                    v = v @ self._transition
-            mask = self._events.mask(idx)
-            v = v * mask if occur else v * ~mask
-            prev_idx = idx
-        return self._finish_prob(float(v.sum()))
-
     def window_series(self, max_prefix_len: int, num_terms: int) -> tuple[np.ndarray, np.ndarray]:
         terms = np.empty((max_prefix_len + 1, num_terms))
         empty = np.empty(terms.shape, dtype=bool)
         # dists row n - 1: the distribution at time n + m with the complements
-        # at n..n + m - 1 masked in, as window_prob propagates it
+        # at n..n + m - 1 masked in, as the scalar reference propagates it
         dists, masks, period = self._table_columns(self._dists, max_prefix_len, num_terms)
         k = len(dists)
         for m in range(max_prefix_len + 1):
@@ -683,7 +673,7 @@ class MarkovModel(EventSequenceModel):
             terms[m, :k] = self._finish_probs((dists * window).sum(axis=1))
             if m < max_prefix_len:
                 dists = dists * ~window
-                # one vector-matrix product per row, bit-identical to window_prob's
+                # one vector-matrix product per row, bit-identical to the reference
                 # (a matrix-matrix product rounds differently)
                 dists = (dists[:, None, :] @ self._transition)[:, 0, :]
         _tile(terms, k, period)
@@ -736,9 +726,12 @@ class MarkovModel(EventSequenceModel):
             v = (v * keeps[k - 1]) @ self._transition
             dists[k] = v
         misses = dists * keeps
-        # summed per row like window_prob's vector sum
+        # summed per row like the reference's vector sum
         terms = self._finish_probs((dists * masks).sum(axis=1))
         return terms, misses.sum(axis=1), misses[-1].copy()
+
+    def _occurred(self, n: int) -> Any:
+        return self._dists.rows(n, n)[0] * self._events.mask(n)
 
     def _walk(self, rngs: Sequence[np.random.Generator], steps: int, share: int):
         """States of the len(rngs) * share paths at times 1..steps, one array per time.
@@ -914,29 +907,10 @@ class LatentUniformModel(EventSequenceModel):
             raise ValueError(f"threshold a_{lo + k} = {float(a[k])!r} outside [0, 1]")
         return a + 0.0
 
-    def _latent_intervals(self, w: WindowPattern) -> list[tuple[float, float]]:
-        """Per-latent (excluded_below, included_up_to) bounds: U in (lo, hi]."""
-        lo = [0.0] * self._num_latents
-        hi = [1.0] * self._num_latents
-        for idx, occur in w.constraints():
-            j = self.color(idx)
-            a = self.threshold(idx)
-            if occur:
-                hi[j] = min(hi[j], a)
-            else:
-                lo[j] = max(lo[j], a)
-        return list(zip(lo, hi))
-
-    def window_prob(self, w: WindowPattern) -> float:
-        prob = 1.0
-        for lo, hi in self._latent_intervals(w):
-            prob *= max(0.0, hi - lo)
-        return self._finish_prob(prob)
-
     def window_series(self, max_prefix_len: int, num_terms: int) -> tuple[np.ndarray, np.ndarray]:
-        # the m-window at n constrains each latent to the span hi - lo of
-        # _latent_intervals; below[j] is latent j's largest complement threshold
-        # so far (0.0 and 1.0 leave max and min alone)
+        # the m-window at n holds each latent j in (lo, hi]: lo its largest
+        # complement threshold, hi its occurrence threshold.  below[j] is
+        # latent j's lo so far (0.0 and 1.0 leave max and min alone)
         colors = self._colors(1, num_terms + max_prefix_len)
         a = self._threshold_array(1, num_terms + max_prefix_len, colors)
         below = np.zeros((self._num_latents, num_terms))
@@ -957,30 +931,40 @@ class LatentUniformModel(EventSequenceModel):
         return terms, empty
 
     def _scan(self, n: int, count: int, carry: Any) -> tuple[np.ndarray, np.ndarray, Any]:
-        # term k is window_prob of its first-occurrence window: per latent, the
-        # complements before step k exclude U up to their running max
-        # threshold.  carry: each latent's running max so far.
+        # per latent, the complements before step k exclude U up to their
+        # running max threshold, under a top of 1.0 (a_n on latent c(n) when
+        # seeded with A_n).  carry: each latent's (running max, top) so far.
         colors = self._colors(n, n + count - 1)
         a = self._threshold_array(n, n + count - 1, colors)
-        maxima = (0.0,) * self._num_latents if carry is None else carry
+        bounds = ((0.0, 1.0),) * self._num_latents if carry is None else carry
         members = [colors == j for j in range(self._num_latents)]
         excluded = []
         own_excluded = np.zeros(count)
-        for peak, mine in zip(maxima, members):
+        own_top = a
+        for (peak, top), mine in zip(bounds, members):
             excluded.append(np.maximum.accumulate(np.concatenate(([peak], np.where(mine, a, 0.0)))))
             own_excluded = np.where(mine, excluded[-1][:count], own_excluded)
-        own = a - own_excluded
+            if top < 1.0:
+                own_top = np.where(mine, np.minimum(a, top), own_top)
+        own = own_top - own_excluded
         own = np.where(own > 0.0, own, 0.0)
         term = complement = None
-        for mine, peaks in zip(members, excluded):
-            # free: P(U_j above latent j's running max) before each index
-            # ([:count]) and after it ([1:]); over all latents, the product
-            # of the latter is P(no occurrence from the start through it)
-            free = 1.0 - peaks
+        for (_, top), mine, peaks in zip(bounds, members, excluded):
+            # free: P(U_j in (running max, top]) before each index ([:count])
+            # and after it ([1:]); over all latents, the product of the latter
+            # is P(no occurrence from the start through it)
+            free = top - peaks
+            if top < 1.0:  # only a lowered top can fall below the running max
+                free = np.where(free > 0.0, free, 0.0)
             length = np.where(mine, own, free[:count])
             term = length if term is None else term * length
             complement = free[1:] if complement is None else complement * free[1:]
-        return term, complement, tuple(float(e[-1]) for e in excluded)
+        carry = tuple((float(e[-1]), top) for e, (_, top) in zip(excluded, bounds))
+        return term, complement, carry
+
+    def _occurred(self, n: int) -> Any:
+        j, a = self.color(n), self.threshold(n)
+        return tuple((0.0, a if k == j else 1.0) for k in range(self._num_latents))
 
     def sample_indicator_block(
         self,

@@ -9,6 +9,7 @@ import pytest
 from cantelli import (
     Constant,
     EventSchedule,
+    EventSequenceModel,
     ExplicitList,
     GlobalThresholds,
     IndependentModel,
@@ -17,6 +18,7 @@ from cantelli import (
     PerLatentThresholds,
     PowerLaw,
 )
+from cantelli.windows import WindowPattern
 
 REPO = Path(__file__).resolve().parent.parent
 SPECS = REPO / "specs"
@@ -29,6 +31,53 @@ def reference_powers(bases: np.ndarray, exponent: float) -> np.ndarray:
     array path must return exactly these bits, whatever numpy version runs it.
     """
     return np.array(list(map(float.__pow__, bases.tolist(), repeat(exponent))), dtype=float)
+
+
+def reference_window_prob(model: EventSequenceModel, w: WindowPattern) -> float:
+    """The probability of one window, evaluated one constraint at a time.
+
+    The scalar reference for every array query: ``window_series``, the
+    scans and ``suffix_complement_probs`` must return exactly these bits.  An
+    independent window multiplies its factors in index order; a Markov window
+    propagates the distribution at its first index through masked steps; a
+    latent window multiplies the latents' interval lengths.
+    """
+    finish = EventSequenceModel._finish_prob
+    if isinstance(model, IndependentModel):
+        prob = 1.0
+        for idx, occur in w.constraints():
+            p = model.family.value(idx)
+            prob *= p if occur else 1.0 - p
+        return finish(prob)
+    if isinstance(model, MarkovModel):
+        constraints = w.constraints()
+        if not constraints:
+            return 1.0
+        start = constraints[0][0]
+        v = model._dists.rows(start, start)[0]
+        prev_idx = None
+        for idx, occur in constraints:
+            if prev_idx is not None:
+                for _ in range(idx - prev_idx):
+                    v = v @ model._transition
+            mask = model.event_mask(idx)
+            v = v * mask if occur else v * ~mask
+            prev_idx = idx
+        return finish(float(v.sum()))
+    # per latent, U lies in (lo, hi]: complements raise lo, occurrences lower hi
+    lo = [0.0] * model.num_latents
+    hi = [1.0] * model.num_latents
+    for idx, occur in w.constraints():
+        j = model.color(idx)
+        a = model.threshold(idx)
+        if occur:
+            hi[j] = min(hi[j], a)
+        else:
+            lo[j] = max(lo[j], a)
+    prob = 1.0
+    for bottom, top in zip(lo, hi):
+        prob *= max(0.0, top - bottom)
+    return finish(prob)
 
 
 def make_coin(p: float = 0.5) -> IndependentModel:

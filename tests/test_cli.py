@@ -219,6 +219,23 @@ def test_simulate_handles_exact_zero_and_one(tmp_path):
     assert report["results"]["flagged"] == 0
 
 
+def test_simulate_underflowing_se_is_not_a_disagreement(tmp_path):
+    # exact values down to 4.9e-324: exact * (1 - exact) / count underflows to
+    # 0, but an exact value in (0, 1) still takes the statistical test
+    spec = {"model": {"family": "independent",
+                      "marginal": {"family": "powerlaw", "scale": 1e-300, "exponent": 30.0}}}
+    path = tmp_path / "underflow.json"
+    path.write_text(json.dumps(spec))
+    out = tmp_path / "sim.json"
+    code = run(["simulate", path, "--count", "5000", "--seed", "5", "--horizon", "7",
+                "--out", out])
+    assert code == EXIT_OK
+    checks = json.loads(out.read_text())["results"]["checks"]
+    assert min(c["exact"] for c in checks) == 5e-324
+    assert all(c["successes"] == 0 and c["z"] is not None for c in checks)
+    assert not any(c["flagged"] for c in checks)
+
+
 def test_simulate_corrupted_backend_exit_4(tmp_path, monkeypatch):
     real_build = cli.build_model
 
@@ -337,9 +354,6 @@ def test_numeric_fault_exit_3(tmp_path, monkeypatch):
 
         def __getattr__(self, name):
             return getattr(self._inner, name)
-
-        def window_prob(self, w):
-            raise NumericFaultError("injected non-finite value")
 
         def window_series(self, max_prefix_len, num_terms):
             raise NumericFaultError("injected non-finite value")

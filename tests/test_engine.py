@@ -41,7 +41,13 @@ from cantelli.specfile import load_spec, parse_spec
 from cantelli.summation import compensated_sum
 from cantelli.windows import Orientation, all_complement, first_occurrence
 
-from conftest import REPO, make_absorbing, make_equal_rows, make_flipflop
+from conftest import (
+    REPO,
+    make_absorbing,
+    make_equal_rows,
+    make_flipflop,
+    reference_window_prob,
+)
 
 probs = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
 # a subnormal scale is a constructor error
@@ -61,10 +67,10 @@ prefix_lens = st.integers(min_value=0, max_value=4)
 
 
 def reference_series(model, max_prefix_len, num_terms):
-    """Row m: ``window_prob`` of the m-window at n = 1..num_terms."""
+    """Row m: ``reference_window_prob`` of the m-window at n = 1..num_terms."""
     return np.array(
         [
-            [model.window_prob(first_occurrence(n, m)) for n in range(1, num_terms + 1)]
+            [reference_window_prob(model, first_occurrence(n, m)) for n in range(1, num_terms + 1)]
             for m in range(max_prefix_len + 1)
         ],
         dtype=float,
@@ -121,11 +127,13 @@ def reference_empty(model, max_prefix_len, num_terms):
 
 
 def reference_terms(model, n, count):
-    return np.array([model.window_prob(first_occurrence(n, k)) for k in range(count)], dtype=float)
+    return np.array(
+        [reference_window_prob(model, first_occurrence(n, k)) for k in range(count)], dtype=float
+    )
 
 
 def reference_complement(model, n, length):
-    return model.window_prob(all_complement(n, length)) if length else 1.0
+    return reference_window_prob(model, all_complement(n, length)) if length else 1.0
 
 
 def bits(x):
@@ -405,6 +413,25 @@ def test_scan_in_chunks_matches_window_prob(model, n, chunks):
     assert bits(np.concatenate(got)) == bits(reference_terms(model, n, sum(chunks)))
 
 
+@settings(max_examples=300, deadline=None)
+@given(models, st.integers(min_value=1, max_value=30), st.integers(min_value=0, max_value=25))
+def test_suffix_complements_match_window_prob(model, n, count):
+    # the scan seeded with "A_n occurred": its complement after n + m is the
+    # suffix window A_n, not-A_{n+1}, ..., not-A_{n+m}
+    expected = [
+        reference_window_prob(model, first_occurrence(n, m, Orientation.SUFFIX_COMPLEMENT))
+        for m in range(1, count + 1)
+    ]
+    assert bits(model.suffix_complement_probs(n, count)) == bits(expected)
+    if count:
+        # its terms, the first occurrences after A_n, are true probabilities
+        # that split P(A_n) with the last complement
+        terms, complements, _ = model._scan(n + 1, count, model._occurred(n))
+        assert np.all((terms >= 0.0) & (terms <= 1.0))
+        marginal = reference_window_prob(model, first_occurrence(n, 0))
+        assert math.fsum([*terms, complements[-1]]) == pytest.approx(marginal, abs=1e-12)
+
+
 def test_scan_must_go_on_where_it_ended():
     model = IndependentModel(Constant(0.5))
     scan = OccurrenceScan(3)
@@ -421,9 +448,10 @@ def reference_verify_results(model, horizon):
     index at a time, each oracle answer the sum of the bins under a mask over
     every code, and a dict for every row.
 
-    The all-complement answers are ``window_prob``'s, which
-    ``all_complement_prob`` returns bit for bit (see the scan tests above), so
-    the reference reads nothing of the scans' complements.
+    The suffix and all-complement answers are ``reference_window_prob``'s,
+    which ``suffix_complement_probs`` and ``all_complement_prob`` return bit
+    for bit (see the scan tests above), so the reference reads nothing of the
+    scans' complements.
     """
     space = build_outcome_space(model, horizon)
     codes = np.arange(2**horizon)
@@ -447,7 +475,7 @@ def reference_verify_results(model, horizon):
             windows = [(first_occurrence(n, m), float(series[m][n - 1]))]
             if m:
                 suffix = first_occurrence(n, m, Orientation.SUFFIX_COMPLEMENT)
-                windows.append((suffix, model.window_prob(suffix)))
+                windows.append((suffix, reference_window_prob(model, suffix)))
             for w, engine in windows:
                 rows.append(("window", n, m, w.orientation.value, engine, window_oracle(w)))
         scan, terms = OccurrenceScan(n), []
@@ -551,7 +579,7 @@ def test_markov_series_independent_of_query_order(model, max_prefix_len, num_ter
     # a walked cursor, a found cycle and a far read must not change any value
     expected = reference_series(model, max_prefix_len, num_terms)
     model.window_series(0, 3 * num_terms)
-    model.window_prob(first_occurrence(5 * num_terms, 1))
+    reference_window_prob(model, first_occurrence(5 * num_terms, 1))
     assert bits(model.window_series(max_prefix_len, num_terms)[0]) == bits(expected)
     assert bits(reference_series(model, max_prefix_len, num_terms)) == bits(expected)
 
@@ -560,16 +588,17 @@ def test_markov_far_start_keeps_no_block():
     chain = MarkovModel(
         np.array([[0.5, 0.5], [0.25, 0.75]]), np.array([1.0, 0.0]), EventSchedule(2, constant=[0])
     )
-    far = chain.window_prob(first_occurrence(200_000, 2))
+    far = reference_window_prob(chain, first_occurrence(200_000, 2))
     # the walk stopped at its first repeat, and far times read a short stored cycle
     t, v = chain._dists._cursor
     start, cycle = chain._dists._cycle
     assert t == start + len(cycle) and bits(v) == bits(cycle[0])
     assert len(cycle) <= 256
     # going back restarts from time 1, and forward again reproduces the value
-    assert chain.window_prob(first_occurrence(3, 1)) == chain.window_prob(first_occurrence(3, 1))
+    near = first_occurrence(3, 1)
+    assert reference_window_prob(chain, near) == reference_window_prob(chain, near)
     assert chain._dists._cursor[0] == 3
-    assert chain.window_prob(first_occurrence(200_000, 2)) == far
+    assert reference_window_prob(chain, first_occurrence(200_000, 2)) == far
 
 
 def plain_walk(model, count):
@@ -763,7 +792,7 @@ class _NaNFamily(SequenceFamily):
 def test_nan_family_is_a_numeric_fault_on_both_paths(prefix_len):
     model = IndependentModel(_NaNFamily())
     with pytest.raises(NumericFaultError):
-        model.window_prob(first_occurrence(3 - prefix_len, prefix_len))
+        reference_window_prob(model, first_occurrence(3 - prefix_len, prefix_len))
     with pytest.raises(NumericFaultError):
         model.window_series(prefix_len, 5)
     with pytest.raises(NumericFaultError):

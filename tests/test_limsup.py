@@ -25,6 +25,7 @@ from conftest import (
     random_latent,
     random_markov,
     reference_powers,
+    reference_window_prob,
 )
 
 
@@ -76,7 +77,7 @@ def test_union_bound_respects_saturated_offsets():
         [1] * 20 + [0],
         PerLatentThresholds((PowerLaw(0.01, 1.0), PowerLaw(0.5, 1.0)), (-5, 0)),
     )
-    assert model.window_prob(first_occurrence(21, 0)) == 1.0
+    assert reference_window_prob(model, first_occurrence(21, 0)) == 1.0
     assert tail_union(model, 1, k_max=16).interval[1] == 1.0
 
 

@@ -22,6 +22,7 @@ from conftest import (
     make_interleaved,
     make_nested,
     random_markov,
+    reference_window_prob,
 )
 
 
@@ -150,7 +151,7 @@ def test_small_model_coverage_quick():
         n = int(rng.integers(1, 5))
         m = int(rng.integers(0, 3))
         w = first_occurrence(n, m)
-        exact = model.window_prob(w)
+        exact = reference_window_prob(model, w)
         est = estimate_window_prob(model, w, 20000, seed=1000 + i)
         covered += est.lower <= exact <= est.upper
     assert covered >= 17

@@ -23,6 +23,7 @@ from conftest import (
     random_independent,
     random_latent,
     random_markov,
+    reference_window_prob,
 )
 
 
@@ -56,7 +57,8 @@ def test_independent_oracle_matches_product_formula():
         n = int(rng.integers(1, 10))
         m = int(rng.integers(0, 11 - n))
         w = first_occurrence(n, m)
-        assert oracle_window_prob(sp, w) == pytest.approx(model.window_prob(w), abs=1e-12)
+        expected = reference_window_prob(model, w)
+        assert oracle_window_prob(sp, w) == pytest.approx(expected, abs=1e-12)
 
 
 def test_markov_union_equals_first_occurrence_sum():
