@@ -178,7 +178,7 @@ def _write_series_csv(path: Path, terms: np.ndarray, partial_sums: np.ndarray) -
         f"{n},{float(terms[n - 1])!r},{float(partial_sums[n - 1])!r}"
         for n in range(1, len(terms) + 1)
     ]
-    path.write_text("\n".join(rows) + "\n")
+    _write_out(path, "\n".join(rows) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -279,16 +279,13 @@ def simulate_results(
     model: EventSequenceModel, count: int, seed: int, horizon: int
 ) -> tuple[dict, int]:
     checks = _simulate_checks(horizon)
-    # exact values from the paths the reports read, as verify takes them:
-    # windows from row m of window_series(m, horizon - m), unions from the scan
-    series: dict[int, np.ndarray] = {}
+    # exact values from the scans verify checks: a window's is term m of a
+    # scan from its start, a union's the sum of the scan's terms
     exacts = []
     for _, query in checks:
         if isinstance(query, WindowPattern):
             m = query.prefix_len
-            if m not in series:
-                series[m] = model.window_series(m, horizon - m)[0][m]
-            exacts.append(float(series[m][query.start - 1]))
+            exacts.append(float(model.first_occurrence_terms(query.start, m + 1)[m]))
         else:
             n, span = query
             partial = model.first_occurrence_terms(n, span + 1)
@@ -365,28 +362,25 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 def verify_results(model: EventSequenceModel, horizon: int) -> tuple[dict, float]:
     space = build_outcome_space(model, horizon)
-    # The engine answers come from the paths the reports read: prefix windows
-    # from the series table analyze sums, suffix windows, all-complement and
-    # union rows from the scans limsup runs.  Row m of window_series(m,
-    # horizon - m) and the scans from n read no index past the horizon, so a
-    # model defined only that far still verifies.
-    series = [model.window_series(m, horizon - m)[0][m] for m in range(horizon)]
+    # Every engine answer comes from the scans limsup runs, and the scans
+    # from n read no index past the horizon, so a model defined only that far
+    # still verifies.
     rows: list[tuple[str, int, int, str]] = []
     answers: list[tuple[float, float]] = []  # (engine, oracle) per row
     for n in range(1, horizon + 1):
-        # one scan seeded with "A_n occurred" serves every suffix row from n
+        # one scan of n..horizon serves every prefix-window, all-complement
+        # and union row from n; one seeded with "A_n occurred" every suffix row
+        scan = OccurrenceScan(n)
+        terms = model.first_occurrence_terms(n, horizon - n + 1, scan)
         suffixes = model.suffix_complement_probs(n, horizon - n)
         for m in range(0, horizon - n + 1):
-            windows = [(first_occurrence(n, m), float(series[m][n - 1]))]
+            windows = [(first_occurrence(n, m), float(terms[m]))]
             if m:
                 suffix = first_occurrence(n, m, Orientation.SUFFIX_COMPLEMENT)
                 windows.append((suffix, float(suffixes[m - 1])))
             for w, engine in windows:
                 rows.append(("window", n, m, w.orientation.value))
                 answers.append((engine, oracle_window_prob(space, w)))
-        # one scan of n..horizon serves every all-complement and union row from n
-        scan = OccurrenceScan(n)
-        terms = model.first_occurrence_terms(n, horizon - n + 1, scan)
         for m, engine in enumerate(scan.complement_probs(), start=1):
             rows.append(("all-complement", n, m, ""))
             answers.append((engine, oracle_window_prob(space, all_complement(n, m))))
@@ -461,7 +455,7 @@ def _emit(report: dict, args: argparse.Namespace, table_renderer) -> None:
     else:
         text = json.dumps(report, indent=2, sort_keys=True, default=_json_default)
     if args.out:
-        Path(args.out).write_text(text + "\n")
+        _write_out(Path(args.out), text + "\n")
         return
     try:
         print(text)
@@ -470,6 +464,13 @@ def _emit(report: dict, args: argparse.Namespace, table_renderer) -> None:
         # the reader closed the pipe: point stdout at devnull so that the flush
         # at exit cannot raise, and keep the command's own exit code
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+
+
+def _write_out(path: Path, text: str) -> None:
+    try:
+        path.write_text(text)
+    except OSError as exc:
+        raise SpecError("--out", f"cannot write {path}: {exc.strerror or exc}") from None
 
 
 def _parse_schedule(text: str) -> list[int]:

@@ -11,6 +11,7 @@ them) and tracks u_n along a schedule of start indices.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -90,8 +91,8 @@ def tail_union(
     """
     if n < 1:
         raise ValueError("start index must be >= 1")
-    if not tol > 0.0:
-        raise ValueError("tolerance must be positive")
+    if not 0.0 < tol < math.inf:
+        raise ValueError("tolerance must be positive and finite")
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
     scan = OccurrenceScan(n)

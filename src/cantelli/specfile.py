@@ -277,9 +277,13 @@ def parse_spec(data: Any) -> ModelSpec:
 def load_spec(path: str | Path) -> ModelSpec:
     path = Path(path)
     try:
-        data = json.loads(path.read_text())
+        data = json.loads(path.read_text(encoding="utf-8"))
     except FileNotFoundError:
         raise SpecError(str(path), "spec file not found") from None
+    except OSError as exc:
+        raise SpecError(str(path), f"cannot read the spec file: {exc.strerror or exc}") from None
+    except UnicodeDecodeError as exc:
+        raise SpecError(str(path), f"not UTF-8 text: {exc.reason} at byte {exc.start}") from None
     except json.JSONDecodeError as exc:
         raise SpecError(str(path), f"invalid JSON: {exc}") from None
     spec = parse_spec(data)

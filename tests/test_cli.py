@@ -246,10 +246,10 @@ def test_simulate_corrupted_backend_exit_4(tmp_path, monkeypatch):
         def __getattr__(self, name):
             return getattr(self._inner, name)
 
-        def window_series(self, max_prefix_len, num_terms):
-            # simulate reads its exact window values from the series table
-            terms, empty = self._inner.window_series(max_prefix_len, num_terms)
-            return np.minimum(1.0, terms + 0.05), empty
+        def first_occurrence_terms(self, n, count, scan=None):
+            # simulate reads its exact values from first-occurrence scans
+            terms = self._inner.first_occurrence_terms(n, count, scan)
+            return np.minimum(1.0, terms + 0.05)
 
     monkeypatch.setattr(cli, "build_model", lambda spec: Corrupted(real_build(spec)))
     code = run(["simulate", SPECS / "coin-half.json", "--count", "20000",
@@ -400,8 +400,24 @@ def test_table_prints_no_negative_zero_slope(capsys):
     assert "-0.0000" not in out and out.count(" 0.0000\n") == 4
 
 
-def test_missing_spec_file_exit_2(tmp_path):
+def test_missing_spec_file_exit_2(tmp_path, capsys):
     assert run(["analyze", tmp_path / "nope.json"]) == EXIT_SPEC
+    assert f"{tmp_path / 'nope.json'}: spec file not found" in capsys.readouterr().err
+    assert run(["analyze", tmp_path]) == EXIT_SPEC
+    assert f"{tmp_path}: cannot read the spec file" in capsys.readouterr().err
+    latin = tmp_path / "latin.json"
+    latin.write_bytes(b'{"name": "caf\xe9", "model": {}}')
+    assert run(["analyze", latin]) == EXIT_SPEC
+    assert f"{latin}: not UTF-8 text" in capsys.readouterr().err
+
+
+def test_unwritable_out_exit_2(tmp_path, capsys):
+    missing = tmp_path / "missing"
+    for fmt, out in [("json", missing / "r.json"), ("csv", missing / "x.csv"), ("json", tmp_path)]:
+        assert run(["analyze", SPECS / "coin-half.json", "--terms", "200", "--format", fmt,
+                    "--out", out]) == EXIT_SPEC
+        # csv rows go to x.m0.csv, so the message is matched up to the suffix
+        assert f"--out: cannot write {out.parent / out.stem}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["analyze", "limsup", "simulate", "verify"])
@@ -419,6 +435,7 @@ def test_nan_markov_spec_exit_2(tmp_path, command, capsys):
     [
         ["analyze", "--tol", "nan"],
         ["limsup", "--tol", "nan"],
+        ["limsup", "--tol", "inf"],
         ["analyze", "--tol", "-1"],
         ["analyze", "--m-max", "-1"],
         ["analyze", "--tol", "inf"],

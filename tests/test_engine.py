@@ -525,6 +525,12 @@ def test_verify_matches_the_stepped_reference(name, horizon):
     spec = load_spec(REPO / "specs" / f"{name}.json")
     horizon = horizon or spec.defaults.horizon
     assert verify_results(spec.model, horizon) == reference_verify_results(spec.model, horizon)
+    # the report holds ten rows, so hold every prefix-window answer to the table
+    series = [spec.model.window_series(m, horizon - m)[0][m] for m in range(horizon)]
+    for n in range(1, horizon + 1):
+        terms = spec.model.first_occurrence_terms(n, horizon - n + 1)
+        for m in range(horizon - n + 1):
+            assert bits(terms[m]) == bits(series[m][n - 1]), (n, m)
 
 
 @settings(max_examples=100, deadline=None)
