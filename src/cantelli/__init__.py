@@ -31,7 +31,6 @@ from .models import (
     LatentUniformModel,
     MarkovModel,
     NumericFaultError,
-    OccurrenceScan,
     PerLatentThresholds,
     marginal_decay_check,
 )
@@ -75,7 +74,6 @@ __all__ = [
     "ModelValueError",
     # models
     "EventSequenceModel",
-    "OccurrenceScan",
     "IndependentModel",
     "MarkovModel",
     "EventSchedule",

@@ -23,7 +23,7 @@ import numpy as np
 from . import __version__
 from .criteria import SweepResult, sweep_prefix_len
 from .limsup import limsup_estimate
-from .models import EventSequenceModel, NumericFaultError, OccurrenceScan
+from .models import EventSequenceModel, NumericFaultError
 from .montecarlo import estimate_frequencies
 from .oracle import (
     build_outcome_space,
@@ -31,6 +31,7 @@ from .oracle import (
     oracle_window_prob,
 )
 from .specfile import ModelSpec, SpecError, build_model, load_spec
+from .summation import compensated_cumsum, compensated_sum
 from .windows import Orientation, WindowPattern, all_complement, first_occurrence
 
 EXIT_OK = 0
@@ -279,17 +280,18 @@ def simulate_results(
     model: EventSequenceModel, count: int, seed: int, horizon: int
 ) -> tuple[dict, int]:
     checks = _simulate_checks(horizon)
-    # exact values from the scans verify checks: a window's is term m of a
-    # scan from its start, a union's the sum of the scan's terms
+    # exact values from the scans verify checks, one scan of n..horizon per
+    # start: a window's is term m of it, a union's the compensated sum of its
+    # terms, as tail_union takes it
+    starts = {query.start if isinstance(query, WindowPattern) else query[0] for _, query in checks}
+    scans = {n: model.first_occurrence_terms(n, horizon - n + 1)[0] for n in sorted(starts)}
     exacts = []
     for _, query in checks:
         if isinstance(query, WindowPattern):
-            m = query.prefix_len
-            exacts.append(float(model.first_occurrence_terms(query.start, m + 1)[m]))
+            exacts.append(float(scans[query.start][query.prefix_len]))
         else:
             n, span = query
-            partial = model.first_occurrence_terms(n, span + 1)
-            exacts.append(float(min(1.0, max(0.0, partial.sum()))))
+            exacts.append(float(min(1.0, max(0.0, compensated_sum(scans[n][: span + 1])))))
     # one pass over the sample chunks serves every check
     estimates = estimate_frequencies(model, [query for _, query in checks], count, seed)
     rows = []
@@ -370,8 +372,7 @@ def verify_results(model: EventSequenceModel, horizon: int) -> tuple[dict, float
     for n in range(1, horizon + 1):
         # one scan of n..horizon serves every prefix-window, all-complement
         # and union row from n; one seeded with "A_n occurred" every suffix row
-        scan = OccurrenceScan(n)
-        terms = model.first_occurrence_terms(n, horizon - n + 1, scan)
+        terms, complements, _ = model.first_occurrence_terms(n, horizon - n + 1)
         suffixes = model.suffix_complement_probs(n, horizon - n)
         for m in range(0, horizon - n + 1):
             windows = [(first_occurrence(n, m), float(terms[m]))]
@@ -381,13 +382,14 @@ def verify_results(model: EventSequenceModel, horizon: int) -> tuple[dict, float
             for w, engine in windows:
                 rows.append(("window", n, m, w.orientation.value))
                 answers.append((engine, oracle_window_prob(space, w)))
-        for m, engine in enumerate(scan.complement_probs(), start=1):
+        for m, engine in enumerate(complements, start=1):
             rows.append(("all-complement", n, m, ""))
             answers.append((engine, oracle_window_prob(space, all_complement(n, m))))
-        for span in range(0, horizon - n + 1):
+        # the union rows sum the terms as tail_union does, so the oracle
+        # checks limsup's partial sums too
+        for span, total in enumerate(compensated_cumsum(terms)):
             rows.append(("union", n, span, ""))
-            engine = min(1.0, max(0.0, terms[: span + 1].sum()))
-            answers.append((engine, oracle_union_prob(space, n, span)))
+            answers.append((min(1.0, max(0.0, total)), oracle_union_prob(space, n, span)))
     engine, oracle = np.array(answers).T
     diff = np.abs(engine - oracle)
     bad = diff > ORACLE_DIFF_TOL

@@ -4,9 +4,10 @@ For any event sequence, P(union of A_j, j >= n) equals the sum over k of
 P(first occurrence at n + k): the first-occurrence events are disjoint and
 exhaust the union.  That tail-union probability u_n is non-increasing in n and
 its limit is exactly P(A_n infinitely often).  This module truncates the inner
-sum with a certified remainder (the all-complement window bounds everything
-past the truncation, and analytic tail bounds tighten it when a backend has
-them) and tracks u_n along a schedule of start indices.
+sum with a certified remainder (the all-complement window, which the same
+scan returns, bounds everything past the truncation, and analytic tail bounds
+tighten it when a backend has them) and tracks u_n along a schedule of start
+indices.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .models import EventSequenceModel, OccurrenceScan
+from .models import EventSequenceModel
 from .summation import CompensatedSum, compensated_sum
 
 __all__ = [
@@ -82,10 +83,11 @@ def tail_union(
     """Enclose u_n = P(union of A_j, j >= n) by adaptive truncation.
 
     The truncation doubles from 16 until the effective remainder drops below
-    ``tol`` or reaches ``k_max``.  Each doubling goes on with one scan of
-    first-occurrence terms and one running compensated sum, so it computes
-    only the terms it adds; the partial sum and remainder equal a one-shot
-    computation at the final truncation bit for bit.  Failing to reach
+    ``tol`` or reaches ``k_max``.  Each doubling passes the scan's carry to
+    the next ``first_occurrence_terms`` call and continues one running
+    compensated sum, so it computes only the terms it adds; the remainder is
+    the last complement of the scan.  The partial sum and remainder equal a
+    one-shot computation at the final truncation bit for bit.  Failing to reach
     tolerance is reported on the estimate, not raised: a stalled remainder is
     an honest answer for persistently dependent models.
     """
@@ -95,13 +97,14 @@ def tail_union(
         raise ValueError("tolerance must be positive and finite")
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
-    scan = OccurrenceScan(n)
     running = CompensatedSum()
+    end, carry = n, None
     k = min(INITIAL_TRUNCATION, k_max)
     while True:
-        terms = model.first_occurrence_terms(scan.end, n + k - scan.end, scan)
+        terms, complements, carry = model.first_occurrence_terms(end, n + k - end, carry)
+        end = n + k
         partial = min(max(compensated_sum(terms, running), 0.0), 1.0)
-        remainder = model.all_complement_prob(n, k, scan)
+        remainder = float(complements[-1])
         union_tail = model.union_bound(n + k)
         effective = remainder if union_tail is None else min(remainder, union_tail)
         if effective < tol or k >= k_max:

@@ -20,14 +20,15 @@ threshold or distribution arrays.  Its ``empty`` table is the package's one
 emptiness proof: row m marks the m-windows that are provably empty.  The
 Markov tables evaluate their columns through one common period of the chain's
 orbit and its event schedule, and copy the rest.  ``_scan`` is the one
-first-occurrence scan per backend.  ``first_occurrence_terms`` and
-``all_complement_prob`` read it from an empty carry, chunk by chunk through an
-``OccurrenceScan``, and ``suffix_complement_probs`` from the carry "A_n
-occurred" (``_occurred``).  ``sample_indicator_block``
-draws sampled indicators for many windows and a batch of generators in one
-call: it fills one row per distinct index the windows cover, evaluates each
-row's family, threshold or event-mask constants once for the whole batch, and
-reads each window's block off its rows.  Each generator's rows equal, bit for
+first-occurrence scan per backend, and ``first_occurrence_terms(n, count,
+carry)`` the one way into it: it returns the terms, the finished
+all-complement probabilities and the carry that goes on with the scan.
+``suffix_complement_probs`` is one such call seeded with the carry "A_n
+occurred" (``_occurred``).  ``sample_indicator_block`` draws sampled
+indicators for many windows and a batch of generators in one call: it fills
+one row per distinct index the windows cover, evaluates each row's family,
+threshold or event-mask constants once for the whole batch, and reads each
+window's block off its rows.  Each generator's rows equal, bit for
 bit, a call with that generator alone, whichever windows and generators share
 the call.
 
@@ -55,7 +56,6 @@ from .families import ModelValueError, SequenceFamily, SequenceIndexError, Serie
 __all__ = [
     "NumericFaultError",
     "EventSequenceModel",
-    "OccurrenceScan",
     "IndependentModel",
     "EventSchedule",
     "MarkovModel",
@@ -132,40 +132,21 @@ class EventSequenceModel(ABC):
         """
 
     def first_occurrence_terms(
-        self, n: int, count: int, scan: OccurrenceScan | None = None
-    ) -> np.ndarray:
-        """Terms P(first occurrence at n + k) for k = 0..count-1.
+        self, n: int, count: int, carry: Any = None
+    ) -> tuple[np.ndarray, np.ndarray, Any]:
+        """The first-occurrence scan of n..n + count - 1: (terms, complements, carry).
 
-        Given a ``scan`` that ends at n, the scan goes on: the terms are those
-        of a first occurrence after ``scan.start`` (no occurrence in
-        [scan.start, n + k - 1], one at n + k), and the scan then ends at
-        n + count.  Terms computed in chunks equal one scan's bit for bit.
+        Term k is P(first occurrence at n + k) and complement k, finished,
+        P(no occurrence in [n, n + k]).  A ``carry`` returned by a scan that
+        ended at n - 1 goes on with that scan, bit for bit as one call: its
+        terms and complements then count from that scan's start, or from "A_j
+        occurred" when it was seeded with ``_occurred(j)``.  A count of 0
+        returns two empty arrays and ``carry`` as given.
         """
-        if scan is None:
-            scan = OccurrenceScan(n)
-        elif scan.end != n:
-            raise ValueError(f"a scan ending at {scan.end} cannot go on at {n}")
         if count == 0:
-            return np.empty(0)
-        terms, scan.complements, scan.carry = self._scan(n, count, scan.carry)
-        scan.end = n + count
-        return terms
-
-    def all_complement_prob(
-        self, n: int, length: int, scan: OccurrenceScan | None = None
-    ) -> float:
-        """P(no occurrence anywhere in [n, n + length - 1]).
-
-        A ``scan`` of exactly that range gives it without scanning again.
-        """
-        if scan is None:
-            scan = OccurrenceScan(n)
-            self.first_occurrence_terms(n, length, scan)
-        elif (scan.start, scan.end) != (n, n + length):
-            raise ValueError(
-                f"a scan of {scan.start}..{scan.end - 1} does not cover {n}..{n + length - 1}"
-            )
-        return 1.0 if scan.carry is None else self._finish_prob(float(scan.complements[-1]))
+            return np.empty(0), np.empty(0), carry
+        terms, complements, carry = self._scan(n, count, carry)
+        return terms, self._finish_probs(complements), carry
 
     def suffix_complement_probs(self, n: int, count: int) -> np.ndarray:
         """P(A_n, no occurrence in [n + 1, n + m]), the suffix windows, for m = 1..count.
@@ -173,9 +154,7 @@ class EventSequenceModel(ABC):
         They are the complements of a scan of n + 1..n + count seeded with "A_n
         occurred", which reads no index past n + count.
         """
-        if count == 0:
-            return np.empty(0)
-        return self._finish_probs(self._scan(n + 1, count, self._occurred(n))[1])
+        return self.first_occurrence_terms(n + 1, count, self._occurred(n))[1]
 
     @abstractmethod
     def _scan(self, n: int, count: int, carry: Any) -> tuple[np.ndarray, np.ndarray, Any]:
@@ -194,50 +173,23 @@ class EventSequenceModel(ABC):
         """The carry after index n of a scan that begins with "A_n occurred"."""
 
     @staticmethod
-    def _finish_prob(x: float) -> float:
-        if not math.isfinite(x):
-            raise NumericFaultError(f"non-finite window probability: {x!r}")
-        if x < 0.0:
-            if x < -_PROB_SLACK:
-                raise NumericFaultError(f"window probability {x!r} below 0")
-            return 0.0
-        if x > 1.0:
-            if x > 1.0 + _PROB_SLACK:
-                raise NumericFaultError(f"window probability {x!r} above 1")
-            return 1.0
-        return x
+    def _finish_probs(x: np.ndarray) -> np.ndarray:
+        """Probabilities clamped into [0, 1] from within ``_PROB_SLACK`` of it.
 
-    @classmethod
-    def _finish_probs(cls, x: np.ndarray) -> np.ndarray:
-        """``_finish_prob`` elementwise; a fault names the first faulty entry."""
+        An array already inside comes back as it is.  A non-finite entry, or
+        one past the slack, is a fault that names the first such entry.
+        """
+        if x.size and x.min() >= 0.0 and x.max() <= 1.0:
+            return x
         bad = ~((x >= -_PROB_SLACK) & (x <= 1.0 + _PROB_SLACK))
         if bad.any():
-            cls._finish_prob(float(x[np.argmax(bad)]))
+            v = float(x[np.argmax(bad)])
+            if not math.isfinite(v):
+                raise NumericFaultError(f"non-finite window probability: {v!r}")
+            if v < 0.0:
+                raise NumericFaultError(f"window probability {v!r} below 0")
+            raise NumericFaultError(f"window probability {v!r} above 1")
         return np.where(x < 0.0, 0.0, np.where(x > 1.0, 1.0, x))
-
-
-class OccurrenceScan:
-    """A first-occurrence scan of the indices start..end - 1, from an empty carry.
-
-    ``first_occurrence_terms(scan.end, count, scan)`` goes on with the next
-    ``count`` indices, and ``all_complement_prob(scan.start, scan.end -
-    scan.start, scan)`` reads the all-complement probability of the range.
-    ``carry`` is the backend's state after the last scanned index.
-    ``complements`` holds, unfinished, P(no occurrence in [start, i]) for each
-    index i of the last stretch a call scanned, so one call serves every
-    all-complement range that ends inside it (``complement_probs``).
-    """
-
-    __slots__ = ("start", "end", "carry", "complements")
-
-    def __init__(self, start: int):
-        self.start = self.end = start
-        self.carry: Any = None
-        self.complements = np.empty(0)
-
-    def complement_probs(self) -> np.ndarray:
-        """``complements`` finished as ``all_complement_prob`` finishes each."""
-        return EventSequenceModel._finish_probs(self.complements)  # noqa: SLF001
 
 
 def _share(

@@ -42,7 +42,10 @@ def reference_window_prob(model: EventSequenceModel, w: WindowPattern) -> float:
     propagates the distribution at its first index through masked steps; a
     latent window multiplies the latents' interval lengths.
     """
-    finish = EventSequenceModel._finish_prob
+
+    def finish(prob: float) -> float:
+        return float(EventSequenceModel._finish_probs(np.array([prob]))[0])
+
     if isinstance(model, IndependentModel):
         prob = 1.0
         for idx, occur in w.constraints():

@@ -246,10 +246,10 @@ def test_simulate_corrupted_backend_exit_4(tmp_path, monkeypatch):
         def __getattr__(self, name):
             return getattr(self._inner, name)
 
-        def first_occurrence_terms(self, n, count, scan=None):
+        def first_occurrence_terms(self, n, count, carry=None):
             # simulate reads its exact values from first-occurrence scans
-            terms = self._inner.first_occurrence_terms(n, count, scan)
-            return np.minimum(1.0, terms + 0.05)
+            terms, complements, carry = self._inner.first_occurrence_terms(n, count, carry)
+            return np.minimum(1.0, terms + 0.05), complements, carry
 
     monkeypatch.setattr(cli, "build_model", lambda spec: Corrupted(real_build(spec)))
     code = run(["simulate", SPECS / "coin-half.json", "--count", "20000",

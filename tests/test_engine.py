@@ -32,10 +32,11 @@ from cantelli import (
     limsup_estimate,
     tail_union,
 )
+from cantelli import cli
 from cantelli.cli import ORACLE_DIFF_TOL, verify_results
 from cantelli.families import SequenceIndexError
 from cantelli.limsup import INITIAL_TRUNCATION
-from cantelli.models import NumericFaultError, OccurrenceScan
+from cantelli.models import NumericFaultError
 from cantelli.oracle import build_outcome_space
 from cantelli.specfile import load_spec, parse_spec
 from cantelli.summation import compensated_sum
@@ -385,32 +386,44 @@ def test_markov_series_memory_is_bounded():
 @settings(max_examples=200, deadline=None)
 @given(models, st.integers(min_value=1, max_value=30), st.integers(min_value=0, max_value=25))
 def test_scans_match_window_prob(model, n, count):
-    expected = reference_terms(model, n, count)
-    assert np.array_equal(model.first_occurrence_terms(n, count), expected)
-    assert model.all_complement_prob(n, count) == reference_complement(model, n, count)
+    terms, complements, _ = model.first_occurrence_terms(n, count)
+    assert np.array_equal(terms, reference_terms(model, n, count))
+    expected = [reference_complement(model, n, length) for length in range(1, count + 1)]
+    assert bits(complements) == bits(expected)
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=300, deadline=None)
 @given(
     models,
     st.integers(min_value=1, max_value=30),
     st.lists(st.integers(min_value=0, max_value=12), max_size=5),
+    st.booleans(),
 )
-def test_scan_in_chunks_matches_window_prob(model, n, chunks):
-    scan = OccurrenceScan(n)
-    got = [np.empty(0)]
+def test_scan_in_chunks_matches_window_prob(model, n, chunks, seeded):
+    # each chunk passes its carry to the next, and a chunk of 0 passes it on
+    # as is; seeded, the scan of n + 1.. begins with "A_n occurred", and its
+    # complements are the suffix windows from n
+    total = sum(chunks)
+    start, seed = (n + 1, model._occurred(n)) if seeded else (n, None)
+    end, carry, terms, complements = start, seed, [np.empty(0)], [np.empty(0)]
     for count in chunks:
-        got.append(model.first_occurrence_terms(scan.end, count, scan))
-        length = scan.end - n
-        assert bits(model.all_complement_prob(n, length, scan)) == bits(
-            reference_complement(model, n, length)
-        )
-        if count:
-            # the complement after every index of the chunk, not only its last
-            lengths = range(length - count + 1, length + 1)
-            expected = [reference_complement(model, n, k) for k in lengths]
-            assert bits(scan.complement_probs()) == bits(expected)
-    assert bits(np.concatenate(got)) == bits(reference_terms(model, n, sum(chunks)))
+        chunk_terms, chunk_complements, carry = model.first_occurrence_terms(end, count, carry)
+        terms.append(chunk_terms)
+        complements.append(chunk_complements)
+        end += count
+    terms, complements = np.concatenate(terms), np.concatenate(complements)
+    one_terms, one_complements, _ = model.first_occurrence_terms(start, total, seed)
+    assert bits(terms) == bits(one_terms)
+    if seeded:
+        expected = [
+            reference_window_prob(model, first_occurrence(n, m, Orientation.SUFFIX_COMPLEMENT))
+            for m in range(1, total + 1)
+        ]
+    else:
+        assert bits(terms) == bits(reference_terms(model, n, total))
+        # the complement after every index of every chunk, not only its last
+        expected = [reference_complement(model, n, length) for length in range(1, total + 1)]
+    assert bits(complements) == bits(one_complements) == bits(expected)
 
 
 @settings(max_examples=300, deadline=None)
@@ -426,21 +439,10 @@ def test_suffix_complements_match_window_prob(model, n, count):
     if count:
         # its terms, the first occurrences after A_n, are true probabilities
         # that split P(A_n) with the last complement
-        terms, complements, _ = model._scan(n + 1, count, model._occurred(n))
+        terms, complements, _ = model.first_occurrence_terms(n + 1, count, model._occurred(n))
         assert np.all((terms >= 0.0) & (terms <= 1.0))
         marginal = reference_window_prob(model, first_occurrence(n, 0))
         assert math.fsum([*terms, complements[-1]]) == pytest.approx(marginal, abs=1e-12)
-
-
-def test_scan_must_go_on_where_it_ended():
-    model = IndependentModel(Constant(0.5))
-    scan = OccurrenceScan(3)
-    model.first_occurrence_terms(3, 4, scan)
-    with pytest.raises(ValueError, match="ending at 7"):
-        model.first_occurrence_terms(8, 1, scan)
-    with pytest.raises(ValueError, match="does not cover"):
-        model.all_complement_prob(3, 5, scan)
-    assert model.all_complement_prob(3, 4, scan) == 0.5**4
 
 
 def reference_verify_results(model, horizon):
@@ -449,7 +451,7 @@ def reference_verify_results(model, horizon):
     every code, and a dict for every row.
 
     The suffix and all-complement answers are ``reference_window_prob``'s,
-    which ``suffix_complement_probs`` and ``all_complement_prob`` return bit
+    which ``suffix_complement_probs`` and the scans' complements return bit
     for bit (see the scan tests above), so the reference reads nothing of the
     scans' complements.
     """
@@ -478,14 +480,15 @@ def reference_verify_results(model, horizon):
                 windows.append((suffix, reference_window_prob(model, suffix)))
             for w, engine in windows:
                 rows.append(("window", n, m, w.orientation.value, engine, window_oracle(w)))
-        scan, terms = OccurrenceScan(n), []
+        carry, terms = None, []
         for m in range(1, horizon - n + 2):
-            terms.append(model.first_occurrence_terms(scan.end, 1, scan))
+            term, _, carry = model.first_occurrence_terms(n + m - 1, 1, carry)
+            terms.append(term)
             engine = reference_complement(model, n, m)
             rows.append(("all-complement", n, m, "", engine, window_oracle(all_complement(n, m))))
         terms = np.concatenate(terms)
         for span in range(0, horizon - n + 1):
-            engine = float(min(1.0, max(0.0, terms[: span + 1].sum())))
+            engine = float(min(1.0, max(0.0, compensated_sum(terms[: span + 1]))))
             rows.append(("union", n, span, "", engine, union_oracle(n, span)))
     checks = []
     mismatches = 0
@@ -528,9 +531,28 @@ def test_verify_matches_the_stepped_reference(name, horizon):
     # the report holds ten rows, so hold every prefix-window answer to the table
     series = [spec.model.window_series(m, horizon - m)[0][m] for m in range(horizon)]
     for n in range(1, horizon + 1):
-        terms = spec.model.first_occurrence_terms(n, horizon - n + 1)
+        terms = spec.model.first_occurrence_terms(n, horizon - n + 1)[0]
         for m in range(horizon - n + 1):
             assert bits(terms[m]) == bits(series[m][n - 1]), (n, m)
+
+
+@pytest.mark.parametrize("name", [path.stem for path in sorted((REPO / "specs").glob("*.json"))])
+def test_verify_union_rows_are_tail_union_partial_sums(name, monkeypatch):
+    # verify's oracle check of the union rows covers limsup's summation: each
+    # row equals tail_union's partial sum at truncation span + 1, bit for bit.
+    # With that sum as the union oracle, and window oracles that rank below
+    # every number (NaN), the worst row is the union row farthest from it.
+    spec = load_spec(REPO / "specs" / f"{name}.json")
+    model = spec.model
+
+    def partial(space, n, span):
+        return tail_union(model, n, tol=1e-300, k_max=span + 1).partial
+
+    monkeypatch.setattr(cli, "oracle_union_prob", partial)
+    monkeypatch.setattr(cli, "oracle_window_prob", lambda space, w: math.nan)
+    worst = verify_results(model, spec.defaults.horizon)[0]["worst"]
+    assert [row["kind"] for row in worst] == ["union"] * 10
+    assert worst[0]["diff"] == 0.0, worst[0]
 
 
 @settings(max_examples=100, deadline=None)

@@ -65,7 +65,7 @@ def test_tail_union_matches_oracle_truncation():
         model = build(rng)
         space = build_outcome_space(model, 12)
         for n in (1, 2):
-            partial = float(model.first_occurrence_terms(n, 10).sum())
+            partial = float(model.first_occurrence_terms(n, 10)[0].sum())
             assert partial == pytest.approx(oracle_union_prob(space, n, 9), abs=1e-10)
 
 

@@ -129,7 +129,7 @@ def test_first_occurrence_terms_match_window_prob():
     rng = np.random.default_rng(11)
     for build in (random_independent, random_markov, random_latent):
         model = build(rng)
-        terms = model.first_occurrence_terms(2, 9)
+        terms = model.first_occurrence_terms(2, 9)[0]
         direct = [reference_window_prob(model, first_occurrence(2, k)) for k in range(9)]
         assert np.allclose(terms, direct, atol=1e-13)
 
@@ -138,8 +138,9 @@ def test_all_complement_prob_matches_window_prob():
     rng = np.random.default_rng(12)
     for build in (random_independent, random_markov, random_latent):
         model = build(rng)
+        complements = model.first_occurrence_terms(3, 8)[1]
         for length in (1, 4, 8):
-            assert model.all_complement_prob(3, length) == pytest.approx(
+            assert complements[length - 1] == pytest.approx(
                 reference_window_prob(model, all_complement(3, length)), abs=1e-13
             )
 
@@ -296,12 +297,20 @@ def test_latent_positions_match_a_brute_force_count(drawn, n, data):
 
 
 def test_finish_prob_guards():
-    assert EventSequenceModel._finish_prob(1.0 + 1e-12) == 1.0
-    assert EventSequenceModel._finish_prob(-1e-12) == 0.0
-    with pytest.raises(NumericFaultError):
-        EventSequenceModel._finish_prob(float("nan"))
-    with pytest.raises(NumericFaultError):
-        EventSequenceModel._finish_prob(1.5)
+    finish = EventSequenceModel._finish_probs
+    assert finish(np.array([1.0 + 1e-12, -1e-12, 0.5])).tolist() == [1.0, 0.0, 0.5]
+    # inside [0, 1], signed zeros and subnormals included, the array itself
+    x = np.array([0.0, -0.0, 5e-324, 0.25, 1.0 - 2.0**-53, 1.0])
+    assert finish(x) is x
+    # past the slack, the first faulty entry is named, whatever follows it
+    for bad, message in [
+        ([float("nan")], "non-finite window probability: nan"),
+        ([0.5, float("nan"), 2.0], "non-finite window probability: nan"),
+        ([0.5, 1.0 + 1e-12, -1.0, float("inf")], "window probability -1.0 below 0"),
+        ([1.0 + 2e-9, float("nan")], r"window probability 1\.000000002 above 1"),
+    ]:
+        with pytest.raises(NumericFaultError, match=message):
+            finish(np.array(bad))
 
 
 def test_markov_queries_are_pure_under_threads():
@@ -309,7 +318,7 @@ def test_markov_queries_are_pure_under_threads():
         # a series table, then scans from far and near starts, which walk the
         # orbit forward and back from its one cursor
         table = chain.window_series(3, 30)[0]
-        scans = [chain.first_occurrence_terms(n, 4) for n in (29, 1, 17, 2)]
+        scans = [chain.first_occurrence_terms(n, 4)[0] for n in (29, 1, 17, 2)]
         return [table.tobytes()] + [terms.tobytes() for terms in scans]
 
     expected = queries(random_markov(np.random.default_rng(21), max_states=4))
