@@ -56,13 +56,15 @@ _FALLBACKS = {
 }
 
 
-def _resolve(flag_value, spec: ModelSpec, key: str):
-    if flag_value is not None:
-        return flag_value
-    spec_value = getattr(spec.defaults, key)
-    if spec_value is not None:
-        return spec_value
-    return _FALLBACKS[key]
+def _flags(args: argparse.Namespace, spec: ModelSpec, *names: str) -> dict:
+    """Each named value: the flag's, else the spec default's, else the fallback."""
+    flags = {}
+    for name in names:
+        value = getattr(args, name)
+        if value is None:
+            value = getattr(spec.defaults, name)
+        flags[name] = _FALLBACKS[name] if value is None else value
+    return flags
 
 
 def _json_default(x):
@@ -154,12 +156,9 @@ def _analyze_table(report: dict) -> str:
 def cmd_analyze(args: argparse.Namespace) -> int:
     spec = load_spec(args.spec)
     model = build_model(spec)
-    terms = _resolve(args.terms, spec, "terms")
-    m_max = _resolve(args.m_max, spec, "m_max")
-    tol = _resolve(args.tol, spec, "tol")
-    flags = {"terms": terms, "m_max": m_max, "tol": tol}
+    flags = _flags(args, spec, "terms", "m_max", "tol")
     report = _report_shell("analyze", spec, flags)
-    sweep = sweep_prefix_len(model, m_max, terms, tol)
+    sweep = sweep_prefix_len(model, flags["m_max"], flags["terms"], flags["tol"])
     report["results"] = _analyze_results(sweep)
     if args.format == "csv":
         if args.out is None:
@@ -189,24 +188,8 @@ def _write_series_csv(path: Path, terms: np.ndarray, partial_sums: np.ndarray) -
 def limsup_results(model: EventSequenceModel, schedule, tol: float, k_max: int) -> dict:
     est = limsup_estimate(model, schedule, tol, k_max)
     return {
-        "samples": [
-            {
-                "start": s.start,
-                "truncation": s.truncation,
-                "partial": s.partial,
-                "remainder_bound": s.remainder_bound,
-                "union_tail_bound": s.union_tail_bound,
-                "interval": list(s.interval),
-                "tolerance_reached": s.tolerance_reached,
-            }
-            for s in est.samples
-        ],
-        "alpha_upper": est.alpha_upper,
-        "alpha_fit": est.alpha_fit,
-        "alpha_point": est.alpha_point,
-        "fit_note": est.fit_note,
-        "stalled": est.stalled,
-        "monotone_consistent": est.monotone_consistent,
+        **vars(est),
+        "samples": [{**vars(s), "interval": list(s.interval)} for s in est.samples],
     }
 
 
@@ -235,19 +218,17 @@ def _limsup_table(report: dict) -> str:
 def cmd_limsup(args: argparse.Namespace) -> int:
     spec = load_spec(args.spec)
     model = build_model(spec)
-    tol = _resolve(args.tol, spec, "tol")
-    k_max = _resolve(args.k_max, spec, "k_max")
-    schedule = _resolve(args.schedule, spec, "schedule")
+    flags = _flags(args, spec, "schedule", "tol", "k_max")
+    k_max = flags["k_max"]
     # a start's scan reads indices up to n + k_max
-    too_far = [n for n in schedule if n > INDEX_MAX - k_max]
+    too_far = [n for n in flags["schedule"] if n > INDEX_MAX - k_max]
     if too_far:
         raise SpecError(
             "--schedule" if args.schedule is not None else f"{args.spec}.defaults.schedule",
             f"start {too_far[0]} plus k_max {k_max} passes the largest index {INDEX_MAX}",
         )
-    flags = {"schedule": list(schedule), "tol": tol, "k_max": k_max}
     report = _report_shell("limsup", spec, flags)
-    report["results"] = limsup_results(model, schedule, tol, k_max)
+    report["results"] = limsup_results(model, **flags)
     _emit(report, args, _limsup_table)
     return EXIT_OK
 
@@ -343,17 +324,14 @@ def _simulate_table(report: dict) -> str:
 def cmd_simulate(args: argparse.Namespace) -> int:
     spec = load_spec(args.spec)
     model = build_model(spec)
-    count = _resolve(args.count, spec, "count")
-    seed = _resolve(args.seed, spec, "seed")
-    if seed < 0:
+    flags = _flags(args, spec, "count", "seed", "horizon")
+    if flags["seed"] < 0:
         raise SpecError(
             "--seed" if args.seed is not None else f"{args.spec}.defaults.seed",
-            f"expected a non-negative integer, got {seed}",
+            f"expected a non-negative integer, got {flags['seed']}",
         )
-    horizon = _resolve(args.horizon, spec, "horizon")
-    flags = {"count": count, "seed": seed, "horizon": horizon}
     report = _report_shell("simulate", spec, flags)
-    report["results"], flagged = simulate_results(model, count, seed, horizon)
+    report["results"], flagged = simulate_results(model, **flags)
     _emit(report, args, _simulate_table)
     return EXIT_DISAGREEMENT if flagged else EXIT_OK
 
@@ -439,10 +417,9 @@ def _verify_table(report: dict) -> str:
 def cmd_verify(args: argparse.Namespace) -> int:
     spec = load_spec(args.spec)
     model = build_model(spec)
-    horizon = _resolve(args.horizon, spec, "horizon")
-    flags = {"horizon": horizon}
+    flags = _flags(args, spec, "horizon")
     report = _report_shell("verify", spec, flags)
-    report["results"], max_diff = verify_results(model, horizon)
+    report["results"], max_diff = verify_results(model, **flags)
     _emit(report, args, _verify_table)
     return EXIT_MISMATCH if max_diff > ORACLE_DIFF_TOL else EXIT_OK
 

@@ -10,13 +10,14 @@ forces P(A_n infinitely often) = 0; for m = 0 the decay hypothesis is not
 needed, and for independent models a divergent marginal series forces
 probability 1.  Verdicts separate what is certified (closed forms, exact-zero
 tails with structural emptiness proofs) from what is merely likely (fitted
-tail exponents).
+tail exponents).  A sweep checks the decay once; every criterion reads that
+one verdict, ``SweepResult.decay``.  The records are frozen and built once.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -173,7 +174,7 @@ def classify_series(
         raise InsufficientDataError("0 terms evaluated; a verdict needs at least one")
     if len(terms) < MIN_TERMS_FOR_FIT and classified is None:
         raise InsufficientDataError(
-            f"{len(terms)} terms evaluated; need {MIN_TERMS_FOR_FIT} or analytic metadata"
+            f"{len(terms)} terms evaluated; need {MIN_TERMS_FOR_FIT} or a closed-form series class"
         )
 
     # Exact zeros observed beat a declared class: verify them structurally.
@@ -233,7 +234,7 @@ class Conclusion(enum.Enum):
     NO_CONCLUSION = "no-conclusion"
 
 
-@dataclass
+@dataclass(frozen=True)
 class SeriesReport:
     """Evaluated terms, compensated partial sums, tail fit and verdict."""
 
@@ -268,15 +269,13 @@ def build_series_report(
     )
 
 
-@dataclass
+@dataclass(frozen=True)
 class CriterionResult:
     """Outcome of one convergence criterion at a given complement-run length."""
 
     prefix_len: int
     conclusion: Conclusion
     certified: bool
-    decay: DecayVerdict | None
-    decay_note: str
     series: SeriesReport
     note: str
 
@@ -290,7 +289,7 @@ def _label(prefix_len: int) -> str:
 def _criterion(
     model: EventSequenceModel,
     report: SeriesReport,
-    decay: tuple[DecayVerdict, str] | None,
+    decay: tuple[DecayVerdict, str],
 ) -> CriterionResult:
     """The criterion's conclusion from a series report and, for m >= 1, the decay check.
 
@@ -340,19 +339,17 @@ def _criterion(
             note = f"series converges but marginal decay unsettled: {decay_note}"
         else:
             note = f"series verdict inconclusive ({report.verdict.justification})"
-    return CriterionResult(
-        prefix_len, conclusion, certified, decay_verdict, decay_note, report, note
-    )
+    return CriterionResult(prefix_len, conclusion, certified, report, note)
 
 
-@dataclass
+@dataclass(frozen=True)
 class SweepResult:
     """Criteria for m = 0..max_prefix_len and the one decay check they share."""
 
     decay: tuple[DecayVerdict, str]
-    results: list[CriterionResult] = field(default_factory=list)
-    least_io_zero: int | None = None
-    least_certified_io_zero: int | None = None
+    results: list[CriterionResult]
+    least_io_zero: int | None
+    least_certified_io_zero: int | None
 
 
 def sweep_prefix_len(
@@ -374,13 +371,15 @@ def sweep_prefix_len(
     if not 0.0 < tol < 1.0:
         raise ValueError(f"decay tolerance must be in (0, 1), got {tol!r}")
     terms, empty = series_terms(model, max_prefix_len, num_terms)
-    out = SweepResult(marginal_decay_check(model, terms[0], tol))
-    for m in range(max_prefix_len + 1):
-        res = _criterion(model, build_series_report(model, m, terms[m], empty[m]), out.decay)
-        out.results.append(res)
-        if res.conclusion is Conclusion.IO_PROB_ZERO:
-            if out.least_io_zero is None:
-                out.least_io_zero = m
-            if res.certified and out.least_certified_io_zero is None:
-                out.least_certified_io_zero = m
-    return out
+    decay = marginal_decay_check(model, terms[0], tol)
+    results = [
+        _criterion(model, build_series_report(model, m, terms[m], empty[m]), decay)
+        for m in range(max_prefix_len + 1)
+    ]
+    zero = [r for r in results if r.conclusion is Conclusion.IO_PROB_ZERO]
+    return SweepResult(
+        decay,
+        results,
+        next((r.prefix_len for r in zero), None),
+        next((r.prefix_len for r in zero if r.certified), None),
+    )

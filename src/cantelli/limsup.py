@@ -7,13 +7,15 @@ its limit is exactly P(A_n infinitely often).  This module truncates the inner
 sum with a certified remainder (the all-complement window, which the same
 scan returns, bounds everything past the truncation, and analytic tail bounds
 tighten it when a backend has them) and tracks u_n along a schedule of start
-indices.
+indices.  The two records, ``TailUnionEstimate`` per start and
+``LimsupEstimate`` for the schedule, are ``limsup``'s report as they are: its
+keys are their fields, plus each sample's ``interval``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -48,7 +50,6 @@ class TailUnionEstimate:
     partial: float
     remainder_bound: float
     union_tail_bound: float | None
-    tolerance: float
     tolerance_reached: bool
 
     @property
@@ -114,7 +115,6 @@ def tail_union(
                 partial=partial,
                 remainder_bound=remainder,
                 union_tail_bound=union_tail,
-                tolerance=tol,
                 tolerance_reached=effective < tol,
             )
         k = min(2 * k, k_max)
@@ -143,17 +143,17 @@ def aitken_extrapolate(values: Sequence[float]) -> tuple[float | None, str]:
     return float(min(max(accel, 0.0), 1.0)), "accepted"
 
 
-@dataclass
+@dataclass(frozen=True)
 class LimsupEstimate:
     """u_n enclosures along a schedule, with an extrapolated limit when safe."""
 
-    samples: list[TailUnionEstimate] = field(default_factory=list)
-    alpha_upper: float = 1.0
-    alpha_fit: float | None = None
-    fit_note: str = ""
-    alpha_point: float = 1.0
-    stalled: bool = False
-    monotone_consistent: bool = True
+    samples: list[TailUnionEstimate]
+    alpha_upper: float
+    alpha_fit: float | None
+    fit_note: str
+    alpha_point: float
+    stalled: bool
+    monotone_consistent: bool
 
 
 def limsup_estimate(
@@ -182,20 +182,17 @@ def limsup_estimate(
         later.interval[0] <= earlier.interval[1] + 1e-12
         for earlier, later in zip(samples, samples[1:])
     )
-    est = LimsupEstimate(
+    mids = [s.midpoint for s in samples]
+    if stalled:
+        fit, note = None, "remainder stalled above tolerance; reporting intervals only"
+    else:
+        fit, note = aitken_extrapolate(mids)
+    return LimsupEstimate(
         samples=samples,
         alpha_upper=samples[-1].interval[1],
+        alpha_fit=fit,
+        fit_note=note,
+        alpha_point=fit if fit is not None else mids[-1],
         stalled=stalled,
         monotone_consistent=monotone,
     )
-    if stalled:
-        est.alpha_fit = None
-        est.fit_note = "remainder stalled above tolerance; reporting intervals only"
-        est.alpha_point = samples[-1].midpoint
-        return est
-    mids = [s.midpoint for s in samples]
-    fit, note = aitken_extrapolate(mids)
-    est.alpha_fit = fit
-    est.fit_note = note
-    est.alpha_point = fit if fit is not None else mids[-1]
-    return est

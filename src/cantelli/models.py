@@ -30,7 +30,9 @@ one row per distinct index the windows cover, evaluates each row's family,
 threshold or event-mask constants once for the whole batch, and reads each
 window's block off its rows.  Each generator's rows equal, bit for
 bit, a call with that generator alone, whichever windows and generators share
-the call.
+the call.  The Markov sampler starts every path in an extra state S whose cut
+row is the initial vector's, so its first step takes the rule of every other;
+an ``EventSchedule`` holds its masks once, as the rows of one array.
 
 A backend states the closed forms it can certify through ``marginal_limit``,
 ``series_class``, ``union_bound`` and ``describe``; the base class knows none
@@ -363,6 +365,9 @@ class EventSchedule:
     Modes: a constant set, a periodic cycle of sets, or an explicit list with
     a declared constant tail set.  Errors name a bad state by its spec key:
     ``members[k]``, ``cycle[i][k]``, ``sets[i][k]`` or ``tail[k]``.
+    The masks are the rows of one read-only array, which ``mask(n)`` and
+    ``masks(lo, hi)`` index by rules that share no code: the scalar one checks
+    the other.
     """
 
     def __init__(
@@ -378,29 +383,26 @@ class EventSchedule:
         if modes != 1:
             raise ValueError("exactly one of constant/cycle/explicit must be given")
         self._num_states = num_states
+        # the explicit list's length; None for a constant set or a cycle
+        self._length: int | None = None
         if constant is not None:
-            self._cycle = (self._mask(constant, "members"),)
-            self._explicit: tuple[np.ndarray, ...] | None = None
-            self._tail: np.ndarray | None = None
+            rows = [self._mask(constant, "members")]
         elif cycle is not None:
             if not cycle:
                 raise ModelValueError("cycle", "periodic event schedule needs at least one set")
-            self._cycle = tuple(self._mask(s, f"cycle[{i}]") for i, s in enumerate(cycle))
-            self._explicit = None
-            self._tail = None
+            rows = [self._mask(s, f"cycle[{i}]") for i, s in enumerate(cycle)]
         else:
             assert explicit is not None
-            self._cycle = ()
-            self._explicit = tuple(self._mask(s, f"sets[{i}]") for i, s in enumerate(explicit))
-            self._tail = self._mask(tail, "tail") if tail is not None else None
-        # mask rows that ``masks`` indexes: the cycle, or the explicit sets and tail
-        rows = self._cycle or self._explicit + ((self._tail,) if self._tail is not None else ())
+            rows = [self._mask(s, f"sets[{i}]") for i, s in enumerate(explicit)]
+            self._length = len(rows)
+            if tail is not None:
+                rows.append(self._mask(tail, "tail"))
         # (e, q) with E_n = E_{n - q} for n - q >= e, or None: an explicit
         # list without a tail never repeats
-        if self._explicit is None:
-            self._period: tuple[int, int] | None = (1, len(self._cycle))
+        if self._length is None:
+            self._period: tuple[int, int] | None = (1, len(rows))
         else:
-            self._period = (len(self._explicit) + 1, 1) if self._tail is not None else None
+            self._period = (self._length + 1, 1) if tail is not None else None
         self._rows = np.array(rows, dtype=bool).reshape(-1, num_states)
         self._rows.setflags(write=False)
 
@@ -412,37 +414,35 @@ class EventSchedule:
                     f"{field}[{k}]", f"event-set state {s} outside 0..{self._num_states - 1}"
                 )
             mask[int(s)] = True
-        mask.setflags(write=False)
         return mask
 
     def mask(self, n: int) -> np.ndarray:
-        """Boolean membership mask of E_n."""
+        """Boolean membership mask of E_n, a read-only row."""
         if n < 1:
             raise ValueError(f"event schedule queried at time {n} < 1")
-        if self._explicit is not None:
-            if n <= len(self._explicit):
-                return self._explicit[n - 1]
-            if self._tail is None:
-                raise self._past_end(n)
-            return self._tail
-        return self._cycle[(n - 1) % len(self._cycle)]
+        if self._length is None:
+            return self._rows[(n - 1) % len(self._rows)]
+        if n <= self._length:
+            return self._rows[n - 1]
+        if self._period is None:
+            raise self._past_end(n)
+        return self._rows[self._length]
 
     def masks(self, lo: int, hi: int) -> np.ndarray:
         """Masks of E_lo..E_hi as the rows of a bool array."""
         if lo < 1:
             raise ValueError(f"event schedule queried at time {lo} < 1")
         times = np.arange(lo, hi + 1)
-        if self._explicit is None:
+        length = self._length
+        if length is None:
             return self._rows[(times - 1) % len(self._rows)]
-        length = len(self._explicit)
-        if hi > length and self._tail is None:
+        if hi > length and self._period is None:
             raise self._past_end(max(lo, length + 1))
         return self._rows[np.minimum(times, length + 1) - 1]
 
     def _past_end(self, n: int) -> SequenceIndexError:
         return SequenceIndexError(
-            f"event schedule of length {len(self._explicit or ())} queried at time {n}"
-            " with no tail declared"
+            f"event schedule of length {self._length} queried at time {n} with no tail declared"
         )
 
 
@@ -594,9 +594,11 @@ class MarkovModel(EventSequenceModel):
         # sampling cut points: a path enters the first state k with u < cut[k].
         # Cuts are the cumulative sums, +inf from the last positive entry on, so
         # no state of probability 0 is entered and a u at or past a sum short of
-        # 1 lands on the last positive state.
-        self._initial_cuts = self._sampling_cuts(self._initial[None, :])[0]
-        self._cut_columns = tuple(self._sampling_cuts(self._transition).T[:-1])
+        # 1 lands on the last positive state.  Row S holds the initial vector's.
+        rows = np.vstack((self._transition, self._initial))
+        last_positive = s - 1 - np.argmax(rows[:, ::-1] > 0.0, axis=1)
+        cuts = np.where(np.arange(s) < last_positive[:, None], np.cumsum(rows, axis=1), np.inf)
+        self._cut_columns = tuple(cuts.T[:-1])  # the last column is all +inf
 
     @property
     def num_states(self) -> int:
@@ -604,14 +606,6 @@ class MarkovModel(EventSequenceModel):
 
     def event_mask(self, n: int) -> np.ndarray:
         return self._events.mask(n)
-
-    @staticmethod
-    def _sampling_cuts(rows: np.ndarray) -> np.ndarray:
-        size = rows.shape[1]
-        last_positive = size - 1 - np.argmax(rows[:, ::-1] > 0.0, axis=1)
-        return np.where(
-            np.arange(size) < last_positive[:, None], np.cumsum(rows, axis=1), np.inf
-        )
 
     def window_series(self, max_prefix_len: int, num_terms: int) -> tuple[np.ndarray, np.ndarray]:
         terms = np.empty((max_prefix_len + 1, num_terms))
@@ -692,21 +686,19 @@ class MarkovModel(EventSequenceModel):
         drawn a segment of rows at a time (one stream, so the same draws); the
         uniforms at time t are the generators' rows for t, side by side.  A
         segment holds at most ``_DRAW_CHUNK`` uniforms over all generators.
-        Each step compares the uniforms against one cut column at a time.
+        Every path starts in state S, whose cut row is the initial vector's, and
+        each step counts the cut columns at or below the uniforms.
         """
         count = len(rngs) * share
         segment = max(1, _DRAW_CHUNK // max(1, count))
-        states = None
+        states = np.full(count, self._num_states, dtype=np.intp)
         for done in range(0, steps, segment):
             draws = _draw(rngs, (min(segment, steps - done), share))
             for u in draws.transpose(1, 0, 2).reshape(draws.shape[1], count):
-                if states is None:
-                    states = np.searchsorted(self._initial_cuts, u, side="right")
-                else:
-                    moved = np.zeros(count, dtype=np.intp)
-                    for cuts in self._cut_columns:
-                        moved += cuts[states] <= u
-                    states = moved
+                moved = np.zeros(count, dtype=np.intp)
+                for cuts in self._cut_columns:
+                    moved += cuts[states] <= u
+                states = moved
                 yield states
 
     def sample_indicator_block(

@@ -155,8 +155,9 @@ def test_criterion_05_nested_showcase():
         assert np.all(gap_report.terms == 0.0)
         assert gap_report.verdict.label is VerdictLabel.CERTIFIED_CONVERGENT
 
-        result = sweep_prefix_len(nested, 1, 10000).results[1]
-        assert result.decay is DecayVerdict.CERTIFIED_ZERO_LIMIT
+        sweep = sweep_prefix_len(nested, 1, 10000)
+        result = sweep.results[1]
+        assert sweep.decay[0] is DecayVerdict.CERTIFIED_ZERO_LIMIT
         assert result.conclusion is Conclusion.IO_PROB_ZERO
         assert result.certified
 

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -7,15 +8,17 @@ import numpy as np
 import pytest
 
 import cantelli.cli as cli
-from cantelli import NumericFaultError
+from cantelli import LimsupEstimate, NumericFaultError, TailUnionEstimate
 from cantelli.cli import (
     EXIT_DISAGREEMENT,
     EXIT_MISMATCH,
     EXIT_NUMERIC,
     EXIT_OK,
     EXIT_SPEC,
+    limsup_results,
     main,
 )
+from cantelli.specfile import load_spec
 
 from conftest import REPO, SPECS
 
@@ -81,6 +84,13 @@ def test_analyze_malformed_spec_exit_2(tmp_path, capsys):
     assert code == EXIT_SPEC
     err = capsys.readouterr().err
     assert "transition[0]" in err
+
+
+def test_too_few_terms_without_a_closed_form_exit_2(capsys):
+    assert run(["analyze", SPECS / "markov-3state.json", "--terms", "50"]) == EXIT_SPEC
+    err = capsys.readouterr().err
+    assert "need 100 or a closed-form series class" in err
+    assert "metadata" not in err
 
 
 def test_reports_are_byte_identical(tmp_path):
@@ -166,6 +176,15 @@ def test_limsup_commands(tmp_path):
     assert run(["limsup", SPECS / "powerlaw-2.json", "--out", out3]) == EXIT_OK
     pl2 = json.loads(out3.read_text())
     assert pl2["results"]["alpha_upper"] <= 0.002
+
+
+@pytest.mark.parametrize("spec", sorted(p.name for p in SPECS.glob("*.json")))
+def test_limsup_report_is_its_records(spec):
+    # a field added to either record changes the report on purpose
+    results = limsup_results(load_spec(SPECS / spec).model, (8, 16, 32), 1e-6, 256)
+    assert set(results) == {f.name for f in dataclasses.fields(LimsupEstimate)}
+    sample_keys = {f.name for f in dataclasses.fields(TailUnionEstimate)} | {"interval"}
+    assert results["samples"] and all(set(s) == sample_keys for s in results["samples"])
 
 
 @pytest.mark.parametrize("name", ["nested", "interleaved-nested", "markov-3state"])

@@ -196,7 +196,7 @@ def test_nested_criterion_showcase():
     res1 = criterion(nested, 1, 2000)
     assert res1.conclusion is Conclusion.IO_PROB_ZERO
     assert res1.certified
-    assert res1.decay is DecayVerdict.CERTIFIED_ZERO_LIMIT
+    assert sweep_prefix_len(nested, 1, 2000).decay[0] is DecayVerdict.CERTIFIED_ZERO_LIMIT
 
 
 def test_interleaved_criterion_showcase():
@@ -262,7 +262,7 @@ def test_sweep_rows_equal_single_criteria(spec):
         assert (got.prefix_len, got.conclusion, got.certified, got.note) == (
             alone.prefix_len, alone.conclusion, alone.certified, alone.note
         )
-        assert (got.decay, got.decay_note) == (alone.decay, alone.decay_note)
+        assert sweep.decay == sweep_prefix_len(model, m, 2000).decay
         assert got.series.prefix_len == m
         assert got.series.verdict == alone.series.verdict
         assert got.series.tail_fit == alone.series.tail_fit

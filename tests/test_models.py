@@ -20,6 +20,7 @@ from cantelli import (
     PowerLaw,
     marginal_decay_check,
 )
+from cantelli.families import SequenceIndexError
 from cantelli.windows import Orientation, all_complement, first_occurrence
 
 from conftest import (
@@ -245,6 +246,40 @@ def test_event_schedule_modes():
     no_tail = EventSchedule(3, explicit=[[0]])
     with pytest.raises(ValueError, match="no tail"):
         no_tail.mask(2)
+
+
+@st.composite
+def event_schedules(draw):
+    """An event schedule in any mode: constant, cycle, explicit with or without a tail."""
+    states = draw(st.integers(1, 4))
+    sets = st.lists(st.integers(0, states - 1), max_size=states)
+    mode = draw(st.sampled_from(["constant", "cycle", "explicit", "explicit+tail"]))
+    if mode == "constant":
+        return EventSchedule(states, constant=draw(sets))
+    if mode == "cycle":
+        return EventSchedule(states, cycle=draw(st.lists(sets, min_size=1, max_size=5)))
+    tail = draw(sets) if mode == "explicit+tail" else None
+    return EventSchedule(states, explicit=draw(st.lists(sets, max_size=6)), tail=tail)
+
+
+@settings(max_examples=300, deadline=None)
+@given(event_schedules(), st.integers(1, 12), st.integers(0, 12))
+def test_event_schedule_mask_equals_its_row_of_masks(sched, lo, span):
+    # mask(n), the scalar rule the oracle and the reference read, checks masks(lo, hi)
+    hi = lo + span
+    try:
+        rows = sched.masks(lo, hi)
+    except SequenceIndexError as exc:
+        with pytest.raises(SequenceIndexError) as scalar:
+            for n in range(lo, hi + 1):
+                sched.mask(n)
+        assert str(scalar.value) == str(exc)
+        return
+    assert len(rows) == span + 1
+    for n in range(lo, hi + 1):
+        mask = sched.mask(n)
+        assert not mask.flags.writeable
+        assert mask.tolist() == rows[n - lo].tolist()
 
 
 def test_latent_coloring_validation():

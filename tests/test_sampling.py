@@ -222,6 +222,17 @@ def test_markov_sampler_never_enters_a_zero_probability_state(u):
         marginals = [reference_window_prob(model, first_occurrence(n, 0)) for n in range(1, 6)]
         assert marginals == [0.0] * 5
         assert not block.any()
+    # the initial vector sums to 1 - 5e-13 and ends in a zero: a u past the
+    # sum starts every path in state 1, the last positive one.  A_1 = {state 1}
+    # and A_n = {state 2} after.
+    short_start = MarkovModel(
+        np.array([[0.5, 0.5, 0.0]] * 3),
+        np.array([0.5, 0.5 - 5e-13, 0.0]),
+        EventSchedule(3, explicit=[[1]], tail=[2]),
+    )
+    (block,) = short_start.sample_indicator_block([ConstantUniforms(u)], [(1, 5)], 16)
+    assert (block[:, 0] == (u > 0.5)).all()
+    assert not block[:, 1:].any()
 
 
 @pytest.mark.parametrize("u", EDGE_UNIFORMS)
