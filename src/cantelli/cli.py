@@ -265,7 +265,7 @@ def simulate_results(
     # start: a window's is term m of it, a union's the compensated sum of its
     # terms, as tail_union takes it
     starts = {query.start if isinstance(query, WindowPattern) else query[0] for _, query in checks}
-    scans = {n: model.first_occurrence_terms(n, horizon - n + 1)[0] for n in sorted(starts)}
+    scans = {n: model.first_occurrence_terms([n], horizon - n + 1)[0][0] for n in sorted(starts)}
     exacts = []
     for _, query in checks:
         if isinstance(query, WindowPattern):
@@ -350,7 +350,7 @@ def verify_results(model: EventSequenceModel, horizon: int) -> tuple[dict, float
     for n in range(1, horizon + 1):
         # one scan of n..horizon serves every prefix-window, all-complement
         # and union row from n; one seeded with "A_n occurred" every suffix row
-        terms, complements, _ = model.first_occurrence_terms(n, horizon - n + 1)
+        [(terms, complements, _)] = model.first_occurrence_terms([n], horizon - n + 1)
         suffixes = model.suffix_complement_probs(n, horizon - n)
         for m in range(0, horizon - n + 1):
             windows = [(first_occurrence(n, m), float(terms[m]))]

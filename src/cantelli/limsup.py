@@ -7,16 +7,19 @@ its limit is exactly P(A_n infinitely often).  This module truncates the inner
 sum with a certified remainder (the all-complement window, which the same
 scan returns, bounds everything past the truncation, and analytic tail bounds
 tighten it when a backend has them) and tracks u_n along a schedule of start
-indices.  The two records, ``TailUnionEstimate`` per start and
-``LimsupEstimate`` for the schedule, are ``limsup``'s report as they are: its
-keys are their fields, plus each sample's ``interval``.
+indices.  The schedule's starts take their doublings in lockstep, one level
+at a time, so each level evaluates the model's per-index inputs once per
+merged run of the starts' ranges; ``tail_union`` is the one-start case.
+The two records, ``TailUnionEstimate`` per start and ``LimsupEstimate`` for
+the schedule, are ``limsup``'s report as they are: its keys are their fields,
+plus each sample's ``interval``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Any, Sequence
 
 import numpy as np
 
@@ -32,6 +35,11 @@ __all__ = [
 ]
 
 INITIAL_TRUNCATION = 16
+# the terms a level scans per start and call: bounds the memory of the
+# levels whatever k_max is
+_SCAN_CHUNK = 1 << 13
+# the unit roundoff of a float
+_ROUNDOFF = 2.0**-53
 
 
 @dataclass(frozen=True)
@@ -68,7 +76,12 @@ class TailUnionEstimate:
         return 0.5 * (lo + hi)
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.partial <= self.partial + self.remainder_bound <= 1.0 + 1e-12:
+        # partial + remainder is 1 up to rounding, and the remainder is a
+        # product of ``truncation`` rounded factors: each term scanned may
+        # take the sum a few units of roundoff past 1 (2**20 terms of
+        # powerlaw-2 take it 1.5e-12 past), over a floor for short scans
+        slack = 1e-12 + 4 * self.truncation * _ROUNDOFF
+        if not 0.0 <= self.partial <= self.partial + self.remainder_bound <= 1.0 + slack:
             raise ValueError(
                 f"inconsistent enclosure: partial {self.partial!r},"
                 f" remainder {self.remainder_bound!r}"
@@ -84,40 +97,71 @@ def tail_union(
     """Enclose u_n = P(union of A_j, j >= n) by adaptive truncation.
 
     The truncation doubles from 16 until the effective remainder drops below
-    ``tol`` or reaches ``k_max``.  Each doubling passes the scan's carry to
-    the next ``first_occurrence_terms`` call and continues one running
-    compensated sum, so it computes only the terms it adds; the remainder is
-    the last complement of the scan.  The partial sum and remainder equal a
-    one-shot computation at the final truncation bit for bit.  Failing to reach
-    tolerance is reported on the estimate, not raised: a stalled remainder is
-    an honest answer for persistently dependent models.
+    ``tol`` or reaches ``k_max``: the one-start case of ``_tail_unions``.
     """
-    if n < 1:
+    return _tail_unions(model, [n], tol, k_max)[0]
+
+
+def _tail_unions(
+    model: EventSequenceModel, starts: Sequence[int], tol: float, k_max: int
+) -> list[TailUnionEstimate]:
+    """Enclose u_n for each n of ``starts``, the starts in lockstep.
+
+    Each start's truncation doubles from 16 until its effective remainder
+    drops below ``tol`` or it reaches ``k_max``.  The starts take the doublings
+    level by level: ``first_occurrence_terms`` scans, for every start still
+    short of tolerance, the terms that level adds, ``_SCAN_CHUNK`` terms per
+    start and call at most, so the per-index inputs of overlapping starts are
+    evaluated once and far-apart starts read only their own ranges.  A start
+    passes its scan's carry from call to call and continues one running
+    compensated sum, so it computes only the terms it adds; the remainder is
+    the last complement of the scan.  Each estimate equals a one-shot
+    computation at its final truncation bit for bit, whichever starts share
+    the levels.  Failing to reach tolerance is reported on the estimate, not
+    raised: a stalled remainder is an honest answer for persistently
+    dependent models.
+    """
+    if min(starts) < 1:
         raise ValueError("start index must be >= 1")
     if not 0.0 < tol < math.inf:
         raise ValueError("tolerance must be positive and finite")
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
-    running = CompensatedSum()
-    end, carry = n, None
-    k = min(INITIAL_TRUNCATION, k_max)
-    while True:
-        terms, complements, carry = model.first_occurrence_terms(end, n + k - end, carry)
-        end = n + k
-        partial = min(max(compensated_sum(terms, running), 0.0), 1.0)
-        remainder = float(complements[-1])
-        union_tail = model.union_bound(n + k)
-        effective = remainder if union_tail is None else min(remainder, union_tail)
-        if effective < tol or k >= k_max:
-            return TailUnionEstimate(
-                start=n,
-                truncation=k,
-                partial=partial,
-                remainder_bound=remainder,
-                union_tail_bound=union_tail,
-                tolerance_reached=effective < tol,
+    estimates: list[Any] = [None] * len(starts)
+    running = [CompensatedSum() for _ in starts]
+    remainders = [1.0] * len(starts)
+    carries: list[Any] = [None] * len(starts)
+    active = list(range(len(starts)))  # the starts short of tolerance and of k_max
+    scanned, k = 0, min(INITIAL_TRUNCATION, k_max)
+    while active:
+        for first in range(scanned, k, _SCAN_CHUNK):
+            scans = model.first_occurrence_terms(
+                [starts[i] + first for i in active],
+                min(_SCAN_CHUNK, k - first),
+                [carries[i] for i in active],
             )
-        k = min(2 * k, k_max)
+            for i, (terms, complements, carry) in zip(active, scans):
+                compensated_sum(terms, running[i])
+                remainders[i], carries[i] = float(complements[-1]), carry
+        going = []
+        for i in active:
+            n, remainder = starts[i], remainders[i]
+            union_tail = model.union_bound(n + k)
+            effective = remainder if union_tail is None else min(remainder, union_tail)
+            if effective < tol or k >= k_max:
+                estimates[i] = TailUnionEstimate(
+                    start=n,
+                    truncation=k,
+                    partial=min(max(running[i].value, 0.0), 1.0),
+                    remainder_bound=remainder,
+                    union_tail_bound=union_tail,
+                    tolerance_reached=effective < tol,
+                )
+            else:
+                going.append(i)
+        active = going
+        scanned, k = k, min(2 * k, k_max)
+    return estimates
 
 
 def aitken_extrapolate(values: Sequence[float]) -> tuple[float | None, str]:
@@ -164,6 +208,9 @@ def limsup_estimate(
 ) -> LimsupEstimate:
     """Track u_n along ``schedule`` and enclose alpha = lim u_n.
 
+    The samples come from one lockstep run of the schedule's starts
+    (``_tail_unions``); each equals ``tail_union`` at its start, bit for bit.
+
     ``alpha_upper`` is the upper end of the last enclosure (u_n decreases to
     alpha, so every u_n upper bound is an alpha upper bound).  Aitken
     extrapolation of the midpoints is attempted only when every sample reached
@@ -174,7 +221,7 @@ def limsup_estimate(
         raise ValueError("schedule needs at least three start indices")
     if any(b <= a for a, b in zip(schedule, schedule[1:])):
         raise ValueError("schedule must be strictly increasing")
-    samples = [tail_union(model, n, tol, k_max) for n in schedule]
+    samples = _tail_unions(model, schedule, tol, k_max)
     stalled = any(not s.tolerance_reached for s in samples)
     # u_n is non-increasing: a later interval must not sit strictly above an
     # earlier one.

@@ -20,17 +20,20 @@ threshold or distribution arrays.  Its ``empty`` table is the package's one
 emptiness proof: row m marks the m-windows that are provably empty.  The
 Markov tables evaluate their columns through one common period of the chain's
 orbit and its event schedule, and copy the rest.  ``_scan`` is the one
-first-occurrence scan per backend, and ``first_occurrence_terms(n, count,
-carry)`` the one way into it: it returns the terms, the finished
-all-complement probabilities and the carry that goes on with the scan.
-``suffix_complement_probs`` is one such call seeded with the carry "A_n
-occurred" (``_occurred``).  ``sample_indicator_block`` draws sampled
-indicators for many windows and a batch of generators in one call: it fills
-one row per distinct index the windows cover, evaluates each row's family,
-threshold or event-mask constants once for the whole batch, and reads each
-window's block off its rows.  Each generator's rows equal, bit for
-bit, a call with that generator alone, whichever windows and generators share
-the call.  The Markov sampler starts every path in an extra state S whose cut
+first-occurrence recurrence per backend, over the per-index inputs that
+``_inputs`` evaluates (family values, colors and thresholds, or event masks),
+and ``first_occurrence_terms(starts, count, carries)`` the one way into it: it
+evaluates the inputs once per merged run of its starts' ranges, runs each
+start's recurrence on its slice, and returns per start the terms, the
+finished all-complement probabilities and the carry that goes on with the
+scan.  One start is the call with one start.  ``suffix_complement_probs`` is
+one such call seeded with the carry "A_n occurred" (``_occurred``).
+``sample_indicator_block`` draws sampled indicators for many windows and a
+batch of generators in one call: it fills one row per distinct index the
+windows cover, evaluates each row's family, threshold or event-mask constants
+once for the whole batch, and reads each window's block off its rows.  Each
+generator's rows equal, bit for bit, a call with that generator alone,
+whichever windows and generators share the call.  The Markov sampler starts every path in an extra state S whose cut
 row is the initial vector's, so its first step takes the rule of every other;
 an ``EventSchedule`` holds its masks once, as the rows of one array.
 
@@ -134,21 +137,38 @@ class EventSequenceModel(ABC):
         """
 
     def first_occurrence_terms(
-        self, n: int, count: int, carry: Any = None
-    ) -> tuple[np.ndarray, np.ndarray, Any]:
-        """The first-occurrence scan of n..n + count - 1: (terms, complements, carry).
+        self, starts: Sequence[int], count: int, carries: Sequence[Any] | None = None
+    ) -> list[tuple[np.ndarray, np.ndarray, Any]]:
+        """The first-occurrence scans of n..n + count - 1, one (terms,
+        complements, carry) per n of ``starts``.
 
         Term k is P(first occurrence at n + k) and complement k, finished,
-        P(no occurrence in [n, n + k]).  A ``carry`` returned by a scan that
-        ended at n - 1 goes on with that scan, bit for bit as one call: its
-        terms and complements then count from that scan's start, or from "A_j
-        occurred" when it was seeded with ``_occurred(j)``.  A count of 0
-        returns two empty arrays and ``carry`` as given.
+        P(no occurrence in [n, n + k]).  ``carries`` holds one carry per start,
+        or is None for none.  A carry returned by a scan that ended at n - 1
+        goes on with that scan, bit for bit as one call: its terms and
+        complements then count from that scan's start, or from "A_j occurred"
+        when it was seeded with ``_occurred(j)``.  The per-index inputs are
+        evaluated once per merged run of the starts' ranges, and each start's
+        recurrence reads its own slice of them; every input is elementwise in
+        its index, so each scan equals the call with its start alone, bit for
+        bit.  A count of 0 returns two empty arrays and each carry as given.
         """
+        carries = [None] * len(starts) if carries is None else carries
         if count == 0:
-            return np.empty(0), np.empty(0), carry
-        terms, complements, carry = self._scan(n, count, carry)
-        return terms, self._finish_probs(complements), carry
+            return [(np.empty(0), np.empty(0), carry) for carry in carries]
+        scans: list[Any] = [None] * len(starts)
+        # the starts still to scan, the lowest last: each is read in the run
+        # that holds it
+        order = sorted(range(len(starts)), key=starts.__getitem__, reverse=True)
+        for lo, hi in _merged([(n, n + count - 1) for n in starts]):
+            inputs = self._inputs(lo, hi)
+            while order and starts[order[-1]] <= hi:
+                i = order.pop()
+                at = starts[i] - lo
+                own = tuple(x[at : at + count] for x in inputs)
+                terms, complements, carry = self._scan(starts[i], own, carries[i])
+                scans[i] = (terms, self._finish_probs(complements), carry)
+        return scans
 
     def suffix_complement_probs(self, n: int, count: int) -> np.ndarray:
         """P(A_n, no occurrence in [n + 1, n + m]), the suffix windows, for m = 1..count.
@@ -156,12 +176,19 @@ class EventSequenceModel(ABC):
         They are the complements of a scan of n + 1..n + count seeded with "A_n
         occurred", which reads no index past n + count.
         """
-        return self.first_occurrence_terms(n + 1, count, self._occurred(n))[1]
+        return self.first_occurrence_terms([n + 1], count, [self._occurred(n)])[0][1]
 
     @abstractmethod
-    def _scan(self, n: int, count: int, carry: Any) -> tuple[np.ndarray, np.ndarray, Any]:
+    def _inputs(self, lo: int, hi: int) -> tuple[np.ndarray, ...]:
+        """The scan's per-index inputs at lo..hi, each an array with one entry per index."""
+
+    @abstractmethod
+    def _scan(
+        self, n: int, inputs: tuple[np.ndarray, ...], carry: Any
+    ) -> tuple[np.ndarray, np.ndarray, Any]:
         """First-occurrence terms at n..n + count - 1, the all-complement
-        probability after each of them, and the carry after the last.
+        probability after each of them, and the carry after the last, where
+        ``inputs`` is ``_inputs(n, n + count - 1)``.
 
         ``carry`` is the state after index n - 1 of a scan begun earlier or
         seeded (``_occurred(n - 1)``), or None to begin at n.  Each term is the
@@ -313,9 +340,15 @@ class IndependentModel(EventSequenceModel):
             dead |= window == 1.0
         return terms, empty
 
-    def _scan(self, n: int, count: int, carry: Any) -> tuple[np.ndarray, np.ndarray, Any]:
+    def _inputs(self, lo: int, hi: int) -> tuple[np.ndarray, ...]:
+        return (self._family.values(lo, hi),)
+
+    def _scan(
+        self, n: int, inputs: tuple[np.ndarray, ...], carry: Any
+    ) -> tuple[np.ndarray, np.ndarray, Any]:
         # carry: the survival product, multiplied left to right from 1.0
-        p = self._family.values(n, n + count - 1)
+        (p,) = inputs
+        count = len(p)
         survive = np.cumprod(np.concatenate(([1.0 if carry is None else carry], 1.0 - p)))
         return survive[:count] * p, survive[1:], float(survive[-1])
 
@@ -658,11 +691,17 @@ class MarkovModel(EventSequenceModel):
         rows = head[:k] if k <= len(head) else np.concatenate((head, orbit.rows(len(head) + 1, k)))
         return rows, self._events.masks(1, k + max_prefix_len), period
 
-    def _scan(self, n: int, count: int, carry: Any) -> tuple[np.ndarray, np.ndarray, Any]:
+    def _inputs(self, lo: int, hi: int) -> tuple[np.ndarray, ...]:
+        return (self._events.masks(lo, hi),)
+
+    def _scan(
+        self, n: int, inputs: tuple[np.ndarray, ...], carry: Any
+    ) -> tuple[np.ndarray, np.ndarray, Any]:
         # carry: the distribution masked to the complement at the last index,
         # before its step to the next
         v = self._dists.rows(n, n)[0] if carry is None else carry @ self._transition
-        masks = self._events.masks(n, n + count - 1)
+        (masks,) = inputs
+        count = len(masks)
         keeps = ~masks
         # row k: the distribution at n + k, stepped from the one before masked
         # to the complement
@@ -874,12 +913,18 @@ class LatentUniformModel(EventSequenceModel):
                 np.maximum(below[j], np.where(mine == j, at, 0.0), out=below[j])
         return terms, empty
 
-    def _scan(self, n: int, count: int, carry: Any) -> tuple[np.ndarray, np.ndarray, Any]:
+    def _inputs(self, lo: int, hi: int) -> tuple[np.ndarray, ...]:
+        colors = self._colors(lo, hi)
+        return colors, self._threshold_array(lo, hi, colors)
+
+    def _scan(
+        self, n: int, inputs: tuple[np.ndarray, ...], carry: Any
+    ) -> tuple[np.ndarray, np.ndarray, Any]:
         # per latent, the complements before step k exclude U up to their
         # running max threshold, under a top of 1.0 (a_n on latent c(n) when
         # seeded with A_n).  carry: each latent's (running max, top) so far.
-        colors = self._colors(n, n + count - 1)
-        a = self._threshold_array(n, n + count - 1, colors)
+        colors, a = inputs
+        count = len(a)
         bounds = ((0.0, 1.0),) * self._num_latents if carry is None else carry
         members = [colors == j for j in range(self._num_latents)]
         excluded = []
@@ -923,8 +968,7 @@ class LatentUniformModel(EventSequenceModel):
         runs, held, blocks = _stacked_runs(windows, count)
         u = _draw(rngs, (share, self._num_latents)).reshape(count, self._num_latents).T
         for lo, hi, row in runs:
-            colors = self._colors(lo, hi)
-            thresholds = self._threshold_array(lo, hi, colors)
+            colors, thresholds = self._inputs(lo, hi)
             for i, (color, a) in enumerate(zip(colors, thresholds)):
                 np.less(u[color], a, out=held[row + i])
         return blocks

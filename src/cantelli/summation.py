@@ -25,22 +25,41 @@ class CompensatedSum:
         self._compensation = 0.0
 
     def extend(self, values: Sequence[float] | np.ndarray) -> None:
-        """Add each of ``values`` in order."""
-        total, compensation = _neumaier(values, self._total, self._compensation)
-        if len(total):
-            self._total, self._compensation = float(total[-1]), float(compensation[-1])
+        """Add each of ``values`` in order.
+
+        The steps of ``_neumaier``, kept to what the last entries need: the
+        running totals accumulate in one buffer behind the old total, the
+        corrections are computed in place, and the old compensation joins the
+        first correction before they accumulate, so both end bit for bit where
+        ``_neumaier``'s arrays end.
+        """
+        x = np.asarray(values, dtype=float)
+        if not x.size:
+            return
+        totals = np.empty(x.size + 1)
+        totals[0] = self._total
+        totals[1:] = x
+        with np.errstate(all="ignore"):  # Python floats overflow silently too
+            np.add.accumulate(totals, out=totals)
+            prev, totals = totals[:-1], totals[1:]
+            correction = prev - totals
+            correction += x
+            # where |prev| >= |x| fails (NaN too), the step's other expression
+            other = ~(np.abs(prev) >= np.abs(x))
+            if other.any():
+                correction[other] = (x[other] - totals[other]) + prev[other]
+            correction[0] += self._compensation
+            np.add.accumulate(correction, out=correction)
+        self._total, self._compensation = float(totals[-1]), float(correction[-1])
 
     @property
     def value(self) -> float:
         return self._total + self._compensation
 
 
-def _neumaier(
-    values: Sequence[float] | np.ndarray, total: float = 0.0, compensation: float = 0.0
-) -> tuple[np.ndarray, np.ndarray]:
+def _neumaier(values: Sequence[float] | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Running totals and compensations of the Neumaier step (see
-    ``CompensatedSum``) over ``values``, starting from a running sum with that
-    ``total`` and ``compensation``.
+    ``CompensatedSum``) over ``values``, from an empty sum.
 
     Both are left-to-right running sums (``np.add.accumulate`` adds one value
     at a time), and each correction term is the scalar step's expression, so
@@ -48,10 +67,10 @@ def _neumaier(
     """
     x = np.asarray(values, dtype=float)
     with np.errstate(all="ignore"):  # Python floats overflow silently too
-        totals = np.add.accumulate(np.concatenate(([total], x)))
+        totals = np.add.accumulate(np.concatenate(([0.0], x)))
         prev, totals = totals[:-1], totals[1:]
         correction = np.where(np.abs(prev) >= np.abs(x), (prev - totals) + x, (x - totals) + prev)
-        compensations = np.add.accumulate(np.concatenate(([compensation], correction)))[1:]
+        compensations = np.add.accumulate(np.concatenate(([0.0], correction)))[1:]
     return totals, compensations
 
 

@@ -17,7 +17,10 @@ from cantelli import (
     MarkovModel,
     PerLatentThresholds,
     PowerLaw,
+    TailUnionEstimate,
 )
+from cantelli.limsup import INITIAL_TRUNCATION
+from cantelli.summation import CompensatedSum, compensated_sum
 from cantelli.windows import WindowPattern
 
 REPO = Path(__file__).resolve().parent.parent
@@ -81,6 +84,39 @@ def reference_window_prob(model: EventSequenceModel, w: WindowPattern) -> float:
     for bottom, top in zip(lo, hi):
         prob *= max(0.0, top - bottom)
     return finish(prob)
+
+
+def reference_tail_union(
+    model: EventSequenceModel, n: int, tol: float, k_max: int
+) -> TailUnionEstimate:
+    """``tail_union`` one start at a time: the doubling loop of a single start.
+
+    The reference for the lockstep levels of ``limsup_estimate``: each of its
+    estimates must equal this one at the same start, bit for bit.  The
+    truncation doubles from 16 until the effective remainder drops below
+    ``tol`` or reaches ``k_max``; each doubling continues the scan from its
+    carry and the running compensated sum.
+    """
+    running = CompensatedSum()
+    end, carry = n, None
+    k = min(INITIAL_TRUNCATION, k_max)
+    while True:
+        [(terms, complements, carry)] = model.first_occurrence_terms([end], n + k - end, [carry])
+        end = n + k
+        partial = min(max(compensated_sum(terms, running), 0.0), 1.0)
+        remainder = float(complements[-1])
+        union_tail = model.union_bound(n + k)
+        effective = remainder if union_tail is None else min(remainder, union_tail)
+        if effective < tol or k >= k_max:
+            return TailUnionEstimate(
+                start=n,
+                truncation=k,
+                partial=partial,
+                remainder_bound=remainder,
+                union_tail_bound=union_tail,
+                tolerance_reached=effective < tol,
+            )
+        k = min(2 * k, k_max)
 
 
 def make_coin(p: float = 0.5) -> IndependentModel:

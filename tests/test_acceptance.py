@@ -109,7 +109,7 @@ def test_criterion_02_partition_identity(battery_with_spaces):
         for model, _, _ in battery_with_spaces:
             for n in (1, 2, 3):
                 for length in range(1, 13):
-                    terms, complements, _ = model.first_occurrence_terms(n, length)
+                    [(terms, complements, _)] = model.first_occurrence_terms([n], length)
                     total = float(terms.sum()) + float(complements[-1])
                     assert abs(total - 1.0) <= 1e-12
 
@@ -119,7 +119,7 @@ def test_criterion_03_truncated_union_identity(battery_with_spaces):
         for model, horizon, space in battery_with_spaces:
             for n in (1, 2):
                 for k in (1, 4, min(9, horizon - n + 1)):
-                    partial = float(model.first_occurrence_terms(n, k)[0].sum())
+                    partial = float(model.first_occurrence_terms([n], k)[0][0].sum())
                     assert abs(partial - oracle_union_prob(space, n, k - 1)) <= 1e-10
 
 

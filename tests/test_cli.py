@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -199,6 +200,30 @@ def test_limsup_start_past_int64_is_spec_error(name, capsys):
                 "--tol", "1e-300"]) == EXIT_OK
 
 
+@pytest.mark.parametrize("schedule", ["5,1005,2005", "7,1007,2007"])
+def test_limsup_powerlaw_at_large_k_max_encloses_one_over_n(schedule, tmp_path):
+    # 2**20 terms round partial + remainder past 1 by more than a fixed 1e-12
+    out = tmp_path / "limsup.json"
+    code = run(["limsup", SPECS / "powerlaw-2.json", "--schedule", schedule,
+                "--k-max", str(1 << 20), "--out", out])
+    assert code == EXIT_OK
+    samples = json.loads(out.read_text())["results"]["samples"]
+    assert [s["start"] for s in samples] == [int(n) for n in schedule.split(",")]
+    for s in samples:
+        lo, hi = s["interval"]
+        assert lo <= 1.0 / s["start"] <= hi
+
+
+def test_limsup_past_an_untailed_list_is_spec_error(tmp_path, capsys):
+    path = tmp_path / "short.json"
+    marginal = {"family": "explicit", "values": [0.5, 0.25, 0.125]}
+    path.write_text(json.dumps({"model": {"family": "independent", "marginal": marginal}}))
+    assert run(["limsup", path]) == EXIT_SPEC
+    err = capsys.readouterr().err
+    index = int(re.search(r"explicit list of length 3 queried at index (\d+)", err).group(1))
+    assert index > 3
+
+
 def test_limsup_default_start_past_int64_is_spec_error(tmp_path, capsys):
     spec = json.loads((SPECS / "nested.json").read_text())
     spec["defaults"]["schedule"] = [8, 16, 1 << 63]
@@ -265,10 +290,14 @@ def test_simulate_corrupted_backend_exit_4(tmp_path, monkeypatch):
         def __getattr__(self, name):
             return getattr(self._inner, name)
 
-        def first_occurrence_terms(self, n, count, carry=None):
+        def first_occurrence_terms(self, starts, count, carries=None):
             # simulate reads its exact values from first-occurrence scans
-            terms, complements, carry = self._inner.first_occurrence_terms(n, count, carry)
-            return np.minimum(1.0, terms + 0.05), complements, carry
+            return [
+                (np.minimum(1.0, terms + 0.05), complements, carry)
+                for terms, complements, carry in self._inner.first_occurrence_terms(
+                    starts, count, carries
+                )
+            ]
 
     monkeypatch.setattr(cli, "build_model", lambda spec: Corrupted(real_build(spec)))
     code = run(["simulate", SPECS / "coin-half.json", "--count", "20000",

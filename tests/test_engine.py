@@ -3,15 +3,17 @@
 Every backend's ``window_series`` and scans must return the floats and
 emptiness proofs the per-window loop returns, bit for bit: reports are built from the
 arrays and must not change when the engine does.  The same holds for
-``tail_union``'s doublings against one-shot sums, and for the Markov orbits
-against plain walks of distributions and supports.  The per-window loops below
-are the reference.
+``tail_union``'s doublings against one-shot sums, for ``limsup_estimate``'s
+lockstep levels and many-start scans against one start at a time, and for
+the Markov orbits against plain walks of distributions and supports.  The
+per-window loops below are the reference.
 """
 
 import gc
 import importlib.util
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -32,7 +34,7 @@ from cantelli import (
     limsup_estimate,
     tail_union,
 )
-from cantelli import cli
+from cantelli import cli, limsup
 from cantelli.cli import ORACLE_DIFF_TOL, verify_results
 from cantelli.families import SequenceIndexError
 from cantelli.limsup import INITIAL_TRUNCATION
@@ -47,6 +49,7 @@ from conftest import (
     make_absorbing,
     make_equal_rows,
     make_flipflop,
+    reference_tail_union,
     reference_window_prob,
 )
 
@@ -386,7 +389,7 @@ def test_markov_series_memory_is_bounded():
 @settings(max_examples=200, deadline=None)
 @given(models, st.integers(min_value=1, max_value=30), st.integers(min_value=0, max_value=25))
 def test_scans_match_window_prob(model, n, count):
-    terms, complements, _ = model.first_occurrence_terms(n, count)
+    [(terms, complements, _)] = model.first_occurrence_terms([n], count)
     assert np.array_equal(terms, reference_terms(model, n, count))
     expected = [reference_complement(model, n, length) for length in range(1, count + 1)]
     assert bits(complements) == bits(expected)
@@ -407,12 +410,14 @@ def test_scan_in_chunks_matches_window_prob(model, n, chunks, seeded):
     start, seed = (n + 1, model._occurred(n)) if seeded else (n, None)
     end, carry, terms, complements = start, seed, [np.empty(0)], [np.empty(0)]
     for count in chunks:
-        chunk_terms, chunk_complements, carry = model.first_occurrence_terms(end, count, carry)
+        [(chunk_terms, chunk_complements, carry)] = model.first_occurrence_terms(
+            [end], count, [carry]
+        )
         terms.append(chunk_terms)
         complements.append(chunk_complements)
         end += count
     terms, complements = np.concatenate(terms), np.concatenate(complements)
-    one_terms, one_complements, _ = model.first_occurrence_terms(start, total, seed)
+    [(one_terms, one_complements, _)] = model.first_occurrence_terms([start], total, [seed])
     assert bits(terms) == bits(one_terms)
     if seeded:
         expected = [
@@ -439,7 +444,9 @@ def test_suffix_complements_match_window_prob(model, n, count):
     if count:
         # its terms, the first occurrences after A_n, are true probabilities
         # that split P(A_n) with the last complement
-        terms, complements, _ = model.first_occurrence_terms(n + 1, count, model._occurred(n))
+        [(terms, complements, _)] = model.first_occurrence_terms(
+            [n + 1], count, [model._occurred(n)]
+        )
         assert np.all((terms >= 0.0) & (terms <= 1.0))
         marginal = reference_window_prob(model, first_occurrence(n, 0))
         assert math.fsum([*terms, complements[-1]]) == pytest.approx(marginal, abs=1e-12)
@@ -482,7 +489,7 @@ def reference_verify_results(model, horizon):
                 rows.append(("window", n, m, w.orientation.value, engine, window_oracle(w)))
         carry, terms = None, []
         for m in range(1, horizon - n + 2):
-            term, _, carry = model.first_occurrence_terms(n + m - 1, 1, carry)
+            [(term, _, carry)] = model.first_occurrence_terms([n + m - 1], 1, [carry])
             terms.append(term)
             engine = reference_complement(model, n, m)
             rows.append(("all-complement", n, m, "", engine, window_oracle(all_complement(n, m))))
@@ -531,7 +538,7 @@ def test_verify_matches_the_stepped_reference(name, horizon):
     # the report holds ten rows, so hold every prefix-window answer to the table
     series = [spec.model.window_series(m, horizon - m)[0][m] for m in range(horizon)]
     for n in range(1, horizon + 1):
-        terms = spec.model.first_occurrence_terms(n, horizon - n + 1)[0]
+        terms = spec.model.first_occurrence_terms([n], horizon - n + 1)[0][0]
         for m in range(horizon - n + 1):
             assert bits(terms[m]) == bits(series[m][n - 1]), (n, m)
 
@@ -568,7 +575,7 @@ def test_verify_on_random_models_matches_the_stepped_reference(model, horizon):
     assert verify_results(model, horizon) == expected
 
 
-def reference_tail_union(model, n, tol, k_max):
+def one_shot_tail_union(model, n, tol, k_max):
     """``tail_union``'s doubling loop, each sum and remainder taken afresh."""
     k = min(INITIAL_TRUNCATION, k_max)
     while True:
@@ -598,7 +605,105 @@ def test_tail_union_doublings_match_one_shot_sums(model, n, tol, k_max):
         est.union_tail_bound,
         est.tolerance_reached,
     )
-    assert got == reference_tail_union(model, n, tol, k_max)
+    assert got == one_shot_tail_union(model, n, tol, k_max)
+
+
+@st.composite
+def scan_calls(draw):
+    """(starts, count, carry kinds) of a many-start scan.
+
+    Each start follows the one drawn before it: at the same index (its range
+    nested in that one), overlapping it, adjacent to it, or far past it; then
+    the starts are shuffled.  A start begins afresh (None), goes on from a scan
+    of the indices before it ("continued") or begins after "A_{n-1} occurred"
+    ("seeded").
+    """
+    count = draw(st.integers(min_value=1, max_value=20))
+    starts = [draw(st.integers(min_value=1, max_value=30))]
+    for _ in range(draw(st.integers(min_value=0, max_value=4))):
+        gap = draw(
+            st.sampled_from([0, count])
+            | st.integers(min_value=1, max_value=count)
+            | st.integers(min_value=count + 1, max_value=count + 2000)
+        )
+        starts.append(starts[-1] + gap)
+    starts = draw(st.permutations(starts))
+    kinds = [
+        draw(st.sampled_from([None, "continued", "seeded"]) if n > 1 else st.none())
+        for n in starts
+    ]
+    return starts, count, kinds
+
+
+def scan_carry(model, n, kind):
+    """The carry a scan from n begins with: None, or the state after n - 1."""
+    if kind == "seeded":
+        return model._occurred(n - 1)
+    if kind == "continued":
+        before = min(n - 1, 5)
+        return model.first_occurrence_terms([n - before], before)[0][2]
+    return None
+
+
+@settings(max_examples=200, deadline=None)
+@given(models, scan_calls())
+def test_many_start_scan_equals_one_start_scans(model, call):
+    # the starts share one evaluation of each merged run's inputs; each scan
+    # must still be the one its start gives alone: terms, complements, carry
+    starts, count, kinds = call
+    carries = [scan_carry(model, n, kind) for n, kind in zip(starts, kinds)]
+    many = model.first_occurrence_terms(starts, count, carries if any(kinds) else None)
+    assert len(many) == len(starts)
+    for n, carry, (terms, complements, after) in zip(starts, carries, many):
+        [(one_terms, one_complements, one_after)] = model.first_occurrence_terms(
+            [n], count, [carry]
+        )
+        assert bits(terms) == bits(one_terms), n
+        assert bits(complements) == bits(one_complements), n
+        assert bits(after) == bits(one_after), n
+
+
+def estimate_bits(est):
+    """Every field of a ``TailUnionEstimate``, its floats as their bytes."""
+    tail = None if est.union_tail_bound is None else bits(est.union_tail_bound)
+    return (
+        est.start,
+        est.truncation,
+        bits(est.partial),
+        bits(est.remainder_bound),
+        tail,
+        est.tolerance_reached,
+    )
+
+
+@st.composite
+def schedules(draw):
+    """Increasing starts whose doublings overlap, touch or lie far apart."""
+    starts = [draw(st.integers(min_value=1, max_value=30))]
+    for _ in range(draw(st.integers(min_value=2, max_value=4))):
+        gap = draw(
+            st.integers(min_value=1, max_value=40)
+            | st.sampled_from([16, 32])
+            | st.integers(min_value=500, max_value=3000)
+        )
+        starts.append(starts[-1] + gap)
+    return starts
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    models,
+    schedules(),
+    st.sampled_from([1e-2, 1e-6, 1e-12]),
+    st.sampled_from([1, 2, 16, 17, 32, 64, 100, 128]),
+    st.sampled_from([limsup._SCAN_CHUNK, 1, 5, 16]),
+)
+def test_limsup_levels_equal_the_one_start_reference(model, schedule, tol, k_max, chunk):
+    # a level scans its starts a chunk at a time; small chunks split levels
+    with mock.patch.object(limsup, "_SCAN_CHUNK", chunk):
+        est = limsup_estimate(model, schedule, tol=tol, k_max=k_max)
+    expected = [reference_tail_union(model, n, tol, k_max) for n in schedule]
+    assert [estimate_bits(s) for s in est.samples] == [estimate_bits(s) for s in expected]
 
 
 @settings(max_examples=40, deadline=None)

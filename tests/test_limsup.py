@@ -3,6 +3,8 @@ import pytest
 
 from cantelli import (
     IndependentModel,
+    SequenceFamily,
+    TailUnionEstimate,
     LatentUniformModel,
     PerLatentThresholds,
     PowerLaw,
@@ -25,6 +27,7 @@ from conftest import (
     random_latent,
     random_markov,
     reference_powers,
+    reference_tail_union,
     reference_window_prob,
 )
 
@@ -65,7 +68,7 @@ def test_tail_union_matches_oracle_truncation():
         model = build(rng)
         space = build_outcome_space(model, 12)
         for n in (1, 2):
-            partial = float(model.first_occurrence_terms(n, 10)[0].sum())
+            partial = float(model.first_occurrence_terms([n], 10)[0][0].sum())
             assert partial == pytest.approx(oracle_union_prob(space, n, 9), abs=1e-10)
 
 
@@ -200,3 +203,81 @@ def test_certified_io_zero_models_have_shrinking_alpha():
         assert est.alpha_upper < 0.1
         uppers = [s.interval[1] for s in est.samples]
         assert uppers[-1] <= uppers[0]
+
+
+class CountingFamily(SequenceFamily):
+    """A family that counts the indices it is evaluated at."""
+
+    def __init__(self, inner: SequenceFamily):
+        self.inner = inner
+        self.evaluated = 0
+
+    def value(self, n):
+        self.evaluated += 1
+        return self.inner.value(n)
+
+    def values(self, lo, hi):
+        self.evaluated += max(0, hi - lo + 1)
+        return self.inner.values(lo, hi)
+
+    def limit(self):
+        return self.inner.limit()
+
+    def describe(self):
+        return self.inner.describe()
+
+    def tail_sum_bound(self, n):
+        return self.inner.tail_sum_bound(n)
+
+    def tail_sup(self, n):
+        return self.inner.tail_sup(n)
+
+    def series_class(self, prefix_len):
+        return self.inner.series_class(prefix_len)
+
+
+def test_limsup_evaluates_no_index_between_far_starts():
+    # harmonic marginals have no tail bound, so every start scans to k_max;
+    # the gaps between far starts are never evaluated
+    family = CountingFamily(PowerLaw(1.0, 1.0))
+    est = limsup_estimate(IndependentModel(family), [10, 10**6, 4 * 10**6])
+    assert family.evaluated <= sum(s.truncation for s in est.samples)
+
+
+def test_limsup_evaluates_overlapping_starts_once_per_level():
+    # each level evaluates the union of its starts' ranges, not each range
+    starts, k_max = [10, 20, 40], 1024
+    family = CountingFamily(PowerLaw(1.0, 1.0))
+    est = limsup_estimate(IndependentModel(family), starts, k_max=k_max)
+    levels, k = [(0, 16)], 16
+    while k < k_max:
+        levels.append((k, min(2 * k, k_max)))
+        k = levels[-1][1]
+    expected = sum(
+        len({n + j for n in starts for j in range(first, end)}) for first, end in levels
+    )
+    assert [s.truncation for s in est.samples] == [k_max] * 3
+    assert family.evaluated == expected < sum(s.truncation for s in est.samples)
+
+
+@pytest.mark.parametrize(
+    "make, starts, k_max",
+    [(lambda: make_powerlaw(1.0, 1.0), [8, 16, 32], 2**17), (make_interleaved, [20, 40, 100], 2**15)],
+    ids=["harmonic", "interleaved-nested"],
+)
+def test_limsup_levels_at_scale_equal_the_one_start_reference(make, starts, k_max):
+    # the benchmark's far limsup commands: levels wider than one scan chunk
+    model = make()
+    est = limsup_estimate(model, starts, k_max=k_max)
+    assert est.samples == [reference_tail_union(model, n, 1e-6, k_max) for n in starts]
+
+
+def test_enclosure_slack_grows_with_the_truncation():
+    # powerlaw-2 from 5 over 2**20 terms: the remainder, a product of 2**20
+    # rounded factors, takes partial + remainder 1.5e-12 past 1
+    est = TailUnionEstimate(5, 1 << 20, 0.19999923706345724, 0.8000007629380222, None, False)
+    assert est.interval[1] == 1.0
+    with pytest.raises(ValueError, match="inconsistent enclosure"):
+        TailUnionEstimate(5, 16, 0.19999923706345724, 0.8000007629380222, None, False)
+    with pytest.raises(ValueError, match="inconsistent enclosure"):
+        TailUnionEstimate(1, 1 << 20, 0.5, 0.6, None, False)

@@ -130,7 +130,7 @@ def test_first_occurrence_terms_match_window_prob():
     rng = np.random.default_rng(11)
     for build in (random_independent, random_markov, random_latent):
         model = build(rng)
-        terms = model.first_occurrence_terms(2, 9)[0]
+        terms = model.first_occurrence_terms([2], 9)[0][0]
         direct = [reference_window_prob(model, first_occurrence(2, k)) for k in range(9)]
         assert np.allclose(terms, direct, atol=1e-13)
 
@@ -139,7 +139,7 @@ def test_all_complement_prob_matches_window_prob():
     rng = np.random.default_rng(12)
     for build in (random_independent, random_markov, random_latent):
         model = build(rng)
-        complements = model.first_occurrence_terms(3, 8)[1]
+        complements = model.first_occurrence_terms([3], 8)[0][1]
         for length in (1, 4, 8):
             assert complements[length - 1] == pytest.approx(
                 reference_window_prob(model, all_complement(3, length)), abs=1e-13
@@ -353,7 +353,7 @@ def test_markov_queries_are_pure_under_threads():
         # a series table, then scans from far and near starts, which walk the
         # orbit forward and back from its one cursor
         table = chain.window_series(3, 30)[0]
-        scans = [chain.first_occurrence_terms(n, 4)[0] for n in (29, 1, 17, 2)]
+        scans = [chain.first_occurrence_terms([n], 4)[0][0] for n in (29, 1, 17, 2)]
         return [table.tobytes()] + [terms.tobytes() for terms in scans]
 
     expected = queries(random_markov(np.random.default_rng(21), max_states=4))

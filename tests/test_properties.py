@@ -99,7 +99,7 @@ def test_window_prob_in_unit_interval_and_matches_oracle(model, w):
 @given(model=any_model, n=st.integers(min_value=1, max_value=3),
        length=st.integers(min_value=1, max_value=5))
 def test_partition_identity(model, n, length):
-    total = float(model.first_occurrence_terms(n, length)[0].sum())
+    total = float(model.first_occurrence_terms([n], length)[0][0].sum())
     total += reference_window_prob(model, all_complement(n, length))
     assert total == pytest.approx(1.0, abs=1e-12)
 
@@ -108,7 +108,7 @@ def test_partition_identity(model, n, length):
 @given(model=any_model, n=st.integers(min_value=1, max_value=3),
        span=st.integers(min_value=0, max_value=5))
 def test_truncated_union_matches_oracle(model, n, span):
-    partial = float(model.first_occurrence_terms(n, span + 1)[0].sum())
+    partial = float(model.first_occurrence_terms([n], span + 1)[0][0].sum())
     space = build_outcome_space(model, HORIZON)
     assert partial == pytest.approx(oracle_union_prob(space, n, span), abs=1e-10)
 
