@@ -76,10 +76,13 @@ class TailUnionEstimate:
         return 0.5 * (lo + hi)
 
     def __post_init__(self) -> None:
-        # partial + remainder is 1 up to rounding, and the remainder is a
-        # product of ``truncation`` rounded factors: each term scanned may
-        # take the sum a few units of roundoff past 1 (2**20 terms of
-        # powerlaw-2 take it 1.5e-12 past), over a floor for short scans
+        # partial + remainder is 1 up to rounding, over a floor for short
+        # scans.  The independent scan's remainder is a product of
+        # ``truncation`` rounded factors, so each term scanned may take the
+        # sum a few units of roundoff past 1 (2**20 terms of powerlaw-2 take
+        # it 1.5e-12 past).  For the Markov scan (``truncation`` matrix-vector
+        # products) and the latent scan this allowance is a heuristic, not a
+        # derived bound.
         slack = 1e-12 + 4 * self.truncation * _ROUNDOFF
         if not 0.0 <= self.partial <= self.partial + self.remainder_bound <= 1.0 + slack:
             raise ValueError(

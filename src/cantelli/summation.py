@@ -25,53 +25,46 @@ class CompensatedSum:
         self._compensation = 0.0
 
     def extend(self, values: Sequence[float] | np.ndarray) -> None:
-        """Add each of ``values`` in order.
-
-        The steps of ``_neumaier``, kept to what the last entries need: the
-        running totals accumulate in one buffer behind the old total, the
-        corrections are computed in place, and the old compensation joins the
-        first correction before they accumulate, so both end bit for bit where
-        ``_neumaier``'s arrays end.
-        """
-        x = np.asarray(values, dtype=float)
-        if not x.size:
-            return
-        totals = np.empty(x.size + 1)
-        totals[0] = self._total
-        totals[1:] = x
-        with np.errstate(all="ignore"):  # Python floats overflow silently too
-            np.add.accumulate(totals, out=totals)
-            prev, totals = totals[:-1], totals[1:]
-            correction = prev - totals
-            correction += x
-            # where |prev| >= |x| fails (NaN too), the step's other expression
-            other = ~(np.abs(prev) >= np.abs(x))
-            if other.any():
-                correction[other] = (x[other] - totals[other]) + prev[other]
-            correction[0] += self._compensation
-            np.add.accumulate(correction, out=correction)
-        self._total, self._compensation = float(totals[-1]), float(correction[-1])
+        """Add each of ``values`` in order."""
+        total, compensation = _neumaier(values, self._total, self._compensation)
+        if len(total):
+            self._total, self._compensation = float(total[-1]), float(compensation[-1])
 
     @property
     def value(self) -> float:
         return self._total + self._compensation
 
 
-def _neumaier(values: Sequence[float] | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _neumaier(
+    values: Sequence[float] | np.ndarray, total: float = 0.0, compensation: float = 0.0
+) -> tuple[np.ndarray, np.ndarray]:
     """Running totals and compensations of the Neumaier step (see
-    ``CompensatedSum``) over ``values``, from an empty sum.
+    ``CompensatedSum``) over ``values``, starting from a running sum with that
+    ``total`` and ``compensation``.
 
     Both are left-to-right running sums (``np.add.accumulate`` adds one value
     at a time), and each correction term is the scalar step's expression, so
-    every entry equals a scalar loop's bit for bit.
+    every entry equals a scalar loop's bit for bit.  The totals accumulate in
+    one buffer behind the old total, the corrections are computed in place
+    (the step's other expression only where it applies), and the old
+    compensation joins the first correction before they accumulate.
     """
     x = np.asarray(values, dtype=float)
+    totals = np.empty(x.size + 1)
+    totals[0] = total
+    totals[1:] = x
     with np.errstate(all="ignore"):  # Python floats overflow silently too
-        totals = np.add.accumulate(np.concatenate(([0.0], x)))
+        np.add.accumulate(totals, out=totals)
         prev, totals = totals[:-1], totals[1:]
-        correction = np.where(np.abs(prev) >= np.abs(x), (prev - totals) + x, (x - totals) + prev)
-        compensations = np.add.accumulate(np.concatenate(([0.0], correction)))[1:]
-    return totals, compensations
+        correction = prev - totals
+        correction += x
+        # where |prev| >= |x| fails (NaN too), the step's other expression
+        other = np.flatnonzero(~(np.abs(prev) >= np.abs(x)))
+        if other.size:
+            correction[other] = (x[other] - totals[other]) + prev[other]
+        correction[:1] += compensation
+        np.add.accumulate(correction, out=correction)
+    return totals, correction
 
 
 def compensated_sum(
@@ -89,4 +82,4 @@ def compensated_cumsum(values: Sequence[float] | np.ndarray) -> np.ndarray:
     """Running compensated partial sums, same length as ``values``."""
     total, compensation = _neumaier(values)
     with np.errstate(all="ignore"):
-        return total + compensation
+        return np.add(total, compensation, out=compensation)

@@ -6,7 +6,7 @@ import struct
 import numpy as np
 from hypothesis import example, given, settings, strategies as st
 
-from cantelli.summation import CompensatedSum, _neumaier, compensated_cumsum, compensated_sum
+from cantelli.summation import CompensatedSum, compensated_cumsum, compensated_sum
 
 
 def test_matches_fsum_on_harmonic():
@@ -90,24 +90,3 @@ def test_sum_continued_in_chunks_equals_the_one_shot_sum(values, cuts):
     expected = compensated_sum(values)
     assert total == expected
     assert math.copysign(1.0, total) == math.copysign(1.0, expected)
-
-
-@settings(max_examples=300, deadline=None)
-@given(
-    st.lists(
-        magnitudes | st.sampled_from([0.0, -0.0, 5e-324, 0.1, 3.0, 1e16, -1e16]), max_size=120
-    ),
-    st.lists(st.integers(min_value=0, max_value=40), max_size=6),
-)
-@example(values=[1e16, 3.0, 3.0], cuts=[1])
-def test_extend_in_chunks_ends_where_the_running_arrays_end(values, cuts):
-    # extend keeps only the last running total and compensation; after each
-    # chunk they are those of _neumaier's arrays over every value so far
-    running, done = CompensatedSum(), 0
-    for size in cuts + [len(values)]:
-        running.extend(np.array(values[done : done + size], dtype=float))
-        done = min(len(values), done + size)
-        totals, compensations = _neumaier(values[:done])
-        expected = (totals[-1], compensations[-1]) if done else (0.0, 0.0)
-        state = (running._total, running._compensation)
-        assert struct.pack("<2d", *state) == struct.pack("<2d", *expected)
