@@ -257,6 +257,37 @@ def _simulate_checks(
     return checks
 
 
+def _improbable(successes: int, count: int, p: float) -> bool:
+    """Whether ``successes`` of ``count`` trials at 0 < p < 1 lies in a tail of
+    the binomial law that holds less than half the two-sided level of
+    ``SIGMA_FLAG`` standard deviations.
+
+    The tail is the one on the observed count's side of count * p.  Its terms
+    are summed in log space outward from the observed count, and shrink by a
+    ratio that falls as they go, so the sum stops once it reaches half the
+    level, or once the geometric bound on the terms left keeps it below.
+    """
+    half_level = 0.5 * math.erfc(SIGMA_FLAG / math.sqrt(2.0))
+    k, log_p, log_q = successes, math.log(p), math.log1p(-p)
+    if k > count * p:  # the upper tail of the successes is the lower of the failures
+        k, log_p, log_q = count - k, log_q, log_p
+    log_term = (
+        math.lgamma(count + 1) - math.lgamma(k + 1) - math.lgamma(count - k + 1)
+        + k * log_p + (count - k) * log_q
+    )
+    total = 0.0
+    for j in range(k, 0, -1):
+        term = math.exp(log_term)
+        total += term
+        # P(j - 1) / P(j), below 1 in the lower tail
+        log_ratio = math.log(j / (count - j + 1)) + log_q - log_p
+        ratio = math.exp(log_ratio)
+        if total >= half_level or total + term * ratio / (1.0 - ratio) < half_level:
+            return total < half_level
+        log_term += log_ratio
+    return total + math.exp(log_term) < half_level
+
+
 def simulate_results(
     model: EventSequenceModel, count: int, seed: int, horizon: int
 ) -> tuple[dict, int]:
@@ -287,7 +318,7 @@ def simulate_results(
                 # the product underflows where each factor's root does not
                 se = math.sqrt(exact) * math.sqrt((1.0 - exact) / count)
             z = (est.point - exact) / se
-            bad = abs(z) > SIGMA_FLAG
+            bad = _improbable(est.successes, count, exact)
         flagged += bad
         rows.append(
             {

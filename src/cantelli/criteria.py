@@ -164,8 +164,8 @@ def classify_series(
 
     ``empty`` is the series' row of emptiness proofs from ``window_series``
     and ``classified`` its closed-form class, ``model.series_class(m)``, or None.
-    Certified verdicts come from exact-zero tails whose windows are all proved
-    empty, or from ``classified``; everything else rests on the fitted tail
+    Certified verdicts come from ``classified``, else from exact-zero tails
+    whose windows are all proved empty; everything else rests on the fitted tail
     exponent ``fit`` (``fit_tail(terms)``) with a +-0.1 buffer around the
     p-series boundary.  No terms at all give no verdict, whatever ``classified``
     says.
@@ -177,7 +177,13 @@ def classify_series(
             f"{len(terms)} terms evaluated; need {MIN_TERMS_FOR_FIT} or a closed-form series class"
         )
 
-    # Exact zeros observed beat a declared class: verify them structurally.
+    # A closed form holds for every n, observed zeros only up to N: it goes first.
+    if classified is not None:
+        cls, why = classified
+        if cls is SeriesClass.CONVERGENT:
+            return Verdict(VerdictLabel.CERTIFIED_CONVERGENT, why)
+        return Verdict(VerdictLabel.CERTIFIED_DIVERGENT, why)
+
     zero_start = _zero_tail_start(terms)
     if zero_start is not None and zero_start <= len(terms) // 2 + 1:
         if empty[zero_start - 1 :].all():
@@ -191,12 +197,6 @@ def classify_series(
             f"terms are numerically zero from n = {zero_start} but the backend does"
             " not prove the windows empty",
         )
-
-    if classified is not None:
-        cls, why = classified
-        if cls is SeriesClass.CONVERGENT:
-            return Verdict(VerdictLabel.CERTIFIED_CONVERGENT, why)
-        return Verdict(VerdictLabel.CERTIFIED_DIVERGENT, why)
 
     if fit.slope is None:
         # too few nonzero points to fit; a mostly-zero tail still suggests

@@ -14,15 +14,21 @@ programming:
 
 Each backend computes them with two array evaluators, equal bit for bit to
 the one-window, one-constraint-at-a-time reference the tests keep
-(``reference_window_prob``).  ``window_series`` evaluates the window series of
-every complement-run length 0..m at once, from one evaluation of the family,
-threshold or distribution arrays.  Its ``empty`` table is the package's one
-emptiness proof: row m marks the m-windows that are provably empty.  The
-Markov tables evaluate their columns through one common period of the chain's
-orbit and its event schedule, and copy the rest.  ``_scan`` is the one
-first-occurrence recurrence per backend, over the per-index inputs that
-``_inputs`` evaluates (family values, colors and thresholds, or event masks),
-and ``first_occurrence_terms(starts, count, carries)`` the one way into it: it
+(``reference_window_prob``).  ``_inputs(lo, hi)`` is the one place where an
+engine method evaluates a per-index input (family values, colors and
+thresholds, or event masks): the window tables, the scans, the "A_n
+occurred" seeds and the samplers all read it.  The scalar rules
+(``family.value``, ``EventSchedule.mask`` and ``MarkovModel.event_mask``,
+``LatentUniformModel.color``, ``position`` and ``threshold``) are what the
+oracle and the tests read, so the engines and the oracle share no input rule.
+``window_series`` evaluates the window series of every complement-run length
+0..m at once, from one ``_inputs`` evaluation (and, for a chain, one walk of
+its distributions).  Its ``empty`` table is the package's one emptiness
+proof: row m marks the m-windows that are provably empty.  The Markov tables
+evaluate their columns through one common period of the chain's orbit and its
+event schedule, and copy the rest.  ``_scan`` is the one first-occurrence
+recurrence per backend, over those inputs, and
+``first_occurrence_terms(starts, count, carries)`` the one way into it: it
 evaluates the inputs once per merged run of its starts' ranges, runs each
 start's recurrence on its slice, and returns per start the terms, the
 finished all-complement probabilities and the carry that goes on with the
@@ -30,10 +36,10 @@ scan.  One start is the call with one start.  ``suffix_complement_probs`` is
 one such call seeded with the carry "A_n occurred" (``_occurred``).
 ``sample_indicator_block`` draws sampled indicators for many windows and a
 batch of generators in one call: it fills one row per distinct index the
-windows cover, evaluates each row's family, threshold or event-mask constants
-once for the whole batch, and reads each window's block off its rows.  Each
-generator's rows equal, bit for bit, a call with that generator alone,
-whichever windows and generators share the call.  The Markov sampler starts every path in an extra state S whose cut
+windows cover, reads each row's inputs once for the whole batch, and takes
+each window's block off its rows.  Each generator's rows equal, bit for bit,
+a call with that generator alone, whichever windows and generators share the
+call.  The Markov sampler starts every path in an extra state S whose cut
 row is the initial vector's, so its first step takes the rule of every other;
 an ``EventSchedule`` holds its masks once, as the rows of one array.
 
@@ -327,7 +333,7 @@ class IndependentModel(EventSequenceModel):
         # the window at n multiplies its factors in index order, as the
         # reference does: row m is the product of the first m complements,
         # times p.  It is empty where p is 0 or a complement's p is 1 (dead).
-        p = self._family.values(1, num_terms + max_prefix_len)
+        (p,) = self._inputs(1, num_terms + max_prefix_len)
         terms = np.empty((max_prefix_len + 1, num_terms))
         empty = np.empty(terms.shape, dtype=bool)
         survive = np.ones(num_terms)  # 1.0 * x is x exactly
@@ -353,7 +359,7 @@ class IndependentModel(EventSequenceModel):
         return survive[:count] * p, survive[1:], float(survive[-1])
 
     def _occurred(self, n: int) -> Any:
-        return self._family.value(n)  # 1.0 * p is p exactly
+        return float(self._inputs(n, n)[0][0])  # 1.0 * p is p exactly
 
     def sample_indicator_block(
         self,
@@ -379,7 +385,7 @@ class IndependentModel(EventSequenceModel):
             for first in range(lo, hi + 1, segment):
                 last = min(hi, first + segment - 1)
                 u = buffer[: last - first + 1]
-                p = self._family.values(first, last)[:, None]
+                p = self._inputs(first, last)[0][:, None]
                 rows = held[row + first - lo : row + last - lo + 1]
                 for rng, column in zip(rngs, columns):
                     rng.random(out=u)
@@ -689,7 +695,7 @@ class MarkovModel(EventSequenceModel):
             period = math.lcm(p, q)
             k = min(num_terms, max(c, e) - 1 + period)
         rows = head[:k] if k <= len(head) else np.concatenate((head, orbit.rows(len(head) + 1, k)))
-        return rows, self._events.masks(1, k + max_prefix_len), period
+        return rows, self._inputs(1, k + max_prefix_len)[0], period
 
     def _inputs(self, lo: int, hi: int) -> tuple[np.ndarray, ...]:
         return (self._events.masks(lo, hi),)
@@ -716,7 +722,7 @@ class MarkovModel(EventSequenceModel):
         return terms, misses.sum(axis=1), misses[-1].copy()
 
     def _occurred(self, n: int) -> Any:
-        return self._dists.rows(n, n)[0] * self._events.mask(n)
+        return self._dists.rows(n, n)[0] * self._inputs(n, n)[0][0]
 
     def _walk(self, rngs: Sequence[np.random.Generator], steps: int, share: int):
         """States of the len(rngs) * share paths at times 1..steps, one array per time.
@@ -751,7 +757,7 @@ class MarkovModel(EventSequenceModel):
         runs, held, blocks = _stacked_runs(windows, count)
         walk = enumerate(self._walk(rngs, runs[-1][1] if runs else 0, share), start=1)
         for lo, hi, row in runs:
-            masks = self._events.masks(lo, hi)
+            (masks,) = self._inputs(lo, hi)
             for t, states in walk:
                 if t >= lo:
                     held[row + t - lo] = masks[t - lo][states]
@@ -862,40 +868,11 @@ class LatentUniformModel(EventSequenceModel):
             raise ValueError(f"threshold a_{n} = {a!r} outside [0, 1]")
         return a
 
-    def _colors(self, lo: int, hi: int) -> np.ndarray:
-        """``color(n)`` for n = lo..hi."""
-        return self._coloring_array[(np.arange(lo, hi + 1) - 1) % len(self._coloring)]
-
-    def _threshold_array(self, lo: int, hi: int, colors: np.ndarray) -> np.ndarray:
-        """``threshold(n)`` for n = lo..hi, given their colors.
-
-        Zeros come out as +0.0, so numpy's max may stand in for Python's: the
-        sign of a zero threshold changes no result of this backend.
-        """
-        if isinstance(self._thresholds, GlobalThresholds):
-            a = self._thresholds.family.values(lo, hi)
-        else:
-            a = np.empty(hi - lo + 1)
-            # the indices of one latent have consecutive positions
-            for j, (fam, offset) in enumerate(
-                zip(self._thresholds.families, self._thresholds.offsets)
-            ):
-                at = np.flatnonzero(colors == j)
-                if at.size:
-                    first = self._count(lo - 1, j) + 1 + offset
-                    a[at] = fam.values(first, first + at.size - 1)
-        bad = ~((a >= 0.0) & (a <= 1.0))
-        if bad.any():
-            k = int(np.argmax(bad))
-            raise ValueError(f"threshold a_{lo + k} = {float(a[k])!r} outside [0, 1]")
-        return a + 0.0
-
     def window_series(self, max_prefix_len: int, num_terms: int) -> tuple[np.ndarray, np.ndarray]:
         # the m-window at n holds each latent j in (lo, hi]: lo its largest
         # complement threshold, hi its occurrence threshold.  below[j] is
         # latent j's lo so far (0.0 and 1.0 leave max and min alone)
-        colors = self._colors(1, num_terms + max_prefix_len)
-        a = self._threshold_array(1, num_terms + max_prefix_len, colors)
+        colors, a = self._inputs(1, num_terms + max_prefix_len)
         below = np.zeros((self._num_latents, num_terms))
         terms = np.empty((max_prefix_len + 1, num_terms))
         empty = np.zeros(terms.shape, dtype=bool)
@@ -914,8 +891,24 @@ class LatentUniformModel(EventSequenceModel):
         return terms, empty
 
     def _inputs(self, lo: int, hi: int) -> tuple[np.ndarray, ...]:
-        colors = self._colors(lo, hi)
-        return colors, self._threshold_array(lo, hi, colors)
+        # color(n) and threshold(n) for n = lo..hi.  Zeros come out as +0.0,
+        # so numpy's max may stand in for Python's: the sign of a zero
+        # threshold changes no result of this backend.
+        colors = self._coloring_array[(np.arange(lo, hi + 1) - 1) % len(self._coloring)]
+        if isinstance(self._thresholds, GlobalThresholds):
+            a = self._thresholds.family.values(lo, hi)
+        else:
+            a = np.empty(hi - lo + 1)
+            # the indices of one latent have consecutive positions
+            for j, (fam, first) in enumerate(self._families_with_start(lo)):
+                at = np.flatnonzero(colors == j)
+                if at.size:
+                    a[at] = fam.values(first, first + at.size - 1)
+        bad = ~((a >= 0.0) & (a <= 1.0))
+        if bad.any():
+            k = int(np.argmax(bad))
+            raise ValueError(f"threshold a_{lo + k} = {float(a[k])!r} outside [0, 1]")
+        return colors, a + 0.0
 
     def _scan(
         self, n: int, inputs: tuple[np.ndarray, ...], carry: Any
@@ -952,8 +945,8 @@ class LatentUniformModel(EventSequenceModel):
         return term, complement, carry
 
     def _occurred(self, n: int) -> Any:
-        j, a = self.color(n), self.threshold(n)
-        return tuple((0.0, a if k == j else 1.0) for k in range(self._num_latents))
+        (j,), (a,) = self._inputs(n, n)
+        return tuple((0.0, float(a) if k == j else 1.0) for k in range(self._num_latents))
 
     def sample_indicator_block(
         self,

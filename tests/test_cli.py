@@ -280,29 +280,68 @@ def test_simulate_underflowing_se_is_not_a_disagreement(tmp_path):
     assert not any(c["flagged"] for c in checks)
 
 
+class Corrupted:
+    """A backend whose first-occurrence terms, simulate's exact values, are
+    ``corrupt(terms)``."""
+
+    def __init__(self, inner, corrupt):
+        self._inner = inner
+        self._corrupt = corrupt
+
+    def __getattr__(self, name):
+        return getattr(self._inner, name)
+
+    def first_occurrence_terms(self, starts, count, carries=None):
+        return [
+            (self._corrupt(terms), complements, carry)
+            for terms, complements, carry in self._inner.first_occurrence_terms(
+                starts, count, carries
+            )
+        ]
+
+
 def test_simulate_corrupted_backend_exit_4(tmp_path, monkeypatch):
     real_build = cli.build_model
-
-    class Corrupted:
-        def __init__(self, inner):
-            self._inner = inner
-
-        def __getattr__(self, name):
-            return getattr(self._inner, name)
-
-        def first_occurrence_terms(self, starts, count, carries=None):
-            # simulate reads its exact values from first-occurrence scans
-            return [
-                (np.minimum(1.0, terms + 0.05), complements, carry)
-                for terms, complements, carry in self._inner.first_occurrence_terms(
-                    starts, count, carries
-                )
-            ]
-
-    monkeypatch.setattr(cli, "build_model", lambda spec: Corrupted(real_build(spec)))
+    monkeypatch.setattr(
+        cli,
+        "build_model",
+        lambda spec: Corrupted(real_build(spec), lambda terms: np.minimum(1.0, terms + 0.05)),
+    )
     code = run(["simulate", SPECS / "coin-half.json", "--count", "20000",
                 "--out", tmp_path / "sim.json"])
     assert code == EXIT_DISAGREEMENT
+
+
+def test_simulate_flags_an_exact_twice_the_truth(tmp_path, monkeypatch):
+    # the engine answers 0.1 where the marginals are 0.05
+    spec = {"model": {"family": "independent",
+                      "marginal": {"family": "explicit", "values": [0.05], "tail": 0.05}}}
+    path = tmp_path / "five.json"
+    path.write_text(json.dumps(spec))
+    real_build = cli.build_model
+    monkeypatch.setattr(
+        cli, "build_model", lambda spec: Corrupted(real_build(spec), lambda terms: 2.0 * terms)
+    )
+    out = tmp_path / "sim.json"
+    assert run(["simulate", path, "--count", "5000", "--out", out]) == EXIT_DISAGREEMENT
+    checks = json.loads(out.read_text())["results"]["checks"]
+    assert all(c["flagged"] for c in checks if c["check"].startswith("marginal"))
+
+
+def test_simulate_flags_by_the_binomial_tail(tmp_path):
+    # about 0.05 failures are expected at 0.99999 over 5000 paths: one failure
+    # sits 4.33 normal sigma out, but 5% of the binomial law lies at or past it
+    spec = {"model": {"family": "independent",
+                      "marginal": {"family": "explicit", "values": [1.0],
+                                   "tail": 0.8078545813302384}}}
+    path = tmp_path / "near-one.json"
+    path.write_text(json.dumps(spec))
+    out = tmp_path / "sim.json"
+    code = run(["simulate", path, "--count", "5000", "--seed", "4", "--horizon", "8",
+                "--out", out])
+    assert code == EXIT_OK
+    union = {c["check"]: c for c in json.loads(out.read_text())["results"]["checks"]}["union n=2..8"]
+    assert union["successes"] == 4999 and union["z"] < -4.0 and not union["flagged"]
 
 
 def test_verify_ok_and_mismatch_exit_5(tmp_path, monkeypatch):

@@ -8,7 +8,9 @@ from hypothesis import given, settings, strategies as st
 from cantelli import (
     Conclusion,
     ExplicitList,
+    GlobalThresholds,
     IndependentModel,
+    LatentUniformModel,
     PowerLaw,
     VerdictLabel,
     build_outcome_space,
@@ -97,6 +99,19 @@ def test_zero_tail_is_certified_only_when_every_window_is_empty():
     verdict = classify_series(terms, empty, fit, None)
     assert verdict.label is VerdictLabel.LIKELY_CONVERGENT
     assert "does not prove" in verdict.justification
+
+
+def test_a_closed_form_outranks_zeros_observed_up_to_n():
+    # the list is 0 at n = 2..3001 and 0.5 from there on: 2000 terms read as an
+    # eventually zero series, where the closed form holds at every n
+    family = ExplicitList((0.5,) + (0.0,) * 3000, tail=0.5)
+    independent = criterion(IndependentModel(family), 0, 2000)
+    assert independent.series.verdict.label is VerdictLabel.CERTIFIED_DIVERGENT
+    assert independent.conclusion is Conclusion.IO_PROB_ONE and independent.certified
+    # dependent events: a divergent series concludes nothing
+    latent = criterion(LatentUniformModel(1, [0], GlobalThresholds(family)), 0, 2000)
+    assert latent.series.verdict.label is VerdictLabel.CERTIFIED_DIVERGENT
+    assert latent.conclusion is Conclusion.NO_CONCLUSION and not latent.certified
 
 
 def reference_zero_tail_start(terms):

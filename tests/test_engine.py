@@ -49,6 +49,7 @@ from conftest import (
     make_absorbing,
     make_equal_rows,
     make_flipflop,
+    make_interleaved,
     reference_tail_union,
     reference_window_prob,
 )
@@ -930,3 +931,55 @@ def test_nan_family_is_a_numeric_fault_on_both_paths(prefix_len):
         model.window_series(prefix_len, 5)
     with pytest.raises(NumericFaultError):
         reference_series(model, prefix_len, 5)
+
+
+def _split_models():
+    """One model per backend: per-latent negative offsets, an explicit Markov
+    schedule with a tail, and a power law."""
+    chain = MarkovModel(
+        [[0.5, 0.5, 0.0], [0.25, 0.25, 0.5], [0.0, 0.5, 0.5]],
+        [1.0, 0.0, 0.0],
+        EventSchedule(3, explicit=[[0], [1, 2], [], [0, 2]], tail=[1]),
+    )
+    return [make_interleaved(), chain, IndependentModel(PowerLaw(1.0, 2.0))]
+
+
+def _engine_answers(model):
+    """The table, the scans, the seeded scans and the sampled blocks of ``model``."""
+    answers = list(model.window_series(3, 20))
+    for terms, complements, _ in model.first_occurrence_terms([1, 4, 9], 12):
+        answers += [terms, complements]
+    answers += [model.suffix_complement_probs(n, 8) for n in (1, 5)]
+    rngs = [np.random.default_rng(seed) for seed in (3, 4)]
+    return answers + model.sample_indicator_block(rngs, [(1, 6), (4, 11), (15, 17)], 64)
+
+
+def _raise(*args, **kwargs):
+    raise AssertionError("read outside its input path")
+
+
+def test_engines_read_inputs_only_through_inputs_and_the_oracle_never(monkeypatch):
+    # the engines and the oracle share no input rule, so a fault in one rule
+    # cannot move both sides of verify together
+    models = _split_models()
+    expected = [_engine_answers(model) for model in models]
+    scalar_rules = [
+        (PowerLaw, "value"),
+        (EventSchedule, "mask"),
+        (MarkovModel, "event_mask"),
+        (LatentUniformModel, "color"),
+        (LatentUniformModel, "position"),
+        (LatentUniformModel, "threshold"),
+    ]
+    with monkeypatch.context() as patch:
+        for cls, name in scalar_rules:
+            patch.setattr(cls, name, _raise)
+        for model, answers in zip(models, expected):
+            for got, want in zip(_engine_answers(model), answers, strict=True):
+                assert got.dtype == want.dtype and got.shape == want.shape
+                assert got.tobytes() == want.tobytes()
+    with monkeypatch.context() as patch:
+        for cls in (IndependentModel, MarkovModel, LatentUniformModel):
+            patch.setattr(cls, "_inputs", _raise)
+        for model in models:
+            assert build_outcome_space(model, 8).probs.shape == (2**8,)
