@@ -933,17 +933,6 @@ def test_nan_family_is_a_numeric_fault_on_both_paths(prefix_len):
         reference_series(model, prefix_len, 5)
 
 
-def _split_models():
-    """One model per backend: per-latent negative offsets, an explicit Markov
-    schedule with a tail, and a power law."""
-    chain = MarkovModel(
-        [[0.5, 0.5, 0.0], [0.25, 0.25, 0.5], [0.0, 0.5, 0.5]],
-        [1.0, 0.0, 0.0],
-        EventSchedule(3, explicit=[[0], [1, 2], [], [0, 2]], tail=[1]),
-    )
-    return [make_interleaved(), chain, IndependentModel(PowerLaw(1.0, 2.0))]
-
-
 def _engine_answers(model):
     """The table, the scans, the seeded scans and the sampled blocks of ``model``."""
     answers = list(model.window_series(3, 20))
@@ -960,8 +949,14 @@ def _raise(*args, **kwargs):
 
 def test_engines_read_inputs_only_through_inputs_and_the_oracle_never(monkeypatch):
     # the engines and the oracle share no input rule, so a fault in one rule
-    # cannot move both sides of verify together
-    models = _split_models()
+    # cannot move both sides of verify together.  One model per backend:
+    # per-latent negative offsets, an explicit schedule with a tail, a power law
+    chain = MarkovModel(
+        [[0.5, 0.5, 0.0], [0.25, 0.25, 0.5], [0.0, 0.5, 0.5]],
+        [1.0, 0.0, 0.0],
+        EventSchedule(3, explicit=[[0], [1, 2], [], [0, 2]], tail=[1]),
+    )
+    models = [make_interleaved(), chain, IndependentModel(PowerLaw(1.0, 2.0))]
     expected = [_engine_answers(model) for model in models]
     scalar_rules = [
         (PowerLaw, "value"),
