@@ -49,20 +49,12 @@ from .oracle import (
     oracle_window_prob,
 )
 from .specfile import AnalysisDefaults, ModelSpec, SpecError, build_model, load_spec
-from .windows import (
-    Orientation,
-    Terminal,
-    WindowPattern,
-    all_complement,
-    first_occurrence,
-)
+from .windows import WindowPattern, all_complement, first_occurrence
 
 __all__ = [
     "__version__",
     # windows
     "WindowPattern",
-    "Orientation",
-    "Terminal",
     "first_occurrence",
     "all_complement",
     # families

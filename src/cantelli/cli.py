@@ -32,7 +32,7 @@ from .oracle import (
 )
 from .specfile import ModelSpec, SpecError, build_model, load_spec
 from .summation import compensated_cumsum, compensated_sum
-from .windows import Orientation, WindowPattern, all_complement, first_occurrence
+from .windows import WindowPattern, all_complement, first_occurrence
 
 EXIT_OK = 0
 EXIT_SPEC = 2
@@ -101,7 +101,7 @@ def _analyze_results(sweep: SweepResult) -> dict:
         criteria.append(
             {
                 "m": res.prefix_len,
-                "orientation": Orientation.PREFIX_COMPLEMENT.value,
+                "orientation": "prefix-complement",
                 "conclusion": res.conclusion.value,
                 "certified": res.certified,
                 "verdict": {
@@ -300,7 +300,7 @@ def simulate_results(
     exacts = []
     for _, query in checks:
         if isinstance(query, WindowPattern):
-            exacts.append(float(scans[query.start][query.prefix_len]))
+            exacts.append(float(scans[query.start][query.width - 1]))
         else:
             n, span = query
             exacts.append(float(min(1.0, max(0.0, compensated_sum(scans[n][: span + 1])))))
@@ -384,12 +384,13 @@ def verify_results(model: EventSequenceModel, horizon: int) -> tuple[dict, float
         [(terms, complements, _)] = model.first_occurrence_terms([n], horizon - n + 1)
         suffixes = model.suffix_complement_probs(n, horizon - n)
         for m in range(0, horizon - n + 1):
-            windows = [(first_occurrence(n, m), float(terms[m]))]
+            windows = [(first_occurrence(n, m), "prefix-complement", float(terms[m]))]
             if m:
-                suffix = first_occurrence(n, m, Orientation.SUFFIX_COMPLEMENT)
-                windows.append((suffix, float(suffixes[m - 1])))
-            for w, engine in windows:
-                rows.append(("window", n, m, w.orientation.value))
+                # A_n, then m complements
+                suffix = WindowPattern(n, m + 1, 1)
+                windows.append((suffix, "suffix-complement", float(suffixes[m - 1])))
+            for w, orient, engine in windows:
+                rows.append(("window", n, m, orient))
                 answers.append((engine, oracle_window_prob(space, w)))
         for m, engine in enumerate(complements, start=1):
             rows.append(("all-complement", n, m, ""))

@@ -13,8 +13,9 @@ programming:
   interleaved counterexamples that separate the window criteria.
 
 Each backend computes them with two array evaluators, equal bit for bit to
-the one-window, one-constraint-at-a-time reference the tests keep
-(``reference_window_prob``).  ``_inputs(lo, hi)`` is the one place where an
+the one-window, one-index-at-a-time reference the tests keep
+(``reference_window_prob``, which walks a window's field of indicator bits in
+index order).  ``_inputs(lo, hi)`` is the one place where an
 engine method evaluates a per-index input (family values, colors and
 thresholds, or event masks): the window tables, the scans, the "A_n
 occurred" seeds and the samplers all read it.  The scalar rules

@@ -13,8 +13,11 @@ call of its own.  Each generator's rows of a block equal its chunk drawn
 alone, and the sampler keys each chunk's uniforms by index, so a query's block
 depends only on its own indices and every estimate equals its one-query call,
 ``estimate_window_prob`` or ``estimate_tail_union``, bit for bit, whatever the
-batches.  Interval estimates are 95% Wilson score intervals, which behave
-correctly near 0 and 1 where window probabilities live.
+batches.  A query's block has one column per index of its field, in index
+order: a window holds on the paths whose column i equals bit i of its value, a
+union on the paths with any column set.  Interval estimates are 95% Wilson
+score intervals, which behave correctly near 0 and 1 where window
+probabilities live.
 """
 
 from __future__ import annotations
@@ -113,12 +116,12 @@ def _holds(query: WindowPattern | tuple[int, int], block: np.ndarray) -> np.ndar
     One pass per column of the short rows, in place.
     """
     if isinstance(query, WindowPattern):
-        # a window constrains every index of its span, in index order
-        (_, occur), *rest = query.constraints()
-        held = block[:, 0].copy() if occur else ~block[:, 0]
-        for col, (_, occur) in enumerate(rest, start=1):
+        # column i must equal bit i of the window's value
+        value = query.value
+        held = block[:, 0].copy() if value & 1 else ~block[:, 0]
+        for col in range(1, query.width):
             # held & ~col is held > col on booleans, with no temporary
-            (np.logical_and if occur else np.greater)(held, block[:, col], out=held)
+            (np.logical_and if value >> col & 1 else np.greater)(held, block[:, col], out=held)
         return held
     held = block[:, 0].copy()
     for col in range(1, block.shape[1]):
@@ -134,14 +137,15 @@ def estimate_frequencies(
 ) -> list[FrequencyEstimate]:
     """Empirical frequencies of many events from one pass over the chunks.
 
-    A query is a ``WindowPattern`` (its window event) or an ``(n, span)`` pair
-    (any of A_n..A_{n+span} occurs).  Returns one estimate per query, equal to
-    the one-query ``estimate_window_prob`` / ``estimate_tail_union``.
+    A query is a ``WindowPattern`` (its field of indicators takes its value)
+    or an ``(n, span)`` pair (any of A_n..A_{n+span} occurs).  Returns one
+    estimate per query, equal to the one-query ``estimate_window_prob`` /
+    ``estimate_tail_union``.
     """
     windows = []
     for query in queries:
         if isinstance(query, WindowPattern):
-            windows.append((query.first_index, query.last_index))
+            windows.append((query.start, query.start + query.width - 1))
         else:
             n, span = query
             if span < 0:

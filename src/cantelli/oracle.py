@@ -79,12 +79,10 @@ def _total(bins: np.ndarray) -> float:
 
 def oracle_window_prob(space: TruncatedOutcomeSpace, w: WindowPattern) -> float:
     """Exact window probability by exhaustive enumeration."""
-    if w.last_index > space.horizon:
-        raise HorizonExceededError(
-            f"window reaches index {w.last_index} past horizon {space.horizon}"
-        )
-    value = sum(1 << (idx - w.start) for idx, occur in w.constraints() if occur)
-    return _total(space.field(w.start, w.last_index - w.start + 1)[:, value, :])
+    last = w.start + w.width - 1
+    if last > space.horizon:
+        raise HorizonExceededError(f"window reaches index {last} past horizon {space.horizon}")
+    return _total(space.field(w.start, w.width)[:, w.value, :])
 
 
 def oracle_union_prob(space: TruncatedOutcomeSpace, n: int, span: int) -> float:

@@ -36,6 +36,12 @@ def reference_powers(bases: np.ndarray, exponent: float) -> np.ndarray:
     return np.array(list(map(float.__pow__, bases.tolist(), repeat(exponent))), dtype=float)
 
 
+def constraints(w: WindowPattern) -> tuple[tuple[int, bool], ...]:
+    """(index, must_occur) pairs of a window in increasing index order: bit i of
+    its value says whether A_{start+i} occurs."""
+    return tuple((w.start + i, bool(w.value >> i & 1)) for i in range(w.width))
+
+
 def reference_window_prob(model: EventSequenceModel, w: WindowPattern) -> float:
     """The probability of one window, evaluated one constraint at a time.
 
@@ -51,18 +57,14 @@ def reference_window_prob(model: EventSequenceModel, w: WindowPattern) -> float:
 
     if isinstance(model, IndependentModel):
         prob = 1.0
-        for idx, occur in w.constraints():
+        for idx, occur in constraints(w):
             p = model.family.value(idx)
             prob *= p if occur else 1.0 - p
         return finish(prob)
     if isinstance(model, MarkovModel):
-        constraints = w.constraints()
-        if not constraints:
-            return 1.0
-        start = constraints[0][0]
-        v = model._dists.rows(start, start)[0]
+        v = model._dists.rows(w.start, w.start)[0]
         prev_idx = None
-        for idx, occur in constraints:
+        for idx, occur in constraints(w):
             if prev_idx is not None:
                 for _ in range(idx - prev_idx):
                     v = v @ model._transition
@@ -73,7 +75,7 @@ def reference_window_prob(model: EventSequenceModel, w: WindowPattern) -> float:
     # per latent, U lies in (lo, hi]: complements raise lo, occurrences lower hi
     lo = [0.0] * model.num_latents
     hi = [1.0] * model.num_latents
-    for idx, occur in w.constraints():
+    for idx, occur in constraints(w):
         j = model.color(idx)
         a = model.threshold(idx)
         if occur:

@@ -31,7 +31,7 @@ from cantelli import (
     tail_union,
 )
 from cantelli.cli import main as cli_main
-from cantelli.windows import Orientation, all_complement, first_occurrence
+from cantelli.windows import WindowPattern, all_complement, first_occurrence
 
 from conftest import (
     make_coin,
@@ -87,7 +87,7 @@ def _all_windows(horizon: int):
         for m in range(0, horizon - n + 1):
             yield first_occurrence(n, m)
             if m >= 1:
-                yield first_occurrence(n, m, Orientation.SUFFIX_COMPLEMENT)
+                yield WindowPattern(n, m + 1, 1)  # A_n, then m complements
         for length in range(1, horizon - n + 2):
             yield all_complement(n, length)
 
@@ -251,12 +251,8 @@ def test_criterion_09_equal_row_embedding():
             for _ in range(25):
                 n = int(rng.integers(1, 12))
                 m = int(rng.integers(0, 6))
-                orient = (
-                    Orientation.PREFIX_COMPLEMENT
-                    if rng.random() < 0.5
-                    else Orientation.SUFFIX_COMPLEMENT
-                )
-                w = first_occurrence(n, m, orient)
+                # a prefix window, or A_n then m complements
+                w = first_occurrence(n, m) if rng.random() < 0.5 else WindowPattern(n, m + 1, 1)
                 assert reference_window_prob(chain, w) == pytest.approx(
                     reference_window_prob(indep, w), abs=1e-12
                 )

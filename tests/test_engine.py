@@ -42,10 +42,11 @@ from cantelli.models import NumericFaultError
 from cantelli.oracle import build_outcome_space
 from cantelli.specfile import load_spec, parse_spec
 from cantelli.summation import compensated_sum
-from cantelli.windows import Orientation, all_complement, first_occurrence
+from cantelli.windows import WindowPattern, all_complement, first_occurrence
 
 from conftest import (
     REPO,
+    constraints,
     make_absorbing,
     make_equal_rows,
     make_flipflop,
@@ -91,18 +92,14 @@ def window_is_empty(model, w):
     the reachable states, leave empty; a latent interval (lo, hi] with
     hi <= lo.
     """
-    constraints = w.constraints()
+    pairs = constraints(w)
     if isinstance(model, IndependentModel):
-        return any(
-            model.family.value(idx) == (0.0 if occur else 1.0) for idx, occur in constraints
-        )
+        return any(model.family.value(idx) == (0.0 if occur else 1.0) for idx, occur in pairs)
     if isinstance(model, MarkovModel):
-        if not constraints:
-            return False
         reach = model._transition > 0.0
-        supp = model._supports.rows(constraints[0][0], constraints[0][0])[0]
-        prev_idx = constraints[0][0]
-        for idx, occur in constraints:
+        supp = model._supports.rows(w.start, w.start)[0]
+        prev_idx = w.start
+        for idx, occur in pairs:
             for _ in range(idx - prev_idx):
                 supp = reach[supp].any(axis=0)
             mask = model.event_mask(idx)
@@ -111,7 +108,7 @@ def window_is_empty(model, w):
         return not supp.any()
     lo = [0.0] * model.num_latents
     hi = [1.0] * model.num_latents
-    for idx, occur in constraints:
+    for idx, occur in pairs:
         j, a = model.color(idx), model.threshold(idx)
         if occur:
             hi[j] = min(hi[j], a)
@@ -422,8 +419,7 @@ def test_scan_in_chunks_matches_window_prob(model, n, chunks, seeded):
     assert bits(terms) == bits(one_terms)
     if seeded:
         expected = [
-            reference_window_prob(model, first_occurrence(n, m, Orientation.SUFFIX_COMPLEMENT))
-            for m in range(1, total + 1)
+            reference_window_prob(model, WindowPattern(n, m + 1, 1)) for m in range(1, total + 1)
         ]
     else:
         assert bits(terms) == bits(reference_terms(model, n, total))
@@ -438,8 +434,7 @@ def test_suffix_complements_match_window_prob(model, n, count):
     # the scan seeded with "A_n occurred": its complement after n + m is the
     # suffix window A_n, not-A_{n+1}, ..., not-A_{n+m}
     expected = [
-        reference_window_prob(model, first_occurrence(n, m, Orientation.SUFFIX_COMPLEMENT))
-        for m in range(1, count + 1)
+        reference_window_prob(model, WindowPattern(n, m + 1, 1)) for m in range(1, count + 1)
     ]
     assert bits(model.suffix_complement_probs(n, count)) == bits(expected)
     if count:
@@ -468,7 +463,7 @@ def reference_verify_results(model, horizon):
 
     def window_oracle(w):
         span = ones = 0
-        for idx, occur in w.constraints():
+        for idx, occur in constraints(w):
             span |= 1 << (idx - 1)
             ones |= int(occur) << (idx - 1)
         return float(space.probs[codes & span == ones].sum())
@@ -482,12 +477,12 @@ def reference_verify_results(model, horizon):
     max_diff = 0.0
     for n in range(1, horizon + 1):
         for m in range(0, horizon - n + 1):
-            windows = [(first_occurrence(n, m), float(series[m][n - 1]))]
+            windows = [(first_occurrence(n, m), "prefix-complement", float(series[m][n - 1]))]
             if m:
-                suffix = first_occurrence(n, m, Orientation.SUFFIX_COMPLEMENT)
-                windows.append((suffix, reference_window_prob(model, suffix)))
-            for w, engine in windows:
-                rows.append(("window", n, m, w.orientation.value, engine, window_oracle(w)))
+                suffix = WindowPattern(n, m + 1, 1)
+                windows.append((suffix, "suffix-complement", reference_window_prob(model, suffix)))
+            for w, orient, engine in windows:
+                rows.append(("window", n, m, orient, engine, window_oracle(w)))
         carry, terms = None, []
         for m in range(1, horizon - n + 2):
             [(term, _, carry)] = model.first_occurrence_terms([n + m - 1], 1, [carry])

@@ -21,7 +21,7 @@ from cantelli import (
     marginal_decay_check,
 )
 from cantelli.families import SequenceIndexError
-from cantelli.windows import Orientation, all_complement, first_occurrence
+from cantelli.windows import WindowPattern, all_complement, first_occurrence
 
 from conftest import (
     make_absorbing,
@@ -70,15 +70,14 @@ def test_marginal_prob_equals_trivial_window():
 
 def test_suffix_orientation_independent_formula():
     model = IndependentModel(ExplicitList((0.3, 0.6, 0.9), tail=0.2))
-    w = first_occurrence(1, 2, Orientation.SUFFIX_COMPLEMENT)
+    w = WindowPattern(1, 3, 1)  # A_1, then two complements
     assert reference_window_prob(model, w) == pytest.approx(0.3 * 0.4 * 0.1, abs=1e-15)
 
 
 def test_suffix_windows_of_nested_model():
     # A_n minus A_{n+1} on one latent with thresholds 1/n: probability 1/(n(n+1))
     nested = make_nested()
-    got = [reference_window_prob(nested, first_occurrence(n, 1, Orientation.SUFFIX_COMPLEMENT))
-           for n in range(1, 13)]
+    got = [reference_window_prob(nested, WindowPattern(n, 2, 1)) for n in range(1, 13)]
     assert np.allclose(got, [1.0 / (n * (n + 1)) for n in range(1, 13)], atol=1e-15)
 
 
@@ -158,8 +157,8 @@ def test_equal_row_markov_matches_independent():
     for _ in range(300):
         n = int(rng.integers(1, 10))
         m = int(rng.integers(0, 5))
-        orient = Orientation.PREFIX_COMPLEMENT if rng.random() < 0.5 else Orientation.SUFFIX_COMPLEMENT
-        w = first_occurrence(n, m, orient)
+        # a prefix window, or A_n then m complements
+        w = first_occurrence(n, m) if rng.random() < 0.5 else WindowPattern(n, m + 1, 1)
         expected = reference_window_prob(indep, w)
         assert reference_window_prob(chain, w) == pytest.approx(expected, abs=1e-12)
 

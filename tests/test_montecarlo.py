@@ -8,15 +8,22 @@ from hypothesis import given, settings, strategies as st
 from scipy.special import ndtri
 
 from cantelli import (
+    EventSchedule,
+    ExplicitList,
+    IndependentModel,
+    MarkovModel,
+    build_outcome_space,
     estimate_tail_union,
     estimate_window_prob,
+    oracle_window_prob,
     wilson_interval,
 )
 from cantelli.montecarlo import _Z, CHUNK, _chunk_rng, _holds
-from cantelli.windows import Orientation, all_complement, first_occurrence
+from cantelli.windows import WindowPattern, first_occurrence
 
 from conftest import (
     REPO,
+    constraints,
     make_coin,
     make_flipflop,
     make_interleaved,
@@ -100,6 +107,31 @@ def test_estimate_empty_window_is_exactly_zero():
     assert est.successes == 0
 
 
+def test_oracle_and_sampler_read_a_window_value_bit_by_bit():
+    # two models with one indicator path each: the value whose bit i is
+    # A_{start+i} on that path has probability 1 for the oracle and for the
+    # sampler, and every other value of the same field 0
+    horizon = 8
+    independent = IndependentModel(ExplicitList((1.0, 0.0, 0.0, 1.0, 1.0), tail=0.0))
+    # states 0, 1, 2, 0, ... against the sets {0}, {0}, {2}, {1}, {2}, then {1}
+    rotation = MarkovModel(
+        np.roll(np.eye(3), 1, axis=1),
+        np.array([1.0, 0.0, 0.0]),
+        EventSchedule(3, explicit=[[0], [0], [2], [1], [2]], tail=[1]),
+    )
+    for model, path in ((independent, "10011000"), (rotation, "10100001")):
+        space = build_outcome_space(model, horizon)
+        for start in range(1, horizon + 1):
+            for width in range(1, horizon - start + 2):
+                # the field's bits, A_start first, as a binary number
+                match = int(path[start - 1 : start - 1 + width][::-1], 2)
+                for value in range(2**width):
+                    w = WindowPattern(start, width, value)
+                    expected = 1.0 if value == match else 0.0
+                    assert oracle_window_prob(space, w) == expected
+                    assert estimate_window_prob(model, w, count=100, seed=0).point == expected
+
+
 def test_estimate_tail_union_values():
     coin_est = estimate_tail_union(make_coin(), 1, 20, 100000, seed=11)
     assert coin_est.lower <= 1.0 - 2.0**-21 <= coin_est.upper
@@ -169,19 +201,12 @@ def queries_with_blocks(draw):
     Half the blocks are transposed views, laid out as the Markov sampler's are.
     """
     n = draw(st.integers(min_value=1, max_value=5))
-    kind = draw(st.sampled_from(["prefix", "suffix", "all-complement", "union"]))
-    if kind == "union":
-        query = (n, draw(st.integers(min_value=0, max_value=6)))
-        width = query[1] + 1
-    elif kind == "all-complement":
-        query = all_complement(n, draw(st.integers(min_value=1, max_value=7)))
-        width = query.prefix_len
+    width = draw(st.integers(min_value=1, max_value=7))
+    if draw(st.booleans()):
+        query = (n, width - 1)
     else:
-        orientation = (
-            Orientation.PREFIX_COMPLEMENT if kind == "prefix" else Orientation.SUFFIX_COMPLEMENT
-        )
-        query = first_occurrence(n, draw(st.integers(min_value=0, max_value=6)), orientation)
-        width = query.prefix_len + 1
+        # any value of the field, not only the prefix, suffix and all-complement ones
+        query = WindowPattern(n, width, draw(st.integers(min_value=0, max_value=2**width - 1)))
     count = draw(st.integers(min_value=1, max_value=50))
     cells = draw(st.lists(st.booleans(), min_size=count * width, max_size=count * width))
     if draw(st.booleans()):
@@ -199,7 +224,7 @@ def test_holds_matches_row_wise_reference(query_block):
     if isinstance(query, tuple):
         expected = block.any(axis=1)
     else:
-        expected = (block == [occur for _, occur in query.constraints()]).all(axis=1)
+        expected = (block == [occur for _, occur in constraints(query)]).all(axis=1)
     held = _holds(query, block)
     assert held.dtype == bool
     assert np.array_equal(held, expected)

@@ -15,9 +15,10 @@ from cantelli import (
     oracle_window_prob,
 )
 from cantelli.oracle import HorizonExceededError
-from cantelli.windows import Orientation, all_complement, first_occurrence
+from cantelli.windows import WindowPattern, all_complement, first_occurrence
 
 from conftest import (
+    constraints,
     make_coin,
     make_nested,
     random_independent,
@@ -200,7 +201,7 @@ def code_bits(horizon):
 
 def reference_window_mask(rows, w):
     expected = np.ones(len(rows), dtype=bool)
-    for idx, occur in w.constraints():
+    for idx, occur in constraints(w):
         expected &= rows[:, idx - 1] == occur
     return expected
 
@@ -208,7 +209,8 @@ def reference_window_mask(rows, w):
 def all_windows(n, horizon):
     windows = [all_complement(n, m) for m in range(1, horizon - n + 2)]
     for m in range(0, horizon - n + 1):
-        windows += [first_occurrence(n, m, o) for o in Orientation]
+        # a prefix window, and A_n then m complements
+        windows += [first_occurrence(n, m), WindowPattern(n, m + 1, 1)]
     return windows
 
 

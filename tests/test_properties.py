@@ -17,7 +17,7 @@ from cantelli import (
     oracle_union_prob,
     oracle_window_prob,
 )
-from cantelli.windows import Orientation, Terminal, WindowPattern, all_complement, first_occurrence
+from cantelli.windows import WindowPattern, all_complement, first_occurrence
 
 from conftest import reference_window_prob
 
@@ -76,13 +76,10 @@ any_model = st.one_of(independent_models(), markov_models(), latent_models())
 
 @st.composite
 def windows_within_horizon(draw):
-    start = draw(st.integers(min_value=1, max_value=HORIZON - 1))
-    terminal = draw(st.sampled_from(list(Terminal)))
-    min_len = 1 if terminal is Terminal.ALL_COMPLEMENT else 0
-    span = HORIZON - start
-    prefix = draw(st.integers(min_value=min_len, max_value=max(min_len, span)))
-    orientation = draw(st.sampled_from(list(Orientation)))
-    return WindowPattern(start, prefix, terminal, orientation)
+    """Any field of indicator bits inside the horizon, with any of its values."""
+    start = draw(st.integers(min_value=1, max_value=HORIZON))
+    width = draw(st.integers(min_value=1, max_value=HORIZON - start + 1))
+    return WindowPattern(start, width, draw(st.integers(min_value=0, max_value=2**width - 1)))
 
 
 @settings(max_examples=60, deadline=None)
@@ -90,7 +87,7 @@ def windows_within_horizon(draw):
 def test_window_prob_in_unit_interval_and_matches_oracle(model, w):
     p = reference_window_prob(model, w)
     assert 0.0 <= p <= 1.0
-    if w.last_index <= HORIZON:
+    if w.start + w.width - 1 <= HORIZON:
         space = build_outcome_space(model, HORIZON)
         assert p == pytest.approx(oracle_window_prob(space, w), abs=1e-10)
 

@@ -34,7 +34,7 @@ from cantelli import models, montecarlo
 from cantelli.cli import main, _simulate_checks
 from cantelli.montecarlo import CHUNK, _chunk_rng, _holds
 from cantelli.specfile import load_spec
-from cantelli.windows import Orientation, WindowPattern, all_complement, first_occurrence
+from cantelli.windows import WindowPattern, all_complement, first_occurrence
 
 from conftest import (
     SPECS,
@@ -270,7 +270,7 @@ def test_batched_estimates_equal_one_query_calls():
     queries = [
         first_occurrence(1, 0),
         first_occurrence(2, 2),
-        first_occurrence(3, 1, Orientation.SUFFIX_COMPLEMENT),
+        WindowPattern(3, 2, 1),  # A_3, then one complement
         all_complement(2, 3),
         (1, 9),
         (4, 0),
@@ -353,7 +353,7 @@ def per_chunk_successes(model, queries, count, seed):
     """The estimator's successes from one sampler call per chunk: the reference
     for its batches of chunks."""
     windows = [
-        (q.first_index, q.last_index) if isinstance(q, WindowPattern) else (q[0], q[0] + q[1])
+        (q.start, q.start + q.width - 1) if isinstance(q, WindowPattern) else (q[0], q[0] + q[1])
         for q in queries
     ]
     full, rest = divmod(count, CHUNK)
@@ -369,7 +369,7 @@ def per_chunk_successes(model, queries, count, seed):
 BATCH_QUERIES = [
     first_occurrence(1, 0),
     first_occurrence(2, 2),
-    first_occurrence(3, 1, Orientation.SUFFIX_COMPLEMENT),
+    WindowPattern(3, 2, 1),  # A_3, then one complement
     all_complement(2, 3),
     (1, 9),
     (4, 0),
