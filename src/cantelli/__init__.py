@@ -11,11 +11,9 @@ __version__ = "0.1.0"
 from .criteria import (
     Conclusion,
     CriterionResult,
-    SeriesReport,
     SweepResult,
     Verdict,
     VerdictLabel,
-    build_series_report,
     classify_series,
     series_terms,
     sweep_prefix_len,
@@ -79,12 +77,10 @@ __all__ = [
     "Verdict",
     "VerdictLabel",
     "Conclusion",
-    "SeriesReport",
     "CriterionResult",
     "SweepResult",
     "series_terms",
     "classify_series",
-    "build_series_report",
     "sweep_prefix_len",
     # limsup
     "TailUnionEstimate",

@@ -97,7 +97,6 @@ def _analyze_results(sweep: SweepResult) -> dict:
     decay_verdict, decay_note = sweep.decay
     criteria = []
     for res in sweep.results:
-        rep = res.series
         criteria.append(
             {
                 "m": res.prefix_len,
@@ -105,18 +104,18 @@ def _analyze_results(sweep: SweepResult) -> dict:
                 "conclusion": res.conclusion.value,
                 "certified": res.certified,
                 "verdict": {
-                    "label": rep.verdict.label.value,
-                    "justification": rep.verdict.justification,
+                    "label": res.verdict.label.value,
+                    "justification": res.verdict.justification,
                 },
-                "terms_evaluated": len(rep.terms),
-                "partial_sum": float(rep.partial_sum),
+                "terms_evaluated": len(res.terms),
+                "partial_sum": res.partial_sum,
                 "partial_sum_checkpoints": {
-                    str(p): float(rep.partial_sums[p - 1]) for p in _checkpoints(len(rep.terms))
+                    str(p): float(res.partial_sums[p - 1]) for p in _checkpoints(len(res.terms))
                 },
-                "tail_slope": rep.tail_fit.slope,
-                "tail_residual": rep.tail_fit.residual,
-                "zero_fraction": rep.tail_fit.zero_fraction,
-                "first_terms": [float(t) for t in rep.terms[:10]],
+                "tail_slope": res.tail_fit.slope,
+                "tail_residual": res.tail_fit.residual,
+                "zero_fraction": res.tail_fit.zero_fraction,
+                "first_terms": [float(t) for t in res.terms[:10]],
                 "note": res.note,
             }
         )
@@ -166,7 +165,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         out = Path(args.out)
         for res in sweep.results:
             path = out.with_name(f"{out.stem}.m{res.prefix_len}{out.suffix or '.csv'}")
-            _write_series_csv(path, res.series.terms, res.series.partial_sums)
+            _write_series_csv(path, res.terms, res.partial_sums)
         return EXIT_OK
     _emit(report, args, _analyze_table)
     return EXIT_OK

@@ -33,8 +33,6 @@ __all__ = [
     "TailFit",
     "fit_tail",
     "classify_series",
-    "SeriesReport",
-    "build_series_report",
     "Conclusion",
     "CriterionResult",
     "SweepResult",
@@ -235,14 +233,17 @@ class Conclusion(enum.Enum):
 
 
 @dataclass(frozen=True)
-class SeriesReport:
-    """Evaluated terms, compensated partial sums, tail fit and verdict."""
+class CriterionResult:
+    """One criterion at a complement-run length: its series, verdict and conclusion."""
 
     prefix_len: int
     terms: np.ndarray
     partial_sums: np.ndarray
     tail_fit: TailFit
     verdict: Verdict
+    conclusion: Conclusion
+    certified: bool
+    note: str
 
     def __post_init__(self) -> None:
         if np.any(self.terms < 0.0):
@@ -255,31 +256,6 @@ class SeriesReport:
         return float(self.partial_sums[-1])
 
 
-def build_series_report(
-    model: EventSequenceModel, prefix_len: int, terms: np.ndarray, empty: np.ndarray
-) -> SeriesReport:
-    """The report on ``terms`` and ``empty``, rows of the ``prefix_len``-window series."""
-    fit = fit_tail(terms)
-    return SeriesReport(
-        prefix_len=prefix_len,
-        terms=terms,
-        partial_sums=compensated_cumsum(terms),
-        tail_fit=fit,
-        verdict=classify_series(terms, empty, fit, model.series_class(prefix_len)),
-    )
-
-
-@dataclass(frozen=True)
-class CriterionResult:
-    """Outcome of one convergence criterion at a given complement-run length."""
-
-    prefix_len: int
-    conclusion: Conclusion
-    certified: bool
-    series: SeriesReport
-    note: str
-
-
 def _label(prefix_len: int) -> str:
     if prefix_len == 0:
         return "marginal series"
@@ -288,10 +264,12 @@ def _label(prefix_len: int) -> str:
 
 def _criterion(
     model: EventSequenceModel,
-    report: SeriesReport,
+    prefix_len: int,
+    terms: np.ndarray,
+    empty: np.ndarray,
     decay: tuple[DecayVerdict, str],
 ) -> CriterionResult:
-    """The criterion's conclusion from a series report and, for m >= 1, the decay check.
+    """The criterion on ``terms`` and ``empty``, rows of the ``prefix_len``-window series.
 
     Concludes IO_PROB_ZERO when the series verdict is convergent and (for
     m >= 1) the marginals provably or plausibly decay to zero; the conclusion
@@ -300,7 +278,9 @@ def _criterion(
     with divergent series get NO_CONCLUSION: the criteria are sufficient, not
     necessary.
     """
-    prefix_len = report.prefix_len
+    fit = fit_tail(terms)
+    partial_sums = compensated_cumsum(terms)
+    verdict = classify_series(terms, empty, fit, model.series_class(prefix_len))
     needs_decay = prefix_len >= 1
     decay_verdict, decay_note = decay if needs_decay else (None, "")
 
@@ -308,38 +288,33 @@ def _criterion(
         DecayVerdict.CERTIFIED_ZERO_LIMIT,
         DecayVerdict.LIKELY_ZERO_LIMIT,
     )
-    if report.verdict.convergent and (not needs_decay or decay_ok):
-        certified = report.verdict.certified and (
+    if verdict.convergent and (not needs_decay or decay_ok):
+        certified = verdict.certified and (
             not needs_decay or decay_verdict is DecayVerdict.CERTIFIED_ZERO_LIMIT
         )
         conclusion = Conclusion.IO_PROB_ZERO
         note = (
-            f"{_label(prefix_len)} converges ({report.verdict.justification})"
+            f"{_label(prefix_len)} converges ({verdict.justification})"
             + ("" if not needs_decay else f"; marginal decay: {decay_note}")
         )
-    elif (
-        prefix_len == 0
-        and isinstance(model, IndependentModel)
-        and report.verdict.divergent
-    ):
+    elif prefix_len == 0 and isinstance(model, IndependentModel) and verdict.divergent:
         conclusion = Conclusion.IO_PROB_ONE
-        certified = report.verdict.certified
-        note = (
-            "independent events with divergent marginal series"
-            f" ({report.verdict.justification})"
-        )
+        certified = verdict.certified
+        note = f"independent events with divergent marginal series ({verdict.justification})"
     else:
         conclusion = Conclusion.NO_CONCLUSION
         certified = False
-        if report.verdict.divergent and prefix_len == 0:
+        if verdict.divergent and prefix_len == 0:
             note = "marginal series diverges but events are dependent; criterion is one-sided"
-        elif report.verdict.divergent:
+        elif verdict.divergent:
             note = "window series diverges; criterion is one-sided, no conclusion"
-        elif not decay_ok and needs_decay and report.verdict.convergent:
+        elif not decay_ok and needs_decay and verdict.convergent:
             note = f"series converges but marginal decay unsettled: {decay_note}"
         else:
-            note = f"series verdict inconclusive ({report.verdict.justification})"
-    return CriterionResult(prefix_len, conclusion, certified, report, note)
+            note = f"series verdict inconclusive ({verdict.justification})"
+    return CriterionResult(
+        prefix_len, terms, partial_sums, fit, verdict, conclusion, certified, note
+    )
 
 
 @dataclass(frozen=True)
@@ -373,8 +348,7 @@ def sweep_prefix_len(
     terms, empty = series_terms(model, max_prefix_len, num_terms)
     decay = marginal_decay_check(model, terms[0], tol)
     results = [
-        _criterion(model, build_series_report(model, m, terms[m], empty[m]), decay)
-        for m in range(max_prefix_len + 1)
+        _criterion(model, m, terms[m], empty[m], decay) for m in range(max_prefix_len + 1)
     ]
     zero = [r for r in results if r.conclusion is Conclusion.IO_PROB_ZERO]
     return SweepResult(

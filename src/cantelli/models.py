@@ -920,30 +920,24 @@ class LatentUniformModel(EventSequenceModel):
         colors, a = inputs
         count = len(a)
         bounds = ((0.0, 1.0),) * self._num_latents if carry is None else carry
-        members = [colors == j for j in range(self._num_latents)]
-        excluded = []
-        own_excluded = np.zeros(count)
-        own_top = a
-        for (peak, top), mine in zip(bounds, members):
-            excluded.append(np.maximum.accumulate(np.concatenate(([peak], np.where(mine, a, 0.0)))))
-            own_excluded = np.where(mine, excluded[-1][:count], own_excluded)
-            if top < 1.0:
-                own_top = np.where(mine, np.minimum(a, top), own_top)
-        own = own_top - own_excluded
-        own = np.where(own > 0.0, own, 0.0)
         term = complement = None
-        for (_, top), mine, peaks in zip(bounds, members, excluded):
+        carry = []
+        for j, (peak, top) in enumerate(bounds):
+            mine = colors == j
+            excluded = np.maximum.accumulate(np.concatenate(([peak], np.where(mine, a, 0.0))))
             # free: P(U_j in (running max, top]) before each index ([:count])
             # and after it ([1:]); over all latents, the product of the latter
             # is P(no occurrence from the start through it)
-            free = top - peaks
+            free = top - excluded
             if top < 1.0:  # only a lowered top can fall below the running max
                 free = np.where(free > 0.0, free, 0.0)
-            length = np.where(mine, own, free[:count])
+            # own: P(U_j in (running max, min(a_k, top)]) at the latent's own indices k
+            own = (np.minimum(a, top) if top < 1.0 else a) - excluded[:count]
+            length = np.where(mine, np.where(own > 0.0, own, 0.0), free[:count])
             term = length if term is None else term * length
             complement = free[1:] if complement is None else complement * free[1:]
-        carry = tuple((float(e[-1]), top) for e, (_, top) in zip(excluded, bounds))
-        return term, complement, carry
+            carry.append((float(excluded[-1]), top))
+        return term, complement, tuple(carry)
 
     def _occurred(self, n: int) -> Any:
         (j,), (a,) = self._inputs(n, n)

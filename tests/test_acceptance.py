@@ -21,12 +21,10 @@ from cantelli import (
     PowerLaw,
     VerdictLabel,
     build_outcome_space,
-    build_series_report,
     estimate_window_prob,
     limsup_estimate,
     oracle_union_prob,
     oracle_window_prob,
-    series_terms,
     sweep_prefix_len,
     tail_union,
 )
@@ -145,17 +143,16 @@ def test_criterion_04_termwise_domination():
 def test_criterion_05_nested_showcase():
     with criterion(5, "nested model: divergent marginals, empty one-gap windows", budget=5.0):
         nested = make_nested()
-        terms, empty = series_terms(nested, 1, 10000)
-        marginal_report = build_series_report(nested, 0, terms[0], empty[0])
+        sweep = sweep_prefix_len(nested, 1, 10000)
+        marginal_report = sweep.results[0]
         reference = math.fsum(min(1.0, 1.0 / n) for n in range(1, 10001))
         assert marginal_report.partial_sum == pytest.approx(reference, abs=1e-10)
         assert marginal_report.partial_sum >= 9.0
 
-        gap_report = build_series_report(nested, 1, terms[1], empty[1])
+        gap_report = sweep.results[1]
         assert np.all(gap_report.terms == 0.0)
         assert gap_report.verdict.label is VerdictLabel.CERTIFIED_CONVERGENT
 
-        sweep = sweep_prefix_len(nested, 1, 10000)
         result = sweep.results[1]
         assert sweep.decay[0] is DecayVerdict.CERTIFIED_ZERO_LIMIT
         assert result.conclusion is Conclusion.IO_PROB_ZERO
@@ -165,8 +162,8 @@ def test_criterion_05_nested_showcase():
 def test_criterion_06_interleaved_showcase():
     with criterion(6, "interleaved model: only the two-gap criterion certifies", budget=5.0):
         inter = make_interleaved()
-        terms, empty = series_terms(inter, 2, 10000)
-        one_gap = build_series_report(inter, 1, terms[1], empty[1])
+        sweep = sweep_prefix_len(inter, 3, 10000)
+        one_gap = sweep.results[1]
         assert one_gap.tail_fit.slope == pytest.approx(-1.0, abs=0.1)
         sums = one_gap.partial_sums
         increments = [
@@ -174,11 +171,10 @@ def test_criterion_06_interleaved_showcase():
         ]
         assert all(inc >= 2.0 for inc in increments)  # keeps growing every decade
 
-        two_gap = build_series_report(inter, 2, terms[2], empty[2])
+        two_gap = sweep.results[2]
         assert np.all(two_gap.terms == 0.0)
         assert two_gap.verdict.label is VerdictLabel.CERTIFIED_CONVERGENT
 
-        sweep = sweep_prefix_len(inter, 3, 10000)
         assert sweep.least_io_zero == 2
         assert sweep.least_certified_io_zero == 2
 

@@ -71,6 +71,29 @@ def test_analyze_decay_matches_the_criteria_that_used_it(tmp_path):
         assert c["note"].endswith(f"; marginal decay: {results['decay']['note']}")
 
 
+ANALYZE_CRITERION_KEYS = {
+    "m", "orientation", "conclusion", "certified", "verdict", "terms_evaluated",
+    "partial_sum", "partial_sum_checkpoints", "tail_slope", "tail_residual",
+    "zero_fraction", "first_terms", "note",
+}
+
+
+@pytest.mark.parametrize("spec", sorted(p.name for p in SPECS.glob("*.json")))
+def test_analyze_report_keys(spec, tmp_path):
+    # a field dropped from the criterion record changes the report on purpose
+    out = tmp_path / "report.json"
+    assert run(["analyze", SPECS / spec, "--terms", "500", "--out", out]) == EXIT_OK
+    results = json.loads(out.read_text())["results"]
+    assert set(results) == {
+        "decay", "criteria", "least_m_io_zero", "least_m_io_zero_certified"
+    }
+    assert set(results["decay"]) == {"verdict", "note"}
+    assert results["criteria"]
+    for c in results["criteria"]:
+        assert set(c) == ANALYZE_CRITERION_KEYS
+        assert set(c["verdict"]) == {"label", "justification"}
+
+
 def test_analyze_malformed_spec_exit_2(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({

@@ -14,7 +14,6 @@ from cantelli import (
     PowerLaw,
     VerdictLabel,
     build_outcome_space,
-    build_series_report,
     classify_series,
     oracle_window_prob,
     series_terms,
@@ -59,7 +58,7 @@ def test_interleaved_two_gap_terms_all_zero_and_match_oracle():
 
 def test_powerlaw_partial_sum_against_reference():
     model = IndependentModel(PowerLaw(1.0, 2.0))
-    report = build_series_report(model, 0, *rows(model, 0, 1000))
+    report = criterion(model, 0, 1000)
     reference = math.fsum(n**-2.0 for n in range(1, 1001))
     assert report.partial_sum == pytest.approx(reference, abs=1e-12)
     assert report.partial_sum == pytest.approx(1.6439345666815597, abs=1e-12)
@@ -67,7 +66,7 @@ def test_powerlaw_partial_sum_against_reference():
 
 def test_partial_sums_track_fsum_on_long_series():
     model = IndependentModel(PowerLaw(1.0, 1.0))
-    report = build_series_report(model, 0, *rows(model, 0, 100000))
+    report = criterion(model, 0, 100000)
     reference = math.fsum(min(1.0, 1.0 / n) for n in range(1, 100001))
     assert abs(report.partial_sum - reference) < 1e-10
 
@@ -106,11 +105,11 @@ def test_a_closed_form_outranks_zeros_observed_up_to_n():
     # eventually zero series, where the closed form holds at every n
     family = ExplicitList((0.5,) + (0.0,) * 3000, tail=0.5)
     independent = criterion(IndependentModel(family), 0, 2000)
-    assert independent.series.verdict.label is VerdictLabel.CERTIFIED_DIVERGENT
+    assert independent.verdict.label is VerdictLabel.CERTIFIED_DIVERGENT
     assert independent.conclusion is Conclusion.IO_PROB_ONE and independent.certified
     # dependent events: a divergent series concludes nothing
     latent = criterion(LatentUniformModel(1, [0], GlobalThresholds(family)), 0, 2000)
-    assert latent.series.verdict.label is VerdictLabel.CERTIFIED_DIVERGENT
+    assert latent.verdict.label is VerdictLabel.CERTIFIED_DIVERGENT
     assert latent.conclusion is Conclusion.NO_CONCLUSION and not latent.certified
 
 
@@ -198,7 +197,7 @@ def test_classify_monotone_in_evidence():
 
 def test_report_invariants():
     coin = make_coin()
-    report = build_series_report(coin, 0, *rows(coin, 0, 200))
+    report = criterion(coin, 0, 200)
     assert np.all(np.diff(report.partial_sums) >= 0.0)
     assert np.all(report.terms >= 0.0)
 
@@ -207,7 +206,7 @@ def test_nested_criterion_showcase():
     nested = make_nested()
     res0 = criterion(nested, 0, 2000)
     assert res0.conclusion is Conclusion.NO_CONCLUSION  # dependent, divergent
-    assert res0.series.verdict.label is VerdictLabel.CERTIFIED_DIVERGENT
+    assert res0.verdict.label is VerdictLabel.CERTIFIED_DIVERGENT
     res1 = criterion(nested, 1, 2000)
     assert res1.conclusion is Conclusion.IO_PROB_ZERO
     assert res1.certified
@@ -278,11 +277,11 @@ def test_sweep_rows_equal_single_criteria(spec):
             alone.prefix_len, alone.conclusion, alone.certified, alone.note
         )
         assert sweep.decay == sweep_prefix_len(model, m, 2000).decay
-        assert got.series.prefix_len == m
-        assert got.series.verdict == alone.series.verdict
-        assert got.series.tail_fit == alone.series.tail_fit
-        assert got.series.terms.tobytes() == alone.series.terms.tobytes()
-        assert got.series.partial_sums.tobytes() == alone.series.partial_sums.tobytes()
+        assert got.prefix_len == m
+        assert got.verdict == alone.verdict
+        assert got.tail_fit == alone.tail_fit
+        assert got.terms.tobytes() == alone.terms.tobytes()
+        assert got.partial_sums.tobytes() == alone.partial_sums.tobytes()
 
 
 def test_sweep_fits_each_series_once(monkeypatch):
@@ -394,7 +393,7 @@ def test_verdicts_agree_with_the_polyfit_reference(monkeypatch, spec, size):
 
     def outcome():
         sweep = sweep_prefix_len(loaded.model, m_max, num_terms, d.tol)
-        rows = [(r.series.verdict.label, r.conclusion, r.certified) for r in sweep.results]
+        rows = [(r.verdict.label, r.conclusion, r.certified) for r in sweep.results]
         return rows, sweep.least_io_zero, sweep.least_certified_io_zero
 
     got = outcome()
