@@ -22,6 +22,7 @@ import numpy as np
 
 from . import __version__
 from .criteria import SweepResult, sweep_prefix_len
+from .families import ModelValueError
 from .limsup import limsup_estimate
 from .models import EventSequenceModel, NumericFaultError
 from .montecarlo import estimate_frequencies
@@ -42,7 +43,6 @@ EXIT_MISMATCH = 5
 
 ORACLE_DIFF_TOL = 1e-10
 SIGMA_FLAG = 4.0
-INDEX_MAX = (1 << 63) - 1  # indices are held in int64 arrays
 
 _FALLBACKS = {
     "terms": 10000,
@@ -65,13 +65,6 @@ def _flags(args: argparse.Namespace, spec: ModelSpec, *names: str) -> dict:
             value = getattr(spec.defaults, name)
         flags[name] = _FALLBACKS[name] if value is None else value
     return flags
-
-
-def _json_default(x):
-    # numpy floats are floats, which json writes as their repr already
-    if isinstance(x, (np.generic, np.ndarray)):
-        return x.tolist()
-    raise TypeError(f"{type(x).__name__} is not JSON serializable")
 
 
 def _report_shell(command: str, spec: ModelSpec, flags: dict) -> dict:
@@ -218,14 +211,6 @@ def cmd_limsup(args: argparse.Namespace) -> int:
     spec = load_spec(args.spec)
     model = build_model(spec)
     flags = _flags(args, spec, "schedule", "tol", "k_max")
-    k_max = flags["k_max"]
-    # a start's scan reads indices up to n + k_max
-    too_far = [n for n in flags["schedule"] if n > INDEX_MAX - k_max]
-    if too_far:
-        raise SpecError(
-            "--schedule" if args.schedule is not None else f"{args.spec}.defaults.schedule",
-            f"start {too_far[0]} plus k_max {k_max} passes the largest index {INDEX_MAX}",
-        )
     report = _report_shell("limsup", spec, flags)
     report["results"] = limsup_results(model, **flags)
     _emit(report, args, _limsup_table)
@@ -241,7 +226,7 @@ def _simulate_checks(
 ) -> list[tuple[str, WindowPattern | tuple[int, int]]]:
     """(label, query) per check; a query is a window or an (n, span) tail union."""
     if horizon < 1:
-        raise ValueError("horizon must be >= 1")
+        raise ModelValueError("horizon", "horizon must be >= 1")
     checks: list[tuple[str, WindowPattern | tuple[int, int]]] = []
     for n in (1, 2, 3, 5, 8):
         if n <= horizon:
@@ -355,11 +340,6 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     spec = load_spec(args.spec)
     model = build_model(spec)
     flags = _flags(args, spec, "count", "seed", "horizon")
-    if flags["seed"] < 0:
-        raise SpecError(
-            "--seed" if args.seed is not None else f"{args.spec}.defaults.seed",
-            f"expected a non-negative integer, got {flags['seed']}",
-        )
     report = _report_shell("simulate", spec, flags)
     report["results"], flagged = simulate_results(model, **flags)
     _emit(report, args, _simulate_table)
@@ -463,7 +443,7 @@ def _emit(report: dict, args: argparse.Namespace, table_renderer) -> None:
     if args.format == "table":
         text = table_renderer(report)
     else:
-        text = json.dumps(report, indent=2, sort_keys=True, default=_json_default)
+        text = json.dumps(report, indent=2, sort_keys=True)
     if args.out:
         _write_out(Path(args.out), text + "\n")
         return
@@ -488,8 +468,6 @@ def _parse_schedule(text: str) -> list[int]:
         values = [int(x) for x in text.split(",") if x.strip()]
     except ValueError:
         raise argparse.ArgumentTypeError(f"bad schedule {text!r}; expected n1,n2,...")
-    if not values:
-        raise argparse.ArgumentTypeError("schedule is empty")
     return values
 
 
@@ -506,16 +484,13 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"cantelli {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser) -> None:
+    def common(p: argparse.ArgumentParser, formats: tuple[str, ...] = ("json", "table")) -> None:
         p.add_argument("spec", help="path to a JSON model spec")
         p.add_argument("--out", help="write the report here instead of stdout")
-        p.add_argument(
-            "--format", choices=("json", "csv", "table"), default="json",
-            help="report format (csv only for analyze series)",
-        )
+        p.add_argument("--format", choices=formats, default="json", help="report format")
 
     p = sub.add_parser("analyze", help="window-series criteria sweep")
-    common(p)
+    common(p, ("json", "csv", "table"))
     p.add_argument("--terms", type=int, help="number of series terms")
     p.add_argument("--m-max", type=int, dest="m_max", help="largest complement-run length")
     p.add_argument("--tol", type=float, help="decay/series tolerance")
@@ -541,8 +516,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.format == "csv" and args.command != "analyze":
-        parser.error("csv format is only available for analyze")
     started = time.perf_counter()
     try:
         # looked up per call, not bound into the cached parser, so that a
@@ -552,8 +525,14 @@ def main(argv: list[str] | None = None) -> int:
         print(f"numeric fault: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except ValueError as exc:
-        # spec errors (SpecError, HorizonExceededError) and bad data or flags found mid-analysis
-        print(f"spec error: {exc}", file=sys.stderr)
+        # spec errors and bad data found mid-analysis; a rule on one of the
+        # command's values names the flag or spec default that gave the value
+        message = str(exc)
+        if isinstance(exc, ModelValueError) and exc.field in vars(args):
+            key, given = exc.field, getattr(args, exc.field) is not None
+            source = f"--{key.replace('_', '-')}" if given else f"{args.spec}.defaults.{key}"
+            message = f"{source}: {exc.message}"
+        print(f"spec error: {message}", file=sys.stderr)
         return EXIT_SPEC
     except MemoryError:
         # a size flag (--terms, --count, --schedule, ...) past what memory holds

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .families import SeriesClass
+from .families import ModelValueError, SeriesClass
 from .models import DecayVerdict, EventSequenceModel, IndependentModel, marginal_decay_check
 from .summation import compensated_cumsum
 
@@ -80,8 +80,11 @@ class Verdict:
         )
 
 
-class InsufficientDataError(ValueError):
+class InsufficientDataError(ModelValueError):
     """Too few terms to classify and no closed-form class to fall back on."""
+
+    def __init__(self, message: str):
+        super().__init__("terms", message)
 
 
 def series_terms(
@@ -92,9 +95,9 @@ def series_terms(
     Row m of each covers n = 1..num_terms for m = 0..max_prefix_len.
     """
     if max_prefix_len < 0:
-        raise ValueError(f"complement run length must be >= 0, got {max_prefix_len}")
+        raise ModelValueError("m_max", f"complement run length must be >= 0, got {max_prefix_len}")
     if num_terms < 1:
-        raise ValueError("num_terms must be >= 1")
+        raise ModelValueError("terms", "num_terms must be >= 1")
     return model.window_series(max_prefix_len, num_terms)
 
 
@@ -341,10 +344,12 @@ def sweep_prefix_len(
     marginal row once; every criterion uses that result.
     """
     if not 0 <= max_prefix_len <= MAX_PREFIX_LEN:
-        raise ValueError(f"max_prefix_len {max_prefix_len} outside 0..{MAX_PREFIX_LEN}")
+        raise ModelValueError(
+            "m_max", f"max_prefix_len {max_prefix_len} outside 0..{MAX_PREFIX_LEN}"
+        )
     # the decay check reads the table, so reject its tolerance before the table is built
     if not 0.0 < tol < 1.0:
-        raise ValueError(f"decay tolerance must be in (0, 1), got {tol!r}")
+        raise ModelValueError("tol", f"decay tolerance must be in (0, 1), got {tol!r}")
     terms, empty = series_terms(model, max_prefix_len, num_terms)
     decay = marginal_decay_check(model, terms[0], tol)
     results = [

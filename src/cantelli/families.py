@@ -32,11 +32,12 @@ class SequenceIndexError(ValueError):
 
 
 class ModelValueError(ValueError):
-    """A constructor argument of a family or model breaks the object's rules.
+    """A constructor argument or an analysis value breaks its rules.
 
-    ``field`` names the offending entry relative to the object, with the key a
-    spec file gives it (``scale``, ``values[3]``, ``transition[1]``), so a spec
-    loader can prefix the path of the object.
+    ``field`` is the entry's key in a spec file: inside the object for a
+    constructor (``scale``, ``values[3]``), for a spec loader to prefix with the
+    object's path, or the ``defaults`` key of an analysis value (``terms``), for
+    the CLI to prefix with the flag or spec default that gave the value.
     """
 
     def __init__(self, field: str, message: str):

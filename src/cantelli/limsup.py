@@ -23,6 +23,7 @@ from typing import Any, Sequence
 
 import numpy as np
 
+from .families import ModelValueError
 from .models import EventSequenceModel
 from .summation import CompensatedSum, compensated_sum
 
@@ -40,6 +41,7 @@ INITIAL_TRUNCATION = 16
 _SCAN_CHUNK = 1 << 13
 # the unit roundoff of a float
 _ROUNDOFF = 2.0**-53
+INDEX_MAX = (1 << 63) - 1  # indices are held in int64 arrays
 
 
 @dataclass(frozen=True)
@@ -125,11 +127,15 @@ def _tail_unions(
     dependent models.
     """
     if min(starts) < 1:
-        raise ValueError("start index must be >= 1")
+        raise ModelValueError("schedule", "start index must be >= 1")
     if not 0.0 < tol < math.inf:
-        raise ValueError("tolerance must be positive and finite")
+        raise ModelValueError("tol", "tolerance must be positive and finite")
     if k_max < 1:
-        raise ValueError("k_max must be >= 1")
+        raise ModelValueError("k_max", "k_max must be >= 1")
+    too_far = [n for n in starts if n > INDEX_MAX - k_max]  # a scan reads up to n + k_max
+    if too_far:
+        message = f"start {too_far[0]} plus k_max {k_max} passes the largest index {INDEX_MAX}"
+        raise ModelValueError("schedule", message)
     estimates: list[Any] = [None] * len(starts)
     running = [CompensatedSum() for _ in starts]
     remainders = [1.0] * len(starts)
@@ -221,9 +227,9 @@ def limsup_estimate(
     """
     schedule = [int(n) for n in schedule]
     if len(schedule) < 3:
-        raise ValueError("schedule needs at least three start indices")
+        raise ModelValueError("schedule", "schedule needs at least three start indices")
     if any(b <= a for a, b in zip(schedule, schedule[1:])):
-        raise ValueError("schedule must be strictly increasing")
+        raise ModelValueError("schedule", "schedule must be strictly increasing")
     samples = _tail_unions(model, schedule, tol, k_max)
     stalled = any(not s.tolerance_reached for s in samples)
     # u_n is non-increasing: a later interval must not sit strictly above an

@@ -1059,7 +1059,7 @@ def marginal_decay_check(
     """
     # a marginal is a probability: every one sits below a tolerance of 1 or more
     if not 0.0 < tol < 1.0:
-        raise ValueError(f"decay tolerance must be in (0, 1), got {tol!r}")
+        raise ModelValueError("tol", f"decay tolerance must be in (0, 1), got {tol!r}")
     limit = model.marginal_limit()
     if limit is not None:
         if limit == 0.0:

@@ -27,6 +27,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
+from .families import ModelValueError
 from .models import EventSequenceModel, block_rows
 from .windows import WindowPattern
 
@@ -152,7 +153,9 @@ def estimate_frequencies(
                 raise ValueError("span must be >= 0")
             windows.append((n, n + span))
     if count < 100:
-        raise ValueError("need at least 100 samples for an interval estimate")
+        raise ModelValueError("count", "need at least 100 samples for an interval estimate")
+    if seed < 0:
+        raise ModelValueError("seed", f"expected a non-negative integer, got {seed}")
     successes = [0] * len(queries)
     for chunks, size in _batches(count, block_rows(windows)):
         rngs = [_chunk_rng(seed, j) for j in chunks]

@@ -24,6 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .families import ModelValueError
 from .models import (
     EventSequenceModel,
     IndependentModel,
@@ -43,8 +44,11 @@ def _code_type(horizon: int) -> np.dtype:
     return np.min_scalar_type(2**horizon - 1)
 
 
-class HorizonExceededError(ValueError):
+class HorizonExceededError(ModelValueError):
     """A query or construction went past the oracle's hard horizon caps."""
+
+    def __init__(self, message: str):
+        super().__init__("horizon", message)
 
 
 @dataclass
@@ -98,7 +102,7 @@ def oracle_union_prob(space: TruncatedOutcomeSpace, n: int, span: int) -> float:
 
 def build_outcome_space(model: EventSequenceModel, horizon: int) -> TruncatedOutcomeSpace:
     if horizon < 1:
-        raise ValueError("horizon must be >= 1")
+        raise ModelValueError("horizon", "horizon must be >= 1")
     if isinstance(model, IndependentModel):
         return _independent_space(model, horizon)
     if isinstance(model, MarkovModel):

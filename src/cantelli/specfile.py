@@ -247,7 +247,7 @@ def parse_spec(data: Any) -> ModelSpec:
     if "family" not in model_cfg:
         raise SpecError("spec.model.family", "required field missing")
     family = model_cfg["family"]
-    if family not in _BUILDERS:
+    if not isinstance(family, str) or family not in _BUILDERS:
         raise SpecError(
             "spec.model.family",
             f"unknown model family {family!r}; expected one of {sorted(_BUILDERS)}",

@@ -1,12 +1,15 @@
 import dataclasses
 import json
+import math
 import os
+import random
 import re
 import subprocess
 import sys
 
 import numpy as np
 import pytest
+from scipy.stats import binom
 
 import cantelli.cli as cli
 from cantelli import LimsupEstimate, NumericFaultError, TailUnionEstimate
@@ -215,7 +218,7 @@ def test_limsup_report_is_its_records(spec):
 def test_limsup_start_past_int64_is_spec_error(name, capsys):
     schedule = "1000,9223372036854775000,9223372036854775800"
     assert run(["limsup", SPECS / f"{name}.json", "--schedule", schedule]) == EXIT_SPEC
-    assert "spec error: --schedule" in capsys.readouterr().err
+    assert capsys.readouterr().err.startswith("spec error: --schedule: ")
     # the largest start whose scan ends at 2**63 - 1 still runs
     last = (1 << 63) - 1 - 4096
     schedule = f"1000,2000,{last}"
@@ -253,7 +256,7 @@ def test_limsup_default_start_past_int64_is_spec_error(tmp_path, capsys):
     path = tmp_path / "far.json"
     path.write_text(json.dumps(spec))
     assert run(["limsup", path]) == EXIT_SPEC
-    assert "defaults.schedule" in capsys.readouterr().err
+    assert capsys.readouterr().err.startswith(f"spec error: {path}.defaults.schedule: ")
 
 
 def test_simulate_clean_pass(tmp_path):
@@ -367,6 +370,31 @@ def test_simulate_flags_by_the_binomial_tail(tmp_path):
     assert union["successes"] == 4999 and union["z"] < -4.0 and not union["flagged"]
 
 
+def _exactly_improbable(successes, count, p):
+    # the binomial tail on the observed side of the mean, from scipy
+    tail = (
+        binom.cdf(successes, count, p) if successes <= count * p
+        else binom.sf(successes - 1, count, p)
+    )
+    return bool(tail < 0.5 * math.erfc(cli.SIGMA_FLAG / math.sqrt(2.0)))
+
+
+def test_improbable_is_the_exact_binomial_tail():
+    # the first two sum 14 and 8 terms before the tail is decided; the rest
+    # put the successes 3.5 to 5 standard deviations from the mean, either side
+    cases = [(707, 400000, 0.0020463477809189545), (1102, 5000, 0.24391087688713198)]
+    rng = random.Random(2026)
+    while len(cases) < 402:
+        count = int(10 ** rng.uniform(2.0, 6.0))
+        p = 10 ** rng.uniform(-4.0, math.log10(0.9999))
+        z = rng.uniform(3.5, 5.0) * rng.choice((-1, 1))
+        successes = round(count * p + z * math.sqrt(count * p * (1.0 - p)))
+        if 0 <= successes <= count:
+            cases.append((successes, count, p))
+    wrong = [c for c in cases if cli._improbable(*c) != _exactly_improbable(*c)]
+    assert not wrong
+
+
 def test_verify_ok_and_mismatch_exit_5(tmp_path, monkeypatch):
     assert run(["verify", SPECS / "markov-3state.json", "--horizon", "7",
                 "--out", tmp_path / "v.json"]) == EXIT_OK
@@ -384,7 +412,7 @@ def test_verify_ok_and_mismatch_exit_5(tmp_path, monkeypatch):
 
 def test_verify_horizon_past_cap_is_spec_error(capsys):
     assert run(["verify", SPECS / "coin-half.json", "--horizon", "20"]) == EXIT_SPEC
-    assert "spec error" in capsys.readouterr().err
+    assert capsys.readouterr().err.startswith("spec error: --horizon: ")
 
 
 def test_verify_one_state_chain_past_code_cap_is_spec_error(tmp_path, capsys):
@@ -431,12 +459,13 @@ def test_simulate_horizon_below_one_is_spec_error(horizon, capsys):
     assert "horizon must be >= 1" in capsys.readouterr().err
 
 
-def test_simulate_spec_default_horizon_zero_is_spec_error(tmp_path):
+def test_simulate_spec_default_horizon_zero_is_spec_error(tmp_path, capsys):
     spec = json.loads((SPECS / "coin-half.json").read_text())
     spec.setdefault("defaults", {})["horizon"] = 0
     path = tmp_path / "h0.json"
     path.write_text(json.dumps(spec))
     assert run(["simulate", path]) == EXIT_SPEC
+    assert capsys.readouterr().err.startswith(f"spec error: {path}.defaults.horizon: ")
 
 
 def test_simulate_negative_seed_names_the_flag(capsys):
@@ -503,6 +532,30 @@ def test_table_format_renders(capsys):
     assert "alpha" in capsys.readouterr().out
 
 
+def test_limsup_table_notes_a_stall(capsys):
+    assert run(["limsup", SPECS / "nested.json", "--format", "table"]) == EXIT_OK
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[2].split() == ["start", "K", "partial", "upper", "reached"]
+    assert [int(row.split()[0]) for row in lines[3 : lines.index("", 3)]] == [8, 16, 32]
+    assert lines[-1] == "note: remainder stalled above tolerance for at least one start"
+
+
+def test_simulate_table_lists_every_check(capsys):
+    assert run(["simulate", SPECS / "coin-half.json", "--format", "table"]) == EXIT_OK
+    lines = capsys.readouterr().out.splitlines()
+    rows = [line for line in lines if line.endswith(("  ok", "  FLAG"))]
+    assert len(rows) == 13 and rows[0].startswith("marginal n=1 ")
+    assert lines[-1] == "disagreements beyond 4 sigma: 0"
+
+
+def test_verify_table_lists_the_worst_rows(capsys):
+    assert run(["verify", SPECS / "flipflop.json", "--format", "table"]) == EXIT_OK
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[1].startswith("checks: 300, ")
+    assert lines[3].split() == ["kind", "n", "m", "engine", "oracle", "diff"]
+    assert len(lines[4:]) == 10 and all(line.startswith("window ") for line in lines[4:])
+
+
 def test_table_prints_no_negative_zero_slope(capsys):
     # markov-3state's m = 2 tail is constant and fits a slope of -7e-31
     assert run(["analyze", SPECS / "markov-3state.json", "--format", "table"]) == EXIT_OK
@@ -551,10 +604,55 @@ def test_nan_markov_spec_exit_2(tmp_path, command, capsys):
         ["analyze", "--tol", "inf"],
         ["analyze", "--tol", "1"],
         ["analyze", "--tol", "1e300"],
+        ["analyze", "--terms", "0"],
+        ["analyze", "--terms", "-5"],
+        ["analyze", "--terms", "50"],
+        ["analyze", "--m-max", "9"],
+        ["analyze", "--tol", "0"],
+        ["analyze", "--tol", "2"],
+        ["limsup", "--tol", "0"],
+        ["limsup", "--k-max", "0"],
+        ["limsup", "--schedule", "1,2"],
+        ["limsup", "--schedule", "3,2,1"],
+        ["limsup", "--schedule", "0,2,3"],
+        ["simulate", "--count", "50"],
+        ["simulate", "--horizon", "0"],
+        ["simulate", "--seed", "-1"],
+        ["verify", "--horizon", "0"],
+        ["verify", "--horizon", "15"],
     ],
 )
-def test_bad_flag_values_exit_2(args):
+def test_bad_flag_values_exit_2(args, capsys):
     assert run([args[0], SPECS / "markov-3state.json", *args[1:]]) == EXIT_SPEC
+    # the message names the flag that gave the value
+    assert capsys.readouterr().err.startswith(f"spec error: {args[1]}: ")
+
+
+@pytest.mark.parametrize(
+    "command, spec, key, value",
+    [
+        ("analyze", "coin-half", "terms", 0),
+        ("analyze", "coin-half", "m_max", 9),
+        ("limsup", "coin-half", "schedule", [1, 2]),
+        ("limsup", "coin-half", "k_max", 0),
+        ("simulate", "coin-half", "count", 50),
+        ("verify", "coin-half", "horizon", 15),
+    ],
+)
+def test_bad_spec_default_names_the_spec_field(command, spec, key, value, tmp_path, capsys):
+    data = json.loads((SPECS / f"{spec}.json").read_text())
+    data.setdefault("defaults", {})[key] = value
+    path = tmp_path / "bad-default.json"
+    path.write_text(json.dumps(data))
+    assert run([command, path]) == EXIT_SPEC
+    assert capsys.readouterr().err.startswith(f"spec error: {path}.defaults.{key}: ")
+
+
+def test_non_string_model_family_exit_2(tmp_path, capsys):
+    path = tmp_path / "family.json"
+    path.write_text(json.dumps({"model": {"family": []}}))
+    assert run(["analyze", path]) == EXIT_SPEC
+    assert capsys.readouterr().err.startswith("spec error: spec.model.family: ")
 
 
 def test_spec_decay_tolerance_of_one_or_more_exit_2(tmp_path, capsys):
@@ -565,7 +663,9 @@ def test_spec_decay_tolerance_of_one_or_more_exit_2(tmp_path, capsys):
     path = tmp_path / "tol2.json"
     path.write_text(json.dumps(spec))
     assert run(["analyze", path]) == EXIT_SPEC
-    assert "decay tolerance must be in (0, 1)" in capsys.readouterr().err
+    assert capsys.readouterr().err.startswith(
+        f"spec error: {path}.defaults.tol: decay tolerance must be in (0, 1)"
+    )
     assert run(["limsup", path]) == EXIT_OK
 
 

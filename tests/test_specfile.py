@@ -115,6 +115,13 @@ def test_unknown_model_family():
         parse_spec({"model": {"family": "quantum"}})
 
 
+@pytest.mark.parametrize("family", [[], {}, 3, None])
+def test_non_string_model_family_is_named(family):
+    with pytest.raises(SpecError) as exc:
+        parse_spec({"model": {"family": family}})
+    assert exc.value.field == "spec.model.family"
+
+
 def test_threshold_offset_only_for_latents():
     with pytest.raises(SpecError, match="offset"):
         parse_spec({"model": {"family": "independent",
