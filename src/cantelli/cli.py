@@ -23,7 +23,7 @@ import numpy as np
 from . import __version__
 from .criteria import SweepResult, sweep_prefix_len
 from .families import ModelValueError
-from .limsup import limsup_estimate
+from .limsup import INDEX_MAX, limsup_estimate
 from .models import EventSequenceModel, NumericFaultError
 from .montecarlo import estimate_frequencies
 from .oracle import (
@@ -31,7 +31,7 @@ from .oracle import (
     oracle_union_prob,
     oracle_window_prob,
 )
-from .specfile import ModelSpec, SpecError, build_model, load_spec
+from .specfile import SpecError, build_model, load_spec
 from .summation import compensated_cumsum, compensated_sum
 from .windows import WindowPattern, all_complement, first_occurrence
 
@@ -56,25 +56,40 @@ _FALLBACKS = {
 }
 
 
-def _flags(args: argparse.Namespace, spec: ModelSpec, *names: str) -> dict:
-    """Each named value: the flag's, else the spec default's, else the fallback."""
-    flags = {}
-    for name in names:
-        value = getattr(args, name)
+def _run(args: argparse.Namespace, build_results, table_renderer) -> int:
+    """Run a command: ``build_results(model, **values)`` gives its results and exit code.
+
+    The values are the parser's dests that have a fallback, each resolved once
+    from its flag, else the spec default, else the fallback.  A
+    ``ModelValueError`` on a value is re-raised as a ``SpecError`` naming its source.
+    """
+    spec = load_spec(args.spec)
+    model = build_model(spec)
+    values, sources = {}, {}
+    for key in [key for key in _FALLBACKS if key in vars(args)]:
+        flag = f"--{key.replace('_', '-')}"
+        value, source = getattr(args, key), flag
         if value is None:
-            value = getattr(spec.defaults, name)
-        flags[name] = _FALLBACKS[name] if value is None else value
-    return flags
-
-
-def _report_shell(command: str, spec: ModelSpec, flags: dict) -> dict:
-    return {
+            value, source = getattr(spec.defaults, key), f"{args.spec}.defaults.{key}"
+        if value is None:
+            value, source = _FALLBACKS[key], f"{flag} (default {_FALLBACKS[key]})"
+        values[key], sources[key] = value, source
+    try:
+        results, code = build_results(model, **values)
+    except ModelValueError as exc:
+        if exc.field not in sources:
+            raise
+        raise SpecError(sources[exc.field], exc.message) from None
+    report = {
         "tool": {"name": "cantelli", "version": __version__},
-        "command": command,
+        "command": args.command,
         "spec": spec.echo(),
-        "flags": flags,
-        "results": {},
+        "flags": values,
+        "results": results,
     }
+    if args.format != "csv":  # analyze's results wrote the series files
+        _emit(report, args, table_renderer)
+    return code
 
 
 def _checkpoints(n: int) -> list[int]:
@@ -146,22 +161,18 @@ def _analyze_table(report: dict) -> str:
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
-    spec = load_spec(args.spec)
-    model = build_model(spec)
-    flags = _flags(args, spec, "terms", "m_max", "tol")
-    report = _report_shell("analyze", spec, flags)
-    sweep = sweep_prefix_len(model, flags["m_max"], flags["terms"], flags["tol"])
-    report["results"] = _analyze_results(sweep)
-    if args.format == "csv":
-        if args.out is None:
-            raise SpecError("--out", "csv format requires an output path")
-        out = Path(args.out)
-        for res in sweep.results:
-            path = out.with_name(f"{out.stem}.m{res.prefix_len}{out.suffix or '.csv'}")
-            _write_series_csv(path, res.terms, res.partial_sums)
-        return EXIT_OK
-    _emit(report, args, _analyze_table)
-    return EXIT_OK
+    def results(model: EventSequenceModel, terms: int, m_max: int, tol: float):
+        sweep = sweep_prefix_len(model, m_max, terms, tol)
+        if args.format == "csv":
+            if args.out is None:
+                raise SpecError("--out", "csv format requires an output path")
+            out = Path(args.out)
+            for res in sweep.results:
+                path = out.with_name(f"{out.stem}.m{res.prefix_len}{out.suffix or '.csv'}")
+                _write_series_csv(path, res.terms, res.partial_sums)
+        return _analyze_results(sweep), EXIT_OK
+
+    return _run(args, results, _analyze_table)
 
 
 def _write_series_csv(path: Path, terms: np.ndarray, partial_sums: np.ndarray) -> None:
@@ -177,12 +188,14 @@ def _write_series_csv(path: Path, terms: np.ndarray, partial_sums: np.ndarray) -
 # limsup
 
 
-def limsup_results(model: EventSequenceModel, schedule, tol: float, k_max: int) -> dict:
+def limsup_results(
+    model: EventSequenceModel, schedule, tol: float, k_max: int
+) -> tuple[dict, int]:
     est = limsup_estimate(model, schedule, tol, k_max)
     return {
         **vars(est),
         "samples": [{**vars(s), "interval": list(s.interval)} for s in est.samples],
-    }
+    }, EXIT_OK
 
 
 def _limsup_table(report: dict) -> str:
@@ -208,13 +221,7 @@ def _limsup_table(report: dict) -> str:
 
 
 def cmd_limsup(args: argparse.Namespace) -> int:
-    spec = load_spec(args.spec)
-    model = build_model(spec)
-    flags = _flags(args, spec, "schedule", "tol", "k_max")
-    report = _report_shell("limsup", spec, flags)
-    report["results"] = limsup_results(model, **flags)
-    _emit(report, args, _limsup_table)
-    return EXIT_OK
+    return _run(args, limsup_results, _limsup_table)
 
 
 # ---------------------------------------------------------------------------
@@ -227,6 +234,8 @@ def _simulate_checks(
     """(label, query) per check; a query is a window or an (n, span) tail union."""
     if horizon < 1:
         raise ModelValueError("horizon", "horizon must be >= 1")
+    if horizon > INDEX_MAX:
+        raise ModelValueError("horizon", f"horizon {horizon} passes the largest index {INDEX_MAX}")
     checks: list[tuple[str, WindowPattern | tuple[int, int]]] = []
     for n in (1, 2, 3, 5, 8):
         if n <= horizon:
@@ -315,7 +324,8 @@ def simulate_results(
                 "flagged": bool(bad),
             }
         )
-    return {"checks": rows, "flagged": flagged, "count": count, "seed": seed}, flagged
+    results = {"checks": rows, "flagged": flagged, "count": count, "seed": seed}
+    return results, EXIT_DISAGREEMENT if flagged else EXIT_OK
 
 
 def _simulate_table(report: dict) -> str:
@@ -337,20 +347,14 @@ def _simulate_table(report: dict) -> str:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    spec = load_spec(args.spec)
-    model = build_model(spec)
-    flags = _flags(args, spec, "count", "seed", "horizon")
-    report = _report_shell("simulate", spec, flags)
-    report["results"], flagged = simulate_results(model, **flags)
-    _emit(report, args, _simulate_table)
-    return EXIT_DISAGREEMENT if flagged else EXIT_OK
+    return _run(args, simulate_results, _simulate_table)
 
 
 # ---------------------------------------------------------------------------
 # verify
 
 
-def verify_results(model: EventSequenceModel, horizon: int) -> tuple[dict, float]:
+def verify_results(model: EventSequenceModel, horizon: int) -> tuple[dict, int]:
     space = build_outcome_space(model, horizon)
     # Every engine answer comes from the scans limsup runs, and the scans
     # from n read no index past the horizon, so a model defined only that far
@@ -405,7 +409,7 @@ def verify_results(model: EventSequenceModel, horizon: int) -> tuple[dict, float
         "max_diff": max_diff,
         "mismatches": int(bad.sum()),
         "worst": worst,
-    }, max_diff
+    }, EXIT_MISMATCH if max_diff > ORACLE_DIFF_TOL else EXIT_OK
 
 
 def _verify_table(report: dict) -> str:
@@ -426,13 +430,7 @@ def _verify_table(report: dict) -> str:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    spec = load_spec(args.spec)
-    model = build_model(spec)
-    flags = _flags(args, spec, "horizon")
-    report = _report_shell("verify", spec, flags)
-    report["results"], max_diff = verify_results(model, **flags)
-    _emit(report, args, _verify_table)
-    return EXIT_MISMATCH if max_diff > ORACLE_DIFF_TOL else EXIT_OK
+    return _run(args, verify_results, _verify_table)
 
 
 # ---------------------------------------------------------------------------
@@ -525,14 +523,9 @@ def main(argv: list[str] | None = None) -> int:
         print(f"numeric fault: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except ValueError as exc:
-        # spec errors and bad data found mid-analysis; a rule on one of the
-        # command's values names the flag or spec default that gave the value
-        message = str(exc)
-        if isinstance(exc, ModelValueError) and exc.field in vars(args):
-            key, given = exc.field, getattr(args, exc.field) is not None
-            source = f"--{key.replace('_', '-')}" if given else f"{args.spec}.defaults.{key}"
-            message = f"{source}: {exc.message}"
-        print(f"spec error: {message}", file=sys.stderr)
+        # spec errors, a bad value named by its source, and bad data found
+        # mid-analysis
+        print(f"spec error: {exc}", file=sys.stderr)
         return EXIT_SPEC
     except MemoryError:
         # a size flag (--terms, --count, --schedule, ...) past what memory holds

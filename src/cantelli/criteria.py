@@ -22,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .families import ModelValueError, SeriesClass
+from .limsup import INDEX_MAX
 from .models import DecayVerdict, EventSequenceModel, IndependentModel, marginal_decay_check
 from .summation import compensated_cumsum
 
@@ -98,6 +99,12 @@ def series_terms(
         raise ModelValueError("m_max", f"complement run length must be >= 0, got {max_prefix_len}")
     if num_terms < 1:
         raise ModelValueError("terms", "num_terms must be >= 1")
+    if num_terms + max_prefix_len > INDEX_MAX:  # a window reads up to n + max_prefix_len
+        message = (
+            f"num_terms {num_terms} plus max_prefix_len {max_prefix_len}"
+            f" passes the largest index {INDEX_MAX}"
+        )
+        raise ModelValueError("terms", message)
     return model.window_series(max_prefix_len, num_terms)
 
 
@@ -200,15 +207,14 @@ def classify_series(
         )
 
     if fit.slope is None:
-        # too few nonzero points to fit; a mostly-zero tail still suggests
-        # convergence, but scattered zeros alone never certify it
-        if fit.zero_fraction > 0.5:
-            return Verdict(
-                VerdictLabel.LIKELY_CONVERGENT,
-                f"{fit.zero_fraction:.0%} of tail terms are exactly zero and the"
-                " nonzero residue is too sparse to fit",
-            )
-        return Verdict(VerdictLabel.INCONCLUSIVE, "tail fit unavailable (too few nonzero terms)")
+        # fewer than 5 nonzero points in a tail window of at least 91 terms
+        # (MIN_TERMS_FOR_FIT): a mostly-zero tail suggests convergence, but
+        # scattered zeros alone never certify it
+        return Verdict(
+            VerdictLabel.LIKELY_CONVERGENT,
+            f"{fit.zero_fraction:.0%} of tail terms are exactly zero and the"
+            " nonzero residue is too sparse to fit",
+        )
     exponent = f"{fit.slope:.3f}"
     if exponent == "-0.000":  # a constant tail fits a slope of +-1e-31; its sign is noise
         exponent = "0.000"

@@ -132,6 +132,8 @@ def _tail_unions(
         raise ModelValueError("tol", "tolerance must be positive and finite")
     if k_max < 1:
         raise ModelValueError("k_max", "k_max must be >= 1")
+    if k_max > INDEX_MAX:
+        raise ModelValueError("k_max", f"k_max {k_max} passes the largest index {INDEX_MAX}")
     too_far = [n for n in starts if n > INDEX_MAX - k_max]  # a scan reads up to n + k_max
     if too_far:
         message = f"start {too_far[0]} plus k_max {k_max} passes the largest index {INDEX_MAX}"

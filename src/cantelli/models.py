@@ -423,8 +423,6 @@ class EventSchedule:
         if modes != 1:
             raise ValueError("exactly one of constant/cycle/explicit must be given")
         self._num_states = num_states
-        # the explicit list's length; None for a constant set or a cycle
-        self._length: int | None = None
         if constant is not None:
             rows = [self._mask(constant, "members")]
         elif cycle is not None:
@@ -434,15 +432,14 @@ class EventSchedule:
         else:
             assert explicit is not None
             rows = [self._mask(s, f"sets[{i}]") for i, s in enumerate(explicit)]
-            self._length = len(rows)
             if tail is not None:
                 rows.append(self._mask(tail, "tail"))
-        # (e, q) with E_n = E_{n - q} for n - q >= e, or None: an explicit
-        # list without a tail never repeats
-        if self._length is None:
-            self._period: tuple[int, int] | None = (1, len(rows))
-        else:
-            self._period = (self._length + 1, 1) if tail is not None else None
+        # (e, q) with E_n = E_{n - q} for n - q >= e, so that E_n is row
+        # e - 1 + (n - e) % q from n = e on; None for an explicit list
+        # without a tail, which never repeats
+        self._period: tuple[int, int] | None = (1, len(rows))
+        if explicit is not None:
+            self._period = (len(rows), 1) if tail is not None else None
         self._rows = np.array(rows, dtype=bool).reshape(-1, num_states)
         self._rows.setflags(write=False)
 
@@ -460,29 +457,29 @@ class EventSchedule:
         """Boolean membership mask of E_n, a read-only row."""
         if n < 1:
             raise ValueError(f"event schedule queried at time {n} < 1")
-        if self._length is None:
-            return self._rows[(n - 1) % len(self._rows)]
-        if n <= self._length:
-            return self._rows[n - 1]
         if self._period is None:
-            raise self._past_end(n)
-        return self._rows[self._length]
+            if n > len(self._rows):
+                raise self._past_end(n)
+            return self._rows[n - 1]
+        e, q = self._period
+        return self._rows[n - 1 if n < e else e - 1 + (n - e) % q]
 
     def masks(self, lo: int, hi: int) -> np.ndarray:
         """Masks of E_lo..E_hi as the rows of a bool array."""
         if lo < 1:
             raise ValueError(f"event schedule queried at time {lo} < 1")
         times = np.arange(lo, hi + 1)
-        length = self._length
-        if length is None:
-            return self._rows[(times - 1) % len(self._rows)]
-        if hi > length and self._period is None:
-            raise self._past_end(max(lo, length + 1))
-        return self._rows[np.minimum(times, length + 1) - 1]
+        if self._period is None:
+            if hi > len(self._rows):
+                raise self._past_end(max(lo, len(self._rows) + 1))
+            return self._rows[times - 1]
+        e, q = self._period
+        past = times - e
+        return self._rows[e - 1 + np.where(past < 0, past, past % q)]
 
     def _past_end(self, n: int) -> SequenceIndexError:
         return SequenceIndexError(
-            f"event schedule of length {self._length} queried at time {n} with no tail declared"
+            f"event schedule of length {len(self._rows)} queried at time {n} with no tail declared"
         )
 
 

@@ -208,7 +208,8 @@ def test_limsup_commands(tmp_path):
 @pytest.mark.parametrize("spec", sorted(p.name for p in SPECS.glob("*.json")))
 def test_limsup_report_is_its_records(spec):
     # a field added to either record changes the report on purpose
-    results = limsup_results(load_spec(SPECS / spec).model, (8, 16, 32), 1e-6, 256)
+    results, code = limsup_results(load_spec(SPECS / spec).model, (8, 16, 32), 1e-6, 256)
+    assert code == EXIT_OK
     assert set(results) == {f.name for f in dataclasses.fields(LimsupEstimate)}
     sample_keys = {f.name for f in dataclasses.fields(TailUnionEstimate)} | {"interval"}
     assert results["samples"] and all(set(s) == sample_keys for s in results["samples"])
@@ -620,6 +621,10 @@ def test_nan_markov_spec_exit_2(tmp_path, command, capsys):
         ["simulate", "--seed", "-1"],
         ["verify", "--horizon", "0"],
         ["verify", "--horizon", "15"],
+        # past the int64 index range
+        ["analyze", "--terms", "100000000000000000000"],
+        ["simulate", "--horizon", "100000000000000000000"],
+        ["limsup", "--k-max", "100000000000000000000"],
     ],
 )
 def test_bad_flag_values_exit_2(args, capsys):
@@ -646,6 +651,21 @@ def test_bad_spec_default_names_the_spec_field(command, spec, key, value, tmp_pa
     path.write_text(json.dumps(data))
     assert run([command, path]) == EXIT_SPEC
     assert capsys.readouterr().err.startswith(f"spec error: {path}.defaults.{key}: ")
+
+
+def test_bad_fallback_value_names_the_flag_and_its_default(tmp_path, capsys):
+    # the spec sets no defaults, so verify's horizon is the built-in 10
+    path = tmp_path / "six.json"
+    path.write_text(json.dumps({"model": {
+        "family": "markov",
+        "transition": [[1 / 6] * 6] * 6,
+        "initial": [1 / 6] * 6,
+        "events": {"mode": "constant", "members": [0]},
+    }}))
+    assert run(["verify", path]) == EXIT_SPEC
+    assert capsys.readouterr().err == (
+        "spec error: --horizon (default 10): 6^10 state paths exceed the cap of 10000000\n"
+    )
 
 
 def test_non_string_model_family_exit_2(tmp_path, capsys):

@@ -7,10 +7,12 @@ from hypothesis import given, settings, strategies as st
 
 from cantelli import (
     Conclusion,
+    EventSchedule,
     ExplicitList,
     GlobalThresholds,
     IndependentModel,
     LatentUniformModel,
+    MarkovModel,
     PowerLaw,
     VerdictLabel,
     build_outcome_space,
@@ -240,6 +242,18 @@ def test_alternating_zero_terms_do_not_fake_convergence():
     assert verdict.label is VerdictLabel.LIKELY_DIVERGENT
     res = criterion(ff, 1, 1000)
     assert res.conclusion is Conclusion.NO_CONCLUSION
+
+
+def test_a_tail_too_sparse_to_fit_is_likely_convergent():
+    # one event, at n = 200: the tail window n = 20..200 holds one positive
+    # term, too few to fit, and a single nonzero last term is no zero tail
+    events = EventSchedule(1, explicit=[[]] * 199 + [[0]], tail=[])
+    [res] = sweep_prefix_len(MarkovModel([[1.0]], [1.0], events), 0, num_terms=200).results
+    assert res.verdict.label is VerdictLabel.LIKELY_CONVERGENT
+    assert res.verdict.justification == (
+        "99% of tail terms are exactly zero and the nonzero residue is too sparse to fit"
+    )
+    assert not res.certified
 
 
 @pytest.mark.parametrize("slope", [-1e-31, -0.0, -4e-4])

@@ -35,7 +35,7 @@ from cantelli import (
     tail_union,
 )
 from cantelli import cli, limsup
-from cantelli.cli import ORACLE_DIFF_TOL, verify_results
+from cantelli.cli import EXIT_MISMATCH, EXIT_OK, ORACLE_DIFF_TOL, verify_results
 from cantelli.families import SequenceIndexError
 from cantelli.limsup import INITIAL_TRUNCATION
 from cantelli.models import NumericFaultError
@@ -518,7 +518,7 @@ def reference_verify_results(model, horizon):
         "max_diff": max_diff,
         "mismatches": mismatches,
         "worst": sorted(checks, key=lambda c: -c["diff"])[:10],
-    }, max_diff
+    }, EXIT_MISMATCH if max_diff > ORACLE_DIFF_TOL else EXIT_OK
 
 
 @pytest.mark.parametrize(

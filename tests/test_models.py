@@ -20,7 +20,7 @@ from cantelli import (
     PowerLaw,
     marginal_decay_check,
 )
-from cantelli.families import SequenceIndexError
+from cantelli.families import SequenceIndexError, SeriesClass
 from cantelli.windows import WindowPattern, all_complement, first_occurrence
 
 from conftest import (
@@ -174,6 +174,15 @@ def test_decay_examples():
     assert decay(make_flipflop())[0] is DecayVerdict.NOT_DECAYING
 
 
+def test_decay_note_describes_an_explicit_list():
+    model = IndependentModel(ExplicitList((0.5,) * 8, 0.0))
+    assert decay(model) == (
+        DecayVerdict.CERTIFIED_ZERO_LIMIT,
+        "analytic marginal limit 0 (independent events, explicit"
+        " [0.5, 0.5, 0.5, 0.5, 0.5, 0.5, ...] (8 values, tail 0))",
+    )
+
+
 @pytest.mark.parametrize("tol", [0.0, -1.0, 1.0, 1e300, float("inf"), float("nan")])
 def test_decay_tolerance_outside_zero_one_is_rejected(tol):
     # marginals are probabilities: a tolerance of 1 or more sees every one as decayed
@@ -299,6 +308,18 @@ def test_latent_position_bookkeeping():
     # indices: 1->0, 2->1, 3->0, 4->0, 5->1, 6->0 ...
     assert [model.color(n) for n in range(1, 7)] == [0, 1, 0, 0, 1, 0]
     assert [model.position(n) for n in range(1, 7)] == [1, 1, 2, 3, 2, 4]
+
+
+def test_latent_closed_forms():
+    model = LatentUniformModel(2, [0, 1], GlobalThresholds(PowerLaw(1.0, 2.0)))
+    assert model.series_class(0) == (
+        SeriesClass.CONVERGENT,
+        "marginal sum converges per latent family: p_n = min(1, 1*n^-2): terms"
+        " dominated by the p-series with exponent 2 > 1",
+    )
+    # thresholds with no tail bound nothing past their list
+    tailless = LatentUniformModel(2, [0, 1], GlobalThresholds(ExplicitList((0.5,) * 8)))
+    assert tailless.union_bound(3) == 1.0
 
 
 @st.composite
