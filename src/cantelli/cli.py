@@ -192,10 +192,7 @@ def limsup_results(
     model: EventSequenceModel, schedule, tol: float, k_max: int
 ) -> tuple[dict, int]:
     est = limsup_estimate(model, schedule, tol, k_max)
-    return {
-        **vars(est),
-        "samples": [{**vars(s), "interval": list(s.interval)} for s in est.samples],
-    }, EXIT_OK
+    return {**vars(est), "samples": [dict(vars(s)) for s in est.samples]}, EXIT_OK
 
 
 def _limsup_table(report: dict) -> str:

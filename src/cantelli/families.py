@@ -63,6 +63,24 @@ def _clamp01_array(x: np.ndarray) -> np.ndarray:
     return np.where(x < 0.0, 0.0, np.where(x > 1.0, 1.0, x))
 
 
+# the unit roundoff of a float
+ROUNDOFF = 2.0**-53
+
+
+def index_range(lo: int, hi: int) -> np.ndarray:
+    """The indices lo..hi as an int64 array, a range past memory raising.
+
+    Offsets from ``lo``: ``np.arange(lo, hi + 1)`` turns float at
+    hi = 2**63 - 1.
+    """
+    count = max(hi - lo + 1, 0)
+    out = np.arange(count, dtype=np.int64)
+    if out.size != count:  # np.arange comes back empty for a count near 2**63
+        raise MemoryError(f"{count} indices do not fit in memory")
+    out += lo
+    return out
+
+
 def _powers(bases: np.ndarray, exponent: float) -> np.ndarray:
     """``b ** exponent`` per base, bit for bit what Python's float pow returns.
 
@@ -111,6 +129,19 @@ class SequenceFamily(ABC):
     def tail_sup(self, n: int) -> float | None:
         """Upper bound on sup_{j >= n} value(j); None when unknown."""
         return None
+
+    def nonincreasing_from(self) -> float | None:
+        """The least index k with value(j) >= value(j + 1) for every j >= k.
+
+        -inf when that holds at every index, saturated ones included; None
+        when unknown.
+        """
+        return None
+
+    def evaluation_error(self) -> float:
+        """A bound on |value(n) - v(n)| over every n, where v is the family's
+        formula in exact arithmetic on its float parameters; inf when unknown."""
+        return math.inf
 
     def series_class(self, prefix_len: int) -> tuple[SeriesClass, str] | None:
         """Classify sum_n (prod of prefix_len complements) * value(n + prefix_len).
@@ -162,6 +193,12 @@ class Constant(SequenceFamily):
     def tail_sup(self, n: int) -> float | None:
         return self.c
 
+    def nonincreasing_from(self) -> float | None:
+        return -math.inf
+
+    def evaluation_error(self) -> float:
+        return 0.0
+
     def series_class(self, prefix_len: int) -> tuple[SeriesClass, str] | None:
         return _constant_series_class(self.c, prefix_len, f"constant p = {self.c}")
 
@@ -182,6 +219,8 @@ class _PowerType(SequenceFamily):
 
     scale: float
     exponent: float
+    # the relative error of ``_base`` at a float index, in units of ROUNDOFF
+    _BASE_ERROR = 0.0
 
     def __post_init__(self) -> None:
         if not self.scale >= 0.0:
@@ -222,7 +261,7 @@ class _PowerType(SequenceFamily):
     def values(self, lo: int, hi: int) -> np.ndarray:
         if self.scale == 0.0:
             return np.zeros(max(hi - lo + 1, 0))
-        ns = np.arange(max(lo, 1), hi + 1, dtype=float)
+        ns = index_range(max(lo, 1), hi).astype(float)
         with np.errstate(over="ignore"):  # overflow is +inf, which clamps to 1 as in value
             body = _clamp01_array(self.scale * _powers(self._bases(ns), -self.exponent))
         if lo >= 1:
@@ -240,9 +279,24 @@ class _PowerType(SequenceFamily):
             return self.limit()
         return self.value(n)
 
+    def nonincreasing_from(self) -> float | None:
+        # a power of 0 is constant; a positive one falls from its saturated 1
+        return -math.inf if self.scale == 0.0 or self.exponent >= 0.0 else None
+
+    def evaluation_error(self) -> float:
+        # the power raises the base's error to the exponent; the C library's
+        # pow (1 ulp, 2 units) and the product with the scale (1) round once
+        # each.  Clamping to [0, 1] moves no value further from its formula's.
+        if self.scale == 0.0:
+            return 0.0
+        error = (abs(self.exponent) * self._BASE_ERROR + 3.0) * ROUNDOFF
+        return error / (1.0 - error) if error < 1.0 else math.inf
+
 
 class PowerLaw(_PowerType):
     """value(n) = clamp(scale * n**(-exponent))."""
+
+    _BASE_ERROR = 1.0  # float(n) rounds past 2**53
 
     @staticmethod
     def _base(n: float) -> float:
@@ -299,6 +353,10 @@ class PowerLaw(_PowerType):
 
 class LogPower(_PowerType):
     """value(n) = clamp(scale * ln(n+1)**(-exponent)); decays slower than any power."""
+
+    # float(n) + 1.0 rounds twice, an absolute error of 2 units in the log,
+    # which is at least ln 2; the log itself is within 1 ulp
+    _BASE_ERROR = 2.0 / math.log(2.0) + 2.0
 
     @staticmethod
     def _base(n: float) -> float:
@@ -399,6 +457,18 @@ class ExplicitList(SequenceFamily):
         start = max(n, 1)
         rest = self.head[start - 1 :]
         return max([self.tail, *rest]) if rest else self.tail
+
+    def nonincreasing_from(self) -> float | None:
+        if self.tail is None:
+            return None
+        values = (*self.head, self.tail)
+        k = len(values)
+        while k > 1 and values[k - 2] >= values[k - 1]:
+            k -= 1
+        return k
+
+    def evaluation_error(self) -> float:
+        return 0.0
 
     def series_class(self, prefix_len: int) -> tuple[SeriesClass, str] | None:
         if self.tail is None:

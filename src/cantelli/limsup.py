@@ -4,26 +4,28 @@ For any event sequence, P(union of A_j, j >= n) equals the sum over k of
 P(first occurrence at n + k): the first-occurrence events are disjoint and
 exhaust the union.  That tail-union probability u_n is non-increasing in n and
 its limit is exactly P(A_n infinitely often).  This module truncates the inner
-sum with a certified remainder (the all-complement window, which the same
-scan returns, bounds everything past the truncation, and analytic tail bounds
-tighten it when a backend has them) and tracks u_n along a schedule of start
-indices.  The schedule's starts take their doublings in lockstep, one level
-at a time, so each level evaluates the model's per-index inputs once per
-merged run of the starts' ranges; ``tail_union`` is the one-start case.
+sum with a certified remainder, the least of three bounds on everything past
+the truncation: the all-complement window, which the same scan returns; the
+backend's analytic bound on the union, when it has one; and the paper's
+window criterion, when the backend bounds a window series' tail (a first
+occurrence past the truncation makes a window near it occur).  It tracks u_n
+along a schedule of start indices.  The schedule's starts take their
+doublings in lockstep, one level at a time, so each level evaluates the
+model's per-index inputs once per merged run of the starts' ranges;
+``tail_union`` is the one-start case.
 The two records, ``TailUnionEstimate`` per start and ``LimsupEstimate`` for
-the schedule, are ``limsup``'s report as they are: its keys are their fields,
-plus each sample's ``interval``.
+the schedule, are ``limsup``'s report as they are: its keys are their fields.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass, field
 from typing import Any, Sequence
 
 import numpy as np
 
-from .families import ModelValueError
+from .families import ROUNDOFF, ModelValueError
 from .models import EventSequenceModel
 from .summation import CompensatedSum, compensated_sum
 
@@ -39,20 +41,31 @@ INITIAL_TRUNCATION = 16
 # the terms a level scans per start and call: bounds the memory of the
 # levels whatever k_max is
 _SCAN_CHUNK = 1 << 13
-# the unit roundoff of a float
-_ROUNDOFF = 2.0**-53
 INDEX_MAX = (1 << 63) - 1  # indices are held in int64 arrays
+# the longest complement run of the window criteria, and of the window tails
+# that bound a remainder
+MAX_PREFIX_LEN = 8
 
 
 @dataclass(frozen=True)
 class TailUnionEstimate:
     """Truncated first-occurrence sum with a certified enclosure of u_n.
 
-    ``partial`` is the sum of the first ``truncation`` first-occurrence terms,
-    a lower bound on u_n.  ``remainder_bound`` is the all-complement window
-    probability over the truncated range; ``union_tail_bound`` is an analytic
-    upper bound on the union past the truncation when the model has one.  The
-    interval upper end uses the smaller of the two.
+    ``partial`` is the sum of the first K = ``truncation`` first-occurrence
+    terms, a lower bound on u_n.  Three bounds hold the rest, u_n - partial,
+    and the interval's upper end uses the least (``effective_remainder``):
+    ``remainder_bound``, the all-complement window probability over the
+    truncated range; ``union_tail_bound``, an analytic bound on the union past
+    the truncation; and ``window_tail_bound``, the paper's window criterion: a
+    first occurrence at n + K or later makes the m-window at n + K - m or
+    later occur (m <= K), so the m-window terms from n + K - m on bound the
+    rest.  ``window_tail_m`` is that m.  The last two are None when the model
+    has no such bound.
+
+    ``rounding`` is a derived bound on the rounding error of ``partial``;
+    both interval ends move outward by it, and one ulp further.  It is
+    nonzero only when the window tail is 0, where rounding is the interval's
+    only width.
     """
 
     start: int
@@ -61,23 +74,22 @@ class TailUnionEstimate:
     remainder_bound: float
     union_tail_bound: float | None
     tolerance_reached: bool
+    window_tail_bound: float | None = None
+    window_tail_m: int | None = None
+    rounding: InitVar[float] = 0.0
+    interval: tuple[float, float] = field(init=False)
 
     @property
     def effective_remainder(self) -> float:
-        if self.union_tail_bound is None:
-            return self.remainder_bound
-        return min(self.remainder_bound, self.union_tail_bound)
-
-    @property
-    def interval(self) -> tuple[float, float]:
-        return self.partial, min(1.0, self.partial + self.effective_remainder)
+        bounds = (self.remainder_bound, self.union_tail_bound, self.window_tail_bound)
+        return min(b for b in bounds if b is not None)
 
     @property
     def midpoint(self) -> float:
         lo, hi = self.interval
         return 0.5 * (lo + hi)
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, rounding: float) -> None:
         # partial + remainder is 1 up to rounding, over a floor for short
         # scans.  The independent scan's remainder is a product of
         # ``truncation`` rounded factors, so each term scanned may take the
@@ -85,12 +97,16 @@ class TailUnionEstimate:
         # it 1.5e-12 past).  For the Markov scan (``truncation`` matrix-vector
         # products) and the latent scan this allowance is a heuristic, not a
         # derived bound.
-        slack = 1e-12 + 4 * self.truncation * _ROUNDOFF
+        slack = 1e-12 + 4 * self.truncation * ROUNDOFF
         if not 0.0 <= self.partial <= self.partial + self.remainder_bound <= 1.0 + slack:
             raise ValueError(
                 f"inconsistent enclosure: partial {self.partial!r},"
                 f" remainder {self.remainder_bound!r}"
             )
+        lo, hi = self.partial, self.partial + self.effective_remainder
+        if rounding:
+            lo, hi = np.nextafter(lo - rounding, -1.0), np.nextafter(hi + rounding, 2.0)
+        object.__setattr__(self, "interval", (max(float(lo), 0.0), min(float(hi), 1.0)))
 
 
 def tail_union(
@@ -158,21 +174,48 @@ def _tail_unions(
         for i in active:
             n, remainder = starts[i], remainders[i]
             union_tail = model.union_bound(n + k)
-            effective = remainder if union_tail is None else min(remainder, union_tail)
+            window_tail, window_m = _window_tail(model, n, k)
+            effective = min(b for b in (remainder, union_tail, window_tail) if b is not None)
             if effective < tol or k >= k_max:
+                partial = min(max(running[i].value, 0.0), 1.0)
                 estimates[i] = TailUnionEstimate(
                     start=n,
                     truncation=k,
-                    partial=min(max(running[i].value, 0.0), 1.0),
+                    partial=partial,
                     remainder_bound=remainder,
                     union_tail_bound=union_tail,
                     tolerance_reached=effective < tol,
+                    window_tail_bound=window_tail,
+                    window_tail_m=window_m,
+                    rounding=_rounding(model, k, partial) if window_tail == 0.0 else 0.0,
                 )
             else:
                 going.append(i)
         active = going
         scanned, k = k, min(2 * k, k_max)
     return estimates
+
+
+def _window_tail(model: EventSequenceModel, n: int, k: int) -> tuple[float | None, int | None]:
+    """The least ``model.tail_sum(m, n + k - m)`` over m = 0..min(k, MAX_PREFIX_LEN),
+    with its least m: a bound on u_n past truncation k; (None, None) when
+    the model bounds no window tail there."""
+    bounds = ((model.tail_sum(m, n + k - m), m) for m in range(min(k, MAX_PREFIX_LEN) + 1))
+    return min(((b, m) for b, m in bounds if b is not None), default=(None, None))
+
+
+def _rounding(model: EventSequenceModel, k: int, partial: float) -> float:
+    """A bound on |partial - S|, S the exact sum of a scan's first k terms.
+
+    Each term is within ``model.scan_error()`` of its exact value, and the
+    compensated sum of the k rounded terms within (2u + gamma_k^2) s of their
+    sum s: Neumaier's additions are error-free transformations, which Ogita,
+    Rump and Oishi (SIAM J. Sci. Comput. 26, 2005, Prop. 4.5) bound by
+    u s + gamma_{k-1}^2 s.
+    """
+    gamma = k * ROUNDOFF / (1.0 - k * ROUNDOFF)
+    relative = 2.0 * ROUNDOFF + gamma * gamma
+    return k * model.scan_error() + relative * partial / (1.0 - relative)
 
 
 def aitken_extrapolate(values: Sequence[float]) -> tuple[float | None, str]:

@@ -45,8 +45,9 @@ row is the initial vector's, so its first step takes the rule of every other;
 an ``EventSchedule`` holds its masks once, as the rows of one array.
 
 A backend states the closed forms it can certify through ``marginal_limit``,
-``series_class``, ``union_bound`` and ``describe``; the base class knows none
-(None, or ""), and every certification rests on the justification or
+``series_class``, ``union_bound``, ``tail_sum`` and ``describe``, and the
+rounding error of its scan's terms through ``scan_error``; the base class knows
+none (None, "", or inf), and every certification rests on the justification or
 description the backend records.
 
 All models are immutable after construction and all queries are pure; the
@@ -63,7 +64,14 @@ from typing import Any, Callable, Sequence
 
 import numpy as np
 
-from .families import ModelValueError, SequenceFamily, SequenceIndexError, SeriesClass
+from .families import (
+    ROUNDOFF,
+    ModelValueError,
+    SequenceFamily,
+    SequenceIndexError,
+    SeriesClass,
+    index_range,
+)
 
 __all__ = [
     "NumericFaultError",
@@ -127,6 +135,16 @@ class EventSequenceModel(ABC):
     def union_bound(self, n: int) -> float | None:
         """An upper bound on P(union_{j>=n} A_j), or None."""
         return None
+
+    def tail_sum(self, prefix_len: int, n: int) -> float | None:
+        """An upper bound on the sum of the ``prefix_len``-window terms from n
+        on, certified for every index, or None."""
+        return None
+
+    def scan_error(self) -> float:
+        """A bound on the absolute error of each term of an unseeded ``_scan``
+        against the model's exact term; inf when the backend derives none."""
+        return math.inf
 
     def describe(self) -> str:
         return ""
@@ -468,7 +486,7 @@ class EventSchedule:
         """Masks of E_lo..E_hi as the rows of a bool array."""
         if lo < 1:
             raise ValueError(f"event schedule queried at time {lo} < 1")
-        times = np.arange(lo, hi + 1)
+        times = index_range(lo, hi)
         if self._period is None:
             if hi > len(self._rows):
                 raise self._past_end(max(lo, len(self._rows) + 1))
@@ -537,7 +555,7 @@ class _Orbit:
         t = lo - 1 if cycle and lo >= cycle[0] else max(lo - 1, self._walk(lo, hi, out)[0])
         if t < hi:
             start, cycle = self._cycle
-            out[t + 1 - lo :] = cycle[(np.arange(t + 1, hi + 1) - start) % len(cycle)]
+            out[t + 1 - lo :] = cycle[(index_range(t + 1, hi) - start) % len(cycle)]
         return out
 
     def _walk(self, lo: int, stop: int, out: np.ndarray) -> tuple[int, np.ndarray]:
@@ -836,6 +854,16 @@ class LatentUniformModel(EventSequenceModel):
         self._cycle_slots: list[list[int]] = [[] for _ in range(num_latents)]
         for slot, c in enumerate(coloring):
             self._cycle_slots[c].append(slot)
+        # g, the largest cyclic gap between consecutive slots of one latent,
+        # and M, the first index from which every latent's thresholds never
+        # increase: from M + g - m on, each m-window holds an earlier index of
+        # its occurring latent, at a threshold no lower, so it is empty
+        self._gap = max(
+            (b - a) % len(coloring) or len(coloring)
+            for slots in self._cycle_slots
+            for a, b in zip(slots, slots[1:] + slots[:1])
+        )
+        self._monotone_from = self._nonincreasing_from()
 
     @property
     def num_latents(self) -> int:
@@ -892,7 +920,7 @@ class LatentUniformModel(EventSequenceModel):
         # color(n) and threshold(n) for n = lo..hi.  Zeros come out as +0.0,
         # so numpy's max may stand in for Python's: the sign of a zero
         # threshold changes no result of this backend.
-        colors = self._coloring_array[(np.arange(lo, hi + 1) - 1) % len(self._coloring)]
+        colors = self._coloring_array[(index_range(lo, hi) - 1) % len(self._coloring)]
         if isinstance(self._thresholds, GlobalThresholds):
             a = self._thresholds.family.values(lo, hi)
         else:
@@ -957,6 +985,36 @@ class LatentUniformModel(EventSequenceModel):
             for i, (color, a) in enumerate(zip(colors, thresholds)):
                 np.less(u[color], a, out=held[row + i])
         return blocks
+
+    def _nonincreasing_from(self) -> float | None:
+        """The least index from which each latent's thresholds never increase, or None."""
+        th = self._thresholds
+        if isinstance(th, GlobalThresholds):
+            k = th.family.nonincreasing_from()
+            return None if k is None else max(1, k)
+        first = 1
+        for fam, offset, slots in zip(th.families, th.offsets, self._cycle_slots):
+            k = fam.nonincreasing_from()
+            if k is None:
+                return None
+            if k - offset > 1:  # the latent's index at position k - offset
+                full, rest = divmod(k - offset - 1, len(slots))
+                first = max(first, full * len(self._coloring) + slots[rest] + 1)
+        return first
+
+    def tail_sum(self, prefix_len: int, n: int) -> float | None:
+        if self._monotone_from is None or prefix_len < self._gap:
+            return None
+        return 0.0 if n >= self._monotone_from + self._gap - prefix_len else None
+
+    def scan_error(self) -> float:
+        # a term is a product of one length hi - lo per latent: the
+        # subtraction rounds once (within ROUNDOFF: a length is at most 1) and
+        # each end is a threshold within its family's evaluation error; the
+        # products round once each
+        two_l = 2 * self._num_latents
+        error = max(f.evaluation_error() for f in self._families())
+        return two_l * ROUNDOFF / (1.0 - two_l * ROUNDOFF) + two_l * error
 
     def _families_with_start(self, n: int) -> list[tuple[SequenceFamily, int]]:
         """(family, first index it is evaluated at for global index >= n) per latent."""

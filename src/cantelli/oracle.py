@@ -128,7 +128,8 @@ def _independent_space(model: IndependentModel, horizon: int) -> TruncatedOutcom
 def _markov_space(model: MarkovModel, horizon: int) -> TruncatedOutcomeSpace:
     s = model.num_states
     base = max(s, 2)
-    if base**horizon > MAX_MARKOV_PATHS:
+    # past the cap's bit length, base**horizon passes the cap: reject it unbuilt
+    if horizon > MAX_MARKOV_PATHS.bit_length() or base**horizon > MAX_MARKOV_PATHS:
         # a 1-state chain has one path but still needs 2^horizon bins
         what = "state paths" if s > 1 else "indicator codes"
         raise HorizonExceededError(

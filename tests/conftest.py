@@ -5,6 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from cantelli import (
     Constant,
@@ -14,12 +15,13 @@ from cantelli import (
     GlobalThresholds,
     IndependentModel,
     LatentUniformModel,
+    LogPower,
     MarkovModel,
     PerLatentThresholds,
     PowerLaw,
     TailUnionEstimate,
 )
-from cantelli.limsup import INITIAL_TRUNCATION
+from cantelli.limsup import INITIAL_TRUNCATION, MAX_PREFIX_LEN, _rounding
 from cantelli.summation import CompensatedSum, compensated_sum
 from cantelli.windows import WindowPattern
 
@@ -88,6 +90,14 @@ def reference_window_prob(model: EventSequenceModel, w: WindowPattern) -> float:
     return finish(prob)
 
 
+def reference_window_tail(model: EventSequenceModel, n: int, k: int):
+    """(bound, m): the least ``tail_sum(m, n + k - m)`` over m <= min(k,
+    MAX_PREFIX_LEN), at its least m, or (None, None): the window tail past
+    truncation k."""
+    bounds = [(model.tail_sum(m, n + k - m), m) for m in range(min(k, MAX_PREFIX_LEN) + 1)]
+    return min(((b, m) for b, m in bounds if b is not None), default=(None, None))
+
+
 def reference_tail_union(
     model: EventSequenceModel, n: int, tol: float, k_max: int
 ) -> TailUnionEstimate:
@@ -95,9 +105,10 @@ def reference_tail_union(
 
     The reference for the lockstep levels of ``limsup_estimate``: each of its
     estimates must equal this one at the same start, bit for bit.  The
-    truncation doubles from 16 until the effective remainder drops below
-    ``tol`` or reaches ``k_max``; each doubling continues the scan from its
-    carry and the running compensated sum.
+    truncation doubles from 16 until the effective remainder, the least of
+    the all-complement, union and window-tail bounds, drops below ``tol`` or
+    reaches ``k_max``; each doubling continues the scan from its carry and the
+    running compensated sum.
     """
     running = CompensatedSum()
     end, carry = n, None
@@ -108,7 +119,8 @@ def reference_tail_union(
         partial = min(max(compensated_sum(terms, running), 0.0), 1.0)
         remainder = float(complements[-1])
         union_tail = model.union_bound(n + k)
-        effective = remainder if union_tail is None else min(remainder, union_tail)
+        window_tail, window_m = reference_window_tail(model, n, k)
+        effective = min(b for b in (remainder, union_tail, window_tail) if b is not None)
         if effective < tol or k >= k_max:
             return TailUnionEstimate(
                 start=n,
@@ -117,8 +129,28 @@ def reference_tail_union(
                 remainder_bound=remainder,
                 union_tail_bound=union_tail,
                 tolerance_reached=effective < tol,
+                window_tail_bound=window_tail,
+                window_tail_m=window_m,
+                rounding=_rounding(model, k, partial) if window_tail == 0.0 else 0.0,
             )
         k = min(2 * k, k_max)
+
+
+@st.composite
+def any_families(draw, tails=st.none()):
+    """A family of each kind: saturated power heads, negative exponents,
+    explicit heads with ties and rises, their tails drawn from ``tails`` or
+    from the levels the heads take."""
+    kind = draw(st.sampled_from(["constant", "powerlaw", "logpower", "explicit"]))
+    level = st.sampled_from([0.0, 0.25, 0.5, 1.0]) | st.floats(0.0, 1.0)
+    if kind == "constant":
+        return Constant(draw(level))
+    if kind == "explicit":
+        head = tuple(draw(st.lists(level, max_size=8)))
+        return ExplicitList(head, tail=draw(tails | level))
+    scale = draw(st.sampled_from([0.0, 1.0, 2.5]) | st.floats(0.0, 3.0, allow_subnormal=False))
+    exponent = draw(st.sampled_from([0.0, 1.0, -1.0]) | st.floats(-2.0, 3.0))
+    return (PowerLaw if kind == "powerlaw" else LogPower)(scale, exponent)
 
 
 def make_coin(p: float = 0.5) -> IndependentModel:

@@ -193,11 +193,18 @@ def test_limsup_commands(tmp_path):
     out2 = tmp_path / "nested.json"
     assert run(["limsup", SPECS / "nested.json", "--out", out2]) == EXIT_OK
     nested = json.loads(out2.read_text())
-    assert nested["results"]["stalled"] is True
-    last = nested["results"]["samples"][-1]
-    assert last["tolerance_reached"] is False
-    n_last = last["start"]
-    assert last["partial"] == pytest.approx(1.0 / n_last, abs=1e-12)
+    assert nested["results"]["stalled"] is False
+    for sample in nested["results"]["samples"]:
+        assert sample["tolerance_reached"] is True and sample["truncation"] == 16
+        assert (sample["window_tail_bound"], sample["window_tail_m"]) == (0.0, 1)
+        assert sample["partial"] == pytest.approx(1.0 / sample["start"], abs=1e-12)
+
+    out_h = tmp_path / "harmonic.json"
+    assert run(["limsup", SPECS / "harmonic.json", "--out", out_h]) == EXIT_OK
+    harmonic = json.loads(out_h.read_text())
+    assert harmonic["results"]["stalled"] is True
+    last = harmonic["results"]["samples"][-1]
+    assert last["tolerance_reached"] is False and last["window_tail_bound"] is None
 
     out3 = tmp_path / "pl2.json"
     assert run(["limsup", SPECS / "powerlaw-2.json", "--out", out3]) == EXIT_OK
@@ -211,7 +218,8 @@ def test_limsup_report_is_its_records(spec):
     results, code = limsup_results(load_spec(SPECS / spec).model, (8, 16, 32), 1e-6, 256)
     assert code == EXIT_OK
     assert set(results) == {f.name for f in dataclasses.fields(LimsupEstimate)}
-    sample_keys = {f.name for f in dataclasses.fields(TailUnionEstimate)} | {"interval"}
+    sample_keys = {f.name for f in dataclasses.fields(TailUnionEstimate)}
+    assert "interval" in sample_keys
     assert results["samples"] and all(set(s) == sample_keys for s in results["samples"])
 
 
@@ -433,6 +441,22 @@ def test_verify_one_state_chain_past_code_cap_is_spec_error(tmp_path, capsys):
     assert "2^24 indicator codes exceed the cap of 10000000" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("horizon", [100_000_000, (1 << 63) - 1])
+def test_verify_markov_far_horizon_is_spec_error_without_the_power(horizon, capsys):
+    # 3**horizon is never built: the horizon alone passes the cap's bit length
+    assert run(["verify", SPECS / "markov-3state.json", "--horizon", horizon]) == EXIT_SPEC
+    err = capsys.readouterr().err
+    assert err.startswith("spec error: --horizon: ")
+    assert f"3^{horizon} state paths exceed the cap of 10000000" in err
+
+
+@pytest.mark.parametrize("name", ["markov-3state", "interleaved-nested", "powerlaw-2"])
+def test_simulate_at_the_last_index_is_spec_error(name, capsys):
+    # index arrays reaching 2**63 - 1 stay int64, so the request fails as too big
+    assert run(["simulate", SPECS / f"{name}.json", "--horizon", (1 << 63) - 1]) == EXIT_SPEC
+    assert capsys.readouterr().err.startswith("spec error: ")
+
+
 @pytest.mark.parametrize(
     "model",
     [
@@ -534,7 +558,7 @@ def test_table_format_renders(capsys):
 
 
 def test_limsup_table_notes_a_stall(capsys):
-    assert run(["limsup", SPECS / "nested.json", "--format", "table"]) == EXIT_OK
+    assert run(["limsup", SPECS / "harmonic.json", "--format", "table"]) == EXIT_OK
     lines = capsys.readouterr().out.splitlines()
     assert lines[2].split() == ["start", "K", "partial", "upper", "reached"]
     assert [int(row.split()[0]) for row in lines[3 : lines.index("", 3)]] == [8, 16, 32]

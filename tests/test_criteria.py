@@ -13,6 +13,7 @@ from cantelli import (
     IndependentModel,
     LatentUniformModel,
     MarkovModel,
+    PerLatentThresholds,
     PowerLaw,
     VerdictLabel,
     build_outcome_space,
@@ -113,6 +114,26 @@ def test_a_closed_form_outranks_zeros_observed_up_to_n():
     latent = criterion(LatentUniformModel(1, [0], GlobalThresholds(family)), 0, 2000)
     assert latent.verdict.label is VerdictLabel.CERTIFIED_DIVERGENT
     assert latent.conclusion is Conclusion.NO_CONCLUSION and not latent.certified
+
+
+def test_latent_zero_tail_is_certified_only_where_the_backend_bounds_it():
+    # thresholds 0 at positions 1..3000, then 0.5: 2000 terms see only empty
+    # windows, yet every m = 1 term from n = 6001 on is 0.25
+    z = ExplicitList((0.0,) * 3000, tail=0.5)
+    model = LatentUniformModel(2, [0, 1], PerLatentThresholds((z, z), (0, 0)))
+    sweep = sweep_prefix_len(model, 2, num_terms=2000)
+    for m in (1, 2):
+        verdict = sweep.results[m].verdict
+        assert verdict.label is VerdictLabel.LIKELY_CONVERGENT, m
+        assert "does not prove" in verdict.justification
+        assert not sweep.results[m].certified
+    assert model.tail_sum(2, 1) is None and model.tail_sum(1, 10**6) is None
+    assert (model.window_series(1, 8000)[0][1, 6000:] == 0.25).all()
+    # nested and interleaved-nested windows are empty for every n
+    for shipped, m in ((make_nested(), 1), (make_interleaved(), 2)):
+        assert shipped.tail_sum(m, 1) == 0.0
+        result = sweep_prefix_len(shipped, m, num_terms=2000).results[m]
+        assert result.verdict.label is VerdictLabel.CERTIFIED_CONVERGENT and result.certified
 
 
 def reference_zero_tail_start(terms):

@@ -53,6 +53,7 @@ from conftest import (
     make_interleaved,
     reference_tail_union,
     reference_window_prob,
+    reference_window_tail,
 )
 
 probs = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
@@ -578,9 +579,10 @@ def one_shot_tail_union(model, n, tol, k_max):
         partial = min(max(compensated_sum(reference_terms(model, n, k)), 0.0), 1.0)
         remainder = reference_complement(model, n, k)
         union_tail = model.union_bound(n + k)
-        effective = remainder if union_tail is None else min(remainder, union_tail)
+        window_tail, window_m = reference_window_tail(model, n, k)
+        effective = min(b for b in (remainder, union_tail, window_tail) if b is not None)
         if effective < tol or k >= k_max:
-            return k, bits(partial), bits(remainder), union_tail, effective < tol
+            return k, bits(partial), bits(remainder), union_tail, window_m, effective < tol
         k = min(2 * k, k_max)
 
 
@@ -599,6 +601,7 @@ def test_tail_union_doublings_match_one_shot_sums(model, n, tol, k_max):
         bits(est.partial),
         bits(est.remainder_bound),
         est.union_tail_bound,
+        est.window_tail_m,
         est.tolerance_reached,
     )
     assert got == one_shot_tail_union(model, n, tol, k_max)
@@ -669,6 +672,9 @@ def estimate_bits(est):
         bits(est.remainder_bound),
         tail,
         est.tolerance_reached,
+        est.window_tail_bound,
+        est.window_tail_m,
+        bits(est.interval),
     )
 
 
@@ -973,3 +979,18 @@ def test_engines_read_inputs_only_through_inputs_and_the_oracle_never(monkeypatc
             patch.setattr(cls, "_inputs", _raise)
         for model in models:
             assert build_outcome_space(model, 8).probs.shape == (2**8,)
+
+
+def test_inputs_at_the_top_of_the_index_range_match_the_scalar_rules():
+    # index arrays that reach 2**63 - 1 stay int64 and hold every index
+    lo, hi = (1 << 63) - 4, (1 << 63) - 1
+    schedule = EventSchedule(2, cycle=[[0], [1], []])
+    masks = schedule.masks(lo, hi)
+    assert [row.tolist() for row in masks] == [schedule.mask(n).tolist() for n in range(lo, hi + 1)]
+    model = make_interleaved()
+    colors, thresholds = model._inputs(lo, hi)
+    assert colors.tolist() == [model.color(n) for n in range(lo, hi + 1)]
+    assert thresholds.tolist() == [model.threshold(n) for n in range(lo, hi + 1)]
+    # a chain's orbit fills far rows from its cycle
+    orbit = make_flipflop()._dists
+    assert bits(orbit.rows(lo, hi)) == bits([orbit.rows(n, n)[0] for n in range(lo, hi + 1)])

@@ -2,8 +2,10 @@ import math
 import sys
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cantelli import families
 from cantelli.families import (
@@ -16,7 +18,7 @@ from cantelli.families import (
     SeriesClass,
 )
 
-from conftest import reference_powers
+from conftest import any_families, reference_powers
 
 EXPONENTS = (0.5, 1.0, 1.5, 2.0, 3.0, -1.0, -2.5)
 
@@ -220,3 +222,59 @@ def test_explicit_rejects_bad_values():
         ExplicitList((0.5, 1.5))
     with pytest.raises(ValueError):
         ExplicitList((0.5,), tail=-0.1)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    any_families(),
+    st.integers(min_value=-20, max_value=40) | st.integers(2**40 - 40, 2**40),
+    st.integers(min_value=1, max_value=30),
+)
+def test_nonincreasing_from_holds_and_agrees_with_tail_sup(family, lo, width):
+    # from the index it states, on any range: below 1 (negative offsets reach
+    # there), in saturated heads, across explicit ties, and near 2**40
+    k = family.nonincreasing_from()
+    if k is None:
+        return
+    if isinstance(family, ExplicitList):
+        assert k == 1 or family.value(k - 1) < family.value(k)  # the least such index
+        lo = max(lo, 1)
+    start = max(lo, k)
+    values = family.values(start, start + width)
+    assert (np.diff(values) <= 0.0).all(), (start, values)
+    for n in range(start, start + width + 1):
+        assert family.tail_sup(n) == family.value(n)
+    assert family.evaluation_error() < 1e-13
+
+
+def test_values_at_the_top_of_the_index_range_match_value():
+    top = (1 << 63) - 1
+    for fam in (PowerLaw(1.0, 0.5), LogPower(2.0, 1.5), Constant(0.25)):
+        expected = [fam.value(n) for n in range(top - 3, top + 1)]
+        assert fam.values(top - 3, top).tolist() == expected
+
+
+def test_index_range_is_int64_to_the_top_and_raises_past_memory():
+    top = (1 << 63) - 1
+    for lo, hi in ((1, 5), (top - 3, top), (7, 6)):
+        out = families.index_range(lo, hi)
+        assert out.dtype == np.int64 and out.tolist() == list(range(lo, hi + 1))
+    # np.arange comes back empty for a count this near 2**63
+    with pytest.raises(MemoryError):
+        families.index_range(1, top)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from([PowerLaw, LogPower]),
+    st.sampled_from([1.0, 0.3]) | st.floats(1e-3, 3.0),
+    st.sampled_from([1.0, 2.0, -1.0, 0.5]) | st.floats(-3.0, 4.0),
+    st.integers(min_value=1, max_value=10**6) | st.integers(2**53 - 10, 2**63 - 1),
+)
+def test_evaluation_error_bounds_the_distance_to_the_exact_formula(kind, scale, exponent, n):
+    # the formula at 60 digits on the float parameters, clamped like value
+    family = kind(scale, exponent)
+    with mpmath.workdps(60):
+        base = mpmath.mpf(n) if kind is PowerLaw else mpmath.log(mpmath.mpf(n) + 1)
+        exact = min(max(mpmath.mpf(scale) * base ** (-mpmath.mpf(exponent)), 0), 1)
+        assert abs(mpmath.mpf(family.value(n)) - exact) <= family.evaluation_error()

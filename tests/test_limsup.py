@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -49,17 +51,55 @@ def test_absorbing_chain_tail_union_certain():
     assert est.tolerance_reached
 
 
-def test_nested_tail_union_stalls_with_honest_interval():
+def test_nested_tail_union_ends_at_its_window_tail():
+    # every 1-window of nested is empty for every n, so the sum of the 1-window
+    # terms from n + K - 1 on, 0, bounds u_n - partial from the first level on
     nested = make_nested()
     est = tail_union(nested, 8, tol=1e-6, k_max=256)
-    assert not est.tolerance_reached
-    assert est.truncation == 256
-    assert est.partial == pytest.approx(1.0 / 8.0, abs=1e-15)
-    # all-complement probability stalls at 1 - a_n
+    assert est.tolerance_reached
+    assert est.truncation == 16
+    assert est.partial == 1.0 / 8.0
+    assert (est.window_tail_bound, est.window_tail_m) == (0.0, 1)
+    # the all-complement probability stalls at 1 - a_n, the union tail at 1/(n + K)
     assert est.remainder_bound == pytest.approx(1.0 - 1.0 / 8.0, abs=1e-12)
-    # the analytic union tail still pins the enclosure near 1/n
-    assert est.union_tail_bound == pytest.approx(1.0 / (8 + 256), abs=1e-12)
-    assert est.interval[1] == pytest.approx(1.0 / 8.0 + 1.0 / 264.0, abs=1e-12)
+    assert est.union_tail_bound == pytest.approx(1.0 / (8 + 16), abs=1e-12)
+    assert est.effective_remainder == 0.0
+    # rounding is the interval's only width, padded outward around 1/8
+    lo, hi = est.interval
+    assert lo < 1.0 / 8.0 < hi and hi - lo < 1e-12
+
+
+@pytest.mark.parametrize(
+    "make, starts, exact",
+    [
+        (make_nested, (8, 16, 32), (Fraction(1, 8), Fraction(1, 16), Fraction(1, 32))),
+        (
+            make_interleaved,
+            (20, 40, 100),
+            (Fraction(19, 100), Fraction(39, 400), Fraction(99, 2500)),
+        ),
+    ],
+    ids=["nested", "interleaved-nested"],
+)
+@pytest.mark.parametrize("k_max", [256, 1 << 15])
+def test_window_tail_intervals_hold_the_exact_value(make, starts, exact, k_max):
+    est = limsup_estimate(make(), starts, tol=1e-6, k_max=k_max)
+    assert not est.stalled and est.fit_note == "accepted"
+    assert est.alpha_fit == est.alpha_point == 0.0
+    for s, u in zip(est.samples, exact):
+        assert s.tolerance_reached and s.truncation == 16 and s.window_tail_bound == 0.0
+        lo, hi = s.interval
+        assert Fraction(lo) <= u <= Fraction(hi), (s.start, s.interval)
+    if make is make_interleaved:
+        # the rounded partial sums miss on both sides: only the padded ends hold
+        assert Fraction(est.samples[0].partial) > exact[0]
+        assert Fraction(est.samples[2].partial) < exact[2]
+
+
+def test_window_tails_of_models_without_a_bound_are_null():
+    for model in (make_coin(), make_powerlaw(1.0, 1.0), make_absorbing()):
+        est = tail_union(model, 8, tol=1e-6, k_max=64)
+        assert est.window_tail_bound is None and est.window_tail_m is None
 
 
 def test_tail_union_matches_oracle_truncation():
@@ -135,11 +175,20 @@ def test_limsup_interleaved_closed_form():
     est = limsup_estimate(inter, [10, 20, 100], tol=1e-6, k_max=1024)
     for s, k in zip(est.samples, (5, 10, 50)):
         assert s.partial == pytest.approx(2.0 / k - 1.0 / k**2, abs=1e-10)
-    assert est.stalled  # remainder cannot certify convergence to the partial
+        lo, hi = s.interval
+        assert Fraction(lo) <= Fraction(2, k) - Fraction(1, k**2) <= Fraction(hi)
+    # every 2-window is empty: the window tail certifies convergence to the partial
+    assert not est.stalled
+    assert [(s.truncation, s.window_tail_m) for s in est.samples] == [(16, 2)] * 3
 
 
 def test_limsup_monotone_consistency_flag():
     est = limsup_estimate(make_nested(), [8, 16, 32], tol=1e-6, k_max=128)
+    assert est.monotone_consistent
+    assert not est.stalled
+    assert est.fit_note == "accepted"
+    # harmonic events recur: no bound reaches tolerance, and the stall is reported
+    est = limsup_estimate(make_powerlaw(1.0, 1.0), [8, 16, 32], tol=1e-6, k_max=128)
     assert est.monotone_consistent
     assert est.stalled
     assert est.fit_note.startswith("remainder stalled")
@@ -167,8 +216,9 @@ def test_aitken_guards():
 
 
 def test_alpha_point_respects_stall():
-    nested = make_nested()
-    est = limsup_estimate(nested, [8, 16, 32], tol=1e-6, k_max=128)
+    harmonic = make_powerlaw(1.0, 1.0)
+    est = limsup_estimate(harmonic, [8, 16, 32], tol=1e-6, k_max=128)
+    assert est.stalled
     assert est.alpha_fit is None
     assert est.alpha_point == est.samples[-1].midpoint
 

@@ -322,6 +322,22 @@ def test_latent_closed_forms():
     assert tailless.union_bound(3) == 1.0
 
 
+def test_latent_window_tail_starts_where_thresholds_stop_rising():
+    # latent 0 holds indices 1, 4, 7, ... at thresholds 0.3, 0.5, 0.2, 0.2, ...
+    # (offset 1), latent 1 the rest, saturated at 1 and then falling: M = 4;
+    # the largest gap is latent 0's, g = 3, so every m-window from 4 + 3 - m
+    # on is empty
+    rising = ExplicitList((0.1, 0.3, 0.5), tail=0.2)
+    model = LatentUniformModel(
+        2, [0, 1, 1], PerLatentThresholds((rising, PowerLaw(1.0, 1.0)), (1, -3))
+    )
+    assert [model.threshold(n) for n in (1, 4, 7, 10)] == [0.3, 0.5, 0.2, 0.2]
+    assert (model.tail_sum(3, 4), model.tail_sum(3, 3)) == (0.0, None)
+    assert (model.tail_sum(5, 2), model.tail_sum(5, 1)) == (0.0, None)
+    assert model.tail_sum(2, 10**6) is None
+    assert EventSequenceModel.tail_sum(model, 3, 4) is None
+
+
 @st.composite
 def colorings(draw):
     num = draw(st.integers(min_value=1, max_value=4))

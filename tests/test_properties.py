@@ -14,12 +14,13 @@ from cantelli import (
     PerLatentThresholds,
     PowerLaw,
     build_outcome_space,
+    limsup_estimate,
     oracle_union_prob,
     oracle_window_prob,
 )
 from cantelli.windows import WindowPattern, all_complement, first_occurrence
 
-from conftest import reference_window_prob
+from conftest import any_families, reference_window_prob
 
 HORIZON = 8
 
@@ -193,3 +194,68 @@ def test_union_bound_is_sound(model):
         if bound is not None:
             exact = oracle_union_prob(space, n, UNION_HORIZON - n)
             assert bound >= exact - 1e-12, (n, bound, exact)
+
+
+TAIL_HORIZON = 12
+
+
+@st.composite
+def threshold_families(draw, offset_min):
+    """(family, offset) of any kind, monotone from some index or never.
+
+    An explicit list is undefined below index 1, so its offset is at least 0.
+    """
+    family = draw(any_families(tails=st.nothing()))
+    low = 0 if isinstance(family, ExplicitList) else offset_min
+    return family, draw(st.integers(min_value=low, max_value=3))
+
+
+@st.composite
+def tail_models(draw):
+    """Latent models on global or per-latent thresholds, with colorings whose
+    gaps reach up to 6."""
+    num = draw(st.integers(min_value=1, max_value=3))
+    cycle = draw(st.permutations(list(range(num)) + draw(
+        st.lists(st.integers(min_value=0, max_value=num - 1), max_size=3)
+    )))
+    if draw(st.booleans()):
+        return LatentUniformModel(num, cycle, GlobalThresholds(draw(threshold_families(0))[0]))
+    families, offsets = zip(*(draw(threshold_families(-5)) for _ in range(num)))
+    return LatentUniformModel(num, cycle, PerLatentThresholds(families, offsets))
+
+
+@settings(max_examples=150, deadline=None)
+@given(model=tail_models())
+def test_window_tails_certified_zero_are_empty_for_the_oracle(model):
+    # tail_sum(m, n) = 0 claims every m-window from n on is empty, not just
+    # the evaluated ones: each within the horizon has probability exactly 0
+    space = build_outcome_space(model, TAIL_HORIZON)
+    for m in range(TAIL_HORIZON):
+        last = TAIL_HORIZON - m
+        first = next((n for n in range(1, last + 1) if model.tail_sum(m, n) == 0.0), None)
+        if first is not None:
+            assert all(model.tail_sum(m, n) == 0.0 for n in range(first, last + 1))
+            for n in range(first, last + 1):
+                assert oracle_window_prob(space, first_occurrence(n, m)) == 0.0, (m, n)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    model=st.one_of(tail_models(), independent_models(), markov_models()),
+    n=st.integers(min_value=1, max_value=6),
+    k_max=st.sampled_from([1, 2, 4, 16, 64]),
+)
+def test_limsup_upper_ends_hold_the_truncated_union(model, n, k_max):
+    # u_n >= P(A_n or ... or A_h) for every h; an interval the window tail
+    # closes holds it strictly, the others within rounding (their ends are
+    # not padded yet)
+    space = build_outcome_space(model, HORIZON)
+    est = limsup_estimate(model, [n, n + 1, n + 2], tol=1e-6, k_max=k_max)
+    for s in est.samples:
+        # u_n <= 1, where the oracle's rounded sum may land one ulp past it
+        union = min(oracle_union_prob(space, s.start, HORIZON - s.start), 1.0)
+        slack = 0.0 if s.window_tail_bound == 0.0 else 1e-12
+        assert s.interval[1] >= union - slack, (s, union)
+        if s.window_tail_bound == 0.0 and s.start + s.truncation - 1 <= HORIZON:
+            union = min(oracle_union_prob(space, s.start, s.truncation - 1), 1.0)
+            assert s.interval[0] <= union <= s.interval[1], (s, union)

@@ -14,5 +14,6 @@ def test_library_example_runs_as_its_comments_say():
     assert result.conclusion is Conclusion.IO_PROB_ZERO
     assert result.certified
     lo, hi = est.samples[-1].interval
-    assert lo <= 1 / 32 <= hi
-    assert est.stalled
+    assert lo < 1 / 32 < hi
+    assert est.samples[-1].window_tail_m == 1 and est.samples[-1].truncation == 16
+    assert not est.stalled
