@@ -54,6 +54,8 @@ _FALLBACKS = {
     "horizon": 10,
     "k_max": 1 << 15,
 }
+# the values that size a command's arrays
+_SIZES = {"terms", "m_max", "schedule", "count", "horizon", "k_max"}
 
 
 def _run(args: argparse.Namespace, build_results, table_renderer) -> int:
@@ -61,7 +63,8 @@ def _run(args: argparse.Namespace, build_results, table_renderer) -> int:
 
     The values are the parser's dests that have a fallback, each resolved once
     from its flag, else the spec default, else the fallback.  A
-    ``ModelValueError`` on a value is re-raised as a ``SpecError`` naming its source.
+    ``ModelValueError`` on a value is re-raised as a ``SpecError`` naming its
+    source, and a ``MemoryError`` as one naming the sources of the size values.
     """
     spec = load_spec(args.spec)
     model = build_model(spec)
@@ -80,6 +83,9 @@ def _run(args: argparse.Namespace, build_results, table_renderer) -> int:
         if exc.field not in sources:
             raise
         raise SpecError(sources[exc.field], exc.message) from None
+    except MemoryError:
+        field = ", ".join(source for key, source in sources.items() if key in _SIZES)
+        raise SpecError(field, "the request does not fit in memory") from None
     report = {
         "tool": {"name": "cantelli", "version": __version__},
         "command": args.command,
@@ -525,7 +531,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"spec error: {exc}", file=sys.stderr)
         return EXIT_SPEC
     except MemoryError:
-        # a size flag (--terms, --count, --schedule, ...) past what memory holds
+        # a spec too large to load; a command's own sizes are named by _run
         print("spec error: the request does not fit in memory", file=sys.stderr)
         return EXIT_SPEC
     print(

@@ -17,7 +17,10 @@ one verdict, ``SweepResult.decay``.  The records are frozen and built once.
 from __future__ import annotations
 
 import enum
+import functools
+import sys
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -27,7 +30,6 @@ from .models import (
     DecayVerdict,
     EventSequenceModel,
     IndependentModel,
-    LatentUniformModel,
     marginal_decay_check,
 )
 from .summation import compensated_cumsum
@@ -95,10 +97,11 @@ class InsufficientDataError(ModelValueError):
 
 def series_terms(
     model: EventSequenceModel, max_prefix_len: int, num_terms: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """``model.window_series``: the (terms, empty) tables of the m-window series.
+) -> np.ndarray:
+    """``model.window_series``: the terms table of the m-window series.
 
-    Row m of each covers n = 1..num_terms for m = 0..max_prefix_len.
+    Row m covers n = 1..num_terms for m = 0..max_prefix_len.  A table past
+    ``sys.maxsize`` bytes raises ``MemoryError``.
     """
     if max_prefix_len < 0:
         raise ModelValueError("m_max", f"complement run length must be >= 0, got {max_prefix_len}")
@@ -110,6 +113,8 @@ def series_terms(
             f" passes the largest index {INDEX_MAX}"
         )
         raise ModelValueError("terms", message)
+    if (max_prefix_len + 1) * num_terms > sys.maxsize // 8:  # float64 entries
+        raise MemoryError(f"a {max_prefix_len + 1} x {num_terms} table does not fit in memory")
     return model.window_series(max_prefix_len, num_terms)
 
 
@@ -169,16 +174,16 @@ def _zero_tail_start(terms: np.ndarray) -> int | None:
 
 def classify_series(
     terms: np.ndarray,
-    empty: np.ndarray,
+    tail_sum: Callable[[int], float | None],
     fit: TailFit,
     classified: tuple[SeriesClass, str] | None,
 ) -> Verdict:
     """Issue a convergence verdict for the evaluated terms of one window series.
 
-    ``empty`` is the series' row of emptiness proofs from ``window_series``
-    and ``classified`` its closed-form class, ``model.series_class(m)``, or None.
-    Certified verdicts come from ``classified``, else from exact-zero tails
-    whose windows are all proved empty; everything else rests on the fitted tail
+    ``tail_sum(n)`` bounds the terms from n on (``model.tail_sum(m, n)``) and
+    ``classified`` is the closed-form class, ``model.series_class(m)``, or None.
+    Certified verdicts come from ``classified``, else from an exact-zero run
+    from n with ``tail_sum(n)`` 0, read only once such a run shows; the rest rests on the fitted tail
     exponent ``fit`` (``fit_tail(terms)``) with a +-0.1 buffer around the
     p-series boundary.  No terms at all give no verdict, whatever ``classified``
     says.
@@ -199,7 +204,7 @@ def classify_series(
 
     zero_start = _zero_tail_start(terms)
     if zero_start is not None and zero_start <= len(terms) // 2 + 1:
-        if empty[zero_start - 1 :].all():
+        if tail_sum(zero_start) == 0.0:
             return Verdict(
                 VerdictLabel.CERTIFIED_CONVERGENT,
                 f"eventually zero terms: every window from n = {zero_start} is provably"
@@ -280,10 +285,9 @@ def _criterion(
     model: EventSequenceModel,
     prefix_len: int,
     terms: np.ndarray,
-    empty: np.ndarray,
     decay: tuple[DecayVerdict, str],
 ) -> CriterionResult:
-    """The criterion on ``terms`` and ``empty``, rows of the ``prefix_len``-window series.
+    """The criterion on ``terms``, the row of the ``prefix_len``-window series.
 
     Concludes IO_PROB_ZERO when the series verdict is convergent and (for
     m >= 1) the marginals provably or plausibly decay to zero; the conclusion
@@ -294,16 +298,8 @@ def _criterion(
     """
     fit = fit_tail(terms)
     partial_sums = compensated_cumsum(terms)
-    # The evaluated windows' proofs say nothing of the ones past them, so a
-    # latent zero tail counts as proved only where tail_sum bounds every later
-    # window by 0.  Temporary: the Markov backend states no tail_sum yet, and
-    # its zero tails rest on the evaluated proofs until ROADMAP item 4's
-    # Markov half moves this rule into the models.
-    if isinstance(model, LatentUniformModel):
-        zero_start = _zero_tail_start(terms)
-        if zero_start is not None and model.tail_sum(prefix_len, zero_start) != 0.0:
-            empty = np.zeros_like(empty)
-    verdict = classify_series(terms, empty, fit, model.series_class(prefix_len))
+    tail_sum = functools.partial(model.tail_sum, prefix_len)
+    verdict = classify_series(terms, tail_sum, fit, model.series_class(prefix_len))
     needs_decay = prefix_len >= 1
     decay_verdict, decay_note = decay if needs_decay else (None, "")
 
@@ -360,8 +356,8 @@ def sweep_prefix_len(
 
     Reports the least length that concludes IO_PROB_ZERO (and the least doing
     so with certification), or None.  One ``series_terms`` call evaluates
-    every series with its emptiness proofs, and the decay check probes its
-    marginal row once; every criterion uses that result.
+    every series, and the decay check probes its marginal row once; every
+    criterion uses that result.
     """
     if not 0 <= max_prefix_len <= MAX_PREFIX_LEN:
         raise ModelValueError(
@@ -370,10 +366,10 @@ def sweep_prefix_len(
     # the decay check reads the table, so reject its tolerance before the table is built
     if not 0.0 < tol < 1.0:
         raise ModelValueError("tol", f"decay tolerance must be in (0, 1), got {tol!r}")
-    terms, empty = series_terms(model, max_prefix_len, num_terms)
+    terms = series_terms(model, max_prefix_len, num_terms)
     decay = marginal_decay_check(model, terms[0], tol)
     results = [
-        _criterion(model, m, terms[m], empty[m], decay) for m in range(max_prefix_len + 1)
+        _criterion(model, m, terms[m], decay) for m in range(max_prefix_len + 1)
     ]
     zero = [r for r in results if r.conclusion is Conclusion.IO_PROB_ZERO]
     return SweepResult(

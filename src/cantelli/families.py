@@ -74,9 +74,9 @@ def index_range(lo: int, hi: int) -> np.ndarray:
     hi = 2**63 - 1.
     """
     count = max(hi - lo + 1, 0)
-    out = np.arange(count, dtype=np.int64)
-    if out.size != count:  # np.arange comes back empty for a count near 2**63
+    if count > sys.maxsize // 8:  # numpy raises ValueError, or comes back empty near 2**63
         raise MemoryError(f"{count} indices do not fit in memory")
+    out = np.arange(count, dtype=np.int64)
     out += lo
     return out
 

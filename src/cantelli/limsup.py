@@ -198,8 +198,10 @@ def _tail_unions(
 
 def _window_tail(model: EventSequenceModel, n: int, k: int) -> tuple[float | None, int | None]:
     """The least ``model.tail_sum(m, n + k - m)`` over m = 0..min(k, MAX_PREFIX_LEN),
-    with its least m: a bound on u_n past truncation k; (None, None) when
-    the model bounds no window tail there."""
+    with its least m: a bound on u_n past truncation k; (None, None) when the
+    model bounds none there, or has no ``scan_error`` to pad a zero tail by."""
+    if not math.isfinite(model.scan_error()):
+        return None, None
     bounds = ((model.tail_sum(m, n + k - m), m) for m in range(min(k, MAX_PREFIX_LEN) + 1))
     return min(((b, m) for b, m in bounds if b is not None), default=(None, None))
 

@@ -24,10 +24,11 @@ occurred" seeds and the samplers all read it.  The scalar rules
 oracle and the tests read, so the engines and the oracle share no input rule.
 ``window_series`` evaluates the window series of every complement-run length
 0..m at once, from one ``_inputs`` evaluation (and, for a chain, one walk of
-its distributions).  Its ``empty`` table is the package's one emptiness
-proof: row m marks the m-windows that are provably empty.  The Markov tables
-evaluate their columns through one common period of the chain's orbit and its
-event schedule, and copy the rest.  ``_scan`` is the one first-occurrence
+its distributions): the terms table, nothing else.  The Markov table
+evaluates its columns through one common period of the chain's orbit and its
+event schedule, and copies the rest.  ``tail_sum(m, n) == 0.0`` is the
+package's one emptiness proof: every m-window from n on is empty, for every
+index and not just the evaluated ones.  ``_scan`` is the one first-occurrence
 recurrence per backend, over those inputs, and
 ``first_occurrence_terms(starts, count, carries)`` the one way into it: it
 evaluates the inputs once per merged run of its starts' ranges, runs each
@@ -58,6 +59,7 @@ from __future__ import annotations
 
 import enum
 import math
+import sys
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from typing import Any, Callable, Sequence
@@ -93,6 +95,9 @@ ROW_SUM_TOL = 1e-12
 # independent sampler per generator: bounds the samplers' memory at far and
 # wide windows and wide batches
 _DRAW_CHUNK = 1 << 16
+# the steps a Markov support orbit may walk to its first repeat before
+# tail_sum gives up: a walk that long proves no window empty
+_SUPPORT_WALK = 1 << 16
 
 
 class NumericFaultError(ArithmeticError):
@@ -150,15 +155,13 @@ class EventSequenceModel(ABC):
         return ""
 
     @abstractmethod
-    def window_series(self, max_prefix_len: int, num_terms: int) -> tuple[np.ndarray, np.ndarray]:
+    def window_series(self, max_prefix_len: int, num_terms: int) -> np.ndarray:
         """Every m-window series for m = 0..max_prefix_len, from one evaluation.
 
-        Returns (terms, empty), two (max_prefix_len + 1, num_terms) tables.
-        ``terms[m, n - 1]`` is the probability of ``first_occurrence(n, m)``.
-        ``empty[m, n - 1]`` is True only when that window is provably empty
-        (probability exactly 0), by a structural check (a zero or one
-        marginal, support reachability, interval emptiness), never a
-        float-underflow readout.  Row 0 of ``terms`` is the marginals P(A_n).
+        Returns the (max_prefix_len + 1, num_terms) table whose entry [m, n - 1]
+        is the probability of ``first_occurrence(n, m)``; row 0 is the
+        marginals P(A_n).  A zero entry proves nothing: ``tail_sum`` is the
+        one proof that windows are empty.
         """
 
     def first_occurrence_terms(
@@ -176,8 +179,11 @@ class EventSequenceModel(ABC):
         evaluated once per merged run of the starts' ranges, and each start's
         recurrence reads its own slice of them; every input is elementwise in
         its index, so each scan equals the call with its start alone, bit for
-        bit.  A count of 0 returns two empty arrays and each carry as given.
+        bit.  A count of 0 returns two empty arrays and each carry as given; one
+        past ``sys.maxsize`` bytes of inputs raises ``MemoryError``.
         """
+        if count > sys.maxsize // 8:
+            raise MemoryError(f"a scan of {count} terms does not fit in memory")
         carries = [None] * len(starts) if carries is None else carries
         if count == 0:
             return [(np.empty(0), np.empty(0), carry) for carry in carries]
@@ -307,19 +313,6 @@ def _stacked_runs(
     return runs, held, blocks
 
 
-def _tile(table: np.ndarray, evaluated: int, period: int) -> None:
-    """Fill the columns of ``table`` from ``evaluated`` on with copies.
-
-    Each column copies the one ``period`` before it.  The copies double in
-    width, so a table of N columns takes O(log N) slices.
-    """
-    start, end = evaluated - period, evaluated
-    while end < table.shape[1]:
-        width = min(end - start, table.shape[1] - end)
-        table[:, end : end + width] = table[:, start : start + width]
-        end += width
-
-
 # ---------------------------------------------------------------------------
 # independent backend
 
@@ -348,22 +341,17 @@ class IndependentModel(EventSequenceModel):
     def describe(self) -> str:
         return f"independent events, {self._family.describe()}"
 
-    def window_series(self, max_prefix_len: int, num_terms: int) -> tuple[np.ndarray, np.ndarray]:
+    def window_series(self, max_prefix_len: int, num_terms: int) -> np.ndarray:
         # the window at n multiplies its factors in index order, as the
-        # reference does: row m is the product of the first m complements,
-        # times p.  It is empty where p is 0 or a complement's p is 1 (dead).
+        # reference does: row m is the product of the first m complements, times p
         (p,) = self._inputs(1, num_terms + max_prefix_len)
         terms = np.empty((max_prefix_len + 1, num_terms))
-        empty = np.empty(terms.shape, dtype=bool)
         survive = np.ones(num_terms)  # 1.0 * x is x exactly
-        dead = np.zeros(num_terms, dtype=bool)
         for m in range(max_prefix_len + 1):
             window = p[m : m + num_terms]
             terms[m] = self._finish_probs(survive * window)
-            empty[m] = dead | (window == 0.0)
             survive *= 1.0 - window
-            dead |= window == 1.0
-        return terms, empty
+        return terms
 
     def _inputs(self, lo: int, hi: int) -> tuple[np.ndarray, ...]:
         return (self._family.values(lo, hi),)
@@ -602,15 +590,17 @@ class MarkovModel(EventSequenceModel):
     Window probabilities are computed by propagating the time-n distribution
     through masked transition steps.  A window series propagates the
     distributions at times 1..k as one stacked array, row by row with the same
-    vector-matrix products as a single window, and its emptiness table runs
-    the supports the same way.  Column n of either table reads only x_n (the
+    vector-matrix products as a single window, and ``tail_sum`` runs the
+    supports the same way.  Column n of either reads only x_n (the
     distribution or support at time n) and E_n..E_{n+m}; both repeat from
     some time on, so k ends one common period of the two, and the columns
     past k are copies (``_table_columns``).  A chain whose orbit does not
-    repeat within N, or an explicit schedule with no tail, has k = N.  The
-    distributions (step v -> v @ T) and their supports (s -> reach[s].any(0))
-    are two ``_Orbit`` walks, each walked at most once per table; no series
-    block is kept, so memory stays O(S^2 + cycle) between queries.
+    repeat within N, or an explicit schedule with no tail, has k = N;
+    ``tail_sum`` proves nothing for a support orbit with no repeat within
+    ``_SUPPORT_WALK`` steps, or for such a schedule.  The distributions (step
+    v -> v @ T) and their supports (s -> reach[s].any(0)) are two ``_Orbit``
+    walks, each walked at most once per query; no series block is kept, so
+    memory stays O(S^2 + cycle) between queries.
 
     The constructor is the one check of the chain.  ``transition`` must be a
     nonempty square list of rows, and each row and ``initial`` a probability
@@ -662,9 +652,8 @@ class MarkovModel(EventSequenceModel):
     def event_mask(self, n: int) -> np.ndarray:
         return self._events.mask(n)
 
-    def window_series(self, max_prefix_len: int, num_terms: int) -> tuple[np.ndarray, np.ndarray]:
+    def window_series(self, max_prefix_len: int, num_terms: int) -> np.ndarray:
         terms = np.empty((max_prefix_len + 1, num_terms))
-        empty = np.empty(terms.shape, dtype=bool)
         # dists row n - 1: the distribution at time n + m with the complements
         # at n..n + m - 1 masked in, as the scalar reference propagates it
         dists, masks, period = self._table_columns(self._dists, max_prefix_len, num_terms)
@@ -677,21 +666,29 @@ class MarkovModel(EventSequenceModel):
                 # one vector-matrix product per row, bit-identical to the reference
                 # (a matrix-matrix product rounds differently)
                 dists = (dists[:, None, :] @ self._transition)[:, 0, :]
-        _tile(terms, k, period)
-        # the support pass runs once the distribution temporaries are freed, so
-        # the two passes' peaks do not add up.  Its 0/1 products count at most
-        # S paths, which float32 holds exactly.
-        del dists
-        reach = (self._transition > 0.0).astype(np.float32)
-        supp, masks, period = self._table_columns(self._supports, max_prefix_len, num_terms)
-        k = len(supp)
-        for m in range(max_prefix_len + 1):
-            window = masks[m : m + k]
-            empty[m, :k] = ~(supp & window).any(axis=1)
-            if m < max_prefix_len:
-                supp = (supp & ~window).astype(np.float32) @ reach > 0.0
-        _tile(empty, k, period)
-        return terms, empty
+        # each column from k on copies the one a period before it, in copies
+        # that double in width: O(log N) slices for N columns
+        start, end = k - period, k
+        while end < num_terms:
+            width = min(end - start, num_terms - end)
+            terms[:, end : end + width] = terms[:, start : start + width]
+            end += width
+        return terms
+
+    def tail_sum(self, prefix_len: int, n: int) -> float | None:
+        # 0 when the support the m-window's masks leave is empty at every column
+        # from n through one joint period L past h = max(c, e): the columns
+        # from h on repeat with period L.  The 0/1 products count at most S
+        # paths, which float32 holds exactly.
+        if self._events._period is None or self._supports.head(_SUPPORT_WALK)[1] is None:
+            return None
+        supp, masks, period = self._table_columns(self._supports, prefix_len, sys.maxsize)
+        k = len(supp)  # h - 1 + L
+        lo = min(n, k - period + 1) - 1
+        supp, reach = supp[lo:], (self._transition > 0.0).astype(np.float32)
+        for m in range(prefix_len):
+            supp = (supp & ~masks[lo + m : k + m]).astype(np.float32) @ reach > 0.0
+        return None if (supp & masks[lo + prefix_len : k + prefix_len]).any() else 0.0
 
     def _table_columns(
         self, orbit: _Orbit, max_prefix_len: int, num_terms: int
@@ -894,27 +891,24 @@ class LatentUniformModel(EventSequenceModel):
             raise ValueError(f"threshold a_{n} = {a!r} outside [0, 1]")
         return a
 
-    def window_series(self, max_prefix_len: int, num_terms: int) -> tuple[np.ndarray, np.ndarray]:
+    def window_series(self, max_prefix_len: int, num_terms: int) -> np.ndarray:
         # the m-window at n holds each latent j in (lo, hi]: lo its largest
         # complement threshold, hi its occurrence threshold.  below[j] is
         # latent j's lo so far (0.0 and 1.0 leave max and min alone)
         colors, a = self._inputs(1, num_terms + max_prefix_len)
         below = np.zeros((self._num_latents, num_terms))
         terms = np.empty((max_prefix_len + 1, num_terms))
-        empty = np.zeros(terms.shape, dtype=bool)
         for m in range(max_prefix_len + 1):
             mine, at = colors[m : m + num_terms], a[m : m + num_terms]
             prob = None
             for j in range(self._num_latents):
                 span = np.where(mine == j, at, 1.0) - below[j]
-                # a difference of thresholds in [0, 1] is <= 0 exactly when hi <= lo
-                empty[m] |= span <= 0.0
                 length = np.where(span > 0.0, span, 0.0)  # max(0.0, hi - lo)
                 prob = length if prob is None else prob * length
             terms[m] = self._finish_probs(prob)
             for j in range(self._num_latents):
                 np.maximum(below[j], np.where(mine == j, at, 0.0), out=below[j])
-        return terms, empty
+        return terms
 
     def _inputs(self, lo: int, hi: int) -> tuple[np.ndarray, ...]:
         # color(n) and threshold(n) for n = lo..hi.  Zeros come out as +0.0,

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import math
 from itertools import repeat
 from pathlib import Path
 
@@ -93,7 +94,9 @@ def reference_window_prob(model: EventSequenceModel, w: WindowPattern) -> float:
 def reference_window_tail(model: EventSequenceModel, n: int, k: int):
     """(bound, m): the least ``tail_sum(m, n + k - m)`` over m <= min(k,
     MAX_PREFIX_LEN), at its least m, or (None, None): the window tail past
-    truncation k."""
+    truncation k.  A model with no finite ``scan_error`` has none."""
+    if not math.isfinite(model.scan_error()):
+        return None, None
     bounds = [(model.tail_sum(m, n + k - m), m) for m in range(min(k, MAX_PREFIX_LEN) + 1)]
     return min(((b, m) for b, m in bounds if b is not None), default=(None, None))
 
@@ -151,6 +154,46 @@ def any_families(draw, tails=st.none()):
     scale = draw(st.sampled_from([0.0, 1.0, 2.5]) | st.floats(0.0, 3.0, allow_subnormal=False))
     exponent = draw(st.sampled_from([0.0, 1.0, -1.0]) | st.floats(-2.0, 3.0))
     return (PowerLaw if kind == "powerlaw" else LogPower)(scale, exponent)
+
+
+QUARTERS = [0.0, 0.25, 0.5, 0.75, 1.0]
+
+
+@st.composite
+def dyadic_rows(draw, s):
+    """A probability vector over s states in quarters: it sums to 1 exactly."""
+    cuts = sorted(draw(st.lists(st.sampled_from(QUARTERS), min_size=s - 1, max_size=s - 1)))
+    return [b - a for a, b in zip([0.0, *cuts], [*cuts, 1.0])]
+
+
+@st.composite
+def early_repeating_chains(draw):
+    """Chains whose distribution orbits mostly repeat early, over every repeating schedule.
+
+    Dyadic rows in quarters, a 2- or 3-cycle, or a chain absorbed within two
+    steps; and the three schedules with a period: constant, a cycle of 1-3
+    sets, and an explicit list with a tail.
+    """
+    kind = draw(st.sampled_from(["dyadic", "cycle", "absorbing"]))
+    if kind == "dyadic":
+        s = draw(st.integers(min_value=1, max_value=3))
+        transition = [draw(dyadic_rows(s)) for _ in range(s)]
+    elif kind == "cycle":
+        s = draw(st.integers(min_value=2, max_value=3))
+        transition = np.roll(np.eye(s), 1, axis=1).tolist()
+    else:
+        # absorbed within two steps, so the orbit reaches its fixed point early
+        s = 3
+        transition = [[0.0, 0.5, 0.5], [0.0, 0.0, 1.0], [0.0, 0.0, 1.0]]
+    sets = st.lists(st.integers(0, s - 1), max_size=s, unique=True)
+    mode = draw(st.sampled_from(["constant", "cycle", "explicit"]))
+    if mode == "constant":
+        events = EventSchedule(s, constant=draw(sets))
+    elif mode == "cycle":
+        events = EventSchedule(s, cycle=draw(st.lists(sets, min_size=1, max_size=3)))
+    else:
+        events = EventSchedule(s, explicit=draw(st.lists(sets, max_size=8)), tail=draw(sets))
+    return MarkovModel(transition, draw(dyadic_rows(s)), events)
 
 
 def make_coin(p: float = 0.5) -> IndependentModel:

@@ -457,6 +457,22 @@ def test_simulate_at_the_last_index_is_spec_error(name, capsys):
     assert capsys.readouterr().err.startswith("spec error: ")
 
 
+@pytest.mark.parametrize("size", [1 << 62, 10**15])
+@pytest.mark.parametrize(
+    "command, flag, sizes",
+    [("analyze", "--terms", "--terms, {spec}.defaults.m_max"),
+     ("simulate", "--horizon", "{spec}.defaults.count, --horizon")],
+)
+def test_sizes_past_memory_name_their_sources(command, flag, sizes, size, capsys):
+    # 2**62 passes sys.maxsize bytes, where numpy raised an unnamed ValueError;
+    # 10**15 is refused by the allocator
+    spec = SPECS / "coin-half.json"
+    assert run([command, spec, flag, size]) == EXIT_SPEC
+    assert capsys.readouterr().err == (
+        f"spec error: {sizes.format(spec=spec)}: the request does not fit in memory\n"
+    )
+
+
 @pytest.mark.parametrize(
     "model",
     [

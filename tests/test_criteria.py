@@ -1,3 +1,4 @@
+import functools
 import math
 from fractions import Fraction
 
@@ -38,22 +39,22 @@ def criterion(model, m, num_terms):
 
 
 def rows(model, m, num_terms):
-    """Row m of the terms and emptiness tables."""
-    terms, empty = series_terms(model, m, num_terms)
-    return terms[m], empty[m]
+    """Row m of the terms table, and the bound on its tail from n, ``tail_sum(m, n)``."""
+    return series_terms(model, m, num_terms)[m], functools.partial(model.tail_sum, m)
 
 
 def test_constant_one_gap_terms():
-    terms, empty = series_terms(make_coin(), 1, 50)
-    assert terms.shape == empty.shape == (2, 50)
+    coin = make_coin()
+    terms = series_terms(coin, 1, 50)
+    assert terms.shape == (2, 50)
     assert np.all(terms[0] == 0.5) and np.all(terms[1] == 0.25)
-    assert not empty.any()
+    assert coin.tail_sum(1, 1) is None
 
 
 def test_interleaved_two_gap_terms_all_zero_and_match_oracle():
     inter = make_interleaved()
-    terms, empty = rows(inter, 2, 200)
-    assert np.all(terms == 0.0) and np.all(empty)
+    terms, tail_sum = rows(inter, 2, 200)
+    assert np.all(terms == 0.0) and tail_sum(1) == 0.0
     space = build_outcome_space(inter, 10)
     for n in range(1, 9):
         assert oracle_window_prob(space, first_occurrence(n, 2)) == 0.0
@@ -86,21 +87,41 @@ def test_independent_one_gap_term_formula():
 
 def test_classify_all_zero_is_certified():
     nested = make_nested()
-    terms, empty = rows(nested, 1, 300)
-    verdict = classify_series(terms, empty, fit_tail(terms), nested.series_class(1))
+    terms, tail_sum = rows(nested, 1, 300)
+    verdict = classify_series(terms, tail_sum, fit_tail(terms), nested.series_class(1))
     assert verdict.label is VerdictLabel.CERTIFIED_CONVERGENT
     assert "zero" in verdict.justification
 
 
 def test_zero_tail_is_certified_only_when_every_window_is_empty():
     terms = np.concatenate((np.full(100, 0.5), np.zeros(100)))
-    empty = np.concatenate((np.zeros(100, dtype=bool), np.ones(100, dtype=bool)))
     fit = fit_tail(terms)
-    assert classify_series(terms, empty, fit, None).label is VerdictLabel.CERTIFIED_CONVERGENT
-    empty[-1] = False
-    verdict = classify_series(terms, empty, fit, None)
+    asked = []
+
+    def proved_from(first):
+        return lambda n: asked.append(n) or (0.0 if n >= first else None)
+
+    verdict = classify_series(terms, proved_from(101), fit, None)
+    assert verdict.label is VerdictLabel.CERTIFIED_CONVERGENT
+    assert verdict.justification == (
+        "eventually zero terms: every window from n = 101 is provably empty,"
+        " so the series is a finite sum"
+    )
+    verdict = classify_series(terms, proved_from(102), fit, None)
     assert verdict.label is VerdictLabel.LIKELY_CONVERGENT
     assert "does not prove" in verdict.justification
+    assert asked == [101, 101]
+
+
+def test_tail_sum_is_read_only_when_a_zero_run_shows():
+    def unread(n):
+        raise AssertionError(f"tail_sum read at {n}")
+
+    for terms in (np.full(200, 0.5), np.concatenate((np.zeros(150), np.full(50, 0.5)))):
+        classify_series(terms, unread, fit_tail(terms), None)
+    # a closed form goes first, whatever zeros show
+    zeros = np.zeros(200)
+    classify_series(zeros, unread, fit_tail(zeros), (SeriesClass.CONVERGENT, "declared"))
 
 
 def test_a_closed_form_outranks_zeros_observed_up_to_n():
@@ -128,12 +149,56 @@ def test_latent_zero_tail_is_certified_only_where_the_backend_bounds_it():
         assert "does not prove" in verdict.justification
         assert not sweep.results[m].certified
     assert model.tail_sum(2, 1) is None and model.tail_sum(1, 10**6) is None
-    assert (model.window_series(1, 8000)[0][1, 6000:] == 0.25).all()
+    assert (model.window_series(1, 8000)[1, 6000:] == 0.25).all()
     # nested and interleaved-nested windows are empty for every n
     for shipped, m in ((make_nested(), 1), (make_interleaved(), 2)):
         assert shipped.tail_sum(m, 1) == 0.0
         result = sweep_prefix_len(shipped, m, num_terms=2000).results[m]
         assert result.verdict.label is VerdictLabel.CERTIFIED_CONVERGENT and result.certified
+
+
+def test_markov_zero_tail_must_hold_over_a_full_period():
+    # E_1 = {0}, no event at n = 2..3001, then {0} for good: 2000 terms see a
+    # zero run from n = 2, yet A_n holds at every n >= 3002
+    events = EventSchedule(1, explicit=[[0]] + [[]] * 3000, tail=[0])
+    model = MarkovModel([[1.0]], [1.0], events)
+    sweep = sweep_prefix_len(model, 3, num_terms=2000)
+    for res in sweep.results:
+        assert res.verdict.label is VerdictLabel.LIKELY_CONVERGENT, res.prefix_len
+        assert "does not prove" in res.verdict.justification and not res.certified
+    assert sweep.least_io_zero == 0 and sweep.least_certified_io_zero is None
+    assert [model.tail_sum(m, 2) for m in range(4)] == [None] * 4
+    # from n = 3002 on an m >= 1 window needs a complement that never holds
+    assert model.tail_sum(0, 3002) is None
+    assert [model.tail_sum(m, 1) for m in (1, 2, 3)] == [None] * 3
+    assert [model.tail_sum(m, 3002 - m + 1) for m in (1, 2, 3)] == [0.0] * 3
+    assert [model.tail_sum(m, 3002 - m) for m in (1, 2, 3)] == [None] * 3
+    # past n = 3002 the rows that a zero run from there shows are certified
+    sweep = sweep_prefix_len(model, 3, num_terms=10000)
+    assert [r.verdict.label for r in sweep.results[1:]] == [VerdictLabel.CERTIFIED_CONVERGENT] * 3
+
+
+def test_a_tailless_independent_zero_run_is_likely():
+    # an explicit list with no tail states no closed form and no tail bound
+    model = IndependentModel(ExplicitList((0.5,) + (0.0,) * 3000))
+    sweep = sweep_prefix_len(model, 3, num_terms=2000)
+    for res in sweep.results:
+        assert res.verdict.label is VerdictLabel.LIKELY_CONVERGENT, res.prefix_len
+        assert "does not prove" in res.verdict.justification and not res.certified
+    assert sweep.least_certified_io_zero is None
+
+
+def test_flipflop_two_gap_windows_stay_certified_empty():
+    from conftest import make_flipflop
+
+    ff = make_flipflop()
+    res = criterion(ff, 2, 1000)
+    assert res.verdict.label is VerdictLabel.CERTIFIED_CONVERGENT
+    assert res.verdict.justification == (
+        "eventually zero terms: every window from n = 1 is provably empty,"
+        " so the series is a finite sum"
+    )
+    assert ff.tail_sum(2, 1) == 0.0 and ff.tail_sum(1, 10**12) is None
 
 
 def reference_zero_tail_start(terms):
@@ -158,18 +223,18 @@ def test_zero_tail_start_matches_the_index_reference(values):
 
 def test_classify_constant_positive_is_certified_divergent():
     coin = make_coin()
-    terms, empty = rows(coin, 1, 300)
-    verdict = classify_series(terms, empty, fit_tail(terms), coin.series_class(1))
+    terms, tail_sum = rows(coin, 1, 300)
+    verdict = classify_series(terms, tail_sum, fit_tail(terms), coin.series_class(1))
     assert verdict.label is VerdictLabel.CERTIFIED_DIVERGENT
 
 
 def test_classify_harmonic_boundary():
     model = IndependentModel(PowerLaw(1.0, 1.0))
-    terms, empty = rows(model, 0, 2000)
+    terms, tail_sum = rows(model, 0, 2000)
     fit = fit_tail(terms)
-    with_meta = classify_series(terms, empty, fit, model.series_class(0))
+    with_meta = classify_series(terms, tail_sum, fit, model.series_class(0))
     assert with_meta.label is VerdictLabel.CERTIFIED_DIVERGENT
-    bare = classify_series(terms, empty, fit, None)
+    bare = classify_series(terms, tail_sum, fit, None)
     # fitted slope sits at the p-series boundary: the buffer keeps it honest
     assert bare.label in (VerdictLabel.INCONCLUSIVE, VerdictLabel.LIKELY_DIVERGENT)
     assert fit.slope == pytest.approx(-1.0, abs=0.02)
@@ -181,19 +246,19 @@ def test_classify_harmonic_boundary():
 )
 def test_classify_rejects_an_empty_series(classified):
     # no evaluated term certifies nothing, not even an "eventually zero" tail
-    terms, empty = np.empty(0), np.empty(0, dtype=bool)
+    terms = np.empty(0)
     with pytest.raises(InsufficientDataError):
-        classify_series(terms, empty, fit_tail(terms), classified)
+        classify_series(terms, lambda n: 0.0, fit_tail(terms), classified)
 
 
 def test_classify_requires_terms_or_metadata():
-    terms, empty = np.array([0.5, 0.5]), np.zeros(2, dtype=bool)
+    terms = np.array([0.5, 0.5])
     with pytest.raises(InsufficientDataError):
-        classify_series(terms, empty, fit_tail(terms), None)
+        classify_series(terms, lambda n: None, fit_tail(terms), None)
     # a closed-form series class substitutes for bulk
     coin = make_coin()
-    terms, empty = rows(coin, 1, 2)
-    verdict = classify_series(terms, empty, fit_tail(terms), coin.series_class(1))
+    terms, tail_sum = rows(coin, 1, 2)
+    verdict = classify_series(terms, tail_sum, fit_tail(terms), coin.series_class(1))
     assert verdict.label is VerdictLabel.CERTIFIED_DIVERGENT
 
 
@@ -211,10 +276,10 @@ def test_classify_monotone_in_evidence():
         VerdictLabel.INCONCLUSIVE: 0,
     }
     for model, m, n in cases:
-        terms, empty = rows(model, m, n)
+        terms, tail_sum = rows(model, m, n)
         fit = fit_tail(terms)
-        with_meta = classify_series(terms, empty, fit, model.series_class(m))
-        without = classify_series(terms, empty, fit, None)
+        with_meta = classify_series(terms, tail_sum, fit, model.series_class(m))
+        without = classify_series(terms, tail_sum, fit, None)
         assert strength[with_meta.label] >= strength[without.label]
 
 
@@ -257,9 +322,9 @@ def test_alternating_zero_terms_do_not_fake_convergence():
     from conftest import make_flipflop
 
     ff = make_flipflop()
-    terms, empty = rows(ff, 1, 1000)
+    terms, tail_sum = rows(ff, 1, 1000)
     assert terms.sum() == 500.0
-    verdict = classify_series(terms, empty, fit_tail(terms), ff.series_class(1))
+    verdict = classify_series(terms, tail_sum, fit_tail(terms), ff.series_class(1))
     assert verdict.label is VerdictLabel.LIKELY_DIVERGENT
     res = criterion(ff, 1, 1000)
     assert res.conclusion is Conclusion.NO_CONCLUSION
@@ -282,7 +347,7 @@ def test_justification_prints_no_negative_zero(slope):
     # a constant tail fits a slope of +-1e-31; rounded to 0.000 it carries no sign
     terms = np.full(200, 0.5)
     fit = criteria.TailFit(slope, 0.0, 180, 0.0)
-    verdict = classify_series(terms, np.zeros(200, dtype=bool), fit, None)
+    verdict = classify_series(terms, lambda n: None, fit, None)
     assert verdict.justification == "fitted tail exponent 0.000 > -0.9"
 
 
@@ -434,3 +499,9 @@ def test_verdicts_agree_with_the_polyfit_reference(monkeypatch, spec, size):
     got = outcome()
     monkeypatch.setattr(criteria, "fit_tail", reference_fit_tail)
     assert got == outcome()
+
+
+def test_a_table_past_sys_maxsize_bytes_raises_memory_error():
+    # raised before any input is evaluated; the CLI names the size values' sources
+    with pytest.raises(MemoryError, match="a 4 x 2305843009213693952 table"):
+        series_terms(make_coin(), 3, 1 << 61)

@@ -1,8 +1,10 @@
 """The array query path against the scalar reference, compared exactly.
 
-Every backend's ``window_series`` and scans must return the floats and
-emptiness proofs the per-window loop returns, bit for bit: reports are built from the
-arrays and must not change when the engine does.  The same holds for
+Every backend's ``window_series`` and scans must return the floats the
+per-window loop returns, bit for bit: reports are built from the arrays and
+must not change when the engine does.  A chain's ``tail_sum`` must agree with
+the per-window emptiness check on every column through one period of its
+supports and schedule.  The same holds for
 ``tail_union``'s doublings against one-shot sums, for ``limsup_estimate``'s
 lockstep levels and many-start scans against one start at a time, and for
 the Markov orbits against plain walks of distributions and supports.  The
@@ -47,6 +49,7 @@ from cantelli.windows import WindowPattern, all_complement, first_occurrence
 from conftest import (
     REPO,
     constraints,
+    early_repeating_chains,
     make_absorbing,
     make_equal_rows,
     make_flipflop,
@@ -88,14 +91,10 @@ def window_is_empty(model, w):
     """True only when the window event is provably empty (probability exactly 0).
 
     A structural check, one window at a time, never a float-underflow readout:
-    a marginal of 0 where the window needs the event or of 1 where it needs
-    the complement; a Markov support that the window's masks, walked through
-    the reachable states, leave empty; a latent interval (lo, hi] with
-    hi <= lo.
+    a Markov support that the window's masks, walked through the reachable
+    states, leave empty; a latent interval (lo, hi] with hi <= lo.
     """
     pairs = constraints(w)
-    if isinstance(model, IndependentModel):
-        return any(model.family.value(idx) == (0.0 if occur else 1.0) for idx, occur in pairs)
     if isinstance(model, MarkovModel):
         reach = model._transition > 0.0
         supp = model._supports.rows(w.start, w.start)[0]
@@ -118,15 +117,15 @@ def window_is_empty(model, w):
     return any(top <= bottom for bottom, top in zip(lo, hi))
 
 
-def reference_empty(model, max_prefix_len, num_terms):
-    """Row m: ``window_is_empty`` of the m-window at n = 1..num_terms."""
-    return np.array(
-        [
-            [window_is_empty(model, first_occurrence(n, m)) for n in range(1, num_terms + 1)]
-            for m in range(max_prefix_len + 1)
-        ],
-        dtype=bool,
-    )
+def assert_markov_tail_sum_agrees(model, prefix_len, n):
+    """A chain's ``tail_sum(m, n)`` is 0 exactly where ``window_is_empty``
+    holds at n through one joint period L of its supports and schedule past
+    the horizon h where both repeat: at n..max(n, h) + L - 1."""
+    bound = model.tail_sum(prefix_len, n)
+    (c, cycle), (e, q) = model._supports._cycle, model._events._period
+    columns = range(n, max(n, c, e) + math.lcm(len(cycle), q))
+    empty = all(window_is_empty(model, first_occurrence(j, prefix_len)) for j in columns)
+    assert bound == (0.0 if empty else None), (prefix_len, n)
 
 
 def reference_terms(model, n, count):
@@ -244,67 +243,30 @@ def test_explicit_values_past_an_untailed_list_raise():
 @settings(max_examples=300, deadline=None)
 @given(models, prefix_lens, st.integers(min_value=1, max_value=60))
 def test_window_series_matches_window_prob(model, max_prefix_len, num_terms):
-    terms, empty = model.window_series(max_prefix_len, num_terms)
-    assert terms.shape == empty.shape == (max_prefix_len + 1, num_terms)
-    assert empty.dtype == bool
+    terms = model.window_series(max_prefix_len, num_terms)
+    assert terms.shape == (max_prefix_len + 1, num_terms)
     assert bits(terms) == bits(reference_series(model, max_prefix_len, num_terms))
-    assert np.array_equal(empty, reference_empty(model, max_prefix_len, num_terms))
-    # a proved-empty window has probability exactly 0
-    assert np.all(terms[empty] == 0.0)
 
 
 @settings(max_examples=300, deadline=None)
 @given(models, prefix_lens, st.integers(min_value=1, max_value=30), st.integers(0, 30))
 def test_empty_series_matches_window_is_empty(model, prefix_len, lo, span):
-    # the emptiness row of the m-window over n = lo..lo + span, read from a
-    # table that starts at n = 1, agrees with window_is_empty window by window
-    _, empty = model.window_series(prefix_len, lo + span)
-    got = empty[prefix_len, lo - 1 :]
-    expected = [
-        window_is_empty(model, first_occurrence(n, prefix_len)) for n in range(lo, lo + span + 1)
-    ]
-    assert got.dtype == bool
-    assert np.array_equal(got, np.array(expected, dtype=bool))
-
-
-QUARTERS = [0.0, 0.25, 0.5, 0.75, 1.0]
-
-
-@st.composite
-def dyadic_rows(draw, s):
-    """A probability vector over s states in quarters: it sums to 1 exactly."""
-    cuts = sorted(draw(st.lists(st.sampled_from(QUARTERS), min_size=s - 1, max_size=s - 1)))
-    return [b - a for a, b in zip([0.0, *cuts], [*cuts, 1.0])]
-
-
-@st.composite
-def early_repeating_chains(draw):
-    """Chains whose distribution orbits mostly repeat early, over every repeating schedule.
-
-    Dyadic rows in quarters, a 2- or 3-cycle, or a chain absorbed within two
-    steps; and the three schedules with a period: constant, a cycle of 1-3
-    sets, and an explicit list with a tail.
-    """
-    kind = draw(st.sampled_from(["dyadic", "cycle", "absorbing"]))
-    if kind == "dyadic":
-        s = draw(st.integers(min_value=1, max_value=3))
-        transition = [draw(dyadic_rows(s)) for _ in range(s)]
-    elif kind == "cycle":
-        s = draw(st.integers(min_value=2, max_value=3))
-        transition = np.roll(np.eye(s), 1, axis=1).tolist()
-    else:
-        # absorbed within two steps, so the orbit reaches its fixed point early
-        s = 3
-        transition = [[0.0, 0.5, 0.5], [0.0, 0.0, 1.0], [0.0, 0.0, 1.0]]
-    sets = st.lists(st.integers(0, s - 1), max_size=s, unique=True)
-    mode = draw(st.sampled_from(["constant", "cycle", "explicit"]))
-    if mode == "constant":
-        events = EventSchedule(s, constant=draw(sets))
-    elif mode == "cycle":
-        events = EventSchedule(s, cycle=draw(st.lists(sets, min_size=1, max_size=3)))
-    else:
-        events = EventSchedule(s, explicit=draw(st.lists(sets, max_size=8)), tail=draw(sets))
-    return MarkovModel(transition, draw(dyadic_rows(s)), events)
+    # tail_sum(m, lo) is 0 only where window_is_empty holds at every column
+    # from lo on; for a chain with a period, exactly where it holds on the
+    # columns through one period past the horizon
+    bound = model.tail_sum(prefix_len, lo)
+    assert bound in (None, 0.0)
+    if isinstance(model, IndependentModel) or (
+        isinstance(model, MarkovModel) and model._events._period is None
+    ):
+        assert bound is None
+    elif isinstance(model, MarkovModel):
+        assert_markov_tail_sum_agrees(model, prefix_len, lo)
+    if bound == 0.0:
+        # the columns lo..lo + span agree, and their terms are exactly 0
+        far = range(lo, lo + span + 1)
+        assert all(window_is_empty(model, first_occurrence(n, prefix_len)) for n in far)
+        assert not model.window_series(prefix_len, lo + span)[prefix_len, lo - 1 :].any()
 
 
 @settings(max_examples=100, deadline=None)
@@ -312,9 +274,11 @@ def early_repeating_chains(draw):
 def test_markov_tiled_series_matches_window_prob(model, max_prefix_len, num_terms):
     # past the pre-period and one (orbit x schedule) period the table is
     # tiled, not evaluated; it must still equal the one-window reference
-    terms, empty = model.window_series(max_prefix_len, num_terms)
+    terms = model.window_series(max_prefix_len, num_terms)
     assert bits(terms) == bits(reference_series(model, max_prefix_len, num_terms))
-    assert np.array_equal(empty, reference_empty(model, max_prefix_len, num_terms))
+    for m in range(max_prefix_len + 1):
+        for n in (1, 2, num_terms):
+            assert_markov_tail_sum_agrees(model, m, n)
 
 
 @pytest.mark.parametrize(
@@ -334,9 +298,8 @@ def test_markov_series_evaluates_one_period(events):
         (c, cycle), (e, q) = orbit._cycle, events._period
         assert len(cycle) == 3 and period == math.lcm(3, q)
         assert len(rows) == max(c, e) - 1 + period < 20 and len(masks) == len(rows) + 2
-    terms, empty = model.window_series(2, num_terms)
+    terms = model.window_series(2, num_terms)
     assert bits(terms) == bits(reference_series(model, 2, num_terms))
-    assert np.array_equal(empty, reference_empty(model, 2, num_terms))
 
 
 def test_markov_series_that_never_repeats_walks_once():
@@ -346,20 +309,18 @@ def test_markov_series_that_never_repeats_walks_once():
     steps = []
     step = model._dists._step
     model._dists._step = lambda x: steps.append(x) or step(x)
-    terms, empty = model.window_series(2, 3000)
+    terms = model.window_series(2, 3000)
     assert model._dists._cycle is None and len(steps) == 3000 - 1
     model._dists._step = step
     assert bits(terms) == bits(reference_series(model, 2, 3000))
-    assert np.array_equal(empty, reference_empty(model, 2, 3000))
 
 
 def test_markov_series_past_an_untailed_schedule_raises():
     # the chain repeats from time 2, but an explicit list with no tail has no period
     events = EventSchedule(2, explicit=[[0], [1], []])
     model = MarkovModel([[0.5, 0.5], [0.5, 0.5]], [1.0, 0.0], events)
-    terms, empty = model.window_series(1, 2)
+    terms = model.window_series(1, 2)
     assert bits(terms) == bits(reference_series(model, 1, 2))
-    assert np.array_equal(empty, reference_empty(model, 1, 2))
     with pytest.raises(
         SequenceIndexError, match="event schedule of length 3 queried at time 4 with no tail"
     ):
@@ -473,7 +434,7 @@ def reference_verify_results(model, horizon):
         field = ((1 << (span + 1)) - 1) << (n - 1)
         return float(space.probs[codes & field != 0].sum())
 
-    series = [model.window_series(m, horizon - m)[0][m] for m in range(horizon)]
+    series = [model.window_series(m, horizon - m)[m] for m in range(horizon)]
     rows = []
     max_diff = 0.0
     for n in range(1, horizon + 1):
@@ -533,7 +494,7 @@ def test_verify_matches_the_stepped_reference(name, horizon):
     horizon = horizon or spec.defaults.horizon
     assert verify_results(spec.model, horizon) == reference_verify_results(spec.model, horizon)
     # the report holds ten rows, so hold every prefix-window answer to the table
-    series = [spec.model.window_series(m, horizon - m)[0][m] for m in range(horizon)]
+    series = [spec.model.window_series(m, horizon - m)[m] for m in range(horizon)]
     for n in range(1, horizon + 1):
         terms = spec.model.first_occurrence_terms([n], horizon - n + 1)[0][0]
         for m in range(horizon - n + 1):
@@ -715,7 +676,7 @@ def test_markov_series_independent_of_query_order(model, max_prefix_len, num_ter
     expected = reference_series(model, max_prefix_len, num_terms)
     model.window_series(0, 3 * num_terms)
     reference_window_prob(model, first_occurrence(5 * num_terms, 1))
-    assert bits(model.window_series(max_prefix_len, num_terms)[0]) == bits(expected)
+    assert bits(model.window_series(max_prefix_len, num_terms)) == bits(expected)
     assert bits(reference_series(model, max_prefix_len, num_terms)) == bits(expected)
 
 
@@ -936,7 +897,7 @@ def test_nan_family_is_a_numeric_fault_on_both_paths(prefix_len):
 
 def _engine_answers(model):
     """The table, the scans, the seeded scans and the sampled blocks of ``model``."""
-    answers = list(model.window_series(3, 20))
+    answers = [model.window_series(3, 20)]
     for terms, complements, _ in model.first_occurrence_terms([1, 4, 9], 12):
         answers += [terms, complements]
     answers += [model.suffix_complement_probs(n, 8) for n in (1, 5)]

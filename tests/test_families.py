@@ -259,9 +259,10 @@ def test_index_range_is_int64_to_the_top_and_raises_past_memory():
     for lo, hi in ((1, 5), (top - 3, top), (7, 6)):
         out = families.index_range(lo, hi)
         assert out.dtype == np.int64 and out.tolist() == list(range(lo, hi + 1))
-    # np.arange comes back empty for a count this near 2**63
-    with pytest.raises(MemoryError):
-        families.index_range(1, top)
+    # numpy raises ValueError past sys.maxsize bytes, or comes back empty near 2**63
+    for hi in (top, sys.maxsize // 8 + 1):
+        with pytest.raises(MemoryError):
+            families.index_range(1, hi)
 
 
 @settings(max_examples=200, deadline=None)

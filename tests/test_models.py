@@ -46,9 +46,8 @@ def test_nested_one_gap_window_is_empty():
     nested = make_nested()
     w = first_occurrence(1, 1)
     assert reference_window_prob(nested, w) == 0.0
-    terms, empty = nested.window_series(1, 1)
-    assert terms[1, 0] == 0.0
-    assert empty[1, 0]
+    assert nested.window_series(1, 1)[1, 0] == 0.0
+    assert nested.tail_sum(1, 1) == 0.0
 
 
 def test_marginal_prob_examples():
@@ -63,7 +62,7 @@ def test_marginal_prob_examples():
 def test_marginal_prob_equals_trivial_window():
     # the decay check reads the marginals from row 0 of the series table
     model = random_markov(np.random.default_rng(0))
-    marginals = model.window_series(0, 5)[0][0]
+    marginals = model.window_series(0, 5)[0]
     for n in (1, 2, 5):
         assert marginals[n - 1] == reference_window_prob(model, first_occurrence(n, 0))
 
@@ -134,6 +133,15 @@ def test_first_occurrence_terms_match_window_prob():
         assert np.allclose(terms, direct, atol=1e-13)
 
 
+@pytest.mark.parametrize(
+    "model", [make_coin(), IndependentModel(PowerLaw(0.0, 2.0)), make_flipflop(), make_nested()]
+)
+def test_scans_past_sys_maxsize_bytes_raise_memory_error(model):
+    # numpy raises ValueError for such an array; nothing is evaluated first
+    with pytest.raises(MemoryError, match=f"a scan of {1 << 62} terms"):
+        model.first_occurrence_terms([1], 1 << 62)
+
+
 def test_all_complement_prob_matches_window_prob():
     rng = np.random.default_rng(12)
     for build in (random_independent, random_markov, random_latent):
@@ -165,7 +173,7 @@ def test_equal_row_markov_matches_independent():
 
 def decay(model, tol=1e-6):
     """The decay check on the model's first 4096 marginals."""
-    return marginal_decay_check(model, model.window_series(0, 4096)[0][0], tol)
+    return marginal_decay_check(model, model.window_series(0, 4096)[0], tol)
 
 
 def test_decay_examples():
@@ -388,7 +396,7 @@ def test_markov_queries_are_pure_under_threads():
     def queries(chain):
         # a series table, then scans from far and near starts, which walk the
         # orbit forward and back from its one cursor
-        table = chain.window_series(3, 30)[0]
+        table = chain.window_series(3, 30)
         scans = [chain.first_occurrence_terms([n], 4)[0][0] for n in (29, 1, 17, 2)]
         return [table.tobytes()] + [terms.tobytes() for terms in scans]
 
@@ -411,21 +419,23 @@ def test_markov_queries_are_pure_under_threads():
 
 def test_markov_window_is_empty_via_support():
     ff = make_flipflop()
-    # empty[m, n - 1] is the proof for the m-window at n
-    _, empty = ff.window_series(1, 1002)
-    # started in state 1: being in state 0 at time 1 is impossible
-    assert empty[0, 0]
+    # tail_sum(m, n) is 0 only when every m-window from n on is empty.
+    # Started in state 1: being in state 0 at time 1 is impossible, at time 2 certain
     assert reference_window_prob(ff, first_occurrence(1, 0)) == 0.0
-    assert not empty[0, 1]
-    # the complement run not-A_3 A_4 is certain, not empty
-    assert reference_window_prob(ff, first_occurrence(3, 1)) == 1.0
-    assert not empty[1, 2]
-    # not-A_2 then A_3 needs the chain out of state 0 at time 2: impossible
+    assert reference_window_prob(ff, first_occurrence(2, 0)) == 1.0
+    assert ff.tail_sum(0, 1) is None and ff.tail_sum(0, 10**12) is None
+    # not-A_2 then A_3 is impossible, but not-A_3 then A_4 is certain
     assert reference_window_prob(ff, first_occurrence(2, 1)) == 0.0
-    assert empty[1, 1]
-    # support cycling keeps long-horizon checks cheap and correct
-    assert empty[1, 1001]
-    assert not empty[1, 1000]
+    assert reference_window_prob(ff, first_occurrence(3, 1)) == 1.0
+    assert ff.tail_sum(1, 2) is None and ff.tail_sum(1, 1001) is None
+    # two complements in a row never happen: every 2-window is empty
+    assert ff.tail_sum(2, 1) == 0.0 and ff.tail_sum(2, 10**12) == 0.0
+    # events at times 1 and 2 only: the marginal tail is empty from 3 on
+    once = MarkovModel([[1.0]], [1.0], EventSchedule(1, explicit=[[0], [0]], tail=[]))
+    assert once.tail_sum(0, 2) is None and once.tail_sum(0, 3) == 0.0
+    # an explicit list with no tail never repeats: no proof
+    untailed = MarkovModel([[1.0]], [1.0], EventSchedule(1, explicit=[[0], []]))
+    assert untailed.tail_sum(0, 2) is None
 
 
 def test_nested_sampling_respects_nesting():
