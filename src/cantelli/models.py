@@ -17,8 +17,8 @@ the one-window, one-index-at-a-time reference the tests keep
 (``reference_window_prob``, which walks a window's field of indicator bits in
 index order).  ``_inputs(lo, hi)`` is the one place where an
 engine method evaluates a per-index input (family values, colors and
-thresholds, or event masks): the window tables, the scans, the "A_n
-occurred" seeds and the samplers all read it.  The scalar rules
+thresholds, or event masks): the window tables, the scans and the samplers
+all read it.  The scalar rules
 (``family.value``, ``EventSchedule.mask`` and ``MarkovModel.event_mask``,
 ``LatentUniformModel.color``, ``position`` and ``threshold``) are what the
 oracle and the tests read, so the engines and the oracle share no input rule.
@@ -34,16 +34,13 @@ recurrence per backend, over those inputs, and
 evaluates the inputs once per merged run of its starts' ranges, runs each
 start's recurrence on its slice, and returns per start the terms, the
 finished all-complement probabilities and the carry that goes on with the
-scan.  One start is the call with one start.  ``suffix_complement_probs`` is
-one such call seeded with the carry "A_n occurred" (``_occurred``).
-``sample_indicator_block`` draws sampled indicators for many windows and a
-batch of generators in one call: it fills one row per distinct index the
-windows cover, reads each row's inputs once for the whole batch, and takes
-each window's block off its rows.  Each generator's rows equal, bit for bit,
-a call with that generator alone, whichever windows and generators share the
-call.  The Markov sampler starts every path in an extra state S whose cut
-row is the initial vector's, so its first step takes the rule of every other;
-an ``EventSchedule`` holds its masks once, as the rows of one array.
+scan.  One start is the call with one start; the engines compute prefix
+windows only.  ``sample_indicator_block`` draws sampled indicators for many
+windows and a batch of generators in one call: it fills one row per distinct
+index the windows cover, reads each row's inputs once for the whole batch,
+and takes each window's block off its rows.  Each generator's rows equal,
+bit for bit, a call with that generator alone, whichever windows and
+generators share the call.
 
 A backend states the closed forms it can certify through ``marginal_limit``,
 ``series_class``, ``union_bound``, ``tail_sum`` and ``describe``, and the
@@ -147,8 +144,8 @@ class EventSequenceModel(ABC):
         return None
 
     def scan_error(self) -> float:
-        """A bound on the absolute error of each term of an unseeded ``_scan``
-        against the model's exact term; inf when the backend derives none."""
+        """A bound on the absolute error of each term of a ``_scan`` against
+        the model's exact term; inf when the backend derives none."""
         return math.inf
 
     def describe(self) -> str:
@@ -174,8 +171,7 @@ class EventSequenceModel(ABC):
         P(no occurrence in [n, n + k]).  ``carries`` holds one carry per start,
         or is None for none.  A carry returned by a scan that ended at n - 1
         goes on with that scan, bit for bit as one call: its terms and
-        complements then count from that scan's start, or from "A_j occurred"
-        when it was seeded with ``_occurred(j)``.  The per-index inputs are
+        complements then count from that scan's start.  The per-index inputs are
         evaluated once per merged run of the starts' ranges, and each start's
         recurrence reads its own slice of them; every input is elementwise in
         its index, so each scan equals the call with its start alone, bit for
@@ -201,14 +197,6 @@ class EventSequenceModel(ABC):
                 scans[i] = (terms, self._finish_probs(complements), carry)
         return scans
 
-    def suffix_complement_probs(self, n: int, count: int) -> np.ndarray:
-        """P(A_n, no occurrence in [n + 1, n + m]), the suffix windows, for m = 1..count.
-
-        They are the complements of a scan of n + 1..n + count seeded with "A_n
-        occurred", which reads no index past n + count.
-        """
-        return self.first_occurrence_terms([n + 1], count, [self._occurred(n)])[0][1]
-
     @abstractmethod
     def _inputs(self, lo: int, hi: int) -> tuple[np.ndarray, ...]:
         """The scan's per-index inputs at lo..hi, each an array with one entry per index."""
@@ -221,16 +209,12 @@ class EventSequenceModel(ABC):
         probability after each of them, and the carry after the last, where
         ``inputs`` is ``_inputs(n, n + count - 1)``.
 
-        ``carry`` is the state after index n - 1 of a scan begun earlier or
-        seeded (``_occurred(n - 1)``), or None to begin at n.  Each term is the
-        probability of its first-occurrence window from the scan's start, and
-        entry k of the complements, once finished, that of the all-complement
-        window from the start through n + k (after A_{n - 1}, if seeded).
+        ``carry`` is the state after index n - 1 of a scan begun earlier, or
+        None to begin at n.  Each term is the probability of its
+        first-occurrence window from the scan's start, and entry k of the
+        complements, once finished, that of the all-complement window from the
+        start through n + k.
         """
-
-    @abstractmethod
-    def _occurred(self, n: int) -> Any:
-        """The carry after index n of a scan that begins with "A_n occurred"."""
 
     @staticmethod
     def _finish_probs(x: np.ndarray) -> np.ndarray:
@@ -365,9 +349,6 @@ class IndependentModel(EventSequenceModel):
         survive = np.cumprod(np.concatenate(([1.0 if carry is None else carry], 1.0 - p)))
         return survive[:count] * p, survive[1:], float(survive[-1])
 
-    def _occurred(self, n: int) -> Any:
-        return float(self._inputs(n, n)[0][0])  # 1.0 * p is p exactly
-
     def sample_indicator_block(
         self,
         rngs: Sequence[np.random.Generator],
@@ -428,6 +409,8 @@ class EventSchedule:
         modes = sum(x is not None for x in (constant, cycle, explicit))
         if modes != 1:
             raise ValueError("exactly one of constant/cycle/explicit must be given")
+        if tail is not None and explicit is None:
+            raise ModelValueError("tail", "a tail follows only an explicit list of sets")
         self._num_states = num_states
         if constant is not None:
             rows = [self._mask(constant, "members")]
@@ -679,8 +662,12 @@ class MarkovModel(EventSequenceModel):
         # 0 when the support the m-window's masks leave is empty at every column
         # from n through one joint period L past h = max(c, e): the columns
         # from h on repeat with period L.  The 0/1 products count at most S
-        # paths, which float32 holds exactly.
-        if self._events._period is None or self._supports.head(_SUPPORT_WALK)[1] is None:
+        # paths, which float32 holds exactly.  A support orbit once walked past
+        # _SUPPORT_WALK steps with no repeat is not walked again.
+        s = self._supports
+        if self._events._period is None or s._cycle is None and (
+            s._cursor[0] >= _SUPPORT_WALK or s.head(_SUPPORT_WALK)[1] is None
+        ):
             return None
         supp, masks, period = self._table_columns(self._supports, prefix_len, sys.maxsize)
         k = len(supp)  # h - 1 + L
@@ -733,9 +720,6 @@ class MarkovModel(EventSequenceModel):
         # summed per row like the reference's vector sum
         terms = self._finish_probs((dists * masks).sum(axis=1))
         return terms, misses.sum(axis=1), misses[-1].copy()
-
-    def _occurred(self, n: int) -> Any:
-        return self._dists.rows(n, n)[0] * self._inputs(n, n)[0][0]
 
     def _walk(self, rngs: Sequence[np.random.Generator], steps: int, share: int):
         """States of the len(rngs) * share paths at times 1..steps, one array per time.
@@ -934,33 +918,26 @@ class LatentUniformModel(EventSequenceModel):
         self, n: int, inputs: tuple[np.ndarray, ...], carry: Any
     ) -> tuple[np.ndarray, np.ndarray, Any]:
         # per latent, the complements before step k exclude U up to their
-        # running max threshold, under a top of 1.0 (a_n on latent c(n) when
-        # seeded with A_n).  carry: each latent's (running max, top) so far.
+        # running max threshold.  carry: each latent's running max so far.
         colors, a = inputs
         count = len(a)
-        bounds = ((0.0, 1.0),) * self._num_latents if carry is None else carry
+        peaks = (0.0,) * self._num_latents if carry is None else carry
         term = complement = None
         carry = []
-        for j, (peak, top) in enumerate(bounds):
+        for j, peak in enumerate(peaks):
             mine = colors == j
             excluded = np.maximum.accumulate(np.concatenate(([peak], np.where(mine, a, 0.0))))
-            # free: P(U_j in (running max, top]) before each index ([:count])
+            # free: P(U_j in (running max, 1]) before each index ([:count])
             # and after it ([1:]); over all latents, the product of the latter
             # is P(no occurrence from the start through it)
-            free = top - excluded
-            if top < 1.0:  # only a lowered top can fall below the running max
-                free = np.where(free > 0.0, free, 0.0)
-            # own: P(U_j in (running max, min(a_k, top)]) at the latent's own indices k
-            own = (np.minimum(a, top) if top < 1.0 else a) - excluded[:count]
+            free = 1.0 - excluded
+            # own: P(U_j in (running max, a_k]) at the latent's own indices k
+            own = a - excluded[:count]
             length = np.where(mine, np.where(own > 0.0, own, 0.0), free[:count])
             term = length if term is None else term * length
             complement = free[1:] if complement is None else complement * free[1:]
-            carry.append((float(excluded[-1]), top))
+            carry.append(float(excluded[-1]))
         return term, complement, tuple(carry)
-
-    def _occurred(self, n: int) -> Any:
-        (j,), (a,) = self._inputs(n, n)
-        return tuple((0.0, float(a) if k == j else 1.0) for k in range(self._num_latents))
 
     def sample_indicator_block(
         self,

@@ -49,7 +49,7 @@ def reference_window_prob(model: EventSequenceModel, w: WindowPattern) -> float:
     """The probability of one window, evaluated one constraint at a time.
 
     The scalar reference for every array query: ``window_series``, the
-    scans and ``suffix_complement_probs`` must return exactly these bits.  An
+    scans and their complements must return exactly these bits.  An
     independent window multiplies its factors in index order; a Markov window
     propagates the distribution at its first index through masked steps; a
     latent window multiplies the latents' interval lengths.

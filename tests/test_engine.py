@@ -40,11 +40,11 @@ from cantelli import cli, limsup
 from cantelli.cli import EXIT_MISMATCH, EXIT_OK, ORACLE_DIFF_TOL, verify_results
 from cantelli.families import SequenceIndexError
 from cantelli.limsup import INITIAL_TRUNCATION
-from cantelli.models import NumericFaultError
+from cantelli.models import _SUPPORT_WALK, NumericFaultError
 from cantelli.oracle import build_outcome_space
 from cantelli.specfile import load_spec, parse_spec
 from cantelli.summation import compensated_sum
-from cantelli.windows import WindowPattern, all_complement, first_occurrence
+from cantelli.windows import all_complement, first_occurrence
 
 from conftest import (
     REPO,
@@ -315,6 +315,27 @@ def test_markov_series_that_never_repeats_walks_once():
     assert bits(terms) == bits(reference_series(model, 2, 3000))
 
 
+def test_markov_tail_sum_walks_a_support_orbit_with_no_repeat_once():
+    # rotations of cycles 2, 3, 5, 7, 11, 13 and 17: the support orbit's period
+    # is their product, 510510, far past _SUPPORT_WALK
+    sizes = (2, 3, 5, 7, 11, 13, 17)
+    transition, initial, at = np.zeros((sum(sizes), sum(sizes))), np.zeros(sum(sizes)), 0
+    for size in sizes:
+        for i in range(size):
+            transition[at + i, at + (i + 1) % size] = 1.0
+        initial[at] = 1.0 / len(sizes)
+        at += size
+    model = MarkovModel(transition, initial, EventSchedule(sum(sizes), constant=[]))
+    steps = []
+    step = model._supports._step
+    model._supports._step = lambda x: steps.append(x) or step(x)
+    assert model.tail_sum(1, 1) is None and model._supports._cycle is None
+    assert len(steps) >= _SUPPORT_WALK - 1
+    steps.clear()
+    assert model.tail_sum(1, 1) is None and model.tail_sum(2, 5) is None
+    assert steps == []
+
+
 def test_markov_series_past_an_untailed_schedule_raises():
     # the chain repeats from time 2, but an explicit list with no tail has no period
     events = EventSchedule(2, explicit=[[0], [1], []])
@@ -360,15 +381,12 @@ def test_scans_match_window_prob(model, n, count):
     models,
     st.integers(min_value=1, max_value=30),
     st.lists(st.integers(min_value=0, max_value=12), max_size=5),
-    st.booleans(),
 )
-def test_scan_in_chunks_matches_window_prob(model, n, chunks, seeded):
+def test_scan_in_chunks_matches_window_prob(model, n, chunks):
     # each chunk passes its carry to the next, and a chunk of 0 passes it on
-    # as is; seeded, the scan of n + 1.. begins with "A_n occurred", and its
-    # complements are the suffix windows from n
+    # as is
     total = sum(chunks)
-    start, seed = (n + 1, model._occurred(n)) if seeded else (n, None)
-    end, carry, terms, complements = start, seed, [np.empty(0)], [np.empty(0)]
+    end, carry, terms, complements = n, None, [np.empty(0)], [np.empty(0)]
     for count in chunks:
         [(chunk_terms, chunk_complements, carry)] = model.first_occurrence_terms(
             [end], count, [carry]
@@ -377,37 +395,11 @@ def test_scan_in_chunks_matches_window_prob(model, n, chunks, seeded):
         complements.append(chunk_complements)
         end += count
     terms, complements = np.concatenate(terms), np.concatenate(complements)
-    [(one_terms, one_complements, _)] = model.first_occurrence_terms([start], total, [seed])
-    assert bits(terms) == bits(one_terms)
-    if seeded:
-        expected = [
-            reference_window_prob(model, WindowPattern(n, m + 1, 1)) for m in range(1, total + 1)
-        ]
-    else:
-        assert bits(terms) == bits(reference_terms(model, n, total))
-        # the complement after every index of every chunk, not only its last
-        expected = [reference_complement(model, n, length) for length in range(1, total + 1)]
+    [(one_terms, one_complements, _)] = model.first_occurrence_terms([n], total)
+    assert bits(terms) == bits(one_terms) == bits(reference_terms(model, n, total))
+    # the complement after every index of every chunk, not only its last
+    expected = [reference_complement(model, n, length) for length in range(1, total + 1)]
     assert bits(complements) == bits(one_complements) == bits(expected)
-
-
-@settings(max_examples=300, deadline=None)
-@given(models, st.integers(min_value=1, max_value=30), st.integers(min_value=0, max_value=25))
-def test_suffix_complements_match_window_prob(model, n, count):
-    # the scan seeded with "A_n occurred": its complement after n + m is the
-    # suffix window A_n, not-A_{n+1}, ..., not-A_{n+m}
-    expected = [
-        reference_window_prob(model, WindowPattern(n, m + 1, 1)) for m in range(1, count + 1)
-    ]
-    assert bits(model.suffix_complement_probs(n, count)) == bits(expected)
-    if count:
-        # its terms, the first occurrences after A_n, are true probabilities
-        # that split P(A_n) with the last complement
-        [(terms, complements, _)] = model.first_occurrence_terms(
-            [n + 1], count, [model._occurred(n)]
-        )
-        assert np.all((terms >= 0.0) & (terms <= 1.0))
-        marginal = reference_window_prob(model, first_occurrence(n, 0))
-        assert math.fsum([*terms, complements[-1]]) == pytest.approx(marginal, abs=1e-12)
 
 
 def reference_verify_results(model, horizon):
@@ -415,10 +407,9 @@ def reference_verify_results(model, horizon):
     index at a time, each oracle answer the sum of the bins under a mask over
     every code, and a dict for every row.
 
-    The suffix and all-complement answers are ``reference_window_prob``'s,
-    which ``suffix_complement_probs`` and the scans' complements return bit
-    for bit (see the scan tests above), so the reference reads nothing of the
-    scans' complements.
+    The all-complement answers are ``reference_window_prob``'s, which the
+    scans' complements return bit for bit (see the scan tests above), so the
+    reference reads nothing of the scans' complements.
     """
     space = build_outcome_space(model, horizon)
     codes = np.arange(2**horizon)
@@ -439,12 +430,8 @@ def reference_verify_results(model, horizon):
     max_diff = 0.0
     for n in range(1, horizon + 1):
         for m in range(0, horizon - n + 1):
-            windows = [(first_occurrence(n, m), "prefix-complement", float(series[m][n - 1]))]
-            if m:
-                suffix = WindowPattern(n, m + 1, 1)
-                windows.append((suffix, "suffix-complement", reference_window_prob(model, suffix)))
-            for w, orient, engine in windows:
-                rows.append(("window", n, m, orient, engine, window_oracle(w)))
+            w, engine = first_occurrence(n, m), float(series[m][n - 1])
+            rows.append(("window", n, m, "prefix-complement", engine, window_oracle(w)))
         carry, terms = None, []
         for m in range(1, horizon - n + 2):
             [(term, _, carry)] = model.first_occurrence_terms([n + m - 1], 1, [carry])
@@ -574,9 +561,8 @@ def scan_calls(draw):
 
     Each start follows the one drawn before it: at the same index (its range
     nested in that one), overlapping it, adjacent to it, or far past it; then
-    the starts are shuffled.  A start begins afresh (None), goes on from a scan
-    of the indices before it ("continued") or begins after "A_{n-1} occurred"
-    ("seeded").
+    the starts are shuffled.  A start begins afresh (None) or goes on from a
+    scan of the indices before it ("continued").
     """
     count = draw(st.integers(min_value=1, max_value=20))
     starts = [draw(st.integers(min_value=1, max_value=30))]
@@ -589,7 +575,7 @@ def scan_calls(draw):
         starts.append(starts[-1] + gap)
     starts = draw(st.permutations(starts))
     kinds = [
-        draw(st.sampled_from([None, "continued", "seeded"]) if n > 1 else st.none())
+        draw(st.sampled_from([None, "continued"]) if n > 1 else st.none())
         for n in starts
     ]
     return starts, count, kinds
@@ -597,8 +583,6 @@ def scan_calls(draw):
 
 def scan_carry(model, n, kind):
     """The carry a scan from n begins with: None, or the state after n - 1."""
-    if kind == "seeded":
-        return model._occurred(n - 1)
     if kind == "continued":
         before = min(n - 1, 5)
         return model.first_occurrence_terms([n - before], before)[0][2]
@@ -896,11 +880,10 @@ def test_nan_family_is_a_numeric_fault_on_both_paths(prefix_len):
 
 
 def _engine_answers(model):
-    """The table, the scans, the seeded scans and the sampled blocks of ``model``."""
+    """The table, the scans and the sampled blocks of ``model``."""
     answers = [model.window_series(3, 20)]
     for terms, complements, _ in model.first_occurrence_terms([1, 4, 9], 12):
         answers += [terms, complements]
-    answers += [model.suffix_complement_probs(n, 8) for n in (1, 5)]
     rngs = [np.random.default_rng(seed) for seed in (3, 4)]
     return answers + model.sample_indicator_block(rngs, [(1, 6), (4, 11), (15, 17)], 64)
 

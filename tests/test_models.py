@@ -264,6 +264,15 @@ def test_event_schedule_modes():
         no_tail.mask(2)
 
 
+@pytest.mark.parametrize("mode", [{"constant": [0]}, {"cycle": [[0], [1]]}])
+def test_event_schedule_tail_follows_only_an_explicit_list(mode):
+    # a constant set or a cycle already repeats: a tail given with one would
+    # be dropped, so it is refused by its key
+    with pytest.raises(ModelValueError) as exc:
+        EventSchedule(2, **mode, tail=[1])
+    assert exc.value.field == "tail"
+
+
 @st.composite
 def event_schedules(draw):
     """An event schedule in any mode: constant, cycle, explicit with or without a tail."""
