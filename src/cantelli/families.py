@@ -3,7 +3,7 @@
 A family maps an index ``n >= 1`` to a value in ``[0, 1]``.  Besides pointwise
 evaluation (``value``) and its array form over an index range (``values``),
 each family knows what can be said about itself in closed form:
-its limit, an upper bound on its tail sum, the supremum of its tail, and a
+its limit, bounds on its tail sum from both sides, the supremum of its tail, and a
 convergence/divergence classification of the window series it induces under an
 independent model.  Those closed forms are what turns a "Likely" verdict into a
 "Certified" one downstream, so every classification carries its justification.
@@ -65,6 +65,9 @@ def _clamp01_array(x: np.ndarray) -> np.ndarray:
 
 # the unit roundoff of a float
 ROUNDOFF = 2.0**-53
+# a few of the smallest subnormal floats: the absolute error of a result that
+# underflows
+_TINY = 8.0 * math.ulp(0.0)
 
 
 def index_range(lo: int, hi: int) -> np.ndarray:
@@ -118,13 +121,18 @@ class SequenceFamily(ABC):
     def describe(self) -> str:
         """Human-readable formula, including any clamping note."""
 
-    def tail_sum_bound(self, n: int) -> float | None:
-        """Upper bound on sum_{j >= n} value(j); None when no finite bound exists.
+    def tail_sum_bounds(self, n: int) -> tuple[float, float]:
+        """(lo, hi) with lo <= sum_{j >= n} v(j) <= hi, v the family's formula in
+        exact arithmetic (what ``evaluation_error`` measures ``value`` against).
 
-        A family's bound is None at every n or at none: whether the tail sum is
-        finite does not depend on where it starts.
+        lo is +inf where ``series_class(0)`` certifies that the sum diverges
+        and 0 where nothing more is known; hi is +inf where no finite bound is
+        known.  Whether hi is finite does not depend on where the sum starts.
         """
-        return None
+        classified = self.series_class(0)
+        if classified is not None and classified[0] is SeriesClass.DIVERGENT:
+            return math.inf, math.inf
+        return 0.0, math.inf
 
     def tail_sup(self, n: int) -> float | None:
         """Upper bound on sup_{j >= n} value(j); None when unknown."""
@@ -187,8 +195,8 @@ class Constant(SequenceFamily):
     def limit(self) -> float | None:
         return self.c
 
-    def tail_sum_bound(self, n: int) -> float | None:
-        return 0.0 if self.c == 0.0 else None
+    def tail_sum_bounds(self, n: int) -> tuple[float, float]:
+        return (0.0, 0.0) if self.c == 0.0 else super().tail_sum_bounds(n)
 
     def tail_sup(self, n: int) -> float | None:
         return self.c
@@ -306,17 +314,28 @@ class PowerLaw(_PowerType):
     def _bases(ns: np.ndarray) -> np.ndarray:
         return ns
 
-    def tail_sum_bound(self, n: int) -> float | None:
+    def tail_sum_bounds(self, n: int) -> tuple[float, float]:
         if self.scale == 0.0:
-            return 0.0
+            return 0.0, 0.0
         if self.exponent <= 1.0:
-            return None
-        # Integral test: sum_{j>=m} j^-s <= m^-s + m^(1-s)/(s-1); clamping only
-        # lowers terms.  Indices n..0 saturate to 1 and add one each.
-        m = max(n, 1)
-        s = self.exponent
-        head = float(m - n)
-        return head + self.scale * (float(m) ** (-s) + float(m) ** (1.0 - s) / (s - 1.0))
+            return super().tail_sum_bounds(n)
+        # Indices n..0 saturate to 1 and add one each.  From m on, the
+        # integral test bounds sum_{j>=m} j^-s above by m^-s + m^(1-s)/(s-1),
+        # and the trapezoid rule, which overestimates the integral of a convex
+        # function, below by m^-s/2 + m^(1-s)/(s-1).  Clamping only lowers the
+        # terms, and min(1, c j^-s) >= min(1, c) j^-s for j >= 1, so the lower
+        # sum takes the scale only where no term from m on is clamped.
+        m, s = max(n, 1), self.exponent
+        head, power = float(m - n), float(m) ** (-s)
+        integral = float(m) ** (1.0 - s) / (s - 1.0)
+        # float(m) moves each power by up to s units of roundoff, pow by two
+        # more; s - 1, the quotient, the sums and the products round once each
+        error = (2.0 * s + 10.0) * ROUNDOFF
+        unclamped = self.scale * power <= 1.0 - error
+        lo = head + (self.scale if unclamped else min(self.scale, 1.0)) * (power / 2.0 + integral)
+        hi = head + self.scale * (power + integral)
+        # a power in the subnormal range keeps only an absolute precision
+        return max(lo * (1.0 - error) - _TINY, 0.0), hi * (1.0 + error) + _TINY
 
     def series_class(self, prefix_len: int) -> tuple[SeriesClass, str] | None:
         if self.scale == 0.0:
@@ -368,8 +387,8 @@ class LogPower(_PowerType):
         # hosts, and values() must reproduce value() bit for bit
         return np.fromiter(map(math.log, ns + 1.0), dtype=float, count=ns.size)
 
-    def tail_sum_bound(self, n: int) -> float | None:
-        return 0.0 if self.scale == 0.0 else None
+    def tail_sum_bounds(self, n: int) -> tuple[float, float]:
+        return (0.0, 0.0) if self.scale == 0.0 else super().tail_sum_bounds(n)
 
     def series_class(self, prefix_len: int) -> tuple[SeriesClass, str] | None:
         if self.scale == 0.0:
@@ -445,11 +464,14 @@ class ExplicitList(SequenceFamily):
     def limit(self) -> float | None:
         return self.tail
 
-    def tail_sum_bound(self, n: int) -> float | None:
+    def tail_sum_bounds(self, n: int) -> tuple[float, float]:
         if self.tail != 0.0:
-            return None
-        start = max(n, 1)
-        return math.fsum(self.head[start - 1 :]) if start <= len(self.head) else 0.0
+            return super().tail_sum_bounds(n)
+        # fsum rounds correctly, so one float either side holds the exact sum
+        total = math.fsum(self.head[max(n, 1) - 1 :])
+        if not total:
+            return 0.0, 0.0
+        return math.nextafter(total, 0.0), math.nextafter(total, math.inf)
 
     def tail_sup(self, n: int) -> float | None:
         if self.tail is None:

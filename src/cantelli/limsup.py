@@ -4,12 +4,18 @@ For any event sequence, P(union of A_j, j >= n) equals the sum over k of
 P(first occurrence at n + k): the first-occurrence events are disjoint and
 exhaust the union.  That tail-union probability u_n is non-increasing in n and
 its limit is exactly P(A_n infinitely often).  This module truncates the inner
-sum with a certified remainder, the least of three bounds on everything past
-the truncation: the all-complement window, which the same scan returns; the
-backend's analytic bound on the union, when it has one; and the paper's
-window criterion, when the backend bounds a window series' tail (a first
-occurrence past the truncation makes a window near it occur).  It tracks u_n
-along a schedule of start indices.  The schedule's starts take their
+sum at K and encloses the remainder, everything past the truncation.  Its
+upper end is the least of three bounds: the all-complement window, which the
+same scan returns; the backend's analytic bound on the union, when it has
+one; and the paper's window criterion, when the backend bounds a window
+series' tail (a first occurrence past the truncation makes a window near it
+occur).  Its lower end is 0, except for independent events, whose remainder
+is exactly the all-complement probability R_K times u_{n+K}, and u_{n+K} is
+bounded on both sides by the marginals' tail sum (it is 1 where that sum
+diverges).  A start stops once its interval is narrower than the tolerance,
+and both ends are padded outward by a derived bound on their rounding
+wherever the backend derives one.  It tracks u_n along a schedule of start
+indices.  The schedule's starts take their
 doublings in lockstep, one level at a time, so each level evaluates the
 model's per-index inputs once per merged run of the starts' ranges;
 ``tail_union`` is the one-start case.
@@ -53,19 +59,23 @@ class TailUnionEstimate:
 
     ``partial`` is the sum of the first K = ``truncation`` first-occurrence
     terms, a lower bound on u_n.  Three bounds hold the rest, u_n - partial,
-    and the interval's upper end uses the least (``effective_remainder``):
-    ``remainder_bound``, the all-complement window probability over the
-    truncated range; ``union_tail_bound``, an analytic bound on the union past
-    the truncation; and ``window_tail_bound``, the paper's window criterion: a
-    first occurrence at n + K or later makes the m-window at n + K - m or
-    later occur (m <= K), so the m-window terms from n + K - m on bound the
-    rest.  ``window_tail_m`` is that m.  The last two are None when the model
-    has no such bound.
+    from above, and the interval's upper end uses the least
+    (``effective_remainder``): ``remainder_bound``, the all-complement window
+    probability R_K over the truncated range; ``union_tail_bound``, an
+    analytic bound from the union past the truncation; and
+    ``window_tail_bound``, the paper's window criterion: a first occurrence at
+    n + K or later makes the m-window at n + K - m or later occur (m <= K), so
+    the m-window terms from n + K - m on bound the rest.  ``window_tail_m`` is
+    that m.  ``union_tail_lower`` bounds the rest from below, and the
+    interval's lower end adds it: for independent events R_K times a lower
+    bound on u_{n+K}, which is R_K itself where the marginals' sum diverges;
+    0 for latent models.  ``union_tail_bound`` and ``union_tail_lower`` are
+    None when the model has no closed form, and the window tail too.
 
-    ``rounding`` is a derived bound on the rounding error of ``partial``;
-    both interval ends move outward by it, and one ulp further.  It is
-    nonzero only when the window tail is 0, where rounding is the interval's
-    only width.
+    ``rounding`` is a derived bound on how far either interval end, as
+    computed, lies from the exact value it stands for; both ends move outward
+    by it, and one ulp further.  It is zero where the backend derives no
+    bound on its scan's rounding (``scan_error``).
     """
 
     start: int
@@ -73,6 +83,7 @@ class TailUnionEstimate:
     partial: float
     remainder_bound: float
     union_tail_bound: float | None
+    union_tail_lower: float | None
     tolerance_reached: bool
     window_tail_bound: float | None = None
     window_tail_m: int | None = None
@@ -103,7 +114,8 @@ class TailUnionEstimate:
                 f"inconsistent enclosure: partial {self.partial!r},"
                 f" remainder {self.remainder_bound!r}"
             )
-        lo, hi = self.partial, self.partial + self.effective_remainder
+        lo = self.partial + (self.union_tail_lower or 0.0)
+        hi = self.partial + self.effective_remainder
         if rounding:
             lo, hi = np.nextafter(lo - rounding, -1.0), np.nextafter(hi + rounding, 2.0)
         object.__setattr__(self, "interval", (max(float(lo), 0.0), min(float(hi), 1.0)))
@@ -117,8 +129,9 @@ def tail_union(
 ) -> TailUnionEstimate:
     """Enclose u_n = P(union of A_j, j >= n) by adaptive truncation.
 
-    The truncation doubles from 16 until the effective remainder drops below
-    ``tol`` or reaches ``k_max``: the one-start case of ``_tail_unions``.
+    The truncation doubles from 16 until the enclosure of the remainder is
+    narrower than ``tol`` or it reaches ``k_max``: the one-start case of
+    ``_tail_unions``.
     """
     return _tail_unions(model, [n], tol, k_max)[0]
 
@@ -128,8 +141,9 @@ def _tail_unions(
 ) -> list[TailUnionEstimate]:
     """Enclose u_n for each n of ``starts``, the starts in lockstep.
 
-    Each start's truncation doubles from 16 until its effective remainder
-    drops below ``tol`` or it reaches ``k_max``.  The starts take the doublings
+    Each start's truncation doubles from 16 until the enclosure of its
+    remainder, from ``union_tail_lower`` (or 0) to the effective remainder, is
+    narrower than ``tol``, or it reaches ``k_max``.  The starts take the doublings
     level by level: ``first_occurrence_terms`` scans, for every start still
     short of tolerance, the terms that level adds, ``_SCAN_CHUNK`` terms per
     start and call at most, so the per-index inputs of overlapping starts are
@@ -173,21 +187,25 @@ def _tail_unions(
         going = []
         for i in active:
             n, remainder = starts[i], remainders[i]
-            union_tail = model.union_bound(n + k)
+            union_lower, union_tail = model.remainder_bounds(n + k, remainder) or (None, None)
             window_tail, window_m = _window_tail(model, n, k)
             effective = min(b for b in (remainder, union_tail, window_tail) if b is not None)
-            if effective < tol or k >= k_max:
+            reached = effective - (union_lower or 0.0) < tol
+            if reached or k >= k_max:
                 partial = min(max(running[i].value, 0.0), 1.0)
+                # an end reads the remainder's bounds unless a zero window tail closes it
+                read = None if window_tail == 0.0 else remainder
                 estimates[i] = TailUnionEstimate(
                     start=n,
                     truncation=k,
                     partial=partial,
                     remainder_bound=remainder,
                     union_tail_bound=union_tail,
-                    tolerance_reached=effective < tol,
+                    union_tail_lower=union_lower,
+                    tolerance_reached=reached,
                     window_tail_bound=window_tail,
                     window_tail_m=window_m,
-                    rounding=_rounding(model, k, partial) if window_tail == 0.0 else 0.0,
+                    rounding=_rounding(model, k, partial, read),
                 )
             else:
                 going.append(i)
@@ -200,24 +218,36 @@ def _window_tail(model: EventSequenceModel, n: int, k: int) -> tuple[float | Non
     """The least ``model.tail_sum(m, n + k - m)`` over m = 0..min(k, MAX_PREFIX_LEN),
     with its least m: a bound on u_n past truncation k; (None, None) when the
     model bounds none there, or has no ``scan_error`` to pad a zero tail by."""
-    if not math.isfinite(model.scan_error()):
+    if not math.isfinite(model.scan_error(k)):
         return None, None
     bounds = ((model.tail_sum(m, n + k - m), m) for m in range(min(k, MAX_PREFIX_LEN) + 1))
     return min(((b, m) for b, m in bounds if b is not None), default=(None, None))
 
 
-def _rounding(model: EventSequenceModel, k: int, partial: float) -> float:
-    """A bound on |partial - S|, S the exact sum of a scan's first k terms.
+def _rounding(model: EventSequenceModel, k: int, partial: float, remainder: float | None) -> float:
+    """A bound on how far an interval end of a scan's first k terms lies from
+    the exact value it stands for; 0 where the model's ``scan_error`` is inf.
 
-    Each term is within ``model.scan_error()`` of its exact value, and the
-    compensated sum of the k rounded terms within (2u + gamma_k^2) s of their
-    sum s: Neumaier's additions are error-free transformations, which Ogita,
-    Rump and Oishi (SIAM J. Sci. Comput. 26, 2005, Prop. 4.5) bound by
-    u s + gamma_{k-1}^2 s.
+    The end is ``partial`` plus, unless ``remainder`` is None, a bound on
+    the rest read from the all-complement probability ``remainder``: that
+    probability itself, its product with a certified factor in [0, 1], or a
+    closed form no greater than it.  The rounded terms sum to within
+    ``model.scan_error(k)`` of the exact sum, and their compensated sum to
+    within (2u + gamma_k^2) s of their sum s: Neumaier's additions are
+    error-free transformations, which Ogita, Rump and Oishi (SIAM J. Sci.
+    Comput. 26, 2005, Prop. 4.5) bound by u s + gamma_{k-1}^2 s.  The
+    remainder is within ``model.scan_error(k)`` of its exact value too, and
+    the product and the sum with ``partial`` round once each.
     """
+    error = model.scan_error(k)
+    if not math.isfinite(error):
+        return 0.0
     gamma = k * ROUNDOFF / (1.0 - k * ROUNDOFF)
     relative = 2.0 * ROUNDOFF + gamma * gamma
-    return k * model.scan_error() + relative * partial / (1.0 - relative)
+    bound = error + relative * partial / (1.0 - relative)
+    if remainder is not None:
+        bound += error + 4.0 * ROUNDOFF * (partial + remainder)
+    return bound
 
 
 def aitken_extrapolate(values: Sequence[float]) -> tuple[float | None, str]:

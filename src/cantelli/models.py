@@ -43,10 +43,10 @@ bit for bit, a call with that generator alone, whichever windows and
 generators share the call.
 
 A backend states the closed forms it can certify through ``marginal_limit``,
-``series_class``, ``union_bound``, ``tail_sum`` and ``describe``, and the
-rounding error of its scan's terms through ``scan_error``; the base class knows
-none (None, "", or inf), and every certification rests on the justification or
-description the backend records.
+``series_class``, ``remainder_bounds``, ``tail_sum`` and ``describe``, and the
+rounding error of its scan's sums and complements through ``scan_error``; the
+base class knows none (None, "", or inf), and every certification rests on the
+justification or description the backend records.
 
 All models are immutable after construction and all queries are pure; the
 Markov backend caches only its two ``_Orbit`` walks, of distributions and supports.
@@ -134,8 +134,12 @@ class EventSequenceModel(ABC):
         """(class, justification) of the window series with ``prefix_len`` complements, or None."""
         return None
 
-    def union_bound(self, n: int) -> float | None:
-        """An upper bound on P(union_{j>=n} A_j), or None."""
+    def remainder_bounds(self, n: int, complement: float) -> tuple[float, float] | None:
+        """(lo, hi), bounds on what a first-occurrence scan leaves past its
+        last index n - 1: P(no A_j from the scan's start through n - 1, and
+        some A_j with j >= n), where ``complement`` is the scan's
+        all-complement probability through n - 1; None where the backend
+        knows none (0 and ``complement`` always bound it)."""
         return None
 
     def tail_sum(self, prefix_len: int, n: int) -> float | None:
@@ -143,9 +147,10 @@ class EventSequenceModel(ABC):
         on, certified for every index, or None."""
         return None
 
-    def scan_error(self) -> float:
-        """A bound on the absolute error of each term of a ``_scan`` against
-        the model's exact term; inf when the backend derives none."""
+    def scan_error(self, k: int) -> float:
+        """A bound on the absolute error, against the model's exact values, of
+        the sum of a ``_scan``'s first j terms and of its j-th complement, for
+        every j <= k; inf when the backend derives none."""
         return math.inf
 
     def describe(self) -> str:
@@ -317,10 +322,33 @@ class IndependentModel(EventSequenceModel):
     def series_class(self, prefix_len: int) -> tuple[SeriesClass, str] | None:
         return self._family.series_class(prefix_len)
 
-    def union_bound(self, n: int) -> float | None:
-        # the union bound: P(union) <= sum of the marginals
-        b = self._family.tail_sum_bound(n)
-        return None if b is None else min(1.0, b)
+    def remainder_bounds(self, n: int, complement: float) -> tuple[float, float] | None:
+        # Independence makes the remainder exactly complement * u_n, where
+        # u_n = 1 - prod_{j>=n} (1 - p_j).  With S_lo <= sum_{j>=n} p_j <= S_hi
+        # and p_j <= q < 1 from n on: 1 - p <= exp(-p) gives u_n >= 1 - exp(-S_lo)
+        # (1 where the sum diverges, by the second Borel-Cantelli lemma), and
+        # 1 - p >= exp(-p / (1 - q)) gives u_n <= 1 - exp(-S_hi / (1 - q)), as
+        # does the union bound u_n <= S_hi.  expm1 is within one ulp and its
+        # product, like q's sum, quotient and difference, rounds once more.
+        family = self._family
+        s_lo, s_hi = family.tail_sum_bounds(n)
+        lower = 1.0 if s_lo == math.inf else -math.expm1(-s_lo) * (1.0 - 4.0 * ROUNDOFF)
+        upper = min(1.0, s_hi)
+        sup = family.tail_sup(n)
+        q = math.inf if sup is None else sup + family.evaluation_error()
+        if q < 1.0:
+            upper = min(upper, -math.expm1(-s_hi / (1.0 - q)) * (1.0 + 8.0 * ROUNDOFF))
+        return complement * lower, complement * upper
+
+    def scan_error(self, k: int) -> float:
+        # a survival product of j <= k factors rounds 2j times (each 1 - p
+        # and each product) and a term once more, so each is within gamma_2k
+        # of the exact products of the evaluated values, whose terms sum to
+        # at most 1.  Each value lies within the family's evaluation error e
+        # of its formula, which moves the survival product, and the sum of
+        # the terms (1 minus it), by at most j * e.
+        two_k = 2 * k * ROUNDOFF
+        return two_k / (1.0 - two_k) + k * self._family.evaluation_error()
 
     def describe(self) -> str:
         return f"independent events, {self._family.describe()}"
@@ -978,14 +1006,15 @@ class LatentUniformModel(EventSequenceModel):
             return None
         return 0.0 if n >= self._monotone_from + self._gap - prefix_len else None
 
-    def scan_error(self) -> float:
+    def scan_error(self, k: int) -> float:
         # a term is a product of one length hi - lo per latent: the
         # subtraction rounds once (within ROUNDOFF: a length is at most 1) and
         # each end is a threshold within its family's evaluation error; the
-        # products round once each
+        # products round once each.  A complement is a product of L such
+        # lengths, 1 - lo.  The bound counts each of the k terms in full.
         two_l = 2 * self._num_latents
         error = max(f.evaluation_error() for f in self._families())
-        return two_l * ROUNDOFF / (1.0 - two_l * ROUNDOFF) + two_l * error
+        return k * (two_l * ROUNDOFF / (1.0 - two_l * ROUNDOFF) + two_l * error)
 
     def _families_with_start(self, n: int) -> list[tuple[SequenceFamily, int]]:
         """(family, first index it is evaluated at for global index >= n) per latent."""
@@ -1024,16 +1053,17 @@ class LatentUniformModel(EventSequenceModel):
         why = "; ".join(why for _, why in parts)
         return SeriesClass.CONVERGENT, f"marginal sum converges per latent family: {why}"
 
-    def union_bound(self, n: int) -> float | None:
+    def remainder_bounds(self, n: int, complement: float) -> tuple[float, float] | None:
         # Exact per-latent collapse: the union of threshold events on one
-        # latent is the single event at the supremum threshold.
+        # latent is the single event at the supremum threshold, and the
+        # union from n on bounds the remainder.
         prob_none = 1.0
         for fam, start in self._families_with_start(n):
             sup = fam.tail_sup(start)
             if sup is None:
-                return 1.0
+                return 0.0, 1.0
             prob_none *= 1.0 - min(1.0, sup)
-        return 1.0 - prob_none
+        return 0.0, 1.0 - prob_none
 
     def describe(self) -> str:
         head = f"{self._num_latents} uniform latent(s), coloring cycle {list(self._coloring)}"

@@ -95,7 +95,7 @@ def reference_window_tail(model: EventSequenceModel, n: int, k: int):
     """(bound, m): the least ``tail_sum(m, n + k - m)`` over m <= min(k,
     MAX_PREFIX_LEN), at its least m, or (None, None): the window tail past
     truncation k.  A model with no finite ``scan_error`` has none."""
-    if not math.isfinite(model.scan_error()):
+    if not math.isfinite(model.scan_error(k)):
         return None, None
     bounds = [(model.tail_sum(m, n + k - m), m) for m in range(min(k, MAX_PREFIX_LEN) + 1)]
     return min(((b, m) for b, m in bounds if b is not None), default=(None, None))
@@ -108,9 +108,10 @@ def reference_tail_union(
 
     The reference for the lockstep levels of ``limsup_estimate``: each of its
     estimates must equal this one at the same start, bit for bit.  The
-    truncation doubles from 16 until the effective remainder, the least of
-    the all-complement, union and window-tail bounds, drops below ``tol`` or
-    reaches ``k_max``; each doubling continues the scan from its carry and the
+    truncation doubles from 16 until the remainder's enclosure, from the
+    model's lower remainder bound (or 0) to the least of the all-complement,
+    union and window-tail bounds, is narrower than ``tol``, or it reaches
+    ``k_max``; each doubling continues the scan from its carry and the
     running compensated sum.
     """
     running = CompensatedSum()
@@ -121,20 +122,22 @@ def reference_tail_union(
         end = n + k
         partial = min(max(compensated_sum(terms, running), 0.0), 1.0)
         remainder = float(complements[-1])
-        union_tail = model.union_bound(n + k)
+        union_lower, union_tail = model.remainder_bounds(n + k, remainder) or (None, None)
         window_tail, window_m = reference_window_tail(model, n, k)
         effective = min(b for b in (remainder, union_tail, window_tail) if b is not None)
-        if effective < tol or k >= k_max:
+        reached = effective - (union_lower or 0.0) < tol
+        if reached or k >= k_max:
             return TailUnionEstimate(
                 start=n,
                 truncation=k,
                 partial=partial,
                 remainder_bound=remainder,
                 union_tail_bound=union_tail,
-                tolerance_reached=effective < tol,
+                union_tail_lower=union_lower,
+                tolerance_reached=reached,
                 window_tail_bound=window_tail,
                 window_tail_m=window_m,
-                rounding=_rounding(model, k, partial) if window_tail == 0.0 else 0.0,
+                rounding=_rounding(model, k, partial, None if window_tail == 0.0 else remainder),
             )
         k = min(2 * k, k_max)
 

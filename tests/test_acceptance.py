@@ -184,7 +184,9 @@ def test_criterion_07_limsup_showcase():
         coin_est = limsup_estimate(make_coin(), [8, 16, 32], tol=1e-6, k_max=64)
         assert abs(coin_est.alpha_point - 1.0) <= 1e-6
         for sample in coin_est.samples:
-            assert sample.truncation >= 30  # tolerance forces K past 30
+            # the marginals' sum diverges, so the remainder past the first
+            # level is known on both sides: it is the all-complement 2^-16
+            assert sample.truncation == 16 and sample.tolerance_reached
 
         pl2 = IndependentModel(PowerLaw(1.0, 2.0))
         pl2_est = limsup_estimate(pl2, [10, 100, 1000], tol=1e-6, k_max=1 << 15)

@@ -6,7 +6,9 @@ import random
 import re
 import subprocess
 import sys
+from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.stats import binom
@@ -202,9 +204,12 @@ def test_limsup_commands(tmp_path):
     out_h = tmp_path / "harmonic.json"
     assert run(["limsup", SPECS / "harmonic.json", "--out", out_h]) == EXIT_OK
     harmonic = json.loads(out_h.read_text())
-    assert harmonic["results"]["stalled"] is True
-    last = harmonic["results"]["samples"][-1]
-    assert last["tolerance_reached"] is False and last["window_tail_bound"] is None
+    # the marginals' sum diverges, so every remainder is known at the first level
+    assert harmonic["results"]["stalled"] is False
+    for sample in harmonic["results"]["samples"]:
+        assert sample["tolerance_reached"] is True and sample["truncation"] == 16
+        assert sample["union_tail_lower"] == sample["remainder_bound"]
+        assert sample["window_tail_bound"] is None
 
     out3 = tmp_path / "pl2.json"
     assert run(["limsup", SPECS / "powerlaw-2.json", "--out", out3]) == EXIT_OK
@@ -237,16 +242,62 @@ def test_limsup_start_past_int64_is_spec_error(name, capsys):
 
 @pytest.mark.parametrize("schedule", ["5,1005,2005", "7,1007,2007"])
 def test_limsup_powerlaw_at_large_k_max_encloses_one_over_n(schedule, tmp_path):
-    # 2**20 terms round partial + remainder past 1 by more than a fixed 1e-12
+    # 2**20 terms round partial + remainder past 1 by more than a fixed 1e-12;
+    # no enclosure is narrower than the tolerance, so every start scans them
     out = tmp_path / "limsup.json"
     code = run(["limsup", SPECS / "powerlaw-2.json", "--schedule", schedule,
-                "--k-max", str(1 << 20), "--out", out])
+                "--k-max", str(1 << 20), "--tol", "1e-300", "--out", out])
     assert code == EXIT_OK
     samples = json.loads(out.read_text())["results"]["samples"]
     assert [s["start"] for s in samples] == [int(n) for n in schedule.split(",")]
     for s in samples:
+        assert s["truncation"] == 1 << 20
         lo, hi = s["interval"]
         assert lo <= 1.0 / s["start"] <= hi
+
+
+def exact_tail_union(name, n):
+    """u_n of an independent shipped spec: a Fraction, or an mpf at 40 digits."""
+    if name in ("coin-half", "harmonic"):
+        return Fraction(1)  # the marginals' sum diverges
+    if name == "powerlaw-2":
+        return Fraction(1, n)  # prod_{j>=n} (1 - j^-2) telescopes to (n - 1) / n
+    # partial-maxima: sum_{j>=n} log1p(-j^-1.5) = -sum_{k>=1} zeta(1.5 k, n) / k
+    with mpmath.workdps(40):
+        log_survive, k = mpmath.mpf(0), 1
+        while True:
+            term = mpmath.zeta(mpmath.mpf(1.5) * k, n) / k
+            log_survive -= term
+            if term < mpmath.mpf(10) ** -45:
+                return 1 - mpmath.exp(log_survive)
+            k += 1
+
+
+@pytest.mark.parametrize(
+    "name, flags",
+    [
+        ("coin-half", []),
+        ("harmonic", []),
+        ("harmonic", ["--k-max", "131072"]),
+        ("powerlaw-2", []),
+        ("partial-maxima", []),
+    ],
+)
+def test_independent_limsup_intervals_hold_the_exact_value(name, flags, tmp_path):
+    out = tmp_path / "limsup.json"
+    assert run(["limsup", SPECS / f"{name}.json", *flags, "--out", out]) == EXIT_OK
+    results = json.loads(out.read_text())["results"]
+    assert results["stalled"] is False
+    for s in results["samples"]:
+        lo, hi = s["interval"]
+        exact = exact_tail_union(name, s["start"])
+        if isinstance(exact, Fraction):
+            assert Fraction(lo) <= exact <= Fraction(hi), s
+        else:
+            with mpmath.workdps(40):
+                assert mpmath.mpf(lo) <= exact <= mpmath.mpf(hi), s
+    if name == "harmonic":
+        assert {s["truncation"] for s in results["samples"]} == {16}
 
 
 def test_limsup_past_an_untailed_list_is_spec_error(tmp_path, capsys):
@@ -587,10 +638,11 @@ def test_table_format_renders(capsys):
 
 
 def test_limsup_table_notes_a_stall(capsys):
-    assert run(["limsup", SPECS / "harmonic.json", "--format", "table"]) == EXIT_OK
+    args = ["limsup", SPECS / "partial-maxima.json", "--k-max", "64", "--format", "table"]
+    assert run(args) == EXIT_OK
     lines = capsys.readouterr().out.splitlines()
     assert lines[2].split() == ["start", "K", "partial", "upper", "reached"]
-    assert [int(row.split()[0]) for row in lines[3 : lines.index("", 3)]] == [8, 16, 32]
+    assert [int(row.split()[0]) for row in lines[3 : lines.index("", 3)]] == [10, 100, 1000]
     assert lines[-1] == "note: remainder stalled above tolerance for at least one start"
 
 

@@ -526,11 +526,12 @@ def one_shot_tail_union(model, n, tol, k_max):
     while True:
         partial = min(max(compensated_sum(reference_terms(model, n, k)), 0.0), 1.0)
         remainder = reference_complement(model, n, k)
-        union_tail = model.union_bound(n + k)
+        union_lower, union_tail = model.remainder_bounds(n + k, remainder) or (None, None)
         window_tail, window_m = reference_window_tail(model, n, k)
         effective = min(b for b in (remainder, union_tail, window_tail) if b is not None)
-        if effective < tol or k >= k_max:
-            return k, bits(partial), bits(remainder), union_tail, window_m, effective < tol
+        reached = effective - (union_lower or 0.0) < tol
+        if reached or k >= k_max:
+            return k, bits(partial), bits(remainder), union_tail, union_lower, window_m, reached
         k = min(2 * k, k_max)
 
 
@@ -549,6 +550,7 @@ def test_tail_union_doublings_match_one_shot_sums(model, n, tol, k_max):
         bits(est.partial),
         bits(est.remainder_bound),
         est.union_tail_bound,
+        est.union_tail_lower,
         est.window_tail_m,
         est.tolerance_reached,
     )
@@ -610,12 +612,14 @@ def test_many_start_scan_equals_one_start_scans(model, call):
 def estimate_bits(est):
     """Every field of a ``TailUnionEstimate``, its floats as their bytes."""
     tail = None if est.union_tail_bound is None else bits(est.union_tail_bound)
+    lower = None if est.union_tail_lower is None else bits(est.union_tail_lower)
     return (
         est.start,
         est.truncation,
         bits(est.partial),
         bits(est.remainder_bound),
         tail,
+        lower,
         est.tolerance_reached,
         est.window_tail_bound,
         est.window_tail_m,

@@ -1,6 +1,7 @@
 import math
 import sys
 import warnings
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -28,7 +29,7 @@ def test_constant_basics():
     assert fam.value(1) == 0.5
     assert fam.value(10**6) == 0.5
     assert fam.limit() == 0.5
-    assert fam.tail_sum_bound(1) is None
+    assert fam.tail_sum_bounds(1) == (math.inf, math.inf)  # the sum diverges
     assert fam.tail_sup(3) == 0.5
 
 
@@ -74,21 +75,23 @@ def test_powerlaw_limit_and_class():
 def test_powerlaw_tail_sum_bound_dominates_partial_sums():
     fam = PowerLaw(1.0, 2.0)
     for n in (1, 5, 50):
-        bound = fam.tail_sum_bound(n)
+        lo, hi = fam.tail_sum_bounds(n)
         partial = math.fsum(fam.value(j) for j in range(n, n + 20000))
-        assert bound >= partial
-        # and it is not absurdly loose
-        assert bound <= partial + 2.0 * fam.value(n)
-    assert PowerLaw(1.0, 1.0).tail_sum_bound(1) is None
+        assert hi >= partial
+        # and neither end is absurdly loose
+        assert hi <= partial + 2.0 * fam.value(n)
+        assert partial - fam.value(n) <= lo <= hi
+    assert PowerLaw(1.0, 1.0).tail_sum_bounds(1) == (math.inf, math.inf)
 
 
 def test_powerlaw_tail_sum_bound_counts_saturated_head():
     # value(n <= 0) saturates to 1, so the sum from -3 is 4 + pi^2/6
     fam = PowerLaw(1.0, 2.0)
-    assert fam.tail_sum_bound(-3) >= 4.0 + math.pi**2 / 6.0
+    lo, hi = fam.tail_sum_bounds(-3)
+    assert lo <= 4.0 + math.pi**2 / 6.0 <= hi
     for n in (-3, 0, 1):
         partial = math.fsum(fam.value(j) for j in range(n, n + 20000))
-        assert fam.tail_sum_bound(n) >= partial
+        assert fam.tail_sum_bounds(n)[1] >= partial
 
 
 def test_powerlaw_saturation_below_one():
@@ -189,8 +192,9 @@ def test_explicit_list_without_tail_raises_past_end():
 
 def test_explicit_zero_tail_sums():
     fam = ExplicitList((0.5, 0.25, 0.125), tail=0.0)
-    assert fam.tail_sum_bound(2) == pytest.approx(0.375)
-    assert fam.tail_sum_bound(4) == 0.0
+    lo, hi = fam.tail_sum_bounds(2)
+    assert lo < 0.375 < hi and hi - lo < 1e-15
+    assert fam.tail_sum_bounds(4) == (0.0, 0.0)
     cls, _ = fam.series_class(0)
     assert cls is SeriesClass.CONVERGENT
 
@@ -213,8 +217,11 @@ def test_explicit_zero_tail_sums():
     ids=repr,
 )
 def test_tail_sum_bound_is_none_everywhere_or_nowhere(fam):
-    # IndependentModel.union_bound has no fallback for a bound missing at some n only
-    assert len({fam.tail_sum_bound(n) is None for n in (1, 2, 10**6)}) == 1
+    # a finite upper end, and a divergent lower one, hold at every start or at none
+    bounds = [fam.tail_sum_bounds(n) for n in (1, 2, 10**6)]
+    assert len({math.isfinite(hi) for _, hi in bounds}) == 1
+    assert len({lo == math.inf for lo, _ in bounds}) == 1
+    assert all(0.0 <= lo <= hi for lo, hi in bounds)
 
 
 def test_explicit_rejects_bad_values():
@@ -279,3 +286,52 @@ def test_evaluation_error_bounds_the_distance_to_the_exact_formula(kind, scale, 
         base = mpmath.mpf(n) if kind is PowerLaw else mpmath.log(mpmath.mpf(n) + 1)
         exact = min(max(mpmath.mpf(scale) * base ** (-mpmath.mpf(exponent)), 0), 1)
         assert abs(mpmath.mpf(family.value(n)) - exact) <= family.evaluation_error()
+
+
+def exact_power_tail(scale, exponent, n):
+    """sum_{j >= n} min(1, scale * j^-exponent) at 40 digits, indices j <= 0
+    saturating to 1: the clamped head counted term by term, the rest a
+    Hurwitz zeta value."""
+    c, s = mpmath.mpf(scale), mpmath.mpf(exponent)
+    m = max(n, 1)
+    first = max(m, int(mpmath.ceil(c ** (1 / s))))  # the first index with c j^-s <= 1
+    while first > m and c * mpmath.mpf(first - 1) ** -s <= 1:
+        first -= 1
+    while c * mpmath.mpf(first) ** -s > 1:
+        first += 1
+    return (m - n) + (first - m) + c * mpmath.zeta(s, first)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sampled_from([1.0, 0.5, 2.5, 40.0]) | st.floats(1e-3, 50.0),
+    st.sampled_from([2.0, 1.5, 1.0 + 2.0**-20]) | st.floats(1.0, 6.0, exclude_min=True),
+    st.integers(min_value=-5, max_value=10**6) | st.integers(2**53 - 10, 2**60),
+)
+def test_power_law_tail_sum_bounds_bracket_the_hurwitz_zeta(scale, exponent, n):
+    # clamped heads (scale > 1) and saturated indices (n <= 0) included
+    lo, hi = PowerLaw(scale, exponent).tail_sum_bounds(n)
+    with mpmath.workdps(40):
+        exact = exact_power_tail(scale, exponent, n)
+        assert mpmath.mpf(lo) <= exact <= mpmath.mpf(hi), (lo, exact, hi)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.sampled_from([0.0, 0.1, 0.5, 1.0]) | st.floats(0.0, 1.0), max_size=12),
+    st.integers(min_value=1, max_value=14),
+)
+def test_zero_tailed_list_tail_sum_bounds_bracket_the_exact_sum(head, n):
+    lo, hi = ExplicitList(tuple(head), tail=0.0).tail_sum_bounds(n)
+    exact = sum(map(Fraction, head[n - 1 :]), Fraction(0))
+    assert Fraction(lo) <= exact <= Fraction(hi)
+
+
+@settings(max_examples=200, deadline=None)
+@given(any_families(), st.integers(min_value=1, max_value=10**6))
+def test_a_divergent_family_bounds_its_tail_sum_below_by_infinity(family, n):
+    lo, hi = family.tail_sum_bounds(n)
+    assert 0.0 <= lo <= hi
+    classified = family.series_class(0)
+    if classified is not None and classified[0] is SeriesClass.DIVERGENT:
+        assert lo == hi == math.inf

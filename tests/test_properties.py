@@ -1,5 +1,7 @@
 """Model invariants as property tests against the enumeration oracle."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -189,10 +191,11 @@ def union_bounded_models(draw):
 def test_union_bound_is_sound(model):
     space = build_outcome_space(model, UNION_HORIZON)
     for n in range(1, UNION_HORIZON + 1):
-        bound = model.union_bound(n)
-        if bound is not None:
+        # a scan that has not begun leaves all of u_n
+        bounds = model.remainder_bounds(n, 1.0)
+        if bounds is not None:
             exact = oracle_union_prob(space, n, UNION_HORIZON - n)
-            assert bound >= exact - 1e-12, (n, bound, exact)
+            assert bounds[1] >= exact - 1e-12, (n, bounds, exact)
 
 
 TAIL_HORIZON = 12
@@ -245,16 +248,34 @@ def test_window_tails_certified_zero_are_empty_for_the_oracle(model):
     k_max=st.sampled_from([1, 2, 4, 16, 64]),
 )
 def test_limsup_upper_ends_hold_the_truncated_union(model, n, k_max):
-    # u_n >= P(A_n or ... or A_h) for every h; an interval the window tail
-    # closes holds it strictly, the others within rounding (their ends are
-    # not padded yet)
+    # u_n >= P(A_n or ... or A_h) for every h; a padded interval holds it
+    # strictly, a Markov one within rounding (its ends are not padded yet)
     space = build_outcome_space(model, HORIZON)
     est = limsup_estimate(model, [n, n + 1, n + 2], tol=1e-6, k_max=k_max)
     for s in est.samples:
         # u_n <= 1, where the oracle's rounded sum may land one ulp past it
         union = min(oracle_union_prob(space, s.start, HORIZON - s.start), 1.0)
-        slack = 0.0 if s.window_tail_bound == 0.0 else 1e-12
+        slack = 1e-12 if isinstance(model, MarkovModel) else 0.0
         assert s.interval[1] >= union - slack, (s, union)
         if s.window_tail_bound == 0.0 and s.start + s.truncation - 1 <= HORIZON:
             union = min(oracle_union_prob(space, s.start, s.truncation - 1), 1.0)
             assert s.interval[0] <= union <= s.interval[1], (s, union)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    head=st.lists(st.sampled_from([0.0, 0.5, 1.0]) | probs, max_size=12),
+    n=st.integers(min_value=1, max_value=8),
+    tol=st.sampled_from([1e-2, 1e-6, 1e-300]),
+    k_max=st.sampled_from([1, 2, 4, 16, 64]),
+)
+def test_independent_limsup_intervals_hold_the_exact_value(head, n, tol, k_max):
+    # past a zero tail the union is a finite product: u_n = 1 - prod_{j>=n} (1 - p_j)
+    model = IndependentModel(ExplicitList(tuple(head), tail=0.0))
+    est = limsup_estimate(model, [n, n + 1, n + 2], tol=tol, k_max=k_max)
+    for s in est.samples:
+        survive = Fraction(1)
+        for p in head[s.start - 1 :]:
+            survive *= 1 - Fraction(p)
+        lo, hi = s.interval
+        assert Fraction(lo) <= 1 - survive <= Fraction(hi), (s, head)
