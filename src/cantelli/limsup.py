@@ -12,9 +12,9 @@ series' tail (a first occurrence past the truncation makes a window near it
 occur).  Its lower end is 0, except for independent events, whose remainder
 is exactly the all-complement probability R_K times u_{n+K}, and u_{n+K} is
 bounded on both sides by the marginals' tail sum (it is 1 where that sum
-diverges).  A start stops once its interval is narrower than the tolerance,
-and both ends are padded outward by a derived bound on their rounding
-wherever the backend derives one.  It tracks u_n along a schedule of start
+diverges).  Both ends are padded outward by a derived bound on their
+rounding wherever the backend derives one, and a start stops once its
+padded interval is narrower than the tolerance.  It tracks u_n along a schedule of start
 indices.  The schedule's starts take their
 doublings in lockstep, one level at a time, so each level evaluates the
 model's per-index inputs once per merged run of the starts' ranges;
@@ -68,14 +68,16 @@ class TailUnionEstimate:
     the m-window terms from n + K - m on bound the rest.  ``window_tail_m`` is
     that m.  ``union_tail_lower`` bounds the rest from below, and the
     interval's lower end adds it: for independent events R_K times a lower
-    bound on u_{n+K}, which is R_K itself where the marginals' sum diverges;
-    0 for latent models.  ``union_tail_bound`` and ``union_tail_lower`` are
-    None when the model has no closed form, and the window tail too.
+    bound on u_{n+K}, which is R_K itself where the marginals' sum diverges.
+    ``union_tail_bound`` and ``union_tail_lower`` are None when the model has
+    no closed form for that end (latent models state no lower end), and the
+    window tail too.
 
     ``rounding`` is a derived bound on how far either interval end, as
     computed, lies from the exact value it stands for; both ends move outward
     by it, and one ulp further.  It is zero where the backend derives no
-    bound on its scan's rounding (``scan_error``).
+    bound on its scan's rounding (``scan_error``).  ``tolerance_reached``
+    says the interval, padded, is narrower than the tolerance.
     """
 
     start: int
@@ -114,11 +116,18 @@ class TailUnionEstimate:
                 f"inconsistent enclosure: partial {self.partial!r},"
                 f" remainder {self.remainder_bound!r}"
             )
-        lo = self.partial + (self.union_tail_lower or 0.0)
-        hi = self.partial + self.effective_remainder
-        if rounding:
-            lo, hi = np.nextafter(lo - rounding, -1.0), np.nextafter(hi + rounding, 2.0)
-        object.__setattr__(self, "interval", (max(float(lo), 0.0), min(float(hi), 1.0)))
+        lower = self.union_tail_lower or 0.0
+        interval = _enclosure(self.partial, lower, self.effective_remainder, rounding)
+        object.__setattr__(self, "interval", interval)
+
+
+def _enclosure(partial: float, lower: float, upper: float, rounding: float) -> tuple[float, float]:
+    """[partial + lower, partial + upper], each end moved outward by
+    ``rounding`` and one ulp further where ``rounding`` is nonzero, within [0, 1]."""
+    lo, hi = partial + lower, partial + upper
+    if rounding:
+        lo, hi = np.nextafter(lo - rounding, -1.0), np.nextafter(hi + rounding, 2.0)
+    return max(float(lo), 0.0), min(float(hi), 1.0)
 
 
 def tail_union(
@@ -129,8 +138,8 @@ def tail_union(
 ) -> TailUnionEstimate:
     """Enclose u_n = P(union of A_j, j >= n) by adaptive truncation.
 
-    The truncation doubles from 16 until the enclosure of the remainder is
-    narrower than ``tol`` or it reaches ``k_max``: the one-start case of
+    The truncation doubles from 16 until the padded interval is narrower
+    than ``tol`` or it reaches ``k_max``: the one-start case of
     ``_tail_unions``.
     """
     return _tail_unions(model, [n], tol, k_max)[0]
@@ -141,9 +150,11 @@ def _tail_unions(
 ) -> list[TailUnionEstimate]:
     """Enclose u_n for each n of ``starts``, the starts in lockstep.
 
-    Each start's truncation doubles from 16 until the enclosure of its
-    remainder, from ``union_tail_lower`` (or 0) to the effective remainder, is
-    narrower than ``tol``, or it reaches ``k_max``.  The starts take the doublings
+    Each start's truncation doubles from 16 until its interval, partial plus
+    ``union_tail_lower`` (or 0) to partial plus the effective remainder, each
+    end padded by ``_rounding``, is narrower than ``tol``, or it reaches
+    ``k_max``: the padding grows with the truncation, so a tolerance below it
+    scans to ``k_max``.  The starts take the doublings
     level by level: ``first_occurrence_terms`` scans, for every start still
     short of tolerance, the terms that level adds, ``_SCAN_CHUNK`` terms per
     start and call at most, so the per-index inputs of overlapping starts are
@@ -190,11 +201,12 @@ def _tail_unions(
             union_lower, union_tail = model.remainder_bounds(n + k, remainder) or (None, None)
             window_tail, window_m = _window_tail(model, n, k)
             effective = min(b for b in (remainder, union_tail, window_tail) if b is not None)
-            reached = effective - (union_lower or 0.0) < tol
+            partial = min(max(running[i].value, 0.0), 1.0)
+            # an end reads the remainder's bounds unless a zero window tail closes it
+            rounding = _rounding(model, k, partial, None if window_tail == 0.0 else remainder)
+            lo, hi = _enclosure(partial, union_lower or 0.0, effective, rounding)
+            reached = hi - lo < tol
             if reached or k >= k_max:
-                partial = min(max(running[i].value, 0.0), 1.0)
-                # an end reads the remainder's bounds unless a zero window tail closes it
-                read = None if window_tail == 0.0 else remainder
                 estimates[i] = TailUnionEstimate(
                     start=n,
                     truncation=k,
@@ -205,7 +217,7 @@ def _tail_unions(
                     tolerance_reached=reached,
                     window_tail_bound=window_tail,
                     window_tail_m=window_m,
-                    rounding=_rounding(model, k, partial, read),
+                    rounding=rounding,
                 )
             else:
                 going.append(i)

@@ -134,12 +134,14 @@ class EventSequenceModel(ABC):
         """(class, justification) of the window series with ``prefix_len`` complements, or None."""
         return None
 
-    def remainder_bounds(self, n: int, complement: float) -> tuple[float, float] | None:
+    def remainder_bounds(self, n: int, complement: float) -> tuple[float | None, float] | None:
         """(lo, hi), bounds on what a first-occurrence scan leaves past its
         last index n - 1: P(no A_j from the scan's start through n - 1, and
         some A_j with j >= n), where ``complement`` is the scan's
-        all-complement probability through n - 1; None where the backend
-        knows none (0 and ``complement`` always bound it)."""
+        all-complement probability through n - 1; lo is None where the
+        backend knows no lower end, and the pair None where it knows neither
+        (0 and ``complement`` always bound it).  Only independent models
+        read ``complement``."""
         return None
 
     def tail_sum(self, prefix_len: int, n: int) -> float | None:
@@ -1053,17 +1055,17 @@ class LatentUniformModel(EventSequenceModel):
         why = "; ".join(why for _, why in parts)
         return SeriesClass.CONVERGENT, f"marginal sum converges per latent family: {why}"
 
-    def remainder_bounds(self, n: int, complement: float) -> tuple[float, float] | None:
+    def remainder_bounds(self, n: int, complement: float) -> tuple[float | None, float] | None:
         # Exact per-latent collapse: the union of threshold events on one
         # latent is the single event at the supremum threshold, and the
-        # union from n on bounds the remainder.
+        # union from n on bounds the remainder from above; no lower end.
         prob_none = 1.0
         for fam, start in self._families_with_start(n):
             sup = fam.tail_sup(start)
             if sup is None:
-                return 0.0, 1.0
+                return None, 1.0
             prob_none *= 1.0 - min(1.0, sup)
-        return 0.0, 1.0 - prob_none
+        return None, 1.0 - prob_none
 
     def describe(self) -> str:
         head = f"{self._num_latents} uniform latent(s), coloring cycle {list(self._coloring)}"

@@ -22,7 +22,7 @@ from cantelli import (
     PowerLaw,
     TailUnionEstimate,
 )
-from cantelli.limsup import INITIAL_TRUNCATION, MAX_PREFIX_LEN, _rounding
+from cantelli.limsup import INITIAL_TRUNCATION, MAX_PREFIX_LEN, _enclosure, _rounding
 from cantelli.summation import CompensatedSum, compensated_sum
 from cantelli.windows import WindowPattern
 
@@ -108,9 +108,10 @@ def reference_tail_union(
 
     The reference for the lockstep levels of ``limsup_estimate``: each of its
     estimates must equal this one at the same start, bit for bit.  The
-    truncation doubles from 16 until the remainder's enclosure, from the
-    model's lower remainder bound (or 0) to the least of the all-complement,
-    union and window-tail bounds, is narrower than ``tol``, or it reaches
+    truncation doubles from 16 until the interval, partial plus the model's
+    lower remainder bound (or 0) to partial plus the least of the
+    all-complement, union and window-tail bounds, each end padded by
+    ``_rounding``, is narrower than ``tol``, or it reaches
     ``k_max``; each doubling continues the scan from its carry and the
     running compensated sum.
     """
@@ -125,7 +126,9 @@ def reference_tail_union(
         union_lower, union_tail = model.remainder_bounds(n + k, remainder) or (None, None)
         window_tail, window_m = reference_window_tail(model, n, k)
         effective = min(b for b in (remainder, union_tail, window_tail) if b is not None)
-        reached = effective - (union_lower or 0.0) < tol
+        rounding = _rounding(model, k, partial, None if window_tail == 0.0 else remainder)
+        lo, hi = _enclosure(partial, union_lower or 0.0, effective, rounding)
+        reached = hi - lo < tol
         if reached or k >= k_max:
             return TailUnionEstimate(
                 start=n,
@@ -137,7 +140,7 @@ def reference_tail_union(
                 tolerance_reached=reached,
                 window_tail_bound=window_tail,
                 window_tail_m=window_m,
-                rounding=_rounding(model, k, partial, None if window_tail == 0.0 else remainder),
+                rounding=rounding,
             )
         k = min(2 * k, k_max)
 

@@ -39,7 +39,7 @@ from cantelli import (
 from cantelli import cli, limsup
 from cantelli.cli import EXIT_MISMATCH, EXIT_OK, ORACLE_DIFF_TOL, verify_results
 from cantelli.families import SequenceIndexError
-from cantelli.limsup import INITIAL_TRUNCATION
+from cantelli.limsup import INITIAL_TRUNCATION, _enclosure, _rounding
 from cantelli.models import _SUPPORT_WALK, NumericFaultError
 from cantelli.oracle import build_outcome_space
 from cantelli.specfile import load_spec, parse_spec
@@ -529,7 +529,9 @@ def one_shot_tail_union(model, n, tol, k_max):
         union_lower, union_tail = model.remainder_bounds(n + k, remainder) or (None, None)
         window_tail, window_m = reference_window_tail(model, n, k)
         effective = min(b for b in (remainder, union_tail, window_tail) if b is not None)
-        reached = effective - (union_lower or 0.0) < tol
+        rounding = _rounding(model, k, partial, None if window_tail == 0.0 else remainder)
+        lo, hi = _enclosure(partial, union_lower or 0.0, effective, rounding)
+        reached = hi - lo < tol
         if reached or k >= k_max:
             return k, bits(partial), bits(remainder), union_tail, union_lower, window_m, reached
         k = min(2 * k, k_max)

@@ -12,6 +12,7 @@ from cantelli import (
     PowerLaw,
     build_outcome_space,
     families,
+    limsup,
     limsup_estimate,
     oracle_union_prob,
     tail_union,
@@ -132,14 +133,16 @@ def test_union_bound_respects_saturated_offsets():
     ids=["harmonic", "interleaved-nested"],
 )
 def test_tail_union_matches_the_python_pow_reference(make, starts, k_max, monkeypatch):
+    # no padded interval is narrower than 1e-300, so every start scans to k_max
     def run():
         model = make()
-        return [tail_union(model, n, k_max=k_max) for n in starts]
+        return [tail_union(model, n, tol=1e-300, k_max=k_max) for n in starts]
 
     def bits(est):
         return np.array([est.partial, est.remainder_bound, *est.interval]).tobytes()
 
     shipped = run()
+    assert [est.truncation for est in shipped] == [k_max] * len(starts)
     monkeypatch.setattr(families, "_powers", reference_powers)
     for got, expected in zip(shipped, run()):
         assert bits(got) == bits(expected), got.start
@@ -312,10 +315,13 @@ def test_limsup_evaluates_overlapping_starts_once_per_level():
     ids=["harmonic", "interleaved-nested"],
 )
 def test_limsup_levels_at_scale_equal_the_one_start_reference(make, starts, k_max):
-    # the benchmark's far limsup commands: levels wider than one scan chunk
+    # the benchmark's far limsup commands, their levels wider than one scan
+    # chunk: no padded interval is narrower than 1e-300, so no start stops early
     model = make()
-    est = limsup_estimate(model, starts, k_max=k_max)
-    assert est.samples == [reference_tail_union(model, n, 1e-6, k_max) for n in starts]
+    est = limsup_estimate(model, starts, tol=1e-300, k_max=k_max)
+    assert [s.truncation for s in est.samples] == [k_max] * len(starts)
+    assert k_max > limsup._SCAN_CHUNK
+    assert est.samples == [reference_tail_union(model, n, 1e-300, k_max) for n in starts]
 
 
 def test_enclosure_slack_grows_with_the_truncation():

@@ -336,7 +336,7 @@ def test_latent_closed_forms():
     )
     # thresholds with no tail bound nothing past their list
     tailless = LatentUniformModel(2, [0, 1], GlobalThresholds(ExplicitList((0.5,) * 8)))
-    assert tailless.remainder_bounds(3, 0.5) == (0.0, 1.0)
+    assert tailless.remainder_bounds(3, 0.5) == (None, 1.0)
 
 
 def test_latent_window_tail_starts_where_thresholds_stop_rising():
