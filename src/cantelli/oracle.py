@@ -1,11 +1,17 @@
 """Brute-force ground truth on a truncated horizon.
 
-The oracle enumerates every outcome of a model up to a small horizon and
-answers event-probability queries by summing outcome probabilities.  It never
-approximates: horizons past the hard caps raise instead of truncating.  It is
-deliberately independent of the production engines: independent models are
-expanded into all indicator patterns, Markov models into all state paths, and
-latent models into exact threshold cells.
+The oracle enumerates every outcome of a model that can occur, up to a small
+horizon, and answers event-probability queries by summing outcome
+probabilities.  It never approximates: horizons past the hard caps raise
+instead of truncating.  It is deliberately independent of the production
+engines: independent models are expanded into all indicator patterns, one
+marginal at a time, Markov models into the state paths through the states the
+chain can occupy at each time, and latent models into exact threshold cells.
+The occupiable states are those of positive initial probability at time 1, and
+after that those one positive transition reaches from the states before.  A
+path through any other state has probability +0.0, which adds nothing to its
+bin's sums, and the paths kept keep their order and their left-to-right
+products, so leaving the rest out changes no bit of any answer.
 
 Every window and union query asks only which of A_1..A_h hold, so outcomes
 with the same indicator pattern are interchangeable.  The enumeration folds
@@ -34,7 +40,9 @@ from .models import (
 from .windows import WindowPattern
 
 MAX_INDICATOR_HORIZON = 14
-# caps both the Markov state paths and the 2^h codes they fold into
+# caps both the Markov state paths and the 2^h codes they fold into; it counts
+# max(S, 2)^h paths however few of them can occur, so whether a horizon
+# passes depends only on S and h
 MAX_MARKOV_PATHS = 10_000_000
 _FOLD_SLICE = 1 << 14
 
@@ -117,11 +125,13 @@ def _independent_space(model: IndependentModel, horizon: int) -> TruncatedOutcom
         raise HorizonExceededError(
             f"horizon {horizon} exceeds indicator cap {MAX_INDICATOR_HORIZON}"
         )
-    # outcome c is the indicator pattern with code c: each is its own bin
-    p = np.array([model.family.value(i) for i in range(1, horizon + 1)])
-    codes = np.arange(2**horizon)
-    indicators = (codes[:, None] >> np.arange(horizon)) & 1 > 0
-    probs = np.where(indicators, p, 1.0 - p).prod(axis=1)
+    # outcome c is the indicator pattern with code c: each is its own bin.
+    # Doubling by A_i puts its factor on bit i - 1, the top bit so far, so
+    # every code multiplies its factors in index order, left to right.
+    probs = np.ones(1)
+    for i in range(1, horizon + 1):
+        p = model.family.value(i)
+        probs = np.concatenate((probs * (1.0 - p), probs * p))
     return TruncatedOutcomeSpace(horizon, probs)
 
 
@@ -137,15 +147,21 @@ def _markov_space(model: MarkovModel, horizon: int) -> TruncatedOutcomeSpace:
         )
     transition = model._transition  # noqa: SLF001 - oracle reads the frozen inputs
     initial = model._initial  # noqa: SLF001
-    # Path a has its state at time t in the base-s digit (a // s**(horizon - t)) % s:
-    # time 1 is the leading digit.  Each step appends a lowest digit to every
-    # path, multiplying its probability and setting its code's bit for A_t.
+    # Paths run in lexicographic order of their states, time 1 leading.  Each
+    # step appends to every path each state the chain can occupy at time t,
+    # multiplying its probability and setting its code's bit for A_t.  A path
+    # through any other state would have probability +0.0: it is never built.
     code_type = _code_type(horizon)
-    probs = initial.copy()
-    codes = model.event_mask(1).astype(code_type)
+    states = np.flatnonzero(initial > 0)
+    probs = initial[states]
+    codes = model.event_mask(1)[states].astype(code_type)
     for t in range(2, horizon + 1):
-        probs = (probs.reshape(-1, s, 1) * transition).reshape(-1)
-        codes = (codes[:, None] | model.event_mask(t).astype(code_type) << (t - 1)).reshape(-1)
+        reached = np.flatnonzero((transition[states] > 0).any(axis=0))
+        step = transition[np.ix_(states, reached)]
+        probs = (probs.reshape(-1, len(states), 1) * step).reshape(-1)
+        mask = model.event_mask(t)[reached].astype(code_type) << (t - 1)
+        codes = (codes[:, None] | mask).reshape(-1)
+        states = reached
     return _binned(horizon, codes, probs)
 
 
@@ -196,7 +212,8 @@ def _binned(horizon: int, codes: np.ndarray, probs: np.ndarray) -> TruncatedOutc
     exponent = np.frexp(rough)[1]
     high_sum, low_sum = np.zeros(size), np.zeros(size)
     for part in slices:
-        c, p = codes[part], probs[part]
+        # one index array serves the gather and both folds
+        c, p = codes[part].astype(np.intp, copy=False), probs[part]
         scale = np.ldexp(1.0, exponent[c])
         high = (scale + p) - scale
         np.add.at(high_sum, c, high)

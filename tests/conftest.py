@@ -23,6 +23,7 @@ from cantelli import (
     TailUnionEstimate,
 )
 from cantelli.limsup import INITIAL_TRUNCATION, MAX_PREFIX_LEN, _enclosure, _rounding
+from cantelli.oracle import _binned, _code_type
 from cantelli.summation import CompensatedSum, compensated_sum
 from cantelli.windows import WindowPattern
 
@@ -143,6 +144,37 @@ def reference_tail_union(
                 rounding=rounding,
             )
         k = min(2 * k, k_max)
+
+
+def reference_independent_bins(model: IndependentModel, horizon: int) -> np.ndarray:
+    """Every indicator pattern's probability, each the product of one row of a
+    2^h x h factor matrix.
+
+    The reference for the oracle's independent build: its bins must equal
+    these bit for bit, each code's factors multiplied in index order.
+    """
+    p = np.array([model.family.value(i) for i in range(1, horizon + 1)])
+    codes = np.arange(2**horizon)
+    indicators = (codes[:, None] >> np.arange(horizon)) & 1 > 0
+    return np.where(indicators, p, 1.0 - p).prod(axis=1)
+
+
+def reference_markov_bins(model: MarkovModel, horizon: int) -> np.ndarray:
+    """The bins of all S^h state paths, those of probability 0 included.
+
+    The reference for the oracle's Markov build, which expands only the states
+    the chain can occupy: its bins must equal these bit for bit.  Path a has
+    its state at time t in the base-S digit (a // S**(horizon - t)) % S, and
+    its probability is multiplied left to right in time order.
+    """
+    s = model.num_states
+    code_type = _code_type(horizon)
+    probs = model._initial.copy()
+    codes = model.event_mask(1).astype(code_type)
+    for t in range(2, horizon + 1):
+        probs = (probs.reshape(-1, s, 1) * model._transition).reshape(-1)
+        codes = (codes[:, None] | model.event_mask(t).astype(code_type) << (t - 1)).reshape(-1)
+    return _binned(horizon, codes, probs).probs
 
 
 @st.composite

@@ -8,6 +8,7 @@ import pytest
 from cantelli import (
     Constant,
     EventSchedule,
+    ExplicitList,
     IndependentModel,
     MarkovModel,
     build_outcome_space,
@@ -15,15 +16,21 @@ from cantelli import (
     oracle_window_prob,
 )
 from cantelli.oracle import HorizonExceededError
+from cantelli.specfile import load_spec
 from cantelli.windows import WindowPattern, all_complement, first_occurrence
 
 from conftest import (
+    SPECS,
     constraints,
+    make_absorbing,
     make_coin,
+    make_flipflop,
     make_nested,
     random_independent,
     random_latent,
     random_markov,
+    reference_independent_bins,
+    reference_markov_bins,
     reference_window_prob,
 )
 
@@ -152,20 +159,91 @@ def random_schedule_chain(rng, s):
     transition /= transition.sum(axis=1, keepdims=True)
     initial = rng.random(s) + 0.01
     initial /= initial.sum()
+    return MarkovModel(transition, initial, random_schedule(rng, s))
 
-    def event_set():
-        return [int(x) for x in np.flatnonzero(rng.random(s) < 0.5)]
 
+def random_event_set(rng, s):
+    return [int(x) for x in np.flatnonzero(rng.random(s) < 0.5)]
+
+
+def random_schedule(rng, s):
+    """A constant, periodic or explicit schedule; an explicit list has a tail."""
     mode = int(rng.integers(3))
     if mode == 0:
-        events = EventSchedule(s, constant=event_set())
-    elif mode == 1:
-        events = EventSchedule(s, cycle=[event_set() for _ in range(int(rng.integers(1, 4)))])
-    else:
-        events = EventSchedule(
-            s, explicit=[event_set() for _ in range(int(rng.integers(0, 6)))], tail=event_set()
+        return EventSchedule(s, constant=random_event_set(rng, s))
+    if mode == 1:
+        return EventSchedule(
+            s, cycle=[random_event_set(rng, s) for _ in range(int(rng.integers(1, 4)))]
         )
-    return MarkovModel(transition, initial, events)
+    return EventSchedule(
+        s,
+        explicit=[random_event_set(rng, s) for _ in range(int(rng.integers(0, 6)))],
+        tail=random_event_set(rng, s),
+    )
+
+
+def sparse_chain(rng, s, initial=None):
+    """A chain with zeros in its transition rows and, unless ``initial`` is
+    given, in its initial vector: only some states can be occupied at each time."""
+    transition = rng.random((s, s)) * (rng.random((s, s)) < 0.5)
+    transition[np.arange(s), rng.integers(0, s, size=s)] += 0.1
+    transition /= transition.sum(axis=1, keepdims=True)
+    if initial is None:
+        initial = rng.random(s) * (rng.random(s) < 0.5)
+        initial[rng.integers(0, s)] += 0.1
+        initial /= initial.sum()
+    return MarkovModel(transition, initial, random_schedule(rng, s))
+
+
+def markov_build_cases():
+    """(model, horizon): sparse random chains, one-hot starts, deterministic
+    cycles, 1-state chains and explicit schedules with and without a tail."""
+    rng = np.random.default_rng(15)
+    for s, horizon in ((2, 10), (3, 10), (4, 8), (4, 1), (5, 6)):
+        for _ in range(4):
+            chain = sparse_chain(rng, s)
+            yield chain, horizon
+            untailed = EventSchedule(s, explicit=[random_event_set(rng, s) for _ in range(horizon)])
+            yield MarkovModel(chain._transition, chain._initial, untailed), horizon
+        for k in range(s):
+            yield sparse_chain(rng, s, initial=np.eye(s)[k]), horizon
+    yield make_flipflop(), 10
+    yield make_absorbing(), 10
+    cycle = np.roll(np.eye(3), 1, axis=1)
+    yield MarkovModel(cycle, [0.0, 0.0, 1.0], EventSchedule(3, cycle=[[0], [1, 2]])), 10
+    yield MarkovModel(cycle, [0.5, 0.0, 0.5], EventSchedule(3, explicit=[[0]] * 10)), 10
+    yield MarkovModel([[1.0]], [1.0], EventSchedule(1, cycle=[[0], []])), 10
+    yield MarkovModel([[1.0]], [1.0], EventSchedule(1, explicit=[[0], [], [0]], tail=[])), 7
+    yield MarkovModel([[1.0]], [1.0], EventSchedule(1, explicit=[[], [0], [0]])), 3
+
+
+def test_markov_build_equals_the_all_paths_reference():
+    # the paths through states the chain cannot occupy have probability +0.0:
+    # leaving them out, in order, keeps every bin's bits
+    for model, horizon in markov_build_cases():
+        sp = build_outcome_space(model, horizon)
+        assert np.array_equal(sp.probs, reference_markov_bins(model, horizon))
+
+
+@pytest.mark.parametrize("name", ["coin-half", "harmonic", "partial-maxima", "powerlaw-2"])
+def test_independent_build_equals_the_factor_matrix_reference_on_shipped_specs(name):
+    model = load_spec(SPECS / f"{name}.json").model
+    for horizon in (1, 2, 7, 13, 14):
+        sp = build_outcome_space(model, horizon)
+        assert np.array_equal(sp.probs, reference_independent_bins(model, horizon))
+
+
+def test_independent_build_equals_the_factor_matrix_reference_at_certain_marginals():
+    # marginals exactly 0 and 1 give factors 0 and 1 on either side of a code
+    rng = np.random.default_rng(16)
+    levels = [0.0, 1.0, 0.5, 0.1, 1.0 / 3.0]
+    for _ in range(12):
+        head = tuple(float(x) for x in rng.choice(levels, size=int(rng.integers(0, 10))))
+        head += tuple(rng.random(int(rng.integers(0, 4))))
+        model = IndependentModel(ExplicitList(head, tail=float(rng.choice(levels))))
+        for horizon in (1, 5, 11, 14):
+            sp = build_outcome_space(model, horizon)
+            assert np.array_equal(sp.probs, reference_independent_bins(model, horizon))
 
 
 def path_atoms(model, horizon):
