@@ -49,7 +49,7 @@ base class knows none (None, "", or inf), and every certification rests on the
 justification or description the backend records.
 
 All models are immutable after construction and all queries are pure; the
-Markov backend caches only its two ``_Orbit`` walks, of distributions and supports.
+Markov backend caches only its ``_Orbit`` walk of distributions.
 """
 
 from __future__ import annotations
@@ -92,9 +92,6 @@ ROW_SUM_TOL = 1e-12
 # independent sampler per generator: bounds the samplers' memory at far and
 # wide windows and wide batches
 _DRAW_CHUNK = 1 << 16
-# the steps a Markov support orbit may walk to its first repeat before
-# tail_sum gives up: a walk that long proves no window empty
-_SUPPORT_WALK = 1 << 16
 
 
 class NumericFaultError(ArithmeticError):
@@ -422,9 +419,9 @@ class EventSchedule:
     Modes: a constant set, a periodic cycle of sets, or an explicit list with
     a declared constant tail set.  Errors name a bad state by its spec key:
     ``members[k]``, ``cycle[i][k]``, ``sets[i][k]`` or ``tail[k]``.
-    The masks are the rows of one read-only array, which ``mask(n)`` and
-    ``masks(lo, hi)`` index by rules that share no code: the scalar one checks
-    the other.
+    The masks are the rows of one read-only array.  ``mask(n)`` and the Markov
+    ``tail_sum`` walk pick E_n's row by the scalar rule ``_row(n)``;
+    ``masks(lo, hi)`` has its own vectorized rule, which the scalar one checks.
     """
 
     def __init__(
@@ -453,9 +450,8 @@ class EventSchedule:
             rows = [self._mask(s, f"sets[{i}]") for i, s in enumerate(explicit)]
             if tail is not None:
                 rows.append(self._mask(tail, "tail"))
-        # (e, q) with E_n = E_{n - q} for n - q >= e, so that E_n is row
-        # e - 1 + (n - e) % q from n = e on; None for an explicit list
-        # without a tail, which never repeats
+        # (e, q) with E_n = E_{n - q} for n - q >= e (``_row``); None for an
+        # explicit list without a tail, which never repeats
         self._period: tuple[int, int] | None = (1, len(rows))
         if explicit is not None:
             self._period = (len(rows), 1) if tail is not None else None
@@ -476,12 +472,14 @@ class EventSchedule:
         """Boolean membership mask of E_n, a read-only row."""
         if n < 1:
             raise ValueError(f"event schedule queried at time {n} < 1")
-        if self._period is None:
-            if n > len(self._rows):
-                raise self._past_end(n)
-            return self._rows[n - 1]
-        e, q = self._period
-        return self._rows[n - 1 if n < e else e - 1 + (n - e) % q]
+        if self._period is None and n > len(self._rows):
+            raise self._past_end(n)
+        return self._rows[self._row(n)]
+
+    def _row(self, n: int) -> int:
+        """The index of E_n's row: n - 1 before e, and e - 1 + (n - e) % q from e on."""
+        e, q = self._period or (math.inf, 1)  # an untailed list never repeats
+        return n - 1 if n < e else e - 1 + (n - e) % q
 
     def masks(self, lo: int, hi: int) -> np.ndarray:
         """Masks of E_lo..E_hi as the rows of a bool array."""
@@ -603,17 +601,14 @@ class MarkovModel(EventSequenceModel):
     Window probabilities are computed by propagating the time-n distribution
     through masked transition steps.  A window series propagates the
     distributions at times 1..k as one stacked array, row by row with the same
-    vector-matrix products as a single window, and ``tail_sum`` runs the
-    supports the same way.  Column n of either reads only x_n (the
-    distribution or support at time n) and E_n..E_{n+m}; both repeat from
-    some time on, so k ends one common period of the two, and the columns
-    past k are copies (``_table_columns``).  A chain whose orbit does not
-    repeat within N, or an explicit schedule with no tail, has k = N;
-    ``tail_sum`` proves nothing for a support orbit with no repeat within
-    ``_SUPPORT_WALK`` steps, or for such a schedule.  The distributions (step
-    v -> v @ T) and their supports (s -> reach[s].any(0)) are two ``_Orbit``
-    walks, each walked at most once per query; no series block is kept, so
-    memory stays O(S^2 + cycle) between queries.
+    vector-matrix products as a single window.  Column n reads only x_n (the
+    distribution at time n) and E_n..E_{n+m}; both repeat from some time on,
+    so k ends one common period of the two, and the columns past k are copies
+    (``_table_columns``).  A chain whose orbit does not repeat within N, or an
+    explicit schedule with no tail, has k = N.  The distributions (v -> v @ T)
+    are one ``_Orbit`` walk, walked at most once per query, and no series
+    block is kept: memory stays O(S^2 + cycle) between queries.  ``tail_sum``
+    walks the finite graph of (schedule row, state) pairs instead.
 
     The constructor is the one check of the chain.  ``transition`` must be a
     nonempty square list of rows, and each row and ``initial`` a probability
@@ -645,10 +640,8 @@ class MarkovModel(EventSequenceModel):
         self._initial.setflags(write=False)
         self._events = events
         self._num_states = s
-        transition, reach = self._transition, self._transition > 0.0
-        # the distributions at times 1, 2, ..., and their supports
+        transition = self._transition
         self._dists = _Orbit(self._initial, lambda v: v @ transition)
-        self._supports = _Orbit(self._initial > 0.0, lambda s: reach[s].any(axis=0))
         # sampling cut points: a path enters the first state k with u < cut[k].
         # Cuts are the cumulative sums, +inf from the last positive entry on, so
         # no state of probability 0 is entered and a u at or past a sum short of
@@ -669,7 +662,7 @@ class MarkovModel(EventSequenceModel):
         terms = np.empty((max_prefix_len + 1, num_terms))
         # dists row n - 1: the distribution at time n + m with the complements
         # at n..n + m - 1 masked in, as the scalar reference propagates it
-        dists, masks, period = self._table_columns(self._dists, max_prefix_len, num_terms)
+        dists, masks, period = self._table_columns(max_prefix_len, num_terms)
         k = len(dists)
         for m in range(max_prefix_len + 1):
             window = masks[m : m + k]
@@ -689,42 +682,49 @@ class MarkovModel(EventSequenceModel):
         return terms
 
     def tail_sum(self, prefix_len: int, n: int) -> float | None:
-        # 0 when the support the m-window's masks leave is empty at every column
-        # from n through one joint period L past h = max(c, e): the columns
-        # from h on repeat with period L.  The 0/1 products count at most S
-        # paths, which float32 holds exactly.  A support orbit once walked past
-        # _SUPPORT_WALK steps with no repeat is not walked again.
-        s = self._supports
-        if self._events._period is None or s._cycle is None and (
-            s._cursor[0] >= _SUPPORT_WALK or s.head(_SUPPORT_WALK)[1] is None
-        ):
+        # starts[r, s]: an m-window can occur from state s at a time of
+        # schedule row r; after[r] is the row of the next time.  The walk takes
+        # the supports from time n on (the first by binary powering of reach),
+        # each with its row, and gives up at one that meets its row's starts.
+        # Times of one row have the same rows after them, and reach distributes
+        # over unions: once a support lies inside what its row saw earlier, so
+        # does every later one.  Each step that goes on adds a (row, state)
+        # pair, so the walk takes at most S * len(rows) steps, whatever the period.
+        rows, period, reach = self._events._rows, self._events._period, self._transition > 0.0
+        if period is None:
             return None
-        supp, masks, period = self._table_columns(self._supports, prefix_len, sys.maxsize)
-        k = len(supp)  # h - 1 + L
-        lo = min(n, k - period + 1) - 1
-        supp, reach = supp[lo:], (self._transition > 0.0).astype(np.float32)
-        for m in range(prefix_len):
-            supp = (supp & ~masks[lo + m : k + m]).astype(np.float32) @ reach > 0.0
-        return None if (supp & masks[lo + prefix_len : k + prefix_len]).any() else 0.0
+        after = np.append(np.arange(1, len(rows)), period[0] - 1)
+        starts = rows
+        for _ in range(prefix_len):
+            starts = ~rows & (starts[after] @ reach.T)
+        support = (self._initial > 0.0) @ np.linalg.matrix_power(reach, n - 1)
+        row, seen = self._events._row(n), np.zeros_like(rows)
+        while not (support & starts[row]).any():
+            if not (support & ~seen[row]).any():
+                return 0.0
+            seen[row] |= support
+            row, support = after[row], support @ reach
+        return None
 
     def _table_columns(
-        self, orbit: _Orbit, max_prefix_len: int, num_terms: int
+        self, max_prefix_len: int, num_terms: int
     ) -> tuple[np.ndarray, np.ndarray, int]:
         """What the evaluated columns of a window table read, and the table's period.
 
-        Column n - 1 of a window table reads only the orbit's x_n and the
+        Column n - 1 of a window table reads only the distribution x_n and the
         masks of E_n..E_{n+M}.  When x repeats from time c with period p, and
         E from time e with period q, column n - 1 equals column n - 1 - L for
         n > k = max(c, e) - 1 + L, where L = lcm(p, q); otherwise k = N.
         Returns x_1..x_k, the masks of E_1..E_{k+M} and L (0 with no period).
         """
-        head, cycle = orbit.head(num_terms)
+        dists = self._dists
+        head, cycle = dists.head(num_terms)
         k, period = num_terms, 0
         if cycle is not None and self._events._period is not None:
             (c, p), (e, q) = cycle, self._events._period
             period = math.lcm(p, q)
             k = min(num_terms, max(c, e) - 1 + period)
-        rows = head[:k] if k <= len(head) else np.concatenate((head, orbit.rows(len(head) + 1, k)))
+        rows = head[:k] if k <= len(head) else np.concatenate((head, dists.rows(len(head) + 1, k)))
         return rows, self._inputs(1, k + max_prefix_len)[0], period
 
     def _inputs(self, lo: int, hi: int) -> tuple[np.ndarray, ...]:

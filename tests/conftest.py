@@ -177,6 +177,37 @@ def reference_markov_bins(model: MarkovModel, horizon: int) -> np.ndarray:
     return _binned(horizon, codes, probs).probs
 
 
+def reference_markov_tail_sum(model: MarkovModel, prefix_len: int, n: int) -> float | None:
+    """``model.tail_sum(prefix_len, n)`` from the chain's support orbit.
+
+    The supports s_1 = (initial > 0), s_{t+1} = reach[s_t].any(0) are walked,
+    with no step cap, to the first that repeats an earlier one: s_{c+p} = s_c.
+    The schedule repeats from e with period q, so the column at time j (s_j
+    and E_j..E_{j+m}) repeats with period L = lcm(p, q) from h = max(c, e)
+    on, and the columns min(n, h)..h + L - 1 hold every column from n on.
+    0.0 when no column's support, led through its m complements, meets its
+    event set; None otherwise, and for an explicit list with no tail.
+    """
+    if model._events._period is None:
+        return None
+    reach = model._transition > 0.0
+    supports, first = [model._initial > 0.0], {}
+    while supports[-1].tobytes() not in first:
+        first[supports[-1].tobytes()] = len(supports)
+        supports.append(reach[supports[-1]].any(axis=0))
+    c = first[supports[-1].tobytes()]
+    p = len(supports) - c
+    e, q = model._events._period
+    h = max(c, e)
+    for j in range(min(n, h), h + math.lcm(p, q)):
+        supp = supports[j - 1 if j < c else c - 1 + (j - c) % p]
+        for i in range(prefix_len):
+            supp = reach[supp & ~model.event_mask(j + i)].any(axis=0)
+        if (supp & model.event_mask(j + prefix_len)).any():
+            return None
+    return 0.0
+
+
 @st.composite
 def any_families(draw, tails=st.none()):
     """A family of each kind: saturated power heads, negative exponents,
@@ -291,6 +322,66 @@ def random_markov(rng: np.random.Generator, max_states: int = 4) -> MarkovModel:
     init /= init.sum()
     members = [int(x) for x in rng.choice(s, size=rng.integers(1, s), replace=False)]
     return MarkovModel(random_stochastic(rng, s), init, EventSchedule(s, constant=members))
+
+
+def random_schedule_chain(rng, s):
+    """A chain with some zero transitions and a constant, periodic or explicit schedule."""
+    transition = rng.random((s, s)) * (rng.random((s, s)) < 0.8)
+    transition[np.arange(s), rng.integers(0, s, size=s)] += 0.1
+    transition /= transition.sum(axis=1, keepdims=True)
+    initial = rng.random(s) + 0.01
+    initial /= initial.sum()
+    return MarkovModel(transition, initial, random_schedule(rng, s))
+
+
+def random_event_set(rng, s):
+    return [int(x) for x in np.flatnonzero(rng.random(s) < 0.5)]
+
+
+def random_schedule(rng, s):
+    """A constant, periodic or explicit schedule; an explicit list has a tail."""
+    mode = int(rng.integers(3))
+    if mode == 0:
+        return EventSchedule(s, constant=random_event_set(rng, s))
+    if mode == 1:
+        return EventSchedule(
+            s, cycle=[random_event_set(rng, s) for _ in range(int(rng.integers(1, 4)))]
+        )
+    return EventSchedule(
+        s,
+        explicit=[random_event_set(rng, s) for _ in range(int(rng.integers(0, 6)))],
+        tail=random_event_set(rng, s),
+    )
+
+
+def sparse_chain(rng, s, initial=None):
+    """A chain with zeros in its transition rows and, unless ``initial`` is
+    given, in its initial vector: only some states can be occupied at each time."""
+    transition = rng.random((s, s)) * (rng.random((s, s)) < 0.5)
+    transition[np.arange(s), rng.integers(0, s, size=s)] += 0.1
+    transition /= transition.sum(axis=1, keepdims=True)
+    if initial is None:
+        initial = rng.random(s) * (rng.random(s) < 0.5)
+        initial[rng.integers(0, s)] += 0.1
+        initial /= initial.sum()
+    return MarkovModel(transition, initial, random_schedule(rng, s))
+
+
+@st.composite
+def sparse_markov_models(draw):
+    """Chains with zero transitions and a one-state start: supports can run dry."""
+    s = draw(st.integers(min_value=2, max_value=3))
+    raw = np.array(
+        draw(st.lists(st.sampled_from([0.0, 0.0, 0.5, 1.0]), min_size=s * s, max_size=s * s))
+    ).reshape(s, s)
+    raw[np.arange(s), draw(st.lists(st.integers(0, s - 1), min_size=s, max_size=s))] += 1.0
+    init = np.zeros(s)
+    init[draw(st.integers(min_value=0, max_value=s - 1))] = 1.0
+    members = draw(
+        st.lists(st.integers(min_value=0, max_value=s - 1), min_size=1, max_size=s, unique=True)
+    )
+    transition = raw / raw.sum(axis=1, keepdims=True)
+    return MarkovModel(transition, init, EventSchedule(s, constant=members))
 
 
 def random_independent(rng: np.random.Generator, length: int = 14) -> IndependentModel:

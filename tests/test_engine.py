@@ -4,11 +4,11 @@ Every backend's ``window_series`` and scans must return the floats the
 per-window loop returns, bit for bit: reports are built from the arrays and
 must not change when the engine does.  A chain's ``tail_sum`` must agree with
 the per-window emptiness check on every column through one period of its
-supports and schedule.  The same holds for
-``tail_union``'s doublings against one-shot sums, for ``limsup_estimate``'s
-lockstep levels and many-start scans against one start at a time, and for
-the Markov orbits against plain walks of distributions and supports.  The
-per-window loops below are the reference.
+supports and schedule, and with the support-orbit reference in conftest.
+The same holds for ``tail_union``'s doublings against one-shot sums, for
+``limsup_estimate``'s lockstep levels and many-start scans against one start
+at a time, and for the Markov orbit against a plain walk of distributions.
+The per-window loops below are the reference.
 """
 
 import gc
@@ -40,7 +40,7 @@ from cantelli import cli, limsup
 from cantelli.cli import EXIT_MISMATCH, EXIT_OK, ORACLE_DIFF_TOL, verify_results
 from cantelli.families import SequenceIndexError
 from cantelli.limsup import INITIAL_TRUNCATION, _enclosure, _rounding
-from cantelli.models import _SUPPORT_WALK, NumericFaultError
+from cantelli.models import NumericFaultError
 from cantelli.oracle import build_outcome_space
 from cantelli.specfile import load_spec, parse_spec
 from cantelli.summation import compensated_sum
@@ -54,9 +54,13 @@ from conftest import (
     make_equal_rows,
     make_flipflop,
     make_interleaved,
+    random_schedule_chain,
+    reference_markov_tail_sum,
     reference_tail_union,
     reference_window_prob,
     reference_window_tail,
+    sparse_chain,
+    sparse_markov_models,
 )
 
 probs = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
@@ -87,17 +91,30 @@ def reference_series(model, max_prefix_len, num_terms):
     )
 
 
-def window_is_empty(model, w):
+def plain_support_walk(model, count):
+    """Supports at times 1..count, one 0/1 matrix product at a time."""
+    reach = (model._transition > 0.0).astype(int)
+    rows = [model._initial > 0.0]
+    for _ in range(count - 1):
+        rows.append(rows[-1].astype(int) @ reach > 0)
+    return np.array(rows)
+
+
+def window_is_empty(model, w, supports=None):
     """True only when the window event is provably empty (probability exactly 0).
 
     A structural check, one window at a time, never a float-underflow readout:
     a Markov support that the window's masks, walked through the reachable
-    states, leave empty; a latent interval (lo, hi] with hi <= lo.
+    states, leave empty; a latent interval (lo, hi] with hi <= lo.  A chain's
+    ``supports`` are ``plain_support_walk``'s rows through w.start at least,
+    walked here when None.
     """
     pairs = constraints(w)
     if isinstance(model, MarkovModel):
         reach = model._transition > 0.0
-        supp = model._supports.rows(w.start, w.start)[0]
+        if supports is None:
+            supports = plain_support_walk(model, w.start)
+        supp = supports[w.start - 1]
         prev_idx = w.start
         for idx, occur in pairs:
             for _ in range(idx - prev_idx):
@@ -122,9 +139,18 @@ def assert_markov_tail_sum_agrees(model, prefix_len, n):
     holds at n through one joint period L of its supports and schedule past
     the horizon h where both repeat: at n..max(n, h) + L - 1."""
     bound = model.tail_sum(prefix_len, n)
-    (c, cycle), (e, q) = model._supports._cycle, model._events._period
-    columns = range(n, max(n, c, e) + math.lcm(len(cycle), q))
-    empty = all(window_is_empty(model, first_occurrence(j, prefix_len)) for j in columns)
+    # 2^S + 1 supports hold a repeat: time c's, first met again at time t
+    first = {}
+    for t, supp in enumerate(plain_support_walk(model, 2**model.num_states + 1), start=1):
+        c = first.setdefault(supp.tobytes(), t)
+        if c < t:
+            break
+    e, q = model._events._period
+    columns = range(n, max(n, c, e) + math.lcm(t - c, q))
+    supports = plain_support_walk(model, columns[-1])
+    empty = all(
+        window_is_empty(model, first_occurrence(j, prefix_len), supports) for j in columns
+    )
     assert bound == (0.0 if empty else None), (prefix_len, n)
 
 
@@ -281,6 +307,24 @@ def test_markov_tiled_series_matches_window_prob(model, max_prefix_len, num_term
             assert_markov_tail_sum_agrees(model, m, n)
 
 
+@st.composite
+def seeded_chains(draw):
+    """A chain of 1-6 states from ``random_schedule_chain`` or ``sparse_chain``."""
+    build = draw(st.sampled_from([random_schedule_chain, sparse_chain]))
+    return build(np.random.default_rng(draw(st.integers(0, 2**32 - 1))), draw(st.integers(1, 6)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.one_of(sparse_markov_models(), early_repeating_chains(), seeded_chains()),
+    st.lists(st.integers(1, 20) | st.sampled_from([10**3, 10**6, 10**12]), min_size=1, max_size=6),
+)
+def test_markov_tail_sum_matches_the_support_orbit_reference(model, times):
+    for m in range(5):
+        for n in times:
+            assert model.tail_sum(m, n) == reference_markov_tail_sum(model, m, n), (m, n)
+
+
 @pytest.mark.parametrize(
     "events",
     [
@@ -290,14 +334,13 @@ def test_markov_tiled_series_matches_window_prob(model, max_prefix_len, num_term
     ],
 )
 def test_markov_series_evaluates_one_period(events):
-    # a 3-cycle from (3/4, 1/4, 0): both orbits repeat with period 3
+    # a 3-cycle from (3/4, 1/4, 0): the distributions repeat with period 3
     model = MarkovModel(np.roll(np.eye(3), 1, axis=1), [0.75, 0.25, 0.0], events)
     num_terms = 400
-    for orbit in (model._dists, model._supports):
-        rows, masks, period = model._table_columns(orbit, 2, num_terms)
-        (c, cycle), (e, q) = orbit._cycle, events._period
-        assert len(cycle) == 3 and period == math.lcm(3, q)
-        assert len(rows) == max(c, e) - 1 + period < 20 and len(masks) == len(rows) + 2
+    rows, masks, period = model._table_columns(2, num_terms)
+    (c, cycle), (e, q) = model._dists._cycle, events._period
+    assert len(cycle) == 3 and period == math.lcm(3, q)
+    assert len(rows) == max(c, e) - 1 + period < 20 and len(masks) == len(rows) + 2
     terms = model.window_series(2, num_terms)
     assert bits(terms) == bits(reference_series(model, 2, num_terms))
 
@@ -315,9 +358,10 @@ def test_markov_series_that_never_repeats_walks_once():
     assert bits(terms) == bits(reference_series(model, 2, 3000))
 
 
-def test_markov_tail_sum_walks_a_support_orbit_with_no_repeat_once():
-    # rotations of cycles 2, 3, 5, 7, 11, 13 and 17: the support orbit's period
-    # is their product, 510510, far past _SUPPORT_WALK
+def test_markov_tail_sum_proves_a_long_support_period_empty():
+    # rotations of cycles 2, 3, 5, 7, 11, 13 and 17: the supports repeat with
+    # period 510510, their product, but the (schedule row, state) graph that
+    # tail_sum walks has only 58 pairs
     sizes = (2, 3, 5, 7, 11, 13, 17)
     transition, initial, at = np.zeros((sum(sizes), sum(sizes))), np.zeros(sum(sizes)), 0
     for size in sizes:
@@ -325,15 +369,10 @@ def test_markov_tail_sum_walks_a_support_orbit_with_no_repeat_once():
             transition[at + i, at + (i + 1) % size] = 1.0
         initial[at] = 1.0 / len(sizes)
         at += size
-    model = MarkovModel(transition, initial, EventSchedule(sum(sizes), constant=[]))
-    steps = []
-    step = model._supports._step
-    model._supports._step = lambda x: steps.append(x) or step(x)
-    assert model.tail_sum(1, 1) is None and model._supports._cycle is None
-    assert len(steps) >= _SUPPORT_WALK - 1
-    steps.clear()
-    assert model.tail_sum(1, 1) is None and model.tail_sum(2, 5) is None
-    assert steps == []
+    for members, bound in (([], 0.0), ([57], None)):
+        model = MarkovModel(transition, initial, EventSchedule(sum(sizes), constant=members))
+        assert model.tail_sum(1, 1) == bound
+        assert model.tail_sum(3, 10**12) == bound
 
 
 def test_markov_series_past_an_untailed_schedule_raises():
@@ -766,46 +805,8 @@ def test_markov_far_time_reads_the_orbit(name):
     assert len(model._dists._cycle[1]) <= 256
 
 
-def plain_support_walk(model, count):
-    """Supports at times 1..count, one 0/1 matrix product at a time."""
-    reach = (model._transition > 0.0).astype(int)
-    rows = [model._initial > 0.0]
-    for _ in range(count - 1):
-        rows.append(rows[-1].astype(int) @ reach > 0)
-    return np.array(rows)
-
-
-# a walk over at most 2^9 supports meets Brent's repeat by time 3 * 2^9
-SUPPORT_CYCLE_BY = 2048
-
-
-@settings(max_examples=60, deadline=None)
-@given(
-    markov_models(),
-    st.lists(
-        st.tuples(st.integers(min_value=1, max_value=3 * WALK), st.integers(0, 40)),
-        min_size=1,
-        max_size=8,
-    ),
-)
-def test_markov_supports_match_plain_walk(model, reads):
-    walk = plain_support_walk(model, SUPPORT_CYCLE_BY)
-    orbit = model._supports
-
-    def check():
-        for t, width in reads:
-            assert np.array_equal(orbit.rows(t, t)[0], walk[t - 1])
-            assert np.array_equal(orbit.rows(t, t + width), walk[t - 1 : t + width])
-
-    check()
-    assert np.array_equal(orbit.rows(SUPPORT_CYCLE_BY, SUPPORT_CYCLE_BY)[0], walk[-1])
-    assert orbit._cycle is not None
-    reads.reverse()
-    check()
-
-
 @pytest.mark.parametrize("name", ORBIT_CHAINS)
-@pytest.mark.parametrize("which", ["_dists", "_supports"])
+@pytest.mark.parametrize("which", ["_dists"])
 def test_markov_orbit_reads_past_its_cycle_take_no_step(name, which):
     orbit = getattr(ORBIT_CHAINS[name](), which)
     step, steps = orbit._step, []

@@ -28,10 +28,13 @@ from conftest import (
     make_nested,
     random_independent,
     random_latent,
+    random_event_set,
     random_markov,
+    random_schedule_chain,
     reference_independent_bins,
     reference_markov_bins,
     reference_window_prob,
+    sparse_chain,
 )
 
 
@@ -150,49 +153,6 @@ def test_degenerate_marginals_enumeration():
     assert oracle_window_prob(sp, first_occurrence(1, 0)) == 1.0
     assert oracle_window_prob(sp, first_occurrence(1, 1)) == 0.0
     assert oracle_window_prob(sp, all_complement(1, 2)) == 0.0
-
-
-def random_schedule_chain(rng, s):
-    """A chain with some zero transitions and a constant, periodic or explicit schedule."""
-    transition = rng.random((s, s)) * (rng.random((s, s)) < 0.8)
-    transition[np.arange(s), rng.integers(0, s, size=s)] += 0.1
-    transition /= transition.sum(axis=1, keepdims=True)
-    initial = rng.random(s) + 0.01
-    initial /= initial.sum()
-    return MarkovModel(transition, initial, random_schedule(rng, s))
-
-
-def random_event_set(rng, s):
-    return [int(x) for x in np.flatnonzero(rng.random(s) < 0.5)]
-
-
-def random_schedule(rng, s):
-    """A constant, periodic or explicit schedule; an explicit list has a tail."""
-    mode = int(rng.integers(3))
-    if mode == 0:
-        return EventSchedule(s, constant=random_event_set(rng, s))
-    if mode == 1:
-        return EventSchedule(
-            s, cycle=[random_event_set(rng, s) for _ in range(int(rng.integers(1, 4)))]
-        )
-    return EventSchedule(
-        s,
-        explicit=[random_event_set(rng, s) for _ in range(int(rng.integers(0, 6)))],
-        tail=random_event_set(rng, s),
-    )
-
-
-def sparse_chain(rng, s, initial=None):
-    """A chain with zeros in its transition rows and, unless ``initial`` is
-    given, in its initial vector: only some states can be occupied at each time."""
-    transition = rng.random((s, s)) * (rng.random((s, s)) < 0.5)
-    transition[np.arange(s), rng.integers(0, s, size=s)] += 0.1
-    transition /= transition.sum(axis=1, keepdims=True)
-    if initial is None:
-        initial = rng.random(s) * (rng.random(s) < 0.5)
-        initial[rng.integers(0, s)] += 0.1
-        initial /= initial.sum()
-    return MarkovModel(transition, initial, random_schedule(rng, s))
 
 
 def markov_build_cases():

@@ -22,7 +22,12 @@ from cantelli import (
 )
 from cantelli.windows import WindowPattern, all_complement, first_occurrence
 
-from conftest import any_families, early_repeating_chains, reference_window_prob
+from conftest import (
+    any_families,
+    early_repeating_chains,
+    reference_window_prob,
+    sparse_markov_models,
+)
 
 HORIZON = 8
 
@@ -120,23 +125,6 @@ def test_domination_chain(model, n, m):
     values = [reference_window_prob(model, first_occurrence(n + j, m - j)) for j in range(m + 1)]
     for shorter, longer in zip(values[1:], values):
         assert longer <= shorter + 1e-12
-
-
-@st.composite
-def sparse_markov_models(draw):
-    """Chains with zero transitions and a one-state start: supports can run dry."""
-    s = draw(st.integers(min_value=2, max_value=3))
-    raw = np.array(
-        draw(st.lists(st.sampled_from([0.0, 0.0, 0.5, 1.0]), min_size=s * s, max_size=s * s))
-    ).reshape(s, s)
-    raw[np.arange(s), draw(st.lists(st.integers(0, s - 1), min_size=s, max_size=s))] += 1.0
-    init = np.zeros(s)
-    init[draw(st.integers(min_value=0, max_value=s - 1))] = 1.0
-    members = draw(
-        st.lists(st.integers(min_value=0, max_value=s - 1), min_size=1, max_size=s, unique=True)
-    )
-    transition = raw / raw.sum(axis=1, keepdims=True)
-    return MarkovModel(transition, init, EventSchedule(s, constant=members))
 
 
 @settings(max_examples=60, deadline=None)
