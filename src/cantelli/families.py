@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .bounds import FLOOR, above, below, gamma, outward
 
 class SeriesClass(enum.Enum):
     """Closed-form classification of a nonnegative series."""
@@ -61,13 +62,6 @@ def _clamp01_array(x: np.ndarray) -> np.ndarray:
     if np.isnan(x).any():
         raise ValueError("sequence family produced NaN")
     return np.where(x < 0.0, 0.0, np.where(x > 1.0, 1.0, x))
-
-
-# the unit roundoff of a float
-ROUNDOFF = 2.0**-53
-# a few of the smallest subnormal floats: the absolute error of a result that
-# underflows
-_TINY = 8.0 * math.ulp(0.0)
 
 
 def index_range(lo: int, hi: int) -> np.ndarray:
@@ -147,7 +141,7 @@ class SequenceFamily(ABC):
         return None
 
     def evaluation_error(self) -> float:
-        """A bound on |value(n) - v(n)| over every n, where v is the family's
+        """An e with |value(n) - v(n)| <= e v(n) + FLOOR for every n, v the family's
         formula in exact arithmetic on its float parameters; inf when unknown."""
         return math.inf
 
@@ -295,10 +289,7 @@ class _PowerType(SequenceFamily):
         # the power raises the base's error to the exponent; the C library's
         # pow (1 ulp, 2 units) and the product with the scale (1) round once
         # each.  Clamping to [0, 1] moves no value further from its formula's.
-        if self.scale == 0.0:
-            return 0.0
-        error = (abs(self.exponent) * self._BASE_ERROR + 3.0) * ROUNDOFF
-        return error / (1.0 - error) if error < 1.0 else math.inf
+        return 0.0 if self.scale == 0.0 else gamma(abs(self.exponent) * self._BASE_ERROR + 3.0)
 
 
 class PowerLaw(_PowerType):
@@ -330,12 +321,12 @@ class PowerLaw(_PowerType):
         integral = float(m) ** (1.0 - s) / (s - 1.0)
         # float(m) moves each power by up to s units of roundoff, pow by two
         # more; s - 1, the quotient, the sums and the products round once each
-        error = (2.0 * s + 10.0) * ROUNDOFF
-        unclamped = self.scale * power <= 1.0 - error
+        c = 2.0 * s + 10.0
+        unclamped = self.scale * power <= below(1.0, c)
         lo = head + (self.scale if unclamped else min(self.scale, 1.0)) * (power / 2.0 + integral)
         hi = head + self.scale * (power + integral)
         # a power in the subnormal range keeps only an absolute precision
-        return max(lo * (1.0 - error) - _TINY, 0.0), hi * (1.0 + error) + _TINY
+        return max(below(lo, c) - FLOOR, 0.0), above(hi, c) + FLOOR
 
     def series_class(self, prefix_len: int) -> tuple[SeriesClass, str] | None:
         if self.scale == 0.0:
@@ -471,7 +462,7 @@ class ExplicitList(SequenceFamily):
         total = math.fsum(self.head[max(n, 1) - 1 :])
         if not total:
             return 0.0, 0.0
-        return math.nextafter(total, 0.0), math.nextafter(total, math.inf)
+        return outward(total, total)
 
     def tail_sup(self, n: int) -> float | None:
         if self.tail is None:

@@ -4,34 +4,29 @@ For any event sequence, P(union of A_j, j >= n) equals the sum over k of
 P(first occurrence at n + k): the first-occurrence events are disjoint and
 exhaust the union.  That tail-union probability u_n is non-increasing in n and
 its limit is exactly P(A_n infinitely often).  This module truncates the inner
-sum at K and encloses the remainder, everything past the truncation.  Its
-upper end is the least of three bounds: the all-complement window, which the
-same scan returns; the backend's analytic bound on the union, when it has
-one; and the paper's window criterion, when the backend bounds a window
-series' tail (a first occurrence past the truncation makes a window near it
-occur).  Its lower end is 0, except for independent events, whose remainder
-is exactly the all-complement probability R_K times u_{n+K}, and u_{n+K} is
-bounded on both sides by the marginals' tail sum (it is 1 where that sum
-diverges).  Both ends are padded outward by a derived bound on their
-rounding wherever the backend derives one, and a start stops once its
-padded interval is narrower than the tolerance.  It tracks u_n along a schedule of start
-indices.  The schedule's starts take their
-doublings in lockstep, one level at a time, so each level evaluates the
-model's per-index inputs once per merged run of the starts' ranges;
-``tail_union`` is the one-start case.
-The two records, ``TailUnionEstimate`` per start and ``LimsupEstimate`` for
-the schedule, are ``limsup``'s report as they are: its keys are their fields.
+sum at K and encloses the remainder, everything past the truncation, between
+bounds the backend certifies (``TailUnionEstimate``).  One function,
+``_sample``, finishes each estimate: it pads the enclosure's ends by a bound
+on their rounding from the ``bounds`` error model, wherever the backend
+bounds its scan's error, and stops a start once its padded interval is
+narrower than the tolerance.  It tracks u_n along a schedule of start
+indices, whose starts take their doublings in lockstep, one level at a time,
+so each level evaluates the model's per-index inputs once per merged run of
+the starts' ranges; ``tail_union`` is the one-start case.  The two records,
+``TailUnionEstimate`` per start and ``LimsupEstimate`` for the schedule, are
+``limsup``'s report as they are: its keys are their fields.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass, field
 from typing import Any, Sequence
 
 import numpy as np
 
-from .families import ROUNDOFF, ModelValueError
+from .bounds import ROUNDOFF, compensated_sum_error, outward
+from .families import ModelValueError
 from .models import EventSequenceModel
 from .summation import CompensatedSum, compensated_sum
 
@@ -59,13 +54,13 @@ class TailUnionEstimate:
 
     ``partial`` is the sum of the first K = ``truncation`` first-occurrence
     terms, a lower bound on u_n.  Three bounds hold the rest, u_n - partial,
-    from above, and the interval's upper end uses the least
-    (``effective_remainder``): ``remainder_bound``, the all-complement window
-    probability R_K over the truncated range; ``union_tail_bound``, an
-    analytic bound from the union past the truncation; and
-    ``window_tail_bound``, the paper's window criterion: a first occurrence at
-    n + K or later makes the m-window at n + K - m or later occur (m <= K), so
-    the m-window terms from n + K - m on bound the rest.  ``window_tail_m`` is
+    from above, and the interval's upper end uses the least:
+    ``remainder_bound``, the all-complement window probability R_K over the
+    truncated range; ``union_tail_bound``, an analytic bound from the union
+    past the truncation; and ``window_tail_bound``, the paper's window
+    criterion: a first occurrence at n + K or later makes the m-window at
+    n + K - m or later occur (m <= K), so the m-window terms from n + K - m
+    on bound the rest.  ``window_tail_m`` is
     that m.  ``union_tail_lower`` bounds the rest from below, and the
     interval's lower end adds it: for independent events R_K times a lower
     bound on u_{n+K}, which is R_K itself where the marginals' sum diverges.
@@ -73,11 +68,9 @@ class TailUnionEstimate:
     no closed form for that end (latent models state no lower end), and the
     window tail too.
 
-    ``rounding`` is a derived bound on how far either interval end, as
-    computed, lies from the exact value it stands for; both ends move outward
-    by it, and one ulp further.  It is zero where the backend derives no
-    bound on its scan's rounding (``scan_error``).  ``tolerance_reached``
-    says the interval, padded, is narrower than the tolerance.
+    ``interval`` is that enclosure, its ends padded for rounding as
+    ``_sample`` derives, within [0, 1]; ``tolerance_reached`` says it is
+    narrower than the tolerance.
     """
 
     start: int
@@ -89,20 +82,14 @@ class TailUnionEstimate:
     tolerance_reached: bool
     window_tail_bound: float | None = None
     window_tail_m: int | None = None
-    rounding: InitVar[float] = 0.0
-    interval: tuple[float, float] = field(init=False)
-
-    @property
-    def effective_remainder(self) -> float:
-        bounds = (self.remainder_bound, self.union_tail_bound, self.window_tail_bound)
-        return min(b for b in bounds if b is not None)
+    interval: tuple[float, float] = field(kw_only=True)
 
     @property
     def midpoint(self) -> float:
         lo, hi = self.interval
         return 0.5 * (lo + hi)
 
-    def __post_init__(self, rounding: float) -> None:
+    def __post_init__(self) -> None:
         # partial + remainder is 1 up to rounding, over a floor for short
         # scans.  The independent scan's remainder is a product of
         # ``truncation`` rounded factors, so each term scanned may take the
@@ -116,18 +103,6 @@ class TailUnionEstimate:
                 f"inconsistent enclosure: partial {self.partial!r},"
                 f" remainder {self.remainder_bound!r}"
             )
-        lower = self.union_tail_lower or 0.0
-        interval = _enclosure(self.partial, lower, self.effective_remainder, rounding)
-        object.__setattr__(self, "interval", interval)
-
-
-def _enclosure(partial: float, lower: float, upper: float, rounding: float) -> tuple[float, float]:
-    """[partial + lower, partial + upper], each end moved outward by
-    ``rounding`` and one ulp further where ``rounding`` is nonzero, within [0, 1]."""
-    lo, hi = partial + lower, partial + upper
-    if rounding:
-        lo, hi = np.nextafter(lo - rounding, -1.0), np.nextafter(hi + rounding, 2.0)
-    return max(float(lo), 0.0), min(float(hi), 1.0)
 
 
 def tail_union(
@@ -150,10 +125,9 @@ def _tail_unions(
 ) -> list[TailUnionEstimate]:
     """Enclose u_n for each n of ``starts``, the starts in lockstep.
 
-    Each start's truncation doubles from 16 until its interval, partial plus
-    ``union_tail_lower`` (or 0) to partial plus the effective remainder, each
-    end padded by ``_rounding``, is narrower than ``tol``, or it reaches
-    ``k_max``: the padding grows with the truncation, so a tolerance below it
+    Each start's truncation doubles from 16 until ``_sample`` finishes its
+    estimate: its padded interval is narrower than ``tol``, or it reaches
+    ``k_max``.  The padding grows with the truncation, so a tolerance below it
     scans to ``k_max``.  The starts take the doublings
     level by level: ``first_occurrence_terms`` scans, for every start still
     short of tolerance, the terms that level adds, ``_SCAN_CHUNK`` terms per
@@ -195,71 +169,52 @@ def _tail_unions(
             for i, (terms, complements, carry) in zip(active, scans):
                 compensated_sum(terms, running[i])
                 remainders[i], carries[i] = float(complements[-1]), carry
-        going = []
         for i in active:
-            n, remainder = starts[i], remainders[i]
-            union_lower, union_tail = model.remainder_bounds(n + k, remainder) or (None, None)
-            window_tail, window_m = _window_tail(model, n, k)
-            effective = min(b for b in (remainder, union_tail, window_tail) if b is not None)
-            partial = min(max(running[i].value, 0.0), 1.0)
-            # an end reads the remainder's bounds unless a zero window tail closes it
-            rounding = _rounding(model, k, partial, None if window_tail == 0.0 else remainder)
-            lo, hi = _enclosure(partial, union_lower or 0.0, effective, rounding)
-            reached = hi - lo < tol
-            if reached or k >= k_max:
-                estimates[i] = TailUnionEstimate(
-                    start=n,
-                    truncation=k,
-                    partial=partial,
-                    remainder_bound=remainder,
-                    union_tail_bound=union_tail,
-                    union_tail_lower=union_lower,
-                    tolerance_reached=reached,
-                    window_tail_bound=window_tail,
-                    window_tail_m=window_m,
-                    rounding=rounding,
-                )
-            else:
-                going.append(i)
-        active = going
+            estimates[i] = _sample(model, starts[i], k, running[i].value, remainders[i], tol, k_max)
+        active = [i for i in active if estimates[i] is None]
         scanned, k = k, min(2 * k, k_max)
     return estimates
 
 
-def _window_tail(model: EventSequenceModel, n: int, k: int) -> tuple[float | None, int | None]:
-    """The least ``model.tail_sum(m, n + k - m)`` over m = 0..min(k, MAX_PREFIX_LEN),
-    with its least m: a bound on u_n past truncation k; (None, None) when the
-    model bounds none there, or has no ``scan_error`` to pad a zero tail by."""
-    if not math.isfinite(model.scan_error(k)):
-        return None, None
-    bounds = ((model.tail_sum(m, n + k - m), m) for m in range(min(k, MAX_PREFIX_LEN) + 1))
-    return min(((b, m) for b, m in bounds if b is not None), default=(None, None))
+def _sample(
+    model: EventSequenceModel, n: int, k: int, total: float, remainder: float, tol: float, k_max: int
+) -> TailUnionEstimate | None:
+    """The estimate of u_n at truncation k, from the compensated sum ``total``
+    of a scan's first k terms and its k-th complement ``remainder``; None
+    while its interval is not narrower than ``tol`` and k is short of ``k_max``.
 
-
-def _rounding(model: EventSequenceModel, k: int, partial: float, remainder: float | None) -> float:
-    """A bound on how far an interval end of a scan's first k terms lies from
-    the exact value it stands for; 0 where the model's ``scan_error`` is inf.
-
-    The end is ``partial`` plus, unless ``remainder`` is None, a bound on
-    the rest read from the all-complement probability ``remainder``: that
-    probability itself, its product with a certified factor in [0, 1], or a
-    closed form no greater than it.  The rounded terms sum to within
-    ``model.scan_error(k)`` of the exact sum, and their compensated sum to
-    within (2u + gamma_k^2) s of their sum s: Neumaier's additions are
-    error-free transformations, which Ogita, Rump and Oishi (SIAM J. Sci.
-    Comput. 26, 2005, Prop. 4.5) bound by u s + gamma_{k-1}^2 s.  The
-    remainder is within ``model.scan_error(k)`` of its exact value too, and
-    the product and the sum with ``partial`` round once each.
+    The window tail is the least ``model.tail_sum(m, n + k - m)`` over
+    m = 0..min(k, MAX_PREFIX_LEN), at its least m.  A model with no finite
+    ``scan_error`` has none, and its ends are not padded.  Otherwise each end
+    is ``partial`` plus, unless a zero window tail closes it, a bound read
+    from ``remainder``: that probability, its product with a certified factor
+    in [0, 1], or a closed form no greater.  The rounded terms sum to within
+    ``model.scan_error(k)`` of the exact sum, and their compensated sum
+    ``partial`` to within ``compensated_sum_error(k, partial)`` of theirs;
+    the remainder is within ``model.scan_error(k)`` of its exact value, and
+    its product and sum with ``partial`` round once each.  Both ends move
+    outward by that bound, and one ulp further.
     """
-    error = model.scan_error(k)
-    if not math.isfinite(error):
-        return 0.0
-    gamma = k * ROUNDOFF / (1.0 - k * ROUNDOFF)
-    relative = 2.0 * ROUNDOFF + gamma * gamma
-    bound = error + relative * partial / (1.0 - relative)
-    if remainder is not None:
-        bound += error + 4.0 * ROUNDOFF * (partial + remainder)
-    return bound
+    partial = min(max(total, 0.0), 1.0)
+    union_lower, union_tail = model.remainder_bounds(n + k, remainder) or (None, None)
+    window_tail = window_m = None
+    error, rounding = model.scan_error(k), 0.0
+    if math.isfinite(error):
+        tails = [(model.tail_sum(m, n + k - m), m) for m in range(min(k, MAX_PREFIX_LEN) + 1)]
+        window_tail, window_m = min([t for t in tails if t[0] is not None], default=(None, None))
+        rounding = error + compensated_sum_error(k, partial)
+        if window_tail != 0.0:
+            rounding += error + 4.0 * ROUNDOFF * (partial + remainder)
+    lo = partial + (union_lower or 0.0)
+    hi = partial + min(b for b in (remainder, union_tail, window_tail) if b is not None)
+    if rounding:
+        lo, hi = outward(lo - rounding, hi + rounding)
+    lo, hi = max(lo, 0.0), min(hi, 1.0)
+    reached = hi - lo < tol
+    if not reached and k < k_max:
+        return None
+    fields = (union_tail, union_lower, reached, window_tail, window_m)
+    return TailUnionEstimate(n, k, partial, remainder, *fields, interval=(lo, hi))
 
 
 def aitken_extrapolate(values: Sequence[float]) -> tuple[float | None, str]:

@@ -44,9 +44,10 @@ generators share the call.
 
 A backend states the closed forms it can certify through ``marginal_limit``,
 ``series_class``, ``remainder_bounds``, ``tail_sum`` and ``describe``, and the
-rounding error of its scan's sums and complements through ``scan_error``; the
-base class knows none (None, "", or inf), and every certification rests on the
-justification or description the backend records.
+rounding error of its scan's sums and complements through ``scan_error``,
+derived in the ``bounds`` error model; the base class knows none (None, "",
+or inf), and every certification rests on the justification or description
+the backend records.
 
 All models are immutable after construction and all queries are pure; the
 Markov backend caches only its ``_Orbit`` walk of distributions.
@@ -63,8 +64,8 @@ from typing import Any, Callable, Sequence
 
 import numpy as np
 
+from .bounds import FLOOR, above, below, gamma
 from .families import (
-    ROUNDOFF,
     ModelValueError,
     SequenceFamily,
     SequenceIndexError,
@@ -327,27 +328,29 @@ class IndependentModel(EventSequenceModel):
         # and p_j <= q < 1 from n on: 1 - p <= exp(-p) gives u_n >= 1 - exp(-S_lo)
         # (1 where the sum diverges, by the second Borel-Cantelli lemma), and
         # 1 - p >= exp(-p / (1 - q)) gives u_n <= 1 - exp(-S_hi / (1 - q)), as
-        # does the union bound u_n <= S_hi.  expm1 is within one ulp and its
+        # does the union bound u_n <= S_hi; a value v <= 1 lies within
+        # e v + FLOOR of its formula's.  expm1 is within one ulp and its
         # product, like q's sum, quotient and difference, rounds once more.
         family = self._family
         s_lo, s_hi = family.tail_sum_bounds(n)
-        lower = 1.0 if s_lo == math.inf else -math.expm1(-s_lo) * (1.0 - 4.0 * ROUNDOFF)
+        lower = 1.0 if s_lo == math.inf else below(-math.expm1(-s_lo), 4)
         upper = min(1.0, s_hi)
         sup = family.tail_sup(n)
-        q = math.inf if sup is None else sup + family.evaluation_error()
+        q = math.inf if sup is None else sup + family.evaluation_error() + FLOOR
         if q < 1.0:
-            upper = min(upper, -math.expm1(-s_hi / (1.0 - q)) * (1.0 + 8.0 * ROUNDOFF))
+            upper = min(upper, above(-math.expm1(-s_hi / (1.0 - q)), 8))
         return complement * lower, complement * upper
 
     def scan_error(self, k: int) -> float:
         # a survival product of j <= k factors rounds 2j times (each 1 - p
         # and each product) and a term once more, so each is within gamma_2k
         # of the exact products of the evaluated values, whose terms sum to
-        # at most 1.  Each value lies within the family's evaluation error e
-        # of its formula, which moves the survival product, and the sum of
-        # the terms (1 minus it), by at most j * e.
-        two_k = 2 * k * ROUNDOFF
-        return two_k / (1.0 - two_k) + k * self._family.evaluation_error()
+        # at most 1.  A value p' lies within e p + FLOOR of its formula's p.
+        # The survival products differ by sum_j (p_j - p'_j) prod_{i<j}
+        # (1 - p_i) prod_{i>j} (1 - p'_i), each product at most 1 and
+        # sum_j p_j prod_{i<j} (1 - p_i) <= 1: so the survival product, and
+        # each partial sum of the terms (1 minus it), moves by e + j FLOOR.
+        return gamma(2 * k) + self._family.evaluation_error() + k * FLOOR
 
     def describe(self) -> str:
         return f"independent events, {self._family.describe()}"
@@ -1010,13 +1013,13 @@ class LatentUniformModel(EventSequenceModel):
 
     def scan_error(self, k: int) -> float:
         # a term is a product of one length hi - lo per latent: the
-        # subtraction rounds once (within ROUNDOFF: a length is at most 1) and
-        # each end is a threshold within its family's evaluation error; the
-        # products round once each.  A complement is a product of L such
+        # subtraction rounds once (within u: a length is at most 1) and each
+        # end is a threshold v within e v + FLOOR <= e + FLOOR of its formula;
+        # the products round once each.  A complement is a product of L such
         # lengths, 1 - lo.  The bound counts each of the k terms in full.
         two_l = 2 * self._num_latents
-        error = max(f.evaluation_error() for f in self._families())
-        return k * (two_l * ROUNDOFF / (1.0 - two_l * ROUNDOFF) + two_l * error)
+        error = max(f.evaluation_error() for f in self._families()) + FLOOR
+        return k * (gamma(two_l) + two_l * error)
 
     def _families_with_start(self, n: int) -> list[tuple[SequenceFamily, int]]:
         """(family, first index it is evaluated at for global index >= n) per latent."""

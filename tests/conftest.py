@@ -22,7 +22,7 @@ from cantelli import (
     PowerLaw,
     TailUnionEstimate,
 )
-from cantelli.limsup import INITIAL_TRUNCATION, MAX_PREFIX_LEN, _enclosure, _rounding
+from cantelli.limsup import INITIAL_TRUNCATION, _sample
 from cantelli.oracle import _binned, _code_type
 from cantelli.summation import CompensatedSum, compensated_sum
 from cantelli.windows import WindowPattern
@@ -92,16 +92,6 @@ def reference_window_prob(model: EventSequenceModel, w: WindowPattern) -> float:
     return finish(prob)
 
 
-def reference_window_tail(model: EventSequenceModel, n: int, k: int):
-    """(bound, m): the least ``tail_sum(m, n + k - m)`` over m <= min(k,
-    MAX_PREFIX_LEN), at its least m, or (None, None): the window tail past
-    truncation k.  A model with no finite ``scan_error`` has none."""
-    if not math.isfinite(model.scan_error(k)):
-        return None, None
-    bounds = [(model.tail_sum(m, n + k - m), m) for m in range(min(k, MAX_PREFIX_LEN) + 1)]
-    return min(((b, m) for b, m in bounds if b is not None), default=(None, None))
-
-
 def reference_tail_union(
     model: EventSequenceModel, n: int, tol: float, k_max: int
 ) -> TailUnionEstimate:
@@ -109,11 +99,8 @@ def reference_tail_union(
 
     The reference for the lockstep levels of ``limsup_estimate``: each of its
     estimates must equal this one at the same start, bit for bit.  The
-    truncation doubles from 16 until the interval, partial plus the model's
-    lower remainder bound (or 0) to partial plus the least of the
-    all-complement, union and window-tail bounds, each end padded by
-    ``_rounding``, is narrower than ``tol``, or it reaches
-    ``k_max``; each doubling continues the scan from its carry and the
+    truncation doubles from 16 until ``limsup._sample`` finishes the
+    estimate; each doubling continues the scan from its carry and the
     running compensated sum.
     """
     running = CompensatedSum()
@@ -122,27 +109,10 @@ def reference_tail_union(
     while True:
         [(terms, complements, carry)] = model.first_occurrence_terms([end], n + k - end, [carry])
         end = n + k
-        partial = min(max(compensated_sum(terms, running), 0.0), 1.0)
-        remainder = float(complements[-1])
-        union_lower, union_tail = model.remainder_bounds(n + k, remainder) or (None, None)
-        window_tail, window_m = reference_window_tail(model, n, k)
-        effective = min(b for b in (remainder, union_tail, window_tail) if b is not None)
-        rounding = _rounding(model, k, partial, None if window_tail == 0.0 else remainder)
-        lo, hi = _enclosure(partial, union_lower or 0.0, effective, rounding)
-        reached = hi - lo < tol
-        if reached or k >= k_max:
-            return TailUnionEstimate(
-                start=n,
-                truncation=k,
-                partial=partial,
-                remainder_bound=remainder,
-                union_tail_bound=union_tail,
-                union_tail_lower=union_lower,
-                tolerance_reached=reached,
-                window_tail_bound=window_tail,
-                window_tail_m=window_m,
-                rounding=rounding,
-            )
+        total = compensated_sum(terms, running)
+        estimate = _sample(model, n, k, total, float(complements[-1]), tol, k_max)
+        if estimate is not None:
+            return estimate
         k = min(2 * k, k_max)
 
 

@@ -39,7 +39,7 @@ from cantelli import (
 from cantelli import cli, limsup
 from cantelli.cli import EXIT_MISMATCH, EXIT_OK, ORACLE_DIFF_TOL, verify_results
 from cantelli.families import SequenceIndexError
-from cantelli.limsup import INITIAL_TRUNCATION, _enclosure, _rounding
+from cantelli.limsup import INITIAL_TRUNCATION, _sample
 from cantelli.models import NumericFaultError
 from cantelli.oracle import build_outcome_space
 from cantelli.specfile import load_spec, parse_spec
@@ -58,7 +58,6 @@ from conftest import (
     reference_markov_tail_sum,
     reference_tail_union,
     reference_window_prob,
-    reference_window_tail,
     sparse_chain,
     sparse_markov_models,
 )
@@ -563,16 +562,18 @@ def one_shot_tail_union(model, n, tol, k_max):
     """``tail_union``'s doubling loop, each sum and remainder taken afresh."""
     k = min(INITIAL_TRUNCATION, k_max)
     while True:
-        partial = min(max(compensated_sum(reference_terms(model, n, k)), 0.0), 1.0)
-        remainder = reference_complement(model, n, k)
-        union_lower, union_tail = model.remainder_bounds(n + k, remainder) or (None, None)
-        window_tail, window_m = reference_window_tail(model, n, k)
-        effective = min(b for b in (remainder, union_tail, window_tail) if b is not None)
-        rounding = _rounding(model, k, partial, None if window_tail == 0.0 else remainder)
-        lo, hi = _enclosure(partial, union_lower or 0.0, effective, rounding)
-        reached = hi - lo < tol
-        if reached or k >= k_max:
-            return k, bits(partial), bits(remainder), union_tail, union_lower, window_m, reached
+        total = compensated_sum(reference_terms(model, n, k))
+        est = _sample(model, n, k, total, reference_complement(model, n, k), tol, k_max)
+        if est is not None:
+            return (
+                est.truncation,
+                bits(est.partial),
+                bits(est.remainder_bound),
+                est.union_tail_bound,
+                est.union_tail_lower,
+                est.window_tail_m,
+                est.tolerance_reached,
+            )
         k = min(2 * k, k_max)
 
 

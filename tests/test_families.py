@@ -6,9 +6,10 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from cantelli import families
+from cantelli.bounds import FLOOR
 from cantelli.families import (
     Constant,
     ExplicitList,
@@ -272,6 +273,14 @@ def test_index_range_is_int64_to_the_top_and_raises_past_memory():
             families.index_range(1, hi)
 
 
+def underflow_examples(test):
+    """CI's underflow spec, scale 1e-300 and exponent 30, at n = 1..40: its
+    values are subnormal at n = 2..6 and 0 from n = 7 on."""
+    for n in range(40, 0, -1):
+        test = example(PowerLaw, 1e-300, 30.0, n)(test)
+    return test
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     st.sampled_from([PowerLaw, LogPower]),
@@ -279,13 +288,16 @@ def test_index_range_is_int64_to_the_top_and_raises_past_memory():
     st.sampled_from([1.0, 2.0, -1.0, 0.5]) | st.floats(-3.0, 4.0),
     st.integers(min_value=1, max_value=10**6) | st.integers(2**53 - 10, 2**63 - 1),
 )
+@underflow_examples
 def test_evaluation_error_bounds_the_distance_to_the_exact_formula(kind, scale, exponent, n):
-    # the formula at 60 digits on the float parameters, clamped like value
+    # the formula v at 60 digits on the float parameters, clamped like value:
+    # |value - v| <= e v + FLOOR
     family = kind(scale, exponent)
     with mpmath.workdps(60):
         base = mpmath.mpf(n) if kind is PowerLaw else mpmath.log(mpmath.mpf(n) + 1)
         exact = min(max(mpmath.mpf(scale) * base ** (-mpmath.mpf(exponent)), 0), 1)
-        assert abs(mpmath.mpf(family.value(n)) - exact) <= family.evaluation_error()
+        bound = mpmath.mpf(family.evaluation_error()) * exact + mpmath.mpf(FLOOR)
+        assert abs(mpmath.mpf(family.value(n)) - exact) <= bound, (family, n)
 
 
 def exact_power_tail(scale, exponent, n):

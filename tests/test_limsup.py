@@ -66,7 +66,7 @@ def test_nested_tail_union_ends_at_its_window_tail():
     # the all-complement probability stalls at 1 - a_n, the union tail at 1/(n + K)
     assert est.remainder_bound == pytest.approx(1.0 - 1.0 / 8.0, abs=1e-12)
     assert est.union_tail_bound == pytest.approx(1.0 / (8 + 16), abs=1e-12)
-    assert est.effective_remainder == 0.0
+    assert min(est.remainder_bound, est.union_tail_bound, est.window_tail_bound) == 0.0
     # rounding is the interval's only width, padded outward around 1/8
     lo, hi = est.interval
     assert lo < 1.0 / 8.0 < hi and hi - lo < 1e-12
@@ -324,13 +324,25 @@ def test_limsup_levels_at_scale_equal_the_one_start_reference(make, starts, k_ma
     assert est.samples == [reference_tail_union(model, n, 1e-300, k_max) for n in starts]
 
 
+def test_long_independent_scans_pad_the_family_error_once():
+    # the family's error is relative, so it moves the survival product by e
+    # in all, not by e per term: at 2**20 terms each interval is 9.32e-10
+    # wide, where k e made it 3.26e-9
+    est = limsup_estimate(make_powerlaw(1.0, 2.0), [5, 1005, 2005], tol=1e-300, k_max=1 << 20)
+    for s in est.samples:
+        lo, hi = s.interval
+        assert s.truncation == 1 << 20 and hi - lo < 1e-9, s
+        assert Fraction(lo) <= Fraction(1, s.start) <= Fraction(hi), s
+
+
 def test_enclosure_slack_grows_with_the_truncation():
     # powerlaw-2 from 5 over 2**20 terms: the remainder, a product of 2**20
-    # rounded factors, takes partial + remainder 1.5e-12 past 1
+    # rounded factors, takes partial + remainder 1.5e-12 past 1.  A chain has
+    # no closed form and no padding, so the interval's upper end clamps to 1
     partial, remainder = 0.19999923706345724, 0.8000007629380222
-    est = TailUnionEstimate(5, 1 << 20, partial, remainder, None, None, False)
-    assert est.interval[1] == 1.0
+    est = limsup._sample(make_absorbing(), 5, 1 << 20, partial, remainder, 1e-300, 1 << 20)
+    assert est.interval == (partial, 1.0)
     with pytest.raises(ValueError, match="inconsistent enclosure"):
-        TailUnionEstimate(5, 16, partial, remainder, None, None, False)
+        TailUnionEstimate(5, 16, partial, remainder, None, None, False, interval=(partial, 1.0))
     with pytest.raises(ValueError, match="inconsistent enclosure"):
-        TailUnionEstimate(1, 1 << 20, 0.5, 0.6, None, None, False)
+        TailUnionEstimate(1, 1 << 20, 0.5, 0.6, None, None, False, interval=(0.5, 1.0))
