@@ -18,7 +18,11 @@ FLOOR = 8.0 * math.ulp(0.0)
 def gamma(k: float) -> float:
     """k u / (1 - k u), inf where k u >= 1: every product of k factors
     (1 + d)^(+-1), |d| <= u, lies within it of 1 for an integer k (Higham,
-    Lemma 3.1).  The power families pass a real count; their test checks it."""
+    Lemma 3.1).  The power families pass a real count of at least 3, which
+    their test checks.  A non-integer k below 3 raises ``ValueError``: for k
+    between 2 and 3 the bound can fall short of (1 - u)^-k - 1."""
+    if k < 3 and not float(k).is_integer():
+        raise ValueError(f"gamma of a non-integer count {k!r} below 3")
     ku = k * ROUNDOFF
     return ku / (1.0 - ku) if ku < 1.0 else math.inf
 

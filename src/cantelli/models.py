@@ -34,13 +34,14 @@ recurrence per backend, over those inputs, and
 evaluates the inputs once per merged run of its starts' ranges, runs each
 start's recurrence on its slice, and returns per start the terms, the
 finished all-complement probabilities and the carry that goes on with the
-scan.  One start is the call with one start; the engines compute prefix
-windows only.  ``sample_indicator_block`` draws sampled indicators for many
-windows and a batch of generators in one call: it fills one row per distinct
-index the windows cover, reads each row's inputs once for the whole batch,
-and takes each window's block off its rows.  Each generator's rows equal,
-bit for bit, a call with that generator alone, whichever windows and
-generators share the call.
+scan.  The Markov call scans once per group of starts whose scans must
+coincide, and copies.  One start is the call with one start; the engines
+compute prefix windows only.  ``sample_indicator_block`` draws sampled
+indicators for many windows and a batch of generators in one call: it fills
+one row per distinct index the windows cover, reads each row's inputs once
+for the whole batch, and takes each window's block off its rows.  Each
+generator's rows equal, bit for bit, a call with that generator alone,
+whichever windows and generators share the call.
 
 A backend states the closed forms it can certify through ``marginal_limit``,
 ``series_class``, ``remainder_bounds``, ``tail_sum`` and ``describe``, and the
@@ -613,6 +614,15 @@ class MarkovModel(EventSequenceModel):
     block is kept: memory stays O(S^2 + cycle) between queries.  ``tail_sum``
     walks the finite graph of (schedule row, state) pairs instead.
 
+    A first-occurrence scan from n is ``_scan``'s fixed sequence of float
+    operations on two inputs: its first distribution (x_n, or carry @ T for
+    a continued scan) and the masks of E_n onwards, which the schedule row
+    ``_row(n)`` fixes (from the end of an explicit prefix on the rows repeat
+    with the schedule's period; before it, or on a list with no tail, the
+    row is n's own).  Starts with one row and bitwise-equal first
+    distributions therefore have equal scans bit for bit, and
+    ``first_occurrence_terms`` scans each such group once.
+
     The constructor is the one check of the chain.  ``transition`` must be a
     nonempty square list of rows, and each row and ``initial`` a probability
     vector (nonnegative, summing to 1 within ``ROW_SUM_TOL``).  A bad entry
@@ -732,6 +742,27 @@ class MarkovModel(EventSequenceModel):
 
     def _inputs(self, lo: int, hi: int) -> tuple[np.ndarray, ...]:
         return (self._events.masks(lo, hi),)
+
+    def first_occurrence_terms(
+        self, starts: Sequence[int], count: int, carries: Sequence[Any] | None = None
+    ) -> list[tuple[np.ndarray, np.ndarray, Any]]:
+        """One base scan, of its first start alone, per group of starts whose
+        scans are equal (see the class docstring); each later start of a
+        group gets copies.  Starts are read in increasing order, so the orbit
+        walks forward once per call."""
+        if len(starts) < 2 or count == 0:
+            return super().first_occurrence_terms(starts, count, carries)
+        scans: list[Any] = [None] * len(starts)
+        shared: dict = {}  # (row, first distribution's bytes) -> the group's scan
+        for i in sorted(range(len(starts)), key=starts.__getitem__):
+            n, carry = starts[i], None if carries is None else carries[i]
+            first = self._dists.rows(n, n)[0] if carry is None else carry @ self._transition
+            key = (self._events._row(n), first.tobytes())
+            if key in shared:
+                scans[i] = tuple(x.copy() for x in shared[key])
+            else:
+                scans[i] = shared[key] = super().first_occurrence_terms([n], count, [carry])[0]
+        return scans
 
     def _scan(
         self, n: int, inputs: tuple[np.ndarray, ...], carry: Any

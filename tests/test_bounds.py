@@ -12,9 +12,11 @@ import sys
 from fractions import Fraction
 
 import mpmath
+import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from cantelli.bounds import FLOOR, ROUNDOFF, above, below, compensated_sum_error, gamma, outward
+from cantelli.families import LogPower, PowerLaw
 from cantelli.summation import compensated_sum
 
 SUBNORMALS = st.integers(min_value=1, max_value=2**52 - 1).map(lambda m: m * math.ulp(0.0))
@@ -27,6 +29,14 @@ NONNEGATIVE = (
 # probabilities: what the scans sum
 PROBABILITIES = st.floats(min_value=0.0, max_value=1.0) | SUBNORMALS
 COUNTS = st.integers(min_value=1, max_value=2**40) | st.sampled_from([1, 2, 3, 4, 2**40])
+# the real counts the power families pass, |s| B + 3: the shipped exponents
+# 1, 1.5 and 2 with PowerLaw's B = 1, and any exponent with either family's B
+EXPONENTS = st.floats(min_value=0.0, max_value=2.0**20) | st.sampled_from([1.0, 1.5, 2.0])
+REAL_COUNTS = st.sampled_from([4.0, 4.5, 5.0]) | st.builds(
+    lambda s, base: abs(s) * base + 3.0,
+    EXPONENTS,
+    st.sampled_from([PowerLaw._BASE_ERROR, LogPower._BASE_ERROR]),
+)
 FINITE = st.floats(allow_nan=False, allow_infinity=False) | SUBNORMALS
 OPERATIONS = st.sampled_from([operator.add, operator.sub, operator.mul, operator.truediv])
 
@@ -47,14 +57,22 @@ def test_one_rounding_is_relative_down_to_the_floor(op, a, b):
     assert abs(Fraction(x) - v) <= Fraction(ROUNDOFF) * abs(v) + Fraction(FLOOR)
 
 
-@settings(max_examples=300, deadline=None)
-@given(COUNTS)
+@settings(max_examples=600, deadline=None)
+@given(COUNTS | REAL_COUNTS)
 def test_gamma_holds_the_largest_relative_error_of_k_roundings(k):
     # the product of k factors (1 + d)^(+-1), |d| <= u, farthest from 1 is (1 - u)^-k
     with mpmath.workdps(50):
         worst = (1 - mpmath.mpf(ROUNDOFF)) ** -k - 1
         assert worst <= mpmath.mpf(gamma(k)), (k, worst, gamma(k))
     assert gamma(2**53) == math.inf
+
+
+@pytest.mark.parametrize("k", [0.5, 2.5, 2.9999999999999996, -1.5])
+def test_gamma_rejects_a_non_integer_count_below_3(k):
+    # from 2 to 3 the bound can miss (1 - u)^-k - 1; no caller passes such a k
+    with pytest.raises(ValueError, match="non-integer count"):
+        gamma(k)
+    assert gamma(2.0) == gamma(2) and gamma(3.0) == gamma(3)
 
 
 @settings(max_examples=500, deadline=None)

@@ -19,7 +19,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from cantelli import (
     Constant,
@@ -604,19 +604,30 @@ def scan_calls(draw):
     """(starts, count, carry kinds) of a many-start scan.
 
     Each start follows the one drawn before it: at the same index (its range
-    nested in that one), overlapping it, adjacent to it, or far past it; then
+    nested in that one), overlapping it, adjacent to it, or far past it.  Or
+    the starts are n, n + L and n + 7L, for L a multiple of 6, and 10**5 + j
+    for a few j.  For most draws of ``early_repeating_chains`` the orbit and
+    the schedule repeat with a joint period that divides 6, so past its
+    beginning these starts, and the far ones of equal j mod 6, have one
+    phase and one first distribution: their Markov scans are shared.  Then
     the starts are shuffled.  A start begins afresh (None) or goes on from a
     scan of the indices before it ("continued").
     """
     count = draw(st.integers(min_value=1, max_value=20))
-    starts = [draw(st.integers(min_value=1, max_value=30))]
-    for _ in range(draw(st.integers(min_value=0, max_value=4))):
-        gap = draw(
-            st.sampled_from([0, count])
-            | st.integers(min_value=1, max_value=count)
-            | st.integers(min_value=count + 1, max_value=count + 2000)
-        )
-        starts.append(starts[-1] + gap)
+    if draw(st.booleans()):
+        period = 6 * draw(st.integers(min_value=1, max_value=3))
+        n = draw(st.integers(min_value=1, max_value=1200))
+        far = draw(st.lists(st.integers(min_value=0, max_value=13), min_size=2, max_size=4))
+        starts = [n, n + period, n + 7 * period] + [10**5 + j for j in far]
+    else:
+        starts = [draw(st.integers(min_value=1, max_value=30))]
+        for _ in range(draw(st.integers(min_value=0, max_value=4))):
+            gap = draw(
+                st.sampled_from([0, count])
+                | st.integers(min_value=1, max_value=count)
+                | st.integers(min_value=count + 1, max_value=count + 2000)
+            )
+            starts.append(starts[-1] + gap)
     starts = draw(st.permutations(starts))
     kinds = [
         draw(st.sampled_from([None, "continued"]) if n > 1 else st.none())
@@ -634,7 +645,17 @@ def scan_carry(model, n, kind):
 
 
 @settings(max_examples=200, deadline=None)
-@given(models, scan_calls())
+@given(models | early_repeating_chains(), scan_calls())
+# x_n is one fixed point from n = 3 on, and E_n alternates: 10**5 and
+# 10**5 + 1 start from equal distributions in different phases
+@example(
+    MarkovModel(
+        [[0.0, 0.5, 0.5], [0.0, 0.0, 1.0], [0.0, 0.0, 1.0]],
+        [1.0, 0.0, 0.0],
+        EventSchedule(3, cycle=[[2], [1]]),
+    ),
+    ([10**5 + 1, 10**5, 10**5 + 2, 10**5 + 3], 5, [None, None, None, "continued"]),
+)
 def test_many_start_scan_equals_one_start_scans(model, call):
     # the starts share one evaluation of each merged run's inputs; each scan
     # must still be the one its start gives alone: terms, complements, carry
@@ -649,6 +670,23 @@ def test_many_start_scan_equals_one_start_scans(model, call):
         assert bits(terms) == bits(one_terms), n
         assert bits(complements) == bits(one_complements), n
         assert bits(after) == bits(one_after), n
+
+
+def test_markov_shared_scans_are_each_starts_own_arrays():
+    # 10**5, 10**5 + 6 and 10**6 have one phase and one first distribution,
+    # so one scan serves them; writing into one start's arrays leaves the
+    # other starts' arrays as they were
+    model = load_spec(REPO / "specs" / "markov-3state.json").model
+    starts = [10**6, 10**5, 10**5 + 6]
+    for written in range(len(starts)):
+        scans = model.first_occurrence_terms(starts, 8)
+        kept = [[bits(x) for x in scan] for scan in scans]
+        assert kept[1] == kept[0] == kept[2]
+        for x in scans[written]:
+            x[...] = -1.0
+        for i, scan in enumerate(scans):
+            if i != written:
+                assert [bits(x) for x in scan] == kept[i], (written, i)
 
 
 def estimate_bits(est):
@@ -696,6 +734,14 @@ def test_limsup_levels_equal_the_one_start_reference(model, schedule, tol, k_max
     with mock.patch.object(limsup, "_SCAN_CHUNK", chunk):
         est = limsup_estimate(model, schedule, tol=tol, k_max=k_max)
     expected = [reference_tail_union(model, n, tol, k_max) for n in schedule]
+    assert [estimate_bits(s) for s in est.samples] == [estimate_bits(s) for s in expected]
+
+
+def test_markov_far_limsup_equals_tail_union_at_each_start():
+    # the benchmark's far Markov schedule: its starts share every level's scan
+    spec, schedule = REPO / "specs" / "markov-3state.json", [10**5, 5 * 10**5, 10**6]
+    est = limsup_estimate(load_spec(spec).model, schedule)
+    expected = [tail_union(load_spec(spec).model, n) for n in schedule]
     assert [estimate_bits(s) for s in est.samples] == [estimate_bits(s) for s in expected]
 
 
